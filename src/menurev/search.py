@@ -3,9 +3,11 @@
 The search is exact: results are reported as Fractions and the winning menu's
 revenue is re-verified against the rational evaluator. Internally the engine
 scales values and prices to int64 and evaluates menu blocks with numpy; when
-atom probabilities have denominators too large for exact integer weights, the
-block scores use float64 screening and every near-optimal candidate is
-re-scored exactly before the winner is declared. Menus are enumerated in
+atom probabilities have denominators too large for int64 weights, the block
+scores use float64 screening and every near-optimal candidate is re-scored
+exactly as the integer sum of its payments times the atom weights p_t * W
+(W the lcm of the probability denominators), with no Fraction buyer per
+candidate, before the winner is declared. Menus are enumerated in
 lexicographic price order (singletons first, then pairs, then larger bundles)
 and ties break toward the lexicographically smallest price vector.
 
@@ -159,6 +161,7 @@ class SearchResult:
             "revenue": format_rational(self.revenue),
             "revenue_decimal": dec,
             "menus_examined": self.examined,
+            "pruned": self.pruned,
             "wall_time_s": round(self.elapsed, 6),
         }
 
@@ -180,18 +183,19 @@ class _Instance:
         # additive menus price bundles at sums of single prices, which can
         # exceed every grid value, so K must cover them too
         self.K = max(max_grid, sum(max_single)) + 1
-        max_val = max(
-            (int(bundle_value(v, self.order[-1]) * self.L) for v, _ in dist.atoms), default=0)
+        items = [[x.numerator * (self.L // x.denominator) for x in v] for v, _ in dist.atoms]
+        max_val = max((sum(row) for row in items), default=0)
         self.int_keys = (max_val + self.K + 1) * self.K < _INT64_BUDGET
-        wden = math.lcm(*{p.denominator for _, p in dist.atoms})
-        self.int_weights = self.int_keys and wden * self.K < _INT64_BUDGET
-        self.W = wden if self.int_weights else None
+        # exact integer atom weights w_t = p_t * W, so revenue = sum(pay_t * w_t) / (W * L)
+        self.W = math.lcm(*{p.denominator for _, p in dist.atoms})
+        exact = [p.numerator * (self.W // p.denominator) for _, p in dist.atoms]
+        self.exact_weights = np.array(exact, dtype=object)
+        self.int_weights = self.int_keys and self.W * self.K < _INT64_BUDGET
         if self.int_keys:
-            self.values = np.array(
-                [[int(bundle_value(v, b) * self.L) for b in self.order] for v, _ in dist.atoms],
-                dtype=np.int64)
+            self.values = np.array([[sum(row[i - 1] for i in b) for b in self.order]
+                                    for row in items], dtype=np.int64)
         if self.int_weights:
-            self.weights = np.array([int(p * self.W) for _, p in dist.atoms], dtype=np.int64)
+            self.weights = np.array(exact, dtype=np.int64)
         else:
             self.weights = np.array([float(p) for _, p in dist.atoms], dtype=np.float64)
 
@@ -429,17 +433,15 @@ def _constraint_predicate(constraint: str, n: int) -> Callable[[Tuple[Fraction, 
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_chunk(rows: np.ndarray, values: np.ndarray, weights: np.ndarray, k: int,
-                int_scores: bool) -> np.ndarray:
+def _payments(rows: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Payment of each type (column) under each scaled menu row; the key
+    utility * K + price breaks utility ties toward the higher price."""
     util = values[None, :, :] - rows[:, None, :]
     util *= k
     util += rows[:, None, :]
     key = util.max(axis=2)
     np.maximum(key, 0, out=key)
-    pay = np.mod(key, k)
-    if int_scores:
-        return pay @ weights
-    return pay.astype(np.float64) @ weights
+    return np.mod(key, k)
 
 
 def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid,
@@ -482,62 +484,54 @@ def _search_pure(dist, constraint, grid, prune):
     return best_menu, best_rev, examined
 
 
+def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:
+    """(score, row) of the largest exact score, ties to the lexicographically smallest row."""
+    best = None
+    for row in sorted(rows):
+        pay = _payments(np.array([row], dtype=np.int64), inst.values, inst.K)[0]
+        # sum_t pay_t * w_t, grouped by the few distinct payments
+        score = sum(int(q) * inst.exact_weights[pay == q].sum() for q in np.unique(pay) if q)
+        if best is None or score > best[0]:
+            best = (score, row)
+    return best
+
+
 def _search_vectorized(inst: _Instance, constraint: str, prune: bool):
     values, weights, k = inst.values, inst.weights, inst.K
-    int_scores = inst.int_weights
-    n_types, n_bundles = values.shape
-    chunk_rows = max(1, _CELL_BUDGET // (n_types * n_bundles))
+    chunk_rows = max(1, _CELL_BUDGET // values.size)
 
     examined = 0
-    best_score = None
-    best_row: Optional[np.ndarray] = None
+    best: Optional[Tuple[int, Tuple[int, ...]]] = None  # exact (score, row) on int64 weights
+    top = -math.inf  # best float score when screening
     window: List[Tuple[float, Tuple[int, ...]]] = []
-
-    need_pred = constraint in ("submodular", "symmetric-and-submodular")
 
     for rows in _enumerate_rows(inst, constraint, prune):
         for lo in range(0, rows.shape[0], chunk_rows):
             chunk = rows[lo:lo + chunk_rows]
-            scores = _eval_chunk(chunk, values, weights, k, int_scores)
+            scores = _payments(chunk, values, k) @ weights
             examined += chunk.shape[0]
-            if int_scores:
-                i = int(np.argmax(scores))
-                s = int(scores[i])
-                if best_score is None or s > best_score:
-                    best_score, best_row = s, chunk[i].copy()
-            else:
-                mx = float(scores.max())
-                tol = 1e-9 * (abs(mx) + 1.0)
-                if best_score is None or mx > best_score:
-                    best_score = mx
-                keep = np.nonzero(scores >= mx - tol)[0]
-                for i in keep.tolist():
-                    window.append((float(scores[i]), tuple(int(x) for x in chunk[i])))
+            i = int(np.argmax(scores))
+            if inst.int_weights:
+                if best is None or scores[i] > best[0]:
+                    best = (int(scores[i]), tuple(int(x) for x in chunk[i]))
+                continue
+            top = max(top, float(scores[i]))
+            cut = top - 1e-9 * (abs(top) + 1.0)
+            keep = np.nonzero(scores >= cut)[0]
+            window += [(float(scores[j]), tuple(int(x) for x in chunk[j])) for j in keep.tolist()]
+            if len(window) > _WINDOW_CAP:
+                window = [w for w in window if w[0] >= cut]
                 if len(window) > _WINDOW_CAP:
-                    cut = best_score - 1e-9 * (abs(best_score) + 1.0)
-                    window = [w for w in window if w[0] >= cut]
-                    if len(window) > _WINDOW_CAP:
-                        window.sort(key=lambda w: (-w[0], w[1]))
-                        window = window[:_WINDOW_CAP // 2]
+                    # collapse to the exact winner: float order could drop it
+                    _, row = _exact_best(inst, (r for _, r in window))
+                    window = [w for w in window if w[1] == row]
 
     if examined == 0:
         return None, None, 0
-
-    if int_scores:
-        menu = inst.menu_from_scaled(best_row)
-        rev = Fraction(best_score, inst.W * inst.L)
-        return menu, rev, examined
-
-    # float screening: exact re-evaluation of every near-best candidate
-    cut = best_score - 1e-9 * (abs(best_score) + 1.0)
-    cands = sorted({row for s, row in window if s >= cut})
-    best_menu, best_rev = None, None
-    for row in cands:
-        menu = inst.menu_from_scaled(row)
-        rev = expected_revenue(menu, inst.dist)
-        if best_rev is None or rev > best_rev:
-            best_menu, best_rev = menu, rev
-    return best_menu, best_rev, examined
+    if not inst.int_weights:
+        best = _exact_best(inst, (r for s, r in window if s >= cut))
+    score, row = best
+    return inst.menu_from_scaled(row), Fraction(score, inst.W * inst.L), examined
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,7 +16,11 @@ from menurev import (
 )
 from menurev.instances import random_single_item
 from menurev.model import is_submodular, is_symmetric_menu
-from menurev.search import CandidateGrid, SearchError
+from menurev import search
+from menurev.search import CandidateGrid, SearchError, _Instance
+
+# coprime near-2^31 probability denominators push the weight lcm past int64
+_P, _Q = 2**31 - 1, 2**31 - 99
 
 
 def _point_mass_joint(v1, v2):
@@ -65,6 +70,10 @@ def test_search_result_metadata(example5):
     assert is_submodular(res.best)
     doc = res.to_json_dict()
     assert doc["revenue"] == "102/25" and doc["revenue_decimal"] == "4.08"
+    assert doc["pruned"] is res.pruned is False  # support sums are not monotone-closed
+    small = _point_mass_joint(3, 4)
+    pruned = search_optimal(small, "submodular", candidate_grid(small, "integer-grid"))
+    assert pruned.to_json_dict()["pruned"] is True
 
 
 def test_constraint_alias(example5):
@@ -190,18 +199,60 @@ def test_gap_report_single_item():
     assert len(set(values.values())) == 1  # all classes coincide for one item
 
 
+def _float_path_joint(tiny, regular):
+    """Atoms tiny[0], tiny[1] of probability 1/_P, 1/_Q; the regular
+    (valuation, weight) atoms share the remaining mass in proportion to weight."""
+    rest = 1 - F(1, _P) - F(1, _Q)
+    total = sum(w for _, w in regular)
+    pairs = [(tiny[0], F(1, _P)), (tiny[1], F(1, _Q))]
+    return JointDistribution.from_pairs(2, pairs + [(v, rest * F(w, total)) for v, w in regular])
+
+
 def test_float_screening_path_matches_oracle():
-    # coprime near-2^31 denominators push the weight lcm past int64, forcing
-    # float screening with exact re-scoring
-    p, q = 2**31 - 1, 2**31 - 99
-    rest = 1 - F(1, p) - F(1, q)
-    dist = JointDistribution.from_pairs(
-        2, [((3, 1), F(1, p)), ((1, 4), F(1, q)), ((2, 2), rest)])
+    # the weight lcm passes int64, forcing float screening with exact re-scoring
+    dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     grid = candidate_grid(dist, "support-sums")
+    assert not _Instance(dist, grid).int_weights
     res = search_optimal(dist, "unrestricted", grid)
-    _, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
-    assert res.revenue == oracle_rev
+    oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
+    assert (res.best, res.revenue) == (oracle_menu, oracle_rev)
     assert res.revenue == expected_revenue(res.best, dist)
+
+
+def test_float_screening_differential_random_instances():
+    # 2-4 random types with values 0-6 beside the two tiny-probability atoms
+    rng = random.Random(4242)
+    constraints = ["unrestricted", "submodular", "symmetric", "additive", "bundle-only"]
+    checked = 0
+    while checked < 40:
+        vectors = rng.sample([(a, b) for a in range(7) for b in range(7)], rng.randint(2, 4) + 2)
+        dist = _float_path_joint(vectors[:2], [(v, rng.randint(1, 5)) for v in vectors[2:]])
+        grid = candidate_grid(dist, "support-sums")
+        if math.prod(len(ps) for ps in grid.prices) > 300:
+            continue
+        assert not _Instance(dist, grid).int_weights
+        constraint = constraints[checked % len(constraints)]
+        res = search_optimal(dist, constraint, grid)
+        oracle_menu, oracle_rev, _ = oracle_search(dist, constraint, grid)
+        assert (res.best, res.revenue) == (oracle_menu, oracle_rev), (constraint, dist.atoms)
+        checked += 1
+
+
+def test_window_overflow_keeps_exact_winner(monkeypatch):
+    # prices above every value are never paid, so many menus tie exactly; a
+    # two-row window must collapse to the exact, lexicographically smallest winner
+    dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
+    grid = candidate_grid(dist, "explicit", explicit={
+        (1,): [0, 1, 2, 3, 8, 9], (2,): [0, 1, 2, 4, 8, 9], (1, 2): [2, 3, 4, 5, 10, 11, 12]})
+    assert not _Instance(dist, grid).int_weights
+    calls = []
+    exact_best = search._exact_best
+    monkeypatch.setattr(search, "_WINDOW_CAP", 2)
+    monkeypatch.setattr(search, "_exact_best", lambda *a: calls.append(a) or exact_best(*a))
+    res = search_optimal(dist, "unrestricted", grid)
+    oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
+    assert (res.best, res.revenue) == (oracle_menu, oracle_rev)
+    assert len(calls) > 1  # at least one collapse before the final rescoring
 
 
 def test_four_item_pure_fallback():
