@@ -204,7 +204,8 @@ class LPOutcome:
 
 
 def _lp_rows(values: List[Valuation], n: int):
-    """Rows of the IC/IR/box system in the >= form used by the vertex solver."""
+    """Rows of the IC/IR/box system in >= form: the IC rows, the IR rows, then
+    for each (t, i) the pair x >= 0, -x >= -1; columns are x, then payments."""
     t_count = len(values)
     width = t_count * n + t_count
 
@@ -249,7 +250,7 @@ def _lp_rows(values: List[Valuation], n: int):
             row[x_idx(t, i)] = Fraction(-1)
             rows.append(row)
             rhs.append(Fraction(-1))
-    return rows, rhs, x_idx, p_idx
+    return rows, rhs
 
 
 def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
@@ -269,7 +270,7 @@ def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
         x, obj = _lp_simplex(values, mu, n)
         certified = True
     elif method == "float-guided-exact":
-        rows, rhs, x_idx, p_idx = _lp_rows(values, n)
+        rows, rhs = _lp_rows(values, n)
         c = [Fraction(0)] * (t_count * n) + list(mu)
         result = lp.certified_vertex(c, rows, rhs)
         x, obj, certified = result.x, result.objective, result.certified
@@ -288,57 +289,18 @@ def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
 
 
 def _lp_simplex(values: List[Valuation], mu: List[Fraction], n: int):
-    """Exact tableau simplex on the split-variable form (payments p = p+ - p-)."""
+    """Exact tableau simplex on the <= form of `_lp_rows`, with payments split as
+    p = p+ - p-; the simplex keeps every variable >= 0, so the x >= 0 rows go."""
     t_count = len(values)
     nx = t_count * n
-    width = nx + 2 * t_count  # x, p+, p-
-
-    def x_idx(t, i):
-        return t * n + i
-
-    def pp_idx(t):
-        return nx + t
-
-    def pm_idx(t):
-        return nx + t_count + t
-
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-
-    def blank():
-        return [Fraction(0)] * width
-
-    for t, v in enumerate(values):
-        for s in range(t_count):
-            if s == t:
-                continue
-            row = blank()  # v.(x_s - x_t) + p_t - p_s <= 0
-            for i in range(n):
-                row[x_idx(t, i)] -= v[i]
-                row[x_idx(s, i)] += v[i]
-            row[pp_idx(t)] += 1
-            row[pm_idx(t)] -= 1
-            row[pp_idx(s)] -= 1
-            row[pm_idx(s)] += 1
-            rows.append(row)
-            rhs.append(Fraction(0))
-    for t, v in enumerate(values):
-        row = blank()  # p_t - v.x_t <= 0
-        for i in range(n):
-            row[x_idx(t, i)] -= v[i]
-        row[pp_idx(t)] += 1
-        row[pm_idx(t)] -= 1
-        rows.append(row)
-        rhs.append(Fraction(0))
-    for t in range(t_count):
-        for i in range(n):
-            row = blank()
-            row[x_idx(t, i)] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(1))
+    rows, rhs = _lp_rows(values, n)
+    box = len(rows) - 2 * nx  # box rows alternate x >= 0 and -x >= -1
+    keep = [r for r in range(len(rows)) if r < box or (r - box) % 2]
+    a_ub = [[-a for a in rows[r]] + rows[r][nx:] for r in keep]
+    b_ub = [-rhs[r] for r in keep]
     c = [Fraction(0)] * nx + list(mu) + [-m for m in mu]
-    sol, obj = lp.simplex_max(c, rows, rhs)
-    x = sol[:nx] + [sol[pp_idx(t)] - sol[pm_idx(t)] for t in range(t_count)]
+    sol, obj = lp.simplex_max(c, a_ub, b_ub)
+    x = sol[:nx] + [sol[nx + t] - sol[nx + t_count + t] for t in range(t_count)]
     return x, obj
 
 

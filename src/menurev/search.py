@@ -1,15 +1,18 @@
 """Exhaustive grid search for revenue-optimal menus under structural constraints.
 
 The search is exact: results are reported as Fractions and the winning menu's
-revenue is re-verified against the rational evaluator. Internally the engine
-scales values and prices to int64 and evaluates menu blocks with numpy; when
-atom probabilities have denominators too large for int64 weights, the block
-scores use float64 screening and every near-optimal candidate is re-scored
-exactly as the integer sum of its payments times the atom weights p_t * W
-(W the lcm of the probability denominators), with no Fraction buyer per
-candidate, before the winner is declared. Menus are enumerated in
-lexicographic price order (singletons first, then pairs, then larger bundles)
-and ties break toward the lexicographically smallest price vector.
+revenue is re-verified against the rational evaluator. Every instance, for any
+number of items, runs on one engine: values and prices are scaled to integers
+and menu blocks are evaluated with numpy, in int64 arrays, or in arrays of
+Python ints where int64 keys would overflow. When atom probabilities have
+denominators too large for int64 weights, or the keys are Python ints, the
+block scores use float64 screening and every near-optimal candidate is
+re-scored exactly as the integer sum of its payments times the atom weights
+p_t * W (W the lcm of the probability denominators), with no Fraction buyer
+per candidate, before the winner is declared. `SearchResult.path` names the
+regime. Menus are enumerated in lexicographic price order (singletons first,
+then pairs, then larger bundles) and ties break toward the lexicographically
+smallest price vector.
 
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
 candidate grids are closed under price monotonization, which holds for integer
@@ -21,8 +24,9 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +37,6 @@ from .model import (
     Menu,
     all_bundles,
     bundle_value,
-    is_submodular,
-    is_symmetric_menu,
 )
 from .rational import RationalLike, decimal_with_flag, format_rational, parse_nonnegative
 
@@ -52,7 +54,7 @@ _CONSTRAINT_ALIASES = {"symmetric-submodular": "symmetric-and-submodular"}
 
 _INT64_BUDGET = 1 << 62
 _CELL_BUDGET = 6_000_000  # per evaluation chunk, int64 cells
-_PURE_LIMIT = 500_000  # menu cap for the slow exact fallback
+_ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
 _WINDOW_CAP = 20_000
 
 
@@ -151,6 +153,7 @@ class SearchResult:
     grid_mode: str
     elapsed: float
     pruned: bool
+    path: str  # "int64", "float-screen" or "float-screen-bigint"
 
     def to_json_dict(self) -> Dict[str, object]:
         dec = decimal_with_flag(self.revenue)
@@ -162,6 +165,7 @@ class SearchResult:
             "revenue_decimal": dec,
             "menus_examined": self.examined,
             "pruned": self.pruned,
+            "path": self.path,
             "wall_time_s": round(self.elapsed, 6),
         }
 
@@ -186,21 +190,24 @@ class _Instance:
         items = [[x.numerator * (self.L // x.denominator) for x in v] for v, _ in dist.atoms]
         max_val = max((sum(row) for row in items), default=0)
         self.int_keys = (max_val + self.K + 1) * self.K < _INT64_BUDGET
+        # Python ints stay exact where int64 keys would overflow
+        self.dtype = np.int64 if self.int_keys else object
         # exact integer atom weights w_t = p_t * W, so revenue = sum(pay_t * w_t) / (W * L)
         self.W = math.lcm(*{p.denominator for _, p in dist.atoms})
         exact = [p.numerator * (self.W // p.denominator) for _, p in dist.atoms]
         self.exact_weights = np.array(exact, dtype=object)
         self.int_weights = self.int_keys and self.W * self.K < _INT64_BUDGET
-        if self.int_keys:
-            self.values = np.array([[sum(row[i - 1] for i in b) for b in self.order]
-                                    for row in items], dtype=np.int64)
+        self.path = ("int64" if self.int_weights
+                     else "float-screen" if self.int_keys else "float-screen-bigint")
+        self.values = np.array([[sum(row[i - 1] for i in b) for b in self.order]
+                                for row in items], dtype=self.dtype)
         if self.int_weights:
             self.weights = np.array(exact, dtype=np.int64)
         else:
             self.weights = np.array([float(p) for _, p in dist.atoms], dtype=np.float64)
 
     def scaled_grid(self, bundle_idx: int) -> np.ndarray:
-        return np.array([int(p * self.L) for p in self.grid.prices[bundle_idx]], dtype=np.int64)
+        return np.array([int(p * self.L) for p in self.grid.prices[bundle_idx]], dtype=self.dtype)
 
     def menu_from_scaled(self, row: Sequence[int]) -> Menu:
         return Menu(self.dist.n, tuple(Fraction(int(p), self.L) for p in row))
@@ -231,7 +238,6 @@ def _axis_groups(inst: _Instance, constraint: str) -> Tuple[List[List[int]], Lis
     indices into the canonical bundle order, excluding singletons.
     """
     order = inst.order
-    n = inst.dist.n
     higher = [i for i, b in enumerate(order) if len(b) > 1]
     if constraint in ("unrestricted", "submodular", "additive", "bundle-only"):
         groups = [[i] for i in higher]
@@ -250,7 +256,7 @@ def _axis_groups(inst: _Instance, constraint: str) -> Tuple[List[List[int]], Lis
         if not shared:
             return [], [], False
         groups.append(cols)
-        axes.append(np.array(sorted(int(p * inst.L) for p in shared), dtype=np.int64))
+        axes.append(np.array(sorted(int(p * inst.L) for p in shared), dtype=inst.dtype))
     return groups, axes, True
 
 
@@ -272,13 +278,9 @@ def _single_combos(inst: _Instance, constraint: str) -> Iterator[Tuple[int, ...]
         yield combo
 
 
-_INCOMPARABLE_CACHE: Dict[int, List[Tuple[int, int, int, int]]] = {}
-
-
-def _incomparable_pairs(n: int) -> List[Tuple[int, int, int, int]]:
+@lru_cache(maxsize=None)
+def _incomparable_pairs(n: int) -> Tuple[Tuple[int, int, int, int], ...]:
     """Index quadruples (i, j, i_and_j, i_or_j) for submodularity masks; -1 is empty."""
-    if n in _INCOMPARABLE_CACHE:
-        return _INCOMPARABLE_CACHE[n]
     order = all_bundles(n)
     index = {b: i for i, b in enumerate(order)}
     out = []
@@ -291,8 +293,7 @@ def _incomparable_pairs(n: int) -> List[Tuple[int, int, int, int]]:
             inter = tuple(sorted(ss & ts))
             union = tuple(sorted(ss | ts))
             out.append((i, j, index[inter] if inter else -1, index[union]))
-    _INCOMPARABLE_CACHE[n] = out
-    return out
+    return tuple(out)
 
 
 def _subset_pairs(n: int) -> List[Tuple[int, int]]:
@@ -302,7 +303,7 @@ def _subset_pairs(n: int) -> List[Tuple[int, int]]:
 
 
 def _enumerate_rows(inst: _Instance, constraint: str, prune: bool) -> Iterator[np.ndarray]:
-    """Yield scaled menu rows (chunk, n_bundles) int64 in lexicographic order."""
+    """Yield scaled menu rows (chunk, n_bundles) of `inst.dtype` in lexicographic order."""
     order = inst.order
     n = inst.dist.n
     n_bundles = len(order)
@@ -315,8 +316,8 @@ def _enumerate_rows(inst: _Instance, constraint: str, prune: bool) -> Iterator[n
 
     if constraint == "additive":
         grids = [inst.scaled_grid(i).tolist() for i in range(n)]
-        combos = np.array(list(iproduct(*grids)), dtype=np.int64).reshape(-1, n)
-        rows = np.empty((combos.shape[0], n_bundles), dtype=np.int64)
+        combos = np.array(list(iproduct(*grids)), dtype=inst.dtype).reshape(-1, n)
+        rows = np.empty((combos.shape[0], n_bundles), dtype=inst.dtype)
         for i, b in enumerate(order):
             rows[:, i] = sum(combos[:, item - 1] for item in b)
         yield rows
@@ -326,31 +327,25 @@ def _enumerate_rows(inst: _Instance, constraint: str, prune: bool) -> Iterator[n
     if not feasible:
         return
     want_submodular = constraint in ("submodular", "symmetric-and-submodular")
-    inc_pairs = _incomparable_pairs(n) if want_submodular else []
+    inc_pairs = _incomparable_pairs(n) if want_submodular else ()
     sub_pairs = _subset_pairs(n) if prune else []
 
     mesh_cells = math.prod(len(a) for a in axes) if axes else 1
-    if mesh_cells > 50_000_000:
+    if mesh_cells * n_bundles > _ROWS_BUDGET:
         raise SearchError("candidate grid too large; supply a smaller explicit grid")
 
+    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
+    cols: List[object] = [0] * n_bundles
+    for group, arr in zip(groups, mesh):
+        for c in group:
+            cols[c] = arr
     for singles in _single_combos(inst, constraint):
-        cols: List[object] = [0] * n_bundles
         for i in range(n):
             cols[i] = int(singles[i])
-        if axes:
-            mesh = np.meshgrid(*axes, indexing="ij")
-        else:
-            mesh = []
-        for group, arr in zip(groups, mesh):
-            for c in group:
-                cols[c] = arr
         mask = np.ones(mesh[0].shape if mesh else (1,), dtype=bool)
         if prune:
             for i, j in sub_pairs:
-                term = cols[j] >= cols[i] if (isinstance(cols[j], np.ndarray)
-                                              or isinstance(cols[i], np.ndarray)) else \
-                    (cols[j] >= cols[i])
-                mask &= term
+                mask &= cols[j] >= cols[i]
         if want_submodular:
             for i, j, k, u in inc_pairs:
                 pk = 0 if k == -1 else cols[k]
@@ -358,7 +353,7 @@ def _enumerate_rows(inst: _Instance, constraint: str, prune: bool) -> Iterator[n
         if not mask.any():
             continue
         idx = np.nonzero(mask.ravel())[0]
-        rows = np.empty((idx.size, n_bundles), dtype=np.int64)
+        rows = np.empty((idx.size, n_bundles), dtype=inst.dtype)
         for c in range(n_bundles):
             col = cols[c]
             if isinstance(col, np.ndarray):
@@ -366,67 +361,6 @@ def _enumerate_rows(inst: _Instance, constraint: str, prune: bool) -> Iterator[n
             else:
                 rows[:, c] = col
         yield rows
-
-
-def _enumerate_pure(grid: CandidateGrid, constraint: str, prune: bool) -> Iterator[Tuple[Fraction, ...]]:
-    """Slow exact enumeration used when int64 scaling would overflow or n > 3."""
-    order = all_bundles(grid.n)
-    n_bundles = len(order)
-    pred = _constraint_predicate(constraint, grid.n)
-    sub_pairs = _subset_pairs(grid.n) if prune else []
-
-    if constraint == "bundle-only":
-        for q in grid.prices[-1]:
-            yield tuple(q for _ in range(n_bundles))
-        return
-    if constraint == "additive":
-        singles = [grid.prices[i] for i in range(grid.n)]
-        for combo in iproduct(*singles):
-            yield tuple(sum((combo[i - 1] for i in b), Fraction(0)) for b in order)
-        return
-
-    if constraint in ("symmetric", "symmetric-and-submodular"):
-        by_size: Dict[int, List[int]] = {}
-        for i, b in enumerate(order):
-            by_size.setdefault(len(b), []).append(i)
-        shared = []
-        for size in sorted(by_size):
-            s = set(grid.prices[by_size[size][0]])
-            for c in by_size[size][1:]:
-                s &= set(grid.prices[c])
-            if not s:
-                return
-            shared.append(sorted(s))
-        for combo in iproduct(*shared):
-            row = [Fraction(0)] * n_bundles
-            for size_idx, size in enumerate(sorted(by_size)):
-                for c in by_size[size]:
-                    row[c] = combo[size_idx]
-            menu = tuple(row)
-            if all(menu[j] >= menu[i] for i, j in sub_pairs) and pred(menu):
-                yield menu
-        return
-
-    for combo in iproduct(*grid.prices):
-        if all(combo[j] >= combo[i] for i, j in sub_pairs) and pred(combo):
-            yield combo
-
-
-def _constraint_predicate(constraint: str, n: int) -> Callable[[Tuple[Fraction, ...]], bool]:
-    if constraint == "unrestricted":
-        return lambda prices: True
-    if constraint == "submodular":
-        return lambda prices: is_submodular(Menu(n, prices))
-    if constraint == "symmetric":
-        return lambda prices: is_symmetric_menu(Menu(n, prices))
-    if constraint == "symmetric-and-submodular":
-        return lambda prices: (is_symmetric_menu(Menu(n, prices))
-                               and is_submodular(Menu(n, prices)))
-    if constraint == "additive":
-        return lambda prices: True
-    if constraint == "bundle-only":
-        return lambda prices: True
-    raise SearchError(f"unknown constraint {constraint!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +389,7 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
     inst = _Instance(dist, grid)
     effective_prune = prune and _monotone_closure_holds(grid)
 
-    if not inst.int_keys or dist.n > 3:
-        result = _search_pure(dist, constraint, grid, effective_prune)
-    else:
-        result = _search_vectorized(inst, constraint, effective_prune)
-    best_menu, best_rev, examined = result
+    best_menu, best_rev, examined = _search_vectorized(inst, constraint, effective_prune)
     if best_menu is None:
         raise SearchError(f"empty feasible set under constraint {constraint!r}")
     # the rational evaluator is the final authority on the reported revenue
@@ -467,28 +397,14 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
     if check != best_rev:
         raise AssertionError(f"internal revenue mismatch: {check} != {best_rev}")
     return SearchResult(best_menu, best_rev, examined, constraint, grid.mode,
-                        time.perf_counter() - t0, effective_prune)
-
-
-def _search_pure(dist, constraint, grid, prune):
-    best_menu, best_rev, examined = None, None, 0
-    for prices in _enumerate_pure(grid, constraint, prune):
-        examined += 1
-        if examined > _PURE_LIMIT:
-            raise SearchError("search space too large for the exact fallback path; "
-                              "reduce the grid")
-        menu = Menu(dist.n, prices)
-        rev = expected_revenue(menu, dist)
-        if best_rev is None or rev > best_rev:
-            best_menu, best_rev = menu, rev
-    return best_menu, best_rev, examined
+                        time.perf_counter() - t0, effective_prune, inst.path)
 
 
 def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:
     """(score, row) of the largest exact score, ties to the lexicographically smallest row."""
     best = None
     for row in sorted(rows):
-        pay = _payments(np.array([row], dtype=np.int64), inst.values, inst.K)[0]
+        pay = _payments(np.array([row], dtype=inst.dtype), inst.values, inst.K)[0]
         # sum_t pay_t * w_t, grouped by the few distinct payments
         score = sum(int(q) * inst.exact_weights[pay == q].sum() for q in np.unique(pay) if q)
         if best is None or score > best[0]:

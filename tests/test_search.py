@@ -15,9 +15,9 @@ from menurev import (
     uniform,
 )
 from menurev.instances import random_single_item
-from menurev.model import is_submodular, is_symmetric_menu
+from menurev.model import all_bundles, is_submodular, is_symmetric_menu
 from menurev import search
-from menurev.search import CandidateGrid, SearchError, _Instance
+from menurev.search import CandidateGrid, SearchError
 
 # coprime near-2^31 probability denominators push the weight lcm past int64
 _P, _Q = 2**31 - 1, 2**31 - 99
@@ -71,6 +71,7 @@ def test_search_result_metadata(example5):
     doc = res.to_json_dict()
     assert doc["revenue"] == "102/25" and doc["revenue_decimal"] == "4.08"
     assert doc["pruned"] is res.pruned is False  # support sums are not monotone-closed
+    assert doc["path"] == res.path == "int64"
     small = _point_mass_joint(3, 4)
     pruned = search_optimal(small, "submodular", candidate_grid(small, "integer-grid"))
     assert pruned.to_json_dict()["pruned"] is True
@@ -212,27 +213,60 @@ def test_float_screening_path_matches_oracle():
     # the weight lcm passes int64, forcing float screening with exact re-scoring
     dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     grid = candidate_grid(dist, "support-sums")
-    assert not _Instance(dist, grid).int_weights
     res = search_optimal(dist, "unrestricted", grid)
+    assert res.path == "float-screen"
     oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
     assert (res.best, res.revenue) == (oracle_menu, oracle_rev)
     assert res.revenue == expected_revenue(res.best, dist)
 
 
-def test_float_screening_differential_random_instances():
+def _weighted_joint(n, weighted):
+    total = sum(w for _, w in weighted)
+    return JointDistribution.from_pairs(n, [(v, F(w, total)) for v, w in weighted])
+
+
+def _float_weights_instance(rng):
     # 2-4 random types with values 0-6 beside the two tiny-probability atoms
+    vectors = rng.sample([(a, b) for a in range(7) for b in range(7)], rng.randint(2, 4) + 2)
+    dist = _float_path_joint(vectors[:2], [(v, rng.randint(1, 5)) for v in vectors[2:]])
+    return dist, candidate_grid(dist, "support-sums")
+
+
+def _bigint_keys_instance(rng):
+    # 1-3 types with values in [0, 5] on a 2^-40 lattice: scaled keys pass int64
+    vectors = {tuple(F(rng.randint(0, 5 << 40), 1 << 40) for _ in range(2))
+               for _ in range(rng.randint(1, 3))}
+    dist = _weighted_joint(2, [(v, rng.randint(1, 5)) for v in sorted(vectors)])
+    return dist, candidate_grid(dist, "support-sums")
+
+
+def _four_item_instance(rng):
+    # 1-4 types with values 0-4; every bundle of size s may cost c * s, so the
+    # symmetric and submodular classes are never empty
+    vectors = {tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(rng.randint(1, 4))}
+    dist = _weighted_joint(4, [(v, rng.randint(1, 5)) for v in sorted(vectors)])
+    c = rng.randint(0, 2)
+    explicit = {b: {c * len(b)} | set(rng.sample(range(2 * len(b) + 1), rng.choice([0, 0, 1])))
+                for b in all_bundles(4)}
+    return dist, candidate_grid(dist, "explicit", explicit=explicit)
+
+
+@pytest.mark.parametrize("make, path", [
+    (_float_weights_instance, "float-screen"),
+    (_bigint_keys_instance, "float-screen-bigint"),
+    (_four_item_instance, "int64"),
+], ids=["float-weights", "bigint-keys", "four-items"])
+def test_search_differential_random_instances(make, path):
     rng = random.Random(4242)
     constraints = ["unrestricted", "submodular", "symmetric", "additive", "bundle-only"]
     checked = 0
     while checked < 40:
-        vectors = rng.sample([(a, b) for a in range(7) for b in range(7)], rng.randint(2, 4) + 2)
-        dist = _float_path_joint(vectors[:2], [(v, rng.randint(1, 5)) for v in vectors[2:]])
-        grid = candidate_grid(dist, "support-sums")
+        dist, grid = make(rng)
         if math.prod(len(ps) for ps in grid.prices) > 300:
             continue
-        assert not _Instance(dist, grid).int_weights
         constraint = constraints[checked % len(constraints)]
         res = search_optimal(dist, constraint, grid)
+        assert res.path == path
         oracle_menu, oracle_rev, _ = oracle_search(dist, constraint, grid)
         assert (res.best, res.revenue) == (oracle_menu, oracle_rev), (constraint, dist.atoms)
         checked += 1
@@ -244,29 +278,38 @@ def test_window_overflow_keeps_exact_winner(monkeypatch):
     dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     grid = candidate_grid(dist, "explicit", explicit={
         (1,): [0, 1, 2, 3, 8, 9], (2,): [0, 1, 2, 4, 8, 9], (1, 2): [2, 3, 4, 5, 10, 11, 12]})
-    assert not _Instance(dist, grid).int_weights
     calls = []
     exact_best = search._exact_best
     monkeypatch.setattr(search, "_WINDOW_CAP", 2)
     monkeypatch.setattr(search, "_exact_best", lambda *a: calls.append(a) or exact_best(*a))
     res = search_optimal(dist, "unrestricted", grid)
+    assert res.path == "float-screen"
     oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
     assert (res.best, res.revenue) == (oracle_menu, oracle_rev)
     assert len(calls) > 1  # at least one collapse before the final rescoring
 
 
-def test_four_item_pure_fallback():
+def test_four_item_fallback():
     dist = JointDistribution.from_pairs(4, [((1, 1, 1, 1), F(1, 2)),
                                             ((2, 1, 1, 2), F(1, 2))])
     explicit = {}
-    from menurev.model import all_bundles
     for b in all_bundles(4):
         explicit[b] = [0, 1] if len(b) == 1 else [len(b)]
     grid = candidate_grid(dist, "explicit", explicit=explicit)
     res = search_optimal(dist, "unrestricted", grid)
-    _, oracle_rev, oracle_examined = oracle_search(dist, "unrestricted", grid)
+    assert res.path == "int64"
+    oracle_menu, oracle_rev, oracle_examined = oracle_search(dist, "unrestricted", grid)
     assert res.revenue == oracle_rev
+    assert res.best == oracle_menu
     assert res.examined <= oracle_examined
+
+
+def test_four_item_mesh_guard():
+    # 5^11 mesh cells x 15 bundles would take gigabytes; refused before allocating
+    dist = product([uniform([0, 1, 2])] * 4)
+    grid = candidate_grid(dist, "integer-grid", max_price=4)
+    with pytest.raises(SearchError, match="candidate grid too large"):
+        search_optimal(dist, "unrestricted", grid)
 
 
 def test_max_price_caps_grids(example4):
@@ -277,15 +320,17 @@ def test_max_price_caps_grids(example4):
     assert capped.prices[2] == (F(0), F(3), F(4))
 
 
-def test_pure_fallback_on_huge_value_denominators():
-    # int64 scaling would overflow, so the exact slow path must take over
+def test_fallback_on_huge_value_denominators():
+    # int64 keys would overflow, so the search runs on Python-int arrays
     huge = F(2**40 + 1, 2**40)
     dist = JointDistribution.from_pairs(
         2, [((huge, 1), F(1, 2)), ((2, huge), F(1, 2))])
     grid = candidate_grid(dist, "support-sums")
     res = search_optimal(dist, "unrestricted", grid)
-    _, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
+    assert res.path == "float-screen-bigint"
+    oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
     assert res.revenue == oracle_rev
+    assert res.best == oracle_menu
 
 
 def test_symmetric_search_with_differing_size_grids():
