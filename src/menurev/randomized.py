@@ -256,15 +256,28 @@ def _lp_rows(values: List[Valuation], n: int):
 def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
     """Revenue-maximizing direct mechanism over the distribution's types.
 
-    Small instances run the exact rational simplex; larger ones use the
-    float-guided exact vertex path (sees lp.certified_vertex). Both return
-    exact rational solutions verified against every IC/IR constraint.
+    `exact-simplex` runs the exact rational simplex; `float-guided-exact`
+    resolves the float optimum's vertex exactly (see lp.certified_vertex) and
+    may return it uncertified. `auto` takes the float-guided vertex when its
+    certificate closes and falls back to the exact simplex otherwise, so it
+    never returns an uncertified optimum. Every method returns an exact
+    rational solution verified against every IC/IR constraint.
     """
+    if method != "auto":
+        return _lp_solve(dist, method)
+    try:
+        outcome = _lp_solve(dist, "float-guided-exact")
+        if outcome.certified:
+            return outcome
+    except lp.LPError:
+        pass  # no exact vertex at the float optimum
+    return _lp_solve(dist, "exact-simplex")
+
+
+def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
     values = [v for v, _ in dist.atoms]
     mu = [p for _, p in dist.atoms]
     t_count, n = len(values), dist.n
-    if method == "auto":
-        method = "exact-simplex" if t_count <= 8 else "float-guided-exact"
 
     if method == "exact-simplex":
         x, obj = _lp_simplex(values, mu, n)

@@ -14,6 +14,17 @@ regime. Menus are enumerated in lexicographic price order (singletons first,
 then pairs, then larger bundles) and ties break toward the lexicographically
 smallest price vector.
 
+A type buys the option with the largest key (v - p) * K + p, which ranks
+utility first and breaks utility ties toward the higher price, and pays the
+key mod K. Menus come in blocks: the singleton prices (every price, for
+additive menus) are fixed within a block, and the other bundles range over a
+mesh with one axis per bundle (per bundle size, for symmetric menus). Each
+axis has a key table, built once per search, holding every type's key at
+every candidate price of the axis. A block takes its fixed columns' maximum
+key once; a menu's keys are that maximum combined with one table row per
+axis by `maximum`. Price rows are built only for chunk winners and the
+float-screening window.
+
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
 candidate grids are closed under price monotonization, which holds for integer
 grids; otherwise pruning is skipped so no grid optimum can be lost.
@@ -52,8 +63,13 @@ CONSTRAINTS = (
 )
 _CONSTRAINT_ALIASES = {"symmetric-submodular": "symmetric-and-submodular"}
 
+STAGES = ("mask", "evaluate", "rescore", "verify")
+
 _INT64_BUDGET = 1 << 62
-_CELL_BUDGET = 6_000_000  # per evaluation chunk, int64 cells
+# bytes of the kernel's (rows, types) temporaries per evaluation chunk; a
+# cell is the key, the gathered table row and the float or Python-int payment
+_CHUNK_BYTES = 48 << 20
+_CELL_BYTES = {np.int64: 24, object: 56}
 _ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
 _WINDOW_CAP = 20_000
 
@@ -154,6 +170,8 @@ class SearchResult:
     elapsed: float
     pruned: bool
     path: str  # "int64", "float-screen" or "float-screen-bigint"
+    rescored: int  # candidates scored exactly after float screening
+    stages: Dict[str, float]  # seconds per stage, keyed by STAGES
 
     def to_json_dict(self) -> Dict[str, object]:
         dec = decimal_with_flag(self.revenue)
@@ -166,6 +184,8 @@ class SearchResult:
             "menus_examined": self.examined,
             "pruned": self.pruned,
             "path": self.path,
+            "rescored": self.rescored,
+            "stages": {k: round(v, 6) for k, v in self.stages.items()},
             "wall_time_s": round(self.elapsed, 6),
         }
 
@@ -231,51 +251,88 @@ def _monotone_closure_holds(grid: CandidateGrid) -> bool:
     return True
 
 
-def _axis_groups(inst: _Instance, constraint: str) -> Tuple[List[List[int]], List[np.ndarray], bool]:
-    """Inner enumeration axes: (columns sharing each axis, axis candidate values).
+@dataclass(frozen=True)
+class _Layout:
+    """How a constraint's menus split into blocks. The `fixed` columns take one
+    price per block; mesh axis g prices all of its `groups[g]` columns at one of
+    its `axes[g]` candidates. `tables[g][j, t]` is the key (v - p) * K + p of
+    the best column of group g for type t with the axis at candidate j."""
 
-    Returns (column groups, scaled candidate arrays, feasible). Columns are
-    indices into the canonical bundle order, excluding singletons.
-    """
+    fixed: Tuple[int, ...]
+    groups: Tuple[Tuple[int, ...], ...]
+    axes: Tuple[np.ndarray, ...]
+    tables: Tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return tuple(len(a) for a in self.axes)
+
+    def rows(self, prices: Sequence[int], subs: Sequence[np.ndarray],
+             count: int) -> List[Tuple[int, ...]]:
+        """Scaled price rows of the `count` menus at mesh indices `subs` of the
+        block whose fixed columns cost `prices`."""
+        out = np.empty((count, len(self.fixed) + sum(map(len, self.groups))), dtype=object)
+        for c, p in zip(self.fixed, prices):
+            out[:, c] = p
+        for group, axis, j in zip(self.groups, self.axes, subs):
+            out[:, list(group)] = axis[j][:, None]
+        return [tuple(int(x) for x in row) for row in out]
+
+
+def _layout(inst: _Instance, constraint: str) -> Optional[_Layout]:
+    """The block layout and its key tables; None when the constraint admits no grid menu."""
     order = inst.order
+    every = tuple(range(len(order)))
     higher = [i for i, b in enumerate(order) if len(b) > 1]
-    if constraint in ("unrestricted", "submodular", "additive", "bundle-only"):
-        groups = [[i] for i in higher]
+    fixed = tuple(range(inst.dist.n))
+    if constraint == "additive":
+        fixed, groups, axes = every, [], []
+    elif constraint == "bundle-only":
+        # every bundle costs the grand-bundle price
+        fixed, groups, axes = (), [every], [inst.scaled_grid(len(order) - 1)]
+    elif constraint in ("unrestricted", "submodular"):
+        groups = [(i,) for i in higher]
         axes = [inst.scaled_grid(i) for i in higher]
-        return groups, axes, True
-    # symmetric variants share one axis per cardinality
-    groups_by_size: Dict[int, List[int]] = {}
-    for i in higher:
-        groups_by_size.setdefault(len(order[i]), []).append(i)
-    groups, axes = [], []
-    for size in sorted(groups_by_size):
-        cols = groups_by_size[size]
-        shared = set(inst.grid.prices[cols[0]])
-        for c in cols[1:]:
-            shared &= set(inst.grid.prices[c])
-        if not shared:
-            return [], [], False
-        groups.append(cols)
-        axes.append(np.array(sorted(int(p * inst.L) for p in shared), dtype=inst.dtype))
-    return groups, axes, True
+    else:
+        # symmetric variants share one axis per cardinality
+        by_size: Dict[int, List[int]] = {}
+        for i in higher:
+            by_size.setdefault(len(order[i]), []).append(i)
+        groups, axes = [], []
+        for size in sorted(by_size):
+            cols = by_size[size]
+            shared = set(inst.grid.prices[cols[0]])
+            for c in cols[1:]:
+                shared &= set(inst.grid.prices[c])
+            if not shared:
+                return None
+            groups.append(tuple(cols))
+            axes.append(np.array(sorted(int(p * inst.L) for p in shared), dtype=inst.dtype))
+    tables = []
+    for group, axis in zip(groups, axes):
+        # columns sharing one price: the highest value among them is the best
+        top = inst.values[:, list(group)].max(axis=1)
+        tables.append((top[None, :] - axis[:, None]) * inst.K + axis[:, None])
+    return _Layout(fixed, tuple(groups), tuple(axes), tuple(tables))
 
 
-def _single_combos(inst: _Instance, constraint: str) -> Iterator[Tuple[int, ...]]:
+def _fixed_prices(inst: _Instance, constraint: str) -> Iterator[Tuple[int, ...]]:
+    """Prices of the layout's fixed columns, one tuple per block, in lexicographic order."""
     n = inst.dist.n
-    grids = [inst.scaled_grid(i) for i in range(n)]
-    if constraint in ("symmetric", "symmetric-and-submodular") and n > 1:
-        shared = set(grids[0].tolist())
+    grids = [inst.scaled_grid(i).tolist() for i in range(n)]
+    if constraint == "bundle-only":
+        yield ()
+    elif constraint == "additive":
+        for combo in iproduct(*grids):
+            yield tuple(sum(combo[i - 1] for i in b) for b in inst.order)
+    elif constraint in ("symmetric", "symmetric-and-submodular") and n > 1:
+        shared = set(grids[0])
         for g in grids[1:]:
-            shared &= set(g.tolist())
+            shared &= set(g)
         for q in sorted(shared):
             yield (q,) * n
-        return
-    if constraint == "bundle-only":
-        # prices of all bundles equal the grand-bundle price; no free singles
-        yield ()
-        return
-    for combo in iproduct(*(g.tolist() for g in grids)):
-        yield combo
+    else:
+        yield from iproduct(*grids)
 
 
 @lru_cache(maxsize=None)
@@ -302,80 +359,83 @@ def _subset_pairs(n: int) -> List[Tuple[int, int]]:
             if set(s) < set(t)]
 
 
-def _enumerate_rows(inst: _Instance, constraint: str, prune: bool) -> Iterator[np.ndarray]:
-    """Yield scaled menu rows (chunk, n_bundles) of `inst.dtype` in lexicographic order."""
-    order = inst.order
+def _enumerate_blocks(inst: _Instance, layout: _Layout, constraint: str,
+                      prune: bool) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+    """Yield (fixed prices, flat mesh indices of the block's feasible menus),
+    every menu in lexicographic price order."""
     n = inst.dist.n
-    n_bundles = len(order)
-
-    if constraint == "bundle-only":
-        grand = inst.scaled_grid(n_bundles - 1)
-        rows = np.repeat(grand[:, None], n_bundles, axis=1)
-        yield rows
-        return
-
-    if constraint == "additive":
-        grids = [inst.scaled_grid(i).tolist() for i in range(n)]
-        combos = np.array(list(iproduct(*grids)), dtype=inst.dtype).reshape(-1, n)
-        rows = np.empty((combos.shape[0], n_bundles), dtype=inst.dtype)
-        for i, b in enumerate(order):
-            rows[:, i] = sum(combos[:, item - 1] for item in b)
-        yield rows
-        return
-
-    groups, axes, feasible = _axis_groups(inst, constraint)
-    if not feasible:
-        return
+    n_bundles = len(inst.order)
+    if math.prod(layout.shape) * n_bundles > _ROWS_BUDGET:
+        raise SearchError("candidate grid too large; supply a smaller explicit grid")
     want_submodular = constraint in ("submodular", "symmetric-and-submodular")
     inc_pairs = _incomparable_pairs(n) if want_submodular else ()
-    sub_pairs = _subset_pairs(n) if prune else []
+    # additive and bundle-only menus are bundle-monotone by construction
+    sub_pairs = _subset_pairs(n) if prune and constraint not in ("additive", "bundle-only") else []
 
-    mesh_cells = math.prod(len(a) for a in axes) if axes else 1
-    if mesh_cells * n_bundles > _ROWS_BUDGET:
-        raise SearchError("candidate grid too large; supply a smaller explicit grid")
-
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
+    mesh = np.meshgrid(*layout.axes, indexing="ij", sparse=True)
     cols: List[object] = [0] * n_bundles
-    for group, arr in zip(groups, mesh):
+    for group, arr in zip(layout.groups, mesh):
         for c in group:
             cols[c] = arr
-    for singles in _single_combos(inst, constraint):
-        for i in range(n):
-            cols[i] = int(singles[i])
-        mask = np.ones(mesh[0].shape if mesh else (1,), dtype=bool)
-        if prune:
-            for i, j in sub_pairs:
-                mask &= cols[j] >= cols[i]
-        if want_submodular:
-            for i, j, k, u in inc_pairs:
-                pk = 0 if k == -1 else cols[k]
-                mask &= (cols[i] + cols[j]) >= (pk + cols[u])
-        if not mask.any():
-            continue
-        idx = np.nonzero(mask.ravel())[0]
-        rows = np.empty((idx.size, n_bundles), dtype=inst.dtype)
-        for c in range(n_bundles):
-            col = cols[c]
-            if isinstance(col, np.ndarray):
-                rows[:, c] = col.ravel()[idx]
-            else:
-                rows[:, c] = col
-        yield rows
+    for prices in _fixed_prices(inst, constraint):
+        for c, p in zip(layout.fixed, prices):
+            cols[c] = p
+        mask = np.ones(layout.shape, dtype=bool)
+        for i, j in sub_pairs:
+            mask &= cols[j] >= cols[i]
+        for i, j, k, u in inc_pairs:
+            pk = 0 if k == -1 else cols[k]
+            mask &= (cols[i] + cols[j]) >= (pk + cols[u])
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            yield prices, idx
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _payments(rows: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
-    """Payment of each type (column) under each scaled menu row; the key
-    utility * K + price breaks utility ties toward the higher price."""
-    util = values[None, :, :] - rows[:, None, :]
-    util *= k
-    util += rows[:, None, :]
-    key = util.max(axis=2)
-    np.maximum(key, 0, out=key)
-    return np.mod(key, k)
+def _fixed_key(inst: _Instance, cols: Sequence[int], prices: Sequence[int]) -> np.ndarray:
+    """Per type, max(0, max over `cols` of (v - p) * K + p): the key of the
+    best option among those columns, utility ties toward the higher price."""
+    key = np.zeros(len(inst.values), dtype=inst.dtype)
+    for c, p in zip(cols, prices):
+        np.maximum(key, (inst.values[:, c] - p) * inst.K + p, out=key)
+    return key
+
+
+def _payments(inst: _Instance, fixed_key: np.ndarray, tables: Sequence[np.ndarray],
+              subs: Sequence[np.ndarray]) -> np.ndarray:
+    """Payment of each type (column) under each menu of a block (row): the
+    best of the fixed key and each axis's table row at the menu's mesh index,
+    mod K. With no tables the block is the one menu of `fixed_key`."""
+    if not tables:
+        key = fixed_key[None, :].copy()
+    else:
+        key = tables[0][subs[0]]
+        np.maximum(key, fixed_key, out=key)
+        for tab, j in zip(tables[1:], subs[1:]):
+            np.maximum(key, tab[j], out=key)
+    if key.dtype == object:
+        return np.remainder(key, inst.K, out=key)
+    # numpy divides int64 by a scalar several times faster than it takes remainders
+    quot = key // inst.K
+    quot *= inst.K
+    key -= quot
+    return key
+
+
+class _StageClock:
+    """Seconds per search stage; `lap` charges the time since the last lap."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._last
+        self._last = now
 
 
 def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid,
@@ -388,23 +448,27 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
 
     inst = _Instance(dist, grid)
     effective_prune = prune and _monotone_closure_holds(grid)
-
-    best_menu, best_rev, examined = _search_vectorized(inst, constraint, effective_prune)
+    clock = _StageClock()
+    best_menu, best_rev, examined, rescored = _search_vectorized(
+        inst, constraint, effective_prune, clock)
     if best_menu is None:
         raise SearchError(f"empty feasible set under constraint {constraint!r}")
     # the rational evaluator is the final authority on the reported revenue
     check = expected_revenue(best_menu, dist)
     if check != best_rev:
         raise AssertionError(f"internal revenue mismatch: {check} != {best_rev}")
+    clock.lap("verify")
     return SearchResult(best_menu, best_rev, examined, constraint, grid.mode,
-                        time.perf_counter() - t0, effective_prune, inst.path)
+                        time.perf_counter() - t0, effective_prune, inst.path,
+                        rescored, clock.seconds)
 
 
 def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:
     """(score, row) of the largest exact score, ties to the lexicographically smallest row."""
+    every = range(len(inst.order))
     best = None
     for row in sorted(rows):
-        pay = _payments(np.array([row], dtype=inst.dtype), inst.values, inst.K)[0]
+        pay = _payments(inst, _fixed_key(inst, every, row), (), ())[0]
         # sum_t pay_t * w_t, grouped by the few distinct payments
         score = sum(int(q) * inst.exact_weights[pay == q].sum() for q in np.unique(pay) if q)
         if best is None or score > best[0]:
@@ -412,42 +476,57 @@ def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, 
     return best
 
 
-def _search_vectorized(inst: _Instance, constraint: str, prune: bool):
-    values, weights, k = inst.values, inst.weights, inst.K
-    chunk_rows = max(1, _CELL_BUDGET // values.size)
+def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _StageClock):
+    layout = _layout(inst, constraint)
+    clock.lap("evaluate")
+    if layout is None:
+        return None, None, 0, 0
+    weights = inst.weights
+    chunk_rows = max(1, _CHUNK_BYTES // (_CELL_BYTES[inst.dtype] * len(weights)))
 
-    examined = 0
+    examined = rescored = 0
     best: Optional[Tuple[int, Tuple[int, ...]]] = None  # exact (score, row) on int64 weights
     top = -math.inf  # best float score when screening
     window: List[Tuple[float, Tuple[int, ...]]] = []
 
-    for rows in _enumerate_rows(inst, constraint, prune):
-        for lo in range(0, rows.shape[0], chunk_rows):
-            chunk = rows[lo:lo + chunk_rows]
-            scores = _payments(chunk, values, k) @ weights
-            examined += chunk.shape[0]
+    for prices, idx in _enumerate_blocks(inst, layout, constraint, prune):
+        clock.lap("mask")
+        fixed_key = _fixed_key(inst, layout.fixed, prices)
+        for lo in range(0, idx.size, chunk_rows):
+            part = idx[lo:lo + chunk_rows]
+            subs = np.unravel_index(part, layout.shape) if layout.axes else ()
+            scores = _payments(inst, fixed_key, layout.tables, subs) @ weights
+            examined += part.size
             i = int(np.argmax(scores))
             if inst.int_weights:
                 if best is None or scores[i] > best[0]:
-                    best = (int(scores[i]), tuple(int(x) for x in chunk[i]))
+                    best = (int(scores[i]), layout.rows(prices, [s[i:i + 1] for s in subs], 1)[0])
                 continue
             top = max(top, float(scores[i]))
             cut = top - 1e-9 * (abs(top) + 1.0)
             keep = np.nonzero(scores >= cut)[0]
-            window += [(float(scores[j]), tuple(int(x) for x in chunk[j])) for j in keep.tolist()]
+            rows = layout.rows(prices, [s[keep] for s in subs], keep.size)
+            window += [(float(scores[j]), row) for j, row in zip(keep.tolist(), rows)]
             if len(window) > _WINDOW_CAP:
                 window = [w for w in window if w[0] >= cut]
                 if len(window) > _WINDOW_CAP:
                     # collapse to the exact winner: float order could drop it
-                    _, row = _exact_best(inst, (r for _, r in window))
+                    clock.lap("evaluate")
+                    rescored += len(window)
+                    _, row = _exact_best(inst, [r for _, r in window])
+                    clock.lap("rescore")
                     window = [w for w in window if w[1] == row]
+        clock.lap("evaluate")
 
     if examined == 0:
-        return None, None, 0
+        return None, None, 0, 0
     if not inst.int_weights:
-        best = _exact_best(inst, (r for s, r in window if s >= cut))
+        finalists = [r for s, r in window if s >= cut]
+        rescored += len(finalists)
+        best = _exact_best(inst, finalists)
+        clock.lap("rescore")
     score, row = best
-    return inst.menu_from_scaled(row), Fraction(score, inst.W * inst.L), examined
+    return inst.menu_from_scaled(row), Fraction(score, inst.W * inst.L), examined, rescored
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ def test_search_json_deterministic(capsys):
     for doc in (first, second):
         for row in doc:
             row.pop("wall_time_s")
+            assert set(row.pop("stages")) == {"mask", "evaluate", "rescore", "verify"}
     assert first == second
     assert first[0]["revenue"] == "21/10"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from menurev import (
     candidate_grid,
+    lp,
     point_mass,
     product,
     search_optimal,
@@ -184,6 +186,24 @@ def test_lp_paths_agree(rng):
         a = lp_optimal(dist, method="exact-simplex")
         b = lp_optimal(dist, method="float-guided-exact")
         assert a.revenue == b.revenue
+
+
+def test_lp_auto_prefers_certified_float_vertex(rng):
+    parts = [random_single_item(rng, max_atoms=2, max_value=6) for _ in range(2)]
+    out = lp_optimal(product(parts))
+    assert out.method == "float-guided-exact" and out.certified
+
+
+def test_lp_auto_falls_back_on_uncertified_vertex(rng, monkeypatch):
+    parts = [random_single_item(rng, max_atoms=2, max_value=6) for _ in range(2)]
+    dist = product(parts)
+    real = lp.certified_vertex
+    monkeypatch.setattr(lp, "certified_vertex",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), certified=False))
+    assert not lp_optimal(dist, method="float-guided-exact").certified
+    out = lp_optimal(dist)
+    assert out.method == "exact-simplex" and out.certified
+    assert out.revenue == lp_optimal(dist, method="exact-simplex").revenue
 
 
 def test_lp_dominates_deterministic_search(rng):

@@ -2,11 +2,13 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conftest import oracle_search
 from menurev import (
     JointDistribution,
+    buyer_choice,
     candidate_grid,
     expected_revenue,
     gap_report,
@@ -72,6 +74,11 @@ def test_search_result_metadata(example5):
     assert doc["revenue"] == "102/25" and doc["revenue_decimal"] == "4.08"
     assert doc["pruned"] is res.pruned is False  # support sums are not monotone-closed
     assert doc["path"] == res.path == "int64"
+    assert doc["rescored"] == res.rescored == 0  # int64 weights score every menu exactly
+    assert doc["stages"] == {k: round(v, 6) for k, v in res.stages.items()}
+    assert set(res.stages) == set(search.STAGES)
+    assert all(v >= 0 for v in res.stages.values())
+    assert sum(res.stages.values()) <= res.elapsed
     small = _point_mass_joint(3, 4)
     pruned = search_optimal(small, "submodular", candidate_grid(small, "integer-grid"))
     assert pruned.to_json_dict()["pruned"] is True
@@ -215,6 +222,7 @@ def test_float_screening_path_matches_oracle():
     grid = candidate_grid(dist, "support-sums")
     res = search_optimal(dist, "unrestricted", grid)
     assert res.path == "float-screen"
+    assert 0 < res.rescored <= res.examined
     oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
     assert (res.best, res.revenue) == (oracle_menu, oracle_rev)
     assert res.revenue == expected_revenue(res.best, dist)
@@ -223,6 +231,13 @@ def test_float_screening_path_matches_oracle():
 def _weighted_joint(n, weighted):
     total = sum(w for _, w in weighted)
     return JointDistribution.from_pairs(n, [(v, F(w, total)) for v, w in weighted])
+
+
+def _int64_weights_instance(rng):
+    # products of 1-2 random items with 1-3 atoms and values 0-6
+    parts = [random_single_item(rng, max_atoms=3, max_value=6) for _ in range(rng.randint(1, 2))]
+    dist = product(parts)
+    return dist, candidate_grid(dist, "support-sums")
 
 
 def _float_weights_instance(rng):
@@ -252,10 +267,11 @@ def _four_item_instance(rng):
 
 
 @pytest.mark.parametrize("make, path", [
+    (_int64_weights_instance, "int64"),
     (_float_weights_instance, "float-screen"),
     (_bigint_keys_instance, "float-screen-bigint"),
     (_four_item_instance, "int64"),
-], ids=["float-weights", "bigint-keys", "four-items"])
+], ids=["int64-weights", "float-weights", "bigint-keys", "four-items"])
 def test_search_differential_random_instances(make, path):
     rng = random.Random(4242)
     constraints = ["unrestricted", "submodular", "symmetric", "additive", "bundle-only"]
@@ -360,3 +376,53 @@ def test_unsellable_grid_returns_lex_smallest_zero_menu():
     res = search_optimal(dist, "unrestricted", grid)
     assert res.revenue == 0
     assert res.best.prices == (F(5), F(6), F(7))
+
+
+@pytest.mark.parametrize("den, dtype", [(4, np.int64), (1 << 40, object)], ids=["int64", "object"])
+def test_block_kernel_matches_buyer_choice(den, dtype):
+    # the key tables, the fixed columns and the all-fixed rescoring kernel
+    # must reproduce the buyer's payment on random menus of every layout
+    rng = random.Random(31)
+    types = {tuple(F(rng.randint(0, 6 * den), den) for _ in range(3)) for _ in range(6)}
+    dist = _weighted_joint(3, [(v, rng.randint(1, 5)) for v in sorted(types)])
+    by_size = {s: [F(rng.randint(0, 6 * s * den), den) for _ in range(3)] for s in (1, 2, 3)}
+    grid = candidate_grid(dist, "explicit", explicit={b: by_size[len(b)] for b in all_bundles(3)})
+    inst = search._Instance(dist, grid)
+    assert inst.dtype is dtype
+    every = range(len(inst.order))
+    checked = 0
+    for constraint in search.CONSTRAINTS:
+        layout = search._layout(inst, constraint)
+        for prices in list(search._fixed_prices(inst, constraint))[:6]:
+            cells = math.prod(layout.shape)
+            idx = np.array(rng.sample(range(cells), min(4, cells)))
+            subs = np.unravel_index(idx, layout.shape) if layout.axes else ()
+            fixed_key = search._fixed_key(inst, layout.fixed, prices)
+            pays = search._payments(inst, fixed_key, layout.tables, subs)
+            for row, pay in zip(layout.rows(prices, subs, len(idx) if subs else 1), pays):
+                want = [buyer_choice(inst.menu_from_scaled(row), v).payment * inst.L
+                        for v, _ in dist.atoms]
+                assert pay.tolist() == want, (constraint, row)
+                alone = search._payments(inst, search._fixed_key(inst, every, row), (), ())
+                assert alone[0].tolist() == want, (constraint, row)
+                checked += 1
+    assert checked > 50
+
+
+# (menu, menus examined) of example 4's integer-grid optimum per constraint
+_EXAMPLE4 = {
+    "symmetric": ((6, 6, 6, 7, 7, 7, 9), 819),
+    "submodular": ((5, 6, 6, 7, 7, 8, 9), 13998),
+    "symmetric-and-submodular": ((5, 5, 5, 7, 7, 7, 9), 84),
+    "additive": ((5, 5, 5, 10, 10, 10, 15), 343),
+    "bundle-only": ((8, 8, 8, 8, 8, 8, 8), 19),
+}
+
+
+@pytest.mark.parametrize("constraint", sorted(_EXAMPLE4))
+def test_example4_optimum_and_examined(example4, constraint):
+    res = search_optimal(example4, constraint, candidate_grid(example4, "integer-grid"))
+    menu, examined = _EXAMPLE4[constraint]
+    assert res.best.prices == menu
+    assert res.examined == examined
+    assert res.path == "int64" and res.pruned
