@@ -106,7 +106,8 @@ def cmd_search(args) -> int:
 def cmd_reproduce(args) -> int:
     params = None
     if args.cap is not None or args.grid_points is not None:
-        params = NumericParams(cap=args.cap or 1e4, grid_points=args.grid_points or 2400)
+        params = NumericParams(cap=1e4 if args.cap is None else args.cap,
+                               grid_points=2400 if args.grid_points is None else args.grid_points)
     failures = 0
     lines: List[str] = []
     rows_doc = []
@@ -114,12 +115,9 @@ def cmd_reproduce(args) -> int:
         rows = run_target(target, trials=args.trials, params=params,
                           rule=args.rule, k=args.k)
         for row in rows:
-            status = "PASS" if row.ok else "FAIL"
             if not row.ok:
                 failures += 1
-            note = f"  [{row.note}]" if row.note and not row.ok else ""
-            lines.append(f"{status} {target}: {row.name} "
-                         f"(expected {row.expected}, got {row.actual}){note}")
+            lines.append(row.line(target))
             rows_doc.append({"target": target, "check": row.name, "ok": row.ok,
                              "expected": row.expected, "actual": row.actual,
                              "note": row.note})
@@ -167,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="run reference checks (PASS/FAIL per row)")
     p_rep.add_argument("target", nargs="+", choices=list(TARGETS) + ["all"])
-    p_rep.add_argument("--trials", type=int, default=1000)
+    p_rep.add_argument("--trials", type=int,
+                       help="random instances per property target (default: the target's own)")
     p_rep.add_argument("--cap", type=float)
     p_rep.add_argument("--grid-points", type=int)
     p_rep.add_argument("--rule", choices=["capped", "independent"], default="independent")

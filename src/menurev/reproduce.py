@@ -1,5 +1,7 @@
 """Reproduction targets: each runs a computation and compares it against the
-bundled expected-value table, yielding one PASS/FAIL row per check.
+bundled expected-value table, yielding one PASS/FAIL row per check. This
+registry is the only place a reference check is written; `menurev reproduce`
+and the acceptance suite both run it.
 
 Two table entries are knowingly contradicted by exact recomputation and are
 kept as stated so the discrepancy stays visible (see the notes on the rows
@@ -8,13 +10,14 @@ upper bound"); every other row is expected to pass.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .buyer import expected_revenue
-from .model import Menu, is_submodular, is_symmetric_menu
+from .buyer import check_monotone, expected_revenue, monotonicity_grid
+from .model import Menu, is_submodular, is_symmetric_menu, menu2
 from .constructions import submodularize2, symmetrize2, three_halves_decomposition
 from .continuous import er_cap_sweep, numeric_gap_er, solve_w, NumericParams
 from .instances import (
@@ -36,17 +39,7 @@ from .randomized import (
 )
 from .search import candidate_grid, search_optimal
 
-TARGETS = (
-    "example-4",
-    "example-5",
-    "example-6",
-    "example-7",
-    "theorem-3-1-property",
-    "theorem-4-1-property",
-    "lemma-5-property",
-    "er-gap",
-    "w-constant",
-)
+SEED = 20260809
 
 
 @dataclass(frozen=True)
@@ -57,24 +50,30 @@ class CheckRow:
     ok: bool
     note: str = ""
 
+    def line(self, target: str) -> str:
+        """The row as `menurev reproduce` prints it; the note shows only on FAIL."""
+        note = f"  [{self.note}]" if self.note and not self.ok else ""
+        return (f"{'PASS' if self.ok else 'FAIL'} {target}: {self.name} "
+                f"(expected {self.expected}, got {self.actual}){note}")
+
 
 def _row(name: str, expected, actual, ok: bool, note: str = "") -> CheckRow:
     return CheckRow(name, str(expected), str(actual), bool(ok), note)
 
 
-def run_target(target: str, trials: int = 1000, seed: int = 20260809,
-               params: Optional[NumericParams] = None, rule: str = "independent",
-               k: int = 2) -> List[CheckRow]:
-    if target not in TARGETS:
-        raise KeyError(f"unknown reproduction target {target!r}; expected one of {TARGETS}")
-    fn: Callable[..., List[CheckRow]] = _RUNNERS[target]
-    if target in ("theorem-3-1-property", "theorem-4-1-property", "lemma-5-property"):
-        return fn(trials=trials, seed=seed)
-    if target == "er-gap":
-        return fn(params=params)
-    if target == "example-7":
-        return fn(rule=rule, k=k)
-    return fn()
+def run_target(target: str, trials: Optional[int] = None, seed: Optional[int] = None,
+               params: Optional[NumericParams] = None, rule: Optional[str] = None,
+               k: Optional[int] = None) -> List[CheckRow]:
+    """Run one target's checks. An argument left as None takes the target's
+    default from the registry; a target ignores the arguments it does not take."""
+    if target not in _REGISTRY:
+        raise ValueError(f"unknown reproduction target {target!r}; expected one of {TARGETS}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    run, defaults = _REGISTRY[target]
+    given = {"trials": trials, "seed": seed, "params": params, "rule": rule, "k": k}
+    return run(**{name: default if given[name] is None else given[name]
+                  for name, default in defaults.items()})
 
 
 def _example4() -> List[CheckRow]:
@@ -97,6 +96,9 @@ def _example4() -> List[CheckRow]:
         }[constraint]
         rows.append(_row(f"named {constraint} menu {prices} evaluates and qualifies",
                          want, rev, rev == want and in_class))
+    bundled = expected_revenue(load_menu("example4_menu"), dist)
+    rows.append(_row("bundled example4_menu revenue", "6293/1000", bundled,
+                     bundled == Fraction(6293, 1000)))
     rows.append(_row("named unrestricted optimum is not submodular", False,
                      is_submodular(Menu.from_sequence(3, (6, 6, 6, 7, 7, 8, 9))),
                      not is_submodular(Menu.from_sequence(3, (6, 6, 6, 7, 7, 8, 9)))))
@@ -148,7 +150,7 @@ def _example6() -> List[CheckRow]:
     return rows
 
 
-def _example7(rule: str = "independent", k: int = 2) -> List[CheckRow]:
+def _example7(rule: str, k: int) -> List[CheckRow]:
     menu = load_randomized_menu("example7_menu")
     dist = load_distribution("example7_distribution")
     v = (Fraction(46), Fraction(80))
@@ -172,7 +174,7 @@ def _example7(rule: str = "independent", k: int = 2) -> List[CheckRow]:
     lp = lp_optimal(dist)
     want = menu_expected_payment(menu, dist)
     rows.append(_row("LP revenue equals menu expected payment", want, lp.revenue,
-                     lp.revenue == want))
+                     lp.revenue == want and lp.certified))
     return rows
 
 
@@ -183,7 +185,7 @@ def _mirror_pair_picks(menu) -> List[int]:
     return [i for p, i in paid if p == lowest]
 
 
-def _theorem31(trials: int = 1000, seed: int = 20260809) -> List[CheckRow]:
+def _theorem31(trials: int, seed: int) -> List[CheckRow]:
     rng = random.Random(seed)
     worst = None
     for _ in range(trials):
@@ -196,7 +198,7 @@ def _theorem31(trials: int = 1000, seed: int = 20260809) -> List[CheckRow]:
                  ">= 0", worst, worst >= 0)]
 
 
-def _theorem41(trials: int = 1000, seed: int = 20260809) -> List[CheckRow]:
+def _theorem41(trials: int, seed: int) -> List[CheckRow]:
     rng = random.Random(seed)
     worst = None
     identity_checks = 0
@@ -216,7 +218,26 @@ def _theorem41(trials: int = 1000, seed: int = 20260809) -> List[CheckRow]:
     ]
 
 
-def _lemma5(trials: int = 1000, seed: int = 20260809) -> List[CheckRow]:
+def _monotonicity(trials: int, seed: int) -> List[CheckRow]:
+    rng = random.Random(seed)
+    violating = 0
+    for _ in range(trials):
+        menu = random_submodular_menu(rng)
+        if not check_monotone(menu, monotonicity_grid(menu)).ok:
+            violating += 1
+    bad = menu2(5, 1, 10)
+    witnessed = any(v.low == (5, 0) and v.high == (5, Fraction(9, 2))
+                    and v.revenue_low == 5 and v.revenue_high == 1
+                    for v in check_monotone(bad, monotonicity_grid(bad)).violations)
+    return [
+        _row(f"submodular menus violating revenue monotonicity ({trials} random menus)",
+             0, violating, violating == 0),
+        _row("(5,1,10) violation (5,0)->(5,9/2) with revenue 5 -> 1 found",
+             True, witnessed, witnessed),
+    ]
+
+
+def _lemma5(trials: int, seed: int) -> List[CheckRow]:
     rng = random.Random(seed)
     worst = None
     for _ in range(trials):
@@ -232,8 +253,7 @@ def _lemma5(trials: int = 1000, seed: int = 20260809) -> List[CheckRow]:
                  f"({trials} correlated instances)", ">= 0", worst, worst >= 0)]
 
 
-def _er_gap(params: Optional[NumericParams] = None) -> List[CheckRow]:
-    params = params or NumericParams(cap=1e4, grid_points=2400)
+def _er_gap(params: NumericParams) -> List[CheckRow]:
     w = solve_w()
     report = numeric_gap_er(1.0, 1.0, params)
     rows = [
@@ -254,7 +274,6 @@ def _er_gap(params: Optional[NumericParams] = None) -> List[CheckRow]:
 
 
 def _w_constant() -> List[CheckRow]:
-    import math
     w = solve_w()
     residual = abs((w - 1) * math.exp(w) - 1)
     return [
@@ -263,14 +282,18 @@ def _w_constant() -> List[CheckRow]:
     ]
 
 
-_RUNNERS: Dict[str, Callable[..., List[CheckRow]]] = {
-    "example-4": _example4,
-    "example-5": _example5,
-    "example-6": _example6,
-    "example-7": _example7,
-    "theorem-3-1-property": _theorem31,
-    "theorem-4-1-property": _theorem41,
-    "lemma-5-property": _lemma5,
-    "er-gap": _er_gap,
-    "w-constant": _w_constant,
+# target -> (runner, the keyword arguments it takes with their defaults); the
+# property targets' seeds and trial counts are the acceptance suite's
+_REGISTRY: Dict[str, Tuple[Callable[..., List[CheckRow]], Dict[str, object]]] = {
+    "example-4": (_example4, {}),
+    "example-5": (_example5, {}),
+    "example-6": (_example6, {}),
+    "example-7": (_example7, {"rule": "independent", "k": 2}),
+    "theorem-3-1-property": (_theorem31, {"seed": SEED, "trials": 1000}),
+    "theorem-4-1-property": (_theorem41, {"seed": SEED + 1, "trials": 1000}),
+    "monotonicity-property": (_monotonicity, {"seed": SEED + 2, "trials": 500}),
+    "lemma-5-property": (_lemma5, {"seed": SEED + 3, "trials": 1000}),
+    "er-gap": (_er_gap, {"params": NumericParams(cap=1e4, grid_points=2400)}),
+    "w-constant": (_w_constant, {}),
 }
+TARGETS = tuple(_REGISTRY)

@@ -1,243 +1,31 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per reproduction target of `menurev.reproduce`,
+run at the target's default seed and trial count, printing each row as
+`menurev reproduce` does.
 
-Criteria 6 and 10 each contain one reference value that exact recomputation
-contradicts (the submodular-search bound 404/100, and the two-pick deviation
-constant 1.46). Those assertions are kept as stated rather than loosened, so
-the two tests fail with the exact computed values in the message; every other
-criterion must pass.
+Two rows state reference values that exact recomputation contradicts (the
+submodular-search bound 404/100 in example-5, and the two-pick deviation
+constant 1.46 in example-7). They are kept as stated rather than loosened, so
+those two tests fail with the exact computed values in the message. Every
+other row is asserted first, so a new failure in either target reads
+differently from the known one.
 """
-import math
-import random
-from fractions import Fraction as F
+import pytest
 
-from conftest import oracle_search
-from menurev import (
-    check_monotone,
-    expected_revenue,
-    menu2,
-    monotonicity_grid,
-    product,
-    submodularize2,
-    symmetrize2,
-    three_halves_decomposition,
-)
-from menurev.continuous import NumericParams, er_cap_sweep, numeric_gap_er, solve_w
-from menurev.instances import (
-    load_distribution,
-    load_menu,
-    load_randomized_menu,
-    random_correlated_joint,
-    random_product_instance,
-    random_single_item,
-    random_submodular_menu,
-    random_supermodular_menu,
-)
-from menurev.randomized import (
-    false_name_utility,
-    lp_optimal,
-    menu_expected_payment,
-    rchoice,
-)
-from menurev.search import candidate_grid, search_optimal
+from menurev.reproduce import TARGETS, run_target
 
-SEED = 20260809
+KNOWN_DISCREPANCIES = {
+    ("example-5", "submodular search upper bound"),
+    ("example-7", "false-name deviation near 2-decimal reference"),
+}
 
 
-def _report(name, ok, detail=""):
-    print(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
-    return ok
-
-
-def test_criterion_01_example4_exact_reproduction():
-    dist = load_distribution("example4_distribution")
-    grid = candidate_grid(dist, "integer-grid")
-    want = {
-        "unrestricted": F(6293, 1000),
-        "symmetric": F(6291, 1000),
-        "submodular": F(6292, 1000),
-        "symmetric-and-submodular": F(6288, 1000),
-    }
-    got = {c: search_optimal(dist, c, grid).revenue for c in want}
-    menu_rev = expected_revenue(load_menu("example4_menu"), dist)
-    ok = got == want and menu_rev == want["unrestricted"]
-    assert _report("criterion 1 (three-item benchmark, four grid optima)",
-                   ok, f"{ {k: str(v) for k, v in got.items()} }, menu {menu_rev}")
-
-
-def test_criterion_02_submodularization_property():
-    rng = random.Random(SEED)
-    worst = None
-    for _ in range(1000):
-        d1, d2 = random_product_instance(rng)
-        menu = random_supermodular_menu(rng)
-        cert = submodularize2(menu, d1, d2)  # asserts branch dominance itself
-        if worst is None or cert.margin < worst:
-            worst = cert.margin
-    assert _report("criterion 2 (1000 supermodular menus dominated exactly)",
-                   worst >= 0, f"worst margin {worst}")
-
-
-def test_criterion_03_symmetrization_property():
-    rng = random.Random(SEED + 1)
-    worst = None
-    averaged = 0
-    for _ in range(1000):
-        f = random_single_item(rng)
-        menu = random_submodular_menu(rng, require_asymmetric=True)
-        cert = symmetrize2(menu, f)  # exact averaging identity asserted inside
-        if cert.branch == "c<=2a":
-            averaged += 1
-        if worst is None or cert.margin < worst:
-            worst = cert.margin
-    ok = worst >= 0 and averaged > 0
-    assert _report("criterion 3 (1000 IID menus symmetrized exactly)",
-                   ok, f"worst margin {worst}, averaging branch hit {averaged}x")
-
-
-def test_criterion_04_monotonicity():
-    rng = random.Random(SEED + 2)
-    clean = True
-    for _ in range(500):
-        menu = random_submodular_menu(rng)
-        if not check_monotone(menu, monotonicity_grid(menu)).ok:
-            clean = False
-            break
-    bad = menu2(5, 1, 10)
-    report = check_monotone(bad, monotonicity_grid(bad))
-    witnessed = any(v.low == (F(5), F(0)) and v.high == (F(5), F(9, 2))
-                    and v.revenue_low == 5 and v.revenue_high == 1
-                    for v in report.violations)
-    ok = clean and witnessed
-    assert _report("criterion 4 (500 submodular menus monotone; (5,1,10) violation found)",
-                   ok, f"clean={clean}, witnessed={witnessed}")
-
-
-def test_criterion_05_correlated_decomposition():
-    rng = random.Random(SEED + 3)
-    worst = None
-    for _ in range(1000):
-        dist = random_correlated_joint(rng)
-        menu = random_supermodular_menu(rng)
-        add, bun = three_halves_decomposition(menu)
-        slack = (expected_revenue(add, dist) + expected_revenue(bun, dist) / 2
-                 - expected_revenue(menu, dist))
-        if worst is None or slack < worst:
-            worst = slack
-    dist = load_distribution("example5_eps100")
-    high = expected_revenue(menu2(4, 4, 100), dist)
-    add = expected_revenue(menu2(4, 4, 8), dist)
-    bun = expected_revenue(menu2(192, 192, 192), dist)
-    values_ok = (high == F(592, 100) and add == F(408, 100) and bun == F(384, 100))
-    margin = add + bun / 2 - high
-    ok = worst >= 0 and values_ok and margin == F(8, 100)
-    assert _report("criterion 5 (1000 correlated decompositions; benchmark values exact)",
-                   ok, f"worst slack {worst}; values {high},{add},{bun}; margin {margin}")
-
-
-def test_criterion_06_correlated_gap():
-    dist = load_distribution("example5_eps100")
-    grid = candidate_grid(dist, "support-sums")
-    drev = search_optimal(dist, "unrestricted", grid).revenue
-    smdrev = search_optimal(dist, "submodular", grid).revenue
-    lower_ok = _report("criterion 6a (searched drev >= 592/100)",
-                       drev >= F(592, 100), f"drev {drev}")
-    ratio_ok = _report("criterion 6c (drev/smdrev > 1.42)",
-                       drev / smdrev > F(142, 100), f"ratio {drev / smdrev}")
-    upper_ok = _report("criterion 6b (searched smdrev <= 404/100)",
-                       smdrev <= F(404, 100),
-                       f"smdrev {smdrev}: the submodular in-grid menu (4,4,8) earns "
-                       f"408/100 (as the benchmark's own value table states), so the "
-                       f"stated bound 404/100 is unsatisfiable")
-    assert lower_ok and ratio_ok
-    assert upper_ok, (
-        f"searched smdrev is {smdrev}; the stated bound 404/100 contradicts the "
-        f"same benchmark's exact value 408/100 for menu (4,4,8)")
-
-
-def test_criterion_07_asymmetry_gap():
-    dist = load_distribution("example6_eps10")
-    rev = expected_revenue(menu2(1, 10, 100), dist)
-    grid = candidate_grid(dist, "support-sums")
-    sym = search_optimal(dist, "symmetric", grid).revenue
-    ok = rev == F(61, 25) and sym <= F(21, 10)
-    assert _report("criterion 7 (asymmetric menu 61/25; symmetric search <= 21/10)",
-                   ok, f"asymmetric {rev}, symmetric optimum {sym}")
-
-
-def test_criterion_08_w_constant():
-    w = solve_w()
-    residual = abs((w - 1) * math.exp(w) - 1)
-    ok = 1.2784 < w < 1.2785 and residual < 1e-12
-    assert _report("criterion 8 (w constant)", ok, f"w={w!r}, residual={residual:.2e}")
-
-
-def test_criterion_09_er_gap():
-    w = solve_w()
-    params = NumericParams(cap=1e4, grid_points=2400)
-    report = numeric_gap_er(1.0, 1.0, params)
-    srev_ok = report.srev == 2.0
-    brev_ok = abs(report.brev - 2 * w) <= 0.01 * (2 * w)
-    drev_ok = abs(report.drev - report.brev) <= report.tolerance
-    sweep = er_cap_sweep(1.0, 1.0, caps=(1e2, 1e3, 1e4), points=(300, 1000, 2400))
-    ratios = [r.brev_over_srev for r in sweep]
-    sweep_ok = all(x < y for x, y in zip(ratios, ratios[1:])) and all(x < w for x in ratios)
-    ok = srev_ok and brev_ok and drev_ok and sweep_ok
-    assert _report(
-        "criterion 9 (equal-revenue gap numerics)", ok,
-        f"srev={report.srev}, brev={report.brev:.4f} (2w={2 * w:.4f}), "
-        f"drev={report.drev:.4f}, |drev-brev|={abs(report.drev - report.brev):.4f} "
-        f"<= tol {report.tolerance:.4f}, cap ratios {[round(r, 5) for r in ratios]}")
-
-
-def test_criterion_10_lottery_benchmark():
-    menu = load_randomized_menu("example7_menu")
-    dist = load_distribution("example7_distribution")
-    v = (F(46), F(80))
-    choice = rchoice(menu, v)
-    truthful_ok = _report("criterion 10a (truthful utility exactly 1152/1187)",
-                          choice.utility == F(1152, 1187), f"utility {choice.utility}")
-    picks = [1, 2]
-    deviation = false_name_utility(menu, v, picks, "independent")
-    beats_ok = _report("criterion 10b (two-pick deviation beats truthful)",
-                       deviation > F(1152, 1187),
-                       f"deviation {deviation} ~ {float(deviation):.4f}")
-    lp = lp_optimal(dist)
-    want = menu_expected_payment(menu, dist)
-    lp_ok = _report("criterion 10d (rational LP optimum equals menu payment exactly)",
-                    lp.revenue == want and lp.certified,
-                    f"lp {lp.revenue}, menu {want}, certified={lp.certified}")
-    near_ok = _report(
-        "criterion 10c (deviation within 0.01 of 1.46)",
-        abs(float(deviation) - 1.46) <= 0.01,
-        f"exact deviation is {deviation} ~ {float(deviation):.4f}; 1.46 matches only "
-        f"the mis-folded product that reuses the first pick's item-1 probability")
-    assert truthful_ok and beats_ok and lp_ok
-    assert near_ok, (
-        f"the exact two-pick deviation is {deviation} (~{float(deviation):.4f}); the "
-        f"stated 1.46 +- 0.01 band cannot hold under the per-item independent-lottery "
-        f"fold, which this library implements as specified")
-
-
-def test_criterion_11_oracle_equivalence():
-    rng = random.Random(SEED + 4)
-    checked = 0
-    while checked < 100:
-        n = rng.randint(1, 2)
-        if n == 1:
-            dist = product([random_single_item(rng, max_atoms=3, max_value=6)])
-        else:
-            dist = random_correlated_joint(rng, n=2, max_atoms=3, max_value=6)
-        grid = candidate_grid(dist, "support-sums")
-        combos = 1
-        for ps in grid.prices:
-            combos *= len(ps)
-        if combos > 200:
-            continue
-        constraint = rng.choice(["unrestricted", "submodular", "symmetric",
-                                 "additive", "bundle-only"])
-        res = search_optimal(dist, constraint, grid)
-        _, oracle_rev, _ = oracle_search(dist, constraint, grid)
-        assert res.revenue == oracle_rev, (constraint, grid.prices, res.revenue, oracle_rev)
-        checked += 1
-    assert _report("criterion 11 (search equals naive oracle on 100 instances)",
-                   checked == 100, f"{checked} instances")
+@pytest.mark.parametrize("target", TARGETS)
+def test_reproduction(target):
+    rows = run_target(target)
+    for row in rows:
+        print(row.line(target))
+    known = [row for row in rows if (target, row.name) in KNOWN_DISCREPANCIES]
+    failed = [row.line(target) for row in rows if not row.ok and row not in known]
+    assert not failed, failed
+    for row in known:
+        assert row.ok, f"{row.name}: got {row.actual}; {row.note}"

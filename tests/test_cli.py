@@ -5,6 +5,7 @@ import pytest
 
 import menurev
 from menurev.cli import main
+from menurev.reproduce import run_target
 
 DATA = str(Path(menurev.__file__).parent / "data")
 
@@ -92,6 +93,21 @@ def test_reproduce_known_discrepancy_fails(capsys):
 def test_reproduce_unknown_target():
     with pytest.raises(SystemExit):
         main(["reproduce", "example-99"])
+    with pytest.raises(ValueError, match="example-99"):
+        run_target("example-99")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_reproduce_rejects_nonpositive_trials(trials, capsys):
+    assert main(["reproduce", "theorem-3-1-property", "--trials", trials]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, message", [("--cap", "cap must be positive"),
+                                           ("--grid-points", "grid_points must be")])
+def test_reproduce_rejects_zero_er_params(flag, message, capsys):
+    assert main(["reproduce", "er-gap", flag, "0"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_plot_svg(tmp_path):

@@ -16,7 +16,7 @@ from menurev import (
     search_optimal,
     uniform,
 )
-from menurev.instances import random_single_item
+from menurev.instances import random_correlated_joint, random_single_item
 from menurev.model import all_bundles, is_submodular, is_symmetric_menu
 from menurev import search
 from menurev.search import CandidateGrid, SearchError
@@ -109,6 +109,29 @@ def test_oracle_equivalence_random_instances():
         res = search_optimal(dist, constraint, grid)
         _, oracle_rev, _ = oracle_search(dist, constraint, grid)
         assert res.revenue == oracle_rev, (constraint, grid.prices)
+        checked += 1
+
+
+def test_oracle_equivalence_correlated_instances():
+    rng = random.Random(20260813)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(1, 2)
+        if n == 1:
+            dist = product([random_single_item(rng, max_atoms=3, max_value=6)])
+        else:
+            dist = random_correlated_joint(rng, n=2, max_atoms=3, max_value=6)
+        grid = candidate_grid(dist, "support-sums")
+        combos = 1
+        for ps in grid.prices:
+            combos *= len(ps)
+        if combos > 200:
+            continue
+        constraint = rng.choice(["unrestricted", "submodular", "symmetric",
+                                 "additive", "bundle-only"])
+        res = search_optimal(dist, constraint, grid)
+        _, oracle_rev, _ = oracle_search(dist, constraint, grid)
+        assert res.revenue == oracle_rev, (constraint, grid.prices, res.revenue, oracle_rev)
         checked += 1
 
 
