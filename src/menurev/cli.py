@@ -18,7 +18,7 @@ from .rational import decimal_with_flag, format_rational
 from .regions import region_partition_2, render_ascii, render_svg
 from .reproduce import TARGETS, run_target
 from .search import CONSTRAINTS, SearchError, candidate_grid, search_optimal
-from .serialize import ParseError, bundle_key, parse_distribution, parse_menu
+from .serialize import ParseError, bundle_key, parse_distribution, parse_grid, parse_menu
 
 _CONSTRAINT_CHOICES = list(CONSTRAINTS) + ["symmetric-submodular"]
 
@@ -70,9 +70,7 @@ def cmd_search(args) -> int:
     if args.grid == "file":
         if not args.grid_file:
             raise ParseError("--grid-file", "required when --grid file is used")
-        spec = _read_json(args.grid_file)
-        explicit = {tuple(int(i) for i in key.split(",")): prices
-                    for key, prices in spec["prices"].items()}
+        explicit = parse_grid(_read_json(args.grid_file), dist.n)
         grid = candidate_grid(dist, "explicit", explicit=explicit, max_price=args.max_price)
     else:
         mode = "integer-grid" if args.grid == "integer" else "support-sums"

@@ -3,9 +3,10 @@
 Two routes to an optimal basic solution of  max c.x  s.t.  A x <= b, x in box:
 
 * a dense tableau simplex over Fractions (Bland's rule), for small systems;
-* a float solve (scipy HiGHS) used only to locate the optimal active set,
-  followed by an exact rational solve of that vertex, exact feasibility
-  checking of every constraint, and an exact dual certificate attempt.
+* a float solve (scipy HiGHS) that only locates the optimal active set, then
+  purification rounds over Fractions: one elimination picks an independent
+  basis among the tight rows and solves it for the vertex, every constraint
+  is checked exactly, and a second elimination solves the dual on that basis.
 
 Both produce exact rational solutions; the second also reports whether the
 optimality certificate closed.
@@ -24,13 +25,16 @@ class LPError(RuntimeError):
     pass
 
 
+_MAX_PIVOTS = 20000  # simplex_max gives up after this many pivots
+_FEAS_TOL = 1e-7     # relative float residual under which a row counts as tight
+
+
 # ---------------------------------------------------------------------------
 # Exact dense simplex:  max c.x  s.t.  A x <= b, x >= 0, with b >= 0
 # ---------------------------------------------------------------------------
 
 def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Sequence[Fraction]],
-                b_ub: Sequence[Fraction], max_pivots: int = 20000
-                ) -> Tuple[List[Fraction], Fraction]:
+                b_ub: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
     """Textbook tableau simplex with Bland's rule; requires b_ub >= 0 so the
     all-slack basis is feasible. Returns (x, objective)."""
     m, n = len(a_ub), len(c)
@@ -43,7 +47,7 @@ def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Sequence[Fraction]],
     cost = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
     basis = list(range(n, n + m))
 
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         col = next((j for j in range(n + m) if cost[j] < 0), None)
         if col is None:
             x = [Fraction(0)] * n
@@ -70,49 +74,42 @@ def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Sequence[Fraction]],
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers
+# Exact basis selection and solve
 # ---------------------------------------------------------------------------
 
-def _solve_square(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Gaussian elimination over Fractions; None if the matrix is singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _solve_rows(rows: List[List[Fraction]], rhs: List[Fraction]
+                ) -> Tuple[List[int], Optional[List[Fraction]]]:
+    """Pick the first independent rows in order and solve  rows[kept] . x = rhs[kept].
 
-
-def _independent_subset(rows: List[List[Fraction]], need: int) -> List[int]:
-    """Indices of up to `need` linearly independent rows, scanned in order."""
-    chosen: List[int] = []
-    workspace: List[List[Fraction]] = []
-    pivots: List[int] = []
+    Each row is reduced, right-hand side included, against the rows kept
+    before it and kept if a nonzero coefficient remains; once there are as
+    many as columns, back-substitution gives x. Returns (kept, x), with x
+    None when the rows span fewer dimensions than the columns.
+    """
     width = len(rows[0]) if rows else 0
+    kept: List[int] = []
+    reduced: List[Tuple[int, List[Fraction]]] = []  # (pivot column, row scaled to pivot 1)
     for idx, row in enumerate(rows):
-        vec = list(row)
-        for w, pcol in zip(workspace, pivots):
-            if vec[pcol] != 0:
-                f = vec[pcol]
-                vec = [v - f * u for v, u in zip(vec, w)]
-        pcol = next((j for j in range(width) if vec[j] != 0), None)
+        vec = list(row) + [rhs[idx]]
+        for pcol, w in reduced:
+            f = vec[pcol]
+            if f:
+                vec = [v - f * u if u else v for v, u in zip(vec, w)]
+        pcol = next((j for j in range(width) if vec[j]), None)
         if pcol is None:
             continue
         inv = 1 / vec[pcol]
-        workspace.append([v * inv for v in vec])
-        pivots.append(pcol)
-        chosen.append(idx)
-        if len(chosen) == need:
+        reduced.append((pcol, [v * inv if v else v for v in vec]))
+        kept.append(idx)
+        if len(kept) == width:
             break
-    return chosen
+    if not kept or len(kept) < width:
+        return kept, None
+    # a kept row is zero at the pivots kept before it, so solve from the last
+    x = [Fraction(0)] * width
+    for pcol, w in reversed(reduced):
+        x[pcol] = w[width] - sum(u * x[j] for j, u in enumerate(w[:width]) if u and j != pcol)
+    return kept, x
 
 
 @dataclass
@@ -122,58 +119,46 @@ class VertexResult:
     certified: bool
 
 
-def certified_vertex(c: List[Fraction], rows: List[List[Fraction]], rhs: List[Fraction],
-                     float_hint: Optional[np.ndarray] = None,
-                     duals_hint: Optional[np.ndarray] = None,
-                     feas_tol: float = 1e-7) -> VertexResult:
+def certified_vertex(c: List[Fraction], rows: List[List[Fraction]], rhs: List[Fraction]
+                     ) -> VertexResult:
     """Exact optimal vertex of  max c.x  s.t.  rows[i].x >= rhs[i].
 
-    A float LP locates the optimum; the active rows there are rank-filtered
-    exactly (rows with larger float duals first), the resulting square system
-    is solved over Fractions, and every constraint is re-checked exactly.
-    A dual solve on the same basis yields the optimality certificate when all
-    multipliers are nonnegative.
+    A float LP (HiGHS) locates the optimum; its tight rows, largest float dual
+    first, are the candidates. A round solves the first independent ones for
+    the vertex in one exact elimination, checks every row exactly and solves
+    the dual on that basis; at most 12 rounds drop the most negative
+    multiplier until all are nonnegative, which certifies the vertex.
     """
     n = len(c)
     a = np.array([[float(v) for v in row] for row in rows])
     b = np.array([float(v) for v in rhs])
-    if float_hint is None:
-        res = linprog(c=-np.array([float(v) for v in c]), A_ub=-a, b_ub=-b,
-                      bounds=[(None, None)] * n, method="highs")
-        if not res.success:
-            raise LPError(f"float LP failed: {res.message}")
-        float_hint = res.x
-        duals_hint = res.ineqlin.marginals if hasattr(res, "ineqlin") else None
-    resid = a @ float_hint - b
+    res = linprog(c=-np.array([float(v) for v in c]), A_ub=-a, b_ub=-b,
+                  bounds=[(None, None)] * n, method="highs")
+    if not res.success:
+        raise LPError(f"float LP failed: {res.message}")
+    resid = a @ res.x - b
     scale = 1.0 + np.abs(b)
-    tight = [i for i in range(len(rows)) if resid[i] <= feas_tol * scale[i]]
-    if duals_hint is not None:
-        tight.sort(key=lambda i: -abs(float(duals_hint[i])))
+    duals = res.ineqlin.marginals
+    candidates = sorted((i for i in range(len(rows)) if resid[i] <= _FEAS_TOL * scale[i]),
+                        key=lambda i: -abs(float(duals[i])))
 
     best: Optional[VertexResult] = None
-    candidates = list(tight)
     for _ in range(12):
-        sel = _independent_subset([rows[i] for i in candidates], n)
-        if len(sel) < n:
-            break
-        basis = [candidates[i] for i in sel]
-        x = _solve_square([rows[i] for i in basis], [rhs[i] for i in basis])
+        sel, x = _solve_rows([rows[i] for i in candidates], [rhs[i] for i in candidates])
         if x is None:
             break
-        if any(sum(r * v for r, v in zip(rows[i], x)) < rhs[i] for i in range(len(rows))):
+        if any(sum(r * v for r, v in zip(rows[i], x) if r) < rhs[i] for i in range(len(rows))):
             break
         objective = sum(ci * xi for ci, xi in zip(c, x))
         # KKT for max c.x over A x >= b: c + A^T y = 0 with y >= 0 on tight
         # rows; nonnegative multipliers close the certificate, otherwise
-        # purify by dropping the worst row and re-selecting
-        bt = [[rows[basis[r]][j] for r in range(n)] for j in range(n)]
-        y = _solve_square(bt, [-v for v in c])
-        if best is None:
-            best = VertexResult(x, objective, False)
-        if y is not None and all(v >= 0 for v in y):
+        # purify by dropping the worst row and re-selecting. The basis is
+        # independent, so its transpose always has a solution.
+        basis = [candidates[i] for i in sel]
+        _, y = _solve_rows([list(col) for col in zip(*(rows[i] for i in basis))], [-v for v in c])
+        best = best or VertexResult(x, objective, False)
+        if all(v >= 0 for v in y):
             return VertexResult(x, objective, True)
-        if y is None:
-            break
         worst = min(range(n), key=lambda r: y[r])
         candidates = [i for i in candidates if i != basis[worst]]
     if best is None:

@@ -6,7 +6,7 @@ errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Union
+from typing import IO, Any, Dict, Tuple, Union
 
 from .model import (
     JointDistribution,
@@ -32,13 +32,13 @@ def _require(obj: Dict[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
-def _load(source: Union[str, IO[str], Dict[str, Any]], where: str) -> Dict[str, Any]:
-    if isinstance(source, dict):
-        return source
+def _load(source: Any, where: str) -> Dict[str, Any]:
+    """The document's top-level object, from JSON text, a file or a parsed value."""
+    obj = source
     try:
         if isinstance(source, str):
             obj = json.loads(source)
-        else:
+        elif hasattr(source, "read"):
             obj = json.load(source)
     except json.JSONDecodeError as exc:
         raise ParseError(where, f"malformed JSON: {exc}") from None
@@ -109,32 +109,47 @@ def bundle_key(bundle) -> str:
     return ",".join(str(i) for i in bundle)
 
 
+def _prices_by_bundle(obj: Dict[str, Any], where: str, n: int) -> Dict[Tuple[int, ...], Any]:
+    """obj["prices"] keyed by bundle; its keys must be exactly the n-item bundles."""
+    prices = _require(obj, "prices", where)
+    if not isinstance(prices, dict):
+        raise ParseError(f"{where}.prices", "expected an object mapping bundles to prices")
+    try:
+        order = all_bundles(n)
+    except ValueError as exc:
+        raise ParseError(f"{where}.items", str(exc)) from None
+    expected = {bundle_key(b): b for b in order}
+    table = {}
+    for key, value in prices.items():
+        if key not in expected:
+            raise ParseError(f"{where}.prices[{key!r}]",
+                             "bundle keys are comma-joined sorted item indices, e.g. '1,2'")
+        table[expected[key]] = value
+    missing = [bundle_key(b) for b in order if b not in table]
+    if missing:
+        raise ParseError(f"{where}.prices", f"missing bundles: {', '.join(missing)}")
+    return table
+
+
 def parse_menu(source: Union[str, IO[str], Dict[str, Any]]) -> Menu:
     obj = _load(source, "menu")
     n = _require(obj, "items", "menu")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError("menu.items", "item count must be an integer")
-    prices = _require(obj, "prices", "menu")
-    if not isinstance(prices, dict):
-        raise ParseError("menu.prices", "expected an object mapping bundles to prices")
-    try:
-        order = all_bundles(n)
-    except ValueError as exc:
-        raise ParseError("menu.items", str(exc)) from None
-    expected = {bundle_key(b): b for b in order}
-    table = {}
-    for key, value in prices.items():
-        if key not in expected:
-            raise ParseError(f"menu.prices[{key!r}]",
-                             "bundle keys are comma-joined sorted item indices, e.g. '1,2'")
-        table[expected[key]] = value
-    missing = [bundle_key(b) for b in order if b not in table]
-    if missing:
-        raise ParseError("menu.prices", f"missing bundles: {', '.join(missing)}")
+    table = _prices_by_bundle(obj, "menu", n)
     try:
         return Menu.from_mapping(n, table)
     except ValueError as exc:
         raise ParseError("menu.prices", str(exc)) from None
+
+
+def parse_grid(source: Any, n: int) -> Dict[Tuple[int, ...], list]:
+    """Candidate price lists by bundle from {"prices": {"1": [...], "1,2": [...]}}."""
+    table = _prices_by_bundle(_load(source, "grid"), "grid", n)
+    for bundle, prices in table.items():
+        if not isinstance(prices, list):
+            raise ParseError(f"grid.prices[{bundle_key(bundle)!r}]", "expected a list of prices")
+    return table
 
 
 def menu_to_dict(m: Menu) -> Dict[str, Any]:

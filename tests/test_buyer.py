@@ -14,7 +14,7 @@ from menurev import (
     revenue_at,
     sale_probabilities,
 )
-from menurev.instances import random_menu, random_submodular_menu, random_valuation_grid
+from menurev.instances import random_menu, random_valuation_grid
 from menurev.model import bundle_value
 
 
@@ -102,12 +102,6 @@ def test_monotonicity_violation_reported():
     assert any(v.low == (F(5), F(0)) and v.high == (F(5), F(9, 2))
                and v.revenue_low == 5 and v.revenue_high == 1
                for v in report.violations)
-
-
-def test_submodular_menus_monotone(rng):
-    for _ in range(80):
-        m = random_submodular_menu(rng)
-        assert check_monotone(m, monotonicity_grid(m)).ok
 
 
 def test_single_item_menu_monotone():

@@ -36,6 +36,13 @@ def test_eval_bad_input_exit_2(tmp_path, capsys):
     assert "mass 5/6 != 1" in capsys.readouterr().err
 
 
+def test_eval_top_level_list_exit_2(tmp_path, capsys):
+    bad = tmp_path / "menu.json"
+    bad.write_text('[{"items": 2}]')
+    assert main(["eval", str(bad), f"{DATA}/example6_eps10.json"]) == 2
+    assert "menu: top-level value must be an object" in capsys.readouterr().err
+
+
 def test_eval_missing_file_exit_2(capsys):
     assert main(["eval", "nope.json", "also-nope.json"]) == 2
 
@@ -73,6 +80,21 @@ def test_search_integer_grid_rejects_fractional(tmp_path, capsys):
                     '{"values": ["1/2"], "prob": "1"}]}')
     code = main(["search", str(frac), "--grid", "integer"])
     assert code == 2
+
+
+@pytest.mark.parametrize("doc, where", [
+    ('{"grid": {}}', "grid: missing required field 'prices'"),
+    ('[["1", "2"]]', "grid: top-level value must be an object"),
+    ('{"prices": {"x": ["1"], "1": ["1"], "2": ["1"], "1,2": ["2"]}}', "grid.prices['x']"),
+    ('{"prices": {"1": ["1", "4"], "2": ["1", "4"], "1,2": "12"}}', "grid.prices['1,2']"),
+], ids=["no-prices", "top-level-list", "bad-bundle-key", "prices-not-list"])
+def test_search_bad_grid_file_exit_2(tmp_path, capsys, doc, where):
+    grid = tmp_path / "grid.json"
+    grid.write_text(doc)
+    code = main(["search", f"{DATA}/example5_eps100.json", "--grid", "file",
+                 "--grid-file", str(grid)])
+    assert code == 2
+    assert where in capsys.readouterr().err
 
 
 def test_reproduce_pass_target(capsys):

@@ -135,14 +135,6 @@ def test_theorem_31_property(rng):
         assert is_submodular(cert.best)
 
 
-def test_theorem_41_property(rng):
-    for _ in range(300):
-        f = random_single_item(rng)
-        menu = random_submodular_menu(rng, require_asymmetric=True)
-        cert = symmetrize2(menu, f)  # internal identity/dominance asserts
-        assert cert.margin >= 0
-
-
 def test_averaging_identity_on_correlated_symmetric(rng):
     # c <= 2a averaging holds beyond products, for any symmetric joint
     for _ in range(200):
@@ -159,15 +151,6 @@ def test_averaging_identity_on_correlated_symmetric(rng):
             continue
         assert expected_revenue(menu2(a, a, c), dist) + expected_revenue(menu2(b, b, c), dist) \
             == 2 * expected_revenue(menu2(a, b, c), dist)
-
-
-def test_lemma_5_property(rng):
-    for _ in range(300):
-        dist = random_correlated_joint(rng)
-        menu = random_supermodular_menu(rng)
-        add, bun = three_halves_decomposition(menu)
-        assert expected_revenue(menu, dist) <= \
-            expected_revenue(add, dist) + expected_revenue(bun, dist) / 2
 
 
 def test_reflection_identity_for_iid_products(rng):

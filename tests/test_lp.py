@@ -2,7 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from menurev.lp import LPError, certified_vertex, simplex_max, _solve_square
+from menurev import lp
+from menurev.instances import load_distribution
+from menurev.lp import LPError, certified_vertex, simplex_max, _solve_rows
+from menurev.randomized import lp_optimal
 
 
 def test_simplex_small_lp():
@@ -31,10 +34,18 @@ def test_simplex_rejects_negative_rhs():
         simplex_max([F(1)], [[F(1)]], [F(-1)])
 
 
-def test_solve_square():
-    sol = _solve_square([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
-    assert sol == [F(1), F(3)]
-    assert _solve_square([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None
+def test_solve_rows():
+    kept, sol = _solve_rows([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
+    assert kept == [0, 1] and sol == [F(1), F(3)]
+    assert _solve_rows([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])[1] is None
+
+
+def test_solve_rows_skips_dependent_row():
+    # x + 2y = 5, 2x + 4y = 10 (dependent, skipped), x + 3y = 7
+    kept, sol = _solve_rows([[F(1), F(2)], [F(2), F(4)], [F(1), F(3)]],
+                            [F(5), F(10), F(7)])
+    assert kept == [0, 2]
+    assert sol == [F(1), F(2)]
 
 
 def test_certified_vertex_simple():
@@ -77,3 +88,16 @@ def test_vertex_path_agrees_with_simplex_on_random_lps():
         res = certified_vertex(c, rows, rhs)
         assert res.objective == simplex_obj
         assert res.certified
+
+
+def test_example7_purifies_over_several_rounds(monkeypatch):
+    # the float optimum of the 36-type lottery LP is degenerate: the first
+    # basis's dual has negative multipliers, so rows are dropped until the
+    # certificate closes; each round calls _solve_rows twice
+    calls = []
+    real = lp._solve_rows
+    monkeypatch.setattr(lp, "_solve_rows", lambda *a: calls.append(1) or real(*a))
+    out = lp_optimal(load_distribution("example7_distribution"), method="float-guided-exact")
+    assert len(calls) > 2
+    assert out.certified
+    assert out.revenue == F(30614162731, 440673750)
