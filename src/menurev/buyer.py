@@ -109,10 +109,10 @@ def check_monotone(m: Menu, grid: Sequence[Valuation]) -> MonotonicityReport:
     return MonotonicityReport(tuple(violations))
 
 
-def monotonicity_grid(m: Menu, support: Optional[Sequence[Iterable[Fraction]]] = None,
-                      offset: Optional[Fraction] = None) -> List[Valuation]:
+def monotonicity_grid(m: Menu,
+                      support: Optional[Sequence[Iterable[Fraction]]] = None) -> List[Valuation]:
     """Audit grid for a 2-item menu: region corner coordinates (and optional
-    per-item support values), each plus/minus a small rational offset.
+    per-item support values), each plus/minus half the smallest gap between them.
 
     Revenue is piecewise constant with breakpoints at the region boundaries,
     so violations always show up at corner points nudged across a boundary.
@@ -130,7 +130,7 @@ def monotonicity_grid(m: Menu, support: Optional[Sequence[Iterable[Fraction]]] =
     for axis in axes:
         coords = sorted(x for x in axis if x >= 0)
         gaps = [y - x for x, y in zip(coords, coords[1:]) if y > x]
-        delta = offset if offset is not None else (min(gaps) / 2 if gaps else Fraction(1, 2))
+        delta = min(gaps) / 2 if gaps else Fraction(1, 2)
         expanded = set(coords)
         for x in coords:
             expanded.add(x + delta)

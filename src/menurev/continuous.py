@@ -61,7 +61,6 @@ class NumericParams:
 
     cap: float = 1e4
     grid_points: int = 2000
-    tolerance: float = 1e-9
     # the exact menu search runs on a coarser companion discretization
     search_cap: float = 100.0
     search_points: int = 100
@@ -73,8 +72,6 @@ class NumericParams:
             raise ValueError("cap must be positive")
         if self.grid_points < 100:
             raise ValueError("grid_points must be at least 100")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.search_points < 100:
             raise ValueError("search_points must be at least 100")
 

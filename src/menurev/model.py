@@ -40,6 +40,21 @@ def as_bundle(items: Iterable[int], n: int) -> Bundle:
     return b
 
 
+def bundle_table(table: Mapping[Iterable[int], object], n: int) -> Dict[Bundle, object]:
+    """`table` re-keyed by canonical bundles; a key out of range or naming the
+    bundle of an earlier key raises ValueError."""
+    out: Dict[Bundle, object] = {}
+    for key, value in table.items():
+        try:
+            bundle = as_bundle(key, n)
+        except ValueError as exc:
+            raise ValueError(f"bundle key {key!r}: {exc}") from None
+        if bundle in out:
+            raise ValueError(f"bundle key {key!r} repeats bundle {bundle}")
+        out[bundle] = value
+    return out
+
+
 def as_valuation(values: Sequence[RationalLike], n: int | None = None) -> Valuation:
     v = tuple(parse_nonnegative(x, f"value[{i}]") for i, x in enumerate(values))
     if n is not None and len(v) != n:
@@ -206,7 +221,7 @@ class Menu:
 
     @classmethod
     def from_mapping(cls, n: int, prices: Mapping[Iterable[int], RationalLike]) -> "Menu":
-        table = {as_bundle(b, n): parse_nonnegative(p, f"price of {tuple(b)}") for b, p in prices.items()}
+        table = {b: parse_nonnegative(p, f"price of {b}") for b, p in bundle_table(prices, n).items()}
         order = all_bundles(n)
         missing = [b for b in order if b not in table]
         if missing:

@@ -16,14 +16,18 @@ smallest price vector.
 
 A type buys the option with the largest key (v - p) * K + p, which ranks
 utility first and breaks utility ties toward the higher price, and pays the
-key mod K. Menus come in blocks: the singleton prices (every price, for
-additive menus) are fixed within a block, and the other bundles range over a
-mesh with one axis per bundle (per bundle size, for symmetric menus). Each
+key mod K. `_layout` is the only reader of the constraint. It splits the
+menus into blocks, whose singleton prices (every price, for additive menus)
+are fixed and generated lazily, over a mesh with one axis per other bundle
+(per bundle size, for symmetric menus), and lists the feasibility terms
+p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity. Each
 axis has a key table, built once per search, holding every type's key at
-every candidate price of the axis. A block takes its fixed columns' maximum
-key once; a menu's keys are that maximum combined with one table row per
-axis by `maximum`. Price rows are built only for chunk winners and the
-float-screening window.
+every candidate price of the axis; a menu's keys are the block's fixed
+maximum combined with one table row per axis by `maximum`. Price rows are
+built only for chunk winners and the float-screening window. The window has
+no size cap: it holds every menu within the cut below the best float score,
+drops the rows below the cut whenever that score rises, and is rescored
+exactly once, at the end.
 
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
 candidate grids are closed under price monotonization, which holds for integer
@@ -36,7 +40,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +51,7 @@ from .model import (
     JointDistribution,
     Menu,
     all_bundles,
+    bundle_table,
     bundle_value,
 )
 from .rational import RationalLike, decimal_with_flag, format_rational, parse_nonnegative
@@ -71,7 +76,6 @@ _INT64_BUDGET = 1 << 62
 _CHUNK_BYTES = 48 << 20
 _CELL_BYTES = {np.int64: 24, object: 56}
 _ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
-_WINDOW_CAP = 20_000
 
 
 class SearchError(ValueError):
@@ -147,7 +151,10 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
     elif mode == "explicit":
         if explicit is None:
             raise SearchError("explicit mode requires candidate sets")
-        table = {tuple(sorted(set(b))): ps for b, ps in explicit.items()}
+        try:
+            table = bundle_table(explicit, dist.n)
+        except ValueError as exc:
+            raise SearchError(f"explicit grid: {exc}") from None
         for bundle in order:
             if bundle not in table:
                 raise SearchError(f"explicit grid missing bundle {bundle}")
@@ -226,9 +233,6 @@ class _Instance:
         else:
             self.weights = np.array([float(p) for _, p in dist.atoms], dtype=np.float64)
 
-    def scaled_grid(self, bundle_idx: int) -> np.ndarray:
-        return np.array([int(p * self.L) for p in self.grid.prices[bundle_idx]], dtype=self.dtype)
-
     def menu_from_scaled(self, row: Sequence[int]) -> Menu:
         return Menu(self.dist.n, tuple(Fraction(int(p), self.L) for p in row))
 
@@ -251,27 +255,51 @@ def _monotone_closure_holds(grid: CandidateGrid) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _lattice_terms(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], ...], ...]:
+    """(monotonicity terms, submodularity terms): index quadruples (a, b, c, d)
+    for p[a] + p[b] >= p[c] + p[d], where -1 is the empty bundle, of price 0."""
+    order = all_bundles(n)
+    index = {b: i for i, b in enumerate(order)} | {(): -1}
+    monotone, submodular = [], []
+    for i, j in combinations(range(len(order)), 2):
+        s, t = set(order[i]), set(order[j])
+        if s < t:
+            monotone.append((j, -1, i, -1))
+        else:
+            submodular.append((i, j, index[tuple(sorted(s & t))], index[tuple(sorted(s | t))]))
+    return tuple(monotone), tuple(submodular)
+
+
 @dataclass(frozen=True)
 class _Layout:
     """How a constraint's menus split into blocks. The `fixed` columns take one
-    price per block; mesh axis g prices all of its `groups[g]` columns at one of
-    its `axes[g]` candidates. `tables[g][j, t]` is the key (v - p) * K + p of
-    the best column of group g for type t with the axis at candidate j."""
+    price tuple per block from `blocks`, in lexicographic order; mesh axis g
+    prices all of its `groups[g]` columns at one of its `axes[g]` candidates.
+    `tables[g][j, t]` is the key (v - p) * K + p of the best column of group g
+    for type t with the axis at candidate j. A menu is feasible when
+    p[a] + p[b] >= p[c] + p[d] for every term (a, b, c, d), with p[-1] = 0."""
 
     fixed: Tuple[int, ...]
+    blocks: Iterator[Tuple[int, ...]]
     groups: Tuple[Tuple[int, ...], ...]
     axes: Tuple[np.ndarray, ...]
     tables: Tuple[np.ndarray, ...]
+    terms: Tuple[Tuple[int, int, int, int], ...]
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return tuple(len(a) for a in self.axes)
 
+    @property
+    def width(self) -> int:
+        return len(self.fixed) + sum(map(len, self.groups))
+
     def rows(self, prices: Sequence[int], subs: Sequence[np.ndarray],
              count: int) -> List[Tuple[int, ...]]:
         """Scaled price rows of the `count` menus at mesh indices `subs` of the
         block whose fixed columns cost `prices`."""
-        out = np.empty((count, len(self.fixed) + sum(map(len, self.groups))), dtype=object)
+        out = np.empty((count, self.width), dtype=object)
         for c, p in zip(self.fixed, prices):
             out[:, c] = p
         for group, axis, j in zip(self.groups, self.axes, subs):
@@ -279,113 +307,63 @@ class _Layout:
         return [tuple(int(x) for x in row) for row in out]
 
 
-def _layout(inst: _Instance, constraint: str) -> Optional[_Layout]:
-    """The block layout and its key tables; None when the constraint admits no grid menu."""
-    order = inst.order
+def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
+    """The constraint's blocks, key tables and feasibility terms, with the
+    bundle-monotone terms only if `prune`; None when it admits no grid menu."""
+    n, order = inst.dist.n, inst.order
     every = tuple(range(len(order)))
-    higher = [i for i, b in enumerate(order) if len(b) > 1]
-    fixed = tuple(range(inst.dist.n))
+    grids = [np.array([int(p * inst.L) for p in ps], dtype=inst.dtype) for ps in inst.grid.prices]
+    singles = [g.tolist() for g in grids[:n]]
+    monotone, submodular = _lattice_terms(n)
+    terms = monotone if prune else ()
     if constraint == "additive":
-        fixed, groups, axes = every, [], []
+        # additive and bundle-only menus are bundle-monotone by construction
+        fixed, groups, axes, terms = every, [], [], ()
+        blocks = (tuple(sum(combo[i - 1] for i in b) for b in order)
+                  for combo in iproduct(*singles))
     elif constraint == "bundle-only":
         # every bundle costs the grand-bundle price
-        fixed, groups, axes = (), [every], [inst.scaled_grid(len(order) - 1)]
+        fixed, groups, axes, terms = (), [every], [grids[-1]], ()
+        blocks = iter([()])
     elif constraint in ("unrestricted", "submodular"):
-        groups = [(i,) for i in higher]
-        axes = [inst.scaled_grid(i) for i in higher]
+        fixed, groups, axes = every[:n], [(i,) for i in every[n:]], grids[n:]
+        blocks = iproduct(*singles)
     else:
-        # symmetric variants share one axis per cardinality
-        by_size: Dict[int, List[int]] = {}
-        for i in higher:
-            by_size.setdefault(len(order[i]), []).append(i)
-        groups, axes = [], []
-        for size in sorted(by_size):
-            cols = by_size[size]
-            shared = set(inst.grid.prices[cols[0]])
-            for c in cols[1:]:
-                shared &= set(inst.grid.prices[c])
-            if not shared:
-                return None
-            groups.append(tuple(cols))
-            axes.append(np.array(sorted(int(p * inst.L) for p in shared), dtype=inst.dtype))
+        # symmetric menus price all bundles of one size at a shared candidate
+        by_size = [tuple(i for i in every if len(order[i]) == k) for k in range(1, n + 1)]
+        shared = [sorted(set.intersection(*(set(grids[c].tolist()) for c in cols)))
+                  for cols in by_size]
+        if not all(shared):
+            return None
+        fixed, groups = every[:n], by_size[1:]
+        axes = [np.array(ps, dtype=inst.dtype) for ps in shared[1:]]
+        blocks = ((q,) * n for q in shared[0])
+    if constraint in ("submodular", "symmetric-and-submodular"):
+        terms += submodular
     tables = []
     for group, axis in zip(groups, axes):
         # columns sharing one price: the highest value among them is the best
         top = inst.values[:, list(group)].max(axis=1)
         tables.append((top[None, :] - axis[:, None]) * inst.K + axis[:, None])
-    return _Layout(fixed, tuple(groups), tuple(axes), tuple(tables))
+    return _Layout(fixed, blocks, tuple(groups), tuple(axes), tuple(tables), terms)
 
 
-def _fixed_prices(inst: _Instance, constraint: str) -> Iterator[Tuple[int, ...]]:
-    """Prices of the layout's fixed columns, one tuple per block, in lexicographic order."""
-    n = inst.dist.n
-    grids = [inst.scaled_grid(i).tolist() for i in range(n)]
-    if constraint == "bundle-only":
-        yield ()
-    elif constraint == "additive":
-        for combo in iproduct(*grids):
-            yield tuple(sum(combo[i - 1] for i in b) for b in inst.order)
-    elif constraint in ("symmetric", "symmetric-and-submodular") and n > 1:
-        shared = set(grids[0])
-        for g in grids[1:]:
-            shared &= set(g)
-        for q in sorted(shared):
-            yield (q,) * n
-    else:
-        yield from iproduct(*grids)
-
-
-@lru_cache(maxsize=None)
-def _incomparable_pairs(n: int) -> Tuple[Tuple[int, int, int, int], ...]:
-    """Index quadruples (i, j, i_and_j, i_or_j) for submodularity masks; -1 is empty."""
-    order = all_bundles(n)
-    index = {b: i for i, b in enumerate(order)}
-    out = []
-    for i, s in enumerate(order):
-        ss = set(s)
-        for j in range(i + 1, len(order)):
-            ts = set(order[j])
-            if ss <= ts or ts <= ss:
-                continue
-            inter = tuple(sorted(ss & ts))
-            union = tuple(sorted(ss | ts))
-            out.append((i, j, index[inter] if inter else -1, index[union]))
-    return tuple(out)
-
-
-def _subset_pairs(n: int) -> List[Tuple[int, int]]:
-    order = all_bundles(n)
-    return [(i, j) for i, s in enumerate(order) for j, t in enumerate(order)
-            if set(s) < set(t)]
-
-
-def _enumerate_blocks(inst: _Instance, layout: _Layout, constraint: str,
-                      prune: bool) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+def _enumerate_blocks(layout: _Layout) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
     """Yield (fixed prices, flat mesh indices of the block's feasible menus),
     every menu in lexicographic price order."""
-    n = inst.dist.n
-    n_bundles = len(inst.order)
-    if math.prod(layout.shape) * n_bundles > _ROWS_BUDGET:
+    if math.prod(layout.shape) * layout.width > _ROWS_BUDGET:
         raise SearchError("candidate grid too large; supply a smaller explicit grid")
-    want_submodular = constraint in ("submodular", "symmetric-and-submodular")
-    inc_pairs = _incomparable_pairs(n) if want_submodular else ()
-    # additive and bundle-only menus are bundle-monotone by construction
-    sub_pairs = _subset_pairs(n) if prune and constraint not in ("additive", "bundle-only") else []
-
     mesh = np.meshgrid(*layout.axes, indexing="ij", sparse=True)
-    cols: List[object] = [0] * n_bundles
+    cols: List[object] = [0] * (layout.width + 1)  # cols[-1] is the empty bundle
     for group, arr in zip(layout.groups, mesh):
         for c in group:
             cols[c] = arr
-    for prices in _fixed_prices(inst, constraint):
+    for prices in layout.blocks:
         for c, p in zip(layout.fixed, prices):
             cols[c] = p
         mask = np.ones(layout.shape, dtype=bool)
-        for i, j in sub_pairs:
-            mask &= cols[j] >= cols[i]
-        for i, j, k, u in inc_pairs:
-            pk = 0 if k == -1 else cols[k]
-            mask &= (cols[i] + cols[j]) >= (pk + cols[u])
+        for a, b, c, d in layout.terms:
+            mask &= (cols[a] + cols[b]) >= (cols[c] + cols[d])
         idx = np.flatnonzero(mask)
         if idx.size:
             yield prices, idx
@@ -438,8 +416,7 @@ class _StageClock:
         self._last = now
 
 
-def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid,
-                   prune: bool = True) -> SearchResult:
+def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid) -> SearchResult:
     """Maximize exact expected revenue over all constraint-satisfying grid menus."""
     t0 = time.perf_counter()
     constraint = canonical_constraint(constraint)
@@ -447,10 +424,9 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
         raise SearchError(f"grid is for {grid.n} items but distribution has {dist.n}")
 
     inst = _Instance(dist, grid)
-    effective_prune = prune and _monotone_closure_holds(grid)
+    prune = _monotone_closure_holds(grid)
     clock = _StageClock()
-    best_menu, best_rev, examined, rescored = _search_vectorized(
-        inst, constraint, effective_prune, clock)
+    best_menu, best_rev, examined, rescored = _search_vectorized(inst, constraint, prune, clock)
     if best_menu is None:
         raise SearchError(f"empty feasible set under constraint {constraint!r}")
     # the rational evaluator is the final authority on the reported revenue
@@ -459,8 +435,7 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
         raise AssertionError(f"internal revenue mismatch: {check} != {best_rev}")
     clock.lap("verify")
     return SearchResult(best_menu, best_rev, examined, constraint, grid.mode,
-                        time.perf_counter() - t0, effective_prune, inst.path,
-                        rescored, clock.seconds)
+                        time.perf_counter() - t0, prune, inst.path, rescored, clock.seconds)
 
 
 def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:
@@ -477,19 +452,19 @@ def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, 
 
 
 def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _StageClock):
-    layout = _layout(inst, constraint)
+    layout = _layout(inst, constraint, prune)
     clock.lap("evaluate")
     if layout is None:
         return None, None, 0, 0
     weights = inst.weights
     chunk_rows = max(1, _CHUNK_BYTES // (_CELL_BYTES[inst.dtype] * len(weights)))
 
-    examined = rescored = 0
+    examined = 0
     best: Optional[Tuple[int, Tuple[int, ...]]] = None  # exact (score, row) on int64 weights
     top = -math.inf  # best float score when screening
-    window: List[Tuple[float, Tuple[int, ...]]] = []
+    window: List[Tuple[float, Tuple[int, ...]]] = []  # rows within the cut below `top`
 
-    for prices, idx in _enumerate_blocks(inst, layout, constraint, prune):
+    for prices, idx in _enumerate_blocks(layout):
         clock.lap("mask")
         fixed_key = _fixed_key(inst, layout.fixed, prices)
         for lo in range(0, idx.size, chunk_rows):
@@ -502,31 +477,22 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
                 if best is None or scores[i] > best[0]:
                     best = (int(scores[i]), layout.rows(prices, [s[i:i + 1] for s in subs], 1)[0])
                 continue
-            top = max(top, float(scores[i]))
-            cut = top - 1e-9 * (abs(top) + 1.0)
+            if scores[i] > top:
+                top = float(scores[i])
+                cut = top - 1e-9 * (abs(top) + 1.0)
+                window = [w for w in window if w[0] >= cut]
             keep = np.nonzero(scores >= cut)[0]
             rows = layout.rows(prices, [s[keep] for s in subs], keep.size)
-            window += [(float(scores[j]), row) for j, row in zip(keep.tolist(), rows)]
-            if len(window) > _WINDOW_CAP:
-                window = [w for w in window if w[0] >= cut]
-                if len(window) > _WINDOW_CAP:
-                    # collapse to the exact winner: float order could drop it
-                    clock.lap("evaluate")
-                    rescored += len(window)
-                    _, row = _exact_best(inst, [r for _, r in window])
-                    clock.lap("rescore")
-                    window = [w for w in window if w[1] == row]
+            window += zip(scores[keep].tolist(), rows)
         clock.lap("evaluate")
 
     if examined == 0:
         return None, None, 0, 0
     if not inst.int_weights:
-        finalists = [r for s, r in window if s >= cut]
-        rescored += len(finalists)
-        best = _exact_best(inst, finalists)
+        best = _exact_best(inst, [r for _, r in window])
         clock.lap("rescore")
     score, row = best
-    return inst.menu_from_scaled(row), Fraction(score, inst.W * inst.L), examined, rescored
+    return inst.menu_from_scaled(row), Fraction(score, inst.W * inst.L), examined, len(window)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,13 @@ def test_menu_accessors_and_price():
         Menu.from_sequence(2, (1, -1, 2))
 
 
+def test_menu_from_mapping_rejects_repeated_bundle():
+    table = {(1,): 1, (2,): 2, (1, 2): 3}
+    assert Menu.from_mapping(2, table).prices == (F(1), F(2), F(3))
+    with pytest.raises(ValueError, match=r"\(2, 1\) repeats bundle \(1, 2\)"):
+        Menu.from_mapping(2, {**table, (2, 1): 9})
+
+
 def test_submodular_examples():
     assert is_submodular(Menu.from_sequence(3, (5, 6, 6, 7, 7, 8, 9)))
     # p({1,2}) + p({1,3}) = 14 < p({1}) + p({1,2,3}) = 15

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -135,16 +136,27 @@ def test_oracle_equivalence_correlated_instances():
         checked += 1
 
 
-def test_pruning_toggle_preserves_revenue(example4, example5):
-    small = JointDistribution.from_pairs(
-        2, [((1, 2), F(1, 2)), ((3, 1), F(1, 4)), ((2, 2), F(1, 4))])
-    for dist in (example5, small):
-        grid = candidate_grid(dist, "support-sums")
-        for constraint in ("unrestricted", "submodular", "symmetric"):
-            fast = search_optimal(dist, constraint, grid, prune=True)
-            slow = search_optimal(dist, constraint, grid, prune=False)
-            assert fast.revenue == slow.revenue
-            assert fast.examined <= slow.examined or not fast.pruned
+def test_pruning_matches_oracle_on_integer_grids():
+    # integer grids are monotone-closed, so every search prunes; the oracle never does
+    rng = random.Random(8080)
+    checked = 0
+    while checked < 20:
+        n = rng.randint(2, 3)
+        if n == 3:
+            dist = product([random_single_item(rng, max_atoms=2, max_value=1) for _ in range(3)])
+        else:
+            dist = random_correlated_joint(rng, n=n, max_atoms=3, max_value=4)
+        grid = candidate_grid(dist, "integer-grid")
+        if math.prod(len(ps) for ps in grid.prices) > 400:
+            continue
+        for constraint in search.CONSTRAINTS:
+            res = search_optimal(dist, constraint, grid)
+            assert res.pruned
+            oracle_menu, oracle_rev, oracle_examined = oracle_search(dist, constraint, grid)
+            assert (res.best, res.revenue) == (oracle_menu, oracle_rev), (constraint, dist.atoms)
+            if constraint == "unrestricted" and max(grid.prices[0]) > 0:
+                assert res.examined < oracle_examined  # pruning dropped menus
+        checked += 1
 
 
 def test_constraint_monotonicity_chain(rng):
@@ -311,21 +323,17 @@ def test_search_differential_random_instances(make, path):
         checked += 1
 
 
-def test_window_overflow_keeps_exact_winner(monkeypatch):
-    # prices above every value are never paid, so many menus tie exactly; a
-    # two-row window must collapse to the exact, lexicographically smallest winner
+def test_tie_heavy_window_keeps_exact_winner():
+    # prices above every value are never paid, so many menus tie exactly; the
+    # window must rescore them all and keep the lexicographically smallest winner
     dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     grid = candidate_grid(dist, "explicit", explicit={
         (1,): [0, 1, 2, 3, 8, 9], (2,): [0, 1, 2, 4, 8, 9], (1, 2): [2, 3, 4, 5, 10, 11, 12]})
-    calls = []
-    exact_best = search._exact_best
-    monkeypatch.setattr(search, "_WINDOW_CAP", 2)
-    monkeypatch.setattr(search, "_exact_best", lambda *a: calls.append(a) or exact_best(*a))
     res = search_optimal(dist, "unrestricted", grid)
     assert res.path == "float-screen"
     oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
     assert (res.best, res.revenue) == (oracle_menu, oracle_rev)
-    assert len(calls) > 1  # at least one collapse before the final rescoring
+    assert res.rescored == 16
 
 
 def test_four_item_fallback():
@@ -349,6 +357,16 @@ def test_four_item_mesh_guard():
     grid = candidate_grid(dist, "integer-grid", max_price=4)
     with pytest.raises(SearchError, match="candidate grid too large"):
         search_optimal(dist, "unrestricted", grid)
+
+
+def test_explicit_grid_rejects_ambiguous_keys():
+    dist = _point_mass_joint(1, 2)
+    base = {(1,): [1], (2,): [1], (1, 2): [3]}
+    with pytest.raises(SearchError, match=r"\(3,\)"):
+        candidate_grid(dist, "explicit", explicit={**base, (3,): [5]})
+    with pytest.raises(SearchError, match=r"\(2, 1\)"):
+        candidate_grid(dist, "explicit", explicit={**base, (2, 1): [4]})
+    assert candidate_grid(dist, "explicit", explicit=base).prices == ((1,), (1,), (3,))
 
 
 def test_max_price_caps_grids(example4):
@@ -415,8 +433,8 @@ def test_block_kernel_matches_buyer_choice(den, dtype):
     every = range(len(inst.order))
     checked = 0
     for constraint in search.CONSTRAINTS:
-        layout = search._layout(inst, constraint)
-        for prices in list(search._fixed_prices(inst, constraint))[:6]:
+        layout = search._layout(inst, constraint, prune=False)
+        for prices in itertools.islice(layout.blocks, 6):
             cells = math.prod(layout.shape)
             idx = np.array(rng.sample(range(cells), min(4, cells)))
             subs = np.unravel_index(idx, layout.shape) if layout.axes else ()
