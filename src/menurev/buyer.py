@@ -5,6 +5,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .model import (
     Bundle,
     JointDistribution,
@@ -95,17 +97,42 @@ class MonotonicityReport:
         return not self.violations
 
 
+# Pairs compared in one numpy block of the audit; bounds its temporary arrays.
+_BLOCK_PAIRS = 1 << 20
+
+
+def _ranks(values: Sequence[Fraction]) -> np.ndarray:
+    """Dense rank of each value: the ranks keep <, <= and == between the values."""
+    index = {x: k for k, x in enumerate(sorted(set(values)))}
+    return np.array([index[x] for x in values], dtype=np.int64)
+
+
 def check_monotone(m: Menu, grid: Sequence[Valuation]) -> MonotonicityReport:
-    """Audit revenue monotonicity over every coordinatewise-comparable grid pair."""
+    """Audit revenue monotonicity over every coordinatewise-comparable grid pair.
+
+    Revenue is evaluated once per distinct point, over the points in sorted
+    order. Each coordinate axis and the revenues are then replaced by their
+    dense integer ranks, so numpy compares exact ranks, never floats. Rows
+    of the pair table go through numpy in blocks of about `_BLOCK_PAIRS`
+    pairs: (i, j) violates when rev[j] < rev[i] and points[i] <= points[j]
+    on every axis. Violations are listed in row-major (i, j) order of the
+    sorted points.
+    """
     points = sorted(set(tuple(v) for v in grid))
     revenues = [revenue_at(m, v) for v in points]
+    rev = _ranks(revenues)
+    axes = [_ranks(axis) for axis in zip(*points)]
+    rows = max(1, _BLOCK_PAIRS // max(1, len(points)))
     violations: List[MonotonicityViolation] = []
-    for i, lo in enumerate(points):
-        for j, hi in enumerate(points):
-            if i == j or not all(x <= y for x, y in zip(lo, hi)):
-                continue
-            if revenues[j] < revenues[i]:
-                violations.append(MonotonicityViolation(lo, hi, revenues[i], revenues[j]))
+    for start in range(0, len(points), rows):
+        stop = start + rows
+        bad = rev[None, :] < rev[start:stop, None]
+        for axis in axes:
+            bad &= axis[start:stop, None] <= axis[None, :]
+        low, high = np.nonzero(bad)
+        for i, j in zip((low + start).tolist(), high.tolist()):
+            violations.append(MonotonicityViolation(points[i], points[j],
+                                                    revenues[i], revenues[j]))
     return MonotonicityReport(tuple(violations))
 
 
@@ -119,6 +146,9 @@ def monotonicity_grid(m: Menu,
     """
     if m.n != 2:
         raise ValueError("monotonicity_grid is defined for 2-item menus")
+    if support is not None and len(support) != 2:
+        raise ValueError(f"support has {len(support)} sequences; "
+                         "a 2-item menu needs one per item")
     a, b, c = m.prices
     base = {Fraction(0), a, b, c, c - a, c - b, a + b}
     axes: List[set] = [set(base), set(base)]

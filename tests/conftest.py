@@ -4,7 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from menurev import Menu, all_bundles, expected_revenue
+from menurev import Menu, all_bundles, expected_revenue, revenue_at
 from menurev.instances import load_distribution, load_menu
 from menurev.model import is_submodular, is_symmetric_menu
 from menurev.search import canonical_constraint
@@ -67,3 +67,19 @@ def oracle_search(dist, constraint, grid):
         if best_rev is None or rev > best_rev:
             best_menu, best_rev = menu, rev
     return best_menu, best_rev, examined
+
+
+def oracle_monotone(m, grid):
+    """Independent monotonicity audit: every ordered pair of sorted distinct
+    points in a plain loop; returns (low, high, revenue_low, revenue_high)
+    tuples in (i, j) order."""
+    points = sorted(set(tuple(v) for v in grid))
+    revenues = [revenue_at(m, v) for v in points]
+    violations = []
+    for i, lo in enumerate(points):
+        for j, hi in enumerate(points):
+            if i == j or not all(x <= y for x, y in zip(lo, hi)):
+                continue
+            if revenues[j] < revenues[i]:
+                violations.append((lo, hi, revenues[i], revenues[j]))
+    return violations

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from menurev import (
@@ -14,8 +16,11 @@ from menurev import (
     revenue_at,
     sale_probabilities,
 )
-from menurev.instances import random_menu, random_valuation_grid
+from menurev import buyer
+from menurev.instances import random_menu, random_submodular_menu, random_valuation_grid
 from menurev.model import bundle_value
+
+from conftest import oracle_monotone
 
 
 def test_tie_breaks_toward_higher_payment():
@@ -115,3 +120,77 @@ def test_monotonicity_grid_includes_support():
     grid = monotonicity_grid(m, support=[(F(17),), (F(19),)])
     assert any(v[0] == 17 for v in grid)
     assert any(v[1] == 19 for v in grid)
+
+
+@pytest.mark.parametrize("support", [[(F(1),), (F(2),), (F(3),)], [(F(1),)], []])
+def test_monotonicity_grid_rejects_support_not_per_item(support):
+    with pytest.raises(ValueError, match="support"):
+        monotonicity_grid(menu2(2, 3, 4), support=support)
+
+
+def _violations(m, grid):
+    return [(v.low, v.high, v.revenue_low, v.revenue_high)
+            for v in check_monotone(m, grid).violations]
+
+
+def _arbitrary_menus(rng, count):
+    """2-item menus with any prices, supermodular ones included, and grids
+    that take in a few support points."""
+    for _ in range(count):
+        m = menu2(rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 16))
+        support = [[F(rng.randint(0, 24), 2) for _ in range(rng.randint(0, 2))]
+                   for _ in range(2)]
+        yield m, monotonicity_grid(m, support=support)
+
+
+def _point_sets(rng, count):
+    """Menus on 1-3 items with unsorted, non-product point sets; some points
+    repeat, once as Fractions and once with int coordinates equal to them."""
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        m = random_menu(rng, n, 10)
+        points = []
+        for _ in range(rng.randint(1, 60)):
+            v = tuple(F(rng.randint(0, 16), rng.choice((1, 2))) for _ in range(n))
+            points.append(v)
+            if rng.random() < 0.3:
+                points.append(tuple(int(x) if x.denominator == 1 else x for x in v))
+        yield m, points
+
+
+def test_check_monotone_matches_pair_loop_submodular():
+    rng = random.Random(31)
+    for _ in range(5):
+        m = random_submodular_menu(rng)
+        grid = monotonicity_grid(m)
+        assert _violations(m, grid) == oracle_monotone(m, grid) == []
+
+
+def test_check_monotone_matches_pair_loop_arbitrary_menus():
+    violating = 0
+    for m, grid in _arbitrary_menus(random.Random(32), 14):
+        expected = oracle_monotone(m, grid)
+        assert _violations(m, grid) == expected
+        violating += bool(expected)
+    assert violating >= 2
+
+
+def test_check_monotone_matches_pair_loop_point_sets():
+    violating = 0
+    for m, points in _point_sets(random.Random(33), 60):
+        expected = oracle_monotone(m, points)
+        assert _violations(m, points) == expected
+        violating += bool(expected)
+    assert violating >= 5
+    assert check_monotone(menu2(1, 2, 3), []).violations == ()
+
+
+def test_check_monotone_row_blocks(monkeypatch):
+    """Blocks of a few rows give the same list; the witness's 225 points make
+    56 blocks of 4 rows and a last block of 1."""
+    cases = [(menu2(5, 1, 10), monotonicity_grid(menu2(5, 1, 10)))]
+    cases += _point_sets(random.Random(34), 20)
+    expected = [oracle_monotone(m, grid) for m, grid in cases]
+    monkeypatch.setattr(buyer, "_BLOCK_PAIRS", 1000)
+    assert [_violations(m, grid) for m, grid in cases] == expected
+    assert len(expected[0]) > 0
