@@ -1,21 +1,30 @@
 """Linear programming with exact rational results.
 
-Two routes to an optimal basic solution of  max c.x  s.t.  A x <= b, x in box:
+Constraints arrive as sparse integer rows: each row is a map {column: int},
+a positive multiple of the constraint it stands for, with an integer
+right-hand side. Positive row scaling changes neither the feasible set, nor
+which rows are independent, nor a simplex ratio test, so every choice below
+is the one the same rows over Fractions would make. Two routes lead to an
+optimal basic solution of  max c.x:
 
-* a dense tableau simplex over Fractions (Bland's rule), for small systems;
-* a float solve (scipy HiGHS) that only locates the optimal active set, then
-  purification rounds over Fractions: one elimination picks an independent
-  basis among the tight rows and solves it for the vertex, every constraint
-  is checked exactly, and a second elimination solves the dual on that basis.
+* `simplex_max`, a fraction-free tableau simplex with Bland's rule over
+  A x <= b, x >= 0, for small systems;
+* `certified_vertex`, a float solve (scipy HiGHS) of  A x >= b  that only
+  locates the optimal active set, then purification rounds in integer
+  arithmetic: one fraction-free elimination picks an independent basis among
+  the tight rows and solves it for the vertex, every row is checked by an
+  integer dot product, and a second elimination solves the dual on that basis.
 
 Both produce exact rational solutions; the second also reports whether the
 optimality certificate closed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from time import perf_counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -28,47 +37,84 @@ class LPError(RuntimeError):
 _MAX_PIVOTS = 20000  # simplex_max gives up after this many pivots
 _FEAS_TOL = 1e-7     # relative float residual under which a row counts as tight
 
+Row = Dict[int, int]  # column -> nonzero integer coefficient
+
+
+@dataclass
+class VertexResult:
+    x: List[Fraction]
+    objective: Fraction
+    certified: bool
+    rounds: int = field(default=0, compare=False)  # purification rounds, or simplex pivots
+    stages: Dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
+
+
+def _dot(c: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
+    return sum((ci * xi for ci, xi in zip(c, x) if ci), Fraction(0))
+
 
 # ---------------------------------------------------------------------------
 # Exact dense simplex:  max c.x  s.t.  A x <= b, x >= 0, with b >= 0
 # ---------------------------------------------------------------------------
 
-def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Sequence[Fraction]],
-                b_ub: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
-    """Textbook tableau simplex with Bland's rule; requires b_ub >= 0 so the
-    all-slack basis is feasible. Returns (x, objective)."""
+def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Row], b_ub: Sequence[int]
+                ) -> VertexResult:
+    """Tableau simplex with Bland's rule; requires b_ub >= 0 so the all-slack
+    basis is feasible.
+
+    Each tableau row is a primitive integer vector whose basic column holds
+    its positive denominator, and the cost row is a positive multiple of the
+    reduced costs, so every sign and ratio the Fraction tableau would test is
+    read off integers. A pivot combines only the rows with a nonzero entry in
+    the pivot column, and only over the pivot row's nonzero entries.
+    """
+    start = perf_counter()
     m, n = len(a_ub), len(c)
     if any(b < 0 for b in b_ub):
         raise LPError("simplex_max requires nonnegative right-hand sides")
-    tab = [[Fraction(x) for x in row] + [Fraction(0)] * m + [Fraction(b_ub[i])]
-           for i, row in enumerate(a_ub)]
-    for i in range(m):
-        tab[i][n + i] = Fraction(1)
-    cost = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
-    basis = list(range(n, n + m))
+    width = n + m  # the right-hand side sits at index width; the cost row is tab[m]
+    den = lcm(*(Fraction(v).denominator for v in c))
+    tab = [[0] * (width + 1) for _ in range(m)] + [[-int(v * den) for v in c] + [0] * (m + 1)]
+    for i, row in enumerate(a_ub):
+        for j, v in row.items():
+            tab[i][j] = v
+        tab[i][n + i], tab[i][width] = 1, b_ub[i]
+    basis = list(range(n, width))
 
-    for _ in range(_MAX_PIVOTS):
-        col = next((j for j in range(n + m) if cost[j] < 0), None)
+    for pivots in range(_MAX_PIVOTS):
+        col = next((j for j in range(width) if tab[m][j] < 0), None)
         if col is None:
             x = [Fraction(0)] * n
-            for i, bv in enumerate(basis):
+            for vec, bv in zip(tab, basis):
                 if bv < n:
-                    x[bv] = tab[i][-1]
-            return x, cost[-1]
-        ratios = [(tab[i][-1] / tab[i][col], basis[i], i)
-                  for i in range(m) if tab[i][col] > 0]
-        if not ratios:
-            raise LPError("LP is unbounded")
-        _, _, row = min(ratios)  # min ratio, then lowest basis index: Bland
-        piv = tab[row][col]
-        tab[row] = [v / piv for v in tab[row]]
+                    x[bv] = Fraction(vec[width], vec[bv])
+            return VertexResult(x, _dot(c, x), True, pivots,
+                                {"simplex": perf_counter() - start})
+        # min ratio rhs/entry over positive entries, then lowest basis index: Bland
+        row, top, bottom = None, 0, 1  # the best ratio so far is top / bottom
         for i in range(m):
-            if i != row and tab[i][col] != 0:
-                f = tab[i][col]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[row])]
-        if cost[col] != 0:
-            f = cost[col]
-            cost = [v - f * w for v, w in zip(cost, tab[row])]
+            a = tab[i][col]
+            if a > 0:
+                here, there = tab[i][width] * bottom, top * a
+                if row is None or here < there or (here == there and basis[i] < basis[row]):
+                    row, top, bottom = i, tab[i][width], a
+        if row is None:
+            raise LPError("LP is unbounded")
+        prow = tab[row]
+        p = prow[col]
+        support = [j for j, v in enumerate(prow) if v]
+        for i, vec in enumerate(tab):
+            f = vec[col]
+            if i == row or not f:
+                continue
+            g = gcd(p, f)
+            q, f = p // g, f // g
+            if q != 1:
+                vec = [q * v for v in vec]
+            for j in support:
+                vec[j] -= f * prow[j]
+            g = gcd(*vec)
+            tab[i] = [v // g for v in vec] if g > 1 else vec
         basis[row] = col
     raise LPError("pivot limit exceeded")
 
@@ -77,90 +123,138 @@ def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Sequence[Fraction]],
 # Exact basis selection and solve
 # ---------------------------------------------------------------------------
 
-def _solve_rows(rows: List[List[Fraction]], rhs: List[Fraction]
+def _solve_rows(rows: Sequence[Row], rhs: Sequence[int], width: int
                 ) -> Tuple[List[int], Optional[List[Fraction]]]:
     """Pick the first independent rows in order and solve  rows[kept] . x = rhs[kept].
 
-    Each row is reduced, right-hand side included, against the rows kept
-    before it and kept if a nonzero coefficient remains; once there are as
-    many as columns, back-substitution gives x. Returns (kept, x), with x
-    None when the rows span fewer dimensions than the columns.
+    Each row is reduced fraction-free, right-hand side included, against the
+    rows kept before it and kept if a nonzero coefficient remains, with its
+    pivot at the lowest such column; once there are as many as columns,
+    back-substitution gives x. Returns (kept, x), with x None when the rows
+    span fewer dimensions than the columns.
     """
-    width = len(rows[0]) if rows else 0
     kept: List[int] = []
-    reduced: List[Tuple[int, List[Fraction]]] = []  # (pivot column, row scaled to pivot 1)
+    reduced: List[Tuple[int, Row]] = []  # (pivot column, primitive row; rhs at key width)
     for idx, row in enumerate(rows):
-        vec = list(row) + [rhs[idx]]
+        vec = dict(row)
+        if rhs[idx]:
+            vec[width] = rhs[idx]
         for pcol, w in reduced:
-            f = vec[pcol]
+            f = vec.get(pcol)
             if f:
-                vec = [v - f * u if u else v for v, u in zip(vec, w)]
-        pcol = next((j for j in range(width) if vec[j]), None)
-        if pcol is None:
+                p = w[pcol]
+                g = gcd(p, f)
+                p, f = p // g, f // g
+                if p != 1:
+                    vec = {j: p * v for j, v in vec.items()}
+                for j, u in w.items():
+                    v = vec.get(j, 0) - f * u
+                    if v:
+                        vec[j] = v
+                    else:
+                        del vec[j]
+        cols = [j for j in vec if j < width]
+        if not cols:
             continue
-        inv = 1 / vec[pcol]
-        reduced.append((pcol, [v * inv if v else v for v in vec]))
+        g = gcd(*vec.values())
+        if g > 1:
+            vec = {j: v // g for j, v in vec.items()}
+        reduced.append((min(cols), vec))
         kept.append(idx)
         if len(kept) == width:
             break
     if not kept or len(kept) < width:
         return kept, None
-    # a kept row is zero at the pivots kept before it, so solve from the last
-    x = [Fraction(0)] * width
+    # a kept row is zero at the pivots kept before it, so solve from the last;
+    # x[j] = num[j] / den over one common denominator
+    num = [0] * width
+    den = 1
     for pcol, w in reversed(reduced):
-        x[pcol] = w[width] - sum(u * x[j] for j, u in enumerate(w[:width]) if u and j != pcol)
-    return kept, x
+        total = w.get(width, 0) * den - sum(u * num[j] for j, u in w.items()
+                                            if j != pcol and j != width)
+        p = w[pcol]
+        if p < 0:
+            p, total = -p, -total
+        g = gcd(total, p)
+        if p != g:
+            q = p // g
+            den *= q
+            num = [q * v for v in num]
+        num[pcol] = total // g
+    return kept, [Fraction(v, den) for v in num]
 
 
-@dataclass
-class VertexResult:
-    x: List[Fraction]
-    objective: Fraction
-    certified: bool
-
-
-def certified_vertex(c: List[Fraction], rows: List[List[Fraction]], rhs: List[Fraction]
-                     ) -> VertexResult:
+def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
+                     scale: Sequence[int]) -> VertexResult:
     """Exact optimal vertex of  max c.x  s.t.  rows[i].x >= rhs[i].
 
-    A float LP (HiGHS) locates the optimum; its tight rows, largest float dual
-    first, are the candidates. A round solves the first independent ones for
-    the vertex in one exact elimination, checks every row exactly and solves
-    the dual on that basis; at most 12 rounds drop the most negative
-    multiplier until all are nonnegative, which certifies the vertex.
+    rows[i] and rhs[i] are the constraint times scale[i] > 0. A float LP
+    (HiGHS) on the unscaled constraints locates the optimum; its tight rows,
+    largest float dual first, are the candidates. A round solves the first
+    independent ones for the vertex in one exact elimination, checks every
+    row exactly and solves the dual on that basis; at most 12 rounds drop the
+    most negative multiplier until all are nonnegative, which certifies the
+    vertex.
     """
     n = len(c)
-    a = np.array([[float(v) for v in row] for row in rows])
-    b = np.array([float(v) for v in rhs])
+    stages = dict.fromkeys(("float", "vertex", "check", "dual"), 0.0)
+    start = perf_counter()
+    # int / int true division rounds correctly, as float(Fraction) does
+    a = np.zeros((len(rows), n))
+    for i, (row, s) in enumerate(zip(rows, scale)):
+        for j, v in row.items():
+            a[i, j] = v / s
+    b = np.array([r / s for r, s in zip(rhs, scale)])
     res = linprog(c=-np.array([float(v) for v in c]), A_ub=-a, b_ub=-b,
                   bounds=[(None, None)] * n, method="highs")
     if not res.success:
         raise LPError(f"float LP failed: {res.message}")
     resid = a @ res.x - b
-    scale = 1.0 + np.abs(b)
+    tol = _FEAS_TOL * (1.0 + np.abs(b))
     duals = res.ineqlin.marginals
-    candidates = sorted((i for i in range(len(rows)) if resid[i] <= _FEAS_TOL * scale[i]),
+    candidates = sorted((i for i in range(len(rows)) if resid[i] <= tol[i]),
                         key=lambda i: -abs(float(duals[i])))
+    c_den = lcm(*(Fraction(v).denominator for v in c))
+    neg_c = [-int(v * c_den) for v in c]
+    stages["float"] = perf_counter() - start
 
     best: Optional[VertexResult] = None
-    for _ in range(12):
-        sel, x = _solve_rows([rows[i] for i in candidates], [rhs[i] for i in candidates])
+    for rounds in range(1, 13):
+        start = perf_counter()
+        sel, x = _solve_rows([rows[i] for i in candidates], [rhs[i] for i in candidates], n)
+        stages["vertex"] += perf_counter() - start
         if x is None:
             break
-        if any(sum(r * v for r, v in zip(rows[i], x) if r) < rhs[i] for i in range(len(rows))):
+        start = perf_counter()
+        x_den = lcm(*(v.denominator for v in x))
+        xn = [v.numerator * (x_den // v.denominator) for v in x]
+        feasible = all(sum(v * xn[j] for j, v in row.items()) >= r * x_den
+                       for row, r in zip(rows, rhs))
+        stages["check"] += perf_counter() - start
+        if not feasible:
             break
-        objective = sum(ci * xi for ci, xi in zip(c, x))
+        objective = _dot(c, x)
         # KKT for max c.x over A x >= b: c + A^T y = 0 with y >= 0 on tight
         # rows; nonnegative multipliers close the certificate, otherwise
         # purify by dropping the worst row and re-selecting. The basis is
-        # independent, so its transpose always has a solution.
+        # independent, so its transpose always has a solution. It is solved on
+        # the integer rows against -c times c_den, so the multiplier of the
+        # unscaled row is scale / c_den times the solution.
+        start = perf_counter()
         basis = [candidates[i] for i in sel]
-        _, y = _solve_rows([list(col) for col in zip(*(rows[i] for i in basis))], [-v for v in c])
+        columns: List[Row] = [{} for _ in range(n)]
+        for k, i in enumerate(basis):
+            for j, v in rows[i].items():
+                columns[j][k] = v
+        _, z = _solve_rows(columns, neg_c, n)
+        y = [v * scale[i] / c_den for i, v in zip(basis, z)]
+        stages["dual"] += perf_counter() - start
         best = best or VertexResult(x, objective, False)
         if all(v >= 0 for v in y):
-            return VertexResult(x, objective, True)
+            return VertexResult(x, objective, True, rounds, stages)
         worst = min(range(n), key=lambda r: y[r])
         candidates = [i for i in candidates if i != basis[worst]]
     if best is None:
         raise LPError("could not resolve an exact vertex from the float optimum")
+    best.rounds, best.stages = rounds, stages
     return best

@@ -2,10 +2,12 @@
 revenue-maximization LP over finite type spaces."""
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import lp
@@ -201,56 +203,41 @@ class LPOutcome:
     revenue: Fraction
     certified: bool
     method: str
+    rounds: int = field(default=0, compare=False)  # purification rounds, or simplex pivots
+    stages: Dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
 
 
-def _lp_rows(values: List[Valuation], n: int):
-    """Rows of the IC/IR/box system in >= form: the IC rows, the IR rows, then
-    for each (t, i) the pair x >= 0, -x >= -1; columns are x, then payments."""
+def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], List[int]]:
+    """The IC/IR/box system in >= form as sparse integer rows: the IC rows, the
+    IR rows, then for each (t, i) the pair x >= 0, -x >= -1; columns are x, then
+    payments. Returns (rows, rhs, scale): a row of type t's IC or IR
+    constraints is that constraint times scale = the lcm of the denominators
+    of t's values, and a box row has scale 1."""
     t_count = len(values)
-    width = t_count * n + t_count
-
-    def x_idx(t: int, i: int) -> int:
-        return t * n + i
-
-    def p_idx(t: int) -> int:
-        return t_count * n + t
-
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-
-    def blank() -> List[Fraction]:
-        return [Fraction(0)] * width
-
-    for t, v in enumerate(values):
+    nx = t_count * n
+    rows: List[lp.Row] = []
+    scale: List[int] = []
+    scaled = []  # per type: (scale, [(item, integer value)] over nonzero values)
+    for v in values:
+        d = lcm(*(q.denominator for q in v))
+        scaled.append((d, [(i, q.numerator * (d // q.denominator)) for i, q in enumerate(v) if q]))
+    for t, (d, vt) in enumerate(scaled):
         for s in range(t_count):
-            if s == t:
-                continue
-            row = blank()
-            for i in range(n):
-                row[x_idx(t, i)] += v[i]
-                row[x_idx(s, i)] -= v[i]
-            row[p_idx(t)] -= 1
-            row[p_idx(s)] += 1
-            rows.append(row)
-            rhs.append(Fraction(0))
-    for t, v in enumerate(values):
-        row = blank()
-        for i in range(n):
-            row[x_idx(t, i)] += v[i]
-        row[p_idx(t)] -= 1
+            if s != t:
+                row = {t * n + i: q for i, q in vt}
+                row.update((s * n + i, -q) for i, q in vt)
+                row[nx + t], row[nx + s] = -d, d
+                rows.append(row)
+                scale.append(d)
+    for t, (d, vt) in enumerate(scaled):
+        row = {t * n + i: q for i, q in vt}
+        row[nx + t] = -d
         rows.append(row)
-        rhs.append(Fraction(0))
-    for t in range(t_count):
-        for i in range(n):
-            row = blank()
-            row[x_idx(t, i)] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(0))
-            row = blank()
-            row[x_idx(t, i)] = Fraction(-1)
-            rows.append(row)
-            rhs.append(Fraction(-1))
-    return rows, rhs
+        scale.append(d)
+    rhs = [0] * len(rows) + [0, -1] * nx
+    rows += [{col: sign} for col in range(nx) for sign in (1, -1)]
+    scale += [1] * (2 * nx)
+    return rows, rhs, scale
 
 
 def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
@@ -280,41 +267,45 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
     t_count, n = len(values), dist.n
 
     if method == "exact-simplex":
-        x, obj = _lp_simplex(values, mu, n)
-        certified = True
+        result = _lp_simplex(values, mu, n)
     elif method == "float-guided-exact":
-        rows, rhs = _lp_rows(values, n)
         c = [Fraction(0)] * (t_count * n) + list(mu)
-        result = lp.certified_vertex(c, rows, rhs)
-        x, obj, certified = result.x, result.objective, result.certified
+        result = lp.certified_vertex(c, *_lp_rows(values, n))
     else:
         raise ValueError(f"unknown LP method {method!r}")
 
+    x = result.x
     allocs = tuple(tuple(x[t * n + i] for i in range(n)) for t in range(t_count))
     pays = tuple(x[t_count * n + t] for t in range(t_count))
     mech = DirectMechanism(allocs, pays)
     report = verify_ic_ir(mech, dist)
     if not report.ok:
         raise lp.LPError(f"LP solution failed exact IC/IR checks: {report.violations[:3]}")
-    if mech.expected_revenue(dist) != obj:
+    if mech.expected_revenue(dist) != result.objective:
         raise AssertionError("objective/revenue mismatch in LP solution")
-    return LPOutcome(mech, obj, certified, method)
+    return LPOutcome(mech, result.objective, result.certified, method, result.rounds,
+                     result.stages)
 
 
-def _lp_simplex(values: List[Valuation], mu: List[Fraction], n: int):
+def _lp_simplex(values: List[Valuation], mu: List[Fraction], n: int) -> lp.VertexResult:
     """Exact tableau simplex on the <= form of `_lp_rows`, with payments split as
     p = p+ - p-; the simplex keeps every variable >= 0, so the x >= 0 rows go."""
     t_count = len(values)
     nx = t_count * n
-    rows, rhs = _lp_rows(values, n)
+    rows, rhs, _ = _lp_rows(values, n)
     box = len(rows) - 2 * nx  # box rows alternate x >= 0 and -x >= -1
     keep = [r for r in range(len(rows)) if r < box or (r - box) % 2]
-    a_ub = [[-a for a in rows[r]] + rows[r][nx:] for r in keep]
+    a_ub = []
+    for r in keep:
+        row = {j: -v for j, v in rows[r].items()}
+        row.update((j + t_count, v) for j, v in rows[r].items() if j >= nx)
+        a_ub.append(row)
     b_ub = [-rhs[r] for r in keep]
     c = [Fraction(0)] * nx + list(mu) + [-m for m in mu]
-    sol, obj = lp.simplex_max(c, a_ub, b_ub)
+    result = lp.simplex_max(c, a_ub, b_ub)
+    sol = result.x
     x = sol[:nx] + [sol[nx + t] - sol[nx + t_count + t] for t in range(t_count)]
-    return x, obj
+    return dataclasses.replace(result, x=x)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from menurev import Menu, all_bundles, expected_revenue, revenue_at
 from menurev.instances import load_distribution, load_menu
+from menurev.lp import _MAX_PIVOTS, LPError
 from menurev.model import is_submodular, is_symmetric_menu
 from menurev.search import canonical_constraint
 
@@ -83,3 +84,43 @@ def oracle_monotone(m, grid):
             if revenues[j] < revenues[i]:
                 violations.append((lo, hi, revenues[i], revenues[j]))
     return violations
+
+
+def oracle_simplex(c, a_ub, b_ub):
+    """Independent exact simplex: a dense Fraction tableau with Bland's rule
+    over  max c.x  s.t.  a_ub x <= b_ub, x >= 0, b_ub >= 0, with dense rows;
+    returns (x, objective, pivots)."""
+    m, n = len(a_ub), len(c)
+    if any(b < 0 for b in b_ub):
+        raise LPError("simplex_max requires nonnegative right-hand sides")
+    tab = [[Fraction(x) for x in row] + [Fraction(0)] * m + [Fraction(b_ub[i])]
+           for i, row in enumerate(a_ub)]
+    for i in range(m):
+        tab[i][n + i] = Fraction(1)
+    cost = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+
+    for pivots in range(_MAX_PIVOTS):
+        col = next((j for j in range(n + m) if cost[j] < 0), None)
+        if col is None:
+            x = [Fraction(0)] * n
+            for i, bv in enumerate(basis):
+                if bv < n:
+                    x[bv] = tab[i][-1]
+            return x, cost[-1], pivots
+        ratios = [(tab[i][-1] / tab[i][col], basis[i], i)
+                  for i in range(m) if tab[i][col] > 0]
+        if not ratios:
+            raise LPError("LP is unbounded")
+        _, _, row = min(ratios)  # min ratio, then lowest basis index: Bland
+        piv = tab[row][col]
+        tab[row] = [v / piv for v in tab[row]]
+        for i in range(m):
+            if i != row and tab[i][col] != 0:
+                f = tab[i][col]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[row])]
+        if cost[col] != 0:
+            f = cost[col]
+            cost = [v - f * w for v, w in zip(cost, tab[row])]
+        basis[row] = col
+    raise LPError("pivot limit exceeded")

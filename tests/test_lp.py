@@ -1,49 +1,183 @@
+import random
 from fractions import Fraction as F
+from math import lcm
 
+import numpy as np
 import pytest
 
 from menurev import lp
 from menurev.instances import load_distribution
 from menurev.lp import LPError, certified_vertex, simplex_max, _solve_rows
-from menurev.randomized import lp_optimal
+from menurev.model import JointDistribution
+from menurev.randomized import _lp_rows, _lp_simplex, lp_optimal
+
+from conftest import oracle_simplex
+
+EXAMPLE7_REVENUE = F(30614162731, 440673750)
+
+
+def integer_rows(rows, rhs):
+    """Dense Fraction rows in the form lp takes: (rows, rhs, scale), each row a
+    sparse {column: int} map, row and right-hand side times scale, the lcm of
+    their denominators."""
+    out, out_rhs, scale = [], [], []
+    for row, b in zip(rows, rhs):
+        d = lcm(*(F(v).denominator for v in row), F(b).denominator)
+        out.append({j: int(v * d) for j, v in enumerate(row) if v})
+        out_rhs.append(int(b * d))
+        scale.append(d)
+    return out, out_rhs, scale
+
+
+def dense_lp_rows(values, n):
+    """The revenue LP's IC rows, IR rows and box pairs (x >= 0, -x >= -1) in >=
+    form as dense Fraction rows, built entry by entry; columns are x, then
+    payments."""
+    t_count = len(values)
+    width = t_count * n + t_count
+    rows, rhs = [], []
+    for t, v in enumerate(values):
+        for s in range(t_count):
+            if s != t:
+                row = [F(0)] * width
+                for i in range(n):
+                    row[t * n + i] += v[i]
+                    row[s * n + i] -= v[i]
+                row[t_count * n + t] -= 1
+                row[t_count * n + s] += 1
+                rows.append(row)
+                rhs.append(F(0))
+    for t, v in enumerate(values):
+        row = [F(0)] * width
+        for i in range(n):
+            row[t * n + i] += v[i]
+        row[t_count * n + t] -= 1
+        rows.append(row)
+        rhs.append(F(0))
+    for col in range(t_count * n):
+        for sign in (1, -1):
+            row = [F(0)] * width
+            row[col] = F(sign)
+            rows.append(row)
+            rhs.append(F(0) if sign == 1 else F(-1))
+    return rows, rhs
+
+
+def seeded_distributions(seed, count):
+    """Joint distributions on 1-3 items with fractional values, so that the
+    integer rows carry scales other than 1."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 1 + k % 3
+        types = rng.randint(2, (6, 4, 3)[n - 1])
+        values = set()
+        while len(values) < types:
+            values.add(tuple(F(rng.randint(0, 40), rng.randint(1, 4)) for _ in range(n)))
+        weights = [rng.randint(1, 6) for _ in values]
+        yield JointDistribution.from_pairs(
+            n, ((v, F(w, sum(weights))) for v, w in zip(sorted(values), weights)))
 
 
 def test_simplex_small_lp():
     # max 3x + 2y st x + y <= 4, x <= 2, y <= 3
-    x, obj = simplex_max([F(3), F(2)],
-                         [[F(1), F(1)], [F(1), F(0)], [F(0), F(1)]],
-                         [F(4), F(2), F(3)])
-    assert obj == 10 and x == [F(2), F(2)]
+    res = simplex_max([F(3), F(2)], *integer_rows(
+        [[F(1), F(1)], [F(1), F(0)], [F(0), F(1)]], [F(4), F(2), F(3)])[:2])
+    assert res.objective == 10 and res.x == [F(2), F(2)]
 
 
 def test_simplex_degenerate_lp_terminates():
     # redundant constraints force degenerate pivots; Bland must still finish
-    x, obj = simplex_max([F(1), F(1)],
-                         [[F(1), F(0)], [F(1), F(0)], [F(1), F(1)]],
-                         [F(1), F(1), F(2)])
-    assert obj == 2
+    res = simplex_max([F(1), F(1)], *integer_rows(
+        [[F(1), F(0)], [F(1), F(0)], [F(1), F(1)]], [F(1), F(1), F(2)])[:2])
+    assert res.objective == 2
 
 
 def test_simplex_unbounded():
     with pytest.raises(LPError, match="unbounded"):
-        simplex_max([F(1)], [[F(-1)]], [F(0)])
+        simplex_max([F(1)], *integer_rows([[F(-1)]], [F(0)])[:2])
 
 
 def test_simplex_rejects_negative_rhs():
     with pytest.raises(LPError, match="nonnegative"):
-        simplex_max([F(1)], [[F(1)]], [F(-1)])
+        simplex_max([F(1)], *integer_rows([[F(1)]], [F(-1)])[:2])
+
+
+def _random_system(rng, degenerate):
+    n, m = rng.randint(1, 5), rng.randint(1, 6)
+    if degenerate:
+        # few distinct entries, zero and repeated right-hand sides and rows
+        # repeated at other scales: many tied ratios for Bland to break
+        c = [F(rng.randint(0, 3)) for _ in range(n)]
+        a_ub = [[F(rng.choice([0, 0, 1, 1, 2])) for _ in range(n)] for _ in range(m)]
+        b_ub = [F(rng.choice([0, 1, 1, 2])) for _ in range(m)]
+        for _ in range(rng.randint(0, 3)):
+            i, f = rng.randrange(len(a_ub)), F(rng.randint(1, 3), rng.randint(1, 3))
+            a_ub.append([f * v for v in a_ub[i]])
+            b_ub.append(f * b_ub[i])
+    else:
+        c = [F(rng.randint(-2, 9), rng.randint(1, 4)) for _ in range(n)]
+        a_ub = [[F(rng.randint(-3, 8), rng.randint(1, 5)) for _ in range(n)] for _ in range(m)]
+        b_ub = [F(rng.randint(0, 12), rng.randint(1, 3)) for _ in range(m)]
+    return c, a_ub, b_ub
+
+
+def _run(solve, *args):
+    try:
+        return solve(*args)
+    except LPError as e:
+        return str(e)
+
+
+def test_simplex_matches_fraction_oracle_on_random_systems():
+    # the fraction-free tableau makes the Fraction tableau's pivots: same x,
+    # objective and pivot count, and the same LPError where it fails
+    rng = random.Random(20261018)
+    outcomes = []
+    for k in range(250):
+        c, a_ub, b_ub = _random_system(rng, degenerate=k % 5 >= 3)
+        want = _run(oracle_simplex, c, a_ub, b_ub)
+        got = _run(simplex_max, c, *integer_rows(a_ub, b_ub)[:2])
+        if not isinstance(got, str):
+            got = (got.x, got.objective, got.rounds)
+        assert got == want
+        outcomes.append(want)
+    solved = [o for o in outcomes if not isinstance(o, str)]
+    assert len(solved) > 150 and any(o[2] > 2 for o in solved)
+    assert "LP is unbounded" in outcomes
+    for a_ub, b_ub in (([[F(-1), F(1, 2)]], [F(3)]), ([[F(1), F(1)]], [F(-1, 2)])):
+        with pytest.raises(LPError) as err:
+            simplex_max([F(1), F(0)], *integer_rows(a_ub, b_ub)[:2])
+        assert str(err.value) == _run(oracle_simplex, [F(1), F(0)], a_ub, b_ub)
+
+
+def test_simplex_matches_fraction_oracle_on_lp_systems(monkeypatch):
+    # _lp_simplex's sparse integer system against the oracle on dense rows
+    calls = []
+    real = lp.simplex_max
+    monkeypatch.setattr(lp, "simplex_max", lambda *a: calls.append((a, real(*a))) or calls[-1][1])
+    for dist in seeded_distributions(7, 60):
+        values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
+        calls.clear()
+        _lp_simplex(values, mu, dist.n)
+        (c, _, _), got = calls[0]
+        nx = len(values) * dist.n
+        rows, rhs = dense_lp_rows(values, dist.n)
+        box = len(rows) - 2 * nx
+        keep = [r for r in range(len(rows)) if r < box or (r - box) % 2]
+        a_ub = [[-a for a in rows[r]] + rows[r][nx:] for r in keep]
+        assert oracle_simplex(c, a_ub, [-rhs[r] for r in keep]) == \
+            (got.x, got.objective, got.rounds)
 
 
 def test_solve_rows():
-    kept, sol = _solve_rows([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
+    kept, sol = _solve_rows([{0: 2, 1: 1}, {0: 1, 1: 3}], [5, 10], 2)
     assert kept == [0, 1] and sol == [F(1), F(3)]
-    assert _solve_rows([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])[1] is None
+    assert _solve_rows([{0: 1, 1: 2}, {0: 2, 1: 4}], [1, 2], 2)[1] is None
 
 
 def test_solve_rows_skips_dependent_row():
     # x + 2y = 5, 2x + 4y = 10 (dependent, skipped), x + 3y = 7
-    kept, sol = _solve_rows([[F(1), F(2)], [F(2), F(4)], [F(1), F(3)]],
-                            [F(5), F(10), F(7)])
+    kept, sol = _solve_rows([{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 1, 1: 3}], [5, 10, 7], 2)
     assert kept == [0, 2]
     assert sol == [F(1), F(2)]
 
@@ -52,7 +186,7 @@ def test_certified_vertex_simple():
     # max x + y st x <= 2, y <= 3, x >= 0, y >= 0  (rows in >= form)
     rows = [[F(-1), F(0)], [F(0), F(-1)], [F(1), F(0)], [F(0), F(1)]]
     rhs = [F(-2), F(-3), F(0), F(0)]
-    res = certified_vertex([F(1), F(1)], rows, rhs)
+    res = certified_vertex([F(1), F(1)], *integer_rows(rows, rhs))
     assert res.x == [F(2), F(3)]
     assert res.objective == 5
     assert res.certified
@@ -62,15 +196,13 @@ def test_certified_vertex_degenerate():
     # three constraints meet at the optimum (2, 2): x<=2, y<=2, x+y<=4
     rows = [[F(-1), F(0)], [F(0), F(-1)], [F(-1), F(-1)], [F(1), F(0)], [F(0), F(1)]]
     rhs = [F(-2), F(-2), F(-4), F(0), F(0)]
-    res = certified_vertex([F(1), F(2)], rows, rhs)
+    res = certified_vertex([F(1), F(2)], *integer_rows(rows, rhs))
     assert res.objective == 6
     assert res.certified
 
 
 def test_vertex_path_agrees_with_simplex_on_random_lps():
     # max c.x over A x <= b, 0 <= x <= 1: both solvers must agree exactly
-    import random
-
     rng = random.Random(41)
     for _ in range(25):
         n, m = rng.randint(1, 4), rng.randint(1, 5)
@@ -78,16 +210,65 @@ def test_vertex_path_agrees_with_simplex_on_random_lps():
         a_ub = [[F(rng.randint(0, 6)) for _ in range(n)] for _ in range(m)]
         b_ub = [F(rng.randint(1, 12)) for _ in range(m)]
         box = [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)]
-        _, simplex_obj = simplex_max(c, a_ub + box, b_ub + [F(1)] * n)
+        simplex_obj = simplex_max(c, *integer_rows(a_ub + box, b_ub + [F(1)] * n)[:2]).objective
         rows = [[-v for v in row] for row in a_ub]          # A x <= b as -A x >= -b
         rhs = [-v for v in b_ub]
         rows += [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)]
         rhs += [F(0)] * n
         rows += [[F(-1) if j == i else F(0) for j in range(n)] for i in range(n)]
         rhs += [F(-1)] * n
-        res = certified_vertex(c, rows, rhs)
+        res = certified_vertex(c, *integer_rows(rows, rhs))
         assert res.objective == simplex_obj
         assert res.certified
+
+
+def test_float_problem_matches_dense_fraction_rows(monkeypatch):
+    # HiGHS gets the float matrix that float() of the dense Fraction rows gives,
+    # bit for bit, so it reports the same tight rows and duals
+    seen = {}
+    real = lp.linprog
+    monkeypatch.setattr(lp, "linprog", lambda *a, **k: seen.update(k) or real(*a, **k))
+    dists = [load_distribution("example7_distribution"), *seeded_distributions(11, 24)]
+    for k, dist in enumerate(dists):
+        out = lp_optimal(dist, method="float-guided-exact")
+        rows, rhs = dense_lp_rows([v for v, _ in dist.atoms], dist.n)
+        a = -np.array([[float(v) for v in row] for row in rows])
+        b = -np.array([float(v) for v in rhs])
+        assert np.array_equal(seen["A_ub"], a) and seen["A_ub"].tobytes() == a.tobytes()
+        assert np.array_equal(seen["b_ub"], b) and seen["b_ub"].tobytes() == b.tobytes()
+        if k == 0:
+            assert (out.revenue, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 6)
+
+
+def test_certified_vertex_ignores_row_scaling():
+    # a row times k > 0 with its scale times k is the same constraint: the
+    # float problem, every round's basis and dropped row, and the vertex stay
+    dist = load_distribution("example7_distribution")
+    c = [F(0)] * (len(dist.atoms) * dist.n) + [p for _, p in dist.atoms]
+    rows, rhs, scale = _lp_rows([v for v, _ in dist.atoms], dist.n)
+    want = certified_vertex(c, rows, rhs, scale)
+    rng = random.Random(5)
+    ks = [rng.randint(1, 60) for _ in rows]
+    got = certified_vertex(c, [{j: k * v for j, v in row.items()} for k, row in zip(ks, rows)],
+                           [k * r for k, r in zip(ks, rhs)], [k * s for k, s in zip(ks, scale)])
+    assert (got, got.rounds) == (want, want.rounds) and want.rounds == 6
+
+
+def test_purification_on_rescaled_example7():
+    # example 7 with each type's values times a seeded factor: rows get scales
+    # other than 1, and rounds see several negative multipliers, so the row a
+    # round drops depends on multiplying the dual back by the scales; the
+    # rounds and revenues are those that Fraction elimination gives
+    dist7 = load_distribution("example7_distribution")
+    rng = random.Random(1)
+    factors = [[rng.choice([F(1), F(1, 2), F(2, 3), F(3, 2), F(5, 4), F(7, 3)])
+                for _ in dist7.atoms] for _ in range(12)]
+    want = {1: (7, F(371047, 4050)), 11: (8, F(204871290034887943, 2660505297817500))}
+    for k, (rounds, revenue) in want.items():
+        dist = JointDistribution.from_pairs(2, [(tuple(q * f for q in v), p)
+                                                for f, (v, p) in zip(factors[k], dist7.atoms)])
+        out = lp_optimal(dist, method="float-guided-exact")
+        assert (out.rounds, out.revenue, out.certified) == (rounds, revenue, True)
 
 
 def test_example7_purifies_over_several_rounds(monkeypatch):
@@ -100,4 +281,17 @@ def test_example7_purifies_over_several_rounds(monkeypatch):
     out = lp_optimal(load_distribution("example7_distribution"), method="float-guided-exact")
     assert len(calls) > 2
     assert out.certified
-    assert out.revenue == F(30614162731, 440673750)
+    assert out.revenue == EXAMPLE7_REVENUE
+    assert out.rounds == 6
+
+
+def test_lp_outcome_reports_rounds_and_stages():
+    dist = next(seeded_distributions(3, 1))
+    guided = lp_optimal(dist, method="float-guided-exact")
+    simplex = lp_optimal(dist, method="exact-simplex")
+    assert set(guided.stages) == {"float", "vertex", "check", "dual"}
+    assert set(simplex.stages) == {"simplex"}
+    assert guided.rounds >= 1 and simplex.rounds >= 1
+    assert all(v >= 0 for v in (*guided.stages.values(), *simplex.stages.values()))
+    # the observability fields take no part in equality
+    assert guided == lp_optimal(dist, method="float-guided-exact")
