@@ -84,11 +84,11 @@ def cmd_search(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["constraint", "menu", "revenue", "revenue_decimal",
-                         "menus_examined", "wall_time_s"])
+                         "menus_examined", "menus_skipped", "wall_time_s"])
         for r in results:
             writer.writerow([r.constraint, " ".join(format_rational(p) for p in r.best.prices),
                              format_rational(r.revenue), decimal_with_flag(r.revenue),
-                             r.examined, f"{r.elapsed:.6f}"])
+                             r.examined, r.skipped, f"{r.elapsed:.6f}"])
         _emit(buf.getvalue(), args.out)
     else:
         lines = []
@@ -96,7 +96,8 @@ def cmd_search(args) -> int:
             menu_txt = ", ".join(format_rational(p) for p in r.best.prices)
             lines.append(f"{r.constraint}: revenue {r.revenue} "
                          f"({decimal_with_flag(r.revenue)}) at menu ({menu_txt}); "
-                         f"{r.examined} menus examined in {r.elapsed:.3f}s")
+                         f"{r.examined} menus examined ({r.skipped} skipped by the "
+                         f"revenue bound) in {r.elapsed:.3f}s")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -10,9 +10,8 @@ block scores use float64 screening and every near-optimal candidate is
 re-scored exactly as the integer sum of its payments times the atom weights
 p_t * W (W the lcm of the probability denominators), with no Fraction buyer
 per candidate, before the winner is declared. `SearchResult.path` names the
-regime. Menus are enumerated in lexicographic price order (singletons first,
-then pairs, then larger bundles) and ties break toward the lexicographically
-smallest price vector.
+regime. Ties break toward the lexicographically smallest price vector
+(singletons first, then pairs, then larger bundles).
 
 A type buys the option with the largest key (v - p) * K + p, which ranks
 utility first and breaks utility ties toward the higher price, and pays the
@@ -27,7 +26,22 @@ maximum combined with one table row per axis by `maximum`. Price rows are
 built only for chunk winners and the float-screening window. The window has
 no size cap: it holds every menu within the cut below the best float score,
 drops the rows below the cut whenever that score rises, and is rescored
-exactly once, at the end.
+exactly once, at the end, in row chunks.
+
+On the int64 path, blocks that fix singleton prices over a mesh are searched
+by branch and bound. Every menu of a block offers the block's singletons, so
+a type keeps at least the utility u of its best singleton and pays either its
+singleton payment or, for another bundle, at most the dearest candidate that
+is <= its value minus u. The weighted sum of these caps is an exact integer
+bound on every menu's score; it is taken per slab of the last mesh axis (the
+grand bundle), whose price is folded into the singletons first. Blocks are
+visited in descending bound order, equal bounds lexicographically, and a
+block or slab whose bound is strictly below the exact incumbent is skipped;
+an equal score goes to the lexicographically smaller menu, so the winner is
+the one lexicographic enumeration finds. `SearchResult.examined` still counts
+every feasible menu, and `skipped` those the bound excluded unevaluated.
+Other paths and layouts (additive, bundle-only) enumerate every block in
+lexicographic order.
 
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
 candidate grids are closed under price monotonization, which holds for integer
@@ -47,7 +61,6 @@ import numpy as np
 
 from .buyer import expected_revenue
 from .model import (
-    Bundle,
     JointDistribution,
     Menu,
     all_bundles,
@@ -68,13 +81,16 @@ CONSTRAINTS = (
 )
 _CONSTRAINT_ALIASES = {"symmetric-submodular": "symmetric-and-submodular"}
 
-STAGES = ("mask", "evaluate", "rescore", "verify")
+STAGES = ("mask", "evaluate", "rescore", "verify")  # "mask" includes the block bounds
 
 _INT64_BUDGET = 1 << 62
 # bytes of the kernel's (rows, types) temporaries per evaluation chunk; a
 # cell is the key, the gathered table row and the float or Python-int payment
 _CHUNK_BYTES = 48 << 20
 _CELL_BYTES = {np.int64: 24, object: 56}
+# an exactly rescored cell also holds its sort order, its gathered weight and
+# the Python ints of its run sum, payment and product
+_RESCORE_CELL_BYTES = 160
 _ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
 
 
@@ -109,9 +125,6 @@ class CandidateGrid:
                 raise SearchError(f"candidate set for bundle {b} must be sorted and duplicate-free")
             if ps[0] < 0:
                 raise SearchError(f"negative candidate price for bundle {b}")
-
-    def bundle_prices(self, bundle: Bundle) -> Tuple[Fraction, ...]:
-        return self.prices[all_bundles(self.n).index(bundle)]
 
 
 def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
@@ -171,7 +184,7 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
 class SearchResult:
     best: Menu
     revenue: Fraction
-    examined: int
+    examined: int  # feasible menus, evaluated or skipped
     constraint: str
     grid_mode: str
     elapsed: float
@@ -179,6 +192,7 @@ class SearchResult:
     path: str  # "int64", "float-screen" or "float-screen-bigint"
     rescored: int  # candidates scored exactly after float screening
     stages: Dict[str, float]  # seconds per stage, keyed by STAGES
+    skipped: int  # feasible menus the revenue bound excluded without evaluation
 
     def to_json_dict(self) -> Dict[str, object]:
         dec = decimal_with_flag(self.revenue)
@@ -192,6 +206,7 @@ class SearchResult:
             "pruned": self.pruned,
             "path": self.path,
             "rescored": self.rescored,
+            "skipped": self.skipped,
             "stages": {k: round(v, 6) for k, v in self.stages.items()},
             "wall_time_s": round(self.elapsed, 6),
         }
@@ -276,14 +291,16 @@ class _Layout:
     """How a constraint's menus split into blocks. The `fixed` columns take one
     price tuple per block from `blocks`, in lexicographic order; mesh axis g
     prices all of its `groups[g]` columns at one of its `axes[g]` candidates.
-    `tables[g][j, t]` is the key (v - p) * K + p of the best column of group g
-    for type t with the axis at candidate j. A menu is feasible when
+    `tops[g][t]` is type t's highest value among the columns of group g, and
+    `tables[g][j, t]` the key (v - p) * K + p of that column with the axis at
+    candidate j. A menu is feasible when
     p[a] + p[b] >= p[c] + p[d] for every term (a, b, c, d), with p[-1] = 0."""
 
     fixed: Tuple[int, ...]
     blocks: Iterator[Tuple[int, ...]]
     groups: Tuple[Tuple[int, ...], ...]
     axes: Tuple[np.ndarray, ...]
+    tops: Tuple[np.ndarray, ...]
     tables: Tuple[np.ndarray, ...]
     terms: Tuple[Tuple[int, int, int, int], ...]
 
@@ -340,17 +357,18 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
         blocks = ((q,) * n for q in shared[0])
     if constraint in ("submodular", "symmetric-and-submodular"):
         terms += submodular
-    tables = []
-    for group, axis in zip(groups, axes):
-        # columns sharing one price: the highest value among them is the best
-        top = inst.values[:, list(group)].max(axis=1)
-        tables.append((top[None, :] - axis[:, None]) * inst.K + axis[:, None])
-    return _Layout(fixed, blocks, tuple(groups), tuple(axes), tuple(tables), terms)
+    # columns sharing one price: the highest value among them is the best
+    tops = tuple(inst.values[:, list(group)].max(axis=1) for group in groups)
+    tables = tuple((top[None, :] - axis[:, None]) * inst.K + axis[:, None]
+                   for top, axis in zip(tops, axes))
+    return _Layout(fixed, blocks, tuple(groups), tuple(axes), tops, tables, terms)
 
 
-def _enumerate_blocks(layout: _Layout) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
-    """Yield (fixed prices, flat mesh indices of the block's feasible menus),
-    every menu in lexicographic price order."""
+def _enumerate_blocks(layout: _Layout, blocks: Iterable[Tuple[int, ...]]
+                      ) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+    """Yield (fixed prices, flat mesh indices of the block's feasible menus)
+    for each of `blocks` in turn, the menus of a block in lexicographic price
+    order."""
     if math.prod(layout.shape) * layout.width > _ROWS_BUDGET:
         raise SearchError("candidate grid too large; supply a smaller explicit grid")
     mesh = np.meshgrid(*layout.axes, indexing="ij", sparse=True)
@@ -358,7 +376,7 @@ def _enumerate_blocks(layout: _Layout) -> Iterator[Tuple[Tuple[int, ...], np.nda
     for group, arr in zip(layout.groups, mesh):
         for c in group:
             cols[c] = arr
-    for prices in layout.blocks:
+    for prices in blocks:
         for c, p in zip(layout.fixed, prices):
             cols[c] = p
         mask = np.ones(layout.shape, dtype=bool)
@@ -373,11 +391,15 @@ def _enumerate_blocks(layout: _Layout) -> Iterator[Tuple[Tuple[int, ...], np.nda
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _fixed_key(inst: _Instance, cols: Sequence[int], prices: Sequence[int]) -> np.ndarray:
+def _fixed_key(inst: _Instance, cols: Sequence[int], prices) -> np.ndarray:
     """Per type, max(0, max over `cols` of (v - p) * K + p): the key of the
-    best option among those columns, utility ties toward the higher price."""
-    key = np.zeros(len(inst.values), dtype=inst.dtype)
-    for c, p in zip(cols, prices):
+    best option among those columns, utility ties toward the higher price.
+    `prices` holds one price per column, or one row of them per menu, which
+    gives one row of keys per menu."""
+    prices = np.asarray(prices, dtype=inst.dtype)
+    key = np.zeros(prices.shape[:-1] + (len(inst.values),), dtype=inst.dtype)
+    for k, c in enumerate(cols):
+        p = prices[..., k, None]
         np.maximum(key, (inst.values[:, c] - p) * inst.K + p, out=key)
     return key
 
@@ -386,9 +408,9 @@ def _payments(inst: _Instance, fixed_key: np.ndarray, tables: Sequence[np.ndarra
               subs: Sequence[np.ndarray]) -> np.ndarray:
     """Payment of each type (column) under each menu of a block (row): the
     best of the fixed key and each axis's table row at the menu's mesh index,
-    mod K. With no tables the block is the one menu of `fixed_key`."""
+    mod K. With no tables each row of `fixed_key` is one menu."""
     if not tables:
-        key = fixed_key[None, :].copy()
+        key = np.array(fixed_key, ndmin=2)
     else:
         key = tables[0][subs[0]]
         np.maximum(key, fixed_key, out=key)
@@ -401,6 +423,43 @@ def _payments(inst: _Instance, fixed_key: np.ndarray, tables: Sequence[np.ndarra
     quot *= inst.K
     key -= quot
     return key
+
+
+def _slab_bounds(inst: _Instance, layout: _Layout, fixed_key: np.ndarray) -> np.ndarray:
+    """(blocks, J): an exact upper bound on the score of every menu of each
+    block whose row of fixed keys is given, per candidate of the last mesh
+    axis (the grand bundle), whose table row is folded into the block's fixed
+    options; with one axis, each block's one bound repeated.
+
+    No menu of a slab leaves a type less utility u than those options give
+    it, so the type pays what it pays there, or a candidate of another axis
+    that is at most its value for that axis's bundles minus u."""
+    folded = len(layout.axes) > 1
+    pay = np.maximum(layout.tables[-1] if folded else 0, fixed_key[:, None, :])
+    util = pay // inst.K
+    pay -= util * inst.K
+    for axis, top in zip(layout.axes[:len(layout.axes) - folded], layout.tops):
+        # the dearest affordable candidate, or 0 when there is none
+        dearest = np.concatenate(([0], axis))[np.searchsorted(axis, top - util, side="right")]
+        np.maximum(pay, dearest, out=pay)
+    return np.broadcast_to(pay @ inst.weights, (len(pay), layout.shape[-1]))
+
+
+def _exact_scores(inst: _Instance, pay: np.ndarray) -> np.ndarray:
+    """Exact sum over t of pay[r, t] * w_t, as Python ints, for each row r.
+    Each row's weights are summed per distinct payment first, so a payment
+    shared by many types costs one multiplication."""
+    width = pay.shape[1]
+    order = np.argsort(pay, axis=1)
+    pay = np.take_along_axis(pay, order, axis=1).ravel()
+    weights = inst.exact_weights[order].ravel()
+    new = np.empty(pay.size, dtype=bool)
+    new[0] = True
+    np.not_equal(pay[1:], pay[:-1], out=new[1:])
+    new[::width] = True  # every row starts a run
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(weights, starts) * pay[starts].astype(object)
+    return np.add.reduceat(sums, np.searchsorted(starts, np.arange(0, pay.size, width)))
 
 
 class _StageClock:
@@ -426,7 +485,8 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
     inst = _Instance(dist, grid)
     prune = _monotone_closure_holds(grid)
     clock = _StageClock()
-    best_menu, best_rev, examined, rescored = _search_vectorized(inst, constraint, prune, clock)
+    best_menu, best_rev, examined, rescored, skipped = _search_vectorized(
+        inst, constraint, prune, clock)
     if best_menu is None:
         raise SearchError(f"empty feasible set under constraint {constraint!r}")
     # the rational evaluator is the final authority on the reported revenue
@@ -435,19 +495,22 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
         raise AssertionError(f"internal revenue mismatch: {check} != {best_rev}")
     clock.lap("verify")
     return SearchResult(best_menu, best_rev, examined, constraint, grid.mode,
-                        time.perf_counter() - t0, prune, inst.path, rescored, clock.seconds)
+                        time.perf_counter() - t0, prune, inst.path, rescored, clock.seconds,
+                        skipped)
 
 
 def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:
     """(score, row) of the largest exact score, ties to the lexicographically smallest row."""
     every = range(len(inst.order))
+    rows = sorted(rows)
+    chunk_rows = max(1, _CHUNK_BYTES // (_RESCORE_CELL_BYTES * len(inst.values)))
     best = None
-    for row in sorted(rows):
-        pay = _payments(inst, _fixed_key(inst, every, row), (), ())[0]
-        # sum_t pay_t * w_t, grouped by the few distinct payments
-        score = sum(int(q) * inst.exact_weights[pay == q].sum() for q in np.unique(pay) if q)
-        if best is None or score > best[0]:
-            best = (score, row)
+    for lo in range(0, len(rows), chunk_rows):
+        part = rows[lo:lo + chunk_rows]
+        scores = _exact_scores(inst, _payments(inst, _fixed_key(inst, every, part), (), ()))
+        i = int(np.argmax(scores))  # the first of equal scores
+        if best is None or scores[i] > best[0]:
+            best = (int(scores[i]), part[i])
     return best
 
 
@@ -455,27 +518,49 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
     layout = _layout(inst, constraint, prune)
     clock.lap("evaluate")
     if layout is None:
-        return None, None, 0, 0
+        return None, None, 0, 0, 0
     weights = inst.weights
     chunk_rows = max(1, _CHUNK_BYTES // (_CELL_BYTES[inst.dtype] * len(weights)))
 
-    examined = 0
+    blocks: Iterable[Tuple[int, ...]] = layout.blocks
+    bounds: Dict[Tuple[int, ...], np.ndarray] = {}
+    if inst.int_weights and layout.fixed and layout.axes:
+        # branch and bound on exact scores: the block of highest bound first,
+        # equal bounds in lexicographic order
+        blocks = list(blocks)
+        # a slab cell holds about twice the temporaries of a kernel cell
+        step = max(1, chunk_rows // (2 * layout.shape[-1]))
+        for lo in range(0, len(blocks), step):
+            part = blocks[lo:lo + step]
+            bounds.update(zip(part, _slab_bounds(inst, layout, _fixed_key(inst, layout.fixed, part))))
+        blocks.sort(key=lambda p: (-int(bounds[p].max()), p))
+
+    examined = skipped = 0
     best: Optional[Tuple[int, Tuple[int, ...]]] = None  # exact (score, row) on int64 weights
     top = -math.inf  # best float score when screening
     window: List[Tuple[float, Tuple[int, ...]]] = []  # rows within the cut below `top`
 
-    for prices, idx in _enumerate_blocks(layout):
+    for prices, idx in _enumerate_blocks(layout, blocks):
+        examined += idx.size
+        if bounds and best is not None:
+            # slabs bounded strictly below the incumbent cannot hold an optimum
+            live = idx[bounds[prices][idx % layout.shape[-1]] >= best[0]]
+            skipped += idx.size - live.size
+            idx = live
         clock.lap("mask")
         fixed_key = _fixed_key(inst, layout.fixed, prices)
         for lo in range(0, idx.size, chunk_rows):
             part = idx[lo:lo + chunk_rows]
             subs = np.unravel_index(part, layout.shape) if layout.axes else ()
             scores = _payments(inst, fixed_key, layout.tables, subs) @ weights
-            examined += part.size
-            i = int(np.argmax(scores))
+            i = int(np.argmax(scores))  # the first of equal scores
             if inst.int_weights:
-                if best is None or scores[i] > best[0]:
-                    best = (int(scores[i]), layout.rows(prices, [s[i:i + 1] for s in subs], 1)[0])
+                score = int(scores[i])
+                if best is None or score >= best[0]:
+                    row = layout.rows(prices, [s[i:i + 1] for s in subs], 1)[0]
+                    # blocks may come out of lexicographic order
+                    if best is None or score > best[0] or row < best[1]:
+                        best = (score, row)
                 continue
             if scores[i] > top:
                 top = float(scores[i])
@@ -487,12 +572,13 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
         clock.lap("evaluate")
 
     if examined == 0:
-        return None, None, 0, 0
+        return None, None, 0, 0, 0
     if not inst.int_weights:
         best = _exact_best(inst, [r for _, r in window])
         clock.lap("rescore")
     score, row = best
-    return inst.menu_from_scaled(row), Fraction(score, inst.W * inst.L), examined, len(window)
+    return (inst.menu_from_scaled(row), Fraction(score, inst.W * inst.L), examined,
+            len(window), skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,16 @@ def test_search_csv(capsys):
     assert lines[0].startswith("constraint,menu,revenue")
     assert lines[1].startswith("unrestricted,4 4 104,6,6,")
     assert lines[2].startswith("submodular,4 4 8,102/25,4.08,")
+    assert lines[0].split(",")[4:6] == ["menus_examined", "menus_skipped"]
+    assert lines[1].split(",")[4:6] == ["54", "30"]
+    assert lines[2].split(",")[4:6] == ["32", "13"]
+
+
+def test_search_text_reports_skipped(capsys):
+    code = main(["search", f"{DATA}/example5_eps100.json", "--constraint", "submodular"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "32 menus examined (13 skipped by the revenue bound)" in out
 
 
 def test_search_json_deterministic(capsys):
@@ -72,6 +82,7 @@ def test_search_json_deterministic(capsys):
             assert set(row.pop("stages")) == {"mask", "evaluate", "rescore", "verify"}
     assert first == second
     assert first[0]["revenue"] == "21/10"
+    assert 0 <= first[0]["skipped"] <= first[0]["menus_examined"]
 
 
 def test_search_integer_grid_rejects_fractional(tmp_path, capsys):

@@ -76,6 +76,7 @@ def test_search_result_metadata(example5):
     assert doc["pruned"] is res.pruned is False  # support sums are not monotone-closed
     assert doc["path"] == res.path == "int64"
     assert doc["rescored"] == res.rescored == 0  # int64 weights score every menu exactly
+    assert doc["skipped"] == res.skipped == 13  # 13 of the 32 menus are bounded below the optimum
     assert doc["stages"] == {k: round(v, 6) for k, v in res.stages.items()}
     assert set(res.stages) == set(search.STAGES)
     assert all(v >= 0 for v in res.stages.values())
@@ -452,6 +453,7 @@ def test_block_kernel_matches_buyer_choice(den, dtype):
 
 # (menu, menus examined) of example 4's integer-grid optimum per constraint
 _EXAMPLE4 = {
+    "unrestricted": ((6, 6, 6, 7, 7, 8, 9), 2203095),
     "symmetric": ((6, 6, 6, 7, 7, 7, 9), 819),
     "submodular": ((5, 6, 6, 7, 7, 8, 9), 13998),
     "symmetric-and-submodular": ((5, 5, 5, 7, 7, 7, 9), 84),
@@ -467,3 +469,160 @@ def test_example4_optimum_and_examined(example4, constraint):
     assert res.best.prices == menu
     assert res.examined == examined
     assert res.path == "int64" and res.pruned
+    # every constraint with singleton blocks over a mesh is bounded; the rest never skip
+    assert (res.skipped > 0) is (constraint not in ("additive", "bundle-only"))
+    assert res.skipped < res.examined
+
+
+def _visit_order(inst, layout):
+    """The bounded search's blocks in visiting order, with each block's slab bounds."""
+    blocks = list(layout.blocks)
+    bounds = search._slab_bounds(inst, layout, search._fixed_key(inst, layout.fixed, blocks))
+    by_block = dict(zip(blocks, bounds))
+    return sorted(blocks, key=lambda p: (-int(by_block[p].max()), p)), by_block
+
+
+def _small_product(rng, n):
+    # n independent items of 1-2 atoms with values 0-2 (0-1 beyond two items)
+    top = 2 if n == 2 else 1
+    return product([random_single_item(rng, max_atoms=2, max_value=top) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_slab_bounds_cover_every_menu(n):
+    # each slab's bound is at least the exact score of every menu in it,
+    # feasible or not, on every block of every bounded layout
+    rng = random.Random(60 + n)
+    bounded = tight = useful = 0
+    for trial in range(10):
+        if n == 4:
+            dist, grid = _four_item_instance(rng)
+        else:
+            dist = _small_product(rng, n) if trial % 2 else random_correlated_joint(
+                rng, n=n, max_atoms=4, max_value=3 if n == 2 else 2)
+            grid = candidate_grid(dist, "integer-grid")
+        inst = search._Instance(dist, grid)
+        assert inst.path == "int64"
+        for constraint in search.CONSTRAINTS:
+            layout = search._layout(inst, constraint, prune=False)
+            if layout is None or not (layout.fixed and layout.axes):
+                continue
+            cells = np.arange(math.prod(layout.shape))
+            subs = np.unravel_index(cells, layout.shape)
+            order, bounds = _visit_order(inst, layout)
+            top = 0
+            for prices in order:
+                fixed_key = search._fixed_key(inst, layout.fixed, prices)
+                pay = search._payments(inst, fixed_key, layout.tables, subs)
+                scores = pay.astype(object) @ inst.exact_weights
+                slab = bounds[prices][subs[-1]]
+                assert (scores <= slab).all(), (constraint, prices)
+                tight += int((scores == slab).any())
+                top = max(top, scores.max())
+                bounded += 1
+            # a useful bound puts some block entirely below the optimum
+            useful += any(b.max() < top for b in bounds.values())
+    assert bounded > 50 and tight > 0 and useful > 0
+
+
+def _tie_heavy_instance(rng):
+    # 1-3 types with values 0-3 on 2 or 3 items; each bundle may cost two low
+    # prices or one no type can pay, so many menus tie exactly across blocks
+    n = rng.choice([2, 2, 3])
+    vectors = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+    dist = _weighted_joint(n, [(v, rng.randint(1, 3)) for v in sorted(vectors)])
+    explicit = {b: sorted(set(rng.sample(range(3 * len(b) + 1), 2)) | {4 * len(b) + 5})
+                for b in all_bundles(n)}
+    return dist, candidate_grid(dist, "explicit", explicit=explicit)
+
+
+def _integer_grid_instance(rng):
+    n = rng.choice([2, 2, 3])
+    dist = random_correlated_joint(rng, n=n, max_atoms=3, max_value=3 if n == 2 else 1)
+    return dist, candidate_grid(dist, "integer-grid")
+
+
+def _ties_out_of_order(dist, constraint, grid):
+    """Whether the block visited first among those holding an optimum is not
+    the lexicographically smallest of them, so the tie rule picks the winner."""
+    inst = search._Instance(dist, grid)
+    layout = search._layout(inst, constraint, search._monotone_closure_holds(grid))
+    if layout is None or not (layout.fixed and layout.axes):
+        return False
+    order, _ = _visit_order(inst, layout)
+    best = {}
+    for prices, idx in search._enumerate_blocks(layout, order):
+        subs = np.unravel_index(idx, layout.shape)
+        pay = search._payments(inst, search._fixed_key(inst, layout.fixed, prices),
+                               layout.tables, subs)
+        best[prices] = (pay @ inst.weights).max()
+    optimal = [p for p in best if best[p] == max(best.values())]
+    return optimal[0] != min(optimal)
+
+
+def test_bounded_search_differential_int64():
+    # 1,000 int64 searches against the brute-force oracle: integer grids
+    # (pruned), tie-heavy explicit grids and four-item grids, every constraint
+    rng = random.Random(9191)
+    makers = [_integer_grid_instance, _tie_heavy_instance, _tie_heavy_instance, _four_item_instance]
+    checked = skipped = out_of_order = 0
+    while checked < 1000:
+        dist, grid = makers[checked % len(makers)](rng)
+        if math.prod(len(ps) for ps in grid.prices) > 400:
+            continue
+        constraint = search.CONSTRAINTS[checked % len(search.CONSTRAINTS)]
+        try:
+            res = search_optimal(dist, constraint, grid)
+        except SearchError:
+            continue  # the symmetric classes of an explicit grid may be empty
+        assert res.path == "int64"
+        oracle_menu, oracle_rev, _ = oracle_search(dist, constraint, grid)
+        assert (res.best, res.revenue) == (oracle_menu, oracle_rev), (constraint, dist.atoms)
+        assert 0 <= res.skipped < res.examined
+        skipped += res.skipped > 0
+        out_of_order += _ties_out_of_order(dist, constraint, grid)
+        checked += 1
+    assert skipped > 100 and out_of_order > 10
+
+
+def test_bounded_search_breaks_ties_across_blocks():
+    # block (9, 9) has the higher bound and is visited first; its best menu
+    # (9, 9, 2) earns 2, as does the lexicographically smaller (1, 1, 2) of
+    # block (1, 1), which is bounded at exactly 2 and must still win
+    dist = _weighted_joint(2, [((2, 2), 1), ((1, 1), 1)])
+    grid = candidate_grid(dist, "explicit", explicit={(1,): [1, 9], (2,): [1, 9], (1, 2): [2, 4]})
+    inst = search._Instance(dist, grid)
+    order, bounds = _visit_order(inst, search._layout(inst, "unrestricted", prune=False))
+    assert order == [(9, 9), (1, 1), (1, 9), (9, 1)]
+    assert [bounds[p].max() for p in order] == [6, 4, 4, 4]
+    res = search_optimal(dist, "unrestricted", grid)
+    assert res.best.prices == (1, 1, 2) and res.revenue == 2
+    assert res.examined == 8 and res.skipped == 0
+    assert (res.best, res.revenue) == oracle_search(dist, "unrestricted", grid)[:2]
+
+
+def test_chunked_rescoring_matches_per_row_scores(monkeypatch):
+    # 3,721 of the 11,907 rows tie exactly at the optimum (among them every
+    # row with both single prices above every value and the bundle at 4),
+    # scored 7 rows per chunk
+    dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
+    high = list(range(8, 68))
+    grid = candidate_grid(dist, "explicit", explicit={
+        (1,): [0, 1, 3] + high, (2,): [0, 2, 4] + high, (1, 2): [2, 4, 5]})
+    inst = search._Instance(dist, grid)
+    assert inst.path == "float-screen"
+    rows = list(itertools.product(*[[int(p) * inst.L for p in ps] for ps in grid.prices]))
+    random.Random(5).shuffle(rows)
+    every = range(len(inst.order))
+
+    def per_row(row):
+        pay = search._payments(inst, search._fixed_key(inst, every, row), (), ())[0]
+        return sum(int(q) * w for q, w in zip(pay, inst.exact_weights))
+
+    want = [per_row(row) for row in rows]
+    pay = search._payments(inst, search._fixed_key(inst, every, rows), (), ())
+    assert search._exact_scores(inst, pay).tolist() == want
+    top = max(want)
+    assert sum(w == top for w in want) == 3721
+    monkeypatch.setattr(search, "_CHUNK_BYTES", 7 * search._RESCORE_CELL_BYTES * len(inst.values))
+    assert search._exact_best(inst, rows) == (top, min(r for r, w in zip(rows, want) if w == top))
