@@ -1,8 +1,30 @@
-"""Buyer best response, exact expected revenue, and revenue-monotonicity audits."""
+"""Buyer best response, exact expected revenue, and revenue-monotonicity audits.
+
+`buyer_choice` is the readable reference: it walks the bundles of one
+valuation in Fractions. Every other revenue here goes through one integer
+evaluator, `batch_choice`, which takes a menu and a batch of valuations,
+scales the prices and the coordinates by one common multiple L of their
+denominators, and picks each valuation's option with Python ints. Each
+option gets one integer key that orders it by utility, then payment, then
+bundle size, then canonical bundle order, so the largest key is the choice
+`buyer_choice` makes. `revenue_at`, `expected_revenue`, `sale_probabilities`,
+`check_monotone` and `regions.verify_against_buyer` all read its result;
+`expected_revenue` weighs the integer payments by p_t * W (W the lcm of the
+probability denominators) and builds one Fraction at the end.
+
+The evaluator takes rational coordinates only (ints, Fractions or other
+`numbers.Rational`): a float or any other coordinate raises ValueError
+naming the valuation and the coordinate.
+"""
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,27 +75,126 @@ def _prefer(cand, incumbent) -> bool:
     return cand[3] < incumbent[3]
 
 
+# ---------------------------------------------------------------------------
+# The integer batch evaluator
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BatchChoice:
+    """The buyer's choice at each valuation of a batch, in integers scaled by L.
+
+    Option 0 is buying nothing and option k is `all_bundles(n)[k - 1]`.
+    """
+
+    scale: int  # L, a common multiple of every price and coordinate denominator
+    prices: Tuple[int, ...]  # L times the price of each option, 0 for option 0
+    points: List[Tuple[int, ...]]  # L times each valuation
+    options: List[int]  # the option each valuation takes
+    payments: List[int]  # L times each valuation's payment
+
+
+def _price_paid(m: Menu, option: int) -> Fraction:
+    """The menu price of an option, as the Fraction the menu holds."""
+    return m.prices[option - 1] if option else Fraction(0)
+
+
+_numerators = attrgetter("numerator")
+_denominators = attrgetter("denominator")
+
+
+def _coordinate_columns(n: int, points: Sequence[Valuation]) -> List[Sequence]:
+    """The points' coordinates, one column per item, checked to be rationals."""
+    if set(map(len, points)) - {n}:
+        v = next(v for v in points if len(v) != n)
+        raise ValueError(f"valuation has {len(v)} entries for a {n}-item menu")
+    columns = list(zip(*points)) if points else [()] * n
+    if set(map(type, chain.from_iterable(columns))) <= {int, Fraction}:
+        return columns
+    for v in points:
+        for i, x in enumerate(v):
+            if not isinstance(x, numbers.Rational) or isinstance(x, bool):
+                raise ValueError(f"valuation {tuple(v)!r}: value[{i}] = {x!r} is a "
+                                 f"{type(x).__name__}, not a rational number")
+    return [tuple(map(Fraction, column)) for column in columns]
+
+
+@lru_cache(maxsize=None)
+def _bundle_masks(n: int) -> Tuple[Tuple[int, int], ...]:
+    """(item bit mask, size) of each bundle, in canonical order."""
+    return tuple((sum(1 << (i - 1) for i in b), len(b)) for b in all_bundles(n))
+
+
+def batch_choice(m: Menu, points: Sequence[Valuation]) -> BatchChoice:
+    """`buyer_choice` at every point of a batch, in Python ints.
+
+    With every price and coordinate scaled by L, option k of a point with
+    bundle value V_k and price P_k gets the key
+    ((V_k - P_k) * (max P + 1) + P_k) * (n + 1) + |bundle|, times 2^n, plus
+    2^n - 1 - k. Utility, then payment, then size rank the options, and
+    among equal keys the first in canonical order (the lexicographically
+    smallest bundle) wins, so the largest key names the choice.
+    """
+    n = m.n
+    columns = _coordinate_columns(n, points)
+    numerators = [list(map(_numerators, column)) for column in columns]
+    denominators = [list(map(_denominators, column)) for column in columns]
+    dens = set(map(_denominators, m.prices)).union(*denominators)
+    scale = math.lcm(*dens)
+    factor = {d: scale // d for d in dens}
+    prices = (0,) + tuple(q.numerator * factor[q.denominator] for q in m.prices)
+    scaled = [[x * factor[d] for x, d in zip(nums, ds)]
+              for nums, ds in zip(numerators, denominators)]
+
+    options_count = 1 << n
+    sizes = n + 1
+    unit = (max(prices) + 1) * sizes * options_count  # one unit of utility
+    values = [[x * unit for x in column] for column in scaled]
+    sums: Dict[int, List[int]] = {}  # bundle mask -> unit times each point's bundle value
+    best = repeat(options_count - 1)  # the key of option 0
+    for k, (mask, size) in enumerate(_bundle_masks(n), start=1):
+        low = mask & -mask
+        column = values[low.bit_length() - 1]
+        if mask != low:
+            column = [a + b for a, b in zip(sums[mask ^ low], column)]
+        sums[mask] = column
+        price = prices[k]
+        offset = (price * sizes + size) * options_count + options_count - 1 - k - price * unit
+        best = list(map(max, best, [s + offset for s in column]))
+    options = [~key & (options_count - 1) for key in best]
+    return BatchChoice(scale, prices, list(zip(*scaled)), options,
+                       [prices[k] for k in options])
+
+
 def revenue_at(m: Menu, v: Valuation) -> Fraction:
     """Seller payment at a single valuation."""
-    return buyer_choice(m, v).payment
+    return _price_paid(m, batch_choice(m, (v,)).options[0])
+
+
+def _option_weights(m: Menu, dist: JointDistribution) -> Tuple[BatchChoice, int, List[int]]:
+    """The choice at every atom, W (the lcm of the probability denominators)
+    and, per option, W times the probability that the buyer takes it."""
+    if m.n != dist.n:
+        raise ValueError(f"menu has {m.n} items but distribution has {dist.n}")
+    chosen = batch_choice(m, [v for v, _ in dist.atoms])
+    probs = [p for _, p in dist.atoms]
+    dens = list(map(_denominators, probs))
+    whole = math.lcm(*set(dens))
+    factor = {d: whole // d for d in set(dens)}
+    totals = [0] * len(chosen.prices)
+    for k, num, d in zip(chosen.options, map(_numerators, probs), dens):
+        totals[k] += num * factor[d]
+    return chosen, whole, totals
 
 
 def expected_revenue(m: Menu, dist: JointDistribution) -> Fraction:
-    if m.n != dist.n:
-        raise ValueError(f"menu has {m.n} items but distribution has {dist.n}")
-    return sum((p * revenue_at(m, v) for v, p in dist.atoms), Fraction(0))
+    chosen, whole, totals = _option_weights(m, dist)
+    return Fraction(sum(p * t for p, t in zip(chosen.prices, totals)), whole * chosen.scale)
 
 
 def sale_probabilities(m: Menu, dist: JointDistribution) -> Dict[Bundle, Fraction]:
     """Probability that each bundle (including ()) is the one sold."""
-    if m.n != dist.n:
-        raise ValueError(f"menu has {m.n} items but distribution has {dist.n}")
-    out: Dict[Bundle, Fraction] = {(): Fraction(0)}
-    for b in all_bundles(m.n):
-        out[b] = Fraction(0)
-    for v, p in dist.atoms:
-        out[buyer_choice(m, v).bundle] += p
-    return out
+    _, whole, totals = _option_weights(m, dist)
+    return {b: Fraction(t, whole) for b, t in zip(((),) + all_bundles(m.n), totals)}
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +222,7 @@ class MonotonicityReport:
 _BLOCK_PAIRS = 1 << 20
 
 
-def _ranks(values: Sequence[Fraction]) -> np.ndarray:
+def _ranks(values: Sequence[int]) -> np.ndarray:
     """Dense rank of each value: the ranks keep <, <= and == between the values."""
     index = {x: k for k, x in enumerate(sorted(set(values)))}
     return np.array([index[x] for x in values], dtype=np.int64)
@@ -110,18 +231,26 @@ def _ranks(values: Sequence[Fraction]) -> np.ndarray:
 def check_monotone(m: Menu, grid: Sequence[Valuation]) -> MonotonicityReport:
     """Audit revenue monotonicity over every coordinatewise-comparable grid pair.
 
-    Revenue is evaluated once per distinct point, over the points in sorted
-    order. Each coordinate axis and the revenues are then replaced by their
-    dense integer ranks, so numpy compares exact ranks, never floats. Rows
+    The grid is evaluated once by `batch_choice`; its L-scaled integer points
+    are deduplicated (the first-seen point stands for its duplicates) and
+    sorted. Each coordinate axis and the integer payments are then replaced
+    by their dense ranks, so numpy compares exact ranks, never floats. Rows
     of the pair table go through numpy in blocks of about `_BLOCK_PAIRS`
     pairs: (i, j) violates when rev[j] < rev[i] and points[i] <= points[j]
     on every axis. Violations are listed in row-major (i, j) order of the
     sorted points.
     """
-    points = sorted(set(tuple(v) for v in grid))
-    revenues = [revenue_at(m, v) for v in points]
-    rev = _ranks(revenues)
-    axes = [_ranks(axis) for axis in zip(*points)]
+    grid = list(grid)
+    chosen = batch_choice(m, grid)
+    first: Dict[Tuple[int, ...], int] = {}
+    for i, x in enumerate(chosen.points):
+        first.setdefault(x, i)
+    scaled = sorted(first)
+    order = [first[x] for x in scaled]
+    points = [tuple(grid[i]) for i in order]
+    revenues = [_price_paid(m, chosen.options[i]) for i in order]
+    rev = _ranks([chosen.payments[i] for i in order])
+    axes = [_ranks(axis) for axis in zip(*scaled)]
     rows = max(1, _BLOCK_PAIRS // max(1, len(points)))
     violations: List[MonotonicityViolation] = []
     for start in range(0, len(points), rows):

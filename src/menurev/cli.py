@@ -9,9 +9,10 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from typing import List, Optional
 
-from .buyer import expected_revenue, sale_probabilities
+from .buyer import sale_probabilities
 from .continuous import NumericParams
 from .model import normalize
 from .rational import decimal_with_flag, format_rational
@@ -44,8 +45,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def cmd_eval(args) -> int:
     menu = parse_menu(_read_json(args.menu))
     dist = parse_distribution(_read_json(args.distribution))
-    revenue = expected_revenue(menu, dist)
     sales = sale_probabilities(menu, dist)
+    revenue = sum((menu.price(b) * p for b, p in sales.items() if b), Fraction(0))
     if args.format == "json":
         doc = {
             "revenue": format_rational(revenue),

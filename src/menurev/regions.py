@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .buyer import buyer_choice
-from .model import Bundle, Menu, Valuation, is_normalized2
+from .buyer import batch_choice
+from .model import Bundle, Menu, Valuation, all_bundles, is_normalized2
 
 # A half-plane constraint (a1, a2, op, rhs) means  a1*v1 + a2*v2  op  rhs,
 # with op one of ">=", "<=".
@@ -135,8 +135,10 @@ def region_partition_2(m: Menu) -> RegionPartition2:
 
 
 def verify_against_buyer(part: RegionPartition2, points: Sequence[Valuation]) -> List[Valuation]:
-    """Return the points where the geometric region disagrees with buyer_choice."""
-    return [v for v in points if part.region_of(v) != buyer_choice(part.menu, v).bundle]
+    """Return the points where the geometric region disagrees with the buyer's choice."""
+    options = ((),) + all_bundles(2)
+    chosen = batch_choice(part.menu, points)
+    return [v for v, k in zip(points, chosen.options) if part.region_of(v) != options[k]]
 
 
 # ---------------------------------------------------------------------------

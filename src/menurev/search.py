@@ -1,7 +1,8 @@
 """Exhaustive grid search for revenue-optimal menus under structural constraints.
 
 The search is exact: results are reported as Fractions and the winning menu's
-revenue is re-verified against the rational evaluator. Every instance, for any
+revenue is re-verified by `buyer.expected_revenue`, whose integer evaluator
+shares no code with this kernel. Every instance, for any
 number of items, runs on one engine: values and prices are scaled to integers
 and menu blocks are evaluated with numpy, in int64 arrays, or in arrays of
 Python ints where int64 keys would overflow. When atom probabilities have
@@ -489,7 +490,7 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
         inst, constraint, prune, clock)
     if best_menu is None:
         raise SearchError(f"empty feasible set under constraint {constraint!r}")
-    # the rational evaluator is the final authority on the reported revenue
+    # the buyer's evaluator, independent of the kernel, is the final authority
     check = expected_revenue(best_menu, dist)
     if check != best_rev:
         raise AssertionError(f"internal revenue mismatch: {check} != {best_rev}")

@@ -4,7 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from menurev import Menu, all_bundles, expected_revenue, revenue_at
+from menurev import Menu, all_bundles, buyer_choice
 from menurev.instances import load_distribution, load_menu
 from menurev.lp import _MAX_PIVOTS, LPError
 from menurev.model import is_submodular, is_symmetric_menu
@@ -36,6 +36,11 @@ def example6():
     return load_distribution("example6_eps10")
 
 
+def oracle_revenue(m, dist):
+    """Independent expected revenue: a plain sum of buyer_choice payments."""
+    return sum((p * buyer_choice(m, v).payment for v, p in dist.atoms), Fraction(0))
+
+
 def oracle_search(dist, constraint, grid):
     """Independent brute force: plain loops, no pruning, rational evaluation;
     returns (best_menu, revenue, examined)."""
@@ -64,7 +69,7 @@ def oracle_search(dist, constraint, grid):
     for prices in candidates:
         examined += 1
         menu = Menu(dist.n, prices)
-        rev = expected_revenue(menu, dist)
+        rev = oracle_revenue(menu, dist)
         if best_rev is None or rev > best_rev:
             best_menu, best_rev = menu, rev
     return best_menu, best_rev, examined
@@ -75,7 +80,7 @@ def oracle_monotone(m, grid):
     points in a plain loop; returns (low, high, revenue_low, revenue_high)
     tuples in (i, j) order."""
     points = sorted(set(tuple(v) for v in grid))
-    revenues = [revenue_at(m, v) for v in points]
+    revenues = [buyer_choice(m, v).payment for v in points]
     violations = []
     for i, lo in enumerate(points):
         for j, hi in enumerate(points):

@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,7 @@ from menurev import buyer
 from menurev.instances import random_menu, random_submodular_menu, random_valuation_grid
 from menurev.model import bundle_value
 
-from conftest import oracle_monotone
+from conftest import oracle_monotone, oracle_revenue
 
 
 def test_tie_breaks_toward_higher_payment():
@@ -194,3 +196,150 @@ def test_check_monotone_row_blocks(monkeypatch):
     monkeypatch.setattr(buyer, "_BLOCK_PAIRS", 1000)
     assert [_violations(m, grid) for m, grid in cases] == expected
     assert len(expected[0]) > 0
+
+
+# ---------------------------------------------------------------------------
+# The integer batch evaluator against buyer_choice
+# ---------------------------------------------------------------------------
+
+def _deciding_rule(m, v):
+    """Which rule of buyer_choice picks v's option: the utility, the payment,
+    the size, or the lexicographic order of the tied bundles."""
+    options = [((), F(0))] + list(zip(all_bundles(m.n), m.prices))
+    rows = [(bundle_value(v, b) - p, p, len(b), b) for b, p in options]
+    for level, rule in enumerate(("utility", "payment", "size")):
+        top = max(r[level] for r in rows)
+        rows = [r for r in rows if r[level] == top]
+        if len(rows) == 1:
+            return rule
+    return "lexicographic"
+
+
+def _tie_heavy_cases(rng, count, scale=1):
+    """Menus on 1-4 items with prices and values on a coarse lattice, so
+    utilities, payments, sizes and whole keys tie often; some prices are 0
+    and some valuations are all 0. Bundles of one size often share a price and
+    items often share a value. Everything is multiplied by `scale`."""
+    def lattice():
+        return F(rng.randint(0, 6), 2)
+
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        shared = [lattice() for _ in range(n + 1)]
+        m = Menu(n, tuple(rng.choice((shared[len(b)], lattice())) * scale
+                          for b in all_bundles(n)))
+        points = []
+        for _ in range(rng.randint(1, 30)):
+            x = lattice()
+            points.append(tuple(rng.choice((x, lattice())) * scale for _ in range(n)))
+        points.append(tuple(F(0) for _ in range(n)))
+        yield m, points
+
+
+def _assert_matches_reference(m, points):
+    chosen = buyer.batch_choice(m, points)
+    assert len(chosen.options) == len(chosen.payments) == len(points)
+    bundles = ((),) + all_bundles(m.n)
+    for i, v in enumerate(points):
+        ref = buyer_choice(m, v)
+        assert bundles[chosen.options[i]] == ref.bundle, (m, v)
+        assert F(chosen.payments[i], chosen.scale) == ref.payment, (m, v)
+        assert chosen.points[i] == tuple(x * chosen.scale for x in v)
+    return chosen
+
+
+@pytest.mark.parametrize("scale", [F(1), F(1, 1 << 40), F(1 << 40, 3 ** 1900 + 2)])
+def test_batch_choice_matches_buyer_choice_on_ties(scale):
+    """Tie-heavy menus on 1-4 items: on the plain lattice, on a 2^-40 lattice,
+    and with every number over a denominator of more than 3,000 bits."""
+    rng = random.Random(41)
+    rules = {}
+    for m, points in _tie_heavy_cases(rng, 120, scale):
+        _assert_matches_reference(m, points)
+        for v in points:
+            rule = _deciding_rule(m, v)
+            rules[rule] = rules.get(rule, 0) + 1
+    assert set(rules) == {"utility", "payment", "size", "lexicographic"}
+    assert min(rules.values()) >= 20
+
+
+def test_batch_choice_on_mixed_denominators():
+    """Prices and coordinates on unrelated denominators, nudged by 2^-40 and by
+    one part in 3^1900 across the breakpoints of the menu."""
+    rng = random.Random(42)
+    tiny = (F(1, 1 << 40), F(1, 3 ** 1900))
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        m = Menu(n, tuple(F(rng.randint(0, 40), rng.choice((1, 3, 7))) for _ in all_bundles(n)))
+        points = []
+        for _ in range(12):
+            base = [F(rng.randint(0, 20), rng.choice((1, 2, 5))) for _ in range(n)]
+            points.append(tuple(base))
+            points.append(tuple(x + rng.choice((-1, 0, 1)) * rng.choice(tiny) for x in base))
+            points.append(tuple(abs(x) for x in points[-1]))
+        _assert_matches_reference(m, points)
+
+
+def test_batch_choice_int_and_fraction_coordinates():
+    """Ints, and other rationals such as numpy integers, give the choices of
+    the Fractions of the same value."""
+    rng = random.Random(43)
+    for m, points in _tie_heavy_cases(rng, 40):
+        ints = [tuple(int(x) if x.denominator == 1 else x for x in v) for v in points]
+        numpy_ints = [tuple(np.int64(x) if type(x) is int else x for x in v) for v in ints]
+        assert any(type(x) is int for v in ints for x in v)
+        a = buyer.batch_choice(m, points)
+        for other in (ints, numpy_ints):
+            b = buyer.batch_choice(m, other)
+            assert (a.scale, a.points, a.options, a.payments) == \
+                (b.scale, b.points, b.options, b.payments)
+        _assert_matches_reference(m, ints)
+    assert buyer.batch_choice(menu2(1, 2, 3), []).options == []
+
+
+def _random_joint(rng, n, atoms):
+    """Correlated joint distribution on a coarse lattice, with probabilities
+    over unrelated denominators, some of them large."""
+    weights = {}
+    for _ in range(atoms):
+        v = tuple(F(rng.randint(0, 8), rng.choice((1, 2, 3))) for _ in range(n))
+        weights[v] = weights.get(v, 0) + F(rng.randint(1, 9), rng.choice((1, 7, 3 ** 40)))
+    total = sum(weights.values())
+    return JointDistribution.from_pairs(n, ((v, w / total) for v, w in weights.items()))
+
+
+def test_expected_revenue_and_sale_probabilities_match_buyer_choice():
+    rng = random.Random(44)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        dist = _random_joint(rng, n, rng.randint(1, 40))
+        m = Menu(n, tuple(F(rng.randint(0, 16), rng.choice((1, 2, 3))) for _ in all_bundles(n)))
+        assert expected_revenue(m, dist) == oracle_revenue(m, dist)
+        sold = {b: F(0) for b in ((),) + all_bundles(n)}
+        for v, p in dist.atoms:
+            sold[buyer_choice(m, v).bundle] += p
+        sales = sale_probabilities(m, dist)
+        assert sales == sold and list(sales) == list(sold)
+
+
+_MENU = menu2(1, 1, 2)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda v: revenue_at(_MENU, v),
+    lambda v: expected_revenue(_MENU, JointDistribution(2, ((v, F(1)),))),
+    lambda v: check_monotone(_MENU, [(F(0), F(0)), v]),
+], ids=["revenue_at", "expected_revenue", "check_monotone"])
+def test_bad_valuations_raise(evaluate):
+    for v, where in [((1.5, F(1, 2)), r"value\[0\] = 1\.5 is a float"),
+                     ((F(1), "1/2"), r"value\[1\] = '1/2' is a str"),
+                     ((F(1), True), r"value\[1\] = True is a bool"),
+                     ((F(1), None), r"value\[1\] = None is a NoneType")]:
+        with pytest.raises(ValueError, match=rf"valuation \(.*\): {where}, not a rational"):
+            evaluate(v)
+    with pytest.raises(ValueError) as got:
+        buyer_choice(_MENU, (F(1), F(2), F(3)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(got.value))}$"):
+        evaluate((F(1), F(2), F(3)))
+    with pytest.raises(ValueError, match="valuation has 1 entries for a 2-item menu"):
+        evaluate((F(1),))

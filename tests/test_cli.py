@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,28 @@ def test_eval_json(capsys):
     assert doc["revenue"] == "61/25"
     assert doc["revenue_decimal"] == "2.44"
     assert doc["sale_probabilities"]["1,2"] == "1/100"
+    assert doc == {"revenue": "61/25", "revenue_decimal": "2.44",
+                   "sale_probabilities": {"none": "0", "1": "47/50", "2": "1/20",
+                                          "1,2": "1/100"}}
+    code = main(["eval", f"{DATA}/example4_menu.json", f"{DATA}/example4_distribution.json",
+                 "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "revenue": "6293/1000", "revenue_decimal": "6.293",
+        "sale_probabilities": {"none": "61/250", "1": "3/1000", "2": "3/500", "3": "3/500",
+                               "1,2": "27/250", "1,3": "21/200", "2,3": "1/25",
+                               "1,2,3": "61/125"}}
+
+
+def test_eval_evaluates_the_distribution_once(monkeypatch, capsys):
+    calls = []
+    real = menurev.buyer.batch_choice
+    monkeypatch.setattr(menurev.buyer, "batch_choice",
+                        lambda m, points: calls.append(len(points)) or real(m, points))
+    assert main(["eval", f"{DATA}/example4_menu.json",
+                 f"{DATA}/example4_distribution.json"]) == 0
+    assert calls == [125]
+    assert "6293/1000 (6.293)" in capsys.readouterr().out
 
 
 def test_eval_bad_input_exit_2(tmp_path, capsys):
@@ -121,6 +146,18 @@ def test_reproduce_known_discrepancy_fails(capsys):
     assert code == 1
     assert "FAIL example-5: submodular search upper bound" in out
     assert out.count("PASS") == 6
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(menurev.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "menurev", "reproduce", "w-constant",
+                           "--format", "json"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [(r["target"], r["ok"]) for r in rows] == [("w-constant", True)] * 2
 
 
 def test_reproduce_unknown_target():
