@@ -5,6 +5,10 @@ This module works in binary64 with explicit tolerances. Discretizations are
 returned as exact-rational distributions whose grid values are dyadic
 (denominator 2^20), so downstream float arithmetic on values and prices is
 itself exact; only probability weights and the final reports are approximate.
+The bundle-price sweep orders the atom pairs by one int64 sort of exact keys
+(the scaled sum's distance below the largest sum, then the pair's flat index)
+and falls back to a stable argsort of the float sums only where those keys
+would overflow int64; on these dyadic grids both give the same order.
 """
 from __future__ import annotations
 
@@ -68,12 +72,19 @@ class NumericParams:
     search_bundle_prices: int = 36
 
     def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
+        for name in ("cap", "search_cap"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.grid_points < 100:
             raise ValueError("grid_points must be at least 100")
         if self.search_points < 100:
             raise ValueError("search_points must be at least 100")
+        for name in ("search_single_prices", "search_bundle_prices"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def er_discretize(r: float, params: NumericParams) -> SingleItemDistribution:
@@ -149,19 +160,48 @@ class ERGapReport:
 
 def _bundle_price_sweep(d1: SingleItemDistribution,
                         d2: SingleItemDistribution) -> Tuple[float, float]:
-    """(max over p of p * Pr[v1 + v2 >= p], argmax p) on the discretized product."""
+    """(max over p of p * Pr[v1 + v2 >= p], argmax p) on the discretized product.
+
+    The atom pairs (i, j) are visited by descending sum, equal sums in flat
+    index order, and their masses accumulated in that order. With the values
+    scaled to integers a_i, b_j by the lcm of their denominators, the key
+    ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j sorts ascending into
+    exactly that order; where it could overflow int64, a stable argsort of the
+    negated float sums gives the pairs instead. The two orders agree whenever
+    the float sums are exact, as on every dyadic `er_discretize` grid.
+    """
     v1 = np.array([float(v) for v, _ in d1.atoms])
     w1 = np.array([float(p) for _, p in d1.atoms])
     v2 = np.array([float(v) for v, _ in d2.atoms])
     w2 = np.array([float(p) for _, p in d2.atoms])
-    sums = np.add.outer(v1, v2).ravel()
-    mass = np.multiply.outer(w1, w2).ravel()
-    order = np.argsort(-sums, kind="stable")
-    sums = sums[order]
-    mass = np.cumsum(mass[order])
-    revenue = sums * mass
-    i = int(np.argmax(revenue))
-    return float(revenue[i]), float(sums[i])
+    scale = math.lcm(*(v.denominator for v in d1.support + d2.support))
+    a = [v.numerator * (scale // v.denominator) for v in d1.support]
+    b = [v.numerator * (scale // v.denominator) for v in d2.support]
+    top = a[-1] + b[-1]  # supports ascend
+    ib, jb = (len(a) - 1).bit_length(), (len(b) - 1).bit_length()
+    if (top + 1) << (ib + jb) < 1 << 63:
+        rows = ((top - np.array(a, dtype=np.int64)) << (ib + jb)) | (np.arange(len(a)) << jb)
+        cols = np.arange(len(b)) - (np.array(b, dtype=np.int64) << (ib + jb))
+        keys = np.add.outer(rows, cols).ravel()
+        keys.sort()
+        j = keys & ((1 << jb) - 1)
+        keys >>= jb
+        keys &= (1 << ib) - 1
+        i = keys
+    else:
+        i, j = np.divmod(np.argsort(-np.add.outer(v1, v2).ravel(), kind="stable"), len(b))
+    # every index is in range; mode="clip" lets take write to `out` unbuffered
+    sums = np.take(v1, i)
+    mass = np.take(v2, j)
+    sums += mass
+    np.take(w1, i, out=mass, mode="clip")
+    spare = i.view(np.float64)  # i is read no more
+    np.take(w2, j, out=spare, mode="clip")
+    mass *= spare
+    np.cumsum(mass, out=mass)
+    mass *= sums  # the revenue at each price
+    k = int(np.argmax(mass))
+    return float(mass[k]), float(sums[k])
 
 
 def _strided_subset(values: Sequence[Fraction], count: int) -> List[Fraction]:

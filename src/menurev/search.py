@@ -10,9 +10,10 @@ denominators too large for int64 weights, or the keys are Python ints, the
 block scores use float64 screening and every near-optimal candidate is
 re-scored exactly as the integer sum of its payments times the atom weights
 p_t * W (W the lcm of the probability denominators), with no Fraction buyer
-per candidate, before the winner is declared. `SearchResult.path` names the
-regime. Ties break toward the lexicographically smallest price vector
-(singletons first, then pairs, then larger bundles).
+per candidate, before the winner is declared. Candidates with equal payment
+vectors share one exact score, so each distinct vector is scored once.
+`SearchResult.path` names the regime. Ties break toward the lexicographically
+smallest price vector (singletons first, then pairs, then larger bundles).
 
 A type buys the option with the largest key (v - p) * K + p, which ranks
 utility first and breaks utility ties toward the higher price, and pays the
@@ -508,7 +509,14 @@ def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, 
     best = None
     for lo in range(0, len(rows), chunk_rows):
         part = rows[lo:lo + chunk_rows]
-        scores = _exact_scores(inst, _payments(inst, _fixed_key(inst, every, part), (), ()))
+        pay = _payments(inst, _fixed_key(inst, every, part), (), ())
+        # one exact score per distinct payment vector; object rows hash by
+        # value as tuples, since their bytes are pointers
+        as_key = tuple if pay.dtype == object else np.ndarray.tobytes
+        slots: Dict[object, int] = {}
+        inverse = [slots.setdefault(as_key(p), len(slots)) for p in pay]
+        first = np.unique(inverse, return_index=True)[1]
+        scores = _exact_scores(inst, pay[first])[inverse]
         i = int(np.argmax(scores))  # the first of equal scores
         if best is None or scores[i] > best[0]:
             best = (int(scores[i]), part[i])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from menurev import Menu, all_bundles, buyer_choice
@@ -73,6 +74,22 @@ def oracle_search(dist, constraint, grid):
         if best_rev is None or rev > best_rev:
             best_menu, best_rev = menu, rev
     return best_menu, best_rev, examined
+
+
+def oracle_bundle_sweep(d1, d2):
+    """Independent bundle-price sweep: a stable argsort of every negated float
+    sum, masses accumulated in that order; returns (brev, brev_price)."""
+    v1 = np.array([float(v) for v, _ in d1.atoms])
+    w1 = np.array([float(p) for _, p in d1.atoms])
+    v2 = np.array([float(v) for v, _ in d2.atoms])
+    w2 = np.array([float(p) for _, p in d2.atoms])
+    sums = np.add.outer(v1, v2).ravel()
+    mass = np.multiply.outer(w1, w2).ravel()
+    order = np.argsort(-sums, kind="stable")
+    sums = sums[order]
+    revenue = sums * np.cumsum(mass[order])
+    i = int(np.argmax(revenue))
+    return float(revenue[i]), float(sums[i])
 
 
 def oracle_monotone(m, grid):

@@ -180,6 +180,12 @@ def test_reproduce_rejects_zero_er_params(flag, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["inf", "nan"])
+def test_reproduce_rejects_nonfinite_er_cap(cap, capsys):
+    assert main(["reproduce", "er-gap", "--cap", cap, "--grid-points", "100"]) == 2
+    assert f"cap must be finite, got {cap}" in capsys.readouterr().err
+
+
 def test_plot_svg(tmp_path):
     out = tmp_path / "regions.svg"
     code = main(["plot", f"{DATA}/example5_menu.json", "--out", str(out)])

@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import oracle_bundle_sweep
 from menurev.continuous import (
     NumericParams,
+    _bundle_price_sweep,
     er_cap_sweep,
     er_discretize,
     er_tail,
@@ -12,6 +15,7 @@ from menurev.continuous import (
     solve_w,
 )
 from menurev.instances import random_single_item
+from menurev.model import SingleItemDistribution
 
 FAST = NumericParams(cap=400.0, grid_points=400, search_cap=60.0, search_points=100,
                      search_single_prices=8, search_bundle_prices=20)
@@ -58,6 +62,66 @@ def test_discretization_requires_cap_above_r():
         er_discretize(500.0, FAST)
     with pytest.raises(ValueError, match="grid_points"):
         NumericParams(grid_points=50)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("cap", math.inf, "cap must be finite"),
+    ("cap", math.nan, "cap must be finite"),
+    ("search_cap", -math.inf, "search_cap must be finite"),
+    ("search_cap", math.nan, "search_cap must be finite"),
+    ("search_cap", 0.0, "search_cap must be positive"),
+    ("search_single_prices", 0, "search_single_prices must be at least 1"),
+    ("search_bundle_prices", 0, "search_bundle_prices must be at least 1"),
+])
+def test_params_reject_bad_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        NumericParams(**{field: value})
+
+
+def _sweep_keys_fit(d1, d2):
+    scale = math.lcm(*(v.denominator for v in d1.support + d2.support))
+    top = int((d1.support[-1] + d2.support[-1]) * scale)
+    bits = (len(d1.atoms) - 1).bit_length() + (len(d2.atoms) - 1).bit_length()
+    return (top + 1) << bits < 1 << 63
+
+
+@pytest.mark.parametrize("cap, points, fits", [
+    (1e4, 1000, True),
+    (1e6, 1000, True),
+    (1e7, 300, True),
+    (1e7, 600, False),
+    (1e9, 100, False),
+])
+def test_bundle_sweep_matches_oracle_bit_for_bit(cap, points, fits):
+    # equal levels sum symmetrically, so many pairs tie and only the flat
+    # index orders them; the key path runs where the int64 keys fit, the
+    # float argsort elsewhere
+    rng = random.Random(f"{cap}/{points}")
+    r = rng.randint(4, 32) / 8
+    levels = [(r, r), (r, rng.choice([x / 8 for x in range(4, 33) if x != 8 * r]))]
+    for r1, r2 in levels:
+        params = NumericParams(cap=cap, grid_points=points)
+        d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
+        assert _sweep_keys_fit(d1, d2) == fits
+        assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2), (r1, r2)
+        assert _bundle_price_sweep(d2, d1) == oracle_bundle_sweep(d2, d1), (r2, r1)
+
+
+@pytest.mark.parametrize("unit, fits", [(1, True), (2**55, False)])
+def test_bundle_sweep_orders_ties_by_flat_index(unit, fits):
+    # integer values 1-40 make many equal sums of unequal masses, whose
+    # accumulation order shows in the rounding; scaled by 2^55 the values stay
+    # exact in binary64 but the keys no longer fit int64
+    def draw(rng):
+        weights = {v * unit: rng.randint(1, 10**6) for v in rng.sample(range(1, 41), rng.randint(5, 30))}
+        total = sum(weights.values())
+        return SingleItemDistribution.from_pairs([(v, F(w, total)) for v, w in weights.items()])
+
+    rng = random.Random(31)
+    for _ in range(20):
+        d1, d2 = draw(rng), draw(rng)
+        assert _sweep_keys_fit(d1, d2) == fits
+        assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
 
 
 def test_random_distribution_dominated_by_matching_er(rng):

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import oracle_search
+from conftest import oracle_revenue, oracle_search
 from menurev import (
     JointDistribution,
+    Menu,
     buyer_choice,
     candidate_grid,
     expected_revenue,
@@ -626,3 +627,47 @@ def test_chunked_rescoring_matches_per_row_scores(monkeypatch):
     assert sum(w == top for w in want) == 3721
     monkeypatch.setattr(search, "_CHUNK_BYTES", 7 * search._RESCORE_CELL_BYTES * len(inst.values))
     assert search._exact_best(inst, rows) == (top, min(r for r, w in zip(rows, want) if w == top))
+
+
+@pytest.mark.parametrize("nudge, path", [(0, "float-screen"), (F(1, 2**40), "float-screen-bigint")],
+                         ids=["int64-keys", "bigint-keys"])
+def test_rescoring_scores_each_payment_vector_once(monkeypatch, nudge, path):
+    # item-1 prices above every value are never paid, so the 16 window menus
+    # share 2 payment vectors; (5, 3, 7) and (3, 3, 5) tie exactly, and the
+    # lexicographically smallest, (3, 3, 5), pays by the later vector. A
+    # 2^-40 nudge on never-paid bundle prices pushes the keys past int64.
+    dist = _float_path_joint([(0, 0), (1, 1)], [((0, 3), 3), ((5, 2), 2), ((2, 5), 2)])
+    high = list(range(8, 14))
+    grid = candidate_grid(dist, "explicit", explicit={
+        (1,): [0, 2, 3, 4, 5] + high, (2,): [0, 2, 3, 5] + high,
+        (1, 2): [5, 7] + [h + nudge for h in high]})
+    windows, scored = [], []
+    exact_best, exact_scores = search._exact_best, search._exact_scores
+
+    def spy_best(inst, rows):
+        windows.append(list(rows))
+        return exact_best(inst, windows[-1])
+
+    def spy_scores(inst, pay):
+        scored.append(len(pay))
+        return exact_scores(inst, pay)
+
+    monkeypatch.setattr(search, "_exact_best", spy_best)
+    monkeypatch.setattr(search, "_exact_scores", spy_scores)
+    res = search_optimal(dist, "unrestricted", grid)
+
+    assert res.path == path
+    oracle_menu, oracle_rev, oracle_examined = oracle_search(dist, "unrestricted", grid)
+    assert (res.best, res.revenue, res.examined) == (oracle_menu, oracle_rev, oracle_examined)
+    assert res.best.prices == (3, 3, 5)
+    assert res.revenue == F(133738888182137624203, 32281800625753162421)
+    assert res.rescored == len(windows[0]) == 16
+    inst = search._Instance(dist, grid)
+    every = range(len(inst.order))
+    vectors = {row: tuple(search._payments(inst, search._fixed_key(inst, every, row), (), ())[0])
+               for row in windows[0]}
+    assert scored == [len(set(vectors.values()))] == [2]
+    tied = sorted(set(vectors.values()))
+    assert [oracle_revenue(Menu(2, p), dist) for p in [(5, 3, 7), (3, 3, 5)]] == [oracle_rev] * 2
+    assert vectors[min(vectors)] == tied[1]
+    assert min(vectors) == tuple(p * inst.L for p in (3, 3, 5))
