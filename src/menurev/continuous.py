@@ -5,6 +5,10 @@ This module works in binary64 with explicit tolerances. Discretizations are
 returned as exact-rational distributions whose grid values are dyadic
 (denominator 2^20), so downstream float arithmetic on values and prices is
 itself exact; only probability weights and the final reports are approximate.
+They are built from integers: the scaled grid points floor(g * 2^20) come
+exactly from each float point's integer ratio, and every tail and mass is a
+ratio of integers, with no Fraction arithmetic before the atoms are made. A
+report discretizes a level once when both items share it.
 The bundle-price sweep orders the atom pairs by one int64 sort of exact keys
 (the scaled sum's distance below the largest sum, then the pair's flat index)
 and falls back to a stable argsort of the float sums only where those keys
@@ -20,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import SingleItemDistribution, product
-from .rational import floor_to_dyadic
 from .search import CandidateGrid, search_optimal
 
 _DYADIC_BITS = 20
@@ -101,21 +104,24 @@ def er_discretize(r: float, params: NumericParams) -> SingleItemDistribution:
         raise ValueError(f"cap {params.cap} must exceed r {r}")
     n = params.grid_points
     ratio = (params.cap / r) ** (1.0 / (n - 1))
-    values: List[Fraction] = []
-    last = None
+    # G = floor(g * 2^20) for the float grid point g = num / den, whose
+    # denominator is a power of two, so the floor is exact integer division
+    grid: List[int] = []
     for k in range(n):
-        g = floor_to_dyadic(r * ratio**k, _DYADIC_BITS)
-        if last is not None and g <= last:
-            continue
-        values.append(g)
-        last = g
-    r_exact = Fraction(r)
-    tails = [min(Fraction(1), r_exact / g) for g in values]
+        num, den = (r * ratio**k).as_integer_ratio()
+        g = (num << _DYADIC_BITS) // den
+        if not grid or g > grid[-1]:
+            grid.append(g)
+    # each tail min(1, r / g) as an integer pair (a, b) with
+    # a / b = min(1, rn * 2^20 / (rd * G)) for r = rn / rd; a zero tail ends it
+    rn, rd = r.as_integer_ratio()
+    rn <<= _DYADIC_BITS
+    tails = [(1, 1) if rn >= rd * g else (rn, rd * g) for g in grid] + [(0, 1)]
     pairs = []
-    for k, g in enumerate(values):
-        mass = (tails[k] - tails[k + 1]) if k + 1 < len(values) else tails[k]
-        if mass > 0:
-            pairs.append((g, mass))
+    for k, g in enumerate(grid):
+        (a, b), (c, d) = tails[k], tails[k + 1]
+        if a * d > c * b:
+            pairs.append((Fraction(g, 1 << _DYADIC_BITS), Fraction(a * d - c * b, b * d)))
     return SingleItemDistribution.from_pairs(pairs, "er_discretize")
 
 
@@ -229,7 +235,7 @@ def numeric_gap_er(r1: float, r2: float,
     w = solve_w()
     srev = r1 + r2
     d1 = er_discretize(r1, params)
-    d2 = er_discretize(r2, params)
+    d2 = d1 if r2 == r1 else er_discretize(r2, params)
     brev, brev_price = _bundle_price_sweep(d1, d2)
 
     drev = drev_exact = None
@@ -237,7 +243,8 @@ def numeric_gap_er(r1: float, r2: float,
     tolerance = w * srev * (1.0 - 1.0 / search_ratio) + 1e-6
     if include_drev:
         red = replace(params, cap=params.search_cap, grid_points=params.search_points)
-        e1, e2 = er_discretize(r1, red), er_discretize(r2, red)
+        e1 = er_discretize(r1, red)
+        e2 = e1 if r2 == r1 else er_discretize(r2, red)
         joint = product([e1, e2])
         _, red_price = _bundle_price_sweep(e1, e2)
         anchor = Fraction(red_price)  # drev >= companion brev once this price is available

@@ -27,7 +27,6 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class LPError(RuntimeError):
@@ -184,6 +183,18 @@ def _solve_rows(rows: Sequence[Row], rhs: Sequence[int], width: int
     return kept, [Fraction(v, den) for v in num]
 
 
+def _scipy_linprog():
+    # scipy.optimize is most of menurev's import time and only the float
+    # solve uses it, so it is imported on first use
+    from scipy.optimize import linprog as highs
+    return highs
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`."""
+    return _scipy_linprog()(*args, **kwargs)
+
+
 def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
                      scale: Sequence[int]) -> VertexResult:
     """Exact optimal vertex of  max c.x  s.t.  rows[i].x >= rhs[i].
@@ -198,6 +209,7 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     """
     n = len(c)
     stages = dict.fromkeys(("float", "vertex", "check", "dual"), 0.0)
+    _scipy_linprog()  # a first import is not charged to the float solve
     start = perf_counter()
     # int / int true division rounds correctly, as float(Fraction) does
     a = np.zeros((len(rows), n))

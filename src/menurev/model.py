@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .rational import RationalLike, parse_nonnegative, parse_rational
@@ -70,6 +69,23 @@ def bundle_value(v: Valuation, bundle: Bundle) -> Fraction:
 # Distributions
 # ---------------------------------------------------------------------------
 
+def _merge(merged: Dict, value: object, prob: Fraction) -> None:
+    """Add `prob` to the mass of `value`, hashing a new value once."""
+    prev = merged.setdefault(value, prob)
+    if prev is not prob:
+        merged[value] = prev + prob
+
+
+def _sorted_atoms(merged: Mapping, where: str) -> Tuple[Tuple[object, Fraction], ...]:
+    """The merged atoms in value order, once their masses sum to exactly 1."""
+    if not merged:
+        raise ValueError(f"{where}: empty support")
+    mass = sum(merged.values())
+    if mass != 1:
+        raise ValueError(f"{where}: mass {mass} != 1")
+    return tuple(sorted(merged.items()))
+
+
 @dataclass(frozen=True)
 class SingleItemDistribution:
     """Finitely supported value distribution for one item, in canonical form:
@@ -84,15 +100,10 @@ class SingleItemDistribution:
         for i, (value, prob) in enumerate(pairs):
             v = parse_nonnegative(value, f"{where}: value[{i}]")
             p = parse_rational(prob, f"{where}: prob[{i}]")
-            if p <= 0:
+            if p.numerator <= 0:
                 raise ValueError(f"{where}: prob[{i}] must be positive, got {p}")
-            merged[v] = merged.get(v, Fraction(0)) + p
-        if not merged:
-            raise ValueError(f"{where}: empty support")
-        mass = sum(merged.values())
-        if mass != 1:
-            raise ValueError(f"{where}: mass {mass} != 1")
-        return cls(tuple(sorted(merged.items())))
+            _merge(merged, v, p)
+        return cls(_sorted_atoms(merged, where))
 
     @property
     def support(self) -> Tuple[Fraction, ...]:
@@ -136,15 +147,10 @@ class JointDistribution:
         for i, (values, prob) in enumerate(pairs):
             v = as_valuation(values, n)
             p = parse_rational(prob, f"{where}: atoms[{i}].prob")
-            if p <= 0:
+            if p.numerator <= 0:
                 raise ValueError(f"{where}: atoms[{i}].prob must be positive, got {p}")
-            merged[v] = merged.get(v, Fraction(0)) + p
-        if not merged:
-            raise ValueError(f"{where}: empty support")
-        mass = sum(merged.values())
-        if mass != 1:
-            raise ValueError(f"{where}: mass {mass} != 1")
-        return cls(n, tuple(sorted(merged.items())))
+            _merge(merged, v, p)
+        return cls(n, _sorted_atoms(merged, where))
 
     def marginal(self, item: int) -> SingleItemDistribution:
         if not 1 <= item <= self.n:
@@ -180,16 +186,43 @@ class JointDistribution:
         return True
 
 
+def _canonical_atoms(d: SingleItemDistribution, where: str) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """The atoms of `d` as Fractions, checked to be in the canonical form that
+    `from_pairs` gives: strictly increasing nonnegative values and positive
+    probabilities summing to exactly 1. A distribution built directly may
+    hold any atoms."""
+    atoms = []
+    for i, (value, prob) in enumerate(d.atoms):
+        v = parse_nonnegative(value, f"{where}: value[{i}]")
+        p = parse_rational(prob, f"{where}: prob[{i}]")
+        if p.numerator <= 0:
+            raise ValueError(f"{where}: prob[{i}] must be positive, got {p}")
+        if atoms and v <= atoms[-1][0]:
+            raise ValueError(f"{where}: value[{i}] = {v} does not exceed value[{i - 1}]")
+        atoms.append((v, p))
+    if not atoms:
+        raise ValueError(f"{where}: empty support")
+    mass = sum(p for _, p in atoms)
+    if mass != 1:
+        raise ValueError(f"{where}: mass {mass} != 1")
+    return tuple(atoms)
+
+
 def product(parts: Sequence[SingleItemDistribution]) -> JointDistribution:
-    """Independent product of per-item distributions."""
+    """Independent product of per-item distributions.
+
+    Each part is checked once for canonical form, so the valuation vectors,
+    taken in lexicographic order, are distinct and already sorted: the atoms
+    are those `JointDistribution.from_pairs` would give, built directly."""
     if not parts:
         raise ValueError("product of zero distributions")
-    pairs = []
-    for combo in iproduct(*(d.atoms for d in parts)):
-        values = tuple(v for v, _ in combo)
-        prob = math.prod((p for _, p in combo), start=Fraction(1))
-        pairs.append((values, prob))
-    return JointDistribution.from_pairs(len(parts), pairs)
+    if len(parts) > MAX_ITEMS:
+        raise ValueError(f"distribution: item count must be in 1..{MAX_ITEMS}, got {len(parts)}")
+    checked = [_canonical_atoms(d, f"product: part {k}") for k, d in enumerate(parts)]
+    atoms = [((v,), p) for v, p in checked[0]]
+    for part in checked[1:]:
+        atoms = [(vs + (v,), q * p) for vs, q in atoms for v, p in part]
+    return JointDistribution(len(parts), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def parse_rational(value: RationalLike, where: str = "value") -> Fraction:
 
 def parse_nonnegative(value: RationalLike, where: str = "value") -> Fraction:
     q = parse_rational(value, where)
-    if q < 0:
+    if q.numerator < 0:  # a Fraction's sign, without a Fraction comparison
         raise ValueError(f"{where}: must be nonnegative, got {q}")
     return q
 

@@ -23,12 +23,20 @@ are fixed and generated lazily, over a mesh with one axis per other bundle
 (per bundle size, for symmetric menus), and lists the feasibility terms
 p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity. Each
 axis has a key table, built once per search, holding every type's key at
-every candidate price of the axis; a menu's keys are the block's fixed
-maximum combined with one table row per axis by `maximum`. Price rows are
-built only for chunk winners and the float-screening window. The window has
-no size cap: it holds every menu within the cut below the best float score,
-drops the rows below the cut whenever that score rises, and is rescored
-exactly once, at the end, in row chunks.
+every candidate price of the axis. The menus of a block that share a cell of
+the other axes (a head row) share each type's key k over the fixed options
+and those axes' table rows; the last axis is then scored in closed form. A
+type takes candidate a of that axis exactly when a * (K - 1) is below
+top * K - k (top its value for the axis's bundles), which holds for every
+candidate below one threshold found by binary search, so bucketing the
+weights by threshold scores all candidates of the head row with one suffix
+and one prefix sum, in O(T log J + J) for T types and J candidates instead
+of O(T * J). Additive blocks, which have no mesh, and the exact rescoring
+take the payments key mod K directly. Price rows are built only for chunk
+winners and the float-screening window. The window has no size cap: it
+holds every menu within the cut below the best float score, drops the rows
+below the cut whenever that score rises, and is rescored exactly once, at
+the end, in row chunks.
 
 On the int64 path, blocks that fix singleton prices over a mesh are searched
 by branch and bound. Every menu of a block offers the block's singletons, so
@@ -86,10 +94,11 @@ _CONSTRAINT_ALIASES = {"symmetric-submodular": "symmetric-and-submodular"}
 STAGES = ("mask", "evaluate", "rescore", "verify")  # "mask" includes the block bounds
 
 _INT64_BUDGET = 1 << 62
-# bytes of the kernel's (rows, types) temporaries per evaluation chunk; a
-# cell is the key, the gathered table row and the float or Python-int payment
+# bytes of the kernel's (head rows, types) temporaries per evaluation chunk;
+# a cell is one type's key at one head row, a gathered table row, its
+# threshold index and its plain and weighted payment
 _CHUNK_BYTES = 48 << 20
-_CELL_BYTES = {np.int64: 24, object: 56}
+_CELL_BYTES = {np.int64: 40, object: 160}
 # an exactly rescored cell also holds its sort order, its gathered weight and
 # the Python ints of its run sum, payment and product
 _RESCORE_CELL_BYTES = 160
@@ -314,13 +323,13 @@ class _Layout:
     def width(self) -> int:
         return len(self.fixed) + sum(map(len, self.groups))
 
-    def rows(self, prices: Sequence[int], subs: Sequence[np.ndarray],
-             count: int) -> List[Tuple[int, ...]]:
-        """Scaled price rows of the `count` menus at mesh indices `subs` of the
+    def rows(self, prices: Sequence[int], idx: np.ndarray) -> List[Tuple[int, ...]]:
+        """Scaled price rows of the menus at flat mesh indices `idx` of the
         block whose fixed columns cost `prices`."""
-        out = np.empty((count, self.width), dtype=object)
+        out = np.empty((len(idx), self.width), dtype=object)
         for c, p in zip(self.fixed, prices):
             out[:, c] = p
+        subs = np.unravel_index(idx, self.shape) if self.axes else ()
         for group, axis, j in zip(self.groups, self.axes, subs):
             out[:, list(group)] = axis[j][:, None]
         return [tuple(int(x) for x in row) for row in out]
@@ -406,25 +415,58 @@ def _fixed_key(inst: _Instance, cols: Sequence[int], prices) -> np.ndarray:
     return key
 
 
-def _payments(inst: _Instance, fixed_key: np.ndarray, tables: Sequence[np.ndarray],
-              subs: Sequence[np.ndarray]) -> np.ndarray:
-    """Payment of each type (column) under each menu of a block (row): the
-    best of the fixed key and each axis's table row at the menu's mesh index,
-    mod K. With no tables each row of `fixed_key` is one menu."""
-    if not tables:
-        key = np.array(fixed_key, ndmin=2)
-    else:
-        key = tables[0][subs[0]]
-        np.maximum(key, fixed_key, out=key)
-        for tab, j in zip(tables[1:], subs[1:]):
-            np.maximum(key, tab[j], out=key)
+def _payments(inst: _Instance, key: np.ndarray) -> np.ndarray:
+    """Each type's payment under its key: key mod K, in a new array."""
     if key.dtype == object:
-        return np.remainder(key, inst.K, out=key)
+        return key % inst.K
     # numpy divides int64 by a scalar several times faster than it takes remainders
-    quot = key // inst.K
-    quot *= inst.K
-    key -= quot
-    return key
+    pay = key // inst.K
+    pay *= -inst.K
+    pay += key
+    return pay
+
+
+def _mesh_scores(inst: _Instance, layout: _Layout, fixed_key: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
+    """Score sum_t w_t * pay_t of the menu at each flat mesh index of `idx`
+    (ascending) in the block whose row of fixed keys is `fixed_key`.
+
+    Menus that share a cell of the other axes (a head row) share each type's
+    key k_t over the fixed options and those axes. On the last axis, type t
+    takes candidate a_j exactly when (top_t - a_j) * K + a_j > k_t, that is
+    a_j * (K - 1) < top_t * K - k_t, so at every j below a threshold j*_t,
+    and pays k_t mod K from j*_t on (where the two keys are equal, so are
+    the two payments, so a tie may fall either way). With the weights
+    bucketed by j*_t, the score at j is a_j times the weight of the buckets
+    above j plus the prefix sum of w_t * (k_t mod K) over the buckets up to
+    j."""
+    J = layout.shape[-1]
+    heads, j = np.divmod(idx, J)
+    new = np.empty(idx.size, dtype=bool)
+    new[0] = True
+    np.not_equal(heads[1:], heads[:-1], out=new[1:])
+    row = np.cumsum(new)
+    row -= 1
+    heads = heads[new]
+    key = fixed_key[None, :]
+    if len(layout.axes) > 1:
+        for tab, s in zip(layout.tables[:-1], np.unravel_index(heads, layout.shape[:-1])):
+            key = np.maximum(key, tab[s])
+    axis, weights = layout.axes[-1], inst.weights
+    cut = np.searchsorted(axis * (inst.K - 1), layout.tops[-1] * inst.K - key)
+    cut += np.arange(0, key.shape[0] * (J + 1), J + 1)[:, None]
+    cut = cut.ravel()
+    # exact int64 sums on int64 weights, where bincount would give floats;
+    # add.at runs fastest on a flat index and values of the same length
+    takes = np.zeros(key.shape[0] * (J + 1), dtype=weights.dtype)
+    np.add.at(takes, cut, np.tile(weights, key.shape[0]))
+    stays = np.zeros_like(takes)
+    np.add.at(stays, cut, (_payments(inst, key).astype(weights.dtype, copy=False) * weights).ravel())
+    takes = takes.reshape(-1, J + 1)
+    scores = np.cumsum(takes[:, :0:-1], axis=1)[:, ::-1]
+    scores *= axis.astype(weights.dtype)
+    scores += np.cumsum(stays.reshape(-1, J + 1)[:, :J], axis=1)
+    return scores[row, j]
 
 
 def _slab_bounds(inst: _Instance, layout: _Layout, fixed_key: np.ndarray) -> np.ndarray:
@@ -509,7 +551,7 @@ def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, 
     best = None
     for lo in range(0, len(rows), chunk_rows):
         part = rows[lo:lo + chunk_rows]
-        pay = _payments(inst, _fixed_key(inst, every, part), (), ())
+        pay = _payments(inst, _fixed_key(inst, every, part))
         # one exact score per distinct payment vector; object rows hash by
         # value as tuples, since their bytes are pointers
         as_key = tuple if pay.dtype == object else np.ndarray.tobytes
@@ -557,16 +599,21 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
             skipped += idx.size - live.size
             idx = live
         clock.lap("mask")
+        if not idx.size:
+            continue
         fixed_key = _fixed_key(inst, layout.fixed, prices)
-        for lo in range(0, idx.size, chunk_rows):
-            part = idx[lo:lo + chunk_rows]
-            subs = np.unravel_index(part, layout.shape) if layout.axes else ()
-            scores = _payments(inst, fixed_key, layout.tables, subs) @ weights
+        # a chunk holds the menus of at most chunk_rows head rows
+        group = idx // (chunk_rows * (layout.shape[-1] if layout.axes else 1))
+        for part in np.split(idx, np.flatnonzero(group[1:] != group[:-1]) + 1):
+            if layout.axes:
+                scores = _mesh_scores(inst, layout, fixed_key, part)
+            else:
+                scores = _payments(inst, fixed_key[None, :]) @ weights
             i = int(np.argmax(scores))  # the first of equal scores
             if inst.int_weights:
                 score = int(scores[i])
                 if best is None or score >= best[0]:
-                    row = layout.rows(prices, [s[i:i + 1] for s in subs], 1)[0]
+                    row = layout.rows(prices, part[i:i + 1])[0]
                     # blocks may come out of lexicographic order
                     if best is None or score > best[0] or row < best[1]:
                         best = (score, row)
@@ -576,7 +623,7 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
                 cut = top - 1e-9 * (abs(top) + 1.0)
                 window = [w for w in window if w[0] >= cut]
             keep = np.nonzero(scores >= cut)[0]
-            rows = layout.rows(prices, [s[keep] for s in subs], keep.size)
+            rows = layout.rows(prices, part[keep])
             window += zip(scores[keep].tolist(), rows)
         clock.lap("evaluate")
 

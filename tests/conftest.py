@@ -8,7 +8,8 @@ import pytest
 from menurev import Menu, all_bundles, buyer_choice
 from menurev.instances import load_distribution, load_menu
 from menurev.lp import _MAX_PIVOTS, LPError
-from menurev.model import is_submodular, is_symmetric_menu
+from menurev.model import SingleItemDistribution, is_submodular, is_symmetric_menu
+from menurev.rational import floor_to_dyadic
 from menurev.search import canonical_constraint
 
 
@@ -74,6 +75,21 @@ def oracle_search(dist, constraint, grid):
         if best_rev is None or rev > best_rev:
             best_menu, best_rev = menu, rev
     return best_menu, best_rev, examined
+
+
+def oracle_er_discretize(r, params):
+    """Independent ER discretization in Fractions: floor each float grid point
+    to a multiple of 2^-20, tails min(1, r / g), masses their differences."""
+    n = params.grid_points
+    ratio = (params.cap / r) ** (1.0 / (n - 1))
+    values = []
+    for k in range(n):
+        g = floor_to_dyadic(r * ratio**k, 20)
+        if not values or g > values[-1]:
+            values.append(g)
+    tails = [min(Fraction(1), Fraction(r) / g) for g in values] + [Fraction(0)]
+    pairs = [(g, tails[k] - tails[k + 1]) for k, g in enumerate(values) if tails[k] > tails[k + 1]]
+    return SingleItemDistribution.from_pairs(pairs)
 
 
 def oracle_bundle_sweep(d1, d2):

@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import oracle_bundle_sweep
+from conftest import oracle_bundle_sweep, oracle_er_discretize
+from menurev import continuous
 from menurev.continuous import (
     NumericParams,
     _bundle_price_sweep,
@@ -55,6 +57,22 @@ def test_discretization_single_price_revenue():
     for p in (2.0, 10.0, 50.0):
         rev = float(F(p) * d.tail(F(p)))
         assert rev == pytest.approx(1.0, rel=0.02)
+
+
+@pytest.mark.parametrize("r, cap, points", [
+    (1.0, 1e4, 2400), (0.3, 100.0, 100), (1.1, 1e3, 1000), (7.77, 1e4, 600),
+    (1e-3, 50.0, 300), (2.5, 1e7, 300), (1.0, 1e7, 2400),
+])
+def test_discretization_matches_fraction_oracle(r, cap, points):
+    # the integer construction gives exactly the atoms of the Fraction one,
+    # also for levels that are not dyadic and for grids too coarse to keep
+    # every point apart
+    params = NumericParams(cap=cap, grid_points=points)
+    assert er_discretize(r, params) == oracle_er_discretize(r, params)
+    rng = random.Random(f"{r}/{cap}")
+    for _ in range(3):
+        level = rng.uniform(0.01, 20.0)
+        assert er_discretize(level, params) == oracle_er_discretize(level, params), level
 
 
 def test_discretization_requires_cap_above_r():
@@ -159,3 +177,38 @@ def test_cap_sweep_climbs_toward_w():
     sweep = er_cap_sweep(1.0, 1.0, caps=(50.0, 400.0), points=(150, 600))
     ratios = [r.brev_over_srev for r in sweep]
     assert ratios[0] < ratios[1] < w
+
+
+class _Unequal(float):
+    """A level that compares unequal to everything, so no discretization is shared."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = float.__hash__
+
+
+def test_equal_levels_reuse_one_discretization(monkeypatch):
+    calls = []
+    real = continuous.er_discretize
+    monkeypatch.setattr(continuous, "er_discretize", lambda r, p: calls.append(r) or real(r, p))
+    reused = numeric_gap_er(1.5, 1.5, FAST)
+    assert len(calls) == 2  # the sweep's level and the companion's, once each
+    recomputed = numeric_gap_er(1.5, _Unequal(1.5), FAST)
+    assert len(calls) == 6
+    assert replace(recomputed, r2=1.5) == reused
+
+
+def test_drev_search_of_the_report(monkeypatch):
+    # the companion search that numeric_gap_er(1, 1) runs at any cap: menu,
+    # revenue and counters as the float-screened search first reported them
+    seen = []
+    real = continuous.search_optimal
+    monkeypatch.setattr(continuous, "search_optimal", lambda *a: seen.append(real(*a)) or seen[-1])
+    report = numeric_gap_er(1.0, 1.0, NumericParams(cap=400.0, grid_points=400))
+    (res,) = seen
+    assert res.best.prices == (F(3681751, 1048576), F(3681751, 1048576), F(4720017, 1048576))
+    assert res.revenue == report.drev_exact == F(
+        32259053539899245792811998773154679333480279921981513834035028197766190230545856471305193054136431976451026,
+        12855115960206617855235602079640855524293459849980007997730964984593755180839871572414612713591011520511295)
+    assert (res.examined, res.skipped, res.rescored, res.path) == (6253, 0, 100, "float-screen")

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +299,15 @@ def test_lp_outcome_reports_rounds_and_stages():
     assert all(v >= 0 for v in (*guided.stages.values(), *simplex.stages.values()))
     # the observability fields take no part in equality
     assert guided == lp_optimal(dist, method="float-guided-exact")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported on the first float solve, not with menurev
+    src = str(Path(lp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, menurev; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

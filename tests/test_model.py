@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +19,9 @@ from menurev import (
     revenue_at,
     uniform,
 )
+from menurev.instances import random_single_item
 from menurev.model import (
+    JointDistribution,
     SingleItemDistribution,
     additive_menu,
     bundle_only_menu,
@@ -118,6 +123,41 @@ def test_product_marginalization_roundtrip(rng):
     for i, part in enumerate(parts):
         assert joint.marginal(i + 1) == part
     assert joint.is_product()
+
+
+def test_product_matches_joint_from_pairs():
+    # the directly built atoms are those from_pairs gives over every
+    # combination of the parts' atoms, in the same order
+    rng = random.Random(2718)
+    for _ in range(60):
+        parts = [random_single_item(rng, max_atoms=5, max_value=12)
+                 for _ in range(rng.randint(1, 3))]
+        pairs = [(tuple(v for v, _ in combo), math.prod(p for _, p in combo))
+                 for combo in itertools.product(*(d.atoms for d in parts))]
+        want = JointDistribution.from_pairs(len(parts), pairs)
+        got = product(parts)
+        assert got == want and got.atoms == want.atoms
+
+
+def test_product_rejects_noncanonical_parts():
+    half = F(1, 2)
+    for atoms, message in [
+        (((F(1), half), (F(1), half)), "does not exceed"),
+        (((F(2), half), (F(1), half)), "does not exceed"),
+        (((F(1), half), (F(2), F(1, 3))), "mass"),
+        (((F(1), F(0)), (F(2), F(1))), "positive"),
+        (((F(-1), F(1)),), "nonnegative"),
+        ((), "empty support"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            product([uniform([1, 2]), SingleItemDistribution(atoms)])
+    with pytest.raises(ValueError, match="zero distributions"):
+        product([])
+    with pytest.raises(ValueError, match="item count"):
+        product([point_mass(1)] * 17)
+    # int atoms of a directly built part come out as Fractions
+    joint = product([SingleItemDistribution(((1, F(1)),)), point_mass(2)])
+    assert joint.atoms == (((F(1), F(2)), F(1)),) and type(joint.atoms[0][0][0]) is F
 
 
 def test_joint_is_symmetric(example6):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,6 +304,23 @@ def _four_item_instance(rng):
     return dist, candidate_grid(dist, "explicit", explicit=explicit)
 
 
+# (menus examined, window rows rescored) of each screened search below, in
+# order; the screened paths bound no block, so they never skip
+_SCREENED = {
+    "float-screen": [
+        (275, 1), (80, 2), (18, 1), (16, 1), (11, 1), (220, 2), (73, 2), (20, 1), (20, 1), (11, 1),
+        (192, 1), (115, 2), (44, 1), (24, 1), (11, 1), (120, 4), (62, 3), (39, 1), (16, 1),
+        (12, 1), (220, 1), (125, 1), (11, 1), (24, 1), (12, 1), (200, 1), (56, 3), (22, 1),
+        (16, 1), (9, 1), (165, 4), (62, 1), (30, 1), (20, 1), (10, 1), (160, 2), (65, 1), (22, 1),
+        (15, 2), (11, 1)],
+    "float-screen-bigint": [
+        (81, 1), (10, 1), (16, 1), (4, 1), (4, 1), (81, 1), (45, 4), (4, 1), (16, 1), (16, 1),
+        (256, 1), (136, 1), (16, 1), (9, 1), (4, 1), (16, 1), (136, 1), (4, 1), (4, 1), (9, 1),
+        (16, 1), (136, 1), (16, 1), (9, 1), (16, 1), (16, 1), (45, 4), (4, 1), (9, 1), (9, 1),
+        (16, 1), (45, 1), (4, 1), (16, 1), (9, 1), (81, 1), (45, 1), (16, 1), (4, 1), (9, 1)],
+}
+
+
 @pytest.mark.parametrize("make, path", [
     (_int64_weights_instance, "int64"),
     (_float_weights_instance, "float-screen"),
@@ -322,6 +340,8 @@ def test_search_differential_random_instances(make, path):
         assert res.path == path
         oracle_menu, oracle_rev, _ = oracle_search(dist, constraint, grid)
         assert (res.best, res.revenue) == (oracle_menu, oracle_rev), (constraint, dist.atoms)
+        if path in _SCREENED:
+            assert (res.examined, res.rescored) == _SCREENED[path][checked] and res.skipped == 0
         checked += 1
 
 
@@ -421,10 +441,22 @@ def test_unsellable_grid_returns_lex_smallest_zero_menu():
     assert res.best.prices == (F(5), F(6), F(7))
 
 
+def _table_payments(inst, layout, fixed_key, idx):
+    """Each type's payment (column) under the menus at flat mesh indices
+    `idx` of a block (row), straight from the key tables: the best of the
+    fixed key and every axis's table row, mod K."""
+    key = np.array(fixed_key, ndmin=2)
+    if layout.axes:
+        for tab, j in zip(layout.tables, np.unravel_index(idx, layout.shape)):
+            key = np.maximum(key, tab[j])
+    return search._payments(inst, key)
+
+
 @pytest.mark.parametrize("den, dtype", [(4, np.int64), (1 << 40, object)], ids=["int64", "object"])
 def test_block_kernel_matches_buyer_choice(den, dtype):
     # the key tables, the fixed columns and the all-fixed rescoring kernel
-    # must reproduce the buyer's payment on random menus of every layout
+    # must reproduce the buyer's payment on random menus of every layout,
+    # and the closed-form mesh kernel the weighted sum of those payments
     rng = random.Random(31)
     types = {tuple(F(rng.randint(0, 6 * den), den) for _ in range(3)) for _ in range(6)}
     dist = _weighted_joint(3, [(v, rng.randint(1, 5)) for v in sorted(types)])
@@ -439,40 +471,87 @@ def test_block_kernel_matches_buyer_choice(den, dtype):
         for prices in itertools.islice(layout.blocks, 6):
             cells = math.prod(layout.shape)
             idx = np.array(rng.sample(range(cells), min(4, cells)))
-            subs = np.unravel_index(idx, layout.shape) if layout.axes else ()
             fixed_key = search._fixed_key(inst, layout.fixed, prices)
-            pays = search._payments(inst, fixed_key, layout.tables, subs)
-            for row, pay in zip(layout.rows(prices, subs, len(idx) if subs else 1), pays):
+            pays = _table_payments(inst, layout, fixed_key, idx)
+            for row, pay in zip(layout.rows(prices, idx), pays):
                 want = [buyer_choice(inst.menu_from_scaled(row), v).payment * inst.L
                         for v, _ in dist.atoms]
                 assert pay.tolist() == want, (constraint, row)
-                alone = search._payments(inst, search._fixed_key(inst, every, row), (), ())
-                assert alone[0].tolist() == want, (constraint, row)
+                alone = search._payments(inst, search._fixed_key(inst, every, row))
+                assert alone.tolist() == want, (constraint, row)
                 checked += 1
+            if layout.axes:
+                order = np.argsort(idx)
+                scores = search._mesh_scores(inst, layout, fixed_key, idx[order]).tolist()
+                weights = inst.weights.tolist()
+                want = [sum(int(q) * w for q, w in zip(pay, weights)) for pay in pays[order]]
+                assert scores == (want if inst.int_weights else pytest.approx(want, rel=1e-12))
     assert checked > 50
 
 
-# (menu, menus examined) of example 4's integer-grid optimum per constraint
+@pytest.mark.parametrize("K", [1, 2, 5, 1000])
+def test_mesh_scores_match_direct_per_menu_scores(K):
+    # seeded int64 layouts of 1-3 axes: the closed-form last axis must give
+    # every menu the score (max(fixed key, table rows) mod K) @ w exactly,
+    # also where a last-axis key ties the key over the other options
+    rng = np.random.default_rng(K)
+    ties = 0
+    for _ in range(30):
+        types = int(rng.integers(1, 20))
+        axes = tuple(np.sort(rng.choice(K, size=int(rng.integers(1, min(K, 6) + 1)), replace=False))
+                     for _ in range(int(rng.integers(1, 4))))
+        tops = tuple(rng.integers(0, 2 * K, size=types) for _ in axes)
+        tables = tuple((top[None, :] - axis[:, None]) * K + axis[:, None]
+                       for top, axis in zip(tops, axes))
+        layout = search._Layout((), iter(()), tuple((g,) for g in range(len(axes))),
+                                axes, tops, tables, ())
+        # fixed keys drawn from the table entries themselves make exact ties
+        pool = np.concatenate([np.maximum(t, 0).ravel() for t in tables])
+        fixed_key = rng.choice(pool, size=types)
+        inst = SimpleNamespace(K=K, weights=rng.integers(1, 1000, size=types))
+        cells = math.prod(layout.shape)
+        idx = np.sort(rng.choice(cells, size=int(rng.integers(1, cells + 1)), replace=False))
+        subs = np.unravel_index(idx, layout.shape)
+        key = fixed_key[None, :]
+        for tab, j in zip(tables[:-1], subs):
+            key = np.maximum(key, tab[j])
+        ties += int((tables[-1][subs[-1]] == key).sum())
+        want = np.mod(np.maximum(key, tables[-1][subs[-1]]), K) @ inst.weights
+        got = search._mesh_scores(inst, layout, fixed_key, idx)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert ties > 0
+
+
+def test_all_zero_grid_search():
+    # every candidate price is 0, so K = 1 and every menu earns nothing
+    dist = _weighted_joint(2, [((3, 1), 1), ((0, 2), 2)])
+    grid = candidate_grid(dist, "explicit", explicit={(1,): [0], (2,): [0], (1, 2): [0]})
+    for constraint in search.CONSTRAINTS:
+        res = search_optimal(dist, constraint, grid)
+        assert (res.best.prices, res.revenue, res.examined) == ((0, 0, 0), 0, 1)
+    zero = _point_mass_joint(0, 0)
+    res = search_optimal(zero, "unrestricted", candidate_grid(zero, "integer-grid"))
+    assert (res.best.prices, res.revenue, res.path) == ((0, 0, 0), 0, "int64")
+
+
+# (menu, revenue, menus examined, menus skipped) of example 4's integer-grid
+# optimum per constraint; every constraint with singleton blocks over a mesh
+# is bounded, the rest never skip
 _EXAMPLE4 = {
-    "unrestricted": ((6, 6, 6, 7, 7, 8, 9), 2203095),
-    "symmetric": ((6, 6, 6, 7, 7, 7, 9), 819),
-    "submodular": ((5, 6, 6, 7, 7, 8, 9), 13998),
-    "symmetric-and-submodular": ((5, 5, 5, 7, 7, 7, 9), 84),
-    "additive": ((5, 5, 5, 10, 10, 10, 15), 343),
-    "bundle-only": ((8, 8, 8, 8, 8, 8, 8), 19),
+    "unrestricted": ((6, 6, 6, 7, 7, 8, 9), F(6293, 1000), 2203095, 1890132),
+    "symmetric": ((6, 6, 6, 7, 7, 7, 9), F(6291, 1000), 819, 574),
+    "submodular": ((5, 6, 6, 7, 7, 8, 9), F(1573, 250), 13998, 5013),
+    "symmetric-and-submodular": ((5, 5, 5, 7, 7, 7, 9), F(786, 125), 84, 30),
+    "additive": ((5, 5, 5, 10, 10, 10, 15), F(6), 343, 0),
+    "bundle-only": ((8, 8, 8, 8, 8, 8, 8), F(721, 125), 19, 0),
 }
 
 
 @pytest.mark.parametrize("constraint", sorted(_EXAMPLE4))
 def test_example4_optimum_and_examined(example4, constraint):
     res = search_optimal(example4, constraint, candidate_grid(example4, "integer-grid"))
-    menu, examined = _EXAMPLE4[constraint]
-    assert res.best.prices == menu
-    assert res.examined == examined
-    assert res.path == "int64" and res.pruned
-    # every constraint with singleton blocks over a mesh is bounded; the rest never skip
-    assert (res.skipped > 0) is (constraint not in ("additive", "bundle-only"))
-    assert res.skipped < res.examined
+    assert (res.best.prices, res.revenue, res.examined, res.skipped) == _EXAMPLE4[constraint]
+    assert res.path == "int64" and res.pruned and res.rescored == 0
 
 
 def _visit_order(inst, layout):
@@ -514,7 +593,7 @@ def test_slab_bounds_cover_every_menu(n):
             top = 0
             for prices in order:
                 fixed_key = search._fixed_key(inst, layout.fixed, prices)
-                pay = search._payments(inst, fixed_key, layout.tables, subs)
+                pay = _table_payments(inst, layout, fixed_key, cells)
                 scores = pay.astype(object) @ inst.exact_weights
                 slab = bounds[prices][subs[-1]]
                 assert (scores <= slab).all(), (constraint, prices)
@@ -553,9 +632,7 @@ def _ties_out_of_order(dist, constraint, grid):
     order, _ = _visit_order(inst, layout)
     best = {}
     for prices, idx in search._enumerate_blocks(layout, order):
-        subs = np.unravel_index(idx, layout.shape)
-        pay = search._payments(inst, search._fixed_key(inst, layout.fixed, prices),
-                               layout.tables, subs)
+        pay = _table_payments(inst, layout, search._fixed_key(inst, layout.fixed, prices), idx)
         best[prices] = (pay @ inst.weights).max()
     optimal = [p for p in best if best[p] == max(best.values())]
     return optimal[0] != min(optimal)
@@ -617,11 +694,11 @@ def test_chunked_rescoring_matches_per_row_scores(monkeypatch):
     every = range(len(inst.order))
 
     def per_row(row):
-        pay = search._payments(inst, search._fixed_key(inst, every, row), (), ())[0]
+        pay = search._payments(inst, search._fixed_key(inst, every, row))
         return sum(int(q) * w for q, w in zip(pay, inst.exact_weights))
 
     want = [per_row(row) for row in rows]
-    pay = search._payments(inst, search._fixed_key(inst, every, rows), (), ())
+    pay = search._payments(inst, search._fixed_key(inst, every, rows))
     assert search._exact_scores(inst, pay).tolist() == want
     top = max(want)
     assert sum(w == top for w in want) == 3721
@@ -664,7 +741,7 @@ def test_rescoring_scores_each_payment_vector_once(monkeypatch, nudge, path):
     assert res.rescored == len(windows[0]) == 16
     inst = search._Instance(dist, grid)
     every = range(len(inst.order))
-    vectors = {row: tuple(search._payments(inst, search._fixed_key(inst, every, row), (), ())[0])
+    vectors = {row: tuple(search._payments(inst, search._fixed_key(inst, every, row)))
                for row in windows[0]}
     assert scored == [len(set(vectors.values()))] == [2]
     tied = sorted(set(vectors.values()))
