@@ -70,9 +70,12 @@ def bundle_value(v: Valuation, bundle: Bundle) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _merge(merged: Dict, value: object, prob: Fraction) -> None:
-    """Add `prob` to the mass of `value`, hashing a new value once."""
+    """Add `prob` to the mass of `value`, hashing a new value once. A repeat
+    is told by the dict not growing, not by object identity: callers may
+    pass one shared Fraction for many atoms."""
+    size = len(merged)
     prev = merged.setdefault(value, prob)
-    if prev is not prob:
+    if len(merged) == size:
         merged[value] = prev + prob
 
 
@@ -187,33 +190,22 @@ class JointDistribution:
 
 
 def _canonical_atoms(d: SingleItemDistribution, where: str) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """The atoms of `d` as Fractions, checked to be in the canonical form that
-    `from_pairs` gives: strictly increasing nonnegative values and positive
-    probabilities summing to exactly 1. A distribution built directly may
-    hold any atoms."""
-    atoms = []
-    for i, (value, prob) in enumerate(d.atoms):
-        v = parse_nonnegative(value, f"{where}: value[{i}]")
-        p = parse_rational(prob, f"{where}: prob[{i}]")
-        if p.numerator <= 0:
-            raise ValueError(f"{where}: prob[{i}] must be positive, got {p}")
-        if atoms and v <= atoms[-1][0]:
-            raise ValueError(f"{where}: value[{i}] = {v} does not exceed value[{i - 1}]")
-        atoms.append((v, p))
-    if not atoms:
-        raise ValueError(f"{where}: empty support")
-    mass = sum(p for _, p in atoms)
-    if mass != 1:
-        raise ValueError(f"{where}: mass {mass} != 1")
-    return tuple(atoms)
+    """The atoms of `d` in canonical form, checked as `from_pairs` checks its
+    pairs, with no value repeated. A distribution built directly may hold any
+    atoms; distinct values out of order are sorted."""
+    atoms = SingleItemDistribution.from_pairs(d.atoms, where).atoms
+    if len(atoms) != len(d.atoms):
+        raise ValueError(f"{where}: repeated value")
+    return atoms
 
 
 def product(parts: Sequence[SingleItemDistribution]) -> JointDistribution:
     """Independent product of per-item distributions.
 
-    Each part is checked once for canonical form, so the valuation vectors,
-    taken in lexicographic order, are distinct and already sorted: the atoms
-    are those `JointDistribution.from_pairs` would give, built directly."""
+    Each part is checked once and brought to canonical form, so the valuation
+    vectors, taken in lexicographic order, are distinct and already sorted:
+    the atoms are those `JointDistribution.from_pairs` would give, built
+    directly."""
     if not parts:
         raise ValueError("product of zero distributions")
     if len(parts) > MAX_ITEMS:

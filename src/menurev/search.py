@@ -94,11 +94,17 @@ _CONSTRAINT_ALIASES = {"symmetric-submodular": "symmetric-and-submodular"}
 STAGES = ("mask", "evaluate", "rescore", "verify")  # "mask" includes the block bounds
 
 _INT64_BUDGET = 1 << 62
-# bytes of the kernel's (head rows, types) temporaries per evaluation chunk;
-# a cell is one type's key at one head row, a gathered table row, its
-# threshold index and its plain and weighted payment
+# bytes of the kernel's temporaries per evaluation chunk. A head row (a cell
+# of the mesh axes before the last) holds one cell per type (its key, a
+# gathered table row, its threshold index and its plain and weighted
+# payment) and one per last-axis candidate and its end bucket (the bucketed
+# weights and payments, their cumulative sums and the scores). The peak
+# traced by tracemalloc over one _mesh_scores call, per cell, was 32-50
+# bytes on int64 keys (10 to 10^4 types, 50 to 3000 candidates) and 60 on
+# 80-bit Python-int keys; object cells are budgeted higher, since a Python
+# int grows with its digits.
 _CHUNK_BYTES = 48 << 20
-_CELL_BYTES = {np.int64: 40, object: 160}
+_CELL_BYTES = {np.int64: 50, object: 160}
 # an exactly rescored cell also holds its sort order, its gathered weight and
 # the Python ints of its run sum, payment and product
 _RESCORE_CELL_BYTES = 160
@@ -571,7 +577,9 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
     if layout is None:
         return None, None, 0, 0, 0
     weights = inst.weights
-    chunk_rows = max(1, _CHUNK_BYTES // (_CELL_BYTES[inst.dtype] * len(weights)))
+    cell, J = _CELL_BYTES[inst.dtype], layout.shape[-1] if layout.axes else 0
+    # a chunk holds the menus of at most chunk_rows head rows
+    chunk_rows = max(1, _CHUNK_BYTES // (cell * (len(weights) + J + 1)))
 
     blocks: Iterable[Tuple[int, ...]] = layout.blocks
     bounds: Dict[Tuple[int, ...], np.ndarray] = {}
@@ -579,8 +587,9 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
         # branch and bound on exact scores: the block of highest bound first,
         # equal bounds in lexicographic order
         blocks = list(blocks)
-        # a slab cell holds about twice the temporaries of a kernel cell
-        step = max(1, chunk_rows // (2 * layout.shape[-1]))
+        # a block's slab bounds take (J, types) cells, each holding about
+        # twice the temporaries of a kernel cell
+        step = max(1, _CHUNK_BYTES // (2 * cell * J * len(weights)))
         for lo in range(0, len(blocks), step):
             part = blocks[lo:lo + step]
             bounds.update(zip(part, _slab_bounds(inst, layout, _fixed_key(inst, layout.fixed, part))))
@@ -602,8 +611,7 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
         if not idx.size:
             continue
         fixed_key = _fixed_key(inst, layout.fixed, prices)
-        # a chunk holds the menus of at most chunk_rows head rows
-        group = idx // (chunk_rows * (layout.shape[-1] if layout.axes else 1))
+        group = idx // (chunk_rows * max(J, 1))
         for part in np.split(idx, np.flatnonzero(group[1:] != group[:-1]) + 1):
             if layout.axes:
                 scores = _mesh_scores(inst, layout, fixed_key, part)

@@ -142,8 +142,8 @@ def test_product_matches_joint_from_pairs():
 def test_product_rejects_noncanonical_parts():
     half = F(1, 2)
     for atoms, message in [
-        (((F(1), half), (F(1), half)), "does not exceed"),
-        (((F(2), half), (F(1), half)), "does not exceed"),
+        (((F(1), half), (F(1), half)), "repeated value"),
+        (((F(1), half), (F(1), F(1, 4)), (F(2), F(1, 4))), "repeated value"),
         (((F(1), half), (F(2), F(1, 3))), "mass"),
         (((F(1), F(0)), (F(2), F(1))), "positive"),
         (((F(-1), F(1)),), "nonnegative"),
@@ -155,9 +155,26 @@ def test_product_rejects_noncanonical_parts():
         product([])
     with pytest.raises(ValueError, match="item count"):
         product([point_mass(1)] * 17)
+    # distinct values out of order are sorted, as from_pairs sorts them
+    unsorted = SingleItemDistribution(((F(2), half), (F(1), half)))
+    assert product([unsorted, point_mass(3)]) == product([uniform([1, 2]), point_mass(3)])
     # int atoms of a directly built part come out as Fractions
     joint = product([SingleItemDistribution(((1, F(1)),)), point_mass(2)])
     assert joint.atoms == (((F(1), F(2)), F(1)),) and type(joint.atoms[0][0][0]) is F
+
+
+def test_from_pairs_merges_one_shared_fraction():
+    # one Fraction object passed for every atom: a repeated value adds its mass
+    h = F(1, 2)
+    assert SingleItemDistribution.from_pairs([(1, h), (1, h)]).atoms == ((F(1), F(1)),)
+    with pytest.raises(ValueError, match="mass 3/2"):
+        SingleItemDistribution.from_pairs([(1, h), (1, h), (2, h)])
+    vs = [(1, 2), (1, 2), (3, 4), (1, 2)]
+    p = F(1, len(vs))
+    joint = JointDistribution.from_pairs(2, [(v, p) for v in vs])
+    assert joint.atoms == (((F(1), F(2)), F(3, 4)), ((F(3), F(4)), F(1, 4)))
+    with pytest.raises(ValueError, match="mass 5/4"):
+        JointDistribution.from_pairs(2, [(v, p) for v in vs + [(5, 6)]])
 
 
 def test_joint_is_symmetric(example6):

@@ -706,6 +706,34 @@ def test_chunked_rescoring_matches_per_row_scores(monkeypatch):
     assert search._exact_best(inst, rows) == (top, min(r for r, w in zip(rows, want) if w == top))
 
 
+def test_kernel_chunks_count_last_axis_candidates(monkeypatch):
+    # 2 types and 40 grand-bundle candidates over a 3-item mesh: a chunk's
+    # last-axis temporaries outweigh its per-type ones, and a budget of 3
+    # head rows of (types + candidates + 1) cells must bound every chunk
+    dist = _weighted_joint(3, [((4, 9, 2), 1), ((7, 1, 8), 2)])
+    explicit = {b: [0, 2, 5, 9] for b in all_bundles(3)}
+    explicit[(1, 2, 3)] = list(range(40))
+    grid = candidate_grid(dist, "explicit", explicit=explicit)
+    want = search_optimal(dist, "unrestricted", grid)
+    inst = search._Instance(dist, grid)
+    J = search._layout(inst, "unrestricted", prune=False).shape[-1]
+    assert J == 40 and len(inst.weights) == 2
+    cells = len(inst.weights) + J + 1
+    monkeypatch.setattr(search, "_CHUNK_BYTES", 3 * cells * search._CELL_BYTES[np.int64])
+    heads = []
+    mesh_scores = search._mesh_scores
+
+    def recording(inst, layout, fixed_key, idx):
+        heads.append(np.unique(idx // layout.shape[-1]).size)
+        return mesh_scores(inst, layout, fixed_key, idx)
+
+    monkeypatch.setattr(search, "_mesh_scores", recording)
+    got = search_optimal(dist, "unrestricted", grid)
+    assert max(heads) == 3 and len(heads) > 1
+    assert (got.best, got.revenue, got.examined, got.skipped) == \
+        (want.best, want.revenue, want.examined, want.skipped)
+
+
 @pytest.mark.parametrize("nudge, path", [(0, "float-screen"), (F(1, 2**40), "float-screen-bigint")],
                          ids=["int64-keys", "bigint-keys"])
 def test_rescoring_scores_each_payment_vector_once(monkeypatch, nudge, path):
