@@ -21,22 +21,38 @@ key mod K. `_layout` is the only reader of the constraint. It splits the
 menus into blocks, whose singleton prices (every price, for additive menus)
 are fixed and generated lazily, over a mesh with one axis per other bundle
 (per bundle size, for symmetric menus), and lists the feasibility terms
-p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity. Each
-axis has a key table, built once per search, holding every type's key at
-every candidate price of the axis. The menus of a block that share a cell of
-the other axes (a head row) share each type's key k over the fixed options
-and those axes' table rows; the last axis is then scored in closed form. A
-type takes candidate a of that axis exactly when a * (K - 1) is below
-top * K - k (top its value for the axis's bundles), which holds for every
-candidate below one threshold found by binary search, so bucketing the
-weights by threshold scores all candidates of the head row with one suffix
-and one prefix sum, in O(T log J + J) for T types and J candidates instead
-of O(T * J). Additive blocks, which have no mesh, and the exact rescoring
-take the payments key mod K directly. Price rows are built only for chunk
-winners and the float-screening window. The window has no size cap: it
-holds every menu within the cut below the best float score, drops the rows
-below the cut whenever that score rises, and is rescored exactly once, at
-the end, in row chunks.
+p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity. The
+head mesh is the mesh without its last axis, which is the grand bundle in
+every layout that has terms; a cell of it is a head row of J menus, one per
+last-axis candidate.
+
+Every term is linear in the last-axis price x, with coefficient 1
+(monotonicity below the grand bundle), -1 (submodularity with the grand
+bundle as the union) or 0, so the feasible menus of a head row are the
+candidates in one half-open range [lo, hi), found by two binary searches per
+head cell, over the head mesh of a chunk of blocks at once; the full mesh is
+never masked. `examined` is the sum of hi - lo.
+
+Each axis has a key table, built once per search, holding every type's key at
+every candidate price of the axis. The menus of a head row share each type's
+key k, the maximum of the block's fixed key and the head axes' table rows;
+the last axis is then scored in closed form. A type takes candidate a of that
+axis exactly when a * (K - 1) is below top * K - k (top its value for the
+axis's bundles), which holds for every candidate below a threshold j*. j*
+does not rise with k, so j* of the maximum key is the minimum of the fixed
+key's j* and the head axes' rows of a threshold table, also built once per
+search; bucketing the weights by threshold then scores every candidate of
+the head row with one suffix and one prefix sum. A head row costs O(T * (g +
+1) + J) for T types, g head axes and J candidates, with no binary search, and
+a block one search of T thresholds for its fixed key. The caller masks the
+cells outside [lo, hi) (and the slabs the bound skips, below) and takes the
+first maximum of the (head rows x J) score matrix, which is the
+lexicographically smallest best menu. Additive blocks, which have no mesh,
+and the exact rescoring take the payments key mod K directly. Price rows are
+built only for chunk winners and the float-screening window. The window has
+no size cap: it holds every menu within the cut below the best float score,
+drops the rows below the cut whenever that score rises, and is rescored
+exactly once, at the end, in row chunks.
 
 On the int64 path, blocks that fix singleton prices over a mesh are searched
 by branch and bound. Every menu of a block offers the block's singletons, so
@@ -44,13 +60,17 @@ a type keeps at least the utility u of its best singleton and pays either its
 singleton payment or, for another bundle, at most the dearest candidate that
 is <= its value minus u. The weighted sum of these caps is an exact integer
 bound on every menu's score; it is taken per slab of the last mesh axis (the
-grand bundle), whose price is folded into the singletons first. Blocks are
-visited in descending bound order, equal bounds lexicographically, and a
-block or slab whose bound is strictly below the exact incumbent is skipped;
-an equal score goes to the lexicographically smaller menu, so the winner is
-the one lexicographic enumeration finds. `SearchResult.examined` still counts
-every feasible menu, and `skipped` those the bound excluded unevaluated.
-Other paths and layouts (additive, bundle-only) enumerate every block in
+grand bundle), whose price is folded into the singletons first. The dearest
+candidate falls as u rises, so that of the folded options is the smaller of
+the singletons' and the slab's own, each found by binary search over (blocks
+x T) and (J x T) utilities. Blocks are visited in descending bound order,
+equal bounds lexicographically, and a block or slab whose bound is strictly
+below the exact incumbent is skipped; an equal score goes to the
+lexicographically smaller menu, so the winner is the one lexicographic
+enumeration finds. `SearchResult.examined` still counts every feasible menu,
+and `skipped` those the bound excluded unevaluated: per head row, the live
+slabs in [lo, hi) are read from a prefix sum over the block's slabs. Other
+paths and layouts (additive, bundle-only) enumerate every block in
 lexicographic order.
 
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
@@ -63,8 +83,8 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product as iproduct
+from functools import lru_cache, reduce
+from itertools import combinations, islice, product as iproduct
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,23 +111,33 @@ CONSTRAINTS = (
 )
 _CONSTRAINT_ALIASES = {"symmetric-submodular": "symmetric-and-submodular"}
 
-STAGES = ("mask", "evaluate", "rescore", "verify")  # "mask" includes the block bounds
+# "mask": the block bounds and the feasible last-axis range of every head row;
+# "evaluate": scaling the instance, the key tables and the menu scores;
+# "rescore": exact rescoring of the float-screening window; "verify": the
+# buyer's own revenue of the winner
+STAGES = ("mask", "evaluate", "rescore", "verify")
 
 _INT64_BUDGET = 1 << 62
-# bytes of the kernel's temporaries per evaluation chunk. A head row (a cell
-# of the mesh axes before the last) holds one cell per type (its key, a
-# gathered table row, its threshold index and its plain and weighted
-# payment) and one per last-axis candidate and its end bucket (the bucketed
-# weights and payments, their cumulative sums and the scores). The peak
-# traced by tracemalloc over one _mesh_scores call, per cell, was 32-50
-# bytes on int64 keys (10 to 10^4 types, 50 to 3000 candidates) and 60 on
-# 80-bit Python-int keys; object cells are budgeted higher, since a Python
-# int grows with its digits.
+# bytes of the kernel's temporaries per evaluation chunk. A head row holds
+# one cell per type (its key, a gathered table row, its threshold and its
+# plain and weighted payment) and one per last-axis candidate and its end
+# bucket (the bucketed weights and payments, their cumulative sums, the
+# score matrix row and its mask of cells outside [lo, hi) or in skipped
+# slabs). The peak traced by tracemalloc over one _mesh_scores call and its
+# masking, per cell, was 27-33 bytes on int64 keys (10 to 10^4 types, 50 to
+# 3000 candidates) and 30-48 on 80-bit Python-int keys; object cells are
+# budgeted higher, since a Python int grows with its digits.
 _CHUNK_BYTES = 48 << 20
 _CELL_BYTES = {np.int64: 50, object: 160}
 # an exactly rescored cell also holds its sort order, its gathered weight and
 # the Python ints of its run sum, payment and product
 _RESCORE_CELL_BYTES = 160
+# head cells (blocks x head-mesh cells) per enumeration chunk. Their
+# feasibility temporaries, traced by tracemalloc over whole chunks, took 18
+# to 36 bytes per cell on int64 prices (example 4 and a 4-item grid, the
+# pruned unrestricted and submodular layouts) and 29 on Python-int prices,
+# so a chunk takes a few MiB; larger chunks ran no faster.
+_HEAD_CHUNK = 1 << 17
 _ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
 
 
@@ -310,8 +340,10 @@ class _Layout:
     prices all of its `groups[g]` columns at one of its `axes[g]` candidates.
     `tops[g][t]` is type t's highest value among the columns of group g, and
     `tables[g][j, t]` the key (v - p) * K + p of that column with the axis at
-    candidate j. A menu is feasible when
-    p[a] + p[b] >= p[c] + p[d] for every term (a, b, c, d), with p[-1] = 0."""
+    candidate j. For every axis g before the last, `thresholds[g][j, t]` is
+    the number of last-axis candidates that type t prefers to that key (see
+    `_key_tables`). A menu is feasible when p[a] + p[b] >= p[c] + p[d] for
+    every term (a, b, c, d), with p[-1] = 0."""
 
     fixed: Tuple[int, ...]
     blocks: Iterator[Tuple[int, ...]]
@@ -319,6 +351,7 @@ class _Layout:
     axes: Tuple[np.ndarray, ...]
     tops: Tuple[np.ndarray, ...]
     tables: Tuple[np.ndarray, ...]
+    thresholds: Tuple[np.ndarray, ...]
     terms: Tuple[Tuple[int, int, int, int], ...]
 
     @property
@@ -339,6 +372,24 @@ class _Layout:
         for group, axis, j in zip(self.groups, self.axes, subs):
             out[:, list(group)] = axis[j][:, None]
         return [tuple(int(x) for x in row) for row in out]
+
+
+def _last_axis_threshold(K: int, axis: np.ndarray, top: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Per type, the number j* of candidates a of the last mesh axis that the
+    type strictly prefers to an option of key k: a * (K - 1) < top * K - k,
+    top its value for the axis's bundles. j* does not rise with k."""
+    return np.searchsorted(axis * (K - 1), top * K - key)
+
+
+def _key_tables(K: int, axes: Sequence[np.ndarray], tops: Sequence[np.ndarray]
+                ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+    """(key tables, threshold tables) of a mesh: per axis, the (candidates,
+    types) keys (top - a) * K + a, and per axis before the last, the last-axis
+    threshold of each of those keys."""
+    tables = tuple((top[None, :] - axis[:, None]) * K + axis[:, None]
+                   for top, axis in zip(tops, axes))
+    thresholds = tuple(_last_axis_threshold(K, axes[-1], tops[-1], tab) for tab in tables[:-1])
+    return tables, thresholds
 
 
 def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
@@ -376,32 +427,74 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
         terms += submodular
     # columns sharing one price: the highest value among them is the best
     tops = tuple(inst.values[:, list(group)].max(axis=1) for group in groups)
-    tables = tuple((top[None, :] - axis[:, None]) * inst.K + axis[:, None]
-                   for top, axis in zip(tops, axes))
-    return _Layout(fixed, blocks, tuple(groups), tuple(axes), tops, tables, terms)
+    tables, thresholds = _key_tables(inst.K, axes, tops)
+    return _Layout(fixed, blocks, tuple(groups), tuple(axes), tops, tables, thresholds, terms)
 
 
 def _enumerate_blocks(layout: _Layout, blocks: Iterable[Tuple[int, ...]]
-                      ) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
-    """Yield (fixed prices, flat mesh indices of the block's feasible menus)
-    for each of `blocks` in turn, the menus of a block in lexicographic price
-    order."""
+                      ) -> Iterator[Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (fixed prices, heads, lo, hi) for each of `blocks` in turn that
+    holds a feasible menu: `heads` are the flat indices, ascending, of the
+    cells of the head mesh (the mesh axes before the last) that hold one, and
+    the feasible menus of head row `heads[r]` are those whose last-axis
+    candidate j lies in [lo[r], hi[r]).
+
+    A term p[a] + p[b] >= p[c] + p[d] is linear in the last-axis price x:
+    coef * x + rest >= 0, with coef the count of last-axis columns among a
+    and b less that among c and d. A term with coef 0 tests a head cell, one
+    with coef 1 (monotonicity: the grand bundle as a) bounds x from below, and
+    one with coef -1 (submodularity: the grand bundle as the union d) from
+    above, so one binary search per bound and head cell finds the range.
+    Blocks are taken in chunks of about `_HEAD_CHUNK` head cells."""
     if math.prod(layout.shape) * layout.width > _ROWS_BUDGET:
         raise SearchError("candidate grid too large; supply a smaller explicit grid")
-    mesh = np.meshgrid(*layout.axes, indexing="ij", sparse=True)
-    cols: List[object] = [0] * (layout.width + 1)  # cols[-1] is the empty bundle
+    last = set(layout.groups[-1]) if layout.axes else set()
+    J = layout.shape[-1] if layout.axes else 1
+    by_coef: Dict[int, List[Tuple[List[int], List[int]]]] = {-1: [], 0: [], 1: []}
+    for term in layout.terms:
+        coef = sum(c in last for c in term[:2]) - sum(c in last for c in term[2:])
+        if coef not in by_coef:
+            raise AssertionError(f"feasibility term {term} has last-axis coefficient {coef}")
+        by_coef[coef].append(([c for c in term[:2] if c not in last],
+                              [c for c in term[2:] if c not in last]))
+    head_shape = layout.shape[:-1]
+    heads_per_block = math.prod(head_shape)
+    step = max(1, _HEAD_CHUNK // heads_per_block)
+    dtype = layout.axes[-1].dtype if layout.axes else object
+    # a leading axis over the chunk's blocks, then one per head axis
+    mesh = np.meshgrid(*layout.axes[:-1], indexing="ij", sparse=True)
+    cols: Dict[int, object] = {-1: 0}  # -1 is the empty bundle
     for group, arr in zip(layout.groups, mesh):
         for c in group:
-            cols[c] = arr
-    for prices in blocks:
-        for c, p in zip(layout.fixed, prices):
-            cols[c] = p
-        mask = np.ones(layout.shape, dtype=bool)
-        for a, b, c, d in layout.terms:
-            mask &= (cols[a] + cols[b]) >= (cols[c] + cols[d])
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            yield prices, idx
+            cols[c] = arr[None]
+
+    def rest(plus: List[int], minus: List[int]):
+        return sum(cols[c] for c in plus) - sum(cols[c] for c in minus)
+
+    blocks = iter(blocks)
+    while part := list(islice(blocks, step)):
+        full = (len(part),) + head_shape
+        fixed = np.array(part, dtype=dtype).reshape(len(part), len(layout.fixed))
+        for k, c in enumerate(layout.fixed):
+            cols[c] = fixed[:, k].reshape((len(part),) + (1,) * len(head_shape))
+        ok = np.ones(full, dtype=bool)
+        for plus, minus in by_coef[0]:
+            ok &= rest(plus, minus) >= 0
+        lo, hi = 0, J
+        if by_coef[1]:
+            lower = reduce(np.maximum, (-rest(*t) for t in by_coef[1]))
+            lo = np.searchsorted(layout.axes[-1], lower, side="left")
+        if by_coef[-1]:
+            upper = reduce(np.minimum, (rest(*t) for t in by_coef[-1]))
+            hi = np.searchsorted(layout.axes[-1], upper, side="right")
+        ok &= lo < hi
+        ok = ok.reshape(len(part), heads_per_block)
+        lo = np.broadcast_to(lo, full).reshape(len(part), heads_per_block)
+        hi = np.broadcast_to(hi, full).reshape(len(part), heads_per_block)
+        for b, prices in enumerate(part):
+            heads = np.flatnonzero(ok[b])
+            if heads.size:
+                yield prices, heads, lo[b, heads], hi[b, heads]
 
 
 # ---------------------------------------------------------------------------
@@ -433,46 +526,45 @@ def _payments(inst: _Instance, key: np.ndarray) -> np.ndarray:
 
 
 def _mesh_scores(inst: _Instance, layout: _Layout, fixed_key: np.ndarray,
-                 idx: np.ndarray) -> np.ndarray:
-    """Score sum_t w_t * pay_t of the menu at each flat mesh index of `idx`
-    (ascending) in the block whose row of fixed keys is `fixed_key`.
+                 heads: np.ndarray) -> np.ndarray:
+    """(len(heads), J): the score sum_t w_t * pay_t of every menu of the head
+    rows at flat head-mesh indices `heads`, one column per last-axis
+    candidate, in the block whose row of fixed keys is `fixed_key`.
 
-    Menus that share a cell of the other axes (a head row) share each type's
-    key k_t over the fixed options and those axes. On the last axis, type t
-    takes candidate a_j exactly when (top_t - a_j) * K + a_j > k_t, that is
-    a_j * (K - 1) < top_t * K - k_t, so at every j below a threshold j*_t,
-    and pays k_t mod K from j*_t on (where the two keys are equal, so are
-    the two payments, so a tie may fall either way). With the weights
-    bucketed by j*_t, the score at j is a_j times the weight of the buckets
-    above j plus the prefix sum of w_t * (k_t mod K) over the buckets up to
-    j."""
-    J = layout.shape[-1]
-    heads, j = np.divmod(idx, J)
-    new = np.empty(idx.size, dtype=bool)
-    new[0] = True
-    np.not_equal(heads[1:], heads[:-1], out=new[1:])
-    row = np.cumsum(new)
-    row -= 1
-    heads = heads[new]
-    key = fixed_key[None, :]
-    if len(layout.axes) > 1:
-        for tab, s in zip(layout.tables[:-1], np.unravel_index(heads, layout.shape[:-1])):
-            key = np.maximum(key, tab[s])
+    The menus of a head row share each type's key k_t over the fixed options
+    and the head axes: the `maximum` of the fixed key and those axes' table
+    rows. On the last axis, type t takes candidate a_j exactly when
+    (top_t - a_j) * K + a_j > k_t, that is a_j * (K - 1) < top_t * K - k_t,
+    so at every j below a threshold j*_t, and pays k_t mod K from j*_t on
+    (where the two keys are equal, so are the two payments, so a tie may fall
+    either way). j*_t does not rise with k_t, so the threshold of the maximum
+    key is the minimum of the fixed key's threshold and the head axes'
+    threshold-table rows. With the weights bucketed by j*_t, the score at j
+    is a_j times the weight of the buckets above j plus the prefix sum of
+    w_t * (k_t mod K) over the buckets up to j."""
     axis, weights = layout.axes[-1], inst.weights
-    cut = np.searchsorted(axis * (inst.K - 1), layout.tops[-1] * inst.K - key)
-    cut += np.arange(0, key.shape[0] * (J + 1), J + 1)[:, None]
+    J, T = len(axis), len(fixed_key)
+    key = fixed_key[None, :]
+    cut = _last_axis_threshold(inst.K, axis, layout.tops[-1], fixed_key)[None, :]
+    if len(layout.axes) > 1:
+        subs = np.unravel_index(heads, layout.shape[:-1])
+        for tab, thr, s in zip(layout.tables, layout.thresholds, subs):
+            key = np.maximum(key, tab[s])
+            cut = np.minimum(cut, thr[s])
+    key = np.broadcast_to(key, (len(heads), T))
+    cut = cut + np.arange(0, len(heads) * (J + 1), J + 1)[:, None]
     cut = cut.ravel()
     # exact int64 sums on int64 weights, where bincount would give floats;
     # add.at runs fastest on a flat index and values of the same length
-    takes = np.zeros(key.shape[0] * (J + 1), dtype=weights.dtype)
-    np.add.at(takes, cut, np.tile(weights, key.shape[0]))
+    takes = np.zeros(len(heads) * (J + 1), dtype=weights.dtype)
+    np.add.at(takes, cut, np.tile(weights, len(heads)))
     stays = np.zeros_like(takes)
     np.add.at(stays, cut, (_payments(inst, key).astype(weights.dtype, copy=False) * weights).ravel())
     takes = takes.reshape(-1, J + 1)
     scores = np.cumsum(takes[:, :0:-1], axis=1)[:, ::-1]
     scores *= axis.astype(weights.dtype)
     scores += np.cumsum(stays.reshape(-1, J + 1)[:, :J], axis=1)
-    return scores[row, j]
+    return scores
 
 
 def _slab_bounds(inst: _Instance, layout: _Layout, fixed_key: np.ndarray) -> np.ndarray:
@@ -483,15 +575,21 @@ def _slab_bounds(inst: _Instance, layout: _Layout, fixed_key: np.ndarray) -> np.
 
     No menu of a slab leaves a type less utility u than those options give
     it, so the type pays what it pays there, or a candidate of another axis
-    that is at most its value for that axis's bundles minus u."""
+    that is at most its value for that axis's bundles minus u. That dearest
+    candidate falls as u rises, and u of the better of two options is the
+    larger of theirs, so it is the smaller of the two options' own: one
+    binary search per block and type, and one per slab and type."""
     folded = len(layout.axes) > 1
-    pay = np.maximum(layout.tables[-1] if folded else 0, fixed_key[:, None, :])
-    util = pay // inst.K
-    pay -= util * inst.K
+    keys = [fixed_key[:, None, :]] + [layout.tables[-1][None]] * folded
+    utils = [k // inst.K for k in keys]
+    pays = [k - u * inst.K for k, u in zip(keys, utils)]
+    # equal keys pay alike, so a tie may take either payment
+    pay = np.where(keys[0] >= keys[1], pays[0], pays[1]) if folded else pays[0]
     for axis, top in zip(layout.axes[:len(layout.axes) - folded], layout.tops):
         # the dearest affordable candidate, or 0 when there is none
-        dearest = np.concatenate(([0], axis))[np.searchsorted(axis, top - util, side="right")]
-        np.maximum(pay, dearest, out=pay)
+        priced = np.concatenate(([0], axis))
+        dearest = [priced[np.searchsorted(axis, top - u, side="right")] for u in utils]
+        np.maximum(pay, reduce(np.minimum, dearest), out=pay)
     return np.broadcast_to(pay @ inst.weights, (len(pay), layout.shape[-1]))
 
 
@@ -532,9 +630,9 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
     if grid.n != dist.n:
         raise SearchError(f"grid is for {grid.n} items but distribution has {dist.n}")
 
+    clock = _StageClock()  # scaling the instance is charged to "evaluate"
     inst = _Instance(dist, grid)
     prune = _monotone_closure_holds(grid)
-    clock = _StageClock()
     best_menu, best_rev, examined, rescored, skipped = _search_vectorized(
         inst, constraint, prune, clock)
     if best_menu is None:
@@ -577,7 +675,8 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
     if layout is None:
         return None, None, 0, 0, 0
     weights = inst.weights
-    cell, J = _CELL_BYTES[inst.dtype], layout.shape[-1] if layout.axes else 0
+    # a layout without a mesh has one head row of one candidate per block
+    cell, J = _CELL_BYTES[inst.dtype], layout.shape[-1] if layout.axes else 1
     # a chunk holds the menus of at most chunk_rows head rows
     chunk_rows = max(1, _CHUNK_BYTES // (cell * (len(weights) + J + 1)))
 
@@ -599,29 +698,41 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
     best: Optional[Tuple[int, Tuple[int, ...]]] = None  # exact (score, row) on int64 weights
     top = -math.inf  # best float score when screening
     window: List[Tuple[float, Tuple[int, ...]]] = []  # rows within the cut below `top`
+    # below every score: marks the cells of a head row that are not scored
+    floor = -1 if inst.int_weights else -math.inf
+    candidates = np.arange(J)
 
-    for prices, idx in _enumerate_blocks(layout, blocks):
-        examined += idx.size
+    for prices, heads, lo, hi in _enumerate_blocks(layout, blocks):
+        feasible = hi - lo
+        examined += int(feasible.sum())
+        live = None
         if bounds and best is not None:
             # slabs bounded strictly below the incumbent cannot hold an optimum
-            live = idx[bounds[prices][idx % layout.shape[-1]] >= best[0]]
-            skipped += idx.size - live.size
-            idx = live
+            live = bounds[prices] >= best[0]
+            below = np.concatenate(([0], np.cumsum(live)))  # live slabs before each j
+            kept = below[hi] - below[lo]
+            skipped += int((feasible - kept).sum())
+            heads, lo, hi = heads[kept > 0], lo[kept > 0], hi[kept > 0]
         clock.lap("mask")
-        if not idx.size:
+        if not heads.size:
             continue
         fixed_key = _fixed_key(inst, layout.fixed, prices)
-        group = idx // (chunk_rows * max(J, 1))
-        for part in np.split(idx, np.flatnonzero(group[1:] != group[:-1]) + 1):
+        for r in range(0, heads.size, chunk_rows):
+            part = slice(r, r + chunk_rows)
             if layout.axes:
-                scores = _mesh_scores(inst, layout, fixed_key, part)
+                scores = _mesh_scores(inst, layout, fixed_key, heads[part])
             else:
-                scores = _payments(inst, fixed_key[None, :]) @ weights
+                scores = (_payments(inst, fixed_key[None, :]) @ weights)[:, None]
+            out = (candidates < lo[part, None]) | (candidates >= hi[part, None])
+            if live is not None:
+                out |= ~live
+            scores[out] = floor
+            scores = scores.ravel()
             i = int(np.argmax(scores))  # the first of equal scores
             if inst.int_weights:
                 score = int(scores[i])
                 if best is None or score >= best[0]:
-                    row = layout.rows(prices, part[i:i + 1])[0]
+                    row = layout.rows(prices, [heads[r + i // J] * J + i % J])[0]
                     # blocks may come out of lexicographic order
                     if best is None or score > best[0] or row < best[1]:
                         best = (score, row)
@@ -631,7 +742,7 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
                 cut = top - 1e-9 * (abs(top) + 1.0)
                 window = [w for w in window if w[0] >= cut]
             keep = np.nonzero(scores >= cut)[0]
-            rows = layout.rows(prices, part[keep])
+            rows = layout.rows(prices, heads[r + keep // J] * J + keep % J)
             window += zip(scores[keep].tolist(), rows)
         clock.lap("evaluate")
 

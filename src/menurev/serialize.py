@@ -9,6 +9,7 @@ import json
 from typing import IO, Any, Dict, Tuple, Union
 
 from .model import (
+    MAX_ITEMS,
     JointDistribution,
     Menu,
     SingleItemDistribution,
@@ -53,6 +54,8 @@ def parse_distribution(source: Union[str, IO[str], Dict[str, Any]]) -> JointDist
     n = _require(obj, "items", "distribution")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError("distribution.items", "item count must be an integer")
+    if not 1 <= n <= MAX_ITEMS:
+        raise ParseError("distribution.items", f"item count must be in 1..{MAX_ITEMS}, got {n}")
     kind = _require(obj, "kind", "distribution")
     if kind == "product":
         marginals = _require(obj, "marginals", "distribution")

@@ -77,6 +77,23 @@ def oracle_search(dist, constraint, grid):
     return best_menu, best_rev, examined
 
 
+def oracle_feasible_cells(layout, prices):
+    """Flat mesh indices of the feasible menus of the block whose fixed
+    columns cost `prices`, from a mask over the full mesh: every term
+    p[a] + p[b] >= p[c] + p[d] tested at every cell, p[-1] = 0."""
+    mesh = np.meshgrid(*layout.axes, indexing="ij", sparse=True)
+    cols = [0] * (layout.width + 1)
+    for group, arr in zip(layout.groups, mesh):
+        for c in group:
+            cols[c] = arr
+    for c, p in zip(layout.fixed, prices):
+        cols[c] = p
+    mask = np.ones(layout.shape, dtype=bool)
+    for a, b, c, d in layout.terms:
+        mask &= (cols[a] + cols[b]) >= (cols[c] + cols[d])
+    return np.flatnonzero(mask)
+
+
 def oracle_er_discretize(r, params):
     """Independent ER discretization in Fractions: floor each float grid point
     to a multiple of 2^-20, tails min(1, r / g), masses their differences."""

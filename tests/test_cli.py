@@ -118,6 +118,18 @@ def test_search_integer_grid_rejects_fractional(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("items", [0, 17])
+@pytest.mark.parametrize("kind", ["product", "joint"])
+def test_search_item_count_out_of_range_exit_2(tmp_path, capsys, items, kind):
+    # the count is checked before the marginals or atoms are read
+    doc = tmp_path / "dist.json"
+    doc.write_text(json.dumps({"items": items, "kind": kind, "marginals": [[["1", "1"]]] * items,
+                               "atoms": [{"values": ["1"] * items, "prob": "1"}]}))
+    assert main(["search", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"distribution.items: item count must be in 1..16, got {items}" in err
+
+
 @pytest.mark.parametrize("doc, where", [
     ('{"grid": {}}', "grid: missing required field 'prices'"),
     ('[["1", "2"]]', "grid: top-level value must be an object"),

@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import oracle_revenue, oracle_search
+from conftest import oracle_feasible_cells, oracle_revenue, oracle_search
 from menurev import (
     JointDistribution,
     Menu,
@@ -441,6 +442,22 @@ def test_unsellable_grid_returns_lex_smallest_zero_menu():
     assert res.best.prices == (F(5), F(6), F(7))
 
 
+def _cells(layout, heads, lo, hi):
+    """Flat mesh indices, ascending, of the menus of head rows `heads` whose
+    last-axis candidate lies in [lo, hi) of its row."""
+    J = layout.shape[-1] if layout.axes else 1
+    cells = [h * J + j for h, a, b in zip(heads, lo, hi) for j in range(a, b)]
+    return np.array(cells, dtype=np.intp)
+
+
+def _matrix_cells(layout, scores_at, idx):
+    """The scores of the menus at flat mesh indices `idx` (ascending) from the
+    (head rows x J) matrix that `scores_at(heads)` gives for their head rows."""
+    J = layout.shape[-1]
+    heads, row = np.unique(idx // J, return_inverse=True)
+    return scores_at(heads)[row, idx % J]
+
+
 def _table_payments(inst, layout, fixed_key, idx):
     """Each type's payment (column) under the menus at flat mesh indices
     `idx` of a block (row), straight from the key tables: the best of the
@@ -482,7 +499,8 @@ def test_block_kernel_matches_buyer_choice(den, dtype):
                 checked += 1
             if layout.axes:
                 order = np.argsort(idx)
-                scores = search._mesh_scores(inst, layout, fixed_key, idx[order]).tolist()
+                scores = _matrix_cells(layout, lambda heads: search._mesh_scores(
+                    inst, layout, fixed_key, heads), idx[order]).tolist()
                 weights = inst.weights.tolist()
                 want = [sum(int(q) * w for q, w in zip(pay, weights)) for pay in pays[order]]
                 assert scores == (want if inst.int_weights else pytest.approx(want, rel=1e-12))
@@ -503,8 +521,10 @@ def test_mesh_scores_match_direct_per_menu_scores(K):
         tops = tuple(rng.integers(0, 2 * K, size=types) for _ in axes)
         tables = tuple((top[None, :] - axis[:, None]) * K + axis[:, None]
                        for top, axis in zip(tops, axes))
+        built, thresholds = search._key_tables(K, axes, tops)
+        assert all((a == b).all() for a, b in zip(built, tables))
         layout = search._Layout((), iter(()), tuple((g,) for g in range(len(axes))),
-                                axes, tops, tables, ())
+                                axes, tops, tables, thresholds, ())
         # fixed keys drawn from the table entries themselves make exact ties
         pool = np.concatenate([np.maximum(t, 0).ravel() for t in tables])
         fixed_key = rng.choice(pool, size=types)
@@ -517,9 +537,121 @@ def test_mesh_scores_match_direct_per_menu_scores(K):
             key = np.maximum(key, tab[j])
         ties += int((tables[-1][subs[-1]] == key).sum())
         want = np.mod(np.maximum(key, tables[-1][subs[-1]]), K) @ inst.weights
-        got = search._mesh_scores(inst, layout, fixed_key, idx)
+        got = _matrix_cells(layout, lambda heads: search._mesh_scores(
+            inst, layout, fixed_key, heads), idx)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
     assert ties > 0
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 1000])
+def test_threshold_tables_give_threshold_of_maximum_key(K):
+    # a head row's key is the maximum of the fixed key and the head axes'
+    # table rows; its last-axis threshold, found directly by binary search,
+    # must be the minimum of theirs, read from the threshold tables
+    rng = np.random.default_rng(100 + K)
+    from_fixed = from_tables = 0
+    for _ in range(30):
+        types = int(rng.integers(1, 20))
+        axes = tuple(np.sort(rng.choice(K, size=int(rng.integers(1, min(K, 6) + 1)), replace=False))
+                     for _ in range(int(rng.integers(2, 5))))
+        tops = tuple(rng.integers(0, 2 * K, size=types) for _ in axes)
+        tables, thresholds = search._key_tables(K, axes, tops)
+        assert len(thresholds) == len(axes) - 1
+        pool = np.concatenate([np.maximum(t, 0).ravel() for t in tables])
+        fixed_key = rng.choice(pool, size=types)
+        head_shape = tuple(len(a) for a in axes[:-1])
+        subs = np.unravel_index(np.arange(math.prod(head_shape)), head_shape)
+        edge = axes[-1] * (K - 1)
+        key = fixed_key[None, :]
+        got = np.searchsorted(edge, tops[-1] * K - fixed_key)[None, :]
+        for tab, thr, j in zip(tables, thresholds, subs):
+            key = np.maximum(key, tab[j])
+            got = np.minimum(got, thr[j])
+        want = np.searchsorted(edge, tops[-1] * K - key)
+        assert got.tolist() == want.tolist()
+        fixed = np.searchsorted(edge, tops[-1] * K - fixed_key)
+        from_fixed += int((want == fixed).sum())
+        from_tables += int((want < fixed).sum())
+    assert from_fixed > 0 and from_tables > 0
+
+
+def _fractional_grid_instance(rng, n, den):
+    """1-3 types on n items with values in [0, 3] on a 1/den lattice, and an
+    explicit grid of prices on a 1/(2 den) lattice in which every bundle may
+    cost c per item, for one shared c, so that every class has menus and many
+    feasibility terms hold with equality."""
+    vectors = {tuple(F(rng.randint(0, 3 * den), den) for _ in range(n))
+               for _ in range(rng.randint(1, 3))}
+    dist = _weighted_joint(n, [(v, rng.randint(1, 5)) for v in sorted(vectors)])
+    c = F(rng.randint(0, 4 * den), 2 * den)
+    explicit = {b: sorted({c * len(b)} | {F(rng.randint(0, 8 * den * len(b)), 2 * den)
+                                          for _ in range(rng.randint(0, 1 if n == 4 else 2))})
+                for b in all_bundles(n)}
+    return dist, candidate_grid(dist, "explicit", explicit=explicit)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("den, dtype", [(1, np.int64), (1 << 40, object)], ids=["int64", "object"])
+def test_enumerated_ranges_match_full_mesh_mask(monkeypatch, n, den, dtype):
+    # the head mask and the last-axis range [lo, hi) of every head row must
+    # give exactly the cells of the full-mesh mask, block by block and in
+    # order, for every constraint, pruned or not; every other instance takes
+    # chunks of 5 head cells, one block or a few, so most chunks end before
+    # the layout's last block
+    rng = random.Random(80 + n + (den > 1))
+    head_chunk = search._HEAD_CHUNK
+    layouts = partial = 0
+    for trial in range(8):
+        monkeypatch.setattr(search, "_HEAD_CHUNK", 5 if trial % 2 else head_chunk)
+        dist, grid = _fractional_grid_instance(rng, n, den)
+        inst = search._Instance(dist, grid)
+        assert inst.dtype is dtype
+        for constraint in search.CONSTRAINTS:
+            for prune in (False, True):
+                layout = search._layout(inst, constraint, prune)
+                if layout is None:
+                    continue
+                blocks = list(layout.blocks)
+                want = {}
+                for prices in blocks:
+                    cells = oracle_feasible_cells(layout, prices)
+                    if cells.size:
+                        want[prices] = cells.tolist()
+                got = [(prices, _cells(layout, *heads).tolist())
+                       for prices, *heads in search._enumerate_blocks(layout, blocks)]
+                assert got == list(want.items()), (constraint, prune, grid.prices)
+                layouts += 1
+                partial += any(len(c) < math.prod(layout.shape) for c in want.values())
+    assert layouts > 50 and partial > 20
+
+
+def _slab_bounds_per_cell(inst, layout, fixed_key):
+    """The slab bounds in (blocks x J x T) form: every cell's folded key and
+    utility, and one binary search per cell and head axis."""
+    folded = len(layout.axes) > 1
+    pay = np.maximum(layout.tables[-1] if folded else 0, fixed_key[:, None, :])
+    util = pay // inst.K
+    pay -= util * inst.K
+    for axis, top in zip(layout.axes[:len(layout.axes) - folded], layout.tops):
+        dearest = np.concatenate(([0], axis))[np.searchsorted(axis, top - util, side="right")]
+        np.maximum(pay, dearest, out=pay)
+    return np.broadcast_to(pay @ inst.weights, (len(pay), layout.shape[-1]))
+
+
+def test_instance_scaling_is_charged_to_evaluate(monkeypatch):
+    # scaling the instance runs on the stage clock, so a slow _Instance
+    # shows in the "evaluate" stage and the stages stay within the wall time
+    class SlowInstance(search._Instance):
+        def __init__(self, dist, grid):
+            time.sleep(0.2)
+            super().__init__(dist, grid)
+
+    dist = _weighted_joint(2, [((2, 2), 1), ((1, 3), 2)])
+    grid = candidate_grid(dist, "integer-grid")
+    monkeypatch.setattr(search, "_Instance", SlowInstance)
+    res = search_optimal(dist, "unrestricted", grid)
+    assert res.stages["evaluate"] >= 0.2
+    assert sum(res.stages.values()) <= res.elapsed
 
 
 def test_all_zero_grid_search():
@@ -571,7 +703,8 @@ def _small_product(rng, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_slab_bounds_cover_every_menu(n):
     # each slab's bound is at least the exact score of every menu in it,
-    # feasible or not, on every block of every bounded layout
+    # feasible or not, on every block of every bounded layout, and equals the
+    # bound with one binary search per (block, slab, type) cell
     rng = random.Random(60 + n)
     bounded = tight = useful = 0
     for trial in range(10):
@@ -590,6 +723,9 @@ def test_slab_bounds_cover_every_menu(n):
             cells = np.arange(math.prod(layout.shape))
             subs = np.unravel_index(cells, layout.shape)
             order, bounds = _visit_order(inst, layout)
+            fixed_key = search._fixed_key(inst, layout.fixed, order)
+            assert search._slab_bounds(inst, layout, fixed_key).tolist() == \
+                _slab_bounds_per_cell(inst, layout, fixed_key).tolist()
             top = 0
             for prices in order:
                 fixed_key = search._fixed_key(inst, layout.fixed, prices)
@@ -631,7 +767,8 @@ def _ties_out_of_order(dist, constraint, grid):
         return False
     order, _ = _visit_order(inst, layout)
     best = {}
-    for prices, idx in search._enumerate_blocks(layout, order):
+    for prices, *heads in search._enumerate_blocks(layout, order):
+        idx = _cells(layout, *heads)
         pay = _table_payments(inst, layout, search._fixed_key(inst, layout.fixed, prices), idx)
         best[prices] = (pay @ inst.weights).max()
     optimal = [p for p in best if best[p] == max(best.values())]
@@ -723,9 +860,9 @@ def test_kernel_chunks_count_last_axis_candidates(monkeypatch):
     heads = []
     mesh_scores = search._mesh_scores
 
-    def recording(inst, layout, fixed_key, idx):
-        heads.append(np.unique(idx // layout.shape[-1]).size)
-        return mesh_scores(inst, layout, fixed_key, idx)
+    def recording(inst, layout, fixed_key, rows):
+        heads.append(len(rows))
+        return mesh_scores(inst, layout, fixed_key, rows)
 
     monkeypatch.setattr(search, "_mesh_scores", recording)
     got = search_optimal(dist, "unrestricted", grid)
