@@ -9,6 +9,7 @@ from .buyer import (
     buyer_choice,
     check_monotone,
     expected_revenue,
+    expected_revenues,
     monotonicity_grid,
     revenue_at,
     sale_probabilities,

@@ -2,15 +2,18 @@
 
 `buyer_choice` is the readable reference: it walks the bundles of one
 valuation in Fractions. Every other revenue here goes through one integer
-evaluator, `batch_choice`, which takes a menu and a batch of valuations,
-scales the prices and the coordinates by one common multiple L of their
-denominators, and picks each valuation's option with Python ints. Each
-option gets one integer key that orders it by utility, then payment, then
-bundle size, then canonical bundle order, so the largest key is the choice
-`buyer_choice` makes. `revenue_at`, `expected_revenue`, `sale_probabilities`,
-`check_monotone` and `regions.verify_against_buyer` all read its result;
-`expected_revenue` weighs the integer payments by p_t * W (W the lcm of the
-probability denominators) and builds one Fraction at the end.
+rule, `_choose`: with the prices and the coordinates scaled by one common
+multiple L of their denominators, each option gets one Python-int key that
+orders it by utility, then payment, then bundle size, then canonical bundle
+order, so the largest key is the choice `buyer_choice` makes.
+
+`batch_choice` runs that rule for one menu over a batch of valuations;
+`revenue_at`, `sale_probabilities`, `check_monotone` and
+`regions.verify_against_buyer` read its result. `expected_revenues` scores
+several menus on one distribution: it scales the atoms, their probabilities
+(p_t * W, W the lcm of the probability denominators) and every menu's prices
+once, runs the rule per menu and builds one Fraction per menu at the end.
+`expected_revenue` is its one-menu case.
 
 The evaluator takes rational coordinates only (ints, Fractions or other
 `numbers.Rational`): a float or any other coordinate raises ValueError
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,31 +127,39 @@ def _bundle_masks(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((sum(1 << (i - 1) for i in b), len(b)) for b in all_bundles(n))
 
 
-def batch_choice(m: Menu, points: Sequence[Valuation]) -> BatchChoice:
-    """`buyer_choice` at every point of a batch, in Python ints.
-
-    With every price and coordinate scaled by L, option k of a point with
-    bundle value V_k and price P_k gets the key
-    ((V_k - P_k) * (max P + 1) + P_k) * (n + 1) + |bundle|, times 2^n, plus
-    2^n - 1 - k. Utility, then payment, then size rank the options, and
-    among equal keys the first in canonical order (the lexicographically
-    smallest bundle) wins, so the largest key names the choice.
-    """
-    n = m.n
+def _scaled_columns(n: int, points: Sequence[Valuation],
+                    prices: Iterable[Fraction]) -> Tuple[int, Dict[int, int], List[List[int]]]:
+    """L, the lcm of the denominators of every coordinate and price; L // d
+    for each of those denominators d; and L times each coordinate column."""
     columns = _coordinate_columns(n, points)
     numerators = [list(map(_numerators, column)) for column in columns]
     denominators = [list(map(_denominators, column)) for column in columns]
-    dens = set(map(_denominators, m.prices)).union(*denominators)
+    dens = set(map(_denominators, prices)).union(*denominators)
     scale = math.lcm(*dens)
     factor = {d: scale // d for d in dens}
-    prices = (0,) + tuple(q.numerator * factor[q.denominator] for q in m.prices)
     scaled = [[x * factor[d] for x, d in zip(nums, ds)]
               for nums, ds in zip(numerators, denominators)]
+    return scale, factor, scaled
 
+
+def _unit(n: int, top: int) -> int:
+    """One unit of utility in the option keys, for L-scaled prices up to `top`."""
+    return (top + 1) * (n + 1) << n
+
+
+def _choose(n: int, prices: Sequence[int], values: List[List[int]], unit: int) -> List[int]:
+    """The option each point takes: `prices` are L times each option's price
+    (0 for option 0), `values` are L times each coordinate column times
+    `unit`, and `unit` is at least `_unit(n, max(prices))`.
+
+    Option k of a point with bundle value V_k and price P_k gets the key
+    (V_k - P_k) * unit + (P_k * (n + 1) + |bundle|) * 2^n + 2^n - 1 - k.
+    Utility, then payment, then size rank the options, and among equal
+    keys the first in canonical order (the lexicographically smallest
+    bundle) wins, so the largest key names the choice.
+    """
     options_count = 1 << n
     sizes = n + 1
-    unit = (max(prices) + 1) * sizes * options_count  # one unit of utility
-    values = [[x * unit for x in column] for column in scaled]
     sums: Dict[int, List[int]] = {}  # bundle mask -> unit times each point's bundle value
     best = repeat(options_count - 1)  # the key of option 0
     for k, (mask, size) in enumerate(_bundle_masks(n), start=1):
@@ -160,7 +171,19 @@ def batch_choice(m: Menu, points: Sequence[Valuation]) -> BatchChoice:
         price = prices[k]
         offset = (price * sizes + size) * options_count + options_count - 1 - k - price * unit
         best = list(map(max, best, [s + offset for s in column]))
-    options = [~key & (options_count - 1) for key in best]
+    return [~key & (options_count - 1) for key in best]
+
+
+def _scaled_prices(m: Menu, factor: Dict[int, int]) -> Tuple[int, ...]:
+    return (0,) + tuple(q.numerator * factor[q.denominator] for q in m.prices)
+
+
+def batch_choice(m: Menu, points: Sequence[Valuation]) -> BatchChoice:
+    """`buyer_choice` at every point of a batch, in Python ints (see `_choose`)."""
+    scale, factor, scaled = _scaled_columns(m.n, points, m.prices)
+    prices = _scaled_prices(m, factor)
+    unit = _unit(m.n, max(prices))
+    options = _choose(m.n, prices, [[x * unit for x in column] for column in scaled], unit)
     return BatchChoice(scale, prices, list(zip(*scaled)), options,
                        [prices[k] for k in options])
 
@@ -170,30 +193,62 @@ def revenue_at(m: Menu, v: Valuation) -> Fraction:
     return _price_paid(m, batch_choice(m, (v,)).options[0])
 
 
-def _option_weights(m: Menu, dist: JointDistribution) -> Tuple[BatchChoice, int, List[int]]:
-    """The choice at every atom, W (the lcm of the probability denominators)
-    and, per option, W times the probability that the buyer takes it."""
+def _check_items(m: Menu, dist: JointDistribution) -> None:
     if m.n != dist.n:
         raise ValueError(f"menu has {m.n} items but distribution has {dist.n}")
-    chosen = batch_choice(m, [v for v, _ in dist.atoms])
+
+
+def _atom_weights(dist: JointDistribution) -> Tuple[int, List[int]]:
+    """W, the lcm of the probability denominators, and W times each atom's probability."""
     probs = [p for _, p in dist.atoms]
     dens = list(map(_denominators, probs))
     whole = math.lcm(*set(dens))
     factor = {d: whole // d for d in set(dens)}
-    totals = [0] * len(chosen.prices)
-    for k, num, d in zip(chosen.options, map(_numerators, probs), dens):
-        totals[k] += num * factor[d]
-    return chosen, whole, totals
+    return whole, [num * factor[d] for num, d in zip(map(_numerators, probs), dens)]
+
+
+def _option_totals(options: Iterable[int], weights: Sequence[int], count: int) -> List[int]:
+    """Per option, the sum of the weights of the atoms that take it."""
+    totals = [0] * count
+    for k, w in zip(options, weights):
+        totals[k] += w
+    return totals
+
+
+def expected_revenues(menus: Sequence[Menu], dist: JointDistribution) -> List[Fraction]:
+    """`expected_revenue` of each menu, over one scaling of the atoms.
+
+    The coordinate columns, one L for the atoms and every menu's prices, the
+    scaled points, W and the atom weights are computed once; each menu then
+    runs only the key loop of `_choose` and one weighted sum of payments.
+    """
+    for m in menus:
+        _check_items(m, dist)
+    if not menus:
+        return []
+    scale, factor, scaled = _scaled_columns(
+        dist.n, [v for v, _ in dist.atoms], chain.from_iterable(m.prices for m in menus))
+    whole, weights = _atom_weights(dist)
+    prices = [_scaled_prices(m, factor) for m in menus]
+    unit = _unit(dist.n, max(map(max, prices)))
+    values = [[x * unit for x in column] for column in scaled]
+    out = []
+    for p in prices:
+        totals = _option_totals(_choose(dist.n, p, values, unit), weights, len(p))
+        out.append(Fraction(sum(map(mul, p, totals)), whole * scale))
+    return out
 
 
 def expected_revenue(m: Menu, dist: JointDistribution) -> Fraction:
-    chosen, whole, totals = _option_weights(m, dist)
-    return Fraction(sum(p * t for p, t in zip(chosen.prices, totals)), whole * chosen.scale)
+    return expected_revenues([m], dist)[0]
 
 
 def sale_probabilities(m: Menu, dist: JointDistribution) -> Dict[Bundle, Fraction]:
     """Probability that each bundle (including ()) is the one sold."""
-    _, whole, totals = _option_weights(m, dist)
+    _check_items(m, dist)
+    chosen = batch_choice(m, [v for v, _ in dist.atoms])
+    whole, weights = _atom_weights(dist)
+    totals = _option_totals(chosen.options, weights, len(chosen.prices))
     return {b: Fraction(t, whole) for b, t in zip(((),) + all_bundles(m.n), totals)}
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Sequence, Tuple
 
-from .buyer import expected_revenue
+from .buyer import expected_revenues
 from .model import (
     JointDistribution,
     Menu,
@@ -54,10 +54,10 @@ class ConstructionCertificate:
         }
 
 
-def _certificate(branch: str, m: Menu, outputs: Sequence[Menu],
-                 dist: JointDistribution, require_each: bool = False) -> ConstructionCertificate:
-    base = expected_revenue(m, dist)
-    revs = tuple(expected_revenue(o, dist) for o in outputs)
+def _certificate(branch: str, m: Menu, outputs: Sequence[Menu], base: Fraction,
+                 revs: Sequence[Fraction], require_each: bool = False) -> ConstructionCertificate:
+    """Certify outputs earning `revs` against the input m earning `base`."""
+    revs = tuple(revs)
     if require_each:
         bad = [(o, r) for o, r in zip(outputs, revs) if r < base]
         if bad:
@@ -90,7 +90,8 @@ def submodularize2(m: Menu, d1: SingleItemDistribution,
     dist = product([d1, d2])
     a, b, c = m.prices
     if c <= a + b:
-        return _certificate("already-submodular", m, [m], dist, require_each=True)
+        base, = expected_revenues([m], dist)
+        return _certificate("already-submodular", m, [m], base, [base], require_each=True)
 
     swapped = a > b
     if swapped:
@@ -105,7 +106,8 @@ def submodularize2(m: Menu, d1: SingleItemDistribution,
         branch, out = "bundle-margin", menu2(c - b, b, c)
     if swapped:
         out = out.swap2()
-    return _certificate(branch, m, [out], dist, require_each=True)
+    base, rev = expected_revenues([m, out], dist)
+    return _certificate(branch, m, [out], base, [rev], require_each=True)
 
 
 def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
@@ -120,33 +122,32 @@ def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
       * c > 2a and 2a*Pr[a <= v < c-a] >= (c-2a)*Pr[v >= c-a]: the better of
         (b,b,c) and (a,a,2a).
       * c > 2a otherwise: the better of (b,b,c) and (c-a,c-a,2c-2a).
+
+    The candidates depend only on the prices and on f, so the input menu,
+    the working menu and the candidates are scored in one call.
     """
     if m.n != 2:
         raise ValueError("symmetrize2 is defined for 2-item menus")
     dist = product([f, f])
-    base_rev = expected_revenue(m, dist)
 
     if m.a == m.b:
-        return _certificate("identity", m, [m], dist, require_each=True)
+        base_rev, = expected_revenues([m], dist)
+        return _certificate("identity", m, [m], base_rev, [base_rev], require_each=True)
 
     work = normalize(m)
     if work.c > work.a + work.b:
         work = submodularize2(work, f, f).best
     if work.a == work.b:
-        cert = _certificate("normalized-symmetric", work, [work], dist, require_each=True)
+        base_rev, work_rev = expected_revenues([m, work], dist)
+        cert = _certificate("normalized-symmetric", work, [work], work_rev, [work_rev],
+                            require_each=True)
     else:
         if work.a > work.b:
             work = work.swap2()
         a, b, c = work.prices
-        two_rev = 2 * expected_revenue(work, dist)
         if c <= 2 * a:
             cands = [menu2(a, a, c), menu2(b, b, c)]
             branch = "c<=2a"
-            revs = [expected_revenue(x, dist) for x in cands]
-            if revs[0] + revs[1] != two_rev:
-                raise CertificateError(
-                    f"averaging identity failed for {work.prices}: "
-                    f"{revs[0]} + {revs[1]} != 2 * {two_rev / 2}")
         else:
             lhs = 2 * a * f.prob_in(a, c - a)
             rhs = (c - 2 * a) * f.tail(c - a)
@@ -156,12 +157,18 @@ def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
             else:
                 cands = [menu2(b, b, c), menu2(c - a, c - a, 2 * (c - a))]
                 branch = "c>2a-high"
-            revs = [expected_revenue(x, dist) for x in cands]
-            if revs[0] + revs[1] < two_rev:
+        base_rev, work_rev, *revs = expected_revenues([m, work, *cands], dist)
+        two_rev = 2 * work_rev
+        if branch == "c<=2a":
+            if revs[0] + revs[1] != two_rev:
                 raise CertificateError(
-                    f"branch {branch!r}: {cands[0].prices} + {cands[1].prices} earn "
-                    f"{revs[0]} + {revs[1]} < twice the revenue of {work.prices}")
-        cert = _certificate(branch, work, cands, dist)
+                    f"averaging identity failed for {work.prices}: "
+                    f"{revs[0]} + {revs[1]} != 2 * {two_rev / 2}")
+        elif revs[0] + revs[1] < two_rev:
+            raise CertificateError(
+                f"branch {branch!r}: {cands[0].prices} + {cands[1].prices} earn "
+                f"{revs[0]} + {revs[1]} < twice the revenue of {work.prices}")
+        cert = _certificate(branch, work, cands, work_rev, revs)
 
     # The chain normalize -> submodularize -> symmetrize may only gain revenue,
     # so certify against the original menu as well.
@@ -195,7 +202,7 @@ def verify_dominance(candidates: Sequence[Menu], baseline: Menu,
     """Best candidate by expected revenue and its margin over the baseline."""
     if not candidates:
         raise ValueError("empty candidate list")
-    revs = [expected_revenue(c, dist) for c in candidates]
+    *revs, base = expected_revenues([*candidates, baseline], dist)
     best_idx = max(range(len(revs)), key=lambda i: (revs[i], -i))
-    margin = revs[best_idx] - expected_revenue(baseline, dist)
+    margin = revs[best_idx] - base
     return candidates[best_idx], margin

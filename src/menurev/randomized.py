@@ -6,8 +6,9 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import lcm
+from operator import attrgetter, mul
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import lp
@@ -164,22 +165,38 @@ class ICIRReport:
 
 def verify_ic_ir(d: DirectMechanism, dist: JointDistribution,
                  tol: Fraction = Fraction(0)) -> ICIRReport:
-    """Check all pairwise truthfulness constraints and per-type rationality."""
+    """Check all pairwise truthfulness constraints and per-type rationality.
+
+    The values, allocations, payments and `tol` are scaled by L, the lcm of
+    their denominators, so type t reporting s has the integer utility
+    L^2 * (v_t . x_s - p_s); Fractions are built only for the messages.
+    """
     types = [v for v, _ in dist.atoms]
     if len(types) != len(d.payments):
         raise ValueError("mechanism does not cover every type")
+    dens = set(map(attrgetter("denominator"), chain(
+        chain.from_iterable(types), chain.from_iterable(d.allocations), d.payments, (tol,))))
+    scale = lcm(*dens)
+    factor = {den: scale // den for den in dens}
+
+    def scaled(q) -> int:
+        return q.numerator * factor[q.denominator]
+
+    values = [tuple(map(scaled, v)) for v in types]
+    allocations = [tuple(map(scaled, x)) for x in d.allocations]
+    payments = [scaled(p) * scale for p in d.payments]
+    slack = scaled(tol) * scale
+    square = scale * scale
     viol: List[str] = []
-    utility = [sum((x * q for x, q in zip(v, d.allocations[t])), Fraction(0)) - d.payments[t]
-               for t, v in enumerate(types)]
-    for t, v in enumerate(types):
-        if utility[t] < -tol:
-            viol.append(f"IR: type {t} has utility {utility[t]}")
-        for s in range(len(types)):
-            if s == t:
-                continue
-            other = sum((x * q for x, q in zip(v, d.allocations[s])), Fraction(0)) - d.payments[s]
-            if utility[t] < other - tol:
-                viol.append(f"IC: type {t} prefers report {s} ({utility[t]} < {other})")
+    for t, v in enumerate(values):
+        utility = [sum(map(mul, v, x)) - p for x, p in zip(allocations, payments)]
+        own = utility[t]
+        if own < -slack:
+            viol.append(f"IR: type {t} has utility {Fraction(own, square)}")
+        for s, other in enumerate(utility):
+            if s != t and own < other - slack:
+                viol.append(f"IC: type {t} prefers report {s} "
+                            f"({Fraction(own, square)} < {Fraction(other, square)})")
     return ICIRReport(not viol, tuple(viol))
 
 

@@ -3,31 +3,35 @@
 The four closed regions below are derived from the menu geometry alone; they
 must agree pointwise with buyer_choice, which the test suite checks on dense
 random grids including boundary points.
+
+Every half-plane coefficient is -1, 0 or 1 and only the right-hand sides are
+Fractions, so `RegionPartition2.regions_of` scales the right-hand sides and
+a whole batch of points by one common multiple of their denominators and
+tests each point with Python-int sums. It shares no choice logic with the
+buyer's evaluator (only the check that coordinates are rationals), so
+`verify_against_buyer` is an independent check of it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
-from .buyer import batch_choice
+from .buyer import _coordinate_columns, batch_choice
 from .model import Bundle, Menu, Valuation, all_bundles, is_normalized2
 
 # A half-plane constraint (a1, a2, op, rhs) means  a1*v1 + a2*v2  op  rhs,
-# with op one of ">=", "<=".
-HalfPlane = Tuple[Fraction, Fraction, str, Fraction]
+# with a1, a2 in {-1, 0, 1} and op one of ">=", "<=".
+HalfPlane = Tuple[int, int, str, Fraction]
 
 _F0 = Fraction(0)
 Point = Tuple[Fraction, Fraction]
 
 
-def _hp(a1, a2, op, rhs) -> HalfPlane:
-    return (Fraction(a1), Fraction(a2), op, Fraction(rhs))
-
-
-def _satisfies(hp: HalfPlane, v: Valuation) -> bool:
-    lhs = hp[0] * v[0] + hp[1] * v[1]
-    return lhs >= hp[3] if hp[2] == ">=" else lhs <= hp[3]
+def _hp(a1: int, a2: int, op: str, rhs) -> HalfPlane:
+    return (a1, a2, op, Fraction(rhs))
 
 
 @dataclass(frozen=True)
@@ -45,17 +49,42 @@ class RegionPartition2:
     constraints: Dict[Bundle, Tuple[HalfPlane, ...]]
 
     def region_of(self, v: Valuation) -> Bundle:
-        for bundle in self._priority():
-            if all(_satisfies(hp, v) for hp in self.constraints[bundle]):
-                return bundle
-        return ()
+        return self.regions_of([v])[0]
 
-    def _priority(self) -> List[Bundle]:
+    def regions_of(self, points: Sequence[Valuation]) -> List[Bundle]:
+        """The region of each point: the first region, in the tie-break
+        order, whose half-planes all hold at it; () if none does.
+
+        The right-hand sides and the coordinates are scaled by L, the lcm of
+        their denominators, and each half-plane is turned into the form
+        a1*x + a2*y >= r, so every test is an integer sum and a compare.
+        """
+        xs, ys = _coordinate_columns(2, points)
         price = self.menu.as_dict()
         price[()] = _F0
-        order = [(1, 2), (1,), (2,), ()]
-        order.sort(key=lambda b: (-price[b], -len(b), b))
-        return order
+        order = sorted(self.constraints, key=lambda b: (-price[b], -len(b), b))
+        dens = {q.denominator for q in chain(xs, ys)}
+        dens.update(hp[3].denominator for hps in self.constraints.values() for hp in hps)
+        scale = math.lcm(*dens)
+        factor = {d: scale // d for d in dens}
+
+        def ge(hp: HalfPlane) -> Tuple[int, int, int]:
+            a1, a2, op, rhs = hp
+            r = rhs.numerator * factor[rhs.denominator]
+            return (a1, a2, r) if op == ">=" else (-a1, -a2, -r)
+
+        tests = [(b, [ge(hp) for hp in self.constraints[b]]) for b in order]
+        out: List[Bundle] = []
+        for x, y in zip(xs, ys):
+            x = x.numerator * factor[x.denominator]
+            y = y.numerator * factor[y.denominator]
+            for bundle, halves in tests:
+                if all(a1 * x + a2 * y >= r for a1, a2, r in halves):
+                    out.append(bundle)
+                    break
+            else:
+                out.append(())
+        return out
 
     def polygons(self, frame: Fraction) -> Dict[Bundle, List[Point]]:
         """Closed polygon outline of each region clipped to [0, frame]^2."""
@@ -138,7 +167,8 @@ def verify_against_buyer(part: RegionPartition2, points: Sequence[Valuation]) ->
     """Return the points where the geometric region disagrees with the buyer's choice."""
     options = ((),) + all_bundles(2)
     chosen = batch_choice(part.menu, points)
-    return [v for v, k in zip(points, chosen.options) if part.region_of(v) != options[k]]
+    regions = part.regions_of(points)
+    return [v for v, k, r in zip(points, chosen.options, regions) if r != options[k]]
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +243,10 @@ def render_svg(part: RegionPartition2, width: int = 420) -> str:
 def render_ascii(part: RegionPartition2, size: int = 24) -> str:
     frame = _frame(part)
     cell = frame / size
-    rows = []
-    for j in range(size - 1, -1, -1):
-        row = []
-        for i in range(size):
-            mid = ((i + Fraction(1, 2)) * cell, (j + Fraction(1, 2)) * cell)
-            row.append(_REGION_LABELS[part.region_of(mid)])
-        rows.append("".join(row))
+    mids = [((i + Fraction(1, 2)) * cell, (j + Fraction(1, 2)) * cell)
+            for j in range(size - 1, -1, -1) for i in range(size)]
+    labels = [_REGION_LABELS[r] for r in part.regions_of(mids)]
+    rows = ["".join(labels[k:k + size]) for k in range(0, len(labels), size)]
     a, b, c = part.menu.prices
     header = f"menu ({a}, {b}, {c})  [{part.kind}]  frame [0, {frame}]^2"
     return header + "\n" + "\n".join(rows) + "\n"

@@ -13,6 +13,7 @@ from menurev import (
     buyer_choice,
     check_monotone,
     expected_revenue,
+    expected_revenues,
     menu2,
     monotonicity_grid,
     revenue_at,
@@ -320,6 +321,25 @@ def test_expected_revenue_and_sale_probabilities_match_buyer_choice():
             sold[buyer_choice(m, v).bundle] += p
         sales = sale_probabilities(m, dist)
         assert sales == sold and list(sales) == list(sold)
+
+
+def test_expected_revenues_match_one_menu_at_a_time():
+    """Menus whose price denominators differ from each other and from the
+    atoms', with repeats, scored together and one by one."""
+    rng = random.Random(46)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        dist = _random_joint(rng, n, rng.randint(1, 30))
+        menus = [Menu(n, tuple(F(rng.randint(0, 16), rng.choice((1, 5, 11, 2 ** 45)))
+                               for _ in all_bundles(n))) for _ in range(rng.randint(1, 5))]
+        menus += rng.sample(menus, rng.randint(0, len(menus)))
+        rng.shuffle(menus)
+        revenues = expected_revenues(menus, dist)
+        assert revenues == [expected_revenue(m, dist) for m in menus]
+        assert revenues == [oracle_revenue(m, dist) for m in menus]
+    assert expected_revenues([], dist) == []
+    with pytest.raises(ValueError, match="menu has 2 items but distribution has 1"):
+        expected_revenues([menu2(1, 1, 2)], JointDistribution(1, (((F(1),), F(1)),)))
 
 
 _MENU = menu2(1, 1, 2)

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from menurev import (
+    CertificateError,
+    constructions,
     expected_revenue,
     menu2,
     point_mass,
@@ -81,6 +83,38 @@ def test_symmetrize_high_anchor_branch():
     assert cert.best.prices == (F(4), F(4), F(8))
     assert cert.margin == 1
     assert all(is_symmetric_menu(m) for m in cert.outputs)
+
+
+def _falsify(monkeypatch, edit):
+    """Make the evaluator the constructions call return edit(menus, revenues)."""
+    real = constructions.expected_revenues
+    monkeypatch.setattr(constructions, "expected_revenues",
+                        lambda menus, dist: edit(menus, real(menus, dist)))
+
+
+@pytest.mark.parametrize("build, edit, message", [
+    # the output earns less than the input
+    (lambda: submodularize2(menu2(1, 1, 3), uniform([1, 3]), uniform([1, 3])),
+     lambda menus, revs: [revs[0], revs[0] - 1],
+     r"branch 'item-prices': output .* earns .* < input"),
+    # c <= 2a: the candidates no longer average to the input's revenue
+    (lambda: symmetrize2(menu2(3, 4, 5), uniform([2, 3, 7])),
+     lambda menus, revs: revs[:3] + [revs[3] + F(1, 9)],
+     r"averaging identity failed for"),
+    # c > 2a: the two candidates earn less than twice the input
+    (lambda: symmetrize2(menu2(1, 4, 5), uniform([1, 5])),
+     lambda menus, revs: revs[:2] + [F(0), F(0)],
+     r"branch 'c>2a-high': .* < twice the revenue of"),
+    # the original menu earns more than every candidate
+    (lambda: symmetrize2(menu2(1, 4, 5), uniform([1, 5])),
+     lambda menus, revs: [revs[0] + 100] + revs[1:],
+     r"symmetrized candidates earn .* < original menu revenue"),
+], ids=["require_each", "averaging-identity", "c>2a-sum", "chain"])
+def test_certificate_checks_fire_on_falsified_revenues(monkeypatch, build, edit, message):
+    build()  # the true revenues certify
+    _falsify(monkeypatch, edit)
+    with pytest.raises(CertificateError, match=message):
+        build()
 
 
 def test_symmetrize_low_anchor_branch():

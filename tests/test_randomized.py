@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from menurev import (
+    JointDistribution,
     candidate_grid,
     lp,
     point_mass,
@@ -159,6 +160,61 @@ def test_verify_ic_ir_catches_full_surplus_extraction():
     report = verify_ic_ir(mech, dist)
     assert not report.ok
     assert any("IC" in v for v in report.violations)
+
+
+def _icir_oracle(d, dist, tol):
+    """Every IC/IR constraint checked in Fractions, one utility at a time."""
+    types = [v for v, _ in dist.atoms]
+    viol = []
+    utility = [sum((x * q for x, q in zip(v, d.allocations[t])), F(0)) - d.payments[t]
+               for t, v in enumerate(types)]
+    for t, v in enumerate(types):
+        if utility[t] < -tol:
+            viol.append(f"IR: type {t} has utility {utility[t]}")
+        for s in range(len(types)):
+            if s == t:
+                continue
+            other = sum((x * q for x, q in zip(v, d.allocations[s])), F(0)) - d.payments[s]
+            if utility[t] < other - tol:
+                viol.append(f"IC: type {t} prefers report {s} ({utility[t]} < {other})")
+    return not viol, tuple(viol)
+
+
+def _random_mechanisms(rng):
+    """(mechanism, distribution) pairs on unrelated denominators: menu-induced
+    mechanisms (truthful), the same with nudged payments, and random ones."""
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        weights = {}
+        for _ in range(rng.randint(1, 7)):
+            v = tuple(F(rng.randint(0, 12), rng.choice((1, 2, 3, 7))) for _ in range(n))
+            weights[v] = weights.get(v, 0) + rng.randint(1, 5)
+        total = sum(weights.values())
+        dist = JointDistribution.from_pairs(n, ((v, F(w, total)) for v, w in weights.items()))
+        entries = [([F(rng.randint(0, q), q) for _ in range(n)],
+                    F(rng.randint(0, 30), rng.choice((1, 4, 5))))
+                   for q in (rng.choice((1, 2, 5, 9)) for _ in range(rng.randint(1, 5)))]
+        truthful = direct_from_menu(RandomizedMenu.from_entries(n, entries), dist)
+        yield truthful, dist
+        nudged = [p + rng.choice((0, 0, F(1, 3), F(-1, 2), F(3, 2))) for p in truthful.payments]
+        yield DirectMechanism(truthful.allocations, tuple(nudged)), dist
+        allocs = tuple(tuple(F(rng.randint(0, 6), 6) for _ in range(n)) for _ in dist.atoms)
+        pays = tuple(F(rng.randint(-2, 20), rng.choice((1, 3, 8))) for _ in dist.atoms)
+        yield DirectMechanism(allocs, pays), dist
+
+
+def test_verify_ic_ir_matches_fraction_loop():
+    rng = random.Random(45)
+    seen = {"ok": 0, "IR": 0, "IC": 0, "within tol": 0}
+    for mech, dist in _random_mechanisms(rng):
+        for tol in (F(0), F(1, 3), F(5, 2)):
+            report = verify_ic_ir(mech, dist, tol)
+            assert (report.ok, report.violations) == _icir_oracle(mech, dist, tol)
+            seen["ok"] += report.ok
+            for kind in ("IR", "IC"):
+                seen[kind] += any(v.startswith(kind) for v in report.violations)
+            seen["within tol"] += report.ok and not verify_ic_ir(mech, dist).ok
+    assert min(seen.values()) >= 10, seen
 
 
 def test_null_mechanism_always_ok(hr_dist):

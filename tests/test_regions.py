@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from menurev import menu2
-from menurev.instances import random_fraction
+from menurev import buyer_choice, menu2
+from menurev.instances import random_fraction, random_submodular_menu, random_supermodular_menu
 from menurev.regions import (
     region_partition_2,
     render_ascii,
@@ -97,3 +98,76 @@ def test_svg_has_one_polygon_per_region():
 def test_ascii_shapes():
     art = render_ascii(region_partition_2(menu2(2, 3, 5)), size=10)
     assert "B" in art and "0" in art and "1" in art and "2" in art
+
+
+@pytest.mark.parametrize("prices", [(15, 45, 80), (27, 70, 85), (2, 3, 5), (1, 2, 3)])
+def test_ascii_cells_are_the_buyer_choice_at_their_midpoints(prices):
+    m = menu2(*prices)
+    art = render_ascii(region_partition_2(m)).splitlines()
+    frame = max(m.a, m.b, m.c - m.a, m.c - m.b, F(1)) * F(5, 4)
+    labels = {(): "0", (1,): "1", (2,): "2", (1, 2): "B"}
+    assert len(art) == 25
+    for j, row in enumerate(art[1:]):
+        y = (23 - j + F(1, 2)) * frame / 24
+        assert row == "".join(labels[buyer_choice(m, ((i + F(1, 2)) * frame / 24, y)).bundle]
+                              for i in range(24))
+
+
+def _half_plane_oracle(part, v):
+    """The region of v by the half-planes in Fractions, one bundle at a time."""
+    price = part.menu.as_dict()
+    price[()] = F(0)
+    for bundle in sorted(part.constraints, key=lambda b: (-price[b], -len(b), b)):
+        if all((a1 * v[0] + a2 * v[1] >= rhs) if op == ">=" else (a1 * v[0] + a2 * v[1] <= rhs)
+               for a1, a2, op, rhs in part.constraints[bundle]):
+            return bundle
+    return ()
+
+
+# two denominators whose product is past 2^63
+_BIG = (F(1, 2 ** 61 - 1), F(1, 3 ** 40))
+
+
+def _boundary_points(part, rng):
+    """Every corner, points along every half-plane boundary, and both nudged by
+    tiny amounts over denominators whose lcm is past 2^63."""
+    a, b, c = part.menu.prices
+    specials = sorted({F(0), a, b, c, c - a, c - b, a + b})
+    pts = [(x, y) for x in specials for y in specials]
+    pts += [xy for _, xy in part.corners]
+    hi = 2 * max(c, F(1))
+    for hps in part.constraints.values():
+        for a1, a2, _, rhs in hps:
+            for t in range(9):
+                s = hi * F(t, 8)
+                if a2:
+                    pts.append((s, (rhs - a1 * s) / a2))
+                if a1:
+                    pts.append(((rhs - a2 * s) / a1, s))
+    nudged = [(x + rng.choice((-1, 0, 1)) * rng.choice(_BIG),
+               y + rng.choice((-1, 0, 1)) * rng.choice(_BIG)) for x, y in pts]
+    return [(x, y) for x, y in pts + nudged if x >= 0 and y >= 0]
+
+
+def test_regions_of_matches_buyer_and_half_plane_oracle():
+    rng = random.Random(20261018)
+    kinds = {}
+    dens = set()
+    for i in range(45):
+        if i % 3 == 0:
+            m = random_supermodular_menu(rng)
+        elif i % 3 == 1:
+            m = random_submodular_menu(rng)
+        else:
+            a, b = random_fraction(rng, 30, 5), random_fraction(rng, 30, 5)
+            m = menu2(a, b, a + b)
+        part = region_partition_2(m)
+        kinds[part.kind] = kinds.get(part.kind, 0) + 1
+        pts = _boundary_points(part, rng)
+        got = part.regions_of(pts)
+        assert got == [_half_plane_oracle(part, v) for v in pts], m.prices
+        assert got == [buyer_choice(m, v).bundle for v in pts], m.prices
+        assert [part.region_of(v) for v in pts[::25]] == got[::25]
+        dens.update(x.denominator for v in pts for x in v)
+    assert set(kinds) == {"supermodular", "submodular", "additive"}
+    assert math.lcm(*dens) > 2 ** 63
