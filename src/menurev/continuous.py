@@ -9,17 +9,23 @@ They are built from integers: the scaled grid points floor(g * 2^20) come
 exactly from each float point's integer ratio, and every tail and mass is a
 ratio of integers, with no Fraction arithmetic before the atoms are made. A
 report discretizes a level once when both items share it.
-The bundle-price sweep orders the atom pairs by one int64 sort of exact keys
-(the scaled sum's distance below the largest sum, then the pair's flat index)
-and falls back to a stable argsort of the float sums only where those keys
-would overflow int64; on these dyadic grids both give the same order.
+The bundle-price sweep walks the atom pairs by descending sum, equal sums in
+flat index order, in buckets that are contiguous in that order and hold at
+most 2^15 pairs each (min(n1, n2), if that is larger): over two 2400-point
+grids its temporaries peak at about 2 MiB, where holding all 5.76 million
+pairs at once took 176 MiB. A bucket is a range of exact int64 keys (the
+scaled sum's distance below the largest sum, then the pair's flat index),
+sorted; only where those keys would overflow int64 is it a range of float
+sums, ordered by a stable argsort, and on these dyadic grids both give the
+same order. The running mass is carried from bucket to bucket, so brev and
+its price are those of one sequential pass over all pairs, to the bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,50 +170,153 @@ class ERGapReport:
         }
 
 
+# the bundle-price sweep takes its atom pairs in buckets of at most this many
+# (or min(n1, n2), if larger); a bucket's temporaries take about 50 bytes a pair
+_BUCKET_PAIRS = 1 << 15
+
+
 def _bundle_price_sweep(d1: SingleItemDistribution,
                         d2: SingleItemDistribution) -> Tuple[float, float]:
     """(max over p of p * Pr[v1 + v2 >= p], argmax p) on the discretized product.
 
     The atom pairs (i, j) are visited by descending sum, equal sums in flat
-    index order, and their masses accumulated in that order. With the values
-    scaled to integers a_i, b_j by the lcm of their denominators, the key
-    ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j sorts ascending into
-    exactly that order; where it could overflow int64, a stable argsort of the
-    negated float sums gives the pairs instead. The two orders agree whenever
-    the float sums are exact, as on every dyadic `er_discretize` grid.
+    index order, and their masses accumulated in that order, one bucket of
+    `_sweep_order` at a time: each bucket's cumulative sum starts from the
+    last one's total, so the running float sum is the sequential one over all
+    pairs, and the first strict maximum over the buckets is the first maximum
+    over the whole sweep.
     """
     v1 = np.array([float(v) for v, _ in d1.atoms])
     w1 = np.array([float(p) for _, p in d1.atoms])
     v2 = np.array([float(v) for v, _ in d2.atoms])
     w2 = np.array([float(p) for _, p in d2.atoms])
+    best, price, carry = -math.inf, 0.0, 0.0
+    for i, j in _sweep_order(d1, d2, v1, v2):
+        sums = np.take(v1, i)
+        mass = np.take(v2, j)
+        sums += mass
+        # every index is in range; mode="clip" lets take write to `out` unbuffered
+        np.take(w1, i, out=mass, mode="clip")
+        mass *= np.take(w2, j)
+        mass[0] += carry
+        np.cumsum(mass, out=mass)
+        carry = mass[-1]
+        mass *= sums  # the revenue at each price
+        k = int(np.argmax(mass))
+        if mass[k] > best:
+            best, price = float(mass[k]), float(sums[k])
+    return best, price
+
+
+def _sweep_order(d1: SingleItemDistribution, d2: SingleItemDistribution,
+                 v1: np.ndarray, v2: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The atom pairs (i, j) by descending sum, equal sums in flat index order,
+    as index arrays of consecutive buckets of at most
+    max(_BUCKET_PAIRS, min(n1, n2)) pairs each.
+
+    With the values scaled to integers a_i, b_j by the lcm of their
+    denominators, the key ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j is
+    unique and ascends in exactly that order; a bucket is the keys in [s, t),
+    sorted. Where the keys could overflow int64, a bucket is the pairs whose
+    float sum fl(v1_i + v2_j) lies in (t, s], ordered by a stable argsort of
+    the negated sums; such a bucket keeps every pair of a float sum together,
+    so it may exceed the bound only by one group of equal sums. The two orders
+    agree whenever the float sums are exact, as on every dyadic
+    `er_discretize` grid. Either way the pairs of a row i ordered before a
+    threshold form a suffix of j, since both supports ascend, so a bucket is
+    one column range per row. Besides one bucket, the sweep holds only the
+    per-row ranges and the thresholds' sample: every (bound / 32)-th pair in
+    flat order.
+    """
+    n1, n2 = len(v1), len(v2)
+    cap = max(_BUCKET_PAIRS, min(n1, n2))
+    # thresholds from a strided sample of the pairs, about every cap / 2
+    # pairs; a bucket that still holds more than cap pairs is split
+    stride = max(1, cap // 32)
+    si, sj = np.divmod(np.arange(0, n1 * n2, stride), n2)
     scale = math.lcm(*(v.denominator for v in d1.support + d2.support))
     a = [v.numerator * (scale // v.denominator) for v in d1.support]
     b = [v.numerator * (scale // v.denominator) for v in d2.support]
     top = a[-1] + b[-1]  # supports ascend
-    ib, jb = (len(a) - 1).bit_length(), (len(b) - 1).bit_length()
+    ib, jb = (n1 - 1).bit_length(), (n2 - 1).bit_length()
     if (top + 1) << (ib + jb) < 1 << 63:
-        rows = ((top - np.array(a, dtype=np.int64)) << (ib + jb)) | (np.arange(len(a)) << jb)
-        cols = np.arange(len(b)) - (np.array(b, dtype=np.int64) << (ib + jb))
-        keys = np.add.outer(rows, cols).ravel()
-        keys.sort()
-        j = keys & ((1 << jb) - 1)
-        keys >>= jb
-        keys &= (1 << ib) - 1
-        i = keys
+        rows = ((top - np.array(a, dtype=np.int64)) << (ib + jb)) | (np.arange(n1) << jb)
+        cols = np.arange(n2) - (np.array(b, dtype=np.int64) << (ib + jb))
+        # a row's keys below t are its columns with -cols[j] > rows[i] - t
+        neg = -cols
+        sample = np.sort(rows[si] + cols[sj])[16::16].tolist()
+        bounds = _buckets(lambda t: np.searchsorted(neg, rows - t, side="right"),
+                          0, sample + [(top + 1) << (ib + jb)],
+                          lambda s, t: (s + t) // 2, cap)
+        for lo, hi in bounds:
+            keys = np.repeat(rows, hi - lo)
+            j = _columns(lo, hi)
+            keys += np.take(cols, j)
+            keys.sort()
+            np.bitwise_and(keys, (1 << jb) - 1, out=j)
+            keys >>= jb
+            keys &= (1 << ib) - 1
+            yield keys, j
     else:
-        i, j = np.divmod(np.argsort(-np.add.outer(v1, v2).ravel(), kind="stable"), len(b))
-    # every index is in range; mode="clip" lets take write to `out` unbuffered
-    sums = np.take(v1, i)
-    mass = np.take(v2, j)
-    sums += mass
-    np.take(w1, i, out=mass, mode="clip")
-    spare = i.view(np.float64)  # i is read no more
-    np.take(w2, j, out=spare, mode="clip")
-    mass *= spare
-    np.cumsum(mass, out=mass)
-    mass *= sums  # the revenue at each price
-    k = int(np.argmax(mass))
-    return float(mass[k]), float(sums[k])
+        def before(t):
+            # the first column whose float sum exceeds t, estimated from
+            # t - v1_i and corrected against the rounded sums themselves
+            j = np.searchsorted(v2, t - v1, side="right")
+            while True:
+                down = (j > 0) & (v1 + v2[np.maximum(j - 1, 0)] > t)
+                up = (j < n2) & (v1 + v2[np.minimum(j, n2 - 1)] <= t)
+                if not (down.any() or up.any()):
+                    return j
+                j += up
+                j -= down
+
+        def midpoint(s, t):
+            m = s / 2 + t / 2
+            return m if t < m < s else None
+
+        sample = np.unique(v1[si] + v2[sj])[::-1][16::16].tolist()
+        bounds = _buckets(before, v1[-1] + v2[-1], sample + [np.nextafter(v1[0] + v2[0], -math.inf)],
+                          midpoint, cap)
+        for lo, hi in bounds:
+            i, j = np.repeat(np.arange(n1), hi - lo), _columns(lo, hi)
+            order = np.argsort(-(v1[i] + v2[j]), kind="stable")
+            yield i[order], j[order]
+
+
+def _buckets(before: Callable, start, marks: List, midpoint: Callable,
+             cap: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Row ranges (lo, hi) of consecutive buckets: row i of a bucket holds the
+    pairs (i, j) with lo[i] <= j < hi[i].
+
+    before(t) gives each row's first column among the pairs ordered before
+    threshold t; no pair is before `start`, and every pair is before the last
+    of `marks`, the thresholds in sweep order. A bucket of more than `cap`
+    pairs is split at midpoint(s, t) of its thresholds, or kept whole where
+    that is None.
+    """
+    s, hi = start, before(start)
+    pending = [(t, None) for t in reversed(marks)]
+    while pending:
+        t, lo = pending.pop()
+        if lo is None:
+            lo = before(t)
+        size = int(hi.sum() - lo.sum())
+        if size > cap:
+            mid = midpoint(s, t)
+            if mid is not None:
+                pending += [(t, lo), (mid, None)]
+                continue
+        if size:
+            yield lo, hi
+        s, hi = t, lo
+
+
+def _columns(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The column j of every pair with lo[i] <= j < hi[i], in flat index order."""
+    counts = hi - lo
+    j = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    j += np.arange(len(j))
+    return j
 
 
 def _strided_subset(values: Sequence[Fraction], count: int) -> List[Fraction]:
@@ -261,9 +370,14 @@ def numeric_gap_er(r1: float, r2: float,
                        drev, drev_exact, tolerance, w)
 
 
+# the default levels of er_cap_sweep: (cap, grid_points)
+SWEEP_CAPS = (1e2, 1e3, 1e4)
+SWEEP_POINTS = (300, 1000, 2400)
+
+
 def er_cap_sweep(r1: float = 1.0, r2: float = 1.0,
-                 caps: Sequence[float] = (1e2, 1e3, 1e4),
-                 points: Sequence[int] = (300, 1000, 2400)) -> List[ERGapReport]:
+                 caps: Sequence[float] = SWEEP_CAPS,
+                 points: Sequence[int] = SWEEP_POINTS) -> List[ERGapReport]:
     """Gap reports across growing caps with resolution growing faster, so the
     discretizations refine and brev/srev climbs toward w from below."""
     if len(caps) != len(points):

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .buyer import check_monotone, expected_revenue, monotonicity_grid
 from .model import Menu, is_submodular, is_symmetric_menu, menu2
 from .constructions import submodularize2, symmetrize2, three_halves_decomposition
-from .continuous import er_cap_sweep, numeric_gap_er, solve_w, NumericParams
+from .continuous import SWEEP_CAPS, SWEEP_POINTS, er_cap_sweep, numeric_gap_er, solve_w, NumericParams
 from .instances import (
     load_distribution,
     load_menu,
@@ -264,8 +264,13 @@ def _er_gap(params: NumericParams) -> List[CheckRow]:
              abs(report.drev - report.brev),
              abs(report.drev - report.brev) <= report.tolerance),
     ]
-    sweep = er_cap_sweep(1.0, 1.0)
-    ratios = [r.brev_over_srev for r in sweep]
+    # er_cap_sweep(1.0, 1.0), but the level that is the report's own comes
+    # from the report: at levels (1, 1) brev depends on cap and grid points alone
+    levels = list(zip(SWEEP_CAPS, SWEEP_POINTS))
+    held = (params.cap, params.grid_points)
+    others = [level for level in levels if level != held]
+    swept = iter(er_cap_sweep(1.0, 1.0, [c for c, _ in others], [p for _, p in others]))
+    ratios = [(report if level == held else next(swept)).brev_over_srev for level in levels]
     rows.append(_row("brev/srev climbs toward w across caps",
                      f"increasing, < {w:.4f}", [round(x, 5) for x in ratios],
                      all(x < y for x, y in zip(ratios, ratios[1:]))

@@ -160,6 +160,19 @@ def test_reproduce_known_discrepancy_fails(capsys):
     assert out.count("PASS") == 6
 
 
+def test_er_gap_target_discretizes_each_level_once(monkeypatch):
+    # the cap sweep's last level is the report's own, so the target takes
+    # its brev from the report
+    from menurev import continuous
+    levels = []
+    real = continuous.er_discretize
+    monkeypatch.setattr(continuous, "er_discretize",
+                        lambda r, p: levels.append((p.cap, p.grid_points)) or real(r, p))
+    rows = run_target("er-gap")
+    assert all(row.ok for row in rows)
+    assert sorted(levels) == [(1e2, 100), (1e2, 300), (1e3, 1000), (1e4, 2400)]
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(menurev.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

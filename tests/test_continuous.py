@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -103,21 +104,28 @@ def _sweep_keys_fit(d1, d2):
     return (top + 1) << bits < 1 << 63
 
 
-@pytest.mark.parametrize("cap, points, fits", [
+# (cap, grid points, whether the sweep's int64 keys fit)
+_SWEEP_GRIDS = [
     (1e4, 1000, True),
     (1e6, 1000, True),
     (1e7, 300, True),
     (1e7, 600, False),
     (1e9, 100, False),
-])
+]
+
+
+def _sweep_levels(cap, points):
+    rng = random.Random(f"{cap}/{points}")
+    r = rng.randint(4, 32) / 8
+    return [(r, r), (r, rng.choice([x / 8 for x in range(4, 33) if x != 8 * r]))]
+
+
+@pytest.mark.parametrize("cap, points, fits", _SWEEP_GRIDS)
 def test_bundle_sweep_matches_oracle_bit_for_bit(cap, points, fits):
     # equal levels sum symmetrically, so many pairs tie and only the flat
     # index orders them; the key path runs where the int64 keys fit, the
     # float argsort elsewhere
-    rng = random.Random(f"{cap}/{points}")
-    r = rng.randint(4, 32) / 8
-    levels = [(r, r), (r, rng.choice([x / 8 for x in range(4, 33) if x != 8 * r]))]
-    for r1, r2 in levels:
+    for r1, r2 in _sweep_levels(cap, points):
         params = NumericParams(cap=cap, grid_points=points)
         d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
         assert _sweep_keys_fit(d1, d2) == fits
@@ -125,21 +133,129 @@ def test_bundle_sweep_matches_oracle_bit_for_bit(cap, points, fits):
         assert _bundle_price_sweep(d2, d1) == oracle_bundle_sweep(d2, d1), (r2, r1)
 
 
-@pytest.mark.parametrize("unit, fits", [(1, True), (2**55, False)])
-def test_bundle_sweep_orders_ties_by_flat_index(unit, fits):
+def _tie_instances(unit):
     # integer values 1-40 make many equal sums of unequal masses, whose
-    # accumulation order shows in the rounding; scaled by 2^55 the values stay
-    # exact in binary64 but the keys no longer fit int64
+    # accumulation order shows in the rounding
     def draw(rng):
         weights = {v * unit: rng.randint(1, 10**6) for v in rng.sample(range(1, 41), rng.randint(5, 30))}
         total = sum(weights.values())
         return SingleItemDistribution.from_pairs([(v, F(w, total)) for v, w in weights.items()])
 
     rng = random.Random(31)
-    for _ in range(20):
-        d1, d2 = draw(rng), draw(rng)
+    return [(draw(rng), draw(rng)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("unit, fits", [(1, True), (2**55, False)])
+def test_bundle_sweep_orders_ties_by_flat_index(unit, fits):
+    # scaled by 2^55 the values stay exact in binary64 but the keys no longer
+    # fit int64
+    for d1, d2 in _tie_instances(unit):
         assert _sweep_keys_fit(d1, d2) == fits
         assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
+
+
+def _spy_buckets(monkeypatch):
+    """Record the float sums of every bucket the sweep takes, in its order."""
+    buckets = []
+    real = continuous._sweep_order
+
+    def spy(d1, d2, v1, v2):
+        for i, j in real(d1, d2, v1, v2):
+            buckets.append(v1[i] + v2[j])
+            yield i, j
+
+    monkeypatch.setattr(continuous, "_sweep_order", spy)
+    return buckets
+
+
+def _check_buckets(buckets, d1, d2):
+    # every bucket within the bound and the sums descending across buckets;
+    # returns how many boundaries fall between two pairs of equal sums
+    bound = max(continuous._BUCKET_PAIRS, min(len(d1.atoms), len(d2.atoms)))
+    assert len(buckets) > 1
+    assert all(0 < len(b) <= bound for b in buckets)
+    assert sum(len(b) for b in buckets) == len(d1.atoms) * len(d2.atoms)
+    edges = [(x[-1], y[0]) for x, y in zip(buckets, buckets[1:])]
+    assert all(last >= first for last, first in edges)
+    return sum(last == first for last, first in edges)
+
+
+@pytest.mark.parametrize("cap, points, fits", _SWEEP_GRIDS)
+def test_bundle_sweep_in_many_buckets_matches_oracle(monkeypatch, cap, points, fits):
+    monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 40)
+    buckets = _spy_buckets(monkeypatch)
+    split_ties = 0
+    for r1, r2 in _sweep_levels(cap, points):
+        params = NumericParams(cap=cap, grid_points=points)
+        d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
+        for a, b in ((d1, d2), (d2, d1)):
+            buckets.clear()
+            assert _bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b), (r1, r2)
+            split_ties += _check_buckets(buckets, a, b)
+    assert (split_ties > 0) == fits
+
+
+@pytest.mark.parametrize("unit, fits", [(1, True), (2**55, False)])
+def test_bundle_sweep_in_many_buckets_orders_ties(monkeypatch, unit, fits):
+    monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 40)
+    buckets = _spy_buckets(monkeypatch)
+    split_ties = 0
+    for d1, d2 in _tie_instances(unit):
+        buckets.clear()
+        assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
+        if len(d1.atoms) * len(d2.atoms) > 40:
+            split_ties += _check_buckets(buckets, d1, d2)
+    assert (split_ties > 0) == fits
+
+
+def test_bundle_sweep_in_many_buckets_on_rounded_sums(monkeypatch):
+    # thirds of 2^55 round in binary64, and so do their sums: the float path
+    # corrects its bucket bounds against the rounded sums; 1 to 30 vanish
+    # beside 2^60 and 2^61, and each group of sums that round together stays
+    # in one bucket, past the bound
+    monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 10)
+    buckets = _spy_buckets(monkeypatch)
+    for d1, d2 in _tie_instances(F(2**55, 3)):
+        assert not _sweep_keys_fit(d1, d2)
+        assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
+    d1 = SingleItemDistribution.from_pairs([(2**60, F(1, 3)), (2**61, F(2, 3))])
+    d2 = SingleItemDistribution.from_pairs([(v, F(1, 30)) for v in range(1, 31)])
+    for a, b in ((d1, d2), (d2, d1)):
+        buckets.clear()
+        assert _bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
+        assert [len(set(x.tolist())) for x in buckets] == [1, 1]
+        assert [len(x) for x in buckets] == [30, 30]
+
+
+def test_bundle_sweep_keeps_the_first_of_equal_revenues(monkeypatch):
+    # prices 4 and 2 both earn exactly 2: the sweep reports the first, the
+    # higher price, also when each pair is a bucket of its own
+    monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 1)
+    d1 = SingleItemDistribution.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
+    d2 = SingleItemDistribution.from_pairs([(1, F(1))])
+    assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2) == (2.0, 4.0)
+
+
+def test_bundle_sweep_memory_is_bounded():
+    # the 2400-point sweep held all 5.76 million pairs at once, 176 MiB at
+    # its peak; in buckets its temporaries stay a few MiB
+    d = er_discretize(1.0, NumericParams(cap=1e4, grid_points=2400))
+    tracemalloc.start()
+    try:
+        _bundle_price_sweep(d, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+def test_er_gap_floats_are_pinned():
+    # brev and its price at 2400 points, and the cap sweep's brev, as the
+    # whole-array sweep computed them
+    report = numeric_gap_er(1.0, 1.0, NumericParams(cap=1e4, grid_points=2400))
+    assert (report.brev.hex(), report.brev_price.hex()) == ("0x1.46b195c939f0fp+1", "0x1.22fc9c0000000p+2")
+    assert [r.brev.hex() for r in er_cap_sweep(1.0, 1.0)] == [
+        "0x1.450db84114e13p+1", "0x1.463c8633c4c9ep+1", "0x1.46b195c939f0fp+1"]
 
 
 def test_random_distribution_dominated_by_matching_er(rng):
