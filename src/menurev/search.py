@@ -2,18 +2,15 @@
 
 The search is exact: results are reported as Fractions and the winning menu's
 revenue is re-verified by `buyer.expected_revenue`, whose integer evaluator
-shares no code with this kernel. Every instance, for any
-number of items, runs on one engine: values and prices are scaled to integers
-and menu blocks are evaluated with numpy, in int64 arrays, or in arrays of
-Python ints where int64 keys would overflow. When atom probabilities have
-denominators too large for int64 weights, or the keys are Python ints, the
-block scores use float64 screening and every near-optimal candidate is
-re-scored exactly as the integer sum of its payments times the atom weights
-p_t * W (W the lcm of the probability denominators), with no Fraction buyer
-per candidate, before the winner is declared. Candidates with equal payment
-vectors share one exact score, so each distinct vector is scored once.
-`SearchResult.path` names the regime. Ties break toward the lexicographically
-smallest price vector (singletons first, then pairs, then larger bundles).
+shares no code with this kernel. Every instance runs on one engine, in
+integers only: values and prices are scaled to integers, and menu blocks are
+evaluated with numpy in int64 arrays, or in arrays of Python ints where int64
+keys would overflow. A menu's score is sum_t w_t * pay_t for integer atom
+weights w_t. They are exact, or floor-scaled where exact int64 scores would
+overflow; a score is then a lower bound within an integer slack D of the
+exact one (see `_Instance`). `SearchResult.path` names the regime: "int64",
+"int64-scaled" or "bigint". Ties break toward the lexicographically smallest
+price vector (singletons first, then pairs, then larger bundles).
 
 A type buys the option with the largest key (v - p) * K + p, which ranks
 utility first and breaks utility ties toward the higher price, and pays the
@@ -24,54 +21,27 @@ are fixed and generated lazily, over a mesh with one axis per other bundle
 p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity. The
 head mesh is the mesh without its last axis, which is the grand bundle in
 every layout that has terms; a cell of it is a head row of J menus, one per
-last-axis candidate.
+last-axis candidate. Every term is linear in the last-axis price, so the
+feasible menus of a head row are the candidates in one range [lo, hi), and
+`examined` is the sum of hi - lo (`_enumerate_blocks`). The menus of a head
+row are scored in closed form from key tables built once per search
+(`_mesh_scores`). The caller masks the cells outside [lo, hi) and in skipped
+slabs and takes the first maximum of the (head rows x J) score matrix, which
+is the chunk's lexicographically smallest best menu. Additive blocks, which
+have no mesh, and the exact rescoring take the payments key mod K directly.
 
-Every term is linear in the last-axis price x, with coefficient 1
-(monotonicity below the grand bundle), -1 (submodularity with the grand
-bundle as the union) or 0, so the feasible menus of a head row are the
-candidates in one half-open range [lo, hi), found by two binary searches per
-head cell, over the head mesh of a chunk of blocks at once; the full mesh is
-never masked. `examined` is the sum of hi - lo.
-
-Each axis has a key table, built once per search, holding every type's key at
-every candidate price of the axis. The menus of a head row share each type's
-key k, the maximum of the block's fixed key and the head axes' table rows;
-the last axis is then scored in closed form. A type takes candidate a of that
-axis exactly when a * (K - 1) is below top * K - k (top its value for the
-axis's bundles), which holds for every candidate below a threshold j*. j*
-does not rise with k, so j* of the maximum key is the minimum of the fixed
-key's j* and the head axes' rows of a threshold table, also built once per
-search; bucketing the weights by threshold then scores every candidate of
-the head row with one suffix and one prefix sum. A head row costs O(T * (g +
-1) + J) for T types, g head axes and J candidates, with no binary search, and
-a block one search of T thresholds for its fixed key. The caller masks the
-cells outside [lo, hi) (and the slabs the bound skips, below) and takes the
-first maximum of the (head rows x J) score matrix, which is the
-lexicographically smallest best menu. Additive blocks, which have no mesh,
-and the exact rescoring take the payments key mod K directly. Price rows are
-built only for chunk winners and the float-screening window. The window has
-no size cap: it holds every menu within the cut below the best float score,
-drops the rows below the cut whenever that score rises, and is rescored
-exactly once, at the end, in row chunks.
-
-On the int64 path, blocks that fix singleton prices over a mesh are searched
-by branch and bound. Every menu of a block offers the block's singletons, so
-a type keeps at least the utility u of its best singleton and pays either its
-singleton payment or, for another bundle, at most the dearest candidate that
-is <= its value minus u. The weighted sum of these caps is an exact integer
-bound on every menu's score; it is taken per slab of the last mesh axis (the
-grand bundle), whose price is folded into the singletons first. The dearest
-candidate falls as u rises, so that of the folded options is the smaller of
-the singletons' and the slab's own, each found by binary search over (blocks
-x T) and (J x T) utilities. Blocks are visited in descending bound order,
-equal bounds lexicographically, and a block or slab whose bound is strictly
-below the exact incumbent is skipped; an equal score goes to the
-lexicographically smaller menu, so the winner is the one lexicographic
-enumeration finds. `SearchResult.examined` still counts every feasible menu,
-and `skipped` those the bound excluded unevaluated: per head row, the live
-slabs in [lo, hi) are read from a prefix sum over the block's slabs. Other
-paths and layouts (additive, bundle-only) enumerate every block in
-lexicographic order.
+Blocks that fix singleton prices over a mesh are searched by branch and bound
+on every path: `_slab_bounds` bounds the score of every menu of a slab of the
+grand-bundle axis, and blocks are visited in descending bound order, equal
+bounds lexicographically. With best the incumbent's score, a slab or a menu
+is live when its bound or score is at least best - D; no other can hold an
+optimum, and `skipped` counts the feasible menus of the dead slabs. With
+D = 0 the scores are exact: a chunk's first best menu is kept while it ties
+best, and the lexicographically smallest kept wins, the menu lexicographic
+enumeration finds. With D > 0 the live menus form a window, with no size
+cap, which drops the menus below best - D as best rises and is rescored
+exactly once, at the end (`_exact_best`). Additive and bundle-only layouts
+enumerate every block in lexicographic order.
 
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
 candidate grids are closed under price monotonization, which holds for integer
@@ -113,8 +83,7 @@ _CONSTRAINT_ALIASES = {"symmetric-submodular": "symmetric-and-submodular"}
 
 # "mask": the block bounds and the feasible last-axis range of every head row;
 # "evaluate": scaling the instance, the key tables and the menu scores;
-# "rescore": exact rescoring of the float-screening window; "verify": the
-# buyer's own revenue of the winner
+# "rescore": exact rescoring of the window; "verify": the buyer's own revenue
 STAGES = ("mask", "evaluate", "rescore", "verify")
 
 _INT64_BUDGET = 1 << 62
@@ -179,8 +148,9 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
                    max_price: Optional[RationalLike] = None) -> CandidateGrid:
     """Build candidate price sets for every bundle.
 
-    integer-grid: {0, 1, ..., ceil(max v(S))} per bundle; requires integer
-    support values. support-sums: all sums of per-item support values (each
+    integer-grid: {0, 1, ..., max v(S')} per bundle, S' over the bundles of
+    its size, so a symmetric menu may price a size at any of its bundles'
+    values; requires integer support values. support-sums: all sums of per-item support values (each
     item contributing one of its support values or 0). explicit: caller-given
     sets. `max_price` caps every bundle's candidates.
     """
@@ -193,9 +163,12 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
                 if v.denominator != 1:
                     raise SearchError(f"integer-grid requested but item {i + 1} has "
                                       f"non-integer support value {v}")
+        tops: Dict[int, Fraction] = {}
         for bundle in order:
             top = max(bundle_value(v, bundle) for v, _ in dist.atoms)
-            hi = int(math.ceil(top))
+            tops[len(bundle)] = max(tops.get(len(bundle), top), top)
+        for bundle in order:
+            hi = int(tops[len(bundle)])
             if cap is not None:
                 hi = min(hi, int(cap))
             sets.append(tuple(Fraction(k) for k in range(hi + 1)))
@@ -236,8 +209,8 @@ class SearchResult:
     grid_mode: str
     elapsed: float
     pruned: bool
-    path: str  # "int64", "float-screen" or "float-screen-bigint"
-    rescored: int  # candidates scored exactly after float screening
+    path: str  # "int64", "int64-scaled" (scores within a slack) or "bigint" (Python ints)
+    rescored: int  # window menus scored exactly; 0 where every score is exact
     stages: Dict[str, float]  # seconds per stage, keyed by STAGES
     skipped: int  # feasible menus the revenue bound excluded without evaluation
 
@@ -264,39 +237,66 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 class _Instance:
+    """An instance in integers. Values and grid prices are scaled by L, the lcm
+    of their denominators, and held in the keys' dtype: int64 where every key
+    fits, Python ints otherwise. With W the lcm of the probability
+    denominators, a menu's exact score sum_t p_t * W * pay_t is its revenue
+    times W * L. `weights` holds w_t = floor(p_t * s), in the keys' dtype, so
+    that lower = sum_t w_t * pay_t <= score * s / W <= lower + D for the
+    slack D. On Python-int keys, or where W * K fits the int64 budget, s = W
+    and D = 0. Otherwise s = budget // K - T and D = T * (K - 1): every lower
+    score is at most s * (K - 1), so it stays below the budget with D added."""
+
     def __init__(self, dist: JointDistribution, grid: CandidateGrid):
         self.dist = dist
         self.grid = grid
         self.order = all_bundles(dist.n)
-        denoms = {p.denominator for ps in grid.prices for p in ps}
-        denoms |= {x.denominator for v, _ in dist.atoms for x in v}
-        self.L = math.lcm(*denoms) if denoms else 1
+        coords = [x for v, _ in dist.atoms for x in v]
+        denoms = {p.denominator for ps in grid.prices for p in ps} | {x.denominator for x in coords}
+        self.L = _lcm(denoms)
         max_single = [int(ps[-1] * self.L) for ps, b in zip(grid.prices, self.order) if len(b) == 1]
         max_grid = max(int(ps[-1] * self.L) for ps in grid.prices)
         # additive menus price bundles at sums of single prices, which can
         # exceed every grid value, so K must cover them too
         self.K = max(max_grid, sum(max_single)) + 1
-        items = [[x.numerator * (self.L // x.denominator) for x in v] for v, _ in dist.atoms]
-        max_val = max((sum(row) for row in items), default=0)
-        self.int_keys = (max_val + self.K + 1) * self.K < _INT64_BUDGET
+        items = _multiples(coords, self.L).reshape(len(dist.atoms), dist.n)
+        max_val = max(items.sum(axis=1), default=0)
         # Python ints stay exact where int64 keys would overflow
-        self.dtype = np.int64 if self.int_keys else object
-        # exact integer atom weights w_t = p_t * W, so revenue = sum(pay_t * w_t) / (W * L)
-        self.W = math.lcm(*{p.denominator for _, p in dist.atoms})
-        exact = [p.numerator * (self.W // p.denominator) for _, p in dist.atoms]
-        self.exact_weights = np.array(exact, dtype=object)
-        self.int_weights = self.int_keys and self.W * self.K < _INT64_BUDGET
-        self.path = ("int64" if self.int_weights
-                     else "float-screen" if self.int_keys else "float-screen-bigint")
-        self.values = np.array([[sum(row[i - 1] for i in b) for b in self.order]
-                                for row in items], dtype=self.dtype)
-        if self.int_weights:
-            self.weights = np.array(exact, dtype=np.int64)
+        self.dtype = np.int64 if (max_val + self.K + 1) * self.K < _INT64_BUDGET else object
+        incidence = [[int(i + 1 in b) for b in self.order] for i in range(dist.n)]
+        self.values = items.astype(self.dtype) @ np.array(incidence, dtype=self.dtype)
+        self.W = _lcm({p.denominator for _, p in dist.atoms})
+        # the exact atom weights p_t * W
+        self.exact_weights = _multiples([p for _, p in dist.atoms], self.W)
+        T = len(dist.atoms)
+        if self.dtype is object or self.W * self.K < _INT64_BUDGET:
+            self.scale, self.slack = self.W, 0
+            self.weights = self.exact_weights.astype(self.dtype)
+            self.path = "int64" if self.dtype is np.int64 else "bigint"
         else:
-            self.weights = np.array([float(p) for _, p in dist.atoms], dtype=np.float64)
+            self.scale, self.slack = _INT64_BUDGET // self.K - T, T * (self.K - 1)
+            self.weights = np.array([p.numerator * self.scale // p.denominator
+                                     for _, p in dist.atoms], dtype=np.int64)
+            self.path = "int64-scaled"
 
     def menu_from_scaled(self, row: Sequence[int]) -> Menu:
         return Menu(self.dist.n, tuple(Fraction(int(p), self.L) for p in row))
+
+
+def _lcm(ints: Iterable[int]) -> int:
+    """The lcm, pairwise over a balanced tree so that most steps take small
+    operands: a third of the time of a running lcm over 10^4 atoms."""
+    xs = list(ints) or [1]
+    while len(xs) > 1:
+        xs = [math.lcm(*xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0]
+
+
+def _multiples(xs: Sequence[Fraction], m: int) -> np.ndarray:
+    """x * m as Python ints in an object array, for xs whose denominators
+    divide m; m // d is taken once per distinct denominator d."""
+    per = {d: m // d for d in {x.denominator for x in xs}}
+    return np.array([x.numerator * per[x.denominator] for x in xs], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +509,7 @@ def _fixed_key(inst: _Instance, cols: Sequence[int], prices) -> np.ndarray:
     prices = np.asarray(prices, dtype=inst.dtype)
     key = np.zeros(prices.shape[:-1] + (len(inst.values),), dtype=inst.dtype)
     for k, c in enumerate(cols):
-        p = prices[..., k, None]
-        np.maximum(key, (inst.values[:, c] - p) * inst.K + p, out=key)
+        np.maximum(key, inst.values[:, c] * inst.K - prices[..., k, None] * (inst.K - 1), out=key)
     return key
 
 
@@ -554,21 +553,21 @@ def _mesh_scores(inst: _Instance, layout: _Layout, fixed_key: np.ndarray,
     key = np.broadcast_to(key, (len(heads), T))
     cut = cut + np.arange(0, len(heads) * (J + 1), J + 1)[:, None]
     cut = cut.ravel()
-    # exact int64 sums on int64 weights, where bincount would give floats;
-    # add.at runs fastest on a flat index and values of the same length
+    # exact integer sums, where bincount would give floats; add.at runs
+    # fastest on a flat index and values of the same length
     takes = np.zeros(len(heads) * (J + 1), dtype=weights.dtype)
     np.add.at(takes, cut, np.tile(weights, len(heads)))
     stays = np.zeros_like(takes)
-    np.add.at(stays, cut, (_payments(inst, key).astype(weights.dtype, copy=False) * weights).ravel())
+    np.add.at(stays, cut, (_payments(inst, key) * weights).ravel())
     takes = takes.reshape(-1, J + 1)
     scores = np.cumsum(takes[:, :0:-1], axis=1)[:, ::-1]
-    scores *= axis.astype(weights.dtype)
+    scores *= axis
     scores += np.cumsum(stays.reshape(-1, J + 1)[:, :J], axis=1)
     return scores
 
 
 def _slab_bounds(inst: _Instance, layout: _Layout, fixed_key: np.ndarray) -> np.ndarray:
-    """(blocks, J): an exact upper bound on the score of every menu of each
+    """(blocks, J): an upper bound on the score of every menu of each
     block whose row of fixed keys is given, per candidate of the last mesh
     axis (the grand bundle), whose table row is folded into the block's fixed
     options; with one axis, each block's one bound repeated.
@@ -674,7 +673,7 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
     clock.lap("evaluate")
     if layout is None:
         return None, None, 0, 0, 0
-    weights = inst.weights
+    weights, D = inst.weights, inst.slack
     # a layout without a mesh has one head row of one candidate per block
     cell, J = _CELL_BYTES[inst.dtype], layout.shape[-1] if layout.axes else 1
     # a chunk holds the menus of at most chunk_rows head rows
@@ -682,9 +681,9 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
 
     blocks: Iterable[Tuple[int, ...]] = layout.blocks
     bounds: Dict[Tuple[int, ...], np.ndarray] = {}
-    if inst.int_weights and layout.fixed and layout.axes:
-        # branch and bound on exact scores: the block of highest bound first,
-        # equal bounds in lexicographic order
+    if layout.fixed and layout.axes:
+        # branch and bound: the block of highest bound first, equal bounds in
+        # lexicographic order
         blocks = list(blocks)
         # a block's slab bounds take (J, types) cells, each holding about
         # twice the temporaries of a kernel cell
@@ -695,20 +694,19 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
         blocks.sort(key=lambda p: (-int(bounds[p].max()), p))
 
     examined = skipped = 0
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None  # exact (score, row) on int64 weights
-    top = -math.inf  # best float score when screening
-    window: List[Tuple[float, Tuple[int, ...]]] = []  # rows within the cut below `top`
-    # below every score: marks the cells of a head row that are not scored
-    floor = -1 if inst.int_weights else -math.inf
+    # below best - D once any menu is scored, so it marks the cells not scored
+    best = floor = -D - 1
+    # (score, row) of live menus: with D = 0, chunk winners tied at best
+    window: List[Tuple[int, Tuple[int, ...]]] = []
     candidates = np.arange(J)
 
     for prices, heads, lo, hi in _enumerate_blocks(layout, blocks):
         feasible = hi - lo
         examined += int(feasible.sum())
         live = None
-        if bounds and best is not None:
-            # slabs bounded strictly below the incumbent cannot hold an optimum
-            live = bounds[prices] >= best[0]
+        if bounds and window:
+            # slabs bounded below best - D cannot hold an optimum
+            live = bounds[prices] >= best - D
             below = np.concatenate(([0], np.cumsum(live)))  # live slabs before each j
             kept = below[hi] - below[lo]
             skipped += int((feasible - kept).sum())
@@ -729,31 +727,29 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
             scores[out] = floor
             scores = scores.ravel()
             i = int(np.argmax(scores))  # the first of equal scores
-            if inst.int_weights:
-                score = int(scores[i])
-                if best is None or score >= best[0]:
-                    row = layout.rows(prices, [heads[r + i // J] * J + i % J])[0]
-                    # blocks may come out of lexicographic order
-                    if best is None or score > best[0] or row < best[1]:
-                        best = (score, row)
+            score = int(scores[i])
+            if score > best:
+                best = score
+                window = [w for w in window if w[0] >= best - D]
+            if not D:
+                # exact ties: blocks come in bound order, so the smallest row kept wins
+                if score == best:
+                    window.append((score, layout.rows(prices, [heads[r + i // J] * J + i % J])[0]))
                 continue
-            if scores[i] > top:
-                top = float(scores[i])
-                cut = top - 1e-9 * (abs(top) + 1.0)
-                window = [w for w in window if w[0] >= cut]
-            keep = np.nonzero(scores >= cut)[0]
+            keep = np.flatnonzero(scores >= best - D)
             rows = layout.rows(prices, heads[r + keep // J] * J + keep % J)
             window += zip(scores[keep].tolist(), rows)
         clock.lap("evaluate")
 
     if examined == 0:
         return None, None, 0, 0, 0
-    if not inst.int_weights:
-        best = _exact_best(inst, [r for _, r in window])
+    if D:
+        score, row = _exact_best(inst, [w for _, w in window])
         clock.lap("rescore")
-    score, row = best
+    else:
+        score, row = best, min(w for _, w in window)
     return (inst.menu_from_scaled(row), Fraction(score, inst.W * inst.L), examined,
-            len(window), skipped)
+            len(window) if D else 0, skipped)
 
 
 # ---------------------------------------------------------------------------

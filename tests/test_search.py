@@ -40,6 +40,19 @@ def test_integer_grid_ranges(example4):
     assert grid.prices[-1][-1] == 18
 
 
+def test_integer_grid_tops_per_bundle_size():
+    # the singletons' own tops are 9 and 1; a symmetric menu prices both items
+    # from their common candidates, so only a size-wide top of 9 lets it sell
+    # (9, 9, 10), which earns 19/2, the optimum over an explicit 0..10 grid too
+    dist = JointDistribution.from_pairs(2, [((9, 0), F(1, 2)), ((9, 1), F(1, 2))])
+    grid = candidate_grid(dist, "integer-grid")
+    assert grid.prices == (tuple(map(F, range(10))),) * 2 + (tuple(map(F, range(11))),)
+    res = search_optimal(dist, "symmetric", grid)
+    assert (res.best.prices, res.revenue) == ((9, 9, 10), F(19, 2))
+    wide = candidate_grid(dist, "explicit", explicit={b: range(11) for b in all_bundles(2)})
+    assert oracle_search(dist, "symmetric", wide)[:2] == (res.best, res.revenue)
+
+
 def test_integer_grid_rejects_fractional_support():
     dist = product([uniform([F(1, 2), 1])])
     with pytest.raises(SearchError, match="non-integer"):
@@ -255,13 +268,13 @@ def _float_path_joint(tiny, regular):
     return JointDistribution.from_pairs(2, pairs + [(v, rest * F(w, total)) for v, w in regular])
 
 
-def test_float_screening_path_matches_oracle():
-    # the weight lcm passes int64, forcing float screening with exact re-scoring
+def test_scaled_weights_path_matches_oracle():
+    # the weight lcm passes int64, forcing floor-scaled weights with exact re-scoring
     dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     grid = candidate_grid(dist, "support-sums")
     res = search_optimal(dist, "unrestricted", grid)
-    assert res.path == "float-screen"
-    assert 0 < res.rescored <= res.examined
+    assert res.path == "int64-scaled"
+    assert 0 < res.rescored <= res.examined and res.skipped > 0
     oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
     assert (res.best, res.revenue) == (oracle_menu, oracle_rev)
     assert res.revenue == expected_revenue(res.best, dist)
@@ -305,27 +318,31 @@ def _four_item_instance(rng):
     return dist, candidate_grid(dist, "explicit", explicit=explicit)
 
 
-# (menus examined, window rows rescored) of each screened search below, in
-# order; the screened paths bound no block, so they never skip
+# (menus examined, window rows rescored, menus skipped) of each search below
+# on the scaled and big-int paths, in order
 _SCREENED = {
-    "float-screen": [
-        (275, 1), (80, 2), (18, 1), (16, 1), (11, 1), (220, 2), (73, 2), (20, 1), (20, 1), (11, 1),
-        (192, 1), (115, 2), (44, 1), (24, 1), (11, 1), (120, 4), (62, 3), (39, 1), (16, 1),
-        (12, 1), (220, 1), (125, 1), (11, 1), (24, 1), (12, 1), (200, 1), (56, 3), (22, 1),
-        (16, 1), (9, 1), (165, 4), (62, 1), (30, 1), (20, 1), (10, 1), (160, 2), (65, 1), (22, 1),
-        (15, 2), (11, 1)],
-    "float-screen-bigint": [
-        (81, 1), (10, 1), (16, 1), (4, 1), (4, 1), (81, 1), (45, 4), (4, 1), (16, 1), (16, 1),
-        (256, 1), (136, 1), (16, 1), (9, 1), (4, 1), (16, 1), (136, 1), (4, 1), (4, 1), (9, 1),
-        (16, 1), (136, 1), (16, 1), (9, 1), (16, 1), (16, 1), (45, 4), (4, 1), (9, 1), (9, 1),
-        (16, 1), (45, 1), (4, 1), (16, 1), (9, 1), (81, 1), (45, 1), (16, 1), (4, 1), (9, 1)],
+    "int64-scaled": [
+        (275, 1, 231), (80, 2, 43), (18, 1, 9), (16, 1, 0), (11, 1, 0), (220, 1, 165),
+        (73, 1, 57), (20, 1, 10), (20, 1, 0), (11, 1, 0), (192, 1, 168), (115, 1, 85),
+        (44, 1, 33), (24, 1, 0), (11, 1, 0), (120, 1, 80), (62, 1, 32), (39, 1, 26),
+        (16, 1, 0), (12, 1, 0), (220, 1, 198), (125, 1, 46), (11, 1, 0), (24, 1, 0),
+        (12, 1, 0), (200, 1, 190), (56, 1, 32), (22, 1, 11), (16, 1, 0), (9, 1, 0),
+        (165, 2, 99), (62, 1, 32), (30, 1, 20), (20, 1, 0), (10, 1, 0), (160, 2, 80),
+        (65, 1, 46), (22, 1, 11), (15, 2, 0), (11, 1, 0)],
+    "bigint": [
+        (81, 0, 72), (10, 0, 6), (16, 0, 0), (4, 0, 0), (4, 0, 0), (81, 0, 63), (45, 0, 15),
+        (4, 0, 0), (16, 0, 0), (16, 0, 0), (256, 0, 192), (136, 0, 91), (16, 0, 0), (9, 0, 0),
+        (4, 0, 0), (16, 0, 12), (136, 0, 91), (4, 0, 0), (4, 0, 0), (9, 0, 0), (16, 0, 12),
+        (136, 0, 105), (16, 0, 0), (9, 0, 0), (16, 0, 0), (16, 0, 12), (45, 0, 15), (4, 0, 0),
+        (9, 0, 0), (9, 0, 0), (16, 0, 12), (45, 0, 36), (4, 0, 0), (16, 0, 0), (9, 0, 0),
+        (81, 0, 63), (45, 0, 28), (16, 0, 0), (4, 0, 0), (9, 0, 0)],
 }
 
 
 @pytest.mark.parametrize("make, path", [
     (_int64_weights_instance, "int64"),
-    (_float_weights_instance, "float-screen"),
-    (_bigint_keys_instance, "float-screen-bigint"),
+    (_float_weights_instance, "int64-scaled"),
+    (_bigint_keys_instance, "bigint"),
     (_four_item_instance, "int64"),
 ], ids=["int64-weights", "float-weights", "bigint-keys", "four-items"])
 def test_search_differential_random_instances(make, path):
@@ -342,21 +359,70 @@ def test_search_differential_random_instances(make, path):
         oracle_menu, oracle_rev, _ = oracle_search(dist, constraint, grid)
         assert (res.best, res.revenue) == (oracle_menu, oracle_rev), (constraint, dist.atoms)
         if path in _SCREENED:
-            assert (res.examined, res.rescored) == _SCREENED[path][checked] and res.skipped == 0
+            assert (res.examined, res.rescored, res.skipped) == _SCREENED[path][checked]
         checked += 1
 
 
+def _small_values_instance(rng):
+    # 4-7 random types with values 0-3 beside the two tiny-probability atoms
+    vectors = rng.sample([(a, b) for a in range(4) for b in range(4)], rng.randint(4, 7) + 2)
+    dist = _float_path_joint(vectors[:2], [(v, rng.randint(1, 9)) for v in vectors[2:]])
+    return dist, candidate_grid(dist, "support-sums")
+
+
+# (constraint, tiny atoms, weighted atoms) whose exact winner's lower score
+# falls below the best lower score: in the first, its block is bounded below
+# that best; in the second, the best rises past it after it joins the window
+_SLACK_NEEDED = [
+    ("submodular", [(1, 0), (1, 1)], [((0, 0), 1), ((1, 2), 3), ((1, 3), 7), ((3, 2), 2)]),
+    ("symmetric", [(2, 0), (2, 3)], [((0, 1), 9), ((0, 3), 2), ((1, 0), 2), ((3, 1), 4)]),
+]
+
+
+def test_small_scale_windows_match_oracle(monkeypatch):
+    # a budget of 2^7 leaves a scale s = 2^7 // K - T near 10, so many menus
+    # score within the slack D of the best lower score and the windows hold
+    # many menus that do not tie; the exact rescoring must still find the
+    # oracle's winner under every constraint
+    monkeypatch.setattr(search, "_INT64_BUDGET", 1 << 7)
+    windows, exact_best = [], search._exact_best
+
+    def spy_best(inst, rows):
+        assert 5 <= inst.scale < 100
+        windows.append((inst, list(rows)))
+        return exact_best(inst, windows[-1][1])
+
+    monkeypatch.setattr(search, "_exact_best", spy_best)
+    rng = random.Random(2718)
+    instances = [(c, _float_path_joint(tiny, weighted)) for c, tiny, weighted in _SLACK_NEEDED]
+    while len(instances) < 42:
+        dist, _ = _small_values_instance(rng)
+        instances.append((search.CONSTRAINTS[len(instances) % 6], dist))
+    untied = flipped = 0
+    for constraint, dist in instances:
+        grid = candidate_grid(dist, "support-sums")
+        res = search_optimal(dist, constraint, grid)
+        assert res.path == "int64-scaled" and res.rescored == len(windows[-1][1])
+        assert (res.best, res.revenue) == oracle_search(dist, constraint, grid)[:2], constraint
+        inst, rows = windows[-1]
+        pay = search._payments(inst, search._fixed_key(inst, range(len(inst.order)), rows))
+        exact, lower = search._exact_scores(inst, pay), pay @ inst.weights
+        untied += int((exact < exact.max()).sum())
+        flipped += int(lower[np.argmax(exact)] < lower.max())
+    assert untied > 500 and flipped >= 2
+
+
 def test_tie_heavy_window_keeps_exact_winner():
-    # prices above every value are never paid, so many menus tie exactly; the
-    # window must rescore them all and keep the lexicographically smallest winner
+    # prices above every value are never paid, so 9 menus tie exactly; the
+    # window must hold them all and keep the lexicographically smallest winner
     dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     grid = candidate_grid(dist, "explicit", explicit={
         (1,): [0, 1, 2, 3, 8, 9], (2,): [0, 1, 2, 4, 8, 9], (1, 2): [2, 3, 4, 5, 10, 11, 12]})
     res = search_optimal(dist, "unrestricted", grid)
-    assert res.path == "float-screen"
+    assert res.path == "int64-scaled"
     oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
     assert (res.best, res.revenue) == (oracle_menu, oracle_rev)
-    assert res.rescored == 16
+    assert res.rescored == 9
 
 
 def test_four_item_fallback():
@@ -407,7 +473,7 @@ def test_fallback_on_huge_value_denominators():
         2, [((huge, 1), F(1, 2)), ((2, huge), F(1, 2))])
     grid = candidate_grid(dist, "support-sums")
     res = search_optimal(dist, "unrestricted", grid)
-    assert res.path == "float-screen-bigint"
+    assert res.path == "bigint" and res.skipped > 0
     oracle_menu, oracle_rev, _ = oracle_search(dist, "unrestricted", grid)
     assert res.revenue == oracle_rev
     assert res.best == oracle_menu
@@ -503,7 +569,7 @@ def test_block_kernel_matches_buyer_choice(den, dtype):
                     inst, layout, fixed_key, heads), idx[order]).tolist()
                 weights = inst.weights.tolist()
                 want = [sum(int(q) * w for q, w in zip(pay, weights)) for pay in pays[order]]
-                assert scores == (want if inst.int_weights else pytest.approx(want, rel=1e-12))
+                assert scores == want
     assert checked > 50
 
 
@@ -700,11 +766,20 @@ def _small_product(rng, n):
     return product([random_single_item(rng, max_atoms=2, max_value=top) for _ in range(n)])
 
 
+def _with_tiny_atom(dist):
+    """`dist` with mass 1/(_P * _Q) moved to the all-zero valuation, so the
+    weight lcm passes int64 and the search scales its weights."""
+    tiny = F(1, _P * _Q)
+    return JointDistribution.from_pairs(
+        dist.n, [(v, p * (1 - tiny)) for v, p in dist.atoms] + [((0,) * dist.n, tiny)])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_slab_bounds_cover_every_menu(n):
-    # each slab's bound is at least the exact score of every menu in it,
-    # feasible or not, on every block of every bounded layout, and equals the
-    # bound with one binary search per (block, slab, type) cell
+    # each slab's bound is at least the score of every menu in it, feasible
+    # or not, on every block of every bounded layout, and equals the bound
+    # with one binary search per (block, slab, type) cell; a scaled score is
+    # a lower bound within the slack of the exact score times s / W
     rng = random.Random(60 + n)
     bounded = tight = useful = 0
     for trial in range(10):
@@ -714,30 +789,34 @@ def test_slab_bounds_cover_every_menu(n):
             dist = _small_product(rng, n) if trial % 2 else random_correlated_joint(
                 rng, n=n, max_atoms=4, max_value=3 if n == 2 else 2)
             grid = candidate_grid(dist, "integer-grid")
-        inst = search._Instance(dist, grid)
-        assert inst.path == "int64"
-        for constraint in search.CONSTRAINTS:
-            layout = search._layout(inst, constraint, prune=False)
-            if layout is None or not (layout.fixed and layout.axes):
-                continue
-            cells = np.arange(math.prod(layout.shape))
-            subs = np.unravel_index(cells, layout.shape)
-            order, bounds = _visit_order(inst, layout)
-            fixed_key = search._fixed_key(inst, layout.fixed, order)
-            assert search._slab_bounds(inst, layout, fixed_key).tolist() == \
-                _slab_bounds_per_cell(inst, layout, fixed_key).tolist()
-            top = 0
-            for prices in order:
-                fixed_key = search._fixed_key(inst, layout.fixed, prices)
-                pay = _table_payments(inst, layout, fixed_key, cells)
-                scores = pay.astype(object) @ inst.exact_weights
-                slab = bounds[prices][subs[-1]]
-                assert (scores <= slab).all(), (constraint, prices)
-                tight += int((scores == slab).any())
-                top = max(top, scores.max())
-                bounded += 1
-            # a useful bound puts some block entirely below the optimum
-            useful += any(b.max() < top for b in bounds.values())
+        for inst in search._Instance(dist, grid), search._Instance(_with_tiny_atom(dist), grid):
+            assert inst.path == ("int64-scaled" if inst.slack else "int64")
+            for constraint in search.CONSTRAINTS:
+                layout = search._layout(inst, constraint, prune=False)
+                if layout is None or not (layout.fixed and layout.axes):
+                    continue
+                cells = np.arange(math.prod(layout.shape))
+                subs = np.unravel_index(cells, layout.shape)
+                order, bounds = _visit_order(inst, layout)
+                fixed_key = search._fixed_key(inst, layout.fixed, order)
+                assert search._slab_bounds(inst, layout, fixed_key).tolist() == \
+                    _slab_bounds_per_cell(inst, layout, fixed_key).tolist()
+                top = 0
+                for prices in order:
+                    fixed_key = search._fixed_key(inst, layout.fixed, prices)
+                    pay = _table_payments(inst, layout, fixed_key, cells)
+                    scores = pay @ inst.weights
+                    slab = bounds[prices][subs[-1]]
+                    assert (scores <= slab).all(), (constraint, prices)
+                    exact = pay.astype(object) @ inst.exact_weights
+                    # lower <= exact * s / W < lower + D, and with D = 0 they are equal
+                    over = exact * inst.scale - scores.astype(object) * inst.W
+                    assert (over >= 0).all() and (over < max(inst.slack * inst.W, 1)).all()
+                    tight += int((scores == slab).any())
+                    top = max(top, scores.max())
+                    bounded += 1
+                # a useful bound puts some block entirely below the optimum
+                useful += any(b.max() < top for b in bounds.values())
     assert bounded > 50 and tight > 0 and useful > 0
 
 
@@ -825,7 +904,7 @@ def test_chunked_rescoring_matches_per_row_scores(monkeypatch):
     grid = candidate_grid(dist, "explicit", explicit={
         (1,): [0, 1, 3] + high, (2,): [0, 2, 4] + high, (1, 2): [2, 4, 5]})
     inst = search._Instance(dist, grid)
-    assert inst.path == "float-screen"
+    assert inst.path == "int64-scaled"
     rows = list(itertools.product(*[[int(p) * inst.L for p in ps] for ps in grid.prices]))
     random.Random(5).shuffle(rows)
     every = range(len(inst.order))
@@ -871,13 +950,14 @@ def test_kernel_chunks_count_last_axis_candidates(monkeypatch):
         (want.best, want.revenue, want.examined, want.skipped)
 
 
-@pytest.mark.parametrize("nudge, path", [(0, "float-screen"), (F(1, 2**40), "float-screen-bigint")],
+@pytest.mark.parametrize("nudge, path", [(0, "int64-scaled"), (F(1, 2**40), "bigint")],
                          ids=["int64-keys", "bigint-keys"])
 def test_rescoring_scores_each_payment_vector_once(monkeypatch, nudge, path):
     # item-1 prices above every value are never paid, so the 16 window menus
     # share 2 payment vectors; (5, 3, 7) and (3, 3, 5) tie exactly, and the
     # lexicographically smallest, (3, 3, 5), pays by the later vector. A
-    # 2^-40 nudge on never-paid bundle prices pushes the keys past int64.
+    # 2^-40 nudge on never-paid bundle prices pushes the keys past int64,
+    # where the scores are exact and nothing is rescored.
     dist = _float_path_joint([(0, 0), (1, 1)], [((0, 3), 3), ((5, 2), 2), ((2, 5), 2)])
     high = list(range(8, 14))
     grid = candidate_grid(dist, "explicit", explicit={
@@ -903,6 +983,9 @@ def test_rescoring_scores_each_payment_vector_once(monkeypatch, nudge, path):
     assert (res.best, res.revenue, res.examined) == (oracle_menu, oracle_rev, oracle_examined)
     assert res.best.prices == (3, 3, 5)
     assert res.revenue == F(133738888182137624203, 32281800625753162421)
+    if path == "bigint":
+        assert (res.rescored, windows, scored) == (0, [], [])
+        return
     assert res.rescored == len(windows[0]) == 16
     inst = search._Instance(dist, grid)
     every = range(len(inst.order))
