@@ -247,7 +247,7 @@ def _sweep_order(d1: SingleItemDistribution, d2: SingleItemDistribution,
         sample = np.sort(rows[si] + cols[sj])[16::16].tolist()
         bounds = _buckets(lambda t: np.searchsorted(neg, rows - t, side="right"),
                           0, sample + [(top + 1) << (ib + jb)],
-                          lambda s, t: (s + t) // 2, cap)
+                          lambda s, t, lo, hi: (s + t) // 2, cap)
         for lo, hi in bounds:
             keys = np.repeat(rows, hi - lo)
             j = _columns(lo, hi)
@@ -270,9 +270,14 @@ def _sweep_order(d1: SingleItemDistribution, d2: SingleItemDistribution,
                 j += up
                 j -= down
 
-        def midpoint(s, t):
-            m = s / 2 + t / 2
-            return m if t < m < s else None
+        def midpoint(s, t, lo, hi):
+            # between the bucket's own smallest and largest sums, so both
+            # halves hold a pair; None when every pair has one float sum
+            full = lo < hi
+            small = (v1[full] + v2[lo[full]]).min()
+            large = (v1[full] + v2[hi[full] - 1]).max()
+            m = small / 2 + large / 2
+            return None if small == large else m if m < large else small
 
         sample = np.unique(v1[si] + v2[sj])[::-1][16::16].tolist()
         bounds = _buckets(before, v1[-1] + v2[-1], sample + [np.nextafter(v1[0] + v2[0], -math.inf)],
@@ -291,8 +296,8 @@ def _buckets(before: Callable, start, marks: List, midpoint: Callable,
     before(t) gives each row's first column among the pairs ordered before
     threshold t; no pair is before `start`, and every pair is before the last
     of `marks`, the thresholds in sweep order. A bucket of more than `cap`
-    pairs is split at midpoint(s, t) of its thresholds, or kept whole where
-    that is None.
+    pairs, between thresholds s and t and over row ranges (lo, hi), is split
+    at midpoint(s, t, lo, hi), or kept whole where that is None.
     """
     s, hi = start, before(start)
     pending = [(t, None) for t in reversed(marks)]
@@ -302,7 +307,7 @@ def _buckets(before: Callable, start, marks: List, midpoint: Callable,
             lo = before(t)
         size = int(hi.sum() - lo.sum())
         if size > cap:
-            mid = midpoint(s, t)
+            mid = midpoint(s, t, lo, hi)
             if mid is not None:
                 pending += [(t, lo), (mid, None)]
                 continue

@@ -3,25 +3,24 @@
 Constraints arrive as sparse integer rows: each row is a map {column: int},
 a positive multiple of the constraint it stands for, with an integer
 right-hand side. Positive row scaling changes neither the feasible set, nor
-which rows are independent, nor a simplex ratio test, so every choice below
-is the one the same rows over Fractions would make. Two routes lead to an
-optimal basic solution of  max c.x:
+which rows are independent, nor the sign of a multiplier or a ratio test, so
+every choice below is the one the same rows over Fractions would make. Two
+routes lead to an exact optimal basic solution of  max c.x:
 
 * `simplex_max`, a fraction-free tableau simplex with Bland's rule over
   A x <= b, x >= 0, for small systems;
 * `certified_vertex`, a float solve (scipy HiGHS) of  A x >= b  that only
-  locates the optimal active set, then purification rounds in integer
-  arithmetic: one fraction-free elimination picks an independent basis among
-  the tight rows and solves it for the vertex, every row is checked by an
-  integer dot product, and a second elimination solves the dual on that basis.
-
-Both produce exact rational solutions; the second also reports whether the
-optimality certificate closed.
+  locates the optimal vertex x, then integer arithmetic at x: one
+  fraction-free elimination solves a basis of float-tight rows for x, every
+  row is checked once, and degenerate Bland pivots over the exactly tight
+  rows change the basis, never x, until its dual is nonnegative: the
+  certificate it returns. It raises LPError where it cannot certify x.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,8 +43,9 @@ class VertexResult:
     x: List[Fraction]
     objective: Fraction
     certified: bool
-    rounds: int = field(default=0, compare=False)  # purification rounds, or simplex pivots
+    rounds: int = field(default=0, compare=False)  # bases whose dual was solved, or simplex pivots
     stages: Dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
+    dual: Dict[int, Fraction] = field(default_factory=dict, compare=False)  # basis row -> multiplier
 
 
 def _dot(c: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
@@ -195,20 +195,24 @@ def linprog(*args, **kwargs):
     return _scipy_linprog()(*args, **kwargs)
 
 
+def _common(q: Sequence[Fraction]) -> Tuple[List[int], int]:
+    den = lcm(*(v.denominator for v in q))  # q is the numerators over den
+    return [v.numerator * (den // v.denominator) for v in q], den
+
+
 def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
                      scale: Sequence[int]) -> VertexResult:
-    """Exact optimal vertex of  max c.x  s.t.  rows[i].x >= rhs[i].
+    """Certified optimal vertex of  max c.x  s.t.  rows[i].x >= rhs[i].
 
     rows[i] and rhs[i] are the constraint times scale[i] > 0. A float LP
-    (HiGHS) on the unscaled constraints locates the optimum; its tight rows,
-    largest float dual first, are the candidates. A round solves the first
-    independent ones for the vertex in one exact elimination, checks every
-    row exactly and solves the dual on that basis; at most 12 rounds drop the
-    most negative multiplier until all are nonnegative, which certifies the
-    vertex.
+    (HiGHS) on the unscaled constraints locates the optimum. The first
+    independent rows tight there, largest float dual first, are the basis
+    solved for x. Every row is checked once at x; then, while the basis dual
+    has a negative multiplier, the lowest such basis row leaves and the lowest
+    exactly tight row blocking the edge it opens enters (Bland's rule, so the
+    pivots end). LPError if x is no feasible vertex or is not optimal.
     """
     n = len(c)
-    stages = dict.fromkeys(("float", "vertex", "check", "dual"), 0.0)
     _scipy_linprog()  # a first import is not charged to the float solve
     start = perf_counter()
     # int / int true division rounds correctly, as float(Fraction) does
@@ -228,45 +232,41 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
                         key=lambda i: -abs(float(duals[i])))
     c_den = lcm(*(Fraction(v).denominator for v in c))
     neg_c = [-int(v * c_den) for v in c]
-    stages["float"] = perf_counter() - start
+    stages = {"float": perf_counter() - start}
 
-    best: Optional[VertexResult] = None
-    for rounds in range(1, 13):
-        start = perf_counter()
-        sel, x = _solve_rows([rows[i] for i in candidates], [rhs[i] for i in candidates], n)
-        stages["vertex"] += perf_counter() - start
-        if x is None:
-            break
-        start = perf_counter()
-        x_den = lcm(*(v.denominator for v in x))
-        xn = [v.numerator * (x_den // v.denominator) for v in x]
-        feasible = all(sum(v * xn[j] for j, v in row.items()) >= r * x_den
-                       for row, r in zip(rows, rhs))
-        stages["check"] += perf_counter() - start
-        if not feasible:
-            break
-        objective = _dot(c, x)
-        # KKT for max c.x over A x >= b: c + A^T y = 0 with y >= 0 on tight
-        # rows; nonnegative multipliers close the certificate, otherwise
-        # purify by dropping the worst row and re-selecting. The basis is
-        # independent, so its transpose always has a solution. It is solved on
-        # the integer rows against -c times c_den, so the multiplier of the
-        # unscaled row is scale / c_den times the solution.
-        start = perf_counter()
-        basis = [candidates[i] for i in sel]
+    start = perf_counter()
+    sel, x = _solve_rows([rows[i] for i in candidates], [rhs[i] for i in candidates], n)
+    stages["vertex"] = perf_counter() - start
+    if x is None:
+        raise LPError("could not resolve an exact vertex from the float optimum")
+    start = perf_counter()
+    xn, x_den = _common(x)
+    slack = [sum(v * xn[j] for j, v in row.items()) - r * x_den for row, r in zip(rows, rhs)]
+    stages["check"] = perf_counter() - start
+    if min(slack) < 0:
+        raise LPError("the exact vertex at the float optimum is infeasible")
+    tight = [i for i, s in enumerate(slack) if not s]
+    basis = [candidates[k] for k in sel]
+    start = perf_counter()
+    for rounds in count(1):
+        # KKT: c + A_B^T y = 0, y >= 0. Solved on the integer rows against
+        # -c times c_den, so an unscaled row's y is scale / c_den times its z
         columns: List[Row] = [{} for _ in range(n)]
         for k, i in enumerate(basis):
             for j, v in rows[i].items():
                 columns[j][k] = v
         _, z = _solve_rows(columns, neg_c, n)
-        y = [v * scale[i] / c_den for i, v in zip(basis, z)]
-        stages["dual"] += perf_counter() - start
-        best = best or VertexResult(x, objective, False)
-        if all(v >= 0 for v in y):
-            return VertexResult(x, objective, True, rounds, stages)
-        worst = min(range(n), key=lambda r: y[r])
-        candidates = [i for i in candidates if i != basis[worst]]
-    if best is None:
-        raise LPError("could not resolve an exact vertex from the float optimum")
-    best.rounds, best.stages = rounds, stages
-    return best
+        negative = [i for i, v in zip(basis, z) if v < 0]
+        if not negative:
+            stages["dual"] = perf_counter() - start
+            return VertexResult(x, _dot(c, x), True, rounds, stages,
+                                {i: v * scale[i] / c_den for i, v in zip(basis, z)})
+        # the edge d with A_B d = e_leave raises c.x; a tight row with a.d < 0 blocks it
+        leave = min(negative)
+        _, d = _solve_rows([rows[i] for i in basis], [int(i == leave) for i in basis], n)
+        dn, _ = _common(d)
+        enter = next((i for i in tight if i not in basis
+                      and sum(v * dn[j] for j, v in rows[i].items()) < 0), None)
+        if enter is None:
+            raise LPError("the exact vertex at the float optimum is not optimal")
+        basis[basis.index(leave)] = enter

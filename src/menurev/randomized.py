@@ -220,7 +220,7 @@ class LPOutcome:
     revenue: Fraction
     certified: bool
     method: str
-    rounds: int = field(default=0, compare=False)  # purification rounds, or simplex pivots
+    rounds: int = field(default=0, compare=False)  # bases whose dual was solved, or simplex pivots
     stages: Dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
 
 
@@ -261,11 +261,12 @@ def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
     """Revenue-maximizing direct mechanism over the distribution's types.
 
     `exact-simplex` runs the exact rational simplex; `float-guided-exact`
-    resolves the float optimum's vertex exactly (see lp.certified_vertex) and
-    may return it uncertified. `auto` takes the float-guided vertex when its
-    certificate closes and falls back to the exact simplex otherwise, so it
-    never returns an uncertified optimum. Every method returns an exact
-    rational solution verified against every IC/IR constraint.
+    resolves the float optimum's vertex exactly and certifies it by
+    degenerate pivots there (see lp.certified_vertex), or raises LPError.
+    `auto` takes the float-guided vertex when it is certified and falls back
+    to the exact simplex otherwise, so it never returns an uncertified
+    optimum. Every method returns an exact rational solution verified against
+    every IC/IR constraint.
     """
     if method != "auto":
         return _lp_solve(dist, method)

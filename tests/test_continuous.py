@@ -227,6 +227,29 @@ def test_bundle_sweep_in_many_buckets_on_rounded_sums(monkeypatch):
         assert [len(x) for x in buckets] == [30, 30]
 
 
+def test_bundle_sweep_splits_between_its_own_sums(monkeypatch):
+    # 1 to 30 vanish beside 2^60 and 2^61, so each call's 60 pairs have two
+    # float sums: one split between them leaves two buckets of one sum each,
+    # kept whole past the bound, with no further search for a threshold
+    monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 10)
+    splits, real = [], continuous._buckets
+
+    def counting(before, start, marks, midpoint, cap):
+        def counted(*args):
+            mid = midpoint(*args)
+            splits.append(mid)
+            return mid
+        return real(before, start, marks, counted, cap)
+
+    monkeypatch.setattr(continuous, "_buckets", counting)
+    d1 = SingleItemDistribution.from_pairs([(2**60, F(1, 3)), (2**61, F(2, 3))])
+    d2 = SingleItemDistribution.from_pairs([(v, F(1, 30)) for v in range(1, 31)])
+    for a, b in ((d1, d2), (d2, d1)):
+        splits.clear()
+        assert _bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
+        assert splits == [1.5 * 2**60, None, None]
+
+
 def test_bundle_sweep_keeps_the_first_of_equal_revenues(monkeypatch):
     # prices 4 and 2 both earn exactly 2: the sweep reports the first, the
     # higher price, also when each pair is a bucket of its own

@@ -241,12 +241,12 @@ def test_float_problem_matches_dense_fraction_rows(monkeypatch):
         assert np.array_equal(seen["A_ub"], a) and seen["A_ub"].tobytes() == a.tobytes()
         assert np.array_equal(seen["b_ub"], b) and seen["b_ub"].tobytes() == b.tobytes()
         if k == 0:
-            assert (out.revenue, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 6)
+            assert (out.revenue, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 2)
 
 
 def test_certified_vertex_ignores_row_scaling():
     # a row times k > 0 with its scale times k is the same constraint: the
-    # float problem, every round's basis and dropped row, and the vertex stay
+    # float problem, the basis, every pivot and the vertex stay
     dist = load_distribution("example7_distribution")
     c = [F(0)] * (len(dist.atoms) * dist.n) + [p for _, p in dist.atoms]
     rows, rhs, scale = _lp_rows([v for v, _ in dist.atoms], dist.n)
@@ -255,38 +255,77 @@ def test_certified_vertex_ignores_row_scaling():
     ks = [rng.randint(1, 60) for _ in rows]
     got = certified_vertex(c, [{j: k * v for j, v in row.items()} for k, row in zip(ks, rows)],
                            [k * r for k, r in zip(ks, rhs)], [k * s for k, s in zip(ks, scale)])
-    assert (got, got.rounds) == (want, want.rounds) and want.rounds == 6
+    assert (got, got.rounds) == (want, want.rounds) and want.rounds == 2
 
 
-def test_purification_on_rescaled_example7():
-    # example 7 with each type's values times a seeded factor: rows get scales
-    # other than 1, and rounds see several negative multipliers, so the row a
-    # round drops depends on multiplying the dual back by the scales; the
-    # rounds and revenues are those that Fraction elimination gives
+def rescaled_example7(count=40):
+    """Example 7 with each type's values times a factor drawn from
+    {1, 1/2, 2/3, 3/2, 5/4, 7/3} (seed 1), one distribution per draw."""
     dist7 = load_distribution("example7_distribution")
     rng = random.Random(1)
     factors = [[rng.choice([F(1), F(1, 2), F(2, 3), F(3, 2), F(5, 4), F(7, 3)])
-                for _ in dist7.atoms] for _ in range(12)]
-    want = {1: (7, F(371047, 4050)), 11: (8, F(204871290034887943, 2660505297817500))}
+                for _ in dist7.atoms] for _ in range(count)]
+    return [JointDistribution.from_pairs(2, [(tuple(q * f for q in v), p)
+                                             for f, (v, p) in zip(fs, dist7.atoms)])
+            for fs in factors]
+
+
+def test_pivots_on_rescaled_example7():
+    # rows get scales other than 1, and bases see several negative
+    # multipliers, so the row that leaves depends on multiplying the dual back
+    # by the scales; the counts and revenues are those of Fraction elimination
+    draws = rescaled_example7(12)
+    want = {1: (3, F(371047, 4050)), 11: (3, F(204871290034887943, 2660505297817500))}
     for k, (rounds, revenue) in want.items():
-        dist = JointDistribution.from_pairs(2, [(tuple(q * f for q in v), p)
-                                                for f, (v, p) in zip(factors[k], dist7.atoms)])
-        out = lp_optimal(dist, method="float-guided-exact")
+        out = lp_optimal(draws[k], method="float-guided-exact")
         assert (out.rounds, out.revenue, out.certified) == (rounds, revenue, True)
 
 
-def test_example7_purifies_over_several_rounds(monkeypatch):
+def test_every_rescaled_example7_draw_certifies_at_its_vertex(monkeypatch):
+    # the float-guided vertex is optimal on every draw, so `auto` must
+    # certify it without the exact simplex, which runs for many minutes on
+    # LPs of this size
+    def no_fallback(*args):
+        raise AssertionError("auto fell back to the exact simplex")
+
+    monkeypatch.setattr(lp, "simplex_max", no_fallback)
+    for k, dist in enumerate(rescaled_example7()):
+        out = lp_optimal(dist)
+        assert (k, out.method, out.certified) == (k, "float-guided-exact", True)
+
+
+@pytest.mark.parametrize("draw", [None, 0, 2])
+def test_dual_certifies_the_vertex_on_its_own(draw):
+    # against the dense Fraction rows: x is feasible, every basis row is
+    # tight, y >= 0 and sum y_i a_i = -c, so c.x is optimal by weak duality
+    dist = load_distribution("example7_distribution") if draw is None \
+        else rescaled_example7(draw + 1)[draw]
+    values = [v for v, _ in dist.atoms]
+    c = [F(0)] * (len(values) * dist.n) + [p for _, p in dist.atoms]
+    res = certified_vertex(c, *_lp_rows(values, dist.n))
+    rows, rhs = dense_lp_rows(values, dist.n)
+    lhs = [sum(a * x for a, x in zip(row, res.x) if a) for row in rows]
+    assert all(v >= b for v, b in zip(lhs, rhs))
+    assert len(res.dual) == len(c) and all(lhs[i] == rhs[i] for i in res.dual)
+    assert all(y >= 0 for y in res.dual.values())
+    assert [sum(y * rows[i][j] for i, y in res.dual.items()) for j in range(len(c))] == \
+        [-v for v in c]
+    assert res.certified and res.objective == -sum(y * rhs[i] for i, y in res.dual.items())
+
+
+def test_example7_certifies_after_one_pivot(monkeypatch):
     # the float optimum of the 36-type lottery LP is degenerate: the first
-    # basis's dual has negative multipliers, so rows are dropped until the
-    # certificate closes; each round calls _solve_rows twice
+    # basis's dual has a negative multiplier, and one pivot at the vertex
+    # closes the certificate; x, the two duals and the edge are one
+    # _solve_rows call each
     calls = []
     real = lp._solve_rows
     monkeypatch.setattr(lp, "_solve_rows", lambda *a: calls.append(1) or real(*a))
     out = lp_optimal(load_distribution("example7_distribution"), method="float-guided-exact")
-    assert len(calls) > 2
+    assert len(calls) == 4
     assert out.certified
     assert out.revenue == EXAMPLE7_REVENUE
-    assert out.rounds == 6
+    assert out.rounds == 2
 
 
 def test_lp_outcome_reports_rounds_and_stages():

@@ -412,6 +412,29 @@ def test_small_scale_windows_match_oracle(monkeypatch):
     assert untied > 500 and flipped >= 2
 
 
+def test_window_keeps_winner_that_flooring_costs_most_of_the_slack():
+    # one item at V = 2^30: three types of value V - 3, V - 2, V - 1 whose
+    # weights p_t * s fall just short of 4, and one of value V with the rest.
+    # Price V - 3 sells to every type and wins by about 6e-9, but floors away
+    # almost V per cheap type; price V sells to the last type only. Its lower
+    # score beats the winner's by more than D / 2 of the slack D = T * (K - 1)
+    V, q = 1 << 30, (1 << 61) - 1
+    s = search._INT64_BUDGET // (V + 1) - 4
+    cheap = [((v,), F(4 * q // s, q)) for v in (V - 3, V - 2, V - 1)]
+    dist = JointDistribution.from_pairs(1, cheap + [((V,), 1 - sum(p for _, p in cheap))])
+    grid = candidate_grid(dist, "explicit", explicit={(1,): [V - 3, V]})
+    inst = search._Instance(dist, grid)
+    assert (inst.path, inst.scale, inst.slack) == ("int64-scaled", s, 4 * V)
+    every = range(len(inst.order))
+    pay = search._payments(inst, search._fixed_key(inst, every, [(V - 3,), (V,)]))
+    exact_win, exact_lose = search._exact_scores(inst, pay)
+    lower_win, lower_lose = pay @ inst.weights
+    assert exact_win > exact_lose and lower_lose - lower_win > inst.slack // 2
+    res = search_optimal(dist, "unrestricted", grid)
+    assert (res.best.prices, res.revenue) == ((V - 3,), V - 3)
+    assert (res.best, res.revenue) == oracle_search(dist, "unrestricted", grid)[:2]
+
+
 def test_tie_heavy_window_keeps_exact_winner():
     # prices above every value are never paid, so 9 menus tie exactly; the
     # window must hold them all and keep the lexicographically smallest winner
