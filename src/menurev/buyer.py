@@ -127,6 +127,18 @@ def _bundle_masks(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((sum(1 << (i - 1) for i in b), len(b)) for b in all_bundles(n))
 
 
+def _lcm(ints: Iterable[int]) -> int:
+    """The lcm, pairwise over a balanced tree down to a few operands, so that
+    most steps take small operands where a running lcm carries one ever
+    larger operand through every step; a few operands take one running lcm,
+    which costs a single call. The search keeps its own lcm, so that this
+    final check of its revenues shares no code with it."""
+    xs = list(ints)
+    while len(xs) > 16:
+        xs = [math.lcm(*xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return math.lcm(*xs)
+
+
 def _scaled_columns(n: int, points: Sequence[Valuation],
                     prices: Iterable[Fraction]) -> Tuple[int, Dict[int, int], List[List[int]]]:
     """L, the lcm of the denominators of every coordinate and price; L // d
@@ -135,7 +147,7 @@ def _scaled_columns(n: int, points: Sequence[Valuation],
     numerators = [list(map(_numerators, column)) for column in columns]
     denominators = [list(map(_denominators, column)) for column in columns]
     dens = set(map(_denominators, prices)).union(*denominators)
-    scale = math.lcm(*dens)
+    scale = _lcm(dens)
     factor = {d: scale // d for d in dens}
     scaled = [[x * factor[d] for x, d in zip(nums, ds)]
               for nums, ds in zip(numerators, denominators)]
@@ -202,7 +214,7 @@ def _atom_weights(dist: JointDistribution) -> Tuple[int, List[int]]:
     """W, the lcm of the probability denominators, and W times each atom's probability."""
     probs = [p for _, p in dist.atoms]
     dens = list(map(_denominators, probs))
-    whole = math.lcm(*set(dens))
+    whole = _lcm(set(dens))
     factor = {d: whole // d for d in set(dens)}
     return whole, [num * factor[d] for num, d in zip(map(_numerators, probs), dens)]
 

@@ -98,7 +98,9 @@ def cmd_search(args) -> int:
             lines.append(f"{r.constraint}: revenue {r.revenue} "
                          f"({decimal_with_flag(r.revenue)}) at menu ({menu_txt}); "
                          f"{r.examined} menus examined ({r.skipped} skipped by the "
-                         f"revenue bound) in {r.elapsed:.3f}s")
+                         f"revenue bound) in {r.elapsed:.3f}s"
+                         + ("; items exchangeable, only ascending single prices searched"
+                            if r.exchangeable else ""))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -41,7 +41,25 @@ best, and the lexicographically smallest kept wins, the menu lexicographic
 enumeration finds. With D > 0 the live menus form a window, with no size
 cap, which drops the menus below best - D as best rises and is rescored
 exactly once, at the end (`_exact_best`). Additive and bundle-only layouts
-enumerate every block in lexicographic order.
+enumerate their blocks in lexicographic order, unbounded.
+
+Exchangeable items. When every relabeling of the items maps the instance
+onto itself (`_exchangeable`: the atoms onto the atoms with equal exact
+weights, and each bundle's candidates onto those of its image, checked in
+integers for the adjacent transpositions, which generate the relabelings),
+relabeling a menu so that its single prices ascend gives a twin that earns
+the same revenue, is feasible exactly when the menu is, and has the same
+floor-scaled score. Unless the single prices already ascend, the twin's
+price vector is lexicographically smaller, so the lexicographically
+smallest optimum lies in a block with ascending single prices, and the
+`unrestricted`, `submodular` and `additive` layouts yield only those
+(lex-leader symmetry breaking). `examined` and `skipped` count each such
+block once per distinct arrangement of its single prices, n! / prod_k m_k!
+for price multiplicities m_k, so `examined` still counts every feasible
+menu. This is not the paper's theorem that two IID items have symmetric
+optimal menus, which does not follow from the symmetry of the distribution:
+relabeling maps optima to optima, and the search still ranges over every
+asymmetric menu with ascending single prices.
 
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
 candidate grids are closed under price monotonization, which holds for integer
@@ -51,10 +69,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, islice, product as iproduct
+from itertools import combinations, combinations_with_replacement, islice, product as iproduct
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -213,6 +232,7 @@ class SearchResult:
     rescored: int  # window menus scored exactly; 0 where every score is exact
     stages: Dict[str, float]  # seconds per stage, keyed by STAGES
     skipped: int  # feasible menus the revenue bound excluded without evaluation
+    exchangeable: bool  # items interchangeable: only ascending single prices searched
 
     def to_json_dict(self) -> Dict[str, object]:
         dec = decimal_with_flag(self.revenue)
@@ -227,6 +247,7 @@ class SearchResult:
             "path": self.path,
             "rescored": self.rescored,
             "skipped": self.skipped,
+            "exchangeable": self.exchangeable,
             "stages": {k: round(v, 6) for k, v in self.stages.items()},
             "wall_time_s": round(self.elapsed, 6),
         }
@@ -278,9 +299,39 @@ class _Instance:
             self.weights = np.array([p.numerator * self.scale // p.denominator
                                      for _, p in dist.atoms], dtype=np.int64)
             self.path = "int64-scaled"
+        self.exchangeable = _exchangeable(self)
 
     def menu_from_scaled(self, row: Sequence[int]) -> Menu:
         return Menu(self.dist.n, tuple(Fraction(int(p), self.L) for p in row))
+
+
+def _exchangeable(inst: _Instance) -> bool:
+    """Whether every relabeling of the items maps the instance onto itself.
+    Adjacent transpositions generate the relabelings, so each of them must
+    map the atoms, with their exact weights, onto the atoms and every
+    bundle's candidates onto those of its image. The atoms are distinct, so
+    sorting both sets of value rows pairs them up."""
+    n = inst.dist.n
+    cols = inst.values[:, :n]  # the singletons come first
+    order = np.lexsort(cols.T[::-1])
+    rows, weights = cols[order], inst.exact_weights[order]
+    index = {b: k for k, b in enumerate(inst.order)}
+    for i in range(1, n):
+        swap = {i: i + 1, i + 1: i}
+        if any(ps != inst.grid.prices[index[tuple(sorted(swap.get(x, x) for x in b))]]
+               for b, ps in zip(inst.order, inst.grid.prices)):
+            return False
+        swapped = cols[:, [swap.get(x, x) - 1 for x in range(1, n + 1)]]
+        image = np.lexsort(swapped.T[::-1])
+        if not ((swapped[image] == rows).all() and (inst.exact_weights[image] == weights).all()):
+            return False
+    return True
+
+
+def _arrangements(prices: Sequence[int]) -> int:
+    """n! / prod_k m_k!, the distinct orders of n prices whose distinct
+    values occur m_k times each."""
+    return math.factorial(len(prices)) // math.prod(map(math.factorial, Counter(prices).values()))
 
 
 def _lcm(ints: Iterable[int]) -> int:
@@ -343,7 +394,9 @@ class _Layout:
     candidate j. For every axis g before the last, `thresholds[g][j, t]` is
     the number of last-axis candidates that type t prefers to that key (see
     `_key_tables`). A menu is feasible when p[a] + p[b] >= p[c] + p[d] for
-    every term (a, b, c, d), with p[-1] = 0."""
+    every term (a, b, c, d), with p[-1] = 0. With `ascending`, the blocks
+    are those whose single prices (the first fixed columns) ascend, and each
+    stands for its `_arrangements` of them."""
 
     fixed: Tuple[int, ...]
     blocks: Iterator[Tuple[int, ...]]
@@ -353,6 +406,7 @@ class _Layout:
     tables: Tuple[np.ndarray, ...]
     thresholds: Tuple[np.ndarray, ...]
     terms: Tuple[Tuple[int, int, int, int], ...]
+    ascending: bool
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -401,18 +455,22 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
     singles = [g.tolist() for g in grids[:n]]
     monotone, submodular = _lattice_terms(n)
     terms = monotone if prune else ()
+    # relabeling the items sorts a menu's single prices and keeps its revenue
+    # and feasibility, so the lexicographically smallest optimum ascends
+    ascending = inst.exchangeable and constraint in ("additive", "unrestricted", "submodular")
+    combos = (combinations_with_replacement(singles[0], n) if ascending
+              else iproduct(*singles))
     if constraint == "additive":
         # additive and bundle-only menus are bundle-monotone by construction
         fixed, groups, axes, terms = every, [], [], ()
-        blocks = (tuple(sum(combo[i - 1] for i in b) for b in order)
-                  for combo in iproduct(*singles))
+        blocks = (tuple(sum(combo[i - 1] for i in b) for b in order) for combo in combos)
     elif constraint == "bundle-only":
         # every bundle costs the grand-bundle price
         fixed, groups, axes, terms = (), [every], [grids[-1]], ()
         blocks = iter([()])
     elif constraint in ("unrestricted", "submodular"):
         fixed, groups, axes = every[:n], [(i,) for i in every[n:]], grids[n:]
-        blocks = iproduct(*singles)
+        blocks = combos
     else:
         # symmetric menus price all bundles of one size at a shared candidate
         by_size = [tuple(i for i in every if len(order[i]) == k) for k in range(1, n + 1)]
@@ -428,7 +486,8 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
     # columns sharing one price: the highest value among them is the best
     tops = tuple(inst.values[:, list(group)].max(axis=1) for group in groups)
     tables, thresholds = _key_tables(inst.K, axes, tops)
-    return _Layout(fixed, blocks, tuple(groups), tuple(axes), tops, tables, thresholds, terms)
+    return _Layout(fixed, blocks, tuple(groups), tuple(axes), tops, tables, thresholds, terms,
+                   ascending)
 
 
 def _enumerate_blocks(layout: _Layout, blocks: Iterable[Tuple[int, ...]]
@@ -643,7 +702,7 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
     clock.lap("verify")
     return SearchResult(best_menu, best_rev, examined, constraint, grid.mode,
                         time.perf_counter() - t0, prune, inst.path, rescored, clock.seconds,
-                        skipped)
+                        skipped, inst.exchangeable)
 
 
 def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:
@@ -701,15 +760,17 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
     candidates = np.arange(J)
 
     for prices, heads, lo, hi in _enumerate_blocks(layout, blocks):
+        # a block counts once per arrangement of its single prices
+        twins = _arrangements(prices[:inst.dist.n]) if layout.ascending else 1
         feasible = hi - lo
-        examined += int(feasible.sum())
+        examined += twins * int(feasible.sum())
         live = None
         if bounds and window:
             # slabs bounded below best - D cannot hold an optimum
             live = bounds[prices] >= best - D
             below = np.concatenate(([0], np.cumsum(live)))  # live slabs before each j
             kept = below[hi] - below[lo]
-            skipped += int((feasible - kept).sum())
+            skipped += twins * int((feasible - kept).sum())
             heads, lo, hi = heads[kept > 0], lo[kept > 0], hi[kept > 0]
         clock.lap("mask")
         if not heads.size:

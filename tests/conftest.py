@@ -8,7 +8,8 @@ import pytest
 from menurev import Menu, all_bundles, buyer_choice
 from menurev.instances import load_distribution, load_menu
 from menurev.lp import _MAX_PIVOTS, LPError
-from menurev.model import SingleItemDistribution, is_submodular, is_symmetric_menu
+from menurev.model import (SingleItemDistribution, is_monotone_menu, is_submodular,
+                           is_symmetric_menu)
 from menurev.rational import floor_to_dyadic
 from menurev.search import canonical_constraint
 
@@ -43,9 +44,11 @@ def oracle_revenue(m, dist):
     return sum((p * buyer_choice(m, v).payment for v, p in dist.atoms), Fraction(0))
 
 
-def oracle_search(dist, constraint, grid):
+def oracle_search(dist, constraint, grid, monotone=False):
     """Independent brute force: plain loops, no pruning, rational evaluation;
-    returns (best_menu, revenue, examined)."""
+    returns (best_menu, revenue, examined). With `monotone`, the classes
+    other than additive and bundle-only keep only bundle-monotone menus, the
+    menus a pruned search counts."""
     constraint = canonical_constraint(constraint)
     order = all_bundles(dist.n)
     if constraint == "additive":
@@ -57,6 +60,8 @@ def oracle_search(dist, constraint, grid):
     else:
         def keep(prices):
             menu = Menu(dist.n, prices)
+            if monotone and not is_monotone_menu(menu):
+                return False
             if constraint == "submodular":
                 return is_submodular(menu)
             if constraint == "symmetric":

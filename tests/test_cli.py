@@ -92,6 +92,7 @@ def test_search_text_reports_skipped(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "32 menus examined (13 skipped by the revenue bound)" in out
+    assert "items exchangeable, only ascending single prices searched" in out
 
 
 def test_search_json_deterministic(capsys):

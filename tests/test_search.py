@@ -93,6 +93,7 @@ def test_search_result_metadata(example5):
     assert doc["path"] == res.path == "int64"
     assert doc["rescored"] == res.rescored == 0  # int64 weights score every menu exactly
     assert doc["skipped"] == res.skipped == 13  # 13 of the 32 menus are bounded below the optimum
+    assert doc["exchangeable"] is res.exchangeable is True  # the two items are IID
     assert doc["stages"] == {k: round(v, 6) for k, v in res.stages.items()}
     assert set(res.stages) == set(search.STAGES)
     assert all(v >= 0 for v in res.stages.values())
@@ -613,7 +614,7 @@ def test_mesh_scores_match_direct_per_menu_scores(K):
         built, thresholds = search._key_tables(K, axes, tops)
         assert all((a == b).all() for a, b in zip(built, tables))
         layout = search._Layout((), iter(()), tuple((g,) for g in range(len(axes))),
-                                axes, tops, tables, thresholds, ())
+                                axes, tops, tables, thresholds, (), False)
         # fixed keys drawn from the table entries themselves make exact ties
         pool = np.concatenate([np.maximum(t, 0).ravel() for t in tables])
         fixed_key = rng.choice(pool, size=types)
@@ -905,16 +906,18 @@ def test_bounded_search_differential_int64():
 def test_bounded_search_breaks_ties_across_blocks():
     # block (9, 9) has the higher bound and is visited first; its best menu
     # (9, 9, 2) earns 2, as does the lexicographically smaller (1, 1, 2) of
-    # block (1, 1), which is bounded at exactly 2 and must still win
+    # block (1, 1), which is bounded at exactly 2 and must still win. The
+    # items are exchangeable, so block (9, 1), the twin of (1, 9), is not
+    # searched, and (1, 9) counts its 2 menus twice
     dist = _weighted_joint(2, [((2, 2), 1), ((1, 1), 1)])
     grid = candidate_grid(dist, "explicit", explicit={(1,): [1, 9], (2,): [1, 9], (1, 2): [2, 4]})
     inst = search._Instance(dist, grid)
     order, bounds = _visit_order(inst, search._layout(inst, "unrestricted", prune=False))
-    assert order == [(9, 9), (1, 1), (1, 9), (9, 1)]
-    assert [bounds[p].max() for p in order] == [6, 4, 4, 4]
+    assert order == [(9, 9), (1, 1), (1, 9)]
+    assert [bounds[p].max() for p in order] == [6, 4, 4]
     res = search_optimal(dist, "unrestricted", grid)
     assert res.best.prices == (1, 1, 2) and res.revenue == 2
-    assert res.examined == 8 and res.skipped == 0
+    assert res.examined == 8 and res.skipped == 0 and res.exchangeable
     assert (res.best, res.revenue) == oracle_search(dist, "unrestricted", grid)[:2]
 
 
@@ -1019,3 +1022,143 @@ def test_rescoring_scores_each_payment_vector_once(monkeypatch, nudge, path):
     assert [oracle_revenue(Menu(2, p), dist) for p in [(5, 3, 7), (3, 3, 5)]] == [oracle_rev] * 2
     assert vectors[min(vectors)] == tied[1]
     assert min(vectors) == tuple(p * inst.L for p in (3, 3, 5))
+
+
+# ---------------------------------------------------------------------------
+# Exchangeable items
+# ---------------------------------------------------------------------------
+
+def _mirrored(dist):
+    """`dist` symmetrized: each atom's mass spread evenly over its n! relabelings."""
+    perms = list(itertools.permutations(range(dist.n)))
+    return JointDistribution.from_pairs(dist.n, [(tuple(v[i] for i in s), p / len(perms))
+                                                 for v, p in dist.atoms for s in perms])
+
+
+def _iid_product(rng, n):
+    part = random_single_item(rng, max_atoms=3 if n == 2 else 2, max_value=3 if n == 2 else 1)
+    return product([part] * n)
+
+
+def _mirrored_joint(rng, n):
+    return _mirrored(random_correlated_joint(rng, n=n, max_atoms=3, max_value=3 if n == 2 else 1))
+
+
+def _mirrored_bigint_joint(rng):
+    # 1-2 mirrored types with values in [0, 3] on a 2^-40 lattice: scaled keys pass int64
+    vectors = {tuple(F(rng.randint(0, 3 << 40), 1 << 40) for _ in range(2))
+               for _ in range(rng.randint(1, 2))}
+    return _mirrored(_weighted_joint(2, [(v, rng.randint(1, 5)) for v in sorted(vectors)]))
+
+
+def _recording_blocks(monkeypatch):
+    """Record, per search, whether its layout is ascending and the fixed
+    prices of every block it enumerates."""
+    seen, enumerate_blocks = [], search._enumerate_blocks
+
+    def recording(layout, blocks):
+        blocks = list(blocks)
+        seen.append((layout.ascending, blocks))
+        return enumerate_blocks(layout, blocks)
+
+    monkeypatch.setattr(search, "_enumerate_blocks", recording)
+    return seen
+
+
+def _assert_matches_oracle(dist, grid, seen):
+    """Search every constraint and compare (best, revenue, examined) with the
+    oracle's; returns the results."""
+    results = []
+    for constraint in search.CONSTRAINTS:
+        res = search_optimal(dist, constraint, grid)
+        want = oracle_search(dist, constraint, grid, monotone=res.pruned)
+        assert (res.best, res.revenue, res.examined) == want, (constraint, dist.atoms)
+        assert res.to_json_dict()["exchangeable"] is res.exchangeable
+        ascending, blocks = seen[-1]
+        assert ascending == (res.exchangeable and constraint in
+                             ("unrestricted", "submodular", "additive"))
+        if res.exchangeable:
+            assert all(list(p[:dist.n]) == sorted(p[:dist.n]) for p in blocks), constraint
+        results.append(res)
+    return results
+
+
+@pytest.mark.parametrize("path", ["int64", "int64-scaled", "bigint"])
+def test_exchangeable_search_matches_oracle(monkeypatch, path):
+    # seeded exchangeable instances (IID products of 2 and 3 items, mirrored
+    # correlated joints) on integer and support-sums grids: only blocks with
+    # ascending single prices are searched, each counted once per
+    # arrangement, and every constraint still gives the oracle's optimum and
+    # count; some optima have tied single prices, and some searched blocks
+    # stand for more than one arrangement
+    rng = random.Random({"int64": 11, "int64-scaled": 12, "bigint": 13}[path])
+    seen = _recording_blocks(monkeypatch)
+    makers = [lambda: _iid_product(rng, 2), lambda: _iid_product(rng, 3),
+              lambda: _mirrored_joint(rng, 2), lambda: _mirrored_joint(rng, 3)]
+    checked = tied = 0
+    while checked < 12:
+        if path == "bigint":
+            dist, mode = _mirrored_bigint_joint(rng), "support-sums"
+        else:
+            dist, mode = makers[checked % 4](), ("integer-grid", "support-sums")[checked // 4 % 2]
+            if path == "int64-scaled":
+                dist = _with_tiny_atom(dist)
+        grid = candidate_grid(dist, mode)
+        # an all-zero point mass takes no tiny atom and every menu earns 0
+        if grid.prices[-1][-1] == 0 or math.prod(len(ps) for ps in grid.prices) > 900:
+            continue
+        assert dist.is_symmetric()
+        for res in _assert_matches_oracle(dist, grid, seen):
+            assert res.path == path and res.exchangeable
+            singles = res.best.prices[:dist.n]
+            tied += res.constraint == "unrestricted" and len(set(singles)) < dist.n
+        checked += 1
+    # a block whose first two single prices differ has more than one arrangement
+    twins = sum(p[0] != p[1] for ascending, blocks in seen if ascending for p in blocks)
+    assert tied > 0 and twins > 0
+
+
+def test_search_without_exchangeable_items_matches_oracle(monkeypatch):
+    # a mirrored joint with one off-diagonal atom's mass nudged, three items
+    # of which only the first two are exchangeable, and an explicit grid whose
+    # single axes differ: every block is searched, and counted once
+    rng = random.Random(14)
+    seen = _recording_blocks(monkeypatch)
+    cases = []
+    while len(cases) < 4:
+        dist = _mirrored_joint(rng, 2)
+        k = next((k for k, (v, _) in enumerate(dist.atoms) if v[0] != v[1]), None)
+        if k is None:
+            continue
+        masses = [p * F(101, 100) if j == k else p for j, (_, p) in enumerate(dist.atoms)]
+        nudged = JointDistribution.from_pairs(
+            2, [(v, q / sum(masses)) for (v, _), q in zip(dist.atoms, masses)])
+        cases.append((nudged, candidate_grid(nudged, "integer-grid")))
+    a, b = uniform([0, 1]), uniform([1])
+    partial = product([a, a, b])
+    cases.append((partial, candidate_grid(partial, "integer-grid")))
+    iid = product([uniform([0, 1, 2])] * 2)
+    cases.append((iid, candidate_grid(iid, "explicit", explicit={
+        (1,): [0, 1, 2], (2,): [0, 1, 3], (1, 2): [0, 1, 2, 3, 4]})))
+    for dist, grid in cases:
+        assert dist.is_symmetric() == (dist is iid)
+        for res in _assert_matches_oracle(dist, grid, seen):
+            assert not res.exchangeable
+
+
+def test_arrangements_count_distinct_orders():
+    for prices in [(), (3,), (1, 1), (1, 2), (2, 2, 2), (1, 1, 2), (1, 2, 3), (0, 5, 0, 5)]:
+        assert search._arrangements(prices) == len(set(itertools.permutations(prices)))
+
+
+def test_exchangeable_check_never_asks_the_distribution(monkeypatch):
+    # the check runs on the scaled instance; the distribution's own
+    # symmetry test, which hashes Fractions, is never called
+    def refuse(self):
+        raise AssertionError("is_symmetric called")
+
+    dist = _mirrored(_weighted_joint(2, [((3, 1), 2), ((2, 2), 1), ((0, 3), 4)]))
+    monkeypatch.setattr(JointDistribution, "is_symmetric", refuse)
+    for mode in ("integer-grid", "support-sums"):
+        res = search_optimal(dist, "unrestricted", candidate_grid(dist, mode))
+        assert res.exchangeable
