@@ -18,16 +18,19 @@ once, runs the rule per menu and builds one Fraction per menu at the end.
 The evaluator takes rational coordinates only (ints, Fractions or other
 `numbers.Rational`): a float or any other coordinate raises ValueError
 naming the valuation and the coordinate.
+
+Every L and W above is taken by `rational.over_common_denominator`. That
+helper and the rationals check `_coordinate_columns` are all that
+`regions.regions_of` shares with this module.
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import attrgetter, mul
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +43,7 @@ from .model import (
     all_bundles,
     bundle_value,
 )
+from .rational import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,6 @@ def _price_paid(m: Menu, option: int) -> Fraction:
     return m.prices[option - 1] if option else Fraction(0)
 
 
-_numerators = attrgetter("numerator")
-_denominators = attrgetter("denominator")
-
-
 def _coordinate_columns(n: int, points: Sequence[Valuation]) -> List[Sequence]:
     """The points' coordinates, one column per item, checked to be rationals."""
     if set(map(len, points)) - {n}:
@@ -127,31 +127,14 @@ def _bundle_masks(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((sum(1 << (i - 1) for i in b), len(b)) for b in all_bundles(n))
 
 
-def _lcm(ints: Iterable[int]) -> int:
-    """The lcm, pairwise over a balanced tree down to a few operands, so that
-    most steps take small operands where a running lcm carries one ever
-    larger operand through every step; a few operands take one running lcm,
-    which costs a single call. The search keeps its own lcm, so that this
-    final check of its revenues shares no code with it."""
-    xs = list(ints)
-    while len(xs) > 16:
-        xs = [math.lcm(*xs[i:i + 2]) for i in range(0, len(xs), 2)]
-    return math.lcm(*xs)
-
-
-def _scaled_columns(n: int, points: Sequence[Valuation],
-                    prices: Iterable[Fraction]) -> Tuple[int, Dict[int, int], List[List[int]]]:
-    """L, the lcm of the denominators of every coordinate and price; L // d
-    for each of those denominators d; and L times each coordinate column."""
+def _scaled(n: int, points: Sequence[Valuation],
+            prices: Sequence[Fraction]) -> Tuple[int, List[List[int]], List[int]]:
+    """L, the lcm of the denominators of every coordinate and price; L times
+    each coordinate column; and L times each price."""
     columns = _coordinate_columns(n, points)
-    numerators = [list(map(_numerators, column)) for column in columns]
-    denominators = [list(map(_denominators, column)) for column in columns]
-    dens = set(map(_denominators, prices)).union(*denominators)
-    scale = _lcm(dens)
-    factor = {d: scale // d for d in dens}
-    scaled = [[x * factor[d] for x, d in zip(nums, ds)]
-              for nums, ds in zip(numerators, denominators)]
-    return scale, factor, scaled
+    scale, scaled = over_common_denominator(chain(chain.from_iterable(columns), prices))
+    size = len(points)
+    return scale, [scaled[i * size:(i + 1) * size] for i in range(n)], scaled[n * size:]
 
 
 def _unit(n: int, top: int) -> int:
@@ -186,14 +169,10 @@ def _choose(n: int, prices: Sequence[int], values: List[List[int]], unit: int) -
     return [~key & (options_count - 1) for key in best]
 
 
-def _scaled_prices(m: Menu, factor: Dict[int, int]) -> Tuple[int, ...]:
-    return (0,) + tuple(q.numerator * factor[q.denominator] for q in m.prices)
-
-
 def batch_choice(m: Menu, points: Sequence[Valuation]) -> BatchChoice:
     """`buyer_choice` at every point of a batch, in Python ints (see `_choose`)."""
-    scale, factor, scaled = _scaled_columns(m.n, points, m.prices)
-    prices = _scaled_prices(m, factor)
+    scale, scaled, prices = _scaled(m.n, points, m.prices)
+    prices = (0, *prices)
     unit = _unit(m.n, max(prices))
     options = _choose(m.n, prices, [[x * unit for x in column] for column in scaled], unit)
     return BatchChoice(scale, prices, list(zip(*scaled)), options,
@@ -208,15 +187,6 @@ def revenue_at(m: Menu, v: Valuation) -> Fraction:
 def _check_items(m: Menu, dist: JointDistribution) -> None:
     if m.n != dist.n:
         raise ValueError(f"menu has {m.n} items but distribution has {dist.n}")
-
-
-def _atom_weights(dist: JointDistribution) -> Tuple[int, List[int]]:
-    """W, the lcm of the probability denominators, and W times each atom's probability."""
-    probs = [p for _, p in dist.atoms]
-    dens = list(map(_denominators, probs))
-    whole = _lcm(set(dens))
-    factor = {d: whole // d for d in set(dens)}
-    return whole, [num * factor[d] for num, d in zip(map(_numerators, probs), dens)]
 
 
 def _option_totals(options: Iterable[int], weights: Sequence[int], count: int) -> List[int]:
@@ -238,10 +208,11 @@ def expected_revenues(menus: Sequence[Menu], dist: JointDistribution) -> List[Fr
         _check_items(m, dist)
     if not menus:
         return []
-    scale, factor, scaled = _scaled_columns(
-        dist.n, [v for v, _ in dist.atoms], chain.from_iterable(m.prices for m in menus))
-    whole, weights = _atom_weights(dist)
-    prices = [_scaled_prices(m, factor) for m in menus]
+    scale, scaled, flat = _scaled(
+        dist.n, [v for v, _ in dist.atoms], [p for m in menus for p in m.prices])
+    whole, weights = over_common_denominator(p for _, p in dist.atoms)
+    size = len(menus[0].prices)
+    prices = [(0, *flat[k:k + size]) for k in range(0, len(flat), size)]
     unit = _unit(dist.n, max(map(max, prices)))
     values = [[x * unit for x in column] for column in scaled]
     out = []
@@ -259,7 +230,7 @@ def sale_probabilities(m: Menu, dist: JointDistribution) -> Dict[Bundle, Fractio
     """Probability that each bundle (including ()) is the one sold."""
     _check_items(m, dist)
     chosen = batch_choice(m, [v for v, _ in dist.atoms])
-    whole, weights = _atom_weights(dist)
+    whole, weights = over_common_denominator(p for _, p in dist.atoms)
     totals = _option_totals(chosen.options, weights, len(chosen.prices))
     return {b: Fraction(t, whole) for b, t in zip(((),) + all_bundles(m.n), totals)}
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -13,15 +14,14 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .buyer import sale_probabilities
-from .continuous import NumericParams
 from .model import normalize
 from .rational import decimal_with_flag, format_rational
 from .regions import region_partition_2, render_ascii, render_svg
-from .reproduce import TARGETS, run_target
-from .search import CONSTRAINTS, SearchError, candidate_grid, search_optimal
+from .reproduce import ER_GAP_PARAMS, TARGETS, run_target
+from .search import _CONSTRAINT_ALIASES, CONSTRAINTS, SearchError, candidate_grid, search_optimal
 from .serialize import ParseError, bundle_key, parse_distribution, parse_grid, parse_menu
 
-_CONSTRAINT_CHOICES = list(CONSTRAINTS) + ["symmetric-submodular"]
+_CONSTRAINT_CHOICES = list(CONSTRAINTS) + list(_CONSTRAINT_ALIASES)
 
 
 def _read_json(path: str):
@@ -106,10 +106,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    params = None
-    if args.cap is not None or args.grid_points is not None:
-        params = NumericParams(cap=1e4 if args.cap is None else args.cap,
-                               grid_points=2400 if args.grid_points is None else args.grid_points)
+    given = {name: value for name, value in (("cap", args.cap), ("grid_points", args.grid_points))
+             if value is not None}
+    params = dataclasses.replace(ER_GAP_PARAMS, **given) if given else None
     failures = 0
     lines: List[str] = []
     rows_doc = []
@@ -171,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random instances per property target (default: the target's own)")
     p_rep.add_argument("--cap", type=float)
     p_rep.add_argument("--grid-points", type=int)
-    p_rep.add_argument("--rule", choices=["capped", "independent"], default="independent")
-    p_rep.add_argument("--k", type=int, default=2)
+    p_rep.add_argument("--rule", choices=["capped", "independent"])
+    p_rep.add_argument("--k", type=int)
     p_rep.add_argument("--format", choices=["text", "json"], default="text")
     p_rep.add_argument("--out")
     p_rep.set_defaults(fn=cmd_reproduce)

@@ -30,6 +30,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import SingleItemDistribution, product
+from .rational import over_common_denominator
 from .search import CandidateGrid, search_optimal
 
 _DYADIC_BITS = 20
@@ -234,9 +235,8 @@ def _sweep_order(d1: SingleItemDistribution, d2: SingleItemDistribution,
     # pairs; a bucket that still holds more than cap pairs is split
     stride = max(1, cap // 32)
     si, sj = np.divmod(np.arange(0, n1 * n2, stride), n2)
-    scale = math.lcm(*(v.denominator for v in d1.support + d2.support))
-    a = [v.numerator * (scale // v.denominator) for v in d1.support]
-    b = [v.numerator * (scale // v.denominator) for v in d2.support]
+    _, ab = over_common_denominator(d1.support + d2.support)
+    a, b = ab[:len(d1.support)], ab[len(d1.support):]
     top = a[-1] + b[-1]  # supports ascend
     ib, jb = (n1 - 1).bit_length(), (n2 - 1).bit_length()
     if (top + 1) << (ib + jb) < 1 << 63:

@@ -8,8 +8,8 @@ from importlib import resources
 from typing import List, Tuple
 
 from .model import JointDistribution, Menu, SingleItemDistribution, menu2
-from .randomized import RandomizedMenu, parse_randomized_menu
-from .serialize import parse_distribution, parse_menu
+from .randomized import RandomizedMenu
+from .serialize import parse_distribution, parse_menu, parse_randomized_menu
 
 BUNDLED = (
     "example4_distribution",

@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
+from math import gcd
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .rational import over_common_denominator
 
 
 class LPError(RuntimeError):
@@ -42,10 +44,10 @@ Row = Dict[int, int]  # column -> nonzero integer coefficient
 class VertexResult:
     x: List[Fraction]
     objective: Fraction
-    certified: bool
     rounds: int = field(default=0, compare=False)  # bases whose dual was solved, or simplex pivots
     stages: Dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
     dual: Dict[int, Fraction] = field(default_factory=dict, compare=False)  # basis row -> multiplier
+    certified = True  # both routes return an optimum they certified or raise LPError
 
 
 def _dot(c: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
@@ -72,8 +74,8 @@ def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Row], b_ub: Sequence[int]
     if any(b < 0 for b in b_ub):
         raise LPError("simplex_max requires nonnegative right-hand sides")
     width = n + m  # the right-hand side sits at index width; the cost row is tab[m]
-    den = lcm(*(Fraction(v).denominator for v in c))
-    tab = [[0] * (width + 1) for _ in range(m)] + [[-int(v * den) for v in c] + [0] * (m + 1)]
+    _, cost = over_common_denominator(c)
+    tab = [[0] * (width + 1) for _ in range(m)] + [[-v for v in cost] + [0] * (m + 1)]
     for i, row in enumerate(a_ub):
         for j, v in row.items():
             tab[i][j] = v
@@ -87,7 +89,7 @@ def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Row], b_ub: Sequence[int]
             for vec, bv in zip(tab, basis):
                 if bv < n:
                     x[bv] = Fraction(vec[width], vec[bv])
-            return VertexResult(x, _dot(c, x), True, pivots,
+            return VertexResult(x, _dot(c, x), pivots,
                                 {"simplex": perf_counter() - start})
         # min ratio rhs/entry over positive entries, then lowest basis index: Bland
         row, top, bottom = None, 0, 1  # the best ratio so far is top / bottom
@@ -195,11 +197,6 @@ def linprog(*args, **kwargs):
     return _scipy_linprog()(*args, **kwargs)
 
 
-def _common(q: Sequence[Fraction]) -> Tuple[List[int], int]:
-    den = lcm(*(v.denominator for v in q))  # q is the numerators over den
-    return [v.numerator * (den // v.denominator) for v in q], den
-
-
 def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
                      scale: Sequence[int]) -> VertexResult:
     """Certified optimal vertex of  max c.x  s.t.  rows[i].x >= rhs[i].
@@ -230,8 +227,8 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     duals = res.ineqlin.marginals
     candidates = sorted((i for i in range(len(rows)) if resid[i] <= tol[i]),
                         key=lambda i: -abs(float(duals[i])))
-    c_den = lcm(*(Fraction(v).denominator for v in c))
-    neg_c = [-int(v * c_den) for v in c]
+    c_den, cost = over_common_denominator(c)
+    neg_c = [-v for v in cost]
     stages = {"float": perf_counter() - start}
 
     start = perf_counter()
@@ -240,7 +237,7 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     if x is None:
         raise LPError("could not resolve an exact vertex from the float optimum")
     start = perf_counter()
-    xn, x_den = _common(x)
+    x_den, xn = over_common_denominator(x)
     slack = [sum(v * xn[j] for j, v in row.items()) - r * x_den for row, r in zip(rows, rhs)]
     stages["check"] = perf_counter() - start
     if min(slack) < 0:
@@ -259,12 +256,12 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
         negative = [i for i, v in zip(basis, z) if v < 0]
         if not negative:
             stages["dual"] = perf_counter() - start
-            return VertexResult(x, _dot(c, x), True, rounds, stages,
+            return VertexResult(x, _dot(c, x), rounds, stages,
                                 {i: v * scale[i] / c_den for i, v in zip(basis, z)})
         # the edge d with A_B d = e_leave raises c.x; a tight row with a.d < 0 blocks it
         leave = min(negative)
         _, d = _solve_rows([rows[i] for i in basis], [int(i == leave) for i in basis], n)
-        dn, _ = _common(d)
+        _, dn = over_common_denominator(d)
         enter = next((i for i in tight if i not in basis
                       and sum(v * dn[j] for j, v in rows[i].items()) < 0), None)
         if enter is None:

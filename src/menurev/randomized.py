@@ -3,17 +3,15 @@ revenue-maximization LP over finite type spaces."""
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
-from math import lcm
-from operator import attrgetter, mul
-from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain, combinations_with_replacement, islice
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lp
 from .model import JointDistribution, Valuation
-from .rational import RationalLike, format_rational, parse_nonnegative, parse_rational
+from .rational import RationalLike, over_common_denominator, parse_nonnegative, parse_rational
 
 COMBINATION_RULES = ("capped-additive", "independent-lotteries")
 _RULE_ALIASES = {"capped": "capped-additive", "independent": "independent-lotteries",
@@ -174,18 +172,13 @@ def verify_ic_ir(d: DirectMechanism, dist: JointDistribution,
     types = [v for v, _ in dist.atoms]
     if len(types) != len(d.payments):
         raise ValueError("mechanism does not cover every type")
-    dens = set(map(attrgetter("denominator"), chain(
-        chain.from_iterable(types), chain.from_iterable(d.allocations), d.payments, (tol,))))
-    scale = lcm(*dens)
-    factor = {den: scale // den for den in dens}
-
-    def scaled(q) -> int:
-        return q.numerator * factor[q.denominator]
-
-    values = [tuple(map(scaled, v)) for v in types]
-    allocations = [tuple(map(scaled, x)) for x in d.allocations]
-    payments = [scaled(p) * scale for p in d.payments]
-    slack = scaled(tol) * scale
+    scale, scaled = over_common_denominator(chain(
+        chain.from_iterable(types), chain.from_iterable(d.allocations), d.payments, (tol,)))
+    it = iter(scaled)
+    values = [tuple(islice(it, len(v))) for v in types]
+    allocations = [tuple(islice(it, len(x))) for x in d.allocations]
+    payments = [p * scale for p in islice(it, len(d.payments))]
+    slack = next(it) * scale
     square = scale * scale
     viol: List[str] = []
     for t, v in enumerate(values):
@@ -218,10 +211,10 @@ def menu_expected_payment(m: RandomizedMenu, dist: JointDistribution) -> Fractio
 class LPOutcome:
     mechanism: DirectMechanism
     revenue: Fraction
-    certified: bool
     method: str
     rounds: int = field(default=0, compare=False)  # bases whose dual was solved, or simplex pivots
     stages: Dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
+    certified = True  # every method returns a certified optimum or raises
 
 
 def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], List[int]]:
@@ -236,8 +229,8 @@ def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], 
     scale: List[int] = []
     scaled = []  # per type: (scale, [(item, integer value)] over nonzero values)
     for v in values:
-        d = lcm(*(q.denominator for q in v))
-        scaled.append((d, [(i, q.numerator * (d // q.denominator)) for i, q in enumerate(v) if q]))
+        d, ints = over_common_denominator(v)
+        scaled.append((d, [(i, q) for i, q in enumerate(ints) if q]))
     for t, (d, vt) in enumerate(scaled):
         for s in range(t_count):
             if s != t:
@@ -263,19 +256,17 @@ def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
     `exact-simplex` runs the exact rational simplex; `float-guided-exact`
     resolves the float optimum's vertex exactly and certifies it by
     degenerate pivots there (see lp.certified_vertex), or raises LPError.
-    `auto` takes the float-guided vertex when it is certified and falls back
-    to the exact simplex otherwise, so it never returns an uncertified
-    optimum. Every method returns an exact rational solution verified against
-    every IC/IR constraint.
+    `auto` takes the float-guided vertex and falls back to the exact simplex
+    where that raises LPError. No method returns an optimum it did not
+    certify, and every one returns an exact rational solution verified
+    against every IC/IR constraint.
     """
     if method != "auto":
         return _lp_solve(dist, method)
     try:
-        outcome = _lp_solve(dist, "float-guided-exact")
-        if outcome.certified:
-            return outcome
+        return _lp_solve(dist, "float-guided-exact")
     except lp.LPError:
-        pass  # no exact vertex at the float optimum
+        pass  # no certified vertex at the float optimum
     return _lp_solve(dist, "exact-simplex")
 
 
@@ -301,8 +292,7 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
         raise lp.LPError(f"LP solution failed exact IC/IR checks: {report.violations[:3]}")
     if mech.expected_revenue(dist) != result.objective:
         raise AssertionError("objective/revenue mismatch in LP solution")
-    return LPOutcome(mech, result.objective, result.certified, method, result.rounds,
-                     result.stages)
+    return LPOutcome(mech, result.objective, method, result.rounds, result.stages)
 
 
 def _lp_simplex(values: List[Valuation], mu: List[Fraction], n: int) -> lp.VertexResult:
@@ -324,30 +314,3 @@ def _lp_simplex(values: List[Valuation], mu: List[Fraction], n: int) -> lp.Verte
     sol = result.x
     x = sol[:nx] + [sol[nx + t] - sol[nx + t_count + t] for t in range(t_count)]
     return dataclasses.replace(result, x=x)
-
-
-# ---------------------------------------------------------------------------
-# JSON for randomized menus
-# ---------------------------------------------------------------------------
-
-def parse_randomized_menu(source: Union[str, IO[str], Dict[str, Any]]) -> RandomizedMenu:
-    if isinstance(source, dict):
-        obj = source
-    elif isinstance(source, str):
-        obj = json.loads(source)
-    else:
-        obj = json.load(source)
-    n = obj["items"]
-    entries = [(e["alloc"], e["pay"]) for e in obj["entries"]]
-    return RandomizedMenu.from_entries(n, entries)
-
-
-def randomized_menu_to_dict(m: RandomizedMenu) -> Dict[str, Any]:
-    return {
-        "items": m.n,
-        "entries": [
-            {"alloc": [format_rational(x) for x in e.allocation],
-             "pay": format_rational(e.payment)}
-            for e in m.entries
-        ],
-    }

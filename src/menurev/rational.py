@@ -1,9 +1,15 @@
-"""Exact rational parsing and rendering helpers."""
+"""Exact rational parsing and rendering, and the one common-denominator rule.
+
+Every exact integer path outside the search kernel puts a batch of rationals
+over L, the lcm of their denominators (`over_common_denominator`), and works
+with the integers q * L. The search keeps its own lcm and scaling, so the
+buyer, the final check of its revenues, shares no code with it.
+"""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -75,3 +81,26 @@ def floor_to_dyadic(x: float, bits: int = 20) -> Fraction:
     """Largest multiple of 2**-bits that is <= x (exact for binary64 inputs)."""
     scale = 1 << bits
     return Fraction(math.floor(Fraction(x) * scale), scale)
+
+
+def _lcm(ints: Iterable[int]) -> int:
+    """The lcm, pairwise over a balanced tree down to a few operands, so that
+    most steps take small operands where a running lcm carries one ever
+    larger operand through every step; a few operands take one running lcm,
+    which costs a single call."""
+    xs = list(ints)
+    while len(xs) > 16:
+        xs = [math.lcm(*xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return math.lcm(*xs)
+
+
+def over_common_denominator(qs: Iterable[Fraction]) -> Tuple[int, List[int]]:
+    """(L, [q * L for q in qs]): L is the lcm of the denominators of qs (1 for
+    none), taken by `_lcm`, and L // d is taken once per distinct denominator
+    d. qs may hold ints and other rationals."""
+    qs = list(qs)
+    dens = [q.denominator for q in qs]
+    distinct = set(dens)
+    scale = _lcm(distinct)
+    per = {d: scale // d for d in distinct}
+    return scale, [q.numerator * per[d] for q, d in zip(qs, dens)]

@@ -8,12 +8,12 @@ Every half-plane coefficient is -1, 0 or 1 and only the right-hand sides are
 Fractions, so `RegionPartition2.regions_of` scales the right-hand sides and
 a whole batch of points by one common multiple of their denominators and
 tests each point with Python-int sums. It shares no choice logic with the
-buyer's evaluator (only the check that coordinates are rationals), so
-`verify_against_buyer` is an independent check of it.
+buyer's evaluator: only the check that coordinates are rationals and the
+scaling rule `rational.over_common_denominator`, so `verify_against_buyer`
+is an independent check of it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .buyer import _coordinate_columns, batch_choice
 from .model import Bundle, Menu, Valuation, all_bundles, is_normalized2
+from .rational import over_common_denominator
 
 # A half-plane constraint (a1, a2, op, rhs) means  a1*v1 + a2*v2  op  rhs,
 # with a1, a2 in {-1, 0, 1} and op one of ">=", "<=".
@@ -63,21 +64,15 @@ class RegionPartition2:
         price = self.menu.as_dict()
         price[()] = _F0
         order = sorted(self.constraints, key=lambda b: (-price[b], -len(b), b))
-        dens = {q.denominator for q in chain(xs, ys)}
-        dens.update(hp[3].denominator for hps in self.constraints.values() for hp in hps)
-        scale = math.lcm(*dens)
-        factor = {d: scale // d for d in dens}
-
-        def ge(hp: HalfPlane) -> Tuple[int, int, int]:
-            a1, a2, op, rhs = hp
-            r = rhs.numerator * factor[rhs.denominator]
-            return (a1, a2, r) if op == ">=" else (-a1, -a2, -r)
-
-        tests = [(b, [ge(hp) for hp in self.constraints[b]]) for b in order]
+        size = len(xs)
+        _, scaled = over_common_denominator(chain(
+            xs, ys, (hp[3] for b in order for hp in self.constraints[b])))
+        rhs = iter(scaled[2 * size:])  # zip takes from it only while b has half-planes
+        tests = [(b, [(a1, a2, r) if op == ">=" else (-a1, -a2, -r)
+                      for (a1, a2, op, _), r in zip(self.constraints[b], rhs)])
+                 for b in order]
         out: List[Bundle] = []
-        for x, y in zip(xs, ys):
-            x = x.numerator * factor[x.denominator]
-            y = y.numerator * factor[y.denominator]
+        for x, y in zip(scaled[:size], scaled[size:2 * size]):
             for bundle, halves in tests:
                 if all(a1 * x + a2 * y >= r for a1, a2, r in halves):
                     out.append(bundle)

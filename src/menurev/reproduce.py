@@ -40,6 +40,9 @@ from .randomized import (
 from .search import candidate_grid, search_optimal
 
 SEED = 20260809
+# the er-gap target's discretization; `menurev reproduce --cap/--grid-points`
+# replace its fields
+ER_GAP_PARAMS = NumericParams(cap=1e4, grid_points=2400)
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ def _row(name: str, expected, actual, ok: bool, note: str = "") -> CheckRow:
     return CheckRow(name, str(expected), str(actual), bool(ok), note)
 
 
-def run_target(target: str, trials: Optional[int] = None, seed: Optional[int] = None,
+def run_target(target: str, trials: Optional[int] = None,
                params: Optional[NumericParams] = None, rule: Optional[str] = None,
                k: Optional[int] = None) -> List[CheckRow]:
     """Run one target's checks. An argument left as None takes the target's
@@ -71,8 +74,8 @@ def run_target(target: str, trials: Optional[int] = None, seed: Optional[int] = 
     if trials is not None and trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     run, defaults = _REGISTRY[target]
-    given = {"trials": trials, "seed": seed, "params": params, "rule": rule, "k": k}
-    return run(**{name: default if given[name] is None else given[name]
+    given = {"trials": trials, "params": params, "rule": rule, "k": k}
+    return run(**{name: default if given.get(name) is None else given[name]
                   for name, default in defaults.items()})
 
 
@@ -298,7 +301,7 @@ _REGISTRY: Dict[str, Tuple[Callable[..., List[CheckRow]], Dict[str, object]]] = 
     "theorem-4-1-property": (_theorem41, {"seed": SEED + 1, "trials": 1000}),
     "monotonicity-property": (_monotonicity, {"seed": SEED + 2, "trials": 500}),
     "lemma-5-property": (_lemma5, {"seed": SEED + 3, "trials": 1000}),
-    "er-gap": (_er_gap, {"params": NumericParams(cap=1e4, grid_points=2400)}),
+    "er-gap": (_er_gap, {"params": ER_GAP_PARAMS}),
     "w-constant": (_w_constant, {}),
 }
 TARGETS = tuple(_REGISTRY)

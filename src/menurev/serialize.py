@@ -1,4 +1,4 @@
-"""JSON input/output for distributions and menus.
+"""JSON input/output for distributions, menus and randomized (lottery) menus.
 
 Rationals travel as strings ("3/4" or "0.75", converted exactly) and parse
 errors carry the JSON path of the offending field.
@@ -16,6 +16,7 @@ from .model import (
     all_bundles,
     product,
 )
+from .randomized import RandomizedMenu
 from .rational import format_rational
 
 
@@ -159,6 +160,41 @@ def menu_to_dict(m: Menu) -> Dict[str, Any]:
     return {
         "items": m.n,
         "prices": {bundle_key(b): format_rational(p) for b, p in zip(all_bundles(m.n), m.prices)},
+    }
+
+
+def parse_randomized_menu(source: Union[str, IO[str], Dict[str, Any]]) -> RandomizedMenu:
+    """Parse {"items": n, "entries": [{"alloc": [...], "pay": ...}, ...]}."""
+    obj = _load(source, "randomized_menu")
+    n = _require(obj, "items", "randomized_menu")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError("randomized_menu.items", "item count must be a positive integer")
+    entries = _require(obj, "entries", "randomized_menu")
+    if not isinstance(entries, list):
+        raise ParseError("randomized_menu.entries", "expected a list of entries")
+    pairs = []
+    for i, entry in enumerate(entries):
+        where = f"randomized_menu.entries[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(where, "expected an object with 'alloc' and 'pay'")
+        alloc = _require(entry, "alloc", where)
+        if not isinstance(alloc, list):
+            raise ParseError(f"{where}.alloc", "expected a list of probabilities")
+        pairs.append((alloc, _require(entry, "pay", where)))
+    try:
+        return RandomizedMenu.from_entries(n, pairs)
+    except ValueError as exc:
+        raise ParseError("randomized_menu", str(exc)) from None
+
+
+def randomized_menu_to_dict(m: RandomizedMenu) -> Dict[str, Any]:
+    return {
+        "items": m.n,
+        "entries": [
+            {"alloc": [format_rational(x) for x in e.allocation],
+             "pay": format_rational(e.payment)}
+            for e in m.entries
+        ],
     }
 
 

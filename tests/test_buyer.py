@@ -1,4 +1,3 @@
-import math
 import random
 import re
 from fractions import Fraction as F
@@ -364,15 +363,3 @@ def test_bad_valuations_raise(evaluate):
         evaluate((F(1), F(2), F(3)))
     with pytest.raises(ValueError, match="valuation has 1 entries for a 2-item menu"):
         evaluate((F(1),))
-
-
-@pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 64, 1000, 10**4])
-def test_tree_lcm_matches_running_lcm(size):
-    # small denominators with many repeats, as the equal-revenue atoms have,
-    # and a few large random ones beside them
-    rng = random.Random(size)
-    dens = [rng.randint(1, 3000) for _ in range(size)]
-    dens[:size // 100] = [rng.getrandbits(80) + 1 for _ in range(size // 100)]
-    rng.shuffle(dens)
-    assert buyer._lcm(dens) == math.lcm(*dens)
-    assert buyer._lcm(set(dens)) == math.lcm(*dens)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import menurev
+from menurev import cli
 from menurev.cli import main
-from menurev.reproduce import run_target
+from menurev.reproduce import ER_GAP_PARAMS, run_target
 
 DATA = str(Path(menurev.__file__).parent / "data")
 
@@ -172,6 +174,20 @@ def test_er_gap_target_discretizes_each_level_once(monkeypatch):
     rows = run_target("er-gap")
     assert all(row.ok for row in rows)
     assert sorted(levels) == [(1e2, 100), (1e2, 300), (1e3, 1000), (1e4, 2400)]
+
+
+def test_reproduce_passes_only_the_given_flags(monkeypatch, capsys):
+    # every default is the registry's own: the CLI fills in none of them
+    calls = []
+    monkeypatch.setattr(cli, "run_target", lambda target, **kw: calls.append((target, kw)) or [])
+    assert main(["reproduce", "example-7", "er-gap", "--grid-points", "300"]) == 0
+    given = {"trials": None, "rule": None, "k": None,
+             "params": dataclasses.replace(ER_GAP_PARAMS, grid_points=300)}
+    assert calls == [("example-7", given), ("er-gap", given)]
+    assert given["params"].cap == ER_GAP_PARAMS.cap
+    calls.clear()
+    assert main(["reproduce", "er-gap", "--rule", "capped", "--k", "3"]) == 0
+    assert calls == [("er-gap", {"trials": None, "rule": "capped", "k": 3, "params": None})]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,7 +1,8 @@
-import dataclasses
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from menurev import (
@@ -23,11 +24,10 @@ from menurev.randomized import (
     false_name_utility,
     is_false_name_proof_at,
     lp_optimal,
-    parse_randomized_menu,
-    randomized_menu_to_dict,
     rchoice,
     verify_ic_ir,
 )
+from menurev.serialize import parse_randomized_menu, randomized_menu_to_dict
 
 V4680 = (F(46), F(80))
 
@@ -250,16 +250,34 @@ def test_lp_auto_prefers_certified_float_vertex(rng):
     assert out.method == "float-guided-exact" and out.certified
 
 
-def test_lp_auto_falls_back_on_uncertified_vertex(rng, monkeypatch):
-    parts = [random_single_item(rng, max_atoms=2, max_value=6) for _ in range(2)]
-    dist = product(parts)
-    real = lp.certified_vertex
-    monkeypatch.setattr(lp, "certified_vertex",
-                        lambda *a, **k: dataclasses.replace(real(*a, **k), certified=False))
-    assert not lp_optimal(dist, method="float-guided-exact").certified
+def _float_lp(x, duals=(0.0,) * 8, success=True):
+    """A stand-in for the float solve that returns the given point and duals."""
+    res = SimpleNamespace(success=success, message="stand-in failure", x=np.array(x, float),
+                          ineqlin=SimpleNamespace(marginals=np.array(duals, float)))
+    return lambda *args, **kwargs: res
+
+
+# One item, two equally likely types with values 1 and 2: columns x1, x2, p1,
+# p2 and rows IC(1,2), IC(2,1), IR1, IR2, x1 >= 0, x1 <= 1, x2 >= 0, x2 <= 1.
+@pytest.mark.parametrize("float_lp, message", [
+    (_float_lp([0, 0, 0, 0], success=False), "float LP failed"),
+    # every row slack: no basis to solve
+    (_float_lp([0.3, 0.6, 0.1, 0.5]), "could not resolve an exact vertex"),
+    # the largest duals pick x1 = 1, x2 = 0, p1 = 1, p2 = 0, which breaks IC(2,1)
+    (_float_lp([1, 0, 1, 0], [0, 0, -5, -5, 0, -5, -5, 0]), "is infeasible"),
+    # x = 0 is a feasible vertex with revenue 0 < 1
+    (_float_lp([0, 0, 0, 0]), "is not optimal"),
+], ids=["float-failed", "no-vertex", "infeasible", "not-optimal"])
+def test_lp_auto_falls_back_on_each_vertex_error(float_lp, message, monkeypatch):
+    dist = product([uniform([1, 2])])
+    assert [v for v, _ in dist.atoms] == [(1,), (2,)]
+    simplex = lp_optimal(dist, method="exact-simplex")
+    monkeypatch.setattr(lp, "linprog", float_lp)
+    with pytest.raises(lp.LPError, match=message):
+        lp_optimal(dist, method="float-guided-exact")
     out = lp_optimal(dist)
-    assert out.method == "exact-simplex" and out.certified
-    assert out.revenue == lp_optimal(dist, method="exact-simplex").revenue
+    assert (out.method, out.revenue, out.certified) == ("exact-simplex", simplex.revenue, True)
+    assert simplex.revenue == 1
 
 
 def test_lp_dominates_deterministic_search(rng):

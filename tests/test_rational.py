@@ -1,9 +1,17 @@
+import ast
+import inspect
+import math
+import random
 from fractions import Fraction as F
 
+import pytest
+
+from menurev import rational, search
 from menurev.rational import (
     decimal_with_flag,
     floor_to_dyadic,
     format_decimal,
+    over_common_denominator,
     parse_rational,
 )
 
@@ -36,3 +44,49 @@ def test_floor_to_dyadic():
     x = 3.141592653589793
     d = floor_to_dyadic(x, 20)
     assert d <= F(x) < d + F(1, 1 << 20)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 64, 1000, 10**4])
+def test_tree_lcm_matches_running_lcm(size):
+    # small denominators with many repeats, as the equal-revenue atoms have,
+    # and a few large random ones beside them
+    rng = random.Random(size)
+    dens = [rng.randint(1, 3000) for _ in range(size)]
+    dens[:size // 100] = [rng.getrandbits(80) + 1 for _ in range(size // 100)]
+    rng.shuffle(dens)
+    assert rational._lcm(dens) == math.lcm(*dens)
+    assert rational._lcm(set(dens)) == math.lcm(*dens)
+
+
+def _common_denominator_cases():
+    rng = random.Random(5)
+    mixed = [rng.choice([rng.randint(-9, 9), F(rng.randint(-50, 50), rng.randint(1, 12))])
+             for _ in range(200)]
+    repeated = [F(rng.randint(0, 99), 7) for _ in range(50)] + [F(1, 14), F(3, 28)]
+    primes = [2**61 - 1, 2**31 - 1, 2**19 - 1, 1000003]  # lcm above 2^63
+    wide = [F(rng.randint(1, p - 1), p) for p in primes] + [F(1, 6), 5]
+    return {"empty": [], "one int": [7], "one fraction": [F(-3, 8)], "mixed": mixed,
+            "repeated": repeated, "past int64": wide}
+
+
+@pytest.mark.parametrize("case", list(_common_denominator_cases()))
+def test_over_common_denominator_matches_fractions(case):
+    qs = _common_denominator_cases()[case]
+    scale, scaled = over_common_denominator(iter(qs))
+    assert scale == math.lcm(*(F(q).denominator for q in qs))
+    assert len(scaled) == len(qs)
+    for q, x in zip(qs, scaled):
+        assert type(x) is int and x == F(q) * scale
+    if case == "past int64":
+        assert scale >= 2**63
+
+
+def test_search_keeps_its_own_lcm():
+    # the buyer rescores the search's optima with the rational helper, so the
+    # search must not share it
+    assert search._lcm is not rational._lcm
+    assert not hasattr(search, "over_common_denominator")
+    tree = ast.parse(inspect.getsource(search))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("rational") for alias in node.names}
+    assert not imported & {"_lcm", "over_common_denominator", "*"}

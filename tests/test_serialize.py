@@ -4,7 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from menurev import parse_distribution, parse_menu
-from menurev.serialize import ParseError, distribution_to_dict, menu_to_dict
+from menurev.serialize import (
+    ParseError,
+    distribution_to_dict,
+    menu_to_dict,
+    parse_randomized_menu,
+)
 
 
 def test_product_form_expands():
@@ -69,3 +74,37 @@ def test_empty_support_rejected():
         parse_distribution({"items": 1, "kind": "joint", "atoms": []})
     with pytest.raises(ParseError, match="nonempty"):
         parse_distribution({"items": 1, "kind": "product", "marginals": [[]]})
+
+
+_ENTRY = {"alloc": ["1/2", "1"], "pay": "3"}
+
+
+@pytest.mark.parametrize("source, location, message", [
+    ({"items": 2}, "randomized_menu", "missing required field 'entries'"),
+    ({"items": 2, "entries": [{"pay": "1"}]}, "randomized_menu.entries[0]",
+     "missing required field 'alloc'"),
+    ({"items": 2, "entries": [_ENTRY, {"alloc": "1/2", "pay": "1"}]},
+     "randomized_menu.entries[1].alloc", "expected a list"),
+    ({"items": 2, "entries": [_ENTRY, ["1/2", "1"]]}, "randomized_menu.entries[1]",
+     "expected an object"),
+    ({"items": "2", "entries": []}, "randomized_menu.items", "positive integer"),
+    ({"items": 0, "entries": []}, "randomized_menu.items", "positive integer"),
+    ({"items": 2, "entries": {"0": _ENTRY}}, "randomized_menu.entries", "expected a list"),
+    ({"items": 2, "entries": [{"alloc": ["2", "0"], "pay": "1"}]}, "randomized_menu",
+     r"entries\[0\]\.alloc\[0\] must lie in \[0, 1\]"),
+    ([_ENTRY], "randomized_menu", "top-level value must be an object"),
+    ('{"items": 2, "entries": [', "randomized_menu", "malformed JSON"),
+], ids=["no-entries", "no-alloc", "alloc-not-list", "entry-not-object", "items-not-int",
+        "no-items", "entries-not-list", "alloc-out-of-range", "top-level-list", "malformed"])
+def test_randomized_menu_faults_name_their_path(source, location, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_randomized_menu(source)
+    assert err.value.location == location
+    assert str(err.value).startswith(f"{location}: ")
+
+
+def test_randomized_menu_parses_text_and_objects():
+    doc = {"items": 2, "entries": [_ENTRY]}
+    menu = parse_randomized_menu(json.dumps(doc))
+    assert menu == parse_randomized_menu(doc)
+    assert menu.entries[1].allocation == (F(1, 2), F(1)) and menu.entries[1].payment == 3
