@@ -7,8 +7,10 @@ returned as exact-rational distributions whose grid values are dyadic
 itself exact; only probability weights and the final reports are approximate.
 They are built from integers: the scaled grid points floor(g * 2^20) come
 exactly from each float point's integer ratio, and every tail and mass is a
-ratio of integers, with no Fraction arithmetic before the atoms are made. A
-report discretizes a level once when both items share it.
+ratio of integers, with no Fraction arithmetic before the atoms are made.
+The reports make no atoms for their bundle-price grids: the sweep reads the
+integer grid points and masses directly, and a report builds a level's grid
+once when both items share it.
 The bundle-price sweep walks the atom pairs by descending sum, equal sums in
 flat index order, in buckets that are contiguous in that order and hold at
 most 2^15 pairs each (min(n1, n2), if that is larger): over two 2400-point
@@ -25,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +38,10 @@ from .rational import over_common_denominator
 from .search import CandidateGrid, search_optimal
 
 _DYADIC_BITS = 20
+
+# an equal-revenue grid in integers: the scaled points G_k = floor(g_k * 2^20)
+# and each atom's mass as a pair (num_k, den_k)
+Grid = Tuple[List[int], List[Tuple[int, int]]]
 
 
 def solve_w(tol: float = 1e-12) -> float:
@@ -97,16 +105,18 @@ class NumericParams:
                 raise ValueError(f"{name} must be at least 1")
 
 
-def er_discretize(r: float, params: NumericParams) -> SingleItemDistribution:
-    """Discretize the level-r equal-revenue tail on a geometric grid [r, cap].
-
-    Atom k sits at the grid point g_k (rounded down to a dyadic rational) and
-    carries the tail mass between consecutive grid points; the residual tail
-    mass r/cap is parked at the cap. The result is stochastically dominated by
-    the continuous tail everywhere and its masses sum to exactly 1.
-    """
+def _check_level(r: float) -> None:
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     if r <= 0:
         raise ValueError("r must be positive")
+
+
+def _er_grid(r: float, params: NumericParams) -> Grid:
+    """The atoms of `er_discretize` in integers: the points G_k strictly
+    increase, and the masses num_k / den_k are positive and sum to exactly 1.
+    """
+    _check_level(r)
     if params.cap <= r:
         raise ValueError(f"cap {params.cap} must exceed r {r}")
     n = params.grid_points
@@ -124,12 +134,41 @@ def er_discretize(r: float, params: NumericParams) -> SingleItemDistribution:
     rn, rd = r.as_integer_ratio()
     rn <<= _DYADIC_BITS
     tails = [(1, 1) if rn >= rd * g else (rn, rd * g) for g in grid] + [(0, 1)]
-    pairs = []
+    points: List[int] = []
+    masses: List[Tuple[int, int]] = []
+    # the running total, reduced: it is 1 minus the next tail, so it stays small
+    sn, sd = 0, 1
     for k, g in enumerate(grid):
         (a, b), (c, d) = tails[k], tails[k + 1]
         if a * d > c * b:
-            pairs.append((Fraction(g, 1 << _DYADIC_BITS), Fraction(a * d - c * b, b * d)))
-    return SingleItemDistribution.from_pairs(pairs, "er_discretize")
+            num, den = a * d - c * b, b * d
+            points.append(g)
+            masses.append((num, den))
+            sn, sd = sn * den + num * sd, sd * den
+            q = math.gcd(sn, sd)
+            sn, sd = sn // q, sd // q
+    if sn != sd:
+        raise ArithmeticError(f"er_discretize: mass {sn}/{sd} != 1")
+    return points, masses
+
+
+def _distribution(grid: Grid) -> SingleItemDistribution:
+    """The canonical atoms of an `_er_grid` grid, built directly: the grid has
+    made the checks of `SingleItemDistribution.from_pairs`."""
+    points, masses = grid
+    return SingleItemDistribution(tuple(
+        (Fraction(g, 1 << _DYADIC_BITS), Fraction(num, den)) for g, (num, den) in zip(points, masses)))
+
+
+def er_discretize(r: float, params: NumericParams) -> SingleItemDistribution:
+    """Discretize the level-r equal-revenue tail on a geometric grid [r, cap].
+
+    Atom k sits at the grid point g_k (rounded down to a dyadic rational) and
+    carries the tail mass between consecutive grid points; the residual tail
+    mass r/cap is parked at the cap. The result is stochastically dominated by
+    the continuous tail everywhere and its masses sum to exactly 1.
+    """
+    return _distribution(_er_grid(r, params))
 
 
 @dataclass(frozen=True)
@@ -178,7 +217,32 @@ _BUCKET_PAIRS = 1 << 15
 
 def _bundle_price_sweep(d1: SingleItemDistribution,
                         d2: SingleItemDistribution) -> Tuple[float, float]:
-    """(max over p of p * Pr[v1 + v2 >= p], argmax p) on the discretized product.
+    """`_sweep` on two distributions, their values scaled by the lcm of their
+    denominators."""
+    _, ab = over_common_denominator(d1.support + d2.support)
+    v1, w1, v2, w2 = (np.array([float(atom[k]) for atom in d.atoms]) for d in (d1, d2) for k in (0, 1))
+    return _sweep(ab[:len(v1)], v1, w1, ab[len(v1):], v2, w2)
+
+
+def _grid_sweep(grid1: Grid, grid2: Grid) -> Tuple[float, float]:
+    """`_sweep` on two `_er_grid` grids, as `_bundle_price_sweep` on their
+    distributions to the bit: the values G / 2^20 have the lcm 2^(20 - s) of
+    their denominators, s the trailing zero bits all G share (at most 20), so
+    they scale to G >> s. G / 2^20 and num / den are the correctly rounded
+    floats of the atoms."""
+    (p1, m1), (p2, m2) = grid1, grid2
+    low = reduce(or_, p1 + p2, 1 << _DYADIC_BITS)
+    s = (low & -low).bit_length() - 1
+    v1, v2 = (np.array(p, dtype=np.float64) / (1 << _DYADIC_BITS) for p in (p1, p2))
+    w1, w2 = (np.array([num / den for num, den in m]) for m in (m1, m2))
+    return _sweep([g >> s for g in p1], v1, w1, [g >> s for g in p2], v2, w2)
+
+
+def _sweep(a: List[int], v1: np.ndarray, w1: np.ndarray,
+           b: List[int], v2: np.ndarray, w2: np.ndarray) -> Tuple[float, float]:
+    """(max over p of p * Pr[v1 + v2 >= p], argmax p) over the atom pairs of
+    two items: values v and masses w as floats, and the values as integers
+    a, b over one common denominator.
 
     The atom pairs (i, j) are visited by descending sum, equal sums in flat
     index order, and their masses accumulated in that order, one bucket of
@@ -187,12 +251,8 @@ def _bundle_price_sweep(d1: SingleItemDistribution,
     pairs, and the first strict maximum over the buckets is the first maximum
     over the whole sweep.
     """
-    v1 = np.array([float(v) for v, _ in d1.atoms])
-    w1 = np.array([float(p) for _, p in d1.atoms])
-    v2 = np.array([float(v) for v, _ in d2.atoms])
-    w2 = np.array([float(p) for _, p in d2.atoms])
     best, price, carry = -math.inf, 0.0, 0.0
-    for i, j in _sweep_order(d1, d2, v1, v2):
+    for i, j in _sweep_order(a, b, v1, v2):
         sums = np.take(v1, i)
         mass = np.take(v2, j)
         sums += mass
@@ -209,14 +269,14 @@ def _bundle_price_sweep(d1: SingleItemDistribution,
     return best, price
 
 
-def _sweep_order(d1: SingleItemDistribution, d2: SingleItemDistribution,
+def _sweep_order(a: List[int], b: List[int],
                  v1: np.ndarray, v2: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The atom pairs (i, j) by descending sum, equal sums in flat index order,
     as index arrays of consecutive buckets of at most
     max(_BUCKET_PAIRS, min(n1, n2)) pairs each.
 
-    With the values scaled to integers a_i, b_j by the lcm of their
-    denominators, the key ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j is
+    With the values as the integers a_i, b_j over a common denominator, the
+    key ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j is
     unique and ascends in exactly that order; a bucket is the keys in [s, t),
     sorted. Where the keys could overflow int64, a bucket is the pairs whose
     float sum fl(v1_i + v2_j) lies in (t, s], ordered by a stable argsort of
@@ -235,8 +295,6 @@ def _sweep_order(d1: SingleItemDistribution, d2: SingleItemDistribution,
     # pairs; a bucket that still holds more than cap pairs is split
     stride = max(1, cap // 32)
     si, sj = np.divmod(np.arange(0, n1 * n2, stride), n2)
-    _, ab = over_common_denominator(d1.support + d2.support)
-    a, b = ab[:len(d1.support)], ab[len(d1.support):]
     top = a[-1] + b[-1]  # supports ascend
     ib, jb = (n1 - 1).bit_length(), (n2 - 1).bit_length()
     if (top + 1) << (ib + jb) < 1 << 63:
@@ -346,21 +404,27 @@ def numeric_gap_er(r1: float, r2: float,
     w*(r1+r2)/ratio and w*(r1+r2), where ratio is the companion's grid ratio.
     """
     params = params or NumericParams()
+    _check_level(r1)
+    _check_level(r2)
+    if include_drev and params.search_cap <= max(r1, r2):
+        raise ValueError(f"search_cap {params.search_cap} must exceed r {max(r1, r2)}")
     w = solve_w()
     srev = r1 + r2
-    d1 = er_discretize(r1, params)
-    d2 = d1 if r2 == r1 else er_discretize(r2, params)
-    brev, brev_price = _bundle_price_sweep(d1, d2)
+    g1 = _er_grid(r1, params)
+    g2 = g1 if r2 == r1 else _er_grid(r2, params)
+    brev, brev_price = _grid_sweep(g1, g2)
 
     drev = drev_exact = None
     search_ratio = (params.search_cap / min(r1, r2)) ** (1.0 / (params.search_points - 1))
     tolerance = w * srev * (1.0 - 1.0 / search_ratio) + 1e-6
     if include_drev:
         red = replace(params, cap=params.search_cap, grid_points=params.search_points)
-        e1 = er_discretize(r1, red)
-        e2 = e1 if r2 == r1 else er_discretize(r2, red)
+        h1 = _er_grid(r1, red)
+        h2 = h1 if r2 == r1 else _er_grid(r2, red)
+        e1 = _distribution(h1)
+        e2 = e1 if r2 == r1 else _distribution(h2)
         joint = product([e1, e2])
-        _, red_price = _bundle_price_sweep(e1, e2)
+        _, red_price = _grid_sweep(h1, h2)
         anchor = Fraction(red_price)  # drev >= companion brev once this price is available
         singles1 = sorted(set(_strided_subset(e1.support, params.search_single_prices)) | {anchor})
         singles2 = sorted(set(_strided_subset(e2.support, params.search_single_prices)) | {anchor})

@@ -1,8 +1,9 @@
 """Exact rational parsing and rendering, and the one common-denominator rule.
 
-Every exact integer path outside the search kernel puts a batch of rationals
-over L, the lcm of their denominators (`over_common_denominator`), and works
-with the integers q * L. The search keeps its own lcm and scaling, so the
+Every exact integer path outside the search kernel that starts from
+rationals puts a batch of them over L, the lcm of their denominators
+(`over_common_denominator`), and works with the integers q * L; the
+equal-revenue grids are integers from the start. The search keeps its own lcm and scaling, so the
 buyer, the final check of its revenues, shares no code with it.
 """
 from __future__ import annotations

@@ -165,12 +165,14 @@ def test_reproduce_known_discrepancy_fails(capsys):
 
 def test_er_gap_target_discretizes_each_level_once(monkeypatch):
     # the cap sweep's last level is the report's own, so the target takes
-    # its brev from the report
+    # its brev from the report; the companion's distribution comes from its
+    # grid, so nothing calls er_discretize
     from menurev import continuous
     levels = []
-    real = continuous.er_discretize
-    monkeypatch.setattr(continuous, "er_discretize",
+    real = continuous._er_grid
+    monkeypatch.setattr(continuous, "_er_grid",
                         lambda r, p: levels.append((p.cap, p.grid_points)) or real(r, p))
+    monkeypatch.setattr(continuous, "er_discretize", None)
     rows = run_target("er-gap")
     assert all(row.ok for row in rows)
     assert sorted(levels) == [(1e2, 100), (1e2, 300), (1e3, 1000), (1e4, 2400)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -159,8 +160,8 @@ def _spy_buckets(monkeypatch):
     buckets = []
     real = continuous._sweep_order
 
-    def spy(d1, d2, v1, v2):
-        for i, j in real(d1, d2, v1, v2):
+    def spy(a, b, v1, v2):
+        for i, j in real(a, b, v1, v2):
             buckets.append(v1[i] + v2[j])
             yield i, j
 
@@ -327,15 +328,116 @@ class _Unequal(float):
     __hash__ = float.__hash__
 
 
-def test_equal_levels_reuse_one_discretization(monkeypatch):
+def _spy(monkeypatch, name):
+    """Record the level of every call of continuous.<name>(r, params)."""
     calls = []
-    real = continuous.er_discretize
-    monkeypatch.setattr(continuous, "er_discretize", lambda r, p: calls.append(r) or real(r, p))
+    real = getattr(continuous, name)
+    monkeypatch.setattr(continuous, name, lambda r, p: calls.append(r) or real(r, p))
+    return calls
+
+
+def test_equal_levels_reuse_one_discretization(monkeypatch):
+    grids = _spy(monkeypatch, "_er_grid")
     reused = numeric_gap_er(1.5, 1.5, FAST)
-    assert len(calls) == 2  # the sweep's level and the companion's, once each
+    assert len(grids) == 2  # the sweep's level and the companion's, once each
     recomputed = numeric_gap_er(1.5, _Unequal(1.5), FAST)
-    assert len(calls) == 6
+    assert len(grids) == 6
     assert replace(recomputed, r2=1.5) == reused
+
+
+def test_reports_build_no_discretization(monkeypatch):
+    # the sweeps read the integer grids and the companion is built from the
+    # grid that gives its bundle price, so no report calls er_discretize
+    discretized = _spy(monkeypatch, "er_discretize")
+    numeric_gap_er(1.5, 2.0, FAST, include_drev=False)
+    er_cap_sweep(1.0, 1.0, caps=(50.0, 400.0), points=(150, 600))
+    numeric_gap_er(1.5, 1.5, FAST)
+    numeric_gap_er(1.5, 2.0, FAST)
+    assert discretized == []
+
+
+def _recording_sweeps(monkeypatch):
+    """Record the integer values, float values and float masses every sweep
+    is given, and which path it takes: the key path starts its buckets at
+    the int 0, the float path at the largest float sum."""
+    seen = []
+    real_sweep, real_buckets = continuous._sweep, continuous._buckets
+
+    def sweep(a, v1, w1, b, v2, w2):
+        seen.append([a, b] + [x.tobytes() for x in (v1, w1, v2, w2)])
+        return real_sweep(a, v1, w1, b, v2, w2)
+
+    def buckets(before, start, *rest):
+        seen[-1].append(type(start) is int)
+        return real_buckets(before, start, *rest)
+
+    monkeypatch.setattr(continuous, "_sweep", sweep)
+    monkeypatch.setattr(continuous, "_buckets", buckets)
+    return seen
+
+
+@pytest.mark.parametrize("cap, points, fits", _SWEEP_GRIDS)
+def test_grid_sweep_matches_distribution_sweep_bit_for_bit(monkeypatch, cap, points, fits):
+    # the grid-fed sweep is given the very integers and floats that the
+    # sweep of the discretized distributions computes from their Fractions,
+    # so it takes the same path and buckets, and reports the same floats
+    seen = _recording_sweeps(monkeypatch)
+    params = NumericParams(cap=cap, grid_points=points)
+    for r1, r2 in _sweep_levels(cap, points):
+        g1, g2 = continuous._er_grid(r1, params), continuous._er_grid(r2, params)
+        d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
+        assert _sweep_keys_fit(d1, d2) == fits
+        for (a, b), (x, y) in (((g1, g2), (d1, d2)), ((g2, g1), (d2, d1))):
+            seen.clear()
+            result = continuous._grid_sweep(a, b)
+            assert result == _bundle_price_sweep(x, y), (r1, r2)
+            assert len(seen) == 2 and seen[0] == seen[1] and seen[0][-1] == fits
+
+
+# (level, cap, the one grid point G): every point of these grids floors to
+# one multiple of 2^-20, and 0 and 4 share powers of two that 1 does not
+_ONE_POINT_GRIDS = [(1e-9, 1e-7, 0), (2.0**-20, 1.5 * 2.0**-20, 1), (2.0**-18, 4.5 * 2.0**-20, 4)]
+
+
+def test_grid_sweep_of_one_point_grids(monkeypatch):
+    seen = _recording_sweeps(monkeypatch)
+    grids, dists = [], []
+    for r, cap, point in _ONE_POINT_GRIDS:
+        params = NumericParams(cap=cap, grid_points=100)
+        grids.append(continuous._er_grid(r, params))
+        dists.append(er_discretize(r, params))
+        assert grids[-1] == ([point], [(1, 1)])
+        assert dists[-1].atoms == ((F(point, 1 << 20), F(1)),)
+    for (g1, d1), (g2, d2) in itertools.product(zip(grids, dists), repeat=2):
+        seen.clear()
+        price = float(d1.support[0] + d2.support[0])
+        assert continuous._grid_sweep(g1, g2) == _bundle_price_sweep(d1, d2) == (price, price)
+        assert len(seen) == 2 and seen[0] == seen[1]
+
+
+def test_search_cap_is_checked_before_any_sweep(monkeypatch):
+    grids = _spy(monkeypatch, "_er_grid")
+    with pytest.raises(ValueError, match=r"^search_cap 100\.0 must exceed r 200\.0$"):
+        numeric_gap_er(200.0, 200.0, NumericParams(cap=1e4, grid_points=300))
+    with pytest.raises(ValueError, match=r"^search_cap 60\.0 must exceed r 60\.0$"):
+        numeric_gap_er(1.0, 60.0, FAST)
+    assert grids == []
+    # the search cap bounds only the companion's levels
+    assert numeric_gap_er(1.0, 60.0, FAST, include_drev=False).drev is None
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_non_finite_level_is_rejected(monkeypatch, level):
+    grids = _spy(monkeypatch, "_er_grid")
+    message = f"^r must be finite, got {level}$"
+    with pytest.raises(ValueError, match=message):
+        er_discretize(level, FAST)
+    for r1, r2 in ((1.0, level), (level, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            numeric_gap_er(r1, r2, FAST)
+        with pytest.raises(ValueError, match=message):
+            er_cap_sweep(r1, r2)
+    assert len(grids) == 1  # er_discretize's own, which raises on entry
 
 
 def test_drev_search_of_the_report(monkeypatch):
