@@ -19,7 +19,7 @@ from .rational import decimal_with_flag, format_rational
 from .regions import region_partition_2, render_ascii, render_svg
 from .reproduce import ER_GAP_PARAMS, TARGETS, run_target
 from .search import _CONSTRAINT_ALIASES, CONSTRAINTS, SearchError, candidate_grid, search_optimal
-from .serialize import ParseError, bundle_key, parse_distribution, parse_grid, parse_menu
+from .serialize import ParseError, bundle_key, dumps, parse_distribution, parse_grid, parse_menu
 
 _CONSTRAINT_CHOICES = list(CONSTRAINTS) + list(_CONSTRAINT_ALIASES)
 
@@ -56,7 +56,7 @@ def cmd_eval(args) -> int:
                 for b, p in sales.items()
             },
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(dumps(doc), args.out)
     else:
         lines = [f"expected revenue: {revenue} ({decimal_with_flag(revenue)})"]
         for b, p in sales.items():
@@ -80,7 +80,7 @@ def cmd_search(args) -> int:
     results = [search_optimal(dist, c, grid) for c in constraints]
     if args.format == "json":
         doc = [r.to_json_dict() for r in results]
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(dumps(doc), args.out)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -123,7 +123,7 @@ def cmd_reproduce(args) -> int:
                              "expected": row.expected, "actual": row.actual,
                              "note": row.note})
     if args.format == "json":
-        _emit(json.dumps(rows_doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(dumps(rows_doc), args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0

@@ -18,14 +18,16 @@ grids its temporaries peak at about 2 MiB, where holding all 5.76 million
 pairs at once took 176 MiB. A bucket is a range of exact int64 keys (the
 scaled sum's distance below the largest sum, then the pair's flat index),
 sorted; only where those keys would overflow int64 is it a range of float
-sums, ordered by a stable argsort, and on these dyadic grids both give the
-same order. The running mass is carried from bucket to bucket, so brev and
-its price are those of one sequential pass over all pairs, to the bit.
+sums, ordered by a stable argsort. On these dyadic grids both give the
+same order while the float sums are exact, that is while G1 + G2 < 2^53,
+for caps below about 4.3e9. The running mass is carried from bucket to
+bucket, so brev and its price are those of one sequential pass over all
+pairs, to the bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -34,7 +36,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import SingleItemDistribution, product
-from .rational import over_common_denominator
 from .search import CandidateGrid, search_optimal
 
 _DYADIC_BITS = 20
@@ -44,7 +45,7 @@ _DYADIC_BITS = 20
 Grid = Tuple[List[int], List[Tuple[int, int]]]
 
 
-def solve_w(tol: float = 1e-12) -> float:
+def solve_w() -> float:
     """Root of (w - 1) * e^w = 1 on [1, 2]: bracketed bisection, Newton polish.
 
     The left side is strictly increasing on [1, 2] with f(1) = -1 and
@@ -65,7 +66,7 @@ def solve_w(tol: float = 1e-12) -> float:
     for _ in range(4):
         w -= f(w) / (w * math.exp(w))
     residual = abs(f(w))
-    if residual >= tol:
+    if residual >= 1e-12:
         raise ArithmeticError(f"root polish did not converge: residual {residual}")
     return w
 
@@ -79,30 +80,26 @@ def er_tail(r: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class NumericParams:
-    """Discretization and search controls for the numeric gap report."""
+    """Discretization controls for the numeric gap report."""
 
     cap: float = 1e4
     grid_points: int = 2000
-    # the exact menu search runs on a coarser companion discretization
-    search_cap: float = 100.0
-    search_points: int = 100
-    search_single_prices: int = 12
-    search_bundle_prices: int = 36
 
     def __post_init__(self):
-        for name in ("cap", "search_cap"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.cap):
+            raise ValueError(f"cap must be finite, got {self.cap}")
+        if self.cap <= 0:
+            raise ValueError("cap must be positive")
         if self.grid_points < 100:
             raise ValueError("grid_points must be at least 100")
-        if self.search_points < 100:
-            raise ValueError("search_points must be at least 100")
-        for name in ("search_single_prices", "search_bundle_prices"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+
+
+# the exact menu search runs on a coarser companion discretization, with this
+# cap and grid points, and offers this many single and bundle prices
+SEARCH_CAP = 100.0
+SEARCH_POINTS = 100
+SEARCH_SINGLE_PRICES = 12
+SEARCH_BUNDLE_PRICES = 36
 
 
 def _check_level(r: float) -> None:
@@ -180,10 +177,13 @@ class ERGapReport:
     srev: float
     brev: float
     brev_price: float
-    drev: Optional[float]
     drev_exact: Optional[Fraction]
-    tolerance: float
+    tolerance: Optional[float]  # None where no drev was computed
     w_ref: float
+
+    @property
+    def drev(self) -> Optional[float]:
+        return None if self.drev_exact is None else float(self.drev_exact)
 
     @property
     def brev_over_srev(self) -> float:
@@ -215,21 +215,12 @@ class ERGapReport:
 _BUCKET_PAIRS = 1 << 15
 
 
-def _bundle_price_sweep(d1: SingleItemDistribution,
-                        d2: SingleItemDistribution) -> Tuple[float, float]:
-    """`_sweep` on two distributions, their values scaled by the lcm of their
-    denominators."""
-    _, ab = over_common_denominator(d1.support + d2.support)
-    v1, w1, v2, w2 = (np.array([float(atom[k]) for atom in d.atoms]) for d in (d1, d2) for k in (0, 1))
-    return _sweep(ab[:len(v1)], v1, w1, ab[len(v1):], v2, w2)
-
-
 def _grid_sweep(grid1: Grid, grid2: Grid) -> Tuple[float, float]:
-    """`_sweep` on two `_er_grid` grids, as `_bundle_price_sweep` on their
-    distributions to the bit: the values G / 2^20 have the lcm 2^(20 - s) of
-    their denominators, s the trailing zero bits all G share (at most 20), so
-    they scale to G >> s. G / 2^20 and num / den are the correctly rounded
-    floats of the atoms."""
+    """`_sweep` on two `_er_grid` grids, to the bit as on their distributions'
+    atoms with the values scaled by the lcm of their denominators: the values
+    G / 2^20 have the lcm 2^(20 - s), s the trailing zero bits all G share (at
+    most 20), so they scale to G >> s. G / 2^20 and num / den are the
+    correctly rounded floats of the atoms."""
     (p1, m1), (p2, m2) = grid1, grid2
     low = reduce(or_, p1 + p2, 1 << _DYADIC_BITS)
     s = (low & -low).bit_length() - 1
@@ -282,10 +273,10 @@ def _sweep_order(a: List[int], b: List[int],
     float sum fl(v1_i + v2_j) lies in (t, s], ordered by a stable argsort of
     the negated sums; such a bucket keeps every pair of a float sum together,
     so it may exceed the bound only by one group of equal sums. The two orders
-    agree whenever the float sums are exact, as on every dyadic
-    `er_discretize` grid. Either way the pairs of a row i ordered before a
-    threshold form a suffix of j, since both supports ascend, so a bucket is
-    one column range per row. Besides one bucket, the sweep holds only the
+    agree whenever the float sums are exact, as on a dyadic `er_discretize`
+    grid while G1 + G2 < 2^53 (caps below about 4.3e9). Either way the pairs
+    of a row i ordered before a threshold form a suffix of j, since both
+    supports ascend, so a bucket is one column range per row. Besides one bucket, the sweep holds only the
     per-row ranges and the thresholds' sample: every (bound / 32)-th pair in
     flat order.
     """
@@ -402,23 +393,24 @@ def numeric_gap_er(r1: float, r2: float,
     instance's brev by construction. The reported tolerance bounds
     |drev - brev| from the grid geometry: both numbers lie between
     w*(r1+r2)/ratio and w*(r1+r2), where ratio is the companion's grid ratio.
+    Without drev there is no companion, and the tolerance is None.
     """
     params = params or NumericParams()
     _check_level(r1)
     _check_level(r2)
-    if include_drev and params.search_cap <= max(r1, r2):
-        raise ValueError(f"search_cap {params.search_cap} must exceed r {max(r1, r2)}")
+    if include_drev and SEARCH_CAP <= max(r1, r2):
+        raise ValueError(f"search_cap {SEARCH_CAP} must exceed r {max(r1, r2)}")
     w = solve_w()
     srev = r1 + r2
     g1 = _er_grid(r1, params)
     g2 = g1 if r2 == r1 else _er_grid(r2, params)
     brev, brev_price = _grid_sweep(g1, g2)
 
-    drev = drev_exact = None
-    search_ratio = (params.search_cap / min(r1, r2)) ** (1.0 / (params.search_points - 1))
-    tolerance = w * srev * (1.0 - 1.0 / search_ratio) + 1e-6
+    drev_exact = tolerance = None
     if include_drev:
-        red = replace(params, cap=params.search_cap, grid_points=params.search_points)
+        search_ratio = (SEARCH_CAP / min(r1, r2)) ** (1.0 / (SEARCH_POINTS - 1))
+        tolerance = w * srev * (1.0 - 1.0 / search_ratio) + 1e-6
+        red = NumericParams(cap=SEARCH_CAP, grid_points=SEARCH_POINTS)
         h1 = _er_grid(r1, red)
         h2 = h1 if r2 == r1 else _er_grid(r2, red)
         e1 = _distribution(h1)
@@ -426,17 +418,15 @@ def numeric_gap_er(r1: float, r2: float,
         joint = product([e1, e2])
         _, red_price = _grid_sweep(h1, h2)
         anchor = Fraction(red_price)  # drev >= companion brev once this price is available
-        singles1 = sorted(set(_strided_subset(e1.support, params.search_single_prices)) | {anchor})
-        singles2 = sorted(set(_strided_subset(e2.support, params.search_single_prices)) | {anchor})
+        singles1 = sorted(set(_strided_subset(e1.support, SEARCH_SINGLE_PRICES)) | {anchor})
+        singles2 = sorted(set(_strided_subset(e2.support, SEARCH_SINGLE_PRICES)) | {anchor})
         pair_sums = sorted({a + b for a in _strided_subset(e1.support, 10)
                             for b in _strided_subset(e2.support, 10)})
-        pair = sorted(set(_strided_subset(pair_sums, params.search_bundle_prices)) | {anchor})
+        pair = sorted(set(_strided_subset(pair_sums, SEARCH_BUNDLE_PRICES)) | {anchor})
         grid = CandidateGrid(2, "explicit", (tuple(singles1), tuple(singles2), tuple(pair)))
-        result = search_optimal(joint, "unrestricted", grid)
-        drev_exact = result.revenue
-        drev = float(result.revenue)
+        drev_exact = search_optimal(joint, "unrestricted", grid).revenue
     return ERGapReport(r1, r2, params.cap, params.grid_points, srev, brev, brev_price,
-                       drev, drev_exact, tolerance, w)
+                       drev_exact, tolerance, w)
 
 
 # the default levels of er_cap_sweep: (cap, grid_points)

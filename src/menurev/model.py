@@ -120,9 +120,6 @@ class SingleItemDistribution:
         """Pr[lo <= v < hi]."""
         return sum((q for v, q in self.atoms if lo <= v < hi), Fraction(0))
 
-    def mean(self) -> Fraction:
-        return sum((v * q for v, q in self.atoms), Fraction(0))
-
 
 def uniform(values: Sequence[RationalLike]) -> SingleItemDistribution:
     """Uniform draw from a multiset of values (duplicates weight their value)."""

@@ -42,12 +42,16 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-def format_decimal(q: Fraction, places: int = 12) -> Tuple[str, bool]:
+# the digits after the point that a decimal rendering keeps
+_PLACES = 12
+
+
+def format_decimal(q: Fraction) -> Tuple[str, bool]:
     """Render a Fraction as a decimal string.
 
     Returns (text, exact). When the reduced denominator has factors other
     than 2 and 5 the expansion repeats; the text is then truncated at
-    `places` digits and flagged inexact.
+    `_PLACES` digits and flagged inexact.
     """
     sign = "-" if q < 0 else ""
     q = abs(q)
@@ -60,7 +64,7 @@ def format_decimal(q: Fraction, places: int = 12) -> Tuple[str, bool]:
             den //= p
     exact = den == 1
     digits = []
-    for _ in range(places):
+    for _ in range(_PLACES):
         rem *= 10
         d, rem = divmod(rem, q.denominator)
         digits.append(str(d))
@@ -72,9 +76,9 @@ def format_decimal(q: Fraction, places: int = 12) -> Tuple[str, bool]:
     return text, exact
 
 
-def decimal_with_flag(q: Fraction, places: int = 12) -> str:
+def decimal_with_flag(q: Fraction) -> str:
     """Decimal rendering with a trailing "..." marker when truncated."""
-    text, exact = format_decimal(q, places)
+    text, exact = format_decimal(q)
     return text if exact else text + "..."
 
 

@@ -172,6 +172,9 @@ def verify_against_buyer(part: RegionPartition2, points: Sequence[Valuation]) ->
 
 _REGION_LABELS = {(): "0", (1,): "1", (2,): "2", (1, 2): "B"}
 _REGION_COLORS = {(): "#f5f5f5", (1,): "#9ecae1", (2,): "#a1d99b", (1, 2): "#fdae6b"}
+# the SVG plot's side in pixels, and the ASCII plot's side in cells
+_SVG_WIDTH = 420
+_ASCII_SIZE = 24
 
 
 def _frame(part: RegionPartition2) -> Fraction:
@@ -185,18 +188,18 @@ def _centroid(poly: List[Point]) -> Point:
     return (sum(p[0] for p in poly) / n, sum(p[1] for p in poly) / n)
 
 
-def render_svg(part: RegionPartition2, width: int = 420) -> str:
+def render_svg(part: RegionPartition2) -> str:
     """Standalone SVG: one polygon per region, with the a / b / c-a / c-b marks."""
     frame = _frame(part)
-    scale = Fraction(width) / frame
+    scale = Fraction(_SVG_WIDTH) / frame
     margin = 48
-    total = width + 2 * margin
+    total = _SVG_WIDTH + 2 * margin
 
     def sx(x: Fraction) -> float:
         return float(margin + x * scale)
 
     def sy(y: Fraction) -> float:
-        return float(margin + width - y * scale)
+        return float(margin + _SVG_WIDTH - y * scale)
 
     parts: List[str] = []
     for bundle, poly in part.polygons(frame).items():
@@ -235,13 +238,13 @@ def render_svg(part: RegionPartition2, width: int = 420) -> str:
     )
 
 
-def render_ascii(part: RegionPartition2, size: int = 24) -> str:
+def render_ascii(part: RegionPartition2) -> str:
     frame = _frame(part)
-    cell = frame / size
+    cell = frame / _ASCII_SIZE
     mids = [((i + Fraction(1, 2)) * cell, (j + Fraction(1, 2)) * cell)
-            for j in range(size - 1, -1, -1) for i in range(size)]
+            for j in range(_ASCII_SIZE - 1, -1, -1) for i in range(_ASCII_SIZE)]
     labels = [_REGION_LABELS[r] for r in part.regions_of(mids)]
-    rows = ["".join(labels[k:k + size]) for k in range(0, len(labels), size)]
+    rows = ["".join(labels[k:k + _ASCII_SIZE]) for k in range(0, len(labels), _ASCII_SIZE)]
     a, b, c = part.menu.prices
     header = f"menu ({a}, {b}, {c})  [{part.kind}]  frame [0, {frame}]^2"
     return header + "\n" + "\n".join(rows) + "\n"

@@ -198,5 +198,6 @@ def randomized_menu_to_dict(m: RandomizedMenu) -> Dict[str, Any]:
     }
 
 
-def dumps(obj: Dict[str, Any]) -> str:
+def dumps(obj: Any) -> str:
+    """JSON text as the command line writes it: indented, keys sorted, one final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

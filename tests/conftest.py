@@ -5,12 +5,12 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from menurev import Menu, all_bundles, buyer_choice
+from menurev import Menu, all_bundles, buyer_choice, continuous
 from menurev.instances import load_distribution, load_menu
 from menurev.lp import _MAX_PIVOTS, LPError
 from menurev.model import (SingleItemDistribution, is_monotone_menu, is_submodular,
                            is_symmetric_menu)
-from menurev.rational import floor_to_dyadic
+from menurev.rational import floor_to_dyadic, over_common_denominator
 from menurev.search import canonical_constraint
 
 
@@ -128,6 +128,15 @@ def oracle_bundle_sweep(d1, d2):
     revenue = sums * np.cumsum(mass[order])
     i = int(np.argmax(revenue))
     return float(revenue[i]), float(sums[i])
+
+
+def bundle_price_sweep(d1, d2):
+    """The equal-revenue reports' bundle-price sweep on any two distributions:
+    `continuous._sweep` with the values scaled by the lcm of their
+    denominators; returns (brev, brev_price)."""
+    _, ab = over_common_denominator(d1.support + d2.support)
+    v1, w1, v2, w2 = (np.array([float(atom[k]) for atom in d.atoms]) for d in (d1, d2) for k in (0, 1))
+    return continuous._sweep(ab[:len(v1)], v1, w1, ab[len(v1):], v2, w2)
 
 
 def oracle_monotone(m, grid):

@@ -7,11 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import oracle_bundle_sweep, oracle_er_discretize
+from conftest import bundle_price_sweep, oracle_bundle_sweep, oracle_er_discretize
 from menurev import continuous
 from menurev.continuous import (
     NumericParams,
-    _bundle_price_sweep,
     er_cap_sweep,
     er_discretize,
     er_tail,
@@ -21,8 +20,7 @@ from menurev.continuous import (
 from menurev.instances import random_single_item
 from menurev.model import SingleItemDistribution
 
-FAST = NumericParams(cap=400.0, grid_points=400, search_cap=60.0, search_points=100,
-                     search_single_prices=8, search_bundle_prices=20)
+FAST = NumericParams(cap=400.0, grid_points=400)
 
 
 def test_solve_w_value_and_residual():
@@ -87,11 +85,6 @@ def test_discretization_requires_cap_above_r():
 @pytest.mark.parametrize("field, value, message", [
     ("cap", math.inf, "cap must be finite"),
     ("cap", math.nan, "cap must be finite"),
-    ("search_cap", -math.inf, "search_cap must be finite"),
-    ("search_cap", math.nan, "search_cap must be finite"),
-    ("search_cap", 0.0, "search_cap must be positive"),
-    ("search_single_prices", 0, "search_single_prices must be at least 1"),
-    ("search_bundle_prices", 0, "search_bundle_prices must be at least 1"),
 ])
 def test_params_reject_bad_fields(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -130,8 +123,8 @@ def test_bundle_sweep_matches_oracle_bit_for_bit(cap, points, fits):
         params = NumericParams(cap=cap, grid_points=points)
         d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
         assert _sweep_keys_fit(d1, d2) == fits
-        assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2), (r1, r2)
-        assert _bundle_price_sweep(d2, d1) == oracle_bundle_sweep(d2, d1), (r2, r1)
+        assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2), (r1, r2)
+        assert bundle_price_sweep(d2, d1) == oracle_bundle_sweep(d2, d1), (r2, r1)
 
 
 def _tie_instances(unit):
@@ -152,7 +145,7 @@ def test_bundle_sweep_orders_ties_by_flat_index(unit, fits):
     # fit int64
     for d1, d2 in _tie_instances(unit):
         assert _sweep_keys_fit(d1, d2) == fits
-        assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
+        assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
 
 
 def _spy_buckets(monkeypatch):
@@ -191,7 +184,7 @@ def test_bundle_sweep_in_many_buckets_matches_oracle(monkeypatch, cap, points, f
         d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
         for a, b in ((d1, d2), (d2, d1)):
             buckets.clear()
-            assert _bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b), (r1, r2)
+            assert bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b), (r1, r2)
             split_ties += _check_buckets(buckets, a, b)
     assert (split_ties > 0) == fits
 
@@ -203,7 +196,7 @@ def test_bundle_sweep_in_many_buckets_orders_ties(monkeypatch, unit, fits):
     split_ties = 0
     for d1, d2 in _tie_instances(unit):
         buckets.clear()
-        assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
+        assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
         if len(d1.atoms) * len(d2.atoms) > 40:
             split_ties += _check_buckets(buckets, d1, d2)
     assert (split_ties > 0) == fits
@@ -218,12 +211,12 @@ def test_bundle_sweep_in_many_buckets_on_rounded_sums(monkeypatch):
     buckets = _spy_buckets(monkeypatch)
     for d1, d2 in _tie_instances(F(2**55, 3)):
         assert not _sweep_keys_fit(d1, d2)
-        assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
+        assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
     d1 = SingleItemDistribution.from_pairs([(2**60, F(1, 3)), (2**61, F(2, 3))])
     d2 = SingleItemDistribution.from_pairs([(v, F(1, 30)) for v in range(1, 31)])
     for a, b in ((d1, d2), (d2, d1)):
         buckets.clear()
-        assert _bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
+        assert bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
         assert [len(set(x.tolist())) for x in buckets] == [1, 1]
         assert [len(x) for x in buckets] == [30, 30]
 
@@ -247,7 +240,7 @@ def test_bundle_sweep_splits_between_its_own_sums(monkeypatch):
     d2 = SingleItemDistribution.from_pairs([(v, F(1, 30)) for v in range(1, 31)])
     for a, b in ((d1, d2), (d2, d1)):
         splits.clear()
-        assert _bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
+        assert bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
         assert splits == [1.5 * 2**60, None, None]
 
 
@@ -257,7 +250,7 @@ def test_bundle_sweep_keeps_the_first_of_equal_revenues(monkeypatch):
     monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 1)
     d1 = SingleItemDistribution.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
     d2 = SingleItemDistribution.from_pairs([(1, F(1))])
-    assert _bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2) == (2.0, 4.0)
+    assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2) == (2.0, 4.0)
 
 
 def test_bundle_sweep_memory_is_bounded():
@@ -266,7 +259,7 @@ def test_bundle_sweep_memory_is_bounded():
     d = er_discretize(1.0, NumericParams(cap=1e4, grid_points=2400))
     tracemalloc.start()
     try:
-        _bundle_price_sweep(d, d)
+        bundle_price_sweep(d, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,6 +297,20 @@ def test_numeric_gap_fast_params():
     assert report.drev is not None
     assert abs(report.drev - report.brev) <= report.tolerance
     assert report.to_json_dict()["brev/srev"] == pytest.approx(report.brev / 2)
+
+
+def test_tolerance_only_with_drev():
+    # the tolerance is the companion grid's bound on |drev - brev|, so a report
+    # without a companion carries none (at levels 200 that grid's ratio would
+    # lie below 1); drev is the float of drev_exact
+    assert numeric_gap_er(200.0, 200.0, NumericParams(cap=1e4, grid_points=300),
+                          include_drev=False).tolerance is None
+    sweep = er_cap_sweep(1.0, 1.0, caps=(50.0, 400.0), points=(150, 600))
+    assert [(r.tolerance, r.drev, r.drev_exact) for r in sweep] == [(None, None, None)] * 2
+    assert sweep[0].to_json_dict()["tolerance"] is None
+    report = numeric_gap_er(1.0, 1.0, FAST)
+    assert report.tolerance.hex() == "0x1.dc06bf8e08f66p-4"
+    assert report.drev == float(report.drev_exact)
 
 
 def test_asymmetric_levels():
@@ -390,7 +397,7 @@ def test_grid_sweep_matches_distribution_sweep_bit_for_bit(monkeypatch, cap, poi
         for (a, b), (x, y) in (((g1, g2), (d1, d2)), ((g2, g1), (d2, d1))):
             seen.clear()
             result = continuous._grid_sweep(a, b)
-            assert result == _bundle_price_sweep(x, y), (r1, r2)
+            assert result == bundle_price_sweep(x, y), (r1, r2)
             assert len(seen) == 2 and seen[0] == seen[1] and seen[0][-1] == fits
 
 
@@ -411,7 +418,7 @@ def test_grid_sweep_of_one_point_grids(monkeypatch):
     for (g1, d1), (g2, d2) in itertools.product(zip(grids, dists), repeat=2):
         seen.clear()
         price = float(d1.support[0] + d2.support[0])
-        assert continuous._grid_sweep(g1, g2) == _bundle_price_sweep(d1, d2) == (price, price)
+        assert continuous._grid_sweep(g1, g2) == bundle_price_sweep(d1, d2) == (price, price)
         assert len(seen) == 2 and seen[0] == seen[1]
 
 
@@ -419,11 +426,11 @@ def test_search_cap_is_checked_before_any_sweep(monkeypatch):
     grids = _spy(monkeypatch, "_er_grid")
     with pytest.raises(ValueError, match=r"^search_cap 100\.0 must exceed r 200\.0$"):
         numeric_gap_er(200.0, 200.0, NumericParams(cap=1e4, grid_points=300))
-    with pytest.raises(ValueError, match=r"^search_cap 60\.0 must exceed r 60\.0$"):
-        numeric_gap_er(1.0, 60.0, FAST)
+    with pytest.raises(ValueError, match=r"^search_cap 100\.0 must exceed r 100\.0$"):
+        numeric_gap_er(1.0, 100.0, FAST)
     assert grids == []
     # the search cap bounds only the companion's levels
-    assert numeric_gap_er(1.0, 60.0, FAST, include_drev=False).drev is None
+    assert numeric_gap_er(1.0, 100.0, FAST, include_drev=False).drev is None
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])

@@ -96,7 +96,7 @@ def test_svg_has_one_polygon_per_region():
 
 
 def test_ascii_shapes():
-    art = render_ascii(region_partition_2(menu2(2, 3, 5)), size=10)
+    art = render_ascii(region_partition_2(menu2(2, 3, 5)))
     assert "B" in art and "0" in art and "1" in art and "2" in art
 
 

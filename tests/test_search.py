@@ -260,7 +260,7 @@ def test_gap_report_single_item():
     assert len(set(values.values())) == 1  # all classes coincide for one item
 
 
-def _float_path_joint(tiny, regular):
+def _int64_scaled_joint(tiny, regular):
     """Atoms tiny[0], tiny[1] of probability 1/_P, 1/_Q; the regular
     (valuation, weight) atoms share the remaining mass in proportion to weight."""
     rest = 1 - F(1, _P) - F(1, _Q)
@@ -271,7 +271,7 @@ def _float_path_joint(tiny, regular):
 
 def test_scaled_weights_path_matches_oracle():
     # the weight lcm passes int64, forcing floor-scaled weights with exact re-scoring
-    dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
+    dist = _int64_scaled_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     grid = candidate_grid(dist, "support-sums")
     res = search_optimal(dist, "unrestricted", grid)
     assert res.path == "int64-scaled"
@@ -293,10 +293,10 @@ def _int64_weights_instance(rng):
     return dist, candidate_grid(dist, "support-sums")
 
 
-def _float_weights_instance(rng):
+def _int64_scaled_instance(rng):
     # 2-4 random types with values 0-6 beside the two tiny-probability atoms
     vectors = rng.sample([(a, b) for a in range(7) for b in range(7)], rng.randint(2, 4) + 2)
-    dist = _float_path_joint(vectors[:2], [(v, rng.randint(1, 5)) for v in vectors[2:]])
+    dist = _int64_scaled_joint(vectors[:2], [(v, rng.randint(1, 5)) for v in vectors[2:]])
     return dist, candidate_grid(dist, "support-sums")
 
 
@@ -342,10 +342,10 @@ _SCREENED = {
 
 @pytest.mark.parametrize("make, path", [
     (_int64_weights_instance, "int64"),
-    (_float_weights_instance, "int64-scaled"),
+    (_int64_scaled_instance, "int64-scaled"),
     (_bigint_keys_instance, "bigint"),
     (_four_item_instance, "int64"),
-], ids=["int64-weights", "float-weights", "bigint-keys", "four-items"])
+], ids=["int64-weights", "int64-scaled", "bigint-keys", "four-items"])
 def test_search_differential_random_instances(make, path):
     rng = random.Random(4242)
     constraints = ["unrestricted", "submodular", "symmetric", "additive", "bundle-only"]
@@ -367,7 +367,7 @@ def test_search_differential_random_instances(make, path):
 def _small_values_instance(rng):
     # 4-7 random types with values 0-3 beside the two tiny-probability atoms
     vectors = rng.sample([(a, b) for a in range(4) for b in range(4)], rng.randint(4, 7) + 2)
-    dist = _float_path_joint(vectors[:2], [(v, rng.randint(1, 9)) for v in vectors[2:]])
+    dist = _int64_scaled_joint(vectors[:2], [(v, rng.randint(1, 9)) for v in vectors[2:]])
     return dist, candidate_grid(dist, "support-sums")
 
 
@@ -395,7 +395,7 @@ def test_small_scale_windows_match_oracle(monkeypatch):
 
     monkeypatch.setattr(search, "_exact_best", spy_best)
     rng = random.Random(2718)
-    instances = [(c, _float_path_joint(tiny, weighted)) for c, tiny, weighted in _SLACK_NEEDED]
+    instances = [(c, _int64_scaled_joint(tiny, weighted)) for c, tiny, weighted in _SLACK_NEEDED]
     while len(instances) < 42:
         dist, _ = _small_values_instance(rng)
         instances.append((search.CONSTRAINTS[len(instances) % 6], dist))
@@ -439,7 +439,7 @@ def test_window_keeps_winner_that_flooring_costs_most_of_the_slack():
 def test_tie_heavy_window_keeps_exact_winner():
     # prices above every value are never paid, so 9 menus tie exactly; the
     # window must hold them all and keep the lexicographically smallest winner
-    dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
+    dist = _int64_scaled_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     grid = candidate_grid(dist, "explicit", explicit={
         (1,): [0, 1, 2, 3, 8, 9], (2,): [0, 1, 2, 4, 8, 9], (1, 2): [2, 3, 4, 5, 10, 11, 12]})
     res = search_optimal(dist, "unrestricted", grid)
@@ -925,7 +925,7 @@ def test_chunked_rescoring_matches_per_row_scores(monkeypatch):
     # 3,721 of the 11,907 rows tie exactly at the optimum (among them every
     # row with both single prices above every value and the bundle at 4),
     # scored 7 rows per chunk
-    dist = _float_path_joint([(3, 1), (1, 4)], [((2, 2), 1)])
+    dist = _int64_scaled_joint([(3, 1), (1, 4)], [((2, 2), 1)])
     high = list(range(8, 68))
     grid = candidate_grid(dist, "explicit", explicit={
         (1,): [0, 1, 3] + high, (2,): [0, 2, 4] + high, (1, 2): [2, 4, 5]})
@@ -984,7 +984,7 @@ def test_rescoring_scores_each_payment_vector_once(monkeypatch, nudge, path):
     # lexicographically smallest, (3, 3, 5), pays by the later vector. A
     # 2^-40 nudge on never-paid bundle prices pushes the keys past int64,
     # where the scores are exact and nothing is rescored.
-    dist = _float_path_joint([(0, 0), (1, 1)], [((0, 3), 3), ((5, 2), 2), ((2, 5), 2)])
+    dist = _int64_scaled_joint([(0, 0), (1, 1)], [((0, 3), 3), ((5, 2), 2), ((2, 5), 2)])
     high = list(range(8, 14))
     grid = candidate_grid(dist, "explicit", explicit={
         (1,): [0, 2, 3, 4, 5] + high, (2,): [0, 2, 3, 5] + high,
