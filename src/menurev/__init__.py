@@ -20,14 +20,12 @@ from .constructions import (
     submodularize2,
     symmetrize2,
     three_halves_decomposition,
-    verify_dominance,
 )
 from .continuous import (
     ERGapReport,
     NumericParams,
     er_cap_sweep,
     er_discretize,
-    er_tail,
     numeric_gap_er,
     solve_w,
 )
@@ -35,13 +33,8 @@ from .model import (
     JointDistribution,
     Menu,
     SingleItemDistribution,
-    additive_menu,
     all_bundles,
-    bundle_only_menu,
-    is_additive_menu,
-    is_bundle_only_menu,
     is_monotone_menu,
-    is_subadditive,
     is_submodular,
     is_symmetric_menu,
     menu2,

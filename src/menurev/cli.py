@@ -15,31 +15,35 @@ from typing import List, Optional
 
 from .buyer import sale_probabilities
 from .model import normalize
+from .randomized import COMBINATION_RULES
 from .rational import decimal_with_flag, format_rational
 from .regions import region_partition_2, render_ascii, render_svg
 from .reproduce import ER_GAP_PARAMS, TARGETS, run_target
-from .search import _CONSTRAINT_ALIASES, CONSTRAINTS, SearchError, candidate_grid, search_optimal
+from .search import CONSTRAINTS, SearchError, candidate_grid, search_optimal
 from .serialize import ParseError, bundle_key, dumps, parse_distribution, parse_grid, parse_menu
-
-_CONSTRAINT_CHOICES = list(CONSTRAINTS) + list(_CONSTRAINT_ALIASES)
 
 
 def _read_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(path, "file not found")
+    except OSError as exc:
+        raise ParseError(path, f"cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not UTF-8 text: {exc.reason} at offset {exc.start}") from None
     except json.JSONDecodeError as exc:
-        raise ParseError(path, f"malformed JSON: {exc}")
+        raise ParseError(path, f"malformed JSON: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError("--out", f"cannot write {out}: {exc.strerror}") from None
 
 
 def cmd_eval(args) -> int:
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="grid search for optimal menus")
     p_search.add_argument("distribution")
-    p_search.add_argument("--constraint", action="append", choices=_CONSTRAINT_CHOICES)
+    p_search.add_argument("--constraint", action="append", choices=CONSTRAINTS)
     p_search.add_argument("--grid", choices=["integer", "support-sums", "file"],
                           default="support-sums")
     p_search.add_argument("--grid-file")
@@ -170,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random instances per property target (default: the target's own)")
     p_rep.add_argument("--cap", type=float)
     p_rep.add_argument("--grid-points", type=int)
-    p_rep.add_argument("--rule", choices=["capped", "independent"])
+    p_rep.add_argument("--rule", choices=COMBINATION_RULES)
     p_rep.add_argument("--k", type=int)
     p_rep.add_argument("--format", choices=["text", "json"], default="text")
     p_rep.add_argument("--out")

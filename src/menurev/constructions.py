@@ -12,7 +12,6 @@ from typing import Any, Dict, Sequence, Tuple
 
 from .buyer import expected_revenues
 from .model import (
-    JointDistribution,
     Menu,
     SingleItemDistribution,
     menu2,
@@ -195,14 +194,3 @@ def three_halves_decomposition(m: Menu) -> Tuple[Menu, Menu]:
     additive = menu2(a, b, a + b)
     bundle_only = menu2(bundle_price, bundle_price, bundle_price)
     return additive, bundle_only
-
-
-def verify_dominance(candidates: Sequence[Menu], baseline: Menu,
-                     dist: JointDistribution) -> Tuple[Menu, Fraction]:
-    """Best candidate by expected revenue and its margin over the baseline."""
-    if not candidates:
-        raise ValueError("empty candidate list")
-    *revs, base = expected_revenues([*candidates, baseline], dist)
-    best_idx = max(range(len(revs)), key=lambda i: (revs[i], -i))
-    margin = revs[best_idx] - base
-    return candidates[best_idx], margin

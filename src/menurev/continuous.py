@@ -71,13 +71,6 @@ def solve_w() -> float:
     return w
 
 
-def er_tail(r: float, p: float) -> float:
-    """Pr[v >= p] for the equal-revenue distribution at level r: min(1, r/p)."""
-    if r <= 0 or p <= 0:
-        raise ValueError("er_tail requires positive r and p")
-    return min(1.0, r / p)
-
-
 @dataclass(frozen=True)
 class NumericParams:
     """Discretization controls for the numeric gap report."""

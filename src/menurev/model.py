@@ -5,7 +5,6 @@ immutable after construction so instances can be shared freely.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,15 +163,6 @@ class JointDistribution:
     def support_values(self, item: int) -> Tuple[Fraction, ...]:
         return self.marginal(item).support
 
-    def is_product(self) -> bool:
-        """True iff the joint factors exactly into its marginals."""
-        marginals = [self.marginal(i + 1) for i in range(self.n)]
-        if len(self.atoms) != math.prod(len(m.atoms) for m in marginals):
-            return False
-        probs = [dict(m.atoms) for m in marginals]
-        return all(p == math.prod((probs[i][v[i]] for i in range(self.n)), start=Fraction(1))
-                   for v, p in self.atoms)
-
     def is_symmetric(self) -> bool:
         """True iff the distribution is invariant under swapping any two items."""
         atom_set = set(self.atoms)
@@ -292,19 +282,6 @@ def menu2(a: RationalLike, b: RationalLike, c: RationalLike) -> Menu:
     return Menu.from_sequence(2, (a, b, c))
 
 
-def additive_menu(item_prices: Sequence[RationalLike]) -> Menu:
-    """Menu pricing every bundle at the sum of its item prices."""
-    n = len(item_prices)
-    ps = [parse_nonnegative(p, f"price[{i}]") for i, p in enumerate(item_prices)]
-    return Menu(n, tuple(sum((ps[i - 1] for i in b), Fraction(0)) for b in all_bundles(n)))
-
-
-def bundle_only_menu(n: int, price: RationalLike) -> Menu:
-    """Menu pricing every nonempty bundle at the same price (grand-bundle sale)."""
-    q = parse_nonnegative(price, "price")
-    return Menu(n, tuple(q for _ in all_bundles(n)))
-
-
 def _price_with_empty(m: Menu, bundle: Bundle | Tuple[()]) -> Fraction:
     return Fraction(0) if not bundle else m.prices[_bundle_index(m.n)[bundle]]
 
@@ -324,18 +301,6 @@ def is_submodular(m: Menu) -> bool:
     return True
 
 
-def is_subadditive(m: Menu) -> bool:
-    """p(S) + p(T) >= p(S | T) for all bundle pairs."""
-    order = all_bundles(m.n)
-    for s in order:
-        ss = set(s)
-        for t in order:
-            union = tuple(sorted(ss | set(t)))
-            if _price_with_empty(m, s) + _price_with_empty(m, t) < _price_with_empty(m, union):
-                return False
-    return True
-
-
 def is_symmetric_menu(m: Menu) -> bool:
     """True iff the price depends only on bundle cardinality."""
     by_size: Dict[int, Fraction] = {}
@@ -343,16 +308,6 @@ def is_symmetric_menu(m: Menu) -> bool:
         if by_size.setdefault(len(b), p) != p:
             return False
     return True
-
-
-def is_additive_menu(m: Menu) -> bool:
-    singles = [m.price((i,)) for i in range(1, m.n + 1)]
-    return all(p == sum((singles[i - 1] for i in b), Fraction(0))
-               for b, p in zip(all_bundles(m.n), m.prices))
-
-
-def is_bundle_only_menu(m: Menu) -> bool:
-    return all(p == m.prices[0] for p in m.prices)
 
 
 def is_monotone_menu(m: Menu) -> bool:

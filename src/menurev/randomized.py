@@ -13,18 +13,9 @@ from . import lp
 from .model import JointDistribution, Valuation
 from .rational import RationalLike, over_common_denominator, parse_nonnegative, parse_rational
 
-COMBINATION_RULES = ("capped-additive", "independent-lotteries")
-_RULE_ALIASES = {"capped": "capped-additive", "independent": "independent-lotteries",
-                 "independent-lotteries-nonadaptive": "independent-lotteries"}
+COMBINATION_RULES = ("capped", "independent")
 
 MAX_FALSE_NAME_PICKS = 3
-
-
-def canonical_rule(rule: str) -> str:
-    resolved = _RULE_ALIASES.get(rule, rule)
-    if resolved not in COMBINATION_RULES:
-        raise ValueError(f"unknown combination rule {rule!r}")
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -86,12 +77,13 @@ def rchoice(m: RandomizedMenu, v: Valuation) -> RChoice:
 
 def combine_allocations(allocs: Sequence[Sequence[Fraction]], rule: str) -> Tuple[Fraction, ...]:
     """Fold per-item allocation probabilities across several picks."""
-    rule = canonical_rule(rule)
+    if rule not in COMBINATION_RULES:
+        raise ValueError(f"unknown combination rule {rule!r}")
     n = len(allocs[0])
     combined = list(allocs[0])
     for alloc in allocs[1:]:
         for i in range(n):
-            if rule == "capped-additive":
+            if rule == "capped":
                 combined[i] = min(Fraction(1), combined[i] + alloc[i])
             else:
                 combined[i] = 1 - (1 - combined[i]) * (1 - alloc[i])

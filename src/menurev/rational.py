@@ -82,12 +82,6 @@ def decimal_with_flag(q: Fraction) -> str:
     return text if exact else text + "..."
 
 
-def floor_to_dyadic(x: float, bits: int = 20) -> Fraction:
-    """Largest multiple of 2**-bits that is <= x (exact for binary64 inputs)."""
-    scale = 1 << bits
-    return Fraction(math.floor(Fraction(x) * scale), scale)
-
-
 def _lcm(ints: Iterable[int]) -> int:
     """The lcm, pairwise over a balanced tree down to a few operands, so that
     most steps take small operands where a running lcm carries one ever

@@ -98,7 +98,6 @@ CONSTRAINTS = (
     "additive",
     "bundle-only",
 )
-_CONSTRAINT_ALIASES = {"symmetric-submodular": "symmetric-and-submodular"}
 
 # "mask": the block bounds and the feasible last-axis range of every head row;
 # "evaluate": scaling the instance, the key tables and the menu scores;
@@ -131,13 +130,6 @@ _ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
 
 class SearchError(ValueError):
     pass
-
-
-def canonical_constraint(name: str) -> str:
-    resolved = _CONSTRAINT_ALIASES.get(name, name)
-    if resolved not in CONSTRAINTS:
-        raise SearchError(f"unknown constraint {name!r}; expected one of {CONSTRAINTS}")
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -684,7 +676,8 @@ class _StageClock:
 def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid) -> SearchResult:
     """Maximize exact expected revenue over all constraint-satisfying grid menus."""
     t0 = time.perf_counter()
-    constraint = canonical_constraint(constraint)
+    if constraint not in CONSTRAINTS:
+        raise SearchError(f"unknown constraint {constraint!r}; expected one of {CONSTRAINTS}")
     if grid.n != dist.n:
         raise SearchError(f"grid is for {grid.n} items but distribution has {dist.n}")
 

@@ -1,4 +1,4 @@
-"""JSON input/output for distributions, menus and randomized (lottery) menus.
+"""JSON input for distributions, menus, candidate grids and randomized (lottery) menus.
 
 Rationals travel as strings ("3/4" or "0.75", converted exactly) and parse
 errors carry the JSON path of the offending field.
@@ -6,7 +6,8 @@ errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Tuple, Union
+from fractions import Fraction
+from typing import IO, Any, Dict, List, Tuple, Union
 
 from .model import (
     MAX_ITEMS,
@@ -17,7 +18,7 @@ from .model import (
     product,
 )
 from .randomized import RandomizedMenu
-from .rational import format_rational
+from .rational import parse_nonnegative
 
 
 class ParseError(ValueError):
@@ -32,6 +33,11 @@ def _require(obj: Dict[str, Any], key: str, where: str) -> Any:
     if key not in obj:
         raise ParseError(where, f"missing required field {key!r}")
     return obj[key]
+
+
+def _located(exc: ValueError, where: str) -> ParseError:
+    """`exc`, raised by a parser that was given `where`, naming `where` once."""
+    return ParseError(where, str(exc).removeprefix(f"{where}: "))
 
 
 def _load(source: Any, where: str) -> Dict[str, Any]:
@@ -75,7 +81,7 @@ def parse_distribution(source: Union[str, IO[str], Dict[str, Any]]) -> JointDist
             try:
                 parts.append(SingleItemDistribution.from_pairs(pairs, where))
             except ValueError as exc:
-                raise ParseError(where, str(exc)) from None
+                raise _located(exc, where) from None
         return product(parts)
     if kind == "joint":
         atoms = _require(obj, "atoms", "distribution")
@@ -96,17 +102,6 @@ def parse_distribution(source: Union[str, IO[str], Dict[str, Any]]) -> JointDist
         except ValueError as exc:
             raise ParseError("distribution.atoms", str(exc)) from None
     raise ParseError("distribution.kind", f"unknown kind {kind!r} (expected 'product' or 'joint')")
-
-
-def distribution_to_dict(dist: JointDistribution) -> Dict[str, Any]:
-    return {
-        "items": dist.n,
-        "kind": "joint",
-        "atoms": [
-            {"values": [format_rational(x) for x in v], "prob": format_rational(p)}
-            for v, p in dist.atoms
-        ],
-    }
 
 
 def bundle_key(bundle) -> str:
@@ -147,20 +142,21 @@ def parse_menu(source: Union[str, IO[str], Dict[str, Any]]) -> Menu:
         raise ParseError("menu.prices", str(exc)) from None
 
 
-def parse_grid(source: Any, n: int) -> Dict[Tuple[int, ...], list]:
+def parse_grid(source: Any, n: int) -> Dict[Tuple[int, ...], List[Fraction]]:
     """Candidate price lists by bundle from {"prices": {"1": [...], "1,2": [...]}}."""
     table = _prices_by_bundle(_load(source, "grid"), "grid", n)
     for bundle, prices in table.items():
-        if not isinstance(prices, list):
-            raise ParseError(f"grid.prices[{bundle_key(bundle)!r}]", "expected a list of prices")
+        where = f"grid.prices[{bundle_key(bundle)!r}]"
+        if not isinstance(prices, list) or not prices:
+            raise ParseError(where, "expected a nonempty list of prices")
+        parsed = []
+        for j, price in enumerate(prices):
+            try:
+                parsed.append(parse_nonnegative(price, f"{where}[{j}]"))
+            except ValueError as exc:
+                raise _located(exc, f"{where}[{j}]") from None
+        table[bundle] = parsed
     return table
-
-
-def menu_to_dict(m: Menu) -> Dict[str, Any]:
-    return {
-        "items": m.n,
-        "prices": {bundle_key(b): format_rational(p) for b, p in zip(all_bundles(m.n), m.prices)},
-    }
 
 
 def parse_randomized_menu(source: Union[str, IO[str], Dict[str, Any]]) -> RandomizedMenu:
@@ -185,17 +181,6 @@ def parse_randomized_menu(source: Union[str, IO[str], Dict[str, Any]]) -> Random
         return RandomizedMenu.from_entries(n, pairs)
     except ValueError as exc:
         raise ParseError("randomized_menu", str(exc)) from None
-
-
-def randomized_menu_to_dict(m: RandomizedMenu) -> Dict[str, Any]:
-    return {
-        "items": m.n,
-        "entries": [
-            {"alloc": [format_rational(x) for x in e.allocation],
-             "pay": format_rational(e.payment)}
-            for e in m.entries
-        ],
-    }
 
 
 def dumps(obj: Any) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -10,8 +11,7 @@ from menurev.instances import load_distribution, load_menu
 from menurev.lp import _MAX_PIVOTS, LPError
 from menurev.model import (SingleItemDistribution, is_monotone_menu, is_submodular,
                            is_symmetric_menu)
-from menurev.rational import floor_to_dyadic, over_common_denominator
-from menurev.search import canonical_constraint
+from menurev.rational import over_common_denominator
 
 
 @pytest.fixture
@@ -49,7 +49,6 @@ def oracle_search(dist, constraint, grid, monotone=False):
     returns (best_menu, revenue, examined). With `monotone`, the classes
     other than additive and bundle-only keep only bundle-monotone menus, the
     menus a pruned search counts."""
-    constraint = canonical_constraint(constraint)
     order = all_bundles(dist.n)
     if constraint == "additive":
         candidates = (
@@ -97,6 +96,12 @@ def oracle_feasible_cells(layout, prices):
     for a, b, c, d in layout.terms:
         mask &= (cols[a] + cols[b]) >= (cols[c] + cols[d])
     return np.flatnonzero(mask)
+
+
+def floor_to_dyadic(x: float, bits: int = 20) -> Fraction:
+    """Largest multiple of 2**-bits that is <= x (exact for binary64 inputs)."""
+    scale = 1 << bits
+    return Fraction(math.floor(Fraction(x) * scale), scale)
 
 
 def oracle_er_discretize(r, params):

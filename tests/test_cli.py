@@ -9,7 +9,9 @@ import pytest
 
 import menurev
 from menurev import cli
+from menurev import candidate_grid, search_optimal
 from menurev.cli import main
+from menurev.instances import load_distribution
 from menurev.reproduce import ER_GAP_PARAMS, run_target
 
 DATA = str(Path(menurev.__file__).parent / "data")
@@ -72,6 +74,24 @@ def test_eval_top_level_list_exit_2(tmp_path, capsys):
 
 def test_eval_missing_file_exit_2(capsys):
     assert main(["eval", "nope.json", "also-nope.json"]) == 2
+
+
+@pytest.mark.parametrize("case, where", [
+    ("directory", "{tmp}: cannot read: Is a directory"),
+    ("not-utf8", "{tmp}/menu.json: not UTF-8 text"),
+    ("out-missing-dir", "--out: cannot write {tmp}/missing/out.txt"),
+], ids=["directory", "not-utf8", "out-missing-dir"])
+def test_path_errors_exit_2_and_name_the_path(tmp_path, capsys, case, where):
+    menu, out = f"{DATA}/example6_menu.json", []
+    if case == "directory":
+        menu = str(tmp_path)
+    elif case == "not-utf8":
+        menu = str(tmp_path / "menu.json")
+        (tmp_path / "menu.json").write_bytes(b'{"items": "\xb0"}')
+    else:
+        out = ["--out", str(tmp_path / "missing" / "out.txt")]
+    assert main(["eval", menu, f"{DATA}/example6_eps10.json", *out]) == 2
+    assert f"error: {where.format(tmp=tmp_path)}" in capsys.readouterr().err
 
 
 def test_search_csv(capsys):
@@ -138,7 +158,12 @@ def test_search_item_count_out_of_range_exit_2(tmp_path, capsys, items, kind):
     ('[["1", "2"]]', "grid: top-level value must be an object"),
     ('{"prices": {"x": ["1"], "1": ["1"], "2": ["1"], "1,2": ["2"]}}', "grid.prices['x']"),
     ('{"prices": {"1": ["1", "4"], "2": ["1", "4"], "1,2": "12"}}', "grid.prices['1,2']"),
-], ids=["no-prices", "top-level-list", "bad-bundle-key", "prices-not-list"])
+    ('{"prices": {"1": ["-1"], "2": ["1"], "1,2": ["2"]}}',
+     "error: grid.prices['1'][0]: must be nonnegative, got -1"),
+    ('{"prices": {"1": [], "2": ["1"], "1,2": ["2"]}}',
+     "error: grid.prices['1']: expected a nonempty list of prices"),
+], ids=["no-prices", "top-level-list", "bad-bundle-key", "prices-not-list", "negative-price",
+        "empty-prices"])
 def test_search_bad_grid_file_exit_2(tmp_path, capsys, doc, where):
     grid = tmp_path / "grid.json"
     grid.write_text(doc)
@@ -146,6 +171,24 @@ def test_search_bad_grid_file_exit_2(tmp_path, capsys, doc, where):
                  "--grid-file", str(grid)])
     assert code == 2
     assert where in capsys.readouterr().err
+
+
+def test_search_grid_file_matches_explicit_grid(tmp_path, capsys):
+    prices = {"1": ["0", "4", "100"], "2": ["0", "4", "100"], "1,2": ["4", "8", "104", "200"]}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"prices": prices}))
+    assert main(["search", f"{DATA}/example5_eps100.json", "--grid", "file",
+                 "--grid-file", str(grid), "--max-price", "104", "--format", "json"]) == 0
+    got, = json.loads(capsys.readouterr().out)
+    dist = load_distribution("example5_eps100")
+    explicit = {tuple(int(i) for i in key.split(",")): ps for key, ps in prices.items()}
+    want = search_optimal(dist, "unrestricted",
+                          candidate_grid(dist, "explicit", explicit=explicit, max_price=104))
+    want = want.to_json_dict()
+    for doc in (got, want):
+        del doc["wall_time_s"], doc["stages"]
+    assert got == want
+    assert got["grid"] == "explicit" and got["revenue"] == "6"
 
 
 def test_reproduce_pass_target(capsys):

@@ -14,7 +14,6 @@ from menurev import (
     symmetrize2,
     three_halves_decomposition,
     uniform,
-    verify_dominance,
 )
 from menurev.instances import (
     random_correlated_joint,
@@ -146,18 +145,6 @@ def test_three_halves_examples():
 def test_three_halves_rejects_submodular():
     with pytest.raises(ValueError, match="supermodular"):
         three_halves_decomposition(menu2(2, 3, 5))
-
-
-def test_verify_dominance(example5):
-    best, margin = verify_dominance([menu2(4, 4, 8), menu2(192, 192, 192)],
-                                    menu2(4, 4, 100), example5)
-    assert best.prices == (F(4), F(4), F(8))
-    assert margin == F(408, 100) - F(592, 100)
-    same, zero = verify_dominance([menu2(1, 1, 2)], menu2(1, 1, 2),
-                                  product([uniform([1, 3]), uniform([1, 3])]))
-    assert zero == 0
-    with pytest.raises(ValueError, match="empty"):
-        verify_dominance([], menu2(1, 1, 2), example5)
 
 
 def test_theorem_31_property(rng):

@@ -13,7 +13,6 @@ from menurev.continuous import (
     NumericParams,
     er_cap_sweep,
     er_discretize,
-    er_tail,
     numeric_gap_er,
     solve_w,
 )
@@ -33,15 +32,6 @@ def test_solve_w_value_and_residual():
 def test_w_bracket_signs():
     assert (1 - 1) * math.exp(1) - 1 < 0
     assert (2 - 1) * math.exp(2) - 1 > 0
-
-
-def test_er_tail():
-    assert er_tail(1, 2) == 0.5
-    assert er_tail(1, 0.5) == 1.0
-    for p in (1.0, 2.5, 40.0):
-        assert p * er_tail(1.0, p) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        er_tail(0, 1)
 
 
 def test_discretization_mass_and_domination():

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from menurev import (
     Menu,
     all_bundles,
-    is_subadditive,
     is_submodular,
     is_symmetric_menu,
     menu2,
@@ -23,14 +22,9 @@ from menurev.instances import random_single_item
 from menurev.model import (
     JointDistribution,
     SingleItemDistribution,
-    additive_menu,
-    bundle_only_menu,
-    is_additive_menu,
-    is_bundle_only_menu,
     is_monotone_menu,
 )
 
-prices3 = st.lists(st.integers(0, 12), min_size=7, max_size=7)
 prices2 = st.lists(st.fractions(0, 20, max_denominator=4), min_size=3, max_size=3)
 
 
@@ -60,22 +54,10 @@ def test_submodular_examples():
     assert is_submodular(menu2(2, 3, 5))
 
 
-def test_subadditive_examples():
-    assert not is_subadditive(menu2(1, 1, 3))
-    assert is_subadditive(Menu.from_sequence(3, (6, 6, 6, 7, 7, 8, 9)))
-
-
 def test_symmetric_examples():
     assert is_symmetric_menu(Menu.from_sequence(3, (6, 6, 6, 7, 7, 7, 9)))
     assert not is_symmetric_menu(Menu.from_sequence(3, (6, 6, 6, 7, 7, 8, 9)))
     assert is_symmetric_menu(Menu.from_sequence(1, (4,)))
-
-
-@given(prices3)
-def test_submodular_implies_subadditive(ps):
-    m = Menu.from_sequence(3, ps)
-    if is_submodular(m):
-        assert is_subadditive(m)
 
 
 def test_normalize_examples():
@@ -122,7 +104,6 @@ def test_product_marginalization_roundtrip(rng):
     joint = product(parts)
     for i, part in enumerate(parts):
         assert joint.marginal(i + 1) == part
-    assert joint.is_product()
 
 
 def test_product_matches_joint_from_pairs():
@@ -193,11 +174,7 @@ def test_distribution_validation():
 
 
 def test_menu_helpers():
-    add = additive_menu([2, 3])
-    assert add.prices == (F(2), F(3), F(5)) and is_additive_menu(add)
-    bun = bundle_only_menu(2, 7)
-    assert bun.prices == (F(7), F(7), F(7)) and is_bundle_only_menu(bun)
-    assert is_monotone_menu(add)
+    assert is_monotone_menu(menu2(2, 3, 5))
     assert not is_monotone_menu(menu2(5, 1, 3))
 
 

@@ -26,6 +26,49 @@ OPTIONS = {
     "verify_ic_ir.tol": "the differential tests: it changes what is checked",
 }
 
+# Every public function, with a caller outside the tests: a command, a
+# reproduction target, a benchmark workload or a library function. A name
+# kept only for the tests says why. A new function names its caller here.
+CALLERS = {
+    "all_bundles": "model.Menu, serialize, search, buyer, regions",
+    "best_false_name_deviation": "reproduce example-7, the lottery-lp workload",
+    "buyer_choice": "oracle of the differential tests (conftest.oracle_revenue)",
+    "candidate_grid": "menurev search, reproduce",
+    "check_monotone": "reproduce, the exact-audit workload",
+    "er_cap_sweep": "reproduce er-gap",
+    "er_discretize": "the er-gap workload",
+    "expected_revenue": "search_optimal, reproduce",
+    "expected_revenues": "constructions",
+    "false_name_utility": "reproduce example-7, best_false_name_deviation",
+    "gap_report": "the grid-search workload",
+    "is_monotone_menu": "oracle of the differential tests (conftest.oracle_search)",
+    "is_submodular": "reproduce",
+    "is_symmetric_menu": "reproduce",
+    "lp_optimal": "reproduce example-7, the lottery-lp workload",
+    "menu2": "reproduce, constructions, instances",
+    "menu_expected_payment": "reproduce example-7",
+    "monotonicity_grid": "reproduce, the exact-audit workload",
+    "normalize": "menurev plot, constructions",
+    "numeric_gap_er": "reproduce er-gap, er_cap_sweep",
+    "parse_distribution": "menurev eval, menurev search, instances",
+    "parse_menu": "menurev eval, menurev plot, instances",
+    "point_mass": "test constructor",
+    "product": "serialize, constructions, numeric_gap_er",
+    "rchoice": "reproduce example-7, direct_from_menu",
+    "region_partition_2": "menurev plot",
+    "render_ascii": "menurev plot --ascii",
+    "render_svg": "menurev plot",
+    "revenue_at": "the benchmark tracer, which wraps it",
+    "sale_probabilities": "menurev eval",
+    "search_optimal": "menurev search, reproduce, continuous",
+    "solve_w": "reproduce, numeric_gap_er",
+    "submodularize2": "reproduce, the exact-audit workload",
+    "symmetrize2": "reproduce, the exact-audit workload",
+    "three_halves_decomposition": "reproduce, the exact-audit workload",
+    "uniform": "test constructor",
+    "verify_ic_ir": "lp_optimal",
+}
+
 
 def _defaulted(obj):
     try:
@@ -45,3 +88,9 @@ def test_every_option_is_listed():
              if callable(getattr(menurev, name))
              for param in _defaulted(getattr(menurev, name))}
     assert found == set(OPTIONS)
+
+
+def test_every_function_is_listed():
+    found = {name for name in menurev.__all__
+             if callable(getattr(menurev, name)) and not isinstance(getattr(menurev, name), type)}
+    assert found == set(CALLERS)

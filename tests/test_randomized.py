@@ -27,7 +27,6 @@ from menurev.randomized import (
     rchoice,
     verify_ic_ir,
 )
-from menurev.serialize import parse_randomized_menu, randomized_menu_to_dict
 
 V4680 = (F(46), F(80))
 
@@ -68,6 +67,8 @@ def test_combination_rules_fold():
     assert capped == (F(1), F(1))  # 3/2 and 5/4 both cap at 1
     indep = combine_allocations(a, "independent")
     assert indep == (F(7, 8), 1 - F(3, 4) * F(3, 4) * F(1, 4))
+    with pytest.raises(ValueError, match="unknown combination rule 'capped-additive'"):
+        combine_allocations(a, "capped-additive")
     # associativity/commutativity under permutation
     rng = random.Random(5)
     for _ in range(40):
@@ -307,10 +308,3 @@ def test_lp_symmetric_instance_invariance(rng):
     assert verify_ic_ir(mirrored, dist).ok
     assert mirrored.expected_revenue(dist) == out.revenue
     assert swapped_atoms == dict(dist.atoms)
-
-
-def test_randomized_menu_json_roundtrip(hr_menu):
-    doc = randomized_menu_to_dict(hr_menu)
-    again = parse_randomized_menu(doc)
-    assert again == hr_menu
-    assert doc["entries"][0] == {"alloc": ["0", "0"], "pay": "0"}

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import floor_to_dyadic
 from menurev import rational, search
 from menurev.rational import (
     decimal_with_flag,
-    floor_to_dyadic,
     format_decimal,
     over_common_denominator,
     parse_rational,

@@ -105,9 +105,12 @@ def test_search_result_metadata(example5):
 
 def test_constraint_alias(example5):
     grid = candidate_grid(example5, "support-sums")
-    res = search_optimal(example5, "symmetric-submodular", grid)
+    res = search_optimal(example5, "symmetric-and-submodular", grid)
     assert res.constraint == "symmetric-and-submodular"
     assert is_symmetric_menu(res.best) and is_submodular(res.best)
+    # one spelling per constraint
+    with pytest.raises(SearchError, match="unknown constraint 'symmetric-submodular'"):
+        search_optimal(example5, "symmetric-submodular", grid)
 
 
 def test_oracle_equivalence_random_instances():

@@ -4,12 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from menurev import parse_distribution, parse_menu
-from menurev.serialize import (
-    ParseError,
-    distribution_to_dict,
-    menu_to_dict,
-    parse_randomized_menu,
-)
+from menurev.serialize import ParseError, parse_randomized_menu
 
 
 def test_product_form_expands():
@@ -42,24 +37,23 @@ def test_negative_value_rejected():
         parse_distribution(doc)
 
 
+@pytest.mark.parametrize("marginal, message", [
+    ([["-1", "1"]], "value[0]: must be nonnegative, got -1"),
+    ([["1", "1/2"]], "mass 1/2 != 1"),
+], ids=["negative-value", "mass"])
+def test_marginal_fault_names_its_path_once(marginal, message):
+    doc = {"items": 2, "kind": "product", "marginals": [marginal, [["1", "1"]]]}
+    with pytest.raises(ParseError) as err:
+        parse_distribution(doc)
+    assert err.value.location == "distribution.marginals[0]"
+    assert str(err.value) == f"distribution.marginals[0]: {message}"
+
+
 def test_malformed_json_and_kind():
     with pytest.raises(ParseError, match="malformed"):
         parse_distribution("{not json")
     with pytest.raises(ParseError, match="kind"):
         parse_distribution({"items": 1, "kind": "weird", "atoms": []})
-
-
-def test_roundtrip_is_fixed_point(example5):
-    doc = distribution_to_dict(example5)
-    again = parse_distribution(doc)
-    assert again == example5
-    assert distribution_to_dict(again) == doc
-
-
-def test_menu_roundtrip(example4_menu):
-    doc = menu_to_dict(example4_menu)
-    assert doc["prices"]["1,2,3"] == "9"
-    assert parse_menu(json.dumps(doc)) == example4_menu
 
 
 def test_menu_missing_and_unknown_bundles():
