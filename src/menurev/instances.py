@@ -5,11 +5,13 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from .model import JointDistribution, Menu, SingleItemDistribution, menu2
-from .randomized import RandomizedMenu
 from .serialize import parse_distribution, parse_menu, parse_randomized_menu
+
+if TYPE_CHECKING:  # importing randomized loads the LP stack
+    from .randomized import RandomizedMenu
 
 BUNDLED = (
     "example4_distribution",

@@ -53,10 +53,10 @@ def bundle_table(table: Mapping[Iterable[int], object], n: int) -> Dict[Bundle, 
     return out
 
 
-def as_valuation(values: Sequence[RationalLike], n: int | None = None) -> Valuation:
-    v = tuple(parse_nonnegative(x, f"value[{i}]") for i, x in enumerate(values))
-    if n is not None and len(v) != n:
-        raise ValueError(f"valuation has {len(v)} entries, expected {n}")
+def as_valuation(values: Sequence[RationalLike], n: int, where: str) -> Valuation:
+    v = tuple(parse_nonnegative(x, f"{where}[{i}]") for i, x in enumerate(values))
+    if len(v) != n:
+        raise ValueError(f"{where}: valuation has {len(v)} entries, expected {n}")
     return v
 
 
@@ -139,15 +139,17 @@ class JointDistribution:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Tuple[Sequence[RationalLike], RationalLike]],
-                   where: str = "distribution") -> "JointDistribution":
+                   where: str = "atoms") -> "JointDistribution":
+        """The distribution of the (valuation, probability) `pairs`; a fault
+        names its path below `where`, e.g. `atoms[1].values[0]`."""
         if not 1 <= n <= MAX_ITEMS:
-            raise ValueError(f"{where}: item count must be in 1..{MAX_ITEMS}, got {n}")
+            raise ValueError(f"item count must be in 1..{MAX_ITEMS}, got {n}")
         merged: Dict[Valuation, Fraction] = {}
         for i, (values, prob) in enumerate(pairs):
-            v = as_valuation(values, n)
-            p = parse_rational(prob, f"{where}: atoms[{i}].prob")
+            v = as_valuation(values, n, f"{where}[{i}].values")
+            p = parse_rational(prob, f"{where}[{i}].prob")
             if p.numerator <= 0:
-                raise ValueError(f"{where}: atoms[{i}].prob must be positive, got {p}")
+                raise ValueError(f"{where}[{i}].prob: must be positive, got {p}")
             _merge(merged, v, p)
         return cls(n, _sorted_atoms(merged, where))
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import IO, Any, Dict, List, Tuple, Union
+from typing import IO, TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 from .model import (
     MAX_ITEMS,
@@ -17,8 +17,10 @@ from .model import (
     all_bundles,
     product,
 )
-from .randomized import RandomizedMenu
 from .rational import parse_nonnegative
+
+if TYPE_CHECKING:  # importing randomized loads the LP stack
+    from .randomized import RandomizedMenu
 
 
 class ParseError(ValueError):
@@ -36,8 +38,12 @@ def _require(obj: Dict[str, Any], key: str, where: str) -> Any:
 
 
 def _located(exc: ValueError, where: str) -> ParseError:
-    """`exc`, raised by a parser that was given `where`, naming `where` once."""
-    return ParseError(where, str(exc).removeprefix(f"{where}: "))
+    """`exc`, raised by a parser that was given `where`, located at the path
+    its message starts with (`where` or a field inside it), named once."""
+    head, sep, message = str(exc).partition(": ")
+    if sep and head.startswith(where):
+        return ParseError(head, message)
+    return ParseError(where, str(exc))
 
 
 def _load(source: Any, where: str) -> Dict[str, Any]:
@@ -98,9 +104,9 @@ def parse_distribution(source: Union[str, IO[str], Dict[str, Any]]) -> JointDist
                 raise ParseError(f"{where}.values", "expected a list of values")
             pairs.append((values, prob))
         try:
-            return JointDistribution.from_pairs(n, pairs, "distribution")
+            return JointDistribution.from_pairs(n, pairs, "distribution.atoms")
         except ValueError as exc:
-            raise ParseError("distribution.atoms", str(exc)) from None
+            raise _located(exc, "distribution.atoms") from None
     raise ParseError("distribution.kind", f"unknown kind {kind!r} (expected 'product' or 'joint')")
 
 
@@ -161,6 +167,8 @@ def parse_grid(source: Any, n: int) -> Dict[Tuple[int, ...], List[Fraction]]:
 
 def parse_randomized_menu(source: Union[str, IO[str], Dict[str, Any]]) -> RandomizedMenu:
     """Parse {"items": n, "entries": [{"alloc": [...], "pay": ...}, ...]}."""
+    from .randomized import RandomizedMenu
+
     obj = _load(source, "randomized_menu")
     n = _require(obj, "items", "randomized_menu")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:

@@ -65,6 +65,21 @@ def test_eval_bad_input_exit_2(tmp_path, capsys):
     assert "mass 5/6 != 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("atoms, where", [
+    ('{"values": ["-1"], "prob": "1/2"}',
+     "distribution.atoms[1].values[0]: must be nonnegative, got -1"),
+    ('{"values": ["1", "2"], "prob": "1/2"}',
+     "distribution.atoms[1].values: valuation has 2 entries, expected 1"),
+    ('{"values": ["2"], "prob": "1/3"}', "distribution.atoms: mass 5/6 != 1"),
+], ids=["negative-value", "valuation-length", "mass"])
+def test_eval_joint_atom_fault_exit_2(tmp_path, capsys, atoms, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"items": 1, "kind": "joint", "atoms": ['
+                   f'{{"values": ["1"], "prob": "1/2"}}, {atoms}]}}')
+    assert main(["eval", f"{DATA}/example6_menu.json", str(bad)]) == 2
+    assert f"error: {where}\n" in capsys.readouterr().err
+
+
 def test_eval_top_level_list_exit_2(tmp_path, capsys):
     bad = tmp_path / "menu.json"
     bad.write_text('[{"items": 2}]')

@@ -1,0 +1,101 @@
+"""The package namespace: which submodules each entry point loads, and the
+public surface that loading them on first access must keep."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import menurev
+
+SRC = str(Path(menurev.__file__).resolve().parent.parent)
+
+# `menurev.__all__` as it stood when `import menurev` imported every submodule
+PUBLIC = [
+    "BuyerOutcome", "COMBINATION_RULES", "CandidateGrid", "CertificateError",
+    "ConstructionCertificate", "DirectMechanism", "ERGapReport", "GapReport",
+    "JointDistribution", "LPOutcome", "Menu", "MenuEntry", "MonotonicityReport",
+    "NumericParams", "ParseError", "RandomizedMenu", "RegionPartition2", "SearchResult",
+    "SingleItemDistribution", "all_bundles", "best_false_name_deviation", "buyer",
+    "buyer_choice", "candidate_grid", "check_monotone", "constructions", "continuous",
+    "er_cap_sweep", "er_discretize", "expected_revenue", "expected_revenues",
+    "false_name_utility", "gap_report", "is_monotone_menu", "is_submodular",
+    "is_symmetric_menu", "lp", "lp_optimal", "menu2", "menu_expected_payment", "model",
+    "monotonicity_grid", "normalize", "numeric_gap_er", "parse_distribution", "parse_menu",
+    "point_mass", "product", "randomized", "rational", "rchoice", "region_partition_2",
+    "regions", "render_ascii", "render_svg", "revenue_at", "sale_probabilities", "search",
+    "search_optimal", "serialize", "solve_w", "submodularize2", "symmetrize2",
+    "three_halves_decomposition", "uniform", "verify_ic_ir",
+]
+
+
+def _fresh(code: str):
+    """Run `code` in a new interpreter after `import menurev`; returns the
+    value it leaves in `out`, read back as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = f"import json, sys\nimport menurev\n{code}\nprint(json.dumps(out))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+LOADED = ("out = sorted(m for m in sys.modules if m == 'menurev' or m.startswith('menurev.'))"
+          " + ['numpy'] * ('numpy' in sys.modules)")
+
+
+@pytest.mark.parametrize("use, loaded", [
+    ("", {"menurev"}),
+    ("menurev.lp_optimal",
+     {"menurev", "menurev.lp", "menurev.model", "menurev.randomized", "menurev.rational",
+      "numpy"}),
+    ("menurev.numeric_gap_er",
+     {"menurev", "menurev.buyer", "menurev.continuous", "menurev.model", "menurev.rational",
+      "menurev.search", "numpy"}),
+    ("menurev.instances.load_distribution('example4_distribution')",
+     {"menurev", "menurev.data", "menurev.instances", "menurev.model", "menurev.rational",
+      "menurev.serialize"}),
+], ids=["import", "lp_optimal", "numeric_gap_er", "load_distribution"])
+def test_first_use_loads_only_its_layers(use, loaded):
+    assert set(_fresh(f"{use}\n{LOADED}")) == loaded
+
+
+def test_all_is_unchanged():
+    assert menurev.__all__ == PUBLIC
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name in PUBLIC:
+        home = name if name in menurev._EXPORTS else menurev._HOME[name]
+        module = importlib.import_module(f"menurev.{home}")
+        expected = module if home == name else getattr(module, name)
+        assert getattr(menurev, name) is expected, name
+
+
+def test_star_import_binds_every_name():
+    out = _fresh("ns = {}\nexec('from menurev import *', ns)\n"
+                 "out = sorted(k for k in ns if k != '__builtins__')")
+    assert out == sorted(PUBLIC)
+
+
+def test_submodule_resolves_on_first_access():
+    # the exact-audit workload's first touch of the package may be this one
+    out = _fresh("out = [menurev.regions.__name__, "
+                 "menurev.regions.verify_against_buyer.__module__]")
+    assert out == ["menurev.regions", "menurev.regions"]
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) | {"instances", "reproduce", "cli"} <= set(dir(menurev))
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        menurev.no_such_name
+    assert not hasattr(menurev, "no_such_name")
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from menurev import no_such_name", {})

@@ -49,6 +49,26 @@ def test_marginal_fault_names_its_path_once(marginal, message):
     assert str(err.value) == f"distribution.marginals[0]: {message}"
 
 
+def _atom(values, prob="1/2"):
+    return {"values": values, "prob": prob}
+
+
+@pytest.mark.parametrize("atoms, location, message", [
+    ([_atom(["1"]), _atom(["-1"])], "distribution.atoms[1].values[0]",
+     "must be nonnegative, got -1"),
+    ([_atom(["1"]), _atom(["1", "2"])], "distribution.atoms[1].values",
+     "valuation has 2 entries, expected 1"),
+    ([_atom(["1"]), _atom(["2"], "1/3")], "distribution.atoms", "mass 5/6 != 1"),
+    ([_atom(["1"], "1"), _atom(["2"], "0")], "distribution.atoms[1].prob",
+     "must be positive, got 0"),
+], ids=["negative-value", "valuation-length", "mass", "zero-prob"])
+def test_joint_atom_fault_names_its_path(atoms, location, message):
+    with pytest.raises(ParseError) as err:
+        parse_distribution({"items": 1, "kind": "joint", "atoms": atoms})
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {message}"
+
+
 def test_malformed_json_and_kind():
     with pytest.raises(ParseError, match="malformed"):
         parse_distribution("{not json")
