@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -212,11 +212,16 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     n = len(c)
     _scipy_linprog()  # a first import is not charged to the float solve
     start = perf_counter()
-    # int / int true division rounds correctly, as float(Fraction) does
+    # int / int true division rounds correctly, as float(Fraction) does; the
+    # entries are divided in Python, streamed into arrays (no list of floats
+    # to raise the peak memory) and stored by one fancy-index assignment
+    sizes = [len(row) for row in rows]
+    size = sum(sizes)
+    at_row = np.repeat(np.arange(len(rows)), sizes)
+    at_col = np.fromiter(chain.from_iterable(rows), np.intp, size)
     a = np.zeros((len(rows), n))
-    for i, (row, s) in enumerate(zip(rows, scale)):
-        for j, v in row.items():
-            a[i, j] = v / s
+    a[at_row, at_col] = np.fromiter(
+        (v / s for row, s in zip(rows, scale) for v in row.values()), float, size)
     b = np.array([r / s for r, s in zip(rhs, scale)])
     res = linprog(c=-np.array([float(v) for v in c]), A_ub=-a, b_ub=-b,
                   bounds=[(None, None)] * n, method="highs")

@@ -1,16 +1,21 @@
 """Lottery menus: buyer choice, false-name deviations, IC/IR checking, and the
-revenue-maximization LP over finite type spaces."""
+revenue-maximization LP over finite type spaces.
+
+False-name deviations (several picks bought under different identities)
+are scored by one integer rule, `_ScaledPicks`, for one multiset and for the
+exhaustive search alike; a Fraction is built only for the returned utility.
+"""
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, islice
+from itertools import chain, islice
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lp
-from .model import JointDistribution, Valuation
+from .model import JointDistribution, Valuation, as_valuation
 from .rational import RationalLike, over_common_denominator, parse_nonnegative, parse_rational
 
 COMBINATION_RULES = ("capped", "independent")
@@ -75,22 +80,71 @@ def rchoice(m: RandomizedMenu, v: Valuation) -> RChoice:
     return RChoice(best_i, m.entries[best_i], best_u)
 
 
-def combine_allocations(allocs: Sequence[Sequence[Fraction]], rule: str) -> Tuple[Fraction, ...]:
-    """Fold per-item allocation probabilities across several picks."""
-    if rule not in COMBINATION_RULES:
-        raise ValueError(f"unknown combination rule {rule!r}")
-    n = len(allocs[0])
-    combined = list(allocs[0])
-    for alloc in allocs[1:]:
-        for i in range(n):
-            if rule == "capped":
-                combined[i] = min(Fraction(1), combined[i] + alloc[i])
+class _ScaledPicks:
+    """Multisets of menu picks scored in integers, for one valuation and rule.
+
+    The allocations are scaled by L, the payments by P and the values by V,
+    each the lcm of their denominators. A state after s picks is (the payments
+    times P, one integer per item): under `independent` the miss probability
+    prod(L - q) over L^s, so the item is allocated with L^s - prod(L - q) over
+    L^s; under `capped` min(L, sum q) over L. `score` gives the utility of s <=
+    k picks as an integer over the one denominator `den` = V * P * L^k, so any
+    two multisets of at most k picks compare as integers.
+    """
+
+    def __init__(self, m: RandomizedMenu, v: Sequence[RationalLike], rule: str, k: int):
+        if rule not in COMBINATION_RULES:
+            raise ValueError(f"unknown combination rule {rule!r}")
+        value_den, self.values = over_common_denominator(as_valuation(v, m.n, "valuation"))
+        alloc_den, allocs = over_common_denominator(
+            chain.from_iterable(e.allocation for e in m.entries))
+        pay_den, self.pays = over_common_denominator(e.payment for e in m.entries)
+        it = iter(allocs)
+        allocs = [tuple(islice(it, m.n)) for _ in m.entries]
+        self.cap = alloc_den
+        self.independent = rule == "independent"
+        # utility * den = P * L^(k-s) * (the items' value over V * L^s) - V * L^k * paid,
+        # and under `independent` that value is L^s * sum(values) - values . miss
+        if self.independent:
+            self.factors = [tuple(alloc_den - q for q in a) for a in allocs]
+            self.empty = (0, (1,) * m.n)
+            self.base = pay_den * alloc_den ** k * sum(self.values)
+            self.weight = [-pay_den * alloc_den ** (k - s) for s in range(k + 1)]
+        else:
+            self.factors = allocs
+            self.empty = (0, (0,) * m.n)
+            self.base = 0
+            self.weight = [pay_den * alloc_den ** (k - 1)] * (k + 1)
+        self.pay_weight = value_den * alloc_den ** k
+        self.den = value_den * pay_den * alloc_den ** k
+
+    def pick(self, state: Tuple[int, Tuple[int, ...]], e: int) -> Tuple[int, Tuple[int, ...]]:
+        paid, items = state
+        if self.independent:
+            items = tuple(map(mul, items, self.factors[e]))
+        else:
+            items = tuple(min(self.cap, x + q) for x, q in zip(items, self.factors[e]))
+        return paid + self.pays[e], items
+
+    def score(self, state: Tuple[int, Tuple[int, ...]], s: int) -> int:
+        paid, items = state
+        return (self.base + self.weight[s] * sum(map(mul, self.values, items))
+                - self.pay_weight * paid)
+
+    def multisets(self, size: int, start: int = 0, picks: Tuple[int, ...] = (),
+                  state: Optional[Tuple[int, Tuple[int, ...]]] = None):
+        """(picks, state) for each multiset of `size` more picks from `start`
+        on, in combinations_with_replacement order; a prefix is folded once."""
+        state = self.empty if state is None else state
+        for e in range(start, len(self.factors)):
+            nxt = self.pick(state, e)
+            if size == 1:
+                yield picks + (e,), nxt
             else:
-                combined[i] = 1 - (1 - combined[i]) * (1 - alloc[i])
-    return tuple(combined)
+                yield from self.multisets(size - 1, e, picks + (e,), nxt)
 
 
-def false_name_utility(m: RandomizedMenu, v: Valuation, picks: Sequence[int],
+def false_name_utility(m: RandomizedMenu, v: Sequence[RationalLike], picks: Sequence[int],
                        rule: str) -> Fraction:
     """Utility of submitting several menu picks under different identities.
 
@@ -99,30 +153,37 @@ def false_name_utility(m: RandomizedMenu, v: Valuation, picks: Sequence[int],
     """
     if not picks:
         raise ValueError("picks must be nonempty")
-    entries = [m.entries[i] for i in picks]
-    combined = combine_allocations([e.allocation for e in entries], rule)
-    total_value = sum((x * q for x, q in zip(v, combined)), Fraction(0))
-    total_payment = sum((e.payment for e in entries), Fraction(0))
-    return total_value - total_payment
+    for j, e in enumerate(picks):
+        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < len(m.entries):
+            raise ValueError(f"picks[{j}]: no menu entry {e!r} "
+                             f"(the menu has entries 0..{len(m.entries) - 1})")
+    scaled = _ScaledPicks(m, v, rule, len(picks))
+    state = scaled.empty
+    for e in picks:
+        state = scaled.pick(state, e)
+    return Fraction(scaled.score(state, len(picks)), scaled.den)
 
 
-def best_false_name_deviation(m: RandomizedMenu, v: Valuation, rule: str,
+def best_false_name_deviation(m: RandomizedMenu, v: Sequence[RationalLike], rule: str,
                               k: int = 2) -> Tuple[Tuple[int, ...], Fraction]:
-    """Best multiset of at most k picks; exhaustive, so k is capped at 3."""
+    """Best multiset of at most k picks; exhaustive, so k is capped at 3. The
+    sizes run 1..k, each in combinations_with_replacement order, and a later
+    multiset wins only if strictly better, so the first best one is returned."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > MAX_FALSE_NAME_PICKS:
         raise ValueError(f"exhaustive enumeration beyond k={MAX_FALSE_NAME_PICKS} is refused")
     if len(m.entries) ** k > 2_000_000:
         raise ValueError("too many entry combinations to enumerate")
+    scaled = _ScaledPicks(m, v, rule, k)
     best_picks: Tuple[int, ...] = (0,)
-    best_u: Optional[Fraction] = None
+    best_u: Optional[int] = None
     for size in range(1, k + 1):
-        for picks in combinations_with_replacement(range(len(m.entries)), size):
-            u = false_name_utility(m, v, picks, rule)
+        for picks, state in scaled.multisets(size):
+            u = scaled.score(state, size)
             if best_u is None or u > best_u:
                 best_picks, best_u = picks, u
-    return best_picks, best_u
+    return best_picks, Fraction(best_u, scaled.den)
 
 
 def is_false_name_proof_at(m: RandomizedMenu, v: Valuation, rule: str, k: int = 2) -> bool:

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 
 import numpy as np
 import pytest
@@ -198,3 +198,38 @@ def oracle_simplex(c, a_ub, b_ub):
             cost = [v - f * w for v, w in zip(cost, tab[row])]
         basis[row] = col
     raise LPError("pivot limit exceeded")
+
+
+def combine_allocations(allocs, rule):
+    """Fold per-item allocation probabilities across several picks, in Fractions."""
+    if rule not in ("capped", "independent"):
+        raise ValueError(f"unknown combination rule {rule!r}")
+    combined = list(allocs[0])
+    for alloc in allocs[1:]:
+        for i in range(len(combined)):
+            if rule == "capped":
+                combined[i] = min(Fraction(1), combined[i] + alloc[i])
+            else:
+                combined[i] = 1 - (1 - combined[i]) * (1 - alloc[i])
+    return tuple(combined)
+
+
+def oracle_false_name_utility(m, v, picks, rule):
+    """Utility of a multiset of lottery picks: the Fraction fold of their
+    allocations, valued at v, less every payment."""
+    entries = [m.entries[i] for i in picks]
+    combined = combine_allocations([e.allocation for e in entries], rule)
+    return (sum((x * q for x, q in zip(v, combined)), Fraction(0))
+            - sum((e.payment for e in entries), Fraction(0)))
+
+
+def oracle_best_deviation(m, v, rule, k):
+    """(picks, utility) of the first best multiset of at most k picks, sizes
+    1..k, each in combinations_with_replacement order."""
+    best = None
+    for size in range(1, k + 1):
+        for picks in combinations_with_replacement(range(len(m.entries)), size):
+            u = oracle_false_name_utility(m, v, picks, rule)
+            if best is None or u > best[1]:
+                best = picks, u
+    return best

@@ -221,6 +221,65 @@ def test_reproduce_known_discrepancy_fails(capsys):
     assert out.count("PASS") == 6
 
 
+EXAMPLE7_JSON = """\
+[
+  {
+    "actual": "1152/1187",
+    "check": "truthful utility at (46,80)",
+    "expected": "1152/1187",
+    "note": "",
+    "ok": true,
+    "target": "example-7"
+  },
+  {
+    "actual": "27243584/15498659",
+    "check": "two-pick deviation beats truthful",
+    "expected": "> 1152/1187",
+    "note": "",
+    "ok": true,
+    "target": "example-7"
+  },
+  {
+    "actual": "1.7578026589268143",
+    "check": "false-name deviation near 2-decimal reference",
+    "expected": "within 0.01 of 1.46",
+    "note": "exact two-pick utility is 27243584/15498659 ~ 1.7578; the 2-decimal reference follows from reusing the first pick's item-1 probability for both picks",
+    "ok": false,
+    "target": "example-7"
+  },
+  {
+    "actual": "313420544/170485249",
+    "check": "best deviation beats truthful",
+    "expected": "> 1152/1187",
+    "note": "",
+    "ok": true,
+    "target": "example-7"
+  },
+  {
+    "actual": "30614162731/440673750",
+    "check": "LP revenue equals menu expected payment",
+    "expected": "30614162731/440673750",
+    "note": "",
+    "ok": true,
+    "target": "example-7"
+  }
+]
+"""
+
+
+def test_reproduce_example7_json_is_pinned(capsys):
+    # the whole report, byte for byte: the deviation rows read the exact
+    # utilities, and the 1.46 row fails on the exact two-pick utility
+    assert main(["reproduce", "example-7", "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert out == EXAMPLE7_JSON
+    rows = {row["check"]: row for row in json.loads(out)}
+    assert rows["two-pick deviation beats truthful"]["actual"] == "27243584/15498659"
+    known = rows["false-name deviation near 2-decimal reference"]
+    assert not known["ok"] and known["actual"] == repr(27243584 / 15498659)
+    assert [row["check"] for row in rows.values() if not row["ok"]] == [known["check"]]
+
+
 def test_er_gap_target_discretizes_each_level_once(monkeypatch):
     # the cap sweep's last level is the report's own, so the target takes
     # its brev from the report; the companion's distribution comes from its

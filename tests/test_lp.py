@@ -226,20 +226,34 @@ def test_vertex_path_agrees_with_simplex_on_random_lps():
         assert res.certified
 
 
+def loop_float_rows(rows, rhs, scale, width):
+    """The float system of certified_vertex, one matrix entry stored at a time."""
+    a = np.zeros((len(rows), width))
+    for i, (row, s) in enumerate(zip(rows, scale)):
+        for j, v in row.items():
+            a[i, j] = v / s
+    return a, np.array([r / s for r, s in zip(rhs, scale)])
+
+
 def test_float_problem_matches_dense_fraction_rows(monkeypatch):
     # HiGHS gets the float matrix that float() of the dense Fraction rows gives,
-    # bit for bit, so it reports the same tight rows and duals
+    # and that storing each entry in a loop gives, bit for bit, so it reports
+    # the same tight rows and duals
     seen = {}
     real = lp.linprog
     monkeypatch.setattr(lp, "linprog", lambda *a, **k: seen.update(k) or real(*a, **k))
     dists = [load_distribution("example7_distribution"), *seeded_distributions(11, 24)]
     for k, dist in enumerate(dists):
         out = lp_optimal(dist, method="float-guided-exact")
-        rows, rhs = dense_lp_rows([v for v, _ in dist.atoms], dist.n)
+        values = [v for v, _ in dist.atoms]
+        rows, rhs = dense_lp_rows(values, dist.n)
         a = -np.array([[float(v) for v in row] for row in rows])
         b = -np.array([float(v) for v in rhs])
-        assert np.array_equal(seen["A_ub"], a) and seen["A_ub"].tobytes() == a.tobytes()
-        assert np.array_equal(seen["b_ub"], b) and seen["b_ub"].tobytes() == b.tobytes()
+        loop_a, loop_b = loop_float_rows(*_lp_rows(values, dist.n), len(values) * (dist.n + 1))
+        for want_a, want_b in ((a, b), (-loop_a, -loop_b)):
+            assert seen["A_ub"].shape == want_a.shape
+            assert seen["A_ub"].tobytes() == want_a.tobytes()
+            assert seen["b_ub"].tobytes() == want_b.tobytes()
         if k == 0:
             assert (out.revenue, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 2)
 

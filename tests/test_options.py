@@ -39,7 +39,7 @@ CALLERS = {
     "er_discretize": "the er-gap workload",
     "expected_revenue": "search_optimal, reproduce",
     "expected_revenues": "constructions",
-    "false_name_utility": "reproduce example-7, best_false_name_deviation",
+    "false_name_utility": "reproduce example-7, its two-pick row",
     "gap_report": "the grid-search workload",
     "is_monotone_menu": "oracle of the differential tests (conftest.oracle_search)",
     "is_submodular": "reproduce",

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,10 +18,10 @@ from menurev import (
 )
 from menurev.instances import load_distribution, load_randomized_menu, random_single_item
 from menurev.randomized import (
+    COMBINATION_RULES,
     DirectMechanism,
     RandomizedMenu,
     best_false_name_deviation,
-    combine_allocations,
     direct_from_menu,
     false_name_utility,
     is_false_name_proof_at,
@@ -27,6 +29,8 @@ from menurev.randomized import (
     rchoice,
     verify_ic_ir,
 )
+
+from conftest import combine_allocations, oracle_best_deviation, oracle_false_name_utility
 
 V4680 = (F(46), F(80))
 
@@ -67,8 +71,13 @@ def test_combination_rules_fold():
     assert capped == (F(1), F(1))  # 3/2 and 5/4 both cap at 1
     indep = combine_allocations(a, "independent")
     assert indep == (F(7, 8), 1 - F(3, 4) * F(3, 4) * F(1, 4))
+    m = RandomizedMenu.from_entries(2, [(x, 1) for x in a])
+    for rule, want in (("capped", (F(1), F(1))), ("independent", indep)):
+        assert false_name_utility(m, (4, 8), [1, 2, 3], rule) == 4 * want[0] + 8 * want[1] - 3
     with pytest.raises(ValueError, match="unknown combination rule 'capped-additive'"):
-        combine_allocations(a, "capped-additive")
+        false_name_utility(m, (4, 8), [1, 1], "capped-additive")
+    with pytest.raises(ValueError, match="unknown combination rule 'capped-additive'"):
+        best_false_name_deviation(m, (4, 8), "capped-additive", 2)
     # associativity/commutativity under permutation
     rng = random.Random(5)
     for _ in range(40):
@@ -104,6 +113,82 @@ def test_best_deviation_beats_truthful(hr_menu):
     assert not is_false_name_proof_at(hr_menu, V4680, "independent", 2)
     with pytest.raises(ValueError, match="refused"):
         best_false_name_deviation(hr_menu, V4680, "independent", 4)
+
+
+EXAMPLE7_DEVIATIONS = {
+    "independent": [((1,), F(1152, 1187)), ((1, 1), F(313420544, 170485249)),
+                    ((1, 1, 1), F(5802365004928, 2226025896193))],
+    "capped": [((1,), F(1152, 1187)), ((1, 1), F(2304, 1187)), ((1, 1, 1), F(3456, 1187))],
+}
+
+
+@pytest.mark.parametrize("rule", sorted(EXAMPLE7_DEVIATIONS))
+def test_example7_deviations_pinned(hr_menu, rule):
+    # entry 1 ties the truthful choice (entry 6) at 1152/1187 and comes first
+    for k, want in enumerate(EXAMPLE7_DEVIATIONS[rule], 1):
+        assert best_false_name_deviation(hr_menu, V4680, rule, k) == want
+        assert oracle_best_deviation(hr_menu, V4680, rule, k) == want
+    assert false_name_utility(hr_menu, V4680, [2, 1], rule) == \
+        oracle_false_name_utility(hr_menu, V4680, [1, 2], rule)
+
+
+def _tied_menus(rng):
+    """(menu, valuation, rule) on 1-3 items with 2-8 entries of allocations
+    j/d. Each menu repeats its first entry and, from three entries on, offers
+    the fold of its first two entries at their summed payment, so a pair ties
+    a single pick: only the enumeration order decides which one is returned."""
+    for trial in range(90):
+        n, rule = 1 + trial % 3, COMBINATION_RULES[trial % 2]
+        d = rng.choice((1, 2, 3, 4, 6, 7))
+        entries = [([F(rng.randint(0, d), d) for _ in range(n)],
+                    F(rng.randint(0, 24), rng.choice((1, 2, 5))))
+                   for _ in range(rng.randint(1, 6))]
+        (a, p), (b, q) = entries[0], entries[-1]
+        entries.append((a, p))
+        if len(entries) > 2:
+            entries.append((combine_allocations([a, b], rule), p + q))
+        v = tuple(F(rng.randint(0, 40), rng.choice((1, 3))) for _ in range(n))
+        yield RandomizedMenu.from_entries(n, entries), v, rule
+
+
+def test_deviation_search_matches_fraction_oracle():
+    rng = random.Random(11)
+    ties = {"at its size": 0, "by a larger positive one": 0}
+    for m, v, rule in _tied_menus(rng):
+        for k in (1, 2, 3):
+            picks, best = oracle_best_deviation(m, v, rule, k)
+            assert best_false_name_deviation(m, v, rule, k) == (picks, best)
+            tied = [p for s in range(1, k + 1)
+                    for p in combinations_with_replacement(range(len(m.entries)), s)
+                    if p != picks and oracle_false_name_utility(m, v, p, rule) == best]
+            ties["at its size"] += any(len(p) == len(picks) for p in tied)
+            ties["by a larger positive one"] += best > 0 and any(len(p) > len(picks) for p in tied)
+            some = [rng.randrange(len(m.entries)) for _ in range(k)]
+            assert false_name_utility(m, v, some, rule) == \
+                oracle_false_name_utility(m, v, some, rule)
+    assert min(ties.values()) >= 20, ties  # the winner is tied in these many searches
+
+
+@pytest.mark.parametrize("v, message", [
+    ((46,), "valuation: valuation has 1 entries, expected 2"),
+    ((46.0, 80.0), "valuation[0]: expected int or string rational, got float"),
+    ((46, -1), "valuation[1]: must be nonnegative, got -1"),
+])
+def test_deviation_checks_the_valuation(hr_menu, v, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        false_name_utility(hr_menu, v, [1, 2], "independent")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        best_false_name_deviation(hr_menu, v, "capped", 2)
+
+
+@pytest.mark.parametrize("picks, message", [
+    ([-1], "picks[0]: no menu entry -1"),
+    ([1, 11], "picks[1]: no menu entry 11"),
+])
+def test_false_name_utility_checks_picks(hr_menu, picks, message):
+    assert len(hr_menu.entries) == 11
+    with pytest.raises(ValueError, match=re.escape(message)):
+        false_name_utility(hr_menu, V4680, picks, "capped")
 
 
 def test_deterministic_subadditive_menu_is_false_name_proof(rng):
