@@ -54,16 +54,15 @@ class ConstructionCertificate:
 
 
 def _certificate(branch: str, m: Menu, outputs: Sequence[Menu], base: Fraction,
-                 revs: Sequence[Fraction], require_each: bool = False) -> ConstructionCertificate:
-    """Certify outputs earning `revs` against the input m earning `base`."""
+                 revs: Sequence[Fraction]) -> ConstructionCertificate:
+    """Certify outputs earning `revs` against the input m earning `base`: a
+    single output must earn at least `base`, and so must the best of several."""
     revs = tuple(revs)
-    if require_each:
-        bad = [(o, r) for o, r in zip(outputs, revs) if r < base]
-        if bad:
-            raise CertificateError(
-                f"branch {branch!r}: output {bad[0][0].prices} earns {bad[0][1]} "
-                f"< input {m.prices} earning {base}")
     if max(revs) < base:
+        if len(revs) == 1:
+            raise CertificateError(
+                f"branch {branch!r}: output {outputs[0].prices} earns {revs[0]} "
+                f"< input {m.prices} earning {base}")
         raise CertificateError(
             f"branch {branch!r}: no candidate beats input {m.prices} "
             f"(input revenue {base}, candidates {list(revs)})")
@@ -89,32 +88,31 @@ def submodularize2(m: Menu, d1: SingleItemDistribution,
     dist = product([d1, d2])
     a, b, c = m.prices
     if c <= a + b:
-        base, = expected_revenues([m], dist)
-        return _certificate("already-submodular", m, [m], base, [base], require_each=True)
-
-    swapped = a > b
-    if swapped:
-        d1 = d2
-        a, b = b, a
-
-    lhs = d1.prob_in(a, c - b) * a
-    rhs = d1.tail(c - b) * (c - (a + b))
-    if lhs >= rhs:
-        branch, out = "item-prices", menu2(a, b, a + b)
+        branch, out = "already-submodular", m
     else:
-        branch, out = "bundle-margin", menu2(c - b, b, c)
-    if swapped:
-        out = out.swap2()
+        swapped = a > b
+        if swapped:
+            d1, a, b = d2, b, a
+        lhs = d1.prob_in(a, c - b) * a
+        rhs = d1.tail(c - b) * (c - (a + b))
+        if lhs >= rhs:
+            branch, out = "item-prices", menu2(a, b, a + b)
+        else:
+            branch, out = "bundle-margin", menu2(c - b, b, c)
+        if swapped:
+            out = out.swap2()
     base, rev = expected_revenues([m, out], dist)
-    return _certificate(branch, m, [out], base, [rev], require_each=True)
+    return _certificate(branch, m, [out], base, [rev])
 
 
 def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
     """Replace an asymmetric 2-item menu by a symmetric one that earns at least
     as much when both items are drawn i.i.d. from f.
 
-    The menu is normalized and, if supermodular, submodularized first. With
-    a < b <= c <= a+b the branches are:
+    A symmetric menu is its own candidate ("identity"). Any other menu is
+    normalized and, if supermodular, submodularized first; a working menu
+    that comes out symmetric is the one candidate ("normalized-symmetric").
+    Otherwise, with a < b <= c <= a+b, the branches are:
 
       * c <= 2a: the better of (a,a,c) and (b,b,c); their revenues average to
         the asymmetric menu's revenue exactly, which is asserted.
@@ -128,55 +126,39 @@ def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
     if m.n != 2:
         raise ValueError("symmetrize2 is defined for 2-item menus")
     dist = product([f, f])
-
-    if m.a == m.b:
-        base_rev, = expected_revenues([m], dist)
-        return _certificate("identity", m, [m], base_rev, [base_rev], require_each=True)
-
-    work = normalize(m)
-    if work.c > work.a + work.b:
-        work = submodularize2(work, f, f).best
-    if work.a == work.b:
-        base_rev, work_rev = expected_revenues([m, work], dist)
-        cert = _certificate("normalized-symmetric", work, [work], work_rev, [work_rev],
-                            require_each=True)
-    else:
+    work = m
+    if m.a != m.b:
+        work = normalize(m)
+        if work.c > work.a + work.b:
+            work = submodularize2(work, f, f).best
         if work.a > work.b:
             work = work.swap2()
-        a, b, c = work.prices
-        if c <= 2 * a:
-            cands = [menu2(a, a, c), menu2(b, b, c)]
-            branch = "c<=2a"
-        else:
-            lhs = 2 * a * f.prob_in(a, c - a)
-            rhs = (c - 2 * a) * f.tail(c - a)
-            if lhs >= rhs:
-                cands = [menu2(b, b, c), menu2(a, a, 2 * a)]
-                branch = "c>2a-low"
-            else:
-                cands = [menu2(b, b, c), menu2(c - a, c - a, 2 * (c - a))]
-                branch = "c>2a-high"
-        base_rev, work_rev, *revs = expected_revenues([m, work, *cands], dist)
-        two_rev = 2 * work_rev
-        if branch == "c<=2a":
-            if revs[0] + revs[1] != two_rev:
-                raise CertificateError(
-                    f"averaging identity failed for {work.prices}: "
-                    f"{revs[0]} + {revs[1]} != 2 * {two_rev / 2}")
-        elif revs[0] + revs[1] < two_rev:
-            raise CertificateError(
-                f"branch {branch!r}: {cands[0].prices} + {cands[1].prices} earn "
-                f"{revs[0]} + {revs[1]} < twice the revenue of {work.prices}")
-        cert = _certificate(branch, work, cands, work_rev, revs)
+    a, b, c = work.prices
+    if a == b:
+        branch = "identity" if m.a == m.b else "normalized-symmetric"
+        cands = [work]
+    elif c <= 2 * a:
+        branch, cands = "c<=2a", [menu2(a, a, c), menu2(b, b, c)]
+    elif 2 * a * f.prob_in(a, c - a) >= (c - 2 * a) * f.tail(c - a):
+        branch, cands = "c>2a-low", [menu2(b, b, c), menu2(a, a, 2 * a)]
+    else:
+        branch, cands = "c>2a-high", [menu2(b, b, c), menu2(c - a, c - a, 2 * (c - a))]
 
-    # The chain normalize -> submodularize -> symmetrize may only gain revenue,
-    # so certify against the original menu as well.
-    if max(cert.output_revenues) < base_rev:
+    base_rev, work_rev, *revs = expected_revenues([m, work, *cands], dist)
+    if branch == "c<=2a" and revs[0] + revs[1] != 2 * work_rev:
         raise CertificateError(
-            f"symmetrized candidates earn {max(cert.output_revenues)} "
-            f"< original menu revenue {base_rev}")
-    return ConstructionCertificate(m, cert.outputs, cert.best, cert.branch,
-                                   base_rev, cert.output_revenues)
+            f"averaging identity failed for {work.prices}: "
+            f"{revs[0]} + {revs[1]} != 2 * {work_rev}")
+    if len(revs) == 2 and revs[0] + revs[1] < 2 * work_rev:
+        raise CertificateError(
+            f"branch {branch!r}: {cands[0].prices} + {cands[1].prices} earn "
+            f"{revs[0]} + {revs[1]} < twice the revenue of {work.prices}")
+    # The chain normalize -> submodularize -> symmetrize may only gain revenue,
+    # so certify against the original menu.
+    if max(revs) < base_rev:
+        raise CertificateError(
+            f"symmetrized candidates earn {max(revs)} < original menu revenue {base_rev}")
+    return _certificate(branch, m, cands, base_rev, revs)
 
 
 def three_halves_decomposition(m: Menu) -> Tuple[Menu, Menu]:

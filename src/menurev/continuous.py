@@ -27,6 +27,7 @@ pairs, to the bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -79,6 +80,10 @@ class NumericParams:
     grid_points: int = 2000
 
     def __post_init__(self):
+        if isinstance(self.cap, bool) or not isinstance(self.cap, numbers.Real):
+            raise ValueError(f"cap must be a real number, got {self.cap!r}")
+        if isinstance(self.grid_points, bool) or not isinstance(self.grid_points, numbers.Integral):
+            raise ValueError(f"grid_points must be an int, got {self.grid_points!r}")
         if not math.isfinite(self.cap):
             raise ValueError(f"cap must be finite, got {self.cap}")
         if self.cap <= 0:

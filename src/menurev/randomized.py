@@ -64,20 +64,14 @@ class RChoice:
     utility: Fraction
 
 
-def _entry_utility(entry: MenuEntry, v: Valuation) -> Fraction:
-    return sum((x * q for x, q in zip(v, entry.allocation)), Fraction(0)) - entry.payment
-
-
-def rchoice(m: RandomizedMenu, v: Valuation) -> RChoice:
-    """Utility-maximizing entry; ties toward higher payment, then lowest index."""
-    if len(v) != m.n:
-        raise ValueError(f"valuation has {len(v)} entries for an {m.n}-item menu")
-    best_i, best_u = 0, None
-    for i, entry in enumerate(m.entries):
-        u = _entry_utility(entry, v)
-        if best_u is None or u > best_u or (u == best_u and entry.payment > m.entries[best_i].payment):
-            best_i, best_u = i, u
-    return RChoice(best_i, m.entries[best_i], best_u)
+def rchoice(m: RandomizedMenu, v: Sequence[RationalLike]) -> RChoice:
+    """Utility-maximizing entry; ties toward higher payment, then lowest index.
+    Each entry is scored as one pick, whose utility is the same under both
+    combination rules."""
+    scaled = _ScaledPicks(m, v, "capped", 1)
+    utility = [scaled.score(state, 1) for _, state in scaled.multisets(1)]
+    best = max(range(len(utility)), key=lambda i: (utility[i], scaled.pays[i]))
+    return RChoice(best, m.entries[best], Fraction(utility[best], scaled.den))
 
 
 class _ScaledPicks:

@@ -46,7 +46,6 @@ class RegionPartition2:
 
     menu: Menu
     kind: str  # "submodular" | "supermodular" | "additive"
-    corners: Tuple[Tuple[str, Point], ...]
     constraints: Dict[Bundle, Tuple[HalfPlane, ...]]
 
     def region_of(self, v: Valuation) -> Bundle:
@@ -130,32 +129,7 @@ def region_partition_2(m: Menu) -> RegionPartition2:
         (2,): (_hp(0, 1, ">=", b), _hp(1, 0, "<=", c - b), _hp(1, -1, "<=", a - b)),
         (): (_hp(1, 0, "<=", a), _hp(0, 1, "<=", b), _hp(1, 1, "<=", c)),
     }
-
-    if kind == "supermodular":
-        corners = (
-            ("a", (a, _F0)),
-            ("b", (_F0, b)),
-            ("diag-low", (a, b)),
-            ("diag-high", (c - b, c - a)),
-            ("c-b", (c - b, _F0)),
-            ("c-a", (_F0, c - a)),
-        )
-    elif kind == "submodular":
-        corners = (
-            ("a", (a, _F0)),
-            ("b", (_F0, b)),
-            ("diag-low", (a, c - a)),
-            ("diag-high", (c - b, b)),
-            ("c-b", (c - b, _F0)),
-            ("c-a", (_F0, c - a)),
-        )
-    else:
-        corners = (
-            ("a", (a, _F0)),
-            ("b", (_F0, b)),
-            ("corner", (a, b)),
-        )
-    return RegionPartition2(m, kind, corners, constraints)
+    return RegionPartition2(m, kind, constraints)
 
 
 def verify_against_buyer(part: RegionPartition2, points: Sequence[Valuation]) -> List[Valuation]:

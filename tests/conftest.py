@@ -214,6 +214,17 @@ def combine_allocations(allocs, rule):
     return tuple(combined)
 
 
+def oracle_rchoice(m, v):
+    """(index, utility) of the buyer's entry by a Fraction loop over the menu:
+    ties toward the higher payment, then the lowest index."""
+    best = None
+    for i, e in enumerate(m.entries):
+        u = sum((x * q for x, q in zip(v, e.allocation)), Fraction(0)) - e.payment
+        if best is None or (u, e.payment) > (best[1], m.entries[best[0]].payment):
+            best = i, u
+    return best
+
+
 def oracle_false_name_utility(m, v, picks, rule):
     """Utility of a multiset of lottery picks: the Fraction fold of their
     allocations, valued at v, less every payment."""

@@ -1,3 +1,6 @@
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +20,7 @@ from menurev import (
 )
 from menurev.instances import (
     random_correlated_joint,
+    random_menu,
     random_product_instance,
     random_single_item,
     random_submodular_menu,
@@ -193,3 +197,30 @@ def test_certificate_serialization(example5):
     assert doc["branch"] == "item-prices"
     assert doc["best"] == ["1", "1", "2"]
     assert doc["margin"] == "1/2"
+
+
+def _certificate_fields(cert):
+    return repr((cert.branch, cert.input_menu.prices, tuple(m.prices for m in cert.outputs),
+                 cert.best.prices, cert.input_revenue, cert.output_revenues))
+
+
+def test_certificates_pinned():
+    # every field of 800 seeded certificates, digested: the branch, the input,
+    # the candidates, the best menu and every revenue are pinned
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    branches = {"submodularize2": Counter(), "symmetrize2": Counter()}
+    for _ in range(400):
+        d1 = random_single_item(rng, max_value=12)
+        d2 = random_single_item(rng, max_value=12)
+        m = random_menu(rng, 2, max_price=12)
+        for name, cert in (("submodularize2", submodularize2(m, d1, d2)),
+                           ("symmetrize2", symmetrize2(m, d1))):
+            branches[name][cert.branch] += 1
+            digest.update(_certificate_fields(cert).encode() + b"\n")
+    assert set(branches["submodularize2"]) == {"already-submodular", "item-prices",
+                                               "bundle-margin"}
+    assert set(branches["symmetrize2"]) == {"identity", "normalized-symmetric", "c<=2a",
+                                            "c>2a-low", "c>2a-high"}
+    assert digest.hexdigest() == \
+        "063e21622680cc13defab357d04be56d6c7ec9ecc89fcd4bc2413d3dbd984f5b"

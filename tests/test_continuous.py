@@ -75,6 +75,11 @@ def test_discretization_requires_cap_above_r():
 @pytest.mark.parametrize("field, value, message", [
     ("cap", math.inf, "cap must be finite"),
     ("cap", math.nan, "cap must be finite"),
+    ("cap", "1e4", "cap must be a real number, got '1e4'"),
+    ("cap", True, "cap must be a real number, got True"),
+    ("grid_points", 1000.5, "grid_points must be an int, got 1000.5"),
+    ("grid_points", 2.0 ** 70, r"grid_points must be an int, got 1\.1805916207174113e\+21"),
+    ("grid_points", True, "grid_points must be an int, got True"),
 ])
 def test_params_reject_bad_fields(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -21,6 +21,7 @@ from menurev.randomized import (
     COMBINATION_RULES,
     DirectMechanism,
     RandomizedMenu,
+    RChoice,
     best_false_name_deviation,
     direct_from_menu,
     false_name_utility,
@@ -30,7 +31,8 @@ from menurev.randomized import (
     verify_ic_ir,
 )
 
-from conftest import combine_allocations, oracle_best_deviation, oracle_false_name_utility
+from conftest import (combine_allocations, oracle_best_deviation, oracle_false_name_utility,
+                      oracle_rchoice)
 
 V4680 = (F(46), F(80))
 
@@ -169,12 +171,42 @@ def test_deviation_search_matches_fraction_oracle():
     assert min(ties.values()) >= 20, ties  # the winner is tied in these many searches
 
 
+def test_rchoice_matches_fraction_oracle():
+    # each menu adds an entry tying a random one's utility at v with its own
+    # allocation and payment, and repeats an entry, so both tie-breaks decide
+    rng = random.Random(12)
+    decided = {"by payment": 0, "by index": 0}
+    for trial in range(300):
+        n = 1 + trial % 3
+        d = rng.choice((1, 2, 3, 4, 6, 7))
+        v = tuple(F(rng.randint(0, 40), rng.choice((1, 3))) for _ in range(n))
+        entries = [([F(rng.randint(0, d), d) for _ in range(n)],
+                    F(rng.randint(0, 24), rng.choice((1, 2, 5))))
+                   for _ in range(rng.randint(1, 6))]
+        a, p = rng.choice(entries)
+        b = [F(rng.randint(0, d), d) for _ in range(n)]
+        q = p + sum(x * (y - z) for x, y, z in zip(v, b, a))
+        if q >= 0:
+            entries.append((b, q))
+        entries.append(rng.choice(entries))
+        m = RandomizedMenu.from_entries(n, entries)
+        i, u = oracle_rchoice(m, v)
+        assert rchoice(m, v) == RChoice(i, m.entries[i], u)
+        tied = [j for j, e in enumerate(m.entries) if j != i
+                and sum((x * y for x, y in zip(v, e.allocation)), F(0)) - e.payment == u]
+        decided["by payment"] += any(m.entries[j].payment != m.entries[i].payment for j in tied)
+        decided["by index"] += any(m.entries[j] == m.entries[i] for j in tied)
+    assert min(decided.values()) >= 20, decided
+
+
 @pytest.mark.parametrize("v, message", [
     ((46,), "valuation: valuation has 1 entries, expected 2"),
     ((46.0, 80.0), "valuation[0]: expected int or string rational, got float"),
     ((46, -1), "valuation[1]: must be nonnegative, got -1"),
 ])
 def test_deviation_checks_the_valuation(hr_menu, v, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rchoice(hr_menu, v)
     with pytest.raises(ValueError, match=re.escape(message)):
         false_name_utility(hr_menu, v, [1, 2], "independent")
     with pytest.raises(ValueError, match=re.escape(message)):
