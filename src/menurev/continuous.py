@@ -15,14 +15,12 @@ The bundle-price sweep walks the atom pairs by descending sum, equal sums in
 flat index order, in buckets that are contiguous in that order and hold at
 most 2^15 pairs each (min(n1, n2), if that is larger): over two 2400-point
 grids its temporaries peak at about 2 MiB, where holding all 5.76 million
-pairs at once took 176 MiB. A bucket is a range of exact int64 keys (the
-scaled sum's distance below the largest sum, then the pair's flat index),
-sorted; only where those keys would overflow int64 is it a range of float
-sums, ordered by a stable argsort. On these dyadic grids both give the
-same order while the float sums are exact, that is while G1 + G2 < 2^53,
-for caps below about 4.3e9. The running mass is carried from bucket to
-bucket, so brev and its price are those of one sequential pass over all
-pairs, to the bit.
+pairs at once took 176 MiB. The order is decided by exact integer keys on
+every grid: a bucket is a range of keys (the scaled sum's distance below the
+largest sum, with the pair's flat index packed below it where that fits
+int64), ordered by a sort, or by a stable argsort where the index is not
+packed. The running mass is carried from bucket to bucket, so brev and its
+price are those of one sequential pass over all pairs, to the bit.
 """
 from __future__ import annotations
 
@@ -101,6 +99,8 @@ SEARCH_BUNDLE_PRICES = 36
 
 
 def _check_level(r: float) -> None:
+    if isinstance(r, bool) or not isinstance(r, numbers.Real):
+        raise ValueError(f"r must be a real number, got {r!r}")
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
     if r <= 0:
@@ -241,7 +241,7 @@ def _sweep(a: List[int], v1: np.ndarray, w1: np.ndarray,
     over the whole sweep.
     """
     best, price, carry = -math.inf, 0.0, 0.0
-    for i, j in _sweep_order(a, b, v1, v2):
+    for i, j in _sweep_order(a, b):
         sums = np.take(v1, i)
         mass = np.take(v2, j)
         sums += mass
@@ -258,44 +258,44 @@ def _sweep(a: List[int], v1: np.ndarray, w1: np.ndarray,
     return best, price
 
 
-def _sweep_order(a: List[int], b: List[int],
-                 v1: np.ndarray, v2: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The atom pairs (i, j) by descending sum, equal sums in flat index order,
-    as index arrays of consecutive buckets of at most
-    max(_BUCKET_PAIRS, min(n1, n2)) pairs each.
+def _sweep_order(a: List[int], b: List[int]) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The atom pairs (i, j) of the ascending integer values a and b by
+    descending sum a_i + b_j, equal sums in flat index order, as index arrays
+    of consecutive buckets of at most max(_BUCKET_PAIRS, min(n1, n2)) pairs.
 
-    With the values as the integers a_i, b_j over a common denominator, the
-    key ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j is
-    unique and ascends in exactly that order; a bucket is the keys in [s, t),
-    sorted. Where the keys could overflow int64, a bucket is the pairs whose
-    float sum fl(v1_i + v2_j) lies in (t, s], ordered by a stable argsort of
-    the negated sums; such a bucket keeps every pair of a float sum together,
-    so it may exceed the bound only by one group of equal sums. The two orders
-    agree whenever the float sums are exact, as on a dyadic `er_discretize`
-    grid while G1 + G2 < 2^53 (caps below about 4.3e9). Either way the pairs
-    of a row i ordered before a threshold form a suffix of j, since both
-    supports ascend, so a bucket is one column range per row. Besides one bucket, the sweep holds only the
-    per-row ranges and the thresholds' sample: every (bound / 32)-th pair in
-    flat order.
+    Each pair has an exact integer key, rows[i] + cols[j], that ascends in
+    that order; a bucket is the pairs whose keys lie in [s, t), and since
+    both supports ascend, the pairs of a row i with keys below t are the
+    columns j with -cols[j] > rows[i] - t, a suffix of the row. Where it fits
+    int64, the key is the packed ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j,
+    unique, and a bucket's keys are sorted in place. Otherwise the key is the
+    distance top - a_i - b_j alone, in int64 while it fits and in Python ints
+    beyond, and a stable argsort of a bucket's keys keeps equal sums in flat
+    index order. Besides one bucket, the sweep holds only the per-row ranges
+    and the thresholds' sample: every (bound / 32)-th pair in flat order.
     """
-    n1, n2 = len(v1), len(v2)
+    n1, n2 = len(a), len(b)
     cap = max(_BUCKET_PAIRS, min(n1, n2))
     # thresholds from a strided sample of the pairs, about every cap / 2
-    # pairs; a bucket that still holds more than cap pairs is split
+    # pairs; `_buckets` splits a bucket that still holds more than cap pairs
     stride = max(1, cap // 32)
     si, sj = np.divmod(np.arange(0, n1 * n2, stride), n2)
     top = a[-1] + b[-1]  # supports ascend
     ib, jb = (n1 - 1).bit_length(), (n2 - 1).bit_length()
-    if (top + 1) << (ib + jb) < 1 << 63:
-        rows = ((top - np.array(a, dtype=np.int64)) << (ib + jb)) | (np.arange(n1) << jb)
-        cols = np.arange(n2) - (np.array(b, dtype=np.int64) << (ib + jb))
-        # a row's keys below t are its columns with -cols[j] > rows[i] - t
-        neg = -cols
-        sample = np.sort(rows[si] + cols[sj])[16::16].tolist()
-        bounds = _buckets(lambda t: np.searchsorted(neg, rows - t, side="right"),
-                          0, sample + [(top + 1) << (ib + jb)],
-                          lambda s, t, lo, hi: (s + t) // 2, cap)
-        for lo, hi in bounds:
+    packed = (top + 1) << (ib + jb) < 1 << 63
+    shift = ib + jb if packed else 0
+    dtype = np.int64 if (top + 1) << shift < 1 << 63 else object
+    rows = (top - np.array(a, dtype=dtype)) << shift
+    cols = -(np.array(b, dtype=dtype) << shift)
+    if packed:
+        rows |= np.arange(n1) << jb
+        cols += np.arange(n2)
+    neg = -cols
+    sample = np.sort(rows[si] + cols[sj])[16::16].tolist()
+    bounds = _buckets(lambda t: np.searchsorted(neg, rows - t, side="right"),
+                      0, sample + [(top + 1) << shift], cap)
+    for lo, hi in bounds:
+        if packed:
             keys = np.repeat(rows, hi - lo)
             j = _columns(lo, hi)
             keys += np.take(cols, j)
@@ -304,47 +304,23 @@ def _sweep_order(a: List[int], b: List[int],
             keys >>= jb
             keys &= (1 << ib) - 1
             yield keys, j
-    else:
-        def before(t):
-            # the first column whose float sum exceeds t, estimated from
-            # t - v1_i and corrected against the rounded sums themselves
-            j = np.searchsorted(v2, t - v1, side="right")
-            while True:
-                down = (j > 0) & (v1 + v2[np.maximum(j - 1, 0)] > t)
-                up = (j < n2) & (v1 + v2[np.minimum(j, n2 - 1)] <= t)
-                if not (down.any() or up.any()):
-                    return j
-                j += up
-                j -= down
-
-        def midpoint(s, t, lo, hi):
-            # between the bucket's own smallest and largest sums, so both
-            # halves hold a pair; None when every pair has one float sum
-            full = lo < hi
-            small = (v1[full] + v2[lo[full]]).min()
-            large = (v1[full] + v2[hi[full] - 1]).max()
-            m = small / 2 + large / 2
-            return None if small == large else m if m < large else small
-
-        sample = np.unique(v1[si] + v2[sj])[::-1][16::16].tolist()
-        bounds = _buckets(before, v1[-1] + v2[-1], sample + [np.nextafter(v1[0] + v2[0], -math.inf)],
-                          midpoint, cap)
-        for lo, hi in bounds:
+        else:
             i, j = np.repeat(np.arange(n1), hi - lo), _columns(lo, hi)
-            order = np.argsort(-(v1[i] + v2[j]), kind="stable")
+            order = np.argsort(rows[i] + cols[j], kind="stable")
             yield i[order], j[order]
 
 
-def _buckets(before: Callable, start, marks: List, midpoint: Callable,
+def _buckets(before: Callable, start: int, marks: List[int],
              cap: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Row ranges (lo, hi) of consecutive buckets: row i of a bucket holds the
     pairs (i, j) with lo[i] <= j < hi[i].
 
-    before(t) gives each row's first column among the pairs ordered before
-    threshold t; no pair is before `start`, and every pair is before the last
-    of `marks`, the thresholds in sweep order. A bucket of more than `cap`
-    pairs, between thresholds s and t and over row ranges (lo, hi), is split
-    at midpoint(s, t, lo, hi), or kept whole where that is None.
+    before(t) gives each row's first column among the pairs whose integer
+    keys lie below threshold t; no key lies below `start`, and every key lies
+    below the last of `marks`, the ascending thresholds. A bucket of more
+    than `cap` pairs, between thresholds s and t, is split at (s + t) // 2:
+    the callers' groups of equal keys hold at most `cap` pairs, so such a
+    bucket spans two keys and both halves are narrower.
     """
     s, hi = start, before(start)
     pending = [(t, None) for t in reversed(marks)]
@@ -354,10 +330,8 @@ def _buckets(before: Callable, start, marks: List, midpoint: Callable,
             lo = before(t)
         size = int(hi.sum() - lo.sum())
         if size > cap:
-            mid = midpoint(s, t, lo, hi)
-            if mid is not None:
-                pending += [(t, lo), (mid, None)]
-                continue
+            pending += [(t, lo), ((s + t) // 2, None)]
+            continue
         if size:
             yield lo, hi
         s, hi = t, lo
@@ -441,6 +415,6 @@ def er_cap_sweep(r1: float = 1.0, r2: float = 1.0,
         raise ValueError("caps and points must have equal length")
     out = []
     for cap, pts in zip(caps, points):
-        params = NumericParams(cap=float(cap), grid_points=int(pts))
+        params = NumericParams(cap=cap, grid_points=pts)
         out.append(numeric_gap_er(r1, r2, params, include_drev=False))
     return out

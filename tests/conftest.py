@@ -120,17 +120,22 @@ def oracle_er_discretize(r, params):
 
 
 def oracle_bundle_sweep(d1, d2):
-    """Independent bundle-price sweep: a stable argsort of every negated float
-    sum, masses accumulated in that order; returns (brev, brev_price)."""
+    """Independent bundle-price sweep: every pair by descending exact sum,
+    equal sums in flat index order (a stable argsort of the negated integer
+    sums over the lcm of all denominators), masses accumulated in that order;
+    returns (brev, brev_price)."""
+    scale = math.lcm(*(v.denominator for v in d1.support + d2.support))
+    s1, s2 = ([int(v * scale) for v in d.support] for d in (d1, d2))
+    dtype = np.int64 if s1[-1] + s2[-1] < 1 << 63 else object
+    exact = np.add.outer(np.array(s1, dtype=dtype), np.array(s2, dtype=dtype)).ravel()
+    order = np.argsort(-exact, kind="stable")
     v1 = np.array([float(v) for v, _ in d1.atoms])
     w1 = np.array([float(p) for _, p in d1.atoms])
     v2 = np.array([float(v) for v, _ in d2.atoms])
     w2 = np.array([float(p) for _, p in d2.atoms])
-    sums = np.add.outer(v1, v2).ravel()
-    mass = np.multiply.outer(w1, w2).ravel()
-    order = np.argsort(-sums, kind="stable")
-    sums = sums[order]
-    revenue = sums * np.cumsum(mass[order])
+    sums = np.add.outer(v1, v2).ravel()[order]
+    mass = np.multiply.outer(w1, w2).ravel()[order]
+    revenue = sums * np.cumsum(mass)
     i = int(np.argmax(revenue))
     return float(revenue[i]), float(sums[i])
 

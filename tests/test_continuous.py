@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -86,14 +87,25 @@ def test_params_reject_bad_fields(field, value, message):
         NumericParams(**{field: value})
 
 
-def _sweep_keys_fit(d1, d2):
+def _scaled(d1, d2):
+    """The values of d1 and d2 as integers over the lcm of all their denominators."""
     scale = math.lcm(*(v.denominator for v in d1.support + d2.support))
-    top = int((d1.support[-1] + d2.support[-1]) * scale)
-    bits = (len(d1.atoms) - 1).bit_length() + (len(d2.atoms) - 1).bit_length()
-    return (top + 1) << bits < 1 << 63
+    return [int(v * scale) for v in d1.support], [int(v * scale) for v in d2.support]
 
 
-# (cap, grid points, whether the sweep's int64 keys fit)
+def _sweep_regime(a, b):
+    """The keys the sweep orders the pairs of the integer values a and b by:
+    "packed" (the sum's distance below the top sum, then the flat index, in
+    one int64), else the distance alone, in "int64" or in "python-int"."""
+    top = a[-1] + b[-1]
+    bits = (len(a) - 1).bit_length() + (len(b) - 1).bit_length()
+    if (top + 1) << bits < 1 << 63:
+        return "packed"
+    return "int64" if top + 1 < 1 << 63 else "python-int"
+
+
+# (cap, grid points, whether the sweep packs its keys); the grids that do not
+# pack them order int64 distances
 _SWEEP_GRIDS = [
     (1e4, 1000, True),
     (1e6, 1000, True),
@@ -109,15 +121,14 @@ def _sweep_levels(cap, points):
     return [(r, r), (r, rng.choice([x / 8 for x in range(4, 33) if x != 8 * r]))]
 
 
-@pytest.mark.parametrize("cap, points, fits", _SWEEP_GRIDS)
-def test_bundle_sweep_matches_oracle_bit_for_bit(cap, points, fits):
+@pytest.mark.parametrize("cap, points, packed", _SWEEP_GRIDS)
+def test_bundle_sweep_matches_oracle_bit_for_bit(cap, points, packed):
     # equal levels sum symmetrically, so many pairs tie and only the flat
-    # index orders them; the key path runs where the int64 keys fit, the
-    # float argsort elsewhere
+    # index orders them
     for r1, r2 in _sweep_levels(cap, points):
         params = NumericParams(cap=cap, grid_points=points)
         d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
-        assert _sweep_keys_fit(d1, d2) == fits
+        assert _sweep_regime(*_scaled(d1, d2)) == ("packed" if packed else "int64")
         assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2), (r1, r2)
         assert bundle_price_sweep(d2, d1) == oracle_bundle_sweep(d2, d1), (r2, r1)
 
@@ -134,23 +145,23 @@ def _tie_instances(unit):
     return [(draw(rng), draw(rng)) for _ in range(20)]
 
 
-@pytest.mark.parametrize("unit, fits", [(1, True), (2**55, False)])
-def test_bundle_sweep_orders_ties_by_flat_index(unit, fits):
-    # scaled by 2^55 the values stay exact in binary64 but the keys no longer
-    # fit int64
+@pytest.mark.parametrize("unit, packed", [(1, True), (2**55, False)])
+def test_bundle_sweep_orders_ties_by_flat_index(unit, packed):
+    # scaled by 2^55 the keys no longer pack, and the sweep orders int64
+    # distances
     for d1, d2 in _tie_instances(unit):
-        assert _sweep_keys_fit(d1, d2) == fits
+        assert _sweep_regime(*_scaled(d1, d2)) == ("packed" if packed else "int64")
         assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
 
 
 def _spy_buckets(monkeypatch):
-    """Record the float sums of every bucket the sweep takes, in its order."""
+    """Record the exact integer sums of every bucket the sweep takes, in its order."""
     buckets = []
     real = continuous._sweep_order
 
-    def spy(a, b, v1, v2):
-        for i, j in real(a, b, v1, v2):
-            buckets.append(v1[i] + v2[j])
+    def spy(a, b):
+        for i, j in real(a, b):
+            buckets.append([a[k] + b[m] for k, m in zip(i.tolist(), j.tolist())])
             yield i, j
 
     monkeypatch.setattr(continuous, "_sweep_order", spy)
@@ -169,23 +180,25 @@ def _check_buckets(buckets, d1, d2):
     return sum(last == first for last, first in edges)
 
 
-@pytest.mark.parametrize("cap, points, fits", _SWEEP_GRIDS)
-def test_bundle_sweep_in_many_buckets_matches_oracle(monkeypatch, cap, points, fits):
+@pytest.mark.parametrize("cap, points, packed", _SWEEP_GRIDS)
+def test_bundle_sweep_in_many_buckets_matches_oracle(monkeypatch, cap, points, packed):
+    # packed keys may part equal sums between buckets; a distance never
     monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 40)
     buckets = _spy_buckets(monkeypatch)
     split_ties = 0
     for r1, r2 in _sweep_levels(cap, points):
         params = NumericParams(cap=cap, grid_points=points)
         d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
+        assert _sweep_regime(*_scaled(d1, d2)) == ("packed" if packed else "int64")
         for a, b in ((d1, d2), (d2, d1)):
             buckets.clear()
             assert bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b), (r1, r2)
             split_ties += _check_buckets(buckets, a, b)
-    assert (split_ties > 0) == fits
+    assert (split_ties > 0) == packed
 
 
-@pytest.mark.parametrize("unit, fits", [(1, True), (2**55, False)])
-def test_bundle_sweep_in_many_buckets_orders_ties(monkeypatch, unit, fits):
+@pytest.mark.parametrize("unit, packed", [(1, True), (2**55, False)])
+def test_bundle_sweep_in_many_buckets_orders_ties(monkeypatch, unit, packed):
     monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 40)
     buckets = _spy_buckets(monkeypatch)
     split_ties = 0
@@ -194,49 +207,91 @@ def test_bundle_sweep_in_many_buckets_orders_ties(monkeypatch, unit, fits):
         assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
         if len(d1.atoms) * len(d2.atoms) > 40:
             split_ties += _check_buckets(buckets, d1, d2)
-    assert (split_ties > 0) == fits
+    assert (split_ties > 0) == packed
+
+
+def test_bundle_sweep_orders_ties_in_python_ints(monkeypatch):
+    # scaled by 2^70 the distances no longer fit int64: the sweep orders
+    # Python ints, whole and in many buckets, and never parts equal sums
+    for d1, d2 in _tie_instances(2**70):
+        assert _sweep_regime(*_scaled(d1, d2)) == "python-int"
+        assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
+    monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 40)
+    buckets = _spy_buckets(monkeypatch)
+    split_ties = 0
+    for d1, d2 in _tie_instances(2**70):
+        buckets.clear()
+        assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
+        if len(d1.atoms) * len(d2.atoms) > 40:
+            split_ties += _check_buckets(buckets, d1, d2)
+    assert split_ties == 0
+
+
+# 1 to 30 beside 2^60 and 2^61: the keys do not pack, and their distances
+# fall in two runs 2^60 apart
+_GAPPED = (SingleItemDistribution.from_pairs([(2**60, F(1, 3)), (2**61, F(2, 3))]),
+           SingleItemDistribution.from_pairs([(v, F(1, 30)) for v in range(1, 31)]))
 
 
 def test_bundle_sweep_in_many_buckets_on_rounded_sums(monkeypatch):
-    # thirds of 2^55 round in binary64, and so do their sums: the float path
-    # corrects its bucket bounds against the rounded sums; 1 to 30 vanish
-    # beside 2^60 and 2^61, and each group of sums that round together stays
-    # in one bucket, past the bound
+    # thirds of 2^55 round in binary64, so pairs of one exact sum can have
+    # unequal float sums, and 1 to 30 vanish beside 2^60 and 2^61, so pairs
+    # of unequal sums can share a float sum: the exact sums order both, and
+    # the buckets hold at most the bound
     monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 10)
     buckets = _spy_buckets(monkeypatch)
+    parted = 0
     for d1, d2 in _tie_instances(F(2**55, 3)):
-        assert not _sweep_keys_fit(d1, d2)
+        assert _sweep_regime(*_scaled(d1, d2)) == "int64"
         assert bundle_price_sweep(d1, d2) == oracle_bundle_sweep(d1, d2)
-    d1 = SingleItemDistribution.from_pairs([(2**60, F(1, 3)), (2**61, F(2, 3))])
-    d2 = SingleItemDistribution.from_pairs([(v, F(1, 30)) for v in range(1, 31)])
-    for a, b in ((d1, d2), (d2, d1)):
+        exact = {x + y for x in d1.support for y in d2.support}
+        parted += len({float(x) + float(y) for x in d1.support for y in d2.support}) > len(exact)
+    assert parted > 0
+    for a, b in (_GAPPED, _GAPPED[::-1]):
         buckets.clear()
+        assert _sweep_regime(*_scaled(a, b)) == "int64"
         assert bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
-        assert [len(set(x.tolist())) for x in buckets] == [1, 1]
-        assert [len(x) for x in buckets] == [30, 30]
+        assert sum(buckets, []) == sorted({x + y for x in a.support for y in b.support}, reverse=True)
+        assert [len(x) for x in buckets] == [8, 8, 7, 7, 2, 8, 8, 8, 4]
 
 
-def test_bundle_sweep_splits_between_its_own_sums(monkeypatch):
-    # 1 to 30 vanish beside 2^60 and 2^61, so each call's 60 pairs have two
-    # float sums: one split between them leaves two buckets of one sum each,
-    # kept whole past the bound, with no further search for a threshold
+def _bisection(keys, start, marks, cap):
+    """The thresholds of a bisection of the sorted keys: each range [s, t)
+    between consecutive marks that holds more than cap keys is halved at
+    (s + t) // 2, the lower half first."""
+    thresholds = [start]
+
+    def visit(s, t):
+        if bisect.bisect_left(keys, t) - bisect.bisect_left(keys, s) > cap:
+            thresholds.append((s + t) // 2)
+            visit(s, (s + t) // 2)
+            visit((s + t) // 2, t)
+
+    for s, t in zip([start] + marks, marks):
+        thresholds.append(t)
+        visit(s, t)
+    return thresholds
+
+
+def test_bundle_sweep_splits_buckets_at_integer_midpoints(monkeypatch):
+    # the sample leaves buckets over the bound, and each is halved at the
+    # integer midpoint of its thresholds until it holds at most the bound
     monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 10)
-    splits, real = [], continuous._buckets
+    seen, real = [], continuous._buckets
 
-    def counting(before, start, marks, midpoint, cap):
-        def counted(*args):
-            mid = midpoint(*args)
-            splits.append(mid)
-            return mid
-        return real(before, start, marks, counted, cap)
+    def recording(before, start, marks, cap):
+        seen.append((start, marks, cap, []))
+        return real(lambda t: seen[-1][3].append(t) or before(t), start, marks, cap)
 
-    monkeypatch.setattr(continuous, "_buckets", counting)
-    d1 = SingleItemDistribution.from_pairs([(2**60, F(1, 3)), (2**61, F(2, 3))])
-    d2 = SingleItemDistribution.from_pairs([(v, F(1, 30)) for v in range(1, 31)])
-    for a, b in ((d1, d2), (d2, d1)):
-        splits.clear()
+    monkeypatch.setattr(continuous, "_buckets", recording)
+    for a, b in (_GAPPED, _GAPPED[::-1]):
+        seen.clear()
         assert bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
-        assert splits == [1.5 * 2**60, None, None]
+        ((start, marks, cap, thresholds),) = seen
+        x, y = _scaled(a, b)
+        keys = sorted(x[-1] + y[-1] - p - q for p in x for q in y)
+        assert thresholds == _bisection(keys, start, marks, cap)
+        assert len(thresholds) > len(marks) + 1
 
 
 def test_bundle_sweep_keeps_the_first_of_equal_revenues(monkeypatch):
@@ -250,15 +305,18 @@ def test_bundle_sweep_keeps_the_first_of_equal_revenues(monkeypatch):
 
 def test_bundle_sweep_memory_is_bounded():
     # the 2400-point sweep held all 5.76 million pairs at once, 176 MiB at
-    # its peak; in buckets its temporaries stay a few MiB
-    d = er_discretize(1.0, NumericParams(cap=1e4, grid_points=2400))
-    tracemalloc.start()
-    try:
-        bundle_price_sweep(d, d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 << 20
+    # its peak; in buckets its temporaries stay a few MiB, with packed keys
+    # (cap 1e4) and with int64 distances (cap 1e6)
+    for cap, regime in ((1e4, "packed"), (1e6, "int64")):
+        d = er_discretize(1.0, NumericParams(cap=cap, grid_points=2400))
+        assert _sweep_regime(*_scaled(d, d)) == regime
+        tracemalloc.start()
+        try:
+            bundle_price_sweep(d, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, cap
 
 
 def test_er_gap_floats_are_pinned():
@@ -268,6 +326,23 @@ def test_er_gap_floats_are_pinned():
     assert (report.brev.hex(), report.brev_price.hex()) == ("0x1.46b195c939f0fp+1", "0x1.22fc9c0000000p+2")
     assert [r.brev.hex() for r in er_cap_sweep(1.0, 1.0)] == [
         "0x1.450db84114e13p+1", "0x1.463c8633c4c9ep+1", "0x1.46b195c939f0fp+1"]
+
+
+@pytest.mark.parametrize("cap, points, regime, brev, price", [
+    (1e4, 1000, "packed", "0x1.45e59a95fa08dp+1", "0x1.22471c0000000p+2"),
+    (1e6, 1000, "packed", "0x1.45491ef67d981p+1", "0x1.239e740000000p+2"),
+    (1e7, 1000, "int64", "0x1.44e3c264a79dfp+1", "0x1.2093480000000p+2"),
+    (1e13, 300, "python-int", "0x1.3bbdd11eb5bcap+1", "0x1.2a14f80000000p+2"),
+])
+def test_er_gap_regimes_are_pinned(cap, points, regime, brev, price):
+    # brev and its price at level 1, one report per key regime, as the
+    # packed-key and float-sum sweeps computed them; the exact oracle agrees
+    params = NumericParams(cap=cap, grid_points=points)
+    report = numeric_gap_er(1.0, 1.0, params, include_drev=False)
+    assert (report.brev.hex(), report.brev_price.hex()) == (brev, price)
+    d = er_discretize(1.0, params)
+    assert _sweep_regime(*_scaled(d, d)) == regime
+    assert oracle_bundle_sweep(d, d) == (report.brev, report.brev_price)
 
 
 def test_random_distribution_dominated_by_matching_er(rng):
@@ -312,6 +387,17 @@ def test_asymmetric_levels():
     report = numeric_gap_er(1.0, 2.0, FAST, include_drev=False)
     assert report.srev == 3.0
     assert report.brev <= solve_w() * 3.0 + 1e-9
+
+
+@pytest.mark.parametrize("cap, points, message", [
+    ("400", 150, "^cap must be a real number, got '400'$"),
+    (400.0, 150.9, "^grid_points must be an int, got 150.9$"),
+])
+def test_cap_sweep_checks_its_levels_as_given(cap, points, message):
+    # the cap sweep hands each level to NumericParams unconverted, so a
+    # string cap or a fractional point count is refused, not rounded
+    with pytest.raises(ValueError, match=message):
+        er_cap_sweep(1.0, 1.0, caps=(cap,), points=(points,))
 
 
 def test_cap_sweep_climbs_toward_w():
@@ -360,8 +446,8 @@ def test_reports_build_no_discretization(monkeypatch):
 
 def _recording_sweeps(monkeypatch):
     """Record the integer values, float values and float masses every sweep
-    is given, and which path it takes: the key path starts its buckets at
-    the int 0, the float path at the largest float sum."""
+    is given, and its last threshold: the top sum + 1, shifted above the
+    index bits where the keys are packed."""
     seen = []
     real_sweep, real_buckets = continuous._sweep, continuous._buckets
 
@@ -369,31 +455,33 @@ def _recording_sweeps(monkeypatch):
         seen.append([a, b] + [x.tobytes() for x in (v1, w1, v2, w2)])
         return real_sweep(a, v1, w1, b, v2, w2)
 
-    def buckets(before, start, *rest):
-        seen[-1].append(type(start) is int)
-        return real_buckets(before, start, *rest)
+    def buckets(before, start, marks, cap):
+        seen[-1].append(marks[-1])
+        return real_buckets(before, start, marks, cap)
 
     monkeypatch.setattr(continuous, "_sweep", sweep)
     monkeypatch.setattr(continuous, "_buckets", buckets)
     return seen
 
 
-@pytest.mark.parametrize("cap, points, fits", _SWEEP_GRIDS)
-def test_grid_sweep_matches_distribution_sweep_bit_for_bit(monkeypatch, cap, points, fits):
+@pytest.mark.parametrize("cap, points, packed", _SWEEP_GRIDS)
+def test_grid_sweep_matches_distribution_sweep_bit_for_bit(monkeypatch, cap, points, packed):
     # the grid-fed sweep is given the very integers and floats that the
     # sweep of the discretized distributions computes from their Fractions,
-    # so it takes the same path and buckets, and reports the same floats
+    # so it takes the same keys and buckets, and reports the same floats
     seen = _recording_sweeps(monkeypatch)
     params = NumericParams(cap=cap, grid_points=points)
     for r1, r2 in _sweep_levels(cap, points):
         g1, g2 = continuous._er_grid(r1, params), continuous._er_grid(r2, params)
         d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
-        assert _sweep_keys_fit(d1, d2) == fits
         for (a, b), (x, y) in (((g1, g2), (d1, d2)), ((g2, g1), (d2, d1))):
             seen.clear()
             result = continuous._grid_sweep(a, b)
             assert result == bundle_price_sweep(x, y), (r1, r2)
-            assert len(seen) == 2 and seen[0] == seen[1] and seen[0][-1] == fits
+            assert len(seen) == 2 and seen[0] == seen[1]
+            ints, last = seen[0][:2], seen[0][-1]
+            assert _sweep_regime(*ints) == ("packed" if packed else "int64")
+            assert (last > ints[0][-1] + ints[1][-1] + 1) == packed
 
 
 # (level, cap, the one grid point G): every point of these grids floors to
@@ -428,10 +516,12 @@ def test_search_cap_is_checked_before_any_sweep(monkeypatch):
     assert numeric_gap_er(1.0, 100.0, FAST, include_drev=False).drev is None
 
 
-@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, True, "1"])
 def test_non_finite_level_is_rejected(monkeypatch, level):
+    # a bool or a string is no level either
     grids = _spy(monkeypatch, "_er_grid")
-    message = f"^r must be finite, got {level}$"
+    message = (f"^r must be finite, got {level}$" if isinstance(level, float)
+               else f"^r must be a real number, got {level!r}$")
     with pytest.raises(ValueError, match=message):
         er_discretize(level, FAST)
     for r1, r2 in ((1.0, level), (level, 1.0)):
