@@ -15,13 +15,19 @@ several menus on one distribution: it scales the atoms, their probabilities
 once, runs the rule per menu and builds one Fraction per menu at the end.
 `expected_revenue` is its one-menu case.
 
+`check_monotone` compares the deduplicated batch points in Python-int
+bitsets, one bit per point: per row, the points that pay less ANDed with,
+per axis, the points at or above the row's coordinate.
+
 The evaluator takes rational coordinates only (ints, Fractions or other
 `numbers.Rational`): a float or any other coordinate raises ValueError
 naming the valuation and the coordinate.
 
 Every L and W above is taken by `rational.over_common_denominator`. That
 helper and the rationals check `_coordinate_columns` are all that
-`regions.regions_of` shares with this module.
+`regions.regions_of` shares with this module. The module is plain Python
+and imports no numpy, so the exact layers built on it (`constructions`,
+`regions`) load none either.
 """
 from __future__ import annotations
 
@@ -33,8 +39,6 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .model import (
     Bundle,
     JointDistribution,
@@ -43,7 +47,7 @@ from .model import (
     all_bundles,
     bundle_value,
 )
-from .rational import over_common_denominator
+from .rational import RationalLike, over_common_denominator, parse_nonnegative
 
 
 @dataclass(frozen=True)
@@ -256,14 +260,14 @@ class MonotonicityReport:
         return not self.violations
 
 
-# Pairs compared in one numpy block of the audit; bounds its temporary arrays.
-_BLOCK_PAIRS = 1 << 20
-
-
-def _ranks(values: Sequence[int]) -> np.ndarray:
-    """Dense rank of each value: the ranks keep <, <= and == between the values."""
-    index = {x: k for k, x in enumerate(sorted(set(values)))}
-    return np.array([index[x] for x in values], dtype=np.int64)
+def _at_least(values: Sequence[int]) -> Dict[int, int]:
+    """Each value x mapped to the bitset of the positions p with values[p] >= x."""
+    out: Dict[int, int] = {}
+    acc = 0
+    for p in sorted(range(len(values)), key=values.__getitem__, reverse=True):
+        acc |= 1 << p
+        out[values[p]] = acc  # the last write for x follows every value >= x
+    return out
 
 
 def check_monotone(m: Menu, grid: Sequence[Valuation]) -> MonotonicityReport:
@@ -271,12 +275,13 @@ def check_monotone(m: Menu, grid: Sequence[Valuation]) -> MonotonicityReport:
 
     The grid is evaluated once by `batch_choice`; its L-scaled integer points
     are deduplicated (the first-seen point stands for its duplicates) and
-    sorted. Each coordinate axis and the integer payments are then replaced
-    by their dense ranks, so numpy compares exact ranks, never floats. Rows
-    of the pair table go through numpy in blocks of about `_BLOCK_PAIRS`
-    pairs: (i, j) violates when rev[j] < rev[i] and points[i] <= points[j]
-    on every axis. Violations are listed in row-major (i, j) order of the
-    sorted points.
+    sorted. Bit p of a Python int stands for sorted point p. Per axis, and
+    for the integer payments, one sorted pass maps each value x to the set of
+    points whose value is at least x; the payments' sets, complemented, give
+    the points that pay less. Row i's violations are the points that pay
+    less than i and lie at or above i on every axis: P*n big-int ANDs in
+    all, with no pair table. Violations are listed in row-major (i, j) order
+    of the sorted points.
     """
     grid = list(grid)
     chosen = batch_choice(m, grid)
@@ -287,26 +292,34 @@ def check_monotone(m: Menu, grid: Sequence[Valuation]) -> MonotonicityReport:
     order = [first[x] for x in scaled]
     points = [tuple(grid[i]) for i in order]
     revenues = [_price_paid(m, chosen.options[i]) for i in order]
-    rev = _ranks([chosen.payments[i] for i in order])
-    axes = [_ranks(axis) for axis in zip(*scaled)]
-    rows = max(1, _BLOCK_PAIRS // max(1, len(points)))
+    payments = [chosen.payments[i] for i in order]
+    everyone = (1 << len(points)) - 1
+    pays_less = {x: everyone ^ s for x, s in _at_least(payments).items()}
+    axes = [(axis, _at_least(axis)) for axis in zip(*scaled)]
     violations: List[MonotonicityViolation] = []
-    for start in range(0, len(points), rows):
-        stop = start + rows
-        bad = rev[None, :] < rev[start:stop, None]
-        for axis in axes:
-            bad &= axis[start:stop, None] <= axis[None, :]
-        low, high = np.nonzero(bad)
-        for i, j in zip((low + start).tolist(), high.tolist()):
+    for i, pay in enumerate(payments):
+        bad = pays_less[pay]
+        for axis, at_least in axes:
+            if not bad:
+                break
+            bad &= at_least[axis[i]]
+        while bad:
+            low = bad & -bad
+            bad ^= low
+            j = low.bit_length() - 1
             violations.append(MonotonicityViolation(points[i], points[j],
                                                     revenues[i], revenues[j]))
     return MonotonicityReport(tuple(violations))
 
 
 def monotonicity_grid(m: Menu,
-                      support: Optional[Sequence[Iterable[Fraction]]] = None) -> List[Valuation]:
+                      support: Optional[Sequence[Iterable[RationalLike]]] = None
+                      ) -> List[Valuation]:
     """Audit grid for a 2-item menu: region corner coordinates (and optional
     per-item support values), each plus/minus half the smallest gap between them.
+
+    Support values are nonnegative ints, Fractions or rational strings; any
+    other value raises ValueError naming it as support[i][k].
 
     Revenue is piecewise constant with breakpoints at the region boundaries,
     so violations always show up at corner points nudged across a boundary.
@@ -321,7 +334,8 @@ def monotonicity_grid(m: Menu,
     axes: List[set] = [set(base), set(base)]
     if support is not None:
         for i, values in enumerate(support):
-            axes[i] |= {Fraction(x) for x in values}
+            axes[i] |= {parse_nonnegative(x, f"support[{i}][{k}]")
+                        for k, x in enumerate(values)}
     grid_points: List[Valuation] = []
     per_axis: List[List[Fraction]] = []
     for axis in axes:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction as F
@@ -131,6 +132,19 @@ def test_monotonicity_grid_rejects_support_not_per_item(support):
         monotonicity_grid(menu2(2, 3, 4), support=support)
 
 
+@pytest.mark.parametrize("support, message", [
+    ([(F(1), 0.1), ()], r"support\[0\]\[1\]: expected int or string rational, got float"),
+    ([(), (F(2), -1)], r"support\[1\]\[1\]: must be nonnegative, got -1"),
+    ([("a",), ()], r"support\[0\]\[0\]: not a rational number: 'a'"),
+], ids=["float", "negative", "bad-string"])
+def test_monotonicity_grid_rejects_bad_support_values(support, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        monotonicity_grid(menu2(2, 3, 4), support=support)
+    good = [(F(1), "1/2"), (F(2), 3)]
+    assert monotonicity_grid(menu2(2, 3, 4), support=good) == monotonicity_grid(
+        menu2(2, 3, 4), support=[(F(1), F(1, 2)), (F(2), F(3))])
+
+
 def _violations(m, grid):
     return [(v.low, v.high, v.revenue_low, v.revenue_high)
             for v in check_monotone(m, grid).violations]
@@ -188,15 +202,82 @@ def test_check_monotone_matches_pair_loop_point_sets():
     assert check_monotone(menu2(1, 2, 3), []).violations == ()
 
 
-def test_check_monotone_row_blocks(monkeypatch):
-    """Blocks of a few rows give the same list; the witness's 225 points make
-    56 blocks of 4 rows and a last block of 1."""
+def _distinct_points(rng, n, count, lattice, include=()):
+    """`count` distinct points, unsorted: the points `include` and the rest
+    drawn from an n-item lattice. About a fifth repeat, once as Fractions and
+    once with int coordinates equal to them."""
+    pool = [v for v in itertools.product(lattice, repeat=n) if v not in include]
+    points = list(include) + rng.sample(pool, count - len(include))
+    points += [tuple(int(x) if x.denominator == 1 else x for x in v)
+               for v in rng.sample(points, count // 5)]
+    rng.shuffle(points)
+    assert len(set(points)) == count
+    return points
+
+
+def _embedded_witness(rng):
+    """A 3-item menu that prices items 1 and 2 and their bundle like
+    (5,1,10) times s, and every bundle with item 3 at 100, with the pair
+    (5,0,0)s -> (5,9/2,0)s whose revenue falls from 5s to s; returns the
+    menu and that violation as the pair loop lists it."""
+    s = F(rng.randint(1, 3), rng.choice((1, 2)))
+    prices = {(1,): 5 * s, (2,): s, (1, 2): 10 * s}
+    m = Menu(3, tuple(prices.get(b, F(100)) for b in all_bundles(3)))
+    return m, ((5 * s, F(0), F(0)), (5 * s, F(9, 2) * s, F(0)), 5 * s, s)
+
+
+# (items, lattice per axis): each lattice has at least 129 points in all
+_EDGE_LATTICES = [(1, [F(k, 4) for k in range(160)]),
+                  (2, [F(k, 2) for k in range(17)]),
+                  (3, [F(k, 2) for k in range(9)])]
+
+
+def test_check_monotone_at_bit_word_edges():
+    """Point sets whose distinct counts sit at the edges of 64-bit words (63,
+    64, 65, 128 and 129 points) and the (5,1,10) witness grid match the pair
+    loop. The 1-item menus cannot violate; the 2- and 3-item sets hold a
+    (5,1,10) witness pair and its menu."""
+    rng = random.Random(34)
     cases = [(menu2(5, 1, 10), monotonicity_grid(menu2(5, 1, 10)))]
-    cases += _point_sets(random.Random(34), 20)
-    expected = [oracle_monotone(m, grid) for m, grid in cases]
-    monkeypatch.setattr(buyer, "_BLOCK_PAIRS", 1000)
-    assert [_violations(m, grid) for m, grid in cases] == expected
-    assert len(expected[0]) > 0
+    for count in (63, 64, 65, 128, 129):
+        for n, lattice in _EDGE_LATTICES:
+            if n == 1:
+                m, witness = random_menu(rng, 1, 10), ()
+            elif n == 2:
+                m, witness = menu2(5, 1, 10), ((F(5), F(0)), (F(5), F(9, 2)))
+            else:
+                m, witness = _embedded_witness(rng)
+            cases.append((m, _distinct_points(rng, n, count, lattice, witness[:2])))
+    for m, points in cases:
+        expected = oracle_monotone(m, points)
+        assert _violations(m, points) == expected
+        assert bool(expected) == (m.n > 1)
+
+
+def test_check_monotone_matches_pair_loop_large_point_sets():
+    """Seeded 3-item point sets of 150-300 points against the pair loop.
+    Additive menus (revenue is a sum of item prices bought one by one) have
+    no violation; menus that embed the (5,1,10) witness always have one."""
+    rng = random.Random(35)
+    lattice = [F(k, 2) for k in range(17)]
+    for draw in range(12):
+        kind = ("additive", "witness", "random")[draw % 3]
+        count = rng.randint(150, 300)
+        if kind == "additive":
+            item = [F(rng.randint(0, 16), 2) for _ in range(3)]
+            m, witness = Menu(3, tuple(sum(item[i - 1] for i in b)
+                                       for b in all_bundles(3))), ()
+        elif kind == "witness":
+            m, witness = _embedded_witness(rng)
+        else:
+            m, witness = random_menu(rng, 3, 10), ()
+        points = _distinct_points(rng, 3, count, lattice, witness[:2])
+        expected = oracle_monotone(m, points)
+        assert _violations(m, points) == expected
+        if kind == "additive":
+            assert expected == []
+        if kind == "witness":
+            assert witness in expected
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,16 @@ LOADED = ("out = sorted(m for m in sys.modules if m == 'menurev' or m.startswith
     ("menurev.instances.load_distribution('example4_distribution')",
      {"menurev", "menurev.data", "menurev.instances", "menurev.model", "menurev.rational",
       "menurev.serialize"}),
-], ids=["import", "lp_optimal", "numeric_gap_er", "load_distribution"])
+    # the exact layers load no numpy, even when they run
+    ("m = menurev.menu2(5, 1, 10)\nmenurev.check_monotone(m, menurev.monotonicity_grid(m))",
+     {"menurev", "menurev.buyer", "menurev.model", "menurev.rational"}),
+    ("d = menurev.uniform((1, 4))\nmenurev.submodularize2(menurev.menu2(1, 1, 3), d, d)",
+     {"menurev", "menurev.buyer", "menurev.constructions", "menurev.model",
+      "menurev.rational"}),
+    ("menurev.region_partition_2(menurev.menu2(2, 3, 4))",
+     {"menurev", "menurev.buyer", "menurev.model", "menurev.rational", "menurev.regions"}),
+], ids=["import", "lp_optimal", "numeric_gap_er", "load_distribution", "check_monotone",
+        "submodularize2", "region_partition_2"])
 def test_first_use_loads_only_its_layers(use, loaded):
     assert set(_fresh(f"{use}\n{LOADED}")) == loaded
 
