@@ -27,11 +27,11 @@ _EXPORTS = {
     "randomized": ("COMBINATION_RULES", "DirectMechanism", "LPOutcome", "MenuEntry",
                    "RandomizedMenu", "best_false_name_deviation", "false_name_utility",
                    "lp_optimal", "menu_expected_payment", "rchoice", "verify_ic_ir"),
-    "rational": (),
+    "rational": ("ParseError",),
     "regions": ("RegionPartition2", "region_partition_2", "render_ascii", "render_svg"),
     "search": ("CandidateGrid", "GapReport", "SearchResult", "candidate_grid", "gap_report",
                "search_optimal"),
-    "serialize": ("ParseError", "parse_distribution", "parse_menu"),
+    "serialize": ("parse_distribution", "parse_menu"),
 }
 # submodules that also load on attribute access, but stay out of `__all__`
 _OTHER_SUBMODULES = ("cli", "instances", "reproduce")

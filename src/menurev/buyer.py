@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import (
     Bundle,
@@ -243,8 +243,9 @@ def sale_probabilities(m: Menu, dist: JointDistribution) -> Dict[Bundle, Fractio
 # Revenue monotonicity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonotonicityViolation:
+class MonotonicityViolation(NamedTuple):
+    """One violating pair; a tuple, which builds in half the time of a frozen dataclass."""
+
     low: Valuation
     high: Valuation
     revenue_low: Fraction

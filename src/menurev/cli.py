@@ -16,11 +16,11 @@ from typing import List, Optional
 from .buyer import sale_probabilities
 from .model import normalize
 from .randomized import COMBINATION_RULES
-from .rational import decimal_with_flag, format_rational
+from .rational import ParseError, decimal_with_flag, format_rational
 from .regions import region_partition_2, render_ascii, render_svg
 from .reproduce import ER_GAP_PARAMS, TARGETS, run_target
 from .search import CONSTRAINTS, SearchError, candidate_grid, search_optimal
-from .serialize import ParseError, bundle_key, dumps, parse_distribution, parse_grid, parse_menu
+from .serialize import bundle_key, dumps, parse_distribution, parse_grid, parse_menu
 
 
 def _read_json(path: str):
@@ -49,6 +49,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def cmd_eval(args) -> int:
     menu = parse_menu(_read_json(args.menu))
     dist = parse_distribution(_read_json(args.distribution))
+    if menu.n != dist.n:
+        raise ParseError("menu.items", f"menu has {menu.n} items but distribution has {dist.n}")
     sales = sale_probabilities(menu, dist)
     revenue = sum((menu.price(b) * p for b, p in sales.items() if b), Fraction(0))
     if args.format == "json":
@@ -136,7 +138,7 @@ def cmd_reproduce(args) -> int:
 def cmd_plot(args) -> int:
     menu = parse_menu(_read_json(args.menu))
     if menu.n != 2:
-        raise ParseError("menu", "region plots require a 2-item menu")
+        raise ParseError("menu.items", "region plots require a 2-item menu")
     part = region_partition_2(normalize(menu))
     text = render_ascii(part) if args.ascii else render_svg(part)
     _emit(text, args.out)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .rational import RationalLike, parse_nonnegative, parse_rational
+from .rational import ParseError, RationalLike, parse_nonnegative, parse_rational
 
 MAX_ITEMS = 16  # menus carry 2^n - 1 prices; anything larger is out of scope
 
@@ -56,7 +56,7 @@ def bundle_table(table: Mapping[Iterable[int], object], n: int) -> Dict[Bundle, 
 def as_valuation(values: Sequence[RationalLike], n: int, where: str) -> Valuation:
     v = tuple(parse_nonnegative(x, f"{where}[{i}]") for i, x in enumerate(values))
     if len(v) != n:
-        raise ValueError(f"{where}: valuation has {len(v)} entries, expected {n}")
+        raise ParseError(where, f"valuation has {len(v)} entries, expected {n}")
     return v
 
 
@@ -81,10 +81,10 @@ def _merge(merged: Dict, value: object, prob: Fraction) -> None:
 def _sorted_atoms(merged: Mapping, where: str) -> Tuple[Tuple[object, Fraction], ...]:
     """The merged atoms in value order, once their masses sum to exactly 1."""
     if not merged:
-        raise ValueError(f"{where}: empty support")
+        raise ParseError(where, "empty support")
     mass = sum(merged.values())
     if mass != 1:
-        raise ValueError(f"{where}: mass {mass} != 1")
+        raise ParseError(where, f"mass {mass} != 1")
     return tuple(sorted(merged.items()))
 
 
@@ -98,12 +98,14 @@ class SingleItemDistribution:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[RationalLike, RationalLike]],
                    where: str = "distribution") -> "SingleItemDistribution":
+        """The distribution of the (value, probability) `pairs`; a fault names
+        its path below `where`, e.g. `distribution[1][0]` for the second value."""
         merged: Dict[Fraction, Fraction] = {}
         for i, (value, prob) in enumerate(pairs):
-            v = parse_nonnegative(value, f"{where}: value[{i}]")
-            p = parse_rational(prob, f"{where}: prob[{i}]")
+            v = parse_nonnegative(value, f"{where}[{i}][0]")
+            p = parse_rational(prob, f"{where}[{i}][1]")
             if p.numerator <= 0:
-                raise ValueError(f"{where}: prob[{i}] must be positive, got {p}")
+                raise ParseError(f"{where}[{i}][1]", f"must be positive, got {p}")
             _merge(merged, v, p)
         return cls(_sorted_atoms(merged, where))
 
@@ -149,7 +151,7 @@ class JointDistribution:
             v = as_valuation(values, n, f"{where}[{i}].values")
             p = parse_rational(prob, f"{where}[{i}].prob")
             if p.numerator <= 0:
-                raise ValueError(f"{where}[{i}].prob: must be positive, got {p}")
+                raise ParseError(f"{where}[{i}].prob", f"must be positive, got {p}")
             _merge(merged, v, p)
         return cls(n, _sorted_atoms(merged, where))
 
@@ -184,7 +186,7 @@ def _canonical_atoms(d: SingleItemDistribution, where: str) -> Tuple[Tuple[Fract
     atoms; distinct values out of order are sorted."""
     atoms = SingleItemDistribution.from_pairs(d.atoms, where).atoms
     if len(atoms) != len(d.atoms):
-        raise ValueError(f"{where}: repeated value")
+        raise ParseError(where, "repeated value")
     return atoms
 
 
@@ -199,7 +201,7 @@ def product(parts: Sequence[SingleItemDistribution]) -> JointDistribution:
         raise ValueError("product of zero distributions")
     if len(parts) > MAX_ITEMS:
         raise ValueError(f"distribution: item count must be in 1..{MAX_ITEMS}, got {len(parts)}")
-    checked = [_canonical_atoms(d, f"product: part {k}") for k, d in enumerate(parts)]
+    checked = [_canonical_atoms(d, f"parts[{k}]") for k, d in enumerate(parts)]
     atoms = [((v,), p) for v, p in checked[0]]
     for part in checked[1:]:
         atoms = [(vs + (v,), q * p) for vs, q in atoms for v, p in part]
@@ -232,15 +234,6 @@ class Menu:
     @classmethod
     def from_sequence(cls, n: int, prices: Sequence[RationalLike]) -> "Menu":
         return cls(n, tuple(parse_nonnegative(p, f"price[{i}]") for i, p in enumerate(prices)))
-
-    @classmethod
-    def from_mapping(cls, n: int, prices: Mapping[Iterable[int], RationalLike]) -> "Menu":
-        table = {b: parse_nonnegative(p, f"price of {b}") for b, p in bundle_table(prices, n).items()}
-        order = all_bundles(n)
-        missing = [b for b in order if b not in table]
-        if missing:
-            raise ValueError(f"missing prices for bundles {missing}")
-        return cls(n, tuple(table[b] for b in order))
 
     def price(self, bundle: Iterable[int]) -> Fraction:
         b = as_bundle(bundle, self.n)

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lp
 from .model import JointDistribution, Valuation, as_valuation
-from .rational import RationalLike, over_common_denominator, parse_nonnegative, parse_rational
+from .rational import (ParseError, RationalLike, over_common_denominator, parse_nonnegative,
+                       parse_rational)
 
 COMBINATION_RULES = ("capped", "independent")
 
@@ -39,17 +40,20 @@ class RandomizedMenu:
 
     @classmethod
     def from_entries(cls, n: int,
-                     entries: Sequence[Tuple[Sequence[RationalLike], RationalLike]]
-                     ) -> "RandomizedMenu":
+                     entries: Sequence[Tuple[Sequence[RationalLike], RationalLike]],
+                     where: str = "entries") -> "RandomizedMenu":
+        """The menu of the (allocation, payment) `entries`; a fault names its
+        path below `where`, e.g. `entries[0].alloc[1]`."""
         parsed: List[MenuEntry] = []
         for i, (alloc, pay) in enumerate(entries):
-            a = tuple(parse_rational(x, f"entries[{i}].alloc[{j}]") for j, x in enumerate(alloc))
+            at = f"{where}[{i}].alloc"
+            a = tuple(parse_rational(x, f"{at}[{j}]") for j, x in enumerate(alloc))
             if len(a) != n:
-                raise ValueError(f"entries[{i}]: allocation length {len(a)} != {n}")
+                raise ParseError(at, f"allocation length {len(a)} != {n}")
             for j, x in enumerate(a):
                 if not 0 <= x <= 1:
-                    raise ValueError(f"entries[{i}].alloc[{j}] must lie in [0, 1], got {x}")
-            p = parse_nonnegative(pay, f"entries[{i}].pay")
+                    raise ParseError(f"{at}[{j}]", f"must lie in [0, 1], got {x}")
+            p = parse_nonnegative(pay, f"{where}[{i}].pay")
             parsed.append(MenuEntry(a, p))
         null = MenuEntry(tuple(Fraction(0) for _ in range(n)), Fraction(0))
         if null not in parsed:
@@ -178,11 +182,6 @@ def best_false_name_deviation(m: RandomizedMenu, v: Sequence[RationalLike], rule
             if best_u is None or u > best_u:
                 best_picks, best_u = picks, u
     return best_picks, Fraction(best_u, scaled.den)
-
-
-def is_false_name_proof_at(m: RandomizedMenu, v: Valuation, rule: str, k: int = 2) -> bool:
-    _, best = best_false_name_deviation(m, v, rule, k)
-    return best == rchoice(m, v).utility
 
 
 # ---------------------------------------------------------------------------

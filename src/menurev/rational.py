@@ -1,4 +1,8 @@
-"""Exact rational parsing and rendering, and the one common-denominator rule.
+"""Exact rational parsing and rendering, the one input fault type, and the
+one common-denominator rule.
+
+A validator is handed the path of what it reads as `where` and raises
+`ParseError` at the fault, naming the full path of the faulty value.
 
 Every exact integer path outside the search kernel that starts from
 rationals puts a batch of them over L, the lcm of their denominators
@@ -15,10 +19,18 @@ from typing import Iterable, List, Tuple, Union
 RationalLike = Union[int, str, Fraction]
 
 
+class ParseError(ValueError):
+    """Malformed input; `location` is the JSON-path-like position of the fault."""
+
+    def __init__(self, location: str, message: str):
+        super().__init__(f"{location}: {message}")
+        self.location = location
+
+
 def parse_rational(value: RationalLike, where: str = "value") -> Fraction:
     """Convert "p/q" strings, decimal strings, or ints to an exact Fraction."""
     if isinstance(value, bool):
-        raise ValueError(f"{where}: expected a rational number, got a boolean")
+        raise ParseError(where, "expected a rational number, got a boolean")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -27,14 +39,14 @@ def parse_rational(value: RationalLike, where: str = "value") -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: not a rational number: {value!r} ({exc})") from None
-    raise ValueError(f"{where}: expected int or string rational, got {type(value).__name__}")
+            raise ParseError(where, f"not a rational number: {value!r} ({exc})") from None
+    raise ParseError(where, f"expected int or string rational, got {type(value).__name__}")
 
 
 def parse_nonnegative(value: RationalLike, where: str = "value") -> Fraction:
     q = parse_rational(value, where)
     if q.numerator < 0:  # a Fraction's sign, without a Fraction comparison
-        raise ValueError(f"{where}: must be nonnegative, got {q}")
+        raise ParseError(where, f"must be nonnegative, got {q}")
     return q
 
 

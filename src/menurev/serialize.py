@@ -1,7 +1,9 @@
 """JSON input for distributions, menus, candidate grids and randomized (lottery) menus.
 
-Rationals travel as strings ("3/4" or "0.75", converted exactly) and parse
-errors carry the JSON path of the offending field.
+Rationals travel as strings ("3/4" or "0.75", converted exactly). Every
+fault is a `ParseError` naming the JSON path of the offending field: the
+validators of `model`, `randomized` and `rational` are handed the path of
+what they read and raise at the fault, so nothing here rewrites a message.
 """
 from __future__ import annotations
 
@@ -17,33 +19,16 @@ from .model import (
     all_bundles,
     product,
 )
-from .rational import parse_nonnegative
+from .rational import ParseError, parse_nonnegative
 
 if TYPE_CHECKING:  # importing randomized loads the LP stack
     from .randomized import RandomizedMenu
-
-
-class ParseError(ValueError):
-    """Malformed input; `location` is a JSON-path-like string."""
-
-    def __init__(self, location: str, message: str):
-        super().__init__(f"{location}: {message}")
-        self.location = location
 
 
 def _require(obj: Dict[str, Any], key: str, where: str) -> Any:
     if key not in obj:
         raise ParseError(where, f"missing required field {key!r}")
     return obj[key]
-
-
-def _located(exc: ValueError, where: str) -> ParseError:
-    """`exc`, raised by a parser that was given `where`, located at the path
-    its message starts with (`where` or a field inside it), named once."""
-    head, sep, message = str(exc).partition(": ")
-    if sep and head.startswith(where):
-        return ParseError(head, message)
-    return ParseError(where, str(exc))
 
 
 def _load(source: Any, where: str) -> Dict[str, Any]:
@@ -61,14 +46,19 @@ def _load(source: Any, where: str) -> Dict[str, Any]:
     return obj
 
 
+def _item_count(obj: Dict[str, Any], where: str) -> int:
+    n = _require(obj, "items", where)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f"{where}.items", "item count must be an integer")
+    if not 1 <= n <= MAX_ITEMS:
+        raise ParseError(f"{where}.items", f"item count must be in 1..{MAX_ITEMS}, got {n}")
+    return n
+
+
 def parse_distribution(source: Union[str, IO[str], Dict[str, Any]]) -> JointDistribution:
     """Parse a distribution document; product-form inputs are expanded to the full joint."""
     obj = _load(source, "distribution")
-    n = _require(obj, "items", "distribution")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError("distribution.items", "item count must be an integer")
-    if not 1 <= n <= MAX_ITEMS:
-        raise ParseError("distribution.items", f"item count must be in 1..{MAX_ITEMS}, got {n}")
+    n = _item_count(obj, "distribution")
     kind = _require(obj, "kind", "distribution")
     if kind == "product":
         marginals = _require(obj, "marginals", "distribution")
@@ -84,10 +74,7 @@ def parse_distribution(source: Union[str, IO[str], Dict[str, Any]]) -> JointDist
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise ParseError(f"{where}[{j}]", "expected a [value, prob] pair")
                 pairs.append((entry[0], entry[1]))
-            try:
-                parts.append(SingleItemDistribution.from_pairs(pairs, where))
-            except ValueError as exc:
-                raise _located(exc, where) from None
+            parts.append(SingleItemDistribution.from_pairs(pairs, where))
         return product(parts)
     if kind == "joint":
         atoms = _require(obj, "atoms", "distribution")
@@ -103,10 +90,7 @@ def parse_distribution(source: Union[str, IO[str], Dict[str, Any]]) -> JointDist
             if not isinstance(values, list):
                 raise ParseError(f"{where}.values", "expected a list of values")
             pairs.append((values, prob))
-        try:
-            return JointDistribution.from_pairs(n, pairs, "distribution.atoms")
-        except ValueError as exc:
-            raise _located(exc, "distribution.atoms") from None
+        return JointDistribution.from_pairs(n, pairs, "distribution.atoms")
     raise ParseError("distribution.kind", f"unknown kind {kind!r} (expected 'product' or 'joint')")
 
 
@@ -119,10 +103,7 @@ def _prices_by_bundle(obj: Dict[str, Any], where: str, n: int) -> Dict[Tuple[int
     prices = _require(obj, "prices", where)
     if not isinstance(prices, dict):
         raise ParseError(f"{where}.prices", "expected an object mapping bundles to prices")
-    try:
-        order = all_bundles(n)
-    except ValueError as exc:
-        raise ParseError(f"{where}.items", str(exc)) from None
+    order = all_bundles(n)
     expected = {bundle_key(b): b for b in order}
     table = {}
     for key, value in prices.items():
@@ -138,14 +119,10 @@ def _prices_by_bundle(obj: Dict[str, Any], where: str, n: int) -> Dict[Tuple[int
 
 def parse_menu(source: Union[str, IO[str], Dict[str, Any]]) -> Menu:
     obj = _load(source, "menu")
-    n = _require(obj, "items", "menu")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError("menu.items", "item count must be an integer")
+    n = _item_count(obj, "menu")
     table = _prices_by_bundle(obj, "menu", n)
-    try:
-        return Menu.from_mapping(n, table)
-    except ValueError as exc:
-        raise ParseError("menu.prices", str(exc)) from None
+    return Menu(n, tuple(parse_nonnegative(table[b], f"menu.prices[{bundle_key(b)!r}]")
+                         for b in all_bundles(n)))
 
 
 def parse_grid(source: Any, n: int) -> Dict[Tuple[int, ...], List[Fraction]]:
@@ -155,13 +132,8 @@ def parse_grid(source: Any, n: int) -> Dict[Tuple[int, ...], List[Fraction]]:
         where = f"grid.prices[{bundle_key(bundle)!r}]"
         if not isinstance(prices, list) or not prices:
             raise ParseError(where, "expected a nonempty list of prices")
-        parsed = []
-        for j, price in enumerate(prices):
-            try:
-                parsed.append(parse_nonnegative(price, f"{where}[{j}]"))
-            except ValueError as exc:
-                raise _located(exc, f"{where}[{j}]") from None
-        table[bundle] = parsed
+        table[bundle] = [parse_nonnegative(price, f"{where}[{j}]")
+                         for j, price in enumerate(prices)]
     return table
 
 
@@ -185,10 +157,7 @@ def parse_randomized_menu(source: Union[str, IO[str], Dict[str, Any]]) -> Random
         if not isinstance(alloc, list):
             raise ParseError(f"{where}.alloc", "expected a list of probabilities")
         pairs.append((alloc, _require(entry, "pay", where)))
-    try:
-        return RandomizedMenu.from_entries(n, pairs)
-    except ValueError as exc:
-        raise ParseError("randomized_menu", str(exc)) from None
+    return RandomizedMenu.from_entries(n, pairs, "randomized_menu.entries")
 
 
 def dumps(obj: Any) -> str:

@@ -80,6 +80,23 @@ def test_eval_joint_atom_fault_exit_2(tmp_path, capsys, atoms, where):
     assert f"error: {where}\n" in capsys.readouterr().err
 
 
+def test_eval_menu_price_fault_names_its_bundle(tmp_path, capsys):
+    bad = tmp_path / "menu.json"
+    bad.write_text('{"items": 2, "prices": {"1": "1", "2": "2", "1,2": "-3"}}')
+    assert main(["eval", str(bad), f"{DATA}/example6_eps10.json"]) == 2
+    assert capsys.readouterr().err == "error: menu.prices['1,2']: must be nonnegative, got -3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", f"{DATA}/example6_menu.json", f"{DATA}/example4_distribution.json"],
+     "menu has 2 items but distribution has 3"),
+    (["plot", f"{DATA}/example4_menu.json"], "region plots require a 2-item menu"),
+], ids=["eval", "plot"])
+def test_item_count_faults_name_menu_items(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: menu.items: {message}\n"
+
+
 def test_eval_top_level_list_exit_2(tmp_path, capsys):
     bad = tmp_path / "menu.json"
     bad.write_text('[{"items": 2}]')

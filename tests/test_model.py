@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from menurev import (
     Menu,
     all_bundles,
+    candidate_grid,
     is_submodular,
     is_symmetric_menu,
     menu2,
@@ -24,6 +25,7 @@ from menurev.model import (
     SingleItemDistribution,
     is_monotone_menu,
 )
+from menurev.rational import ParseError
 
 prices2 = st.lists(st.fractions(0, 20, max_denominator=4), min_size=3, max_size=3)
 
@@ -40,11 +42,14 @@ def test_menu_accessors_and_price():
         Menu.from_sequence(2, (1, -1, 2))
 
 
-def test_menu_from_mapping_rejects_repeated_bundle():
-    table = {(1,): 1, (2,): 2, (1, 2): 3}
-    assert Menu.from_mapping(2, table).prices == (F(1), F(2), F(3))
+def test_explicit_grid_rejects_repeated_bundle():
+    # candidate_grid is the caller of bundle_table, which re-keys the grid
+    dist = product([uniform([1, 2]), uniform([1, 2])])
+    table = {(1,): [1], (2,): [2], (1, 2): [3]}
+    grid = candidate_grid(dist, "explicit", explicit=table)
+    assert grid.prices == ((F(1),), (F(2),), (F(3),))
     with pytest.raises(ValueError, match=r"\(2, 1\) repeats bundle \(1, 2\)"):
-        Menu.from_mapping(2, {**table, (2, 1): 9})
+        candidate_grid(dist, "explicit", explicit={**table, (2, 1): [9]})
 
 
 def test_submodular_examples():
@@ -142,6 +147,19 @@ def test_product_rejects_noncanonical_parts():
     # int atoms of a directly built part come out as Fractions
     joint = product([SingleItemDistribution(((1, F(1)),)), point_mass(2)])
     assert joint.atoms == (((F(1), F(2)), F(1)),) and type(joint.atoms[0][0][0]) is F
+
+
+@pytest.mark.parametrize("atoms, location, message", [
+    (((F(1), F(1, 2)), (F(-2), F(1, 2))), "parts[1][1][0]", "must be nonnegative, got -2"),
+    (((F(1), F(1, 2)), (F(2), F(0))), "parts[1][1][1]", "must be positive, got 0"),
+    (((F(1), F(1, 2)), (F(2), F(1, 3))), "parts[1]", "mass 5/6 != 1"),
+    (((F(1), F(1, 2)), (F(1), F(1, 2))), "parts[1]", "repeated value"),
+], ids=["value", "prob", "mass", "repeated"])
+def test_product_fault_names_the_part(atoms, location, message):
+    with pytest.raises(ParseError) as err:
+        product([uniform([1, 2]), SingleItemDistribution(atoms)])
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {message}"
 
 
 def test_from_pairs_merges_one_shared_fraction():

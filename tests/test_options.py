@@ -11,7 +11,7 @@ OPTIONS = {
     "LPOutcome.stages": "lp_optimal",
     "NumericParams.cap": "reproduce.ER_GAP_PARAMS, menurev reproduce --cap, er_cap_sweep",
     "NumericParams.grid_points": "reproduce.ER_GAP_PARAMS, menurev reproduce --grid-points, er_cap_sweep",
-    "best_false_name_deviation.k": "menurev reproduce --k, is_false_name_proof_at",
+    "best_false_name_deviation.k": "menurev reproduce --k, the lottery-lp workload (k = 3)",
     "candidate_grid.explicit": "menurev search --grid-file",
     "candidate_grid.max_price": "menurev search --max-price",
     "candidate_grid.mode": "menurev search --grid, reproduce",

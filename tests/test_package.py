@@ -67,8 +67,10 @@ LOADED = ("out = sorted(m for m in sys.modules if m == 'menurev' or m.startswith
       "menurev.rational"}),
     ("menurev.region_partition_2(menurev.menu2(2, 3, 4))",
      {"menurev", "menurev.buyer", "menurev.model", "menurev.rational", "menurev.regions"}),
+    # the one input fault type lives in the layer every validator imports
+    ("menurev.ParseError", {"menurev", "menurev.rational"}),
 ], ids=["import", "lp_optimal", "numeric_gap_er", "load_distribution", "check_monotone",
-        "submodularize2", "region_partition_2"])
+        "submodularize2", "region_partition_2", "ParseError"])
 def test_first_use_loads_only_its_layers(use, loaded):
     assert set(_fresh(f"{use}\n{LOADED}")) == loaded
 
@@ -83,6 +85,11 @@ def test_every_public_name_is_its_submodules_object():
         module = importlib.import_module(f"menurev.{home}")
         expected = module if home == name else getattr(module, name)
         assert getattr(menurev, name) is expected, name
+
+
+def test_one_parse_error_type():
+    assert menurev.ParseError is menurev.rational.ParseError is menurev.serialize.ParseError
+    assert issubclass(menurev.ParseError, ValueError)
 
 
 def test_star_import_binds_every_name():

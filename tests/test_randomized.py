@@ -25,7 +25,6 @@ from menurev.randomized import (
     best_false_name_deviation,
     direct_from_menu,
     false_name_utility,
-    is_false_name_proof_at,
     lp_optimal,
     rchoice,
     verify_ic_ir,
@@ -112,7 +111,6 @@ def test_best_deviation_beats_truthful(hr_menu):
     picks, best = best_false_name_deviation(hr_menu, V4680, "independent", 2)
     assert best > rchoice(hr_menu, V4680).utility
     assert len(picks) <= 2
-    assert not is_false_name_proof_at(hr_menu, V4680, "independent", 2)
     with pytest.raises(ValueError, match="refused"):
         best_false_name_deviation(hr_menu, V4680, "independent", 4)
 
@@ -230,13 +228,14 @@ def test_deterministic_subadditive_menu_is_false_name_proof(rng):
             ((1, 0), a), ((0, 1), b), ((1, 1), c)])
         for _ in range(25):
             v = (F(rng.randint(0, 8)), F(rng.randint(0, 8)))
-            assert is_false_name_proof_at(m, v, "capped", 2)
+            assert best_false_name_deviation(m, v, "capped", 2)[1] == rchoice(m, v).utility
 
 
 def test_single_entry_menu_false_name_proof():
     m = RandomizedMenu.from_entries(1, [((1,), 5)])
     for val in (0, 4, 5, 9):
-        assert is_false_name_proof_at(m, (F(val),), "capped", 2)
+        v = (F(val),)
+        assert best_false_name_deviation(m, v, "capped", 2)[1] == rchoice(m, v).utility
 
 
 def test_budget_linear_cap_dominates_combined_picks(rng):

@@ -1,10 +1,11 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from menurev import parse_distribution, parse_menu
-from menurev.serialize import ParseError, parse_randomized_menu
+from menurev.serialize import ParseError, parse_grid, parse_randomized_menu
 
 
 def test_product_form_expands():
@@ -37,16 +38,16 @@ def test_negative_value_rejected():
         parse_distribution(doc)
 
 
-@pytest.mark.parametrize("marginal, message", [
-    ([["-1", "1"]], "value[0]: must be nonnegative, got -1"),
-    ([["1", "1/2"]], "mass 1/2 != 1"),
+@pytest.mark.parametrize("marginal, location, message", [
+    ([["-1", "1"]], "distribution.marginals[0][0][0]", "must be nonnegative, got -1"),
+    ([["1", "1/2"]], "distribution.marginals[0]", "mass 1/2 != 1"),
 ], ids=["negative-value", "mass"])
-def test_marginal_fault_names_its_path_once(marginal, message):
+def test_marginal_fault_names_its_path_once(marginal, location, message):
     doc = {"items": 2, "kind": "product", "marginals": [marginal, [["1", "1"]]]}
     with pytest.raises(ParseError) as err:
         parse_distribution(doc)
-    assert err.value.location == "distribution.marginals[0]"
-    assert str(err.value) == f"distribution.marginals[0]: {message}"
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {message}"
 
 
 def _atom(values, prob="1/2"):
@@ -104,8 +105,8 @@ _ENTRY = {"alloc": ["1/2", "1"], "pay": "3"}
     ({"items": "2", "entries": []}, "randomized_menu.items", "positive integer"),
     ({"items": 0, "entries": []}, "randomized_menu.items", "positive integer"),
     ({"items": 2, "entries": {"0": _ENTRY}}, "randomized_menu.entries", "expected a list"),
-    ({"items": 2, "entries": [{"alloc": ["2", "0"], "pay": "1"}]}, "randomized_menu",
-     r"entries\[0\]\.alloc\[0\] must lie in \[0, 1\]"),
+    ({"items": 2, "entries": [{"alloc": ["2", "0"], "pay": "1"}]},
+     "randomized_menu.entries[0].alloc[0]", r"must lie in \[0, 1\], got 2"),
     ([_ENTRY], "randomized_menu", "top-level value must be an object"),
     ('{"items": 2, "entries": [', "randomized_menu", "malformed JSON"),
 ], ids=["no-entries", "no-alloc", "alloc-not-list", "entry-not-object", "items-not-int",
@@ -122,3 +123,51 @@ def test_randomized_menu_parses_text_and_objects():
     menu = parse_randomized_menu(json.dumps(doc))
     assert menu == parse_randomized_menu(doc)
     assert menu.entries[1].allocation == (F(1, 2), F(1)) and menu.entries[1].payment == 3
+
+
+_PATH_STEP = re.compile(r"\.(\w+)|\[(\d+)\]|\['([^']*)'\]")
+
+
+def _resolve(doc, location):
+    """The value at `location` in `doc`: the document name, then `.field`,
+    `[index]` and `['key']` steps."""
+    name = re.match(r"\w+", location).group()
+    assert name in ("distribution", "menu", "grid", "randomized_menu"), location
+    at, node = len(name), doc
+    while at < len(location):
+        step = _PATH_STEP.match(location, at)
+        assert step, f"{location}: no path step at {location[at:]!r}"
+        field, index, key = step.groups()
+        node = node[int(index)] if index is not None else node[field if key is None else key]
+        at = step.end()
+    return node
+
+
+def _marginals(first):
+    return {"items": 2, "kind": "product", "marginals": [first, [["1", "1"]]]}
+
+
+def _lottery(entry):
+    return {"items": 2, "entries": [_ENTRY, entry]}
+
+
+@pytest.mark.parametrize("parse, doc, bad", [
+    (parse_distribution, _marginals([["1", "1/2"], ["-1", "1/2"]]), "-1"),
+    (parse_distribution, _marginals([["1", "1/2"], ["2", "x"]]), "x"),
+    (parse_distribution, _marginals([["1", "1/2"], ["2", "0"]]), "0"),
+    (parse_distribution, {"items": 2, "kind": "joint",
+                          "atoms": [_atom(["1", "2"]), _atom(["3", "-1"])]}, "-1"),
+    (parse_distribution, {"items": 2, "kind": "joint",
+                          "atoms": [_atom(["1", "2"]), _atom(["3", "4"], "-1/2")]}, "-1/2"),
+    (parse_menu, {"items": 2, "prices": {"1": "1", "2": "2", "1,2": "-3"}}, "-3"),
+    (lambda doc: parse_grid(doc, 2),
+     {"prices": {"1": ["1"], "2": ["2", "1/0"], "1,2": ["3"]}}, "1/0"),
+    (parse_randomized_menu, _lottery({"alloc": ["1/2", "3/2"], "pay": "1"}), "3/2"),
+    (parse_randomized_menu, _lottery({"alloc": ["1/2", "a"], "pay": "1"}), "a"),
+    (parse_randomized_menu, _lottery({"alloc": ["1/2", "1"], "pay": "-2"}), "-2"),
+], ids=["marginal-value", "marginal-prob", "marginal-zero-prob", "joint-value", "joint-prob",
+        "menu-price", "grid-price", "lottery-alloc", "lottery-alloc-text", "lottery-pay"])
+def test_every_fault_location_resolves(parse, doc, bad):
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert _resolve(doc, err.value.location) == bad, err.value.location
