@@ -13,9 +13,8 @@ from importlib import import_module as _import_module
 # submodule -> the public names it defines; the submodules listed here are
 # public names too
 _EXPORTS = {
-    "buyer": ("BuyerOutcome", "MonotonicityReport", "buyer_choice", "check_monotone",
-              "expected_revenue", "expected_revenues", "monotonicity_grid", "revenue_at",
-              "sale_probabilities"),
+    "buyer": ("MonotonicityReport", "check_monotone", "expected_revenue", "expected_revenues",
+              "monotonicity_grid", "revenue_at", "sale_probabilities"),
     "constructions": ("CertificateError", "ConstructionCertificate", "submodularize2",
                       "symmetrize2", "three_halves_decomposition"),
     "continuous": ("ERGapReport", "NumericParams", "er_cap_sweep", "er_discretize",

@@ -1,11 +1,13 @@
 """Buyer best response, exact expected revenue, and revenue-monotonicity audits.
 
-`buyer_choice` is the readable reference: it walks the bundles of one
-valuation in Fractions. Every other revenue here goes through one integer
-rule, `_choose`: with the prices and the coordinates scaled by one common
-multiple L of their denominators, each option gets one Python-int key that
-orders it by utility, then payment, then bundle size, then canonical bundle
-order, so the largest key is the choice `buyer_choice` makes.
+Every revenue here goes through one integer rule, `_choose`: with the
+prices and the coordinates scaled by one common multiple L of their
+denominators, each option gets one Python-int key that orders it by
+utility, then payment, then bundle size, then canonical bundle order, so
+the largest key is the buyer's choice. The readable reference for that
+tie-break is `choice` in `benchmark/reference.py`, which walks the bundles
+of one valuation in Fractions and imports nothing from this package; the
+tests compare this module against it.
 
 `batch_choice` runs that rule for one menu over a batch of valuations;
 `revenue_at`, `sale_probabilities`, `check_monotone` and
@@ -45,45 +47,8 @@ from .model import (
     Menu,
     Valuation,
     all_bundles,
-    bundle_value,
 )
 from .rational import RationalLike, over_common_denominator, parse_nonnegative
-
-
-@dataclass(frozen=True)
-class BuyerOutcome:
-    bundle: Bundle  # () means nothing bought
-    payment: Fraction
-    utility: Fraction
-
-
-def buyer_choice(m: Menu, v: Valuation) -> BuyerOutcome:
-    """Utility-maximizing bundle for valuation v.
-
-    Ties break toward the higher payment, then the larger bundle, then the
-    lexicographically smallest item set, so the choice is deterministic.
-    """
-    if len(v) != m.n:
-        raise ValueError(f"valuation has {len(v)} entries for a {m.n}-item menu")
-    best: Tuple[Fraction, Fraction, int, Bundle] = (Fraction(0), Fraction(0), 0, ())
-    best_bundle: Bundle = ()
-    for bundle, price in zip(all_bundles(m.n), m.prices):
-        u = bundle_value(v, bundle) - price
-        cand = (u, price, len(bundle), bundle)
-        if _prefer(cand, best):
-            best = cand
-            best_bundle = bundle
-    return BuyerOutcome(best_bundle, best[1], best[0])
-
-
-def _prefer(cand, incumbent) -> bool:
-    if cand[0] != incumbent[0]:
-        return cand[0] > incumbent[0]
-    if cand[1] != incumbent[1]:
-        return cand[1] > incumbent[1]
-    if cand[2] != incumbent[2]:
-        return cand[2] > incumbent[2]
-    return cand[3] < incumbent[3]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +139,7 @@ def _choose(n: int, prices: Sequence[int], values: List[List[int]], unit: int) -
 
 
 def batch_choice(m: Menu, points: Sequence[Valuation]) -> BatchChoice:
-    """`buyer_choice` at every point of a batch, in Python ints (see `_choose`)."""
+    """The buyer's choice at every point of a batch, in Python ints (see `_choose`)."""
     scale, scaled, prices = _scaled(m.n, points, m.prices)
     prices = (0, *prices)
     unit = _unit(m.n, max(prices))
@@ -322,8 +287,12 @@ def monotonicity_grid(m: Menu,
     Support values are nonnegative ints, Fractions or rational strings; any
     other value raises ValueError naming it as support[i][k].
 
-    Revenue is piecewise constant with breakpoints at the region boundaries,
-    so violations always show up at corner points nudged across a boundary.
+    Revenue is piecewise constant with breakpoints at the region boundaries.
+    That violations then show up at corner points nudged across a boundary
+    is an unproved assumption: the tests check it against the plain pair
+    loop `reference.monotonicity_violations` on grids with extra support
+    points, and deciding monotonicity exactly over all valuations is an
+    open item of ROADMAP.md (item 5).
     """
     if m.n != 2:
         raise ValueError("monotonicity_grid is defined for 2-item menus")

@@ -1,8 +1,9 @@
 """Valuation-space partition induced by a 2-item menu, plus SVG/ASCII rendering.
 
 The four closed regions below are derived from the menu geometry alone; they
-must agree pointwise with buyer_choice, which the test suite checks on dense
-random grids including boundary points.
+must agree pointwise with the buyer's choice (the readable reference is
+`reference.choice` in `benchmark/reference.py`), which the test suite checks
+on dense random grids including boundary points.
 
 Every half-plane coefficient is -1, 0 or 1 and only the right-hand sides are
 Fractions, so `RegionPartition2.regions_of` scales the right-hand sides and

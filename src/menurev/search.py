@@ -163,7 +163,8 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
     its size, so a symmetric menu may price a size at any of its bundles'
     values; requires integer support values. support-sums: all sums of per-item support values (each
     item contributing one of its support values or 0). explicit: caller-given
-    sets. `max_price` caps every bundle's candidates.
+    sets; a bad price raises ParseError at its path, e.g. `explicit['1,2'][0]`.
+    `max_price` caps every bundle's candidates.
     """
     order = all_bundles(dist.n)
     cap = parse_nonnegative(max_price, "max_price") if max_price is not None else None
@@ -195,6 +196,7 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
     elif mode == "explicit":
         if explicit is None:
             raise SearchError("explicit mode requires candidate sets")
+        from .serialize import bundle_key  # here, so that the other modes load no serialize
         try:
             table = bundle_table(explicit, dist.n)
         except ValueError as exc:
@@ -202,7 +204,9 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
         for bundle in order:
             if bundle not in table:
                 raise SearchError(f"explicit grid missing bundle {bundle}")
-            ps = sorted({parse_nonnegative(p, f"grid price for {bundle}") for p in table[bundle]})
+            where = f"explicit[{bundle_key(bundle)!r}]"
+            ps = sorted({parse_nonnegative(p, f"{where}[{j}]")
+                         for j, p in enumerate(table[bundle])})
             if cap is not None:
                 ps = [p for p in ps if p <= cap] or [Fraction(0)]
             sets.append(tuple(ps))

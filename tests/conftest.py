@@ -6,11 +6,11 @@ from itertools import combinations_with_replacement, product as iproduct
 import numpy as np
 import pytest
 
-from menurev import Menu, all_bundles, buyer_choice, continuous
+import reference
+from menurev import Menu, all_bundles, continuous
 from menurev.instances import load_distribution, load_menu
 from menurev.lp import _MAX_PIVOTS, LPError
-from menurev.model import (SingleItemDistribution, is_monotone_menu, is_submodular,
-                           is_symmetric_menu)
+from menurev.model import SingleItemDistribution, is_monotone_menu
 from menurev.rational import over_common_denominator
 
 
@@ -39,16 +39,12 @@ def example6():
     return load_distribution("example6_eps10")
 
 
-def oracle_revenue(m, dist):
-    """Independent expected revenue: a plain sum of buyer_choice payments."""
-    return sum((p * buyer_choice(m, v).payment for v, p in dist.atoms), Fraction(0))
-
-
 def oracle_search(dist, constraint, grid, monotone=False):
-    """Independent brute force: plain loops, no pruning, rational evaluation;
-    returns (best_menu, revenue, examined). With `monotone`, the classes
-    other than additive and bundle-only keep only bundle-monotone menus, the
-    menus a pruned search counts."""
+    """Brute force by plain loops, no pruning: every grid menu of the class
+    (`reference.in_class`) scored by `reference.revenue`; returns
+    (best_menu, revenue, examined). With `monotone`, the classes other than
+    additive and bundle-only keep only bundle-monotone menus, the menus a
+    pruned search counts."""
     order = all_bundles(dist.n)
     if constraint == "additive":
         candidates = (
@@ -57,27 +53,16 @@ def oracle_search(dist, constraint, grid, monotone=False):
     elif constraint == "bundle-only":
         candidates = (tuple(q for _ in order) for q in grid.prices[-1])
     else:
-        def keep(prices):
-            menu = Menu(dist.n, prices)
-            if monotone and not is_monotone_menu(menu):
-                return False
-            if constraint == "submodular":
-                return is_submodular(menu)
-            if constraint == "symmetric":
-                return is_symmetric_menu(menu)
-            if constraint == "symmetric-and-submodular":
-                return is_symmetric_menu(menu) and is_submodular(menu)
-            return True
-
-        candidates = (p for p in iproduct(*grid.prices) if keep(p))
+        candidates = (p for p in iproduct(*grid.prices)
+                      if (not monotone or is_monotone_menu(Menu(dist.n, p)))
+                      and reference.in_class(dict(zip(order, p)), constraint))
     best_menu = best_rev = None
     examined = 0
     for prices in candidates:
         examined += 1
-        menu = Menu(dist.n, prices)
-        rev = oracle_revenue(menu, dist)
+        rev = reference.revenue(dict(zip(order, prices)), dist.atoms)
         if best_rev is None or rev > best_rev:
-            best_menu, best_rev = menu, rev
+            best_menu, best_rev = Menu(dist.n, prices), rev
     return best_menu, best_rev, examined
 
 
@@ -149,22 +134,6 @@ def bundle_price_sweep(d1, d2):
     return continuous._sweep(ab[:len(v1)], v1, w1, ab[len(v1):], v2, w2)
 
 
-def oracle_monotone(m, grid):
-    """Independent monotonicity audit: every ordered pair of sorted distinct
-    points in a plain loop; returns (low, high, revenue_low, revenue_high)
-    tuples in (i, j) order."""
-    points = sorted(set(tuple(v) for v in grid))
-    revenues = [buyer_choice(m, v).payment for v in points]
-    violations = []
-    for i, lo in enumerate(points):
-        for j, hi in enumerate(points):
-            if i == j or not all(x <= y for x, y in zip(lo, hi)):
-                continue
-            if revenues[j] < revenues[i]:
-                violations.append((lo, hi, revenues[i], revenues[j]))
-    return violations
-
-
 def oracle_simplex(c, a_ub, b_ub):
     """Independent exact simplex: a dense Fraction tableau with Bland's rule
     over  max c.x  s.t.  a_ub x <= b_ub, x >= 0, b_ub >= 0, with dense rows;
@@ -217,17 +186,6 @@ def combine_allocations(allocs, rule):
             else:
                 combined[i] = 1 - (1 - combined[i]) * (1 - alloc[i])
     return tuple(combined)
-
-
-def oracle_rchoice(m, v):
-    """(index, utility) of the buyer's entry by a Fraction loop over the menu:
-    ties toward the higher payment, then the lowest index."""
-    best = None
-    for i, e in enumerate(m.entries):
-        u = sum((x * q for x, q in zip(v, e.allocation)), Fraction(0)) - e.payment
-        if best is None or (u, e.payment) > (best[1], m.entries[best[0]].payment):
-            best = i, u
-    return best
 
 
 def oracle_false_name_utility(m, v, picks, rule):

@@ -32,7 +32,6 @@ OPTIONS = {
 CALLERS = {
     "all_bundles": "model.Menu, serialize, search, buyer, regions",
     "best_false_name_deviation": "reproduce example-7, the lottery-lp workload",
-    "buyer_choice": "oracle of the differential tests (conftest.oracle_revenue)",
     "candidate_grid": "menurev search, reproduce",
     "check_monotone": "reproduce, the exact-audit workload",
     "er_cap_sweep": "reproduce er-gap",

@@ -10,34 +10,38 @@ from pathlib import Path
 import pytest
 
 import menurev
+import reference
 
 SRC = str(Path(menurev.__file__).resolve().parent.parent)
+BENCH = str(Path(reference.__file__).resolve().parent)
 
-# `menurev.__all__` as it stood when `import menurev` imported every submodule
+# `menurev.__all__` as it stood when `import menurev` imported every submodule,
+# less `buyer_choice` and `BuyerOutcome`: the Fraction reference evaluator is
+# `reference.choice` in benchmark/, outside the package
 PUBLIC = [
-    "BuyerOutcome", "COMBINATION_RULES", "CandidateGrid", "CertificateError",
-    "ConstructionCertificate", "DirectMechanism", "ERGapReport", "GapReport",
-    "JointDistribution", "LPOutcome", "Menu", "MenuEntry", "MonotonicityReport",
-    "NumericParams", "ParseError", "RandomizedMenu", "RegionPartition2", "SearchResult",
-    "SingleItemDistribution", "all_bundles", "best_false_name_deviation", "buyer",
-    "buyer_choice", "candidate_grid", "check_monotone", "constructions", "continuous",
-    "er_cap_sweep", "er_discretize", "expected_revenue", "expected_revenues",
-    "false_name_utility", "gap_report", "is_monotone_menu", "is_submodular",
-    "is_symmetric_menu", "lp", "lp_optimal", "menu2", "menu_expected_payment", "model",
-    "monotonicity_grid", "normalize", "numeric_gap_er", "parse_distribution", "parse_menu",
-    "point_mass", "product", "randomized", "rational", "rchoice", "region_partition_2",
-    "regions", "render_ascii", "render_svg", "revenue_at", "sale_probabilities", "search",
-    "search_optimal", "serialize", "solve_w", "submodularize2", "symmetrize2",
-    "three_halves_decomposition", "uniform", "verify_ic_ir",
+    "COMBINATION_RULES", "CandidateGrid", "CertificateError", "ConstructionCertificate",
+    "DirectMechanism", "ERGapReport", "GapReport", "JointDistribution", "LPOutcome",
+    "Menu", "MenuEntry", "MonotonicityReport", "NumericParams", "ParseError",
+    "RandomizedMenu", "RegionPartition2", "SearchResult", "SingleItemDistribution",
+    "all_bundles", "best_false_name_deviation", "buyer", "candidate_grid",
+    "check_monotone", "constructions", "continuous", "er_cap_sweep", "er_discretize",
+    "expected_revenue", "expected_revenues", "false_name_utility", "gap_report",
+    "is_monotone_menu", "is_submodular", "is_symmetric_menu", "lp", "lp_optimal", "menu2",
+    "menu_expected_payment", "model", "monotonicity_grid", "normalize", "numeric_gap_er",
+    "parse_distribution", "parse_menu", "point_mass", "product", "randomized", "rational",
+    "rchoice", "region_partition_2", "regions", "render_ascii", "render_svg", "revenue_at",
+    "sale_probabilities", "search", "search_optimal", "serialize", "solve_w",
+    "submodularize2", "symmetrize2", "three_halves_decomposition", "uniform",
+    "verify_ic_ir",
 ]
 
 
-def _fresh(code: str):
-    """Run `code` in a new interpreter after `import menurev`; returns the
-    value it leaves in `out`, read back as JSON."""
+def _fresh(code: str, first: str = "import menurev"):
+    """Run `code` in a new interpreter after `first`; returns the value it
+    leaves in `out`, read back as JSON."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    script = f"import json, sys\nimport menurev\n{code}\nprint(json.dumps(out))"
+        [SRC, BENCH] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = f"import json, sys\n{first}\n{code}\nprint(json.dumps(out))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -73,6 +77,11 @@ LOADED = ("out = sorted(m for m in sys.modules if m == 'menurev' or m.startswith
         "submodularize2", "region_partition_2", "ParseError"])
 def test_first_use_loads_only_its_layers(use, loaded):
     assert set(_fresh(f"{use}\n{LOADED}")) == loaded
+
+
+def test_reference_oracle_loads_no_menurev():
+    # the tests' oracle shares no code with the package it checks
+    assert _fresh(LOADED, first="import reference") == []
 
 
 def test_all_is_unchanged():

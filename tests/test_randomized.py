@@ -30,8 +30,8 @@ from menurev.randomized import (
     verify_ic_ir,
 )
 
-from conftest import (combine_allocations, oracle_best_deviation, oracle_false_name_utility,
-                      oracle_rchoice)
+import reference
+from conftest import combine_allocations, oracle_best_deviation, oracle_false_name_utility
 
 V4680 = (F(46), F(80))
 
@@ -188,7 +188,7 @@ def test_rchoice_matches_fraction_oracle():
             entries.append((b, q))
         entries.append(rng.choice(entries))
         m = RandomizedMenu.from_entries(n, entries)
-        i, u = oracle_rchoice(m, v)
+        i, u = reference.lottery_pick(m.entries, v), reference.lottery_utility(m.entries, v)
         assert rchoice(m, v) == RChoice(i, m.entries[i], u)
         tied = [j for j, e in enumerate(m.entries) if j != i
                 and sum((x * y for x, y in zip(v, e.allocation)), F(0)) - e.payment == u]

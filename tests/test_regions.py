@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from menurev import buyer_choice, menu2
+import reference
+from menurev import menu2
 from menurev.instances import random_fraction, random_submodular_menu, random_supermodular_menu
 from menurev.regions import (
     region_partition_2,
@@ -101,8 +102,9 @@ def test_ascii_cells_are_the_buyer_choice_at_their_midpoints(prices):
     assert len(art) == 25
     for j, row in enumerate(art[1:]):
         y = (23 - j + F(1, 2)) * frame / 24
-        assert row == "".join(labels[buyer_choice(m, ((i + F(1, 2)) * frame / 24, y)).bundle]
-                              for i in range(24))
+        assert row == "".join(
+            labels[reference.choice(m.as_dict(), ((i + F(1, 2)) * frame / 24, y))[0]]
+            for i in range(24))
 
 
 def _half_plane_oracle(part, v):
@@ -158,7 +160,7 @@ def test_regions_of_matches_buyer_and_half_plane_oracle():
         pts = _boundary_points(part, rng)
         got = part.regions_of(pts)
         assert got == [_half_plane_oracle(part, v) for v in pts], m.prices
-        assert got == [buyer_choice(m, v).bundle for v in pts], m.prices
+        assert got == [reference.choice(m.as_dict(), v)[0] for v in pts], m.prices
         assert [part.region_of(v) for v in pts[::25]] == got[::25]
         dens.update(x.denominator for v in pts for x in v)
     assert set(kinds) == {"supermodular", "submodular", "additive"}

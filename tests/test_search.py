@@ -8,11 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import oracle_feasible_cells, oracle_revenue, oracle_search
+import reference
+from conftest import oracle_feasible_cells, oracle_search
 from menurev import (
     JointDistribution,
     Menu,
-    buyer_choice,
     candidate_grid,
     expected_revenue,
     gap_report,
@@ -23,6 +23,7 @@ from menurev import (
 from menurev.instances import random_correlated_joint, random_single_item
 from menurev.model import all_bundles, is_submodular, is_symmetric_menu
 from menurev import search
+from menurev.rational import ParseError
 from menurev.search import CandidateGrid, SearchError
 
 # coprime near-2^31 probability denominators push the weight lcm past int64
@@ -57,6 +58,17 @@ def test_integer_grid_rejects_fractional_support():
     dist = product([uniform([F(1, 2), 1])])
     with pytest.raises(SearchError, match="non-integer"):
         candidate_grid(dist, "integer-grid")
+
+
+@pytest.mark.parametrize("table, location", [
+    ({(1,): ["-1"], (2,): [1], (1, 2): [2]}, "explicit['1'][0]"),
+    ({(1,): [0], (2,): [1], (2, 1): [2, 0.5]}, "explicit['1,2'][1]"),
+], ids=["negative", "float"])
+def test_explicit_grid_price_fault_names_its_path(table, location):
+    dist = product([uniform([1, 2]), uniform([1, 2])])
+    with pytest.raises(ParseError) as got:
+        candidate_grid(dist, "explicit", explicit=table)
+    assert got.value.location == location
 
 
 def test_support_sums_grid():
@@ -584,8 +596,8 @@ def test_block_kernel_matches_buyer_choice(den, dtype):
             fixed_key = search._fixed_key(inst, layout.fixed, prices)
             pays = _table_payments(inst, layout, fixed_key, idx)
             for row, pay in zip(layout.rows(prices, idx), pays):
-                want = [buyer_choice(inst.menu_from_scaled(row), v).payment * inst.L
-                        for v, _ in dist.atoms]
+                prices = inst.menu_from_scaled(row).as_dict()
+                want = [reference.choice(prices, v)[1] * inst.L for v, _ in dist.atoms]
                 assert pay.tolist() == want, (constraint, row)
                 alone = search._payments(inst, search._fixed_key(inst, every, row))
                 assert alone.tolist() == want, (constraint, row)
@@ -1022,7 +1034,8 @@ def test_rescoring_scores_each_payment_vector_once(monkeypatch, nudge, path):
                for row in windows[0]}
     assert scored == [len(set(vectors.values()))] == [2]
     tied = sorted(set(vectors.values()))
-    assert [oracle_revenue(Menu(2, p), dist) for p in [(5, 3, 7), (3, 3, 5)]] == [oracle_rev] * 2
+    assert [reference.menu_revenue(Menu(2, p), dist.atoms)
+            for p in [(5, 3, 7), (3, 3, 5)]] == [oracle_rev] * 2
     assert vectors[min(vectors)] == tied[1]
     assert min(vectors) == tuple(p * inst.L for p in (3, 3, 5))
 
