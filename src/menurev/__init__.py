@@ -21,8 +21,8 @@ _EXPORTS = {
                    "numeric_gap_er", "solve_w"),
     "lp": (),
     "model": ("JointDistribution", "Menu", "SingleItemDistribution", "all_bundles",
-              "is_monotone_menu", "is_submodular", "is_symmetric_menu", "menu2", "normalize",
-              "point_mass", "product", "uniform"),
+              "is_submodular", "is_symmetric_menu", "menu2", "normalize", "point_mass",
+              "product", "uniform"),
     "randomized": ("COMBINATION_RULES", "DirectMechanism", "LPOutcome", "MenuEntry",
                    "RandomizedMenu", "best_false_name_deviation", "false_name_utility",
                    "lp_optimal", "menu_expected_payment", "rchoice", "verify_ic_ir"),

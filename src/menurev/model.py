@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .rational import ParseError, RationalLike, parse_nonnegative, parse_rational
@@ -277,23 +278,26 @@ def menu2(a: RationalLike, b: RationalLike, c: RationalLike) -> Menu:
     return Menu.from_sequence(2, (a, b, c))
 
 
-def _price_with_empty(m: Menu, bundle: Bundle | Tuple[()]) -> Fraction:
-    return Fraction(0) if not bundle else m.prices[_bundle_index(m.n)[bundle]]
+@lru_cache(maxsize=None)
+def _lattice_terms(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], ...], ...]:
+    """(monotonicity terms, submodularity terms): index quadruples (a, b, c, d)
+    for p[a] + p[b] >= p[c] + p[d], where -1 is the empty bundle, of price 0."""
+    order = all_bundles(n)
+    index = {b: i for i, b in enumerate(order)} | {(): -1}
+    monotone, submodular = [], []
+    for i, j in combinations(range(len(order)), 2):
+        s, t = set(order[i]), set(order[j])
+        if s < t:
+            monotone.append((j, -1, i, -1))
+        else:
+            submodular.append((i, j, index[tuple(sorted(s & t))], index[tuple(sorted(s | t))]))
+    return tuple(monotone), tuple(submodular)
 
 
 def is_submodular(m: Menu) -> bool:
     """p(S) + p(T) >= p(S & T) + p(S | T) for all bundle pairs, with p(empty) = 0."""
-    order = all_bundles(m.n)
-    for s in order:
-        ss = set(s)
-        for t in order:
-            ts = set(t)
-            inter = tuple(sorted(ss & ts))
-            union = tuple(sorted(ss | ts))
-            if _price_with_empty(m, s) + _price_with_empty(m, t) < \
-                    _price_with_empty(m, inter) + _price_with_empty(m, union):
-                return False
-    return True
+    p = (*m.prices, 0)
+    return all(p[a] + p[b] >= p[c] + p[d] for a, b, c, d in _lattice_terms(m.n)[1])
 
 
 def is_symmetric_menu(m: Menu) -> bool:
@@ -302,18 +306,6 @@ def is_symmetric_menu(m: Menu) -> bool:
     for b, p in zip(all_bundles(m.n), m.prices):
         if by_size.setdefault(len(b), p) != p:
             return False
-    return True
-
-
-def is_monotone_menu(m: Menu) -> bool:
-    """p(S) <= p(T) whenever S is a subset of T."""
-    order = all_bundles(m.n)
-    table = m.as_dict()
-    for s in order:
-        ss = set(s)
-        for t in order:
-            if ss < set(t) and table[s] > table[t]:
-                return False
     return True
 
 

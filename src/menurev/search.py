@@ -14,21 +14,23 @@ price vector (singletons first, then pairs, then larger bundles).
 
 A type buys the option with the largest key (v - p) * K + p, which ranks
 utility first and breaks utility ties toward the higher price, and pays the
-key mod K. `_layout` is the only reader of the constraint. It splits the
-menus into blocks, whose singleton prices (every price, for additive menus)
-are fixed and generated lazily, over a mesh with one axis per other bundle
-(per bundle size, for symmetric menus), and lists the feasibility terms
-p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity. The
-head mesh is the mesh without its last axis, which is the grand bundle in
-every layout that has terms; a cell of it is a head row of J menus, one per
-last-axis candidate. Every term is linear in the last-axis price, so the
-feasible menus of a head row are the candidates in one range [lo, hi), and
-`examined` is the sum of hi - lo (`_enumerate_blocks`). The menus of a head
-row are scored in closed form from key tables built once per search
-(`_mesh_scores`). The caller masks the cells outside [lo, hi) and in skipped
-slabs and takes the first maximum of the (head rows x J) score matrix, which
-is the chunk's lexicographically smallest best menu. Additive blocks, which
-have no mesh, and the exact rescoring take the payments key mod K directly.
+key mod K. `_layout` is the only reader of the constraint. It splits the menus
+into blocks, whose singleton prices (every price, for additive menus) are
+fixed and generated lazily, over a mesh with one axis per other bundle (per
+bundle size, for symmetric menus), and lists the feasibility terms
+p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity, read from
+`model._lattice_terms`, the one source of the terms that prune the search and
+that `model.is_submodular` tests. The head mesh is the mesh without its last
+axis, which is the grand bundle in every layout that has terms; a cell of it
+is a head row of J menus, one per last-axis candidate. Every term is linear in
+the last-axis price, so the feasible menus of a head row are the candidates in
+one range [lo, hi), and `examined` is the sum of hi - lo
+(`_enumerate_blocks`). The menus of a head row are scored in closed form from
+key tables built once per search (`_mesh_scores`). The caller masks the cells
+outside [lo, hi) and in skipped slabs and takes the first maximum of the
+(head rows x J) score matrix, which is the chunk's lexicographically smallest
+best menu. Additive blocks, which have no mesh, and the exact rescoring take
+the payments key mod K directly.
 
 Blocks that fix singleton prices over a mesh are searched by branch and bound
 on every path: `_slab_bounds` bounds the score of every menu of a slab of the
@@ -72,8 +74,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement, islice, product as iproduct
+from functools import reduce
+from itertools import combinations_with_replacement, islice, product as iproduct
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,6 +84,7 @@ from .buyer import expected_revenue
 from .model import (
     JointDistribution,
     Menu,
+    _lattice_terms,
     all_bundles,
     bundle_table,
     bundle_value,
@@ -116,8 +119,8 @@ _INT64_BUDGET = 1 << 62
 # budgeted higher, since a Python int grows with its digits.
 _CHUNK_BYTES = 48 << 20
 _CELL_BYTES = {np.int64: 50, object: 160}
-# an exactly rescored cell also holds its sort order, its gathered weight and
-# the Python ints of its run sum, payment and product
+# an exactly rescored cell also holds its payment as a Python int and that
+# payment's product with its exact weight, as the dot takes it
 _RESCORE_CELL_BYTES = 160
 # head cells (blocks x head-mesh cells) per enumeration chunk. Their
 # feasibility temporaries, traced by tracemalloc over whole chunks, took 18
@@ -351,33 +354,12 @@ def _multiples(xs: Sequence[Fraction], m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _monotone_closure_holds(grid: CandidateGrid) -> bool:
-    """Grids closed under lowering a price to a superset bundle's price."""
-    order = all_bundles(grid.n)
+    """Grids closed under lowering a price to a superset bundle's price: for
+    each monotonicity term (j, -1, i, -1), bundle i within bundle j, every
+    candidate of j up to the top candidate of i is a candidate of i."""
     sets = [set(ps) for ps in grid.prices]
-    for i, s in enumerate(order):
-        cap = max(grid.prices[i])
-        ss = set(s)
-        for j, t in enumerate(order):
-            if ss < set(t):
-                if any(p <= cap and p not in sets[i] for p in grid.prices[j]):
-                    return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _lattice_terms(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], ...], ...]:
-    """(monotonicity terms, submodularity terms): index quadruples (a, b, c, d)
-    for p[a] + p[b] >= p[c] + p[d], where -1 is the empty bundle, of price 0."""
-    order = all_bundles(n)
-    index = {b: i for i, b in enumerate(order)} | {(): -1}
-    monotone, submodular = [], []
-    for i, j in combinations(range(len(order)), 2):
-        s, t = set(order[i]), set(order[j])
-        if s < t:
-            monotone.append((j, -1, i, -1))
-        else:
-            submodular.append((i, j, index[tuple(sorted(s & t))], index[tuple(sorted(s | t))]))
-    return tuple(monotone), tuple(submodular)
+    return all(p > grid.prices[i][-1] or p in sets[i]
+               for j, _, i, _ in _lattice_terms(grid.n)[0] for p in grid.prices[j])
 
 
 @dataclass(frozen=True)
@@ -648,20 +630,8 @@ def _slab_bounds(inst: _Instance, layout: _Layout, fixed_key: np.ndarray) -> np.
 
 
 def _exact_scores(inst: _Instance, pay: np.ndarray) -> np.ndarray:
-    """Exact sum over t of pay[r, t] * w_t, as Python ints, for each row r.
-    Each row's weights are summed per distinct payment first, so a payment
-    shared by many types costs one multiplication."""
-    width = pay.shape[1]
-    order = np.argsort(pay, axis=1)
-    pay = np.take_along_axis(pay, order, axis=1).ravel()
-    weights = inst.exact_weights[order].ravel()
-    new = np.empty(pay.size, dtype=bool)
-    new[0] = True
-    np.not_equal(pay[1:], pay[:-1], out=new[1:])
-    new[::width] = True  # every row starts a run
-    starts = np.flatnonzero(new)
-    sums = np.add.reduceat(weights, starts) * pay[starts].astype(object)
-    return np.add.reduceat(sums, np.searchsorted(starts, np.arange(0, pay.size, width)))
+    """Exact sum over t of pay[r, t] * w_t, as Python ints, for each row r."""
+    return pay.astype(object) @ inst.exact_weights
 
 
 class _StageClock:
@@ -688,6 +658,7 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
     clock = _StageClock()  # scaling the instance is charged to "evaluate"
     inst = _Instance(dist, grid)
     prune = _monotone_closure_holds(grid)
+    # own frame: its key tables are freed before the check (inlined, er-gap RSS read 61 MiB, not 56)
     best_menu, best_rev, examined, rescored, skipped = _search_vectorized(
         inst, constraint, prune, clock)
     if best_menu is None:

@@ -10,7 +10,7 @@ import reference
 from menurev import Menu, all_bundles, continuous
 from menurev.instances import load_distribution, load_menu
 from menurev.lp import _MAX_PIVOTS, LPError
-from menurev.model import SingleItemDistribution, is_monotone_menu
+from menurev.model import SingleItemDistribution
 from menurev.rational import over_common_denominator
 
 
@@ -46,6 +46,11 @@ def oracle_search(dist, constraint, grid, monotone=False):
     additive and bundle-only keep only bundle-monotone menus, the menus a
     pruned search counts."""
     order = all_bundles(dist.n)
+
+    def bundle_monotone(prices):
+        table = dict(zip(order, prices))
+        return all(table[s] <= table[t] for s in order for t in order if set(s) < set(t))
+
     if constraint == "additive":
         candidates = (
             tuple(sum((combo[i - 1] for i in b), Fraction(0)) for b in order)
@@ -54,7 +59,7 @@ def oracle_search(dist, constraint, grid, monotone=False):
         candidates = (tuple(q for _ in order) for q in grid.prices[-1])
     else:
         candidates = (p for p in iproduct(*grid.prices)
-                      if (not monotone or is_monotone_menu(Menu(dist.n, p)))
+                      if (not monotone or bundle_monotone(p))
                       and reference.in_class(dict(zip(order, p)), constraint))
     best_menu = best_rev = None
     examined = 0

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from menurev import (
     Menu,
     all_bundles,
@@ -20,11 +21,7 @@ from menurev import (
     uniform,
 )
 from menurev.instances import random_single_item
-from menurev.model import (
-    JointDistribution,
-    SingleItemDistribution,
-    is_monotone_menu,
-)
+from menurev.model import JointDistribution, SingleItemDistribution
 from menurev.rational import ParseError
 
 prices2 = st.lists(st.fractions(0, 20, max_denominator=4), min_size=3, max_size=3)
@@ -57,6 +54,37 @@ def test_submodular_examples():
     # p({1,2}) + p({1,3}) = 14 < p({1}) + p({1,2,3}) = 15
     assert not is_submodular(Menu.from_sequence(3, (6, 6, 6, 7, 7, 8, 9)))
     assert is_submodular(menu2(2, 3, 5))
+
+
+def _tie_heavy_menu(rng, n):
+    """Prices in 0..6: any prices, one price per size, or a budget-additive
+    (hence submodular) menu; half of them with one price moved by 1."""
+    order = all_bundles(n)
+    kind = rng.randrange(3)
+    if kind == 0:
+        prices = [rng.randint(0, 6) for _ in order]
+    elif kind == 1:
+        by_size = [rng.randint(0, 6) for _ in range(n + 1)]
+        prices = [by_size[len(b)] for b in order]
+    else:
+        weights, cap = [rng.randint(0, 3) for _ in range(n)], rng.randint(0, 6)
+        prices = [min(cap, sum(weights[i - 1] for i in b)) for b in order]
+    if rng.random() < 0.5:
+        k = rng.randrange(len(prices))
+        prices[k] = min(6, max(0, prices[k] + rng.choice((-1, 1))))
+    return Menu.from_sequence(n, prices)
+
+
+def test_class_predicates_match_reference():
+    rng = random.Random(20261019)
+    seen = {"submodular": [0, 0], "symmetric": [0, 0]}
+    for _ in range(1500):
+        m = _tie_heavy_menu(rng, rng.randint(1, 4))
+        for cls, pred in (("submodular", is_submodular), ("symmetric", is_symmetric_menu)):
+            got = pred(m)
+            assert got == reference.in_class(m.as_dict(), cls), (cls, m)
+            seen[cls][got] += 1
+    assert all(min(counts) >= 50 for counts in seen.values()), seen
 
 
 def test_symmetric_examples():
@@ -189,11 +217,6 @@ def test_distribution_validation():
         SingleItemDistribution.from_pairs([(1, F(0)), (2, F(1))])
     with pytest.raises(ValueError, match="nonnegative"):
         SingleItemDistribution.from_pairs([(-1, F(1))])
-
-
-def test_menu_helpers():
-    assert is_monotone_menu(menu2(2, 3, 5))
-    assert not is_monotone_menu(menu2(5, 1, 3))
 
 
 def test_point_mass_and_tail():

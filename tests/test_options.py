@@ -40,7 +40,6 @@ CALLERS = {
     "expected_revenues": "constructions",
     "false_name_utility": "reproduce example-7, its two-pick row",
     "gap_report": "the grid-search workload",
-    "is_monotone_menu": "oracle of the differential tests (conftest.oracle_search)",
     "is_submodular": "reproduce",
     "is_symmetric_menu": "reproduce",
     "lp_optimal": "reproduce example-7, the lottery-lp workload",

@@ -17,7 +17,8 @@ BENCH = str(Path(reference.__file__).resolve().parent)
 
 # `menurev.__all__` as it stood when `import menurev` imported every submodule,
 # less `buyer_choice` and `BuyerOutcome`: the Fraction reference evaluator is
-# `reference.choice` in benchmark/, outside the package
+# `reference.choice` in benchmark/, outside the package; and less the
+# bundle-monotone menu predicate, which had no caller outside the tests
 PUBLIC = [
     "COMBINATION_RULES", "CandidateGrid", "CertificateError", "ConstructionCertificate",
     "DirectMechanism", "ERGapReport", "GapReport", "JointDistribution", "LPOutcome",
@@ -26,7 +27,7 @@ PUBLIC = [
     "all_bundles", "best_false_name_deviation", "buyer", "candidate_grid",
     "check_monotone", "constructions", "continuous", "er_cap_sweep", "er_discretize",
     "expected_revenue", "expected_revenues", "false_name_utility", "gap_report",
-    "is_monotone_menu", "is_submodular", "is_symmetric_menu", "lp", "lp_optimal", "menu2",
+    "is_submodular", "is_symmetric_menu", "lp", "lp_optimal", "menu2",
     "menu_expected_payment", "model", "monotonicity_grid", "normalize", "numeric_gap_er",
     "parse_distribution", "parse_menu", "point_mass", "product", "randomized", "rational",
     "rchoice", "region_partition_2", "regions", "render_ascii", "render_svg", "revenue_at",

@@ -192,6 +192,39 @@ def test_pruning_matches_oracle_on_integer_grids():
         checked += 1
 
 
+def _closed_under_monotonization(grid):
+    """Plain loop: for every bundle S within bundle T, each candidate of T up
+    to the top candidate of S is a candidate of S."""
+    order = all_bundles(grid.n)
+    return all(p > max(grid.prices[i]) or p in grid.prices[i]
+               for i, s in enumerate(order) for j, t in enumerate(order)
+               if set(s) < set(t) for p in grid.prices[j])
+
+
+def test_monotone_closure_rule_matches_subset_loop():
+    # integer ranges are closed; a range less one candidate, or a few random
+    # halves, may or may not be
+    rng = random.Random(4711)
+    halves = [F(k, 2) for k in range(13)]
+    seen = [0, 0]
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        kind = rng.randrange(3)
+        sets = [sorted(rng.sample(halves, rng.randint(1, 4))) if kind == 2
+                else list(map(F, range(rng.randint(1, 7)))) for _ in all_bundles(n)]
+        if kind == 1:
+            ps = rng.choice(sets)
+            if len(ps) > 1:
+                ps.pop(rng.randrange(len(ps)))
+        grid = CandidateGrid(n, "explicit", tuple(map(tuple, sets)))
+        want = _closed_under_monotonization(grid)
+        assert search._monotone_closure_holds(grid) == want, grid.prices
+        dist = product([uniform([1, 2])] * n)
+        assert search_optimal(dist, "bundle-only", grid).pruned == want, grid.prices
+        seen[want] += 1
+    assert min(seen) >= 50, seen
+
+
 def test_constraint_monotonicity_chain(rng):
     for _ in range(12):
         parts = [random_single_item(rng, max_atoms=3, max_value=8) for _ in range(2)]
