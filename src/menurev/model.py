@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .rational import ParseError, RationalLike, parse_nonnegative, parse_rational
 
@@ -168,18 +168,6 @@ class JointDistribution:
     def support_values(self, item: int) -> Tuple[Fraction, ...]:
         return self.marginal(item).support
 
-    def is_symmetric(self) -> bool:
-        """True iff the distribution is invariant under swapping any two items."""
-        atom_set = set(self.atoms)
-        for v, p in self.atoms:
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    w = list(v)
-                    w[i], w[j] = w[j], w[i]
-                    if (tuple(w), p) not in atom_set:
-                        return False
-        return True
-
 
 def _canonical_atoms(d: SingleItemDistribution, where: str) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """The atoms of `d` in canonical form, checked as `from_pairs` checks its
@@ -278,26 +266,32 @@ def menu2(a: RationalLike, b: RationalLike, c: RationalLike) -> Menu:
     return Menu.from_sequence(2, (a, b, c))
 
 
-@lru_cache(maxsize=None)
-def _lattice_terms(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], ...], ...]:
-    """(monotonicity terms, submodularity terms): index quadruples (a, b, c, d)
-    for p[a] + p[b] >= p[c] + p[d], where -1 is the empty bundle, of price 0."""
+def _lattice_pairs(n: int) -> Iterator[Tuple[int, int, int, int]]:
+    """One term (a, b, c, d), for p[a] + p[b] >= p[c] + p[d] with -1 the empty
+    bundle of price 0, per pair of bundles i < j: monotonicity (j, -1, i, -1),
+    the only terms with b = -1, when bundle i lies within bundle j, else
+    submodularity (i, j, i & j, i | j). There are B^2 / 2 for B bundles; none is kept."""
     order = all_bundles(n)
     index = {b: i for i, b in enumerate(order)} | {(): -1}
-    monotone, submodular = [], []
     for i, j in combinations(range(len(order)), 2):
         s, t = set(order[i]), set(order[j])
         if s < t:
-            monotone.append((j, -1, i, -1))
+            yield j, -1, i, -1
         else:
-            submodular.append((i, j, index[tuple(sorted(s & t))], index[tuple(sorted(s | t))]))
-    return tuple(monotone), tuple(submodular)
+            yield i, j, index[tuple(sorted(s & t))], index[tuple(sorted(s | t))]
+
+
+@lru_cache(maxsize=None)
+def _lattice_terms(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], ...], ...]:
+    """(monotonicity terms, submodularity terms) of `_lattice_pairs`, cached for the search."""
+    terms = tuple(_lattice_pairs(n))
+    return tuple(t for t in terms if t[1] < 0), tuple(t for t in terms if t[1] >= 0)
 
 
 def is_submodular(m: Menu) -> bool:
     """p(S) + p(T) >= p(S & T) + p(S | T) for all bundle pairs, with p(empty) = 0."""
     p = (*m.prices, 0)
-    return all(p[a] + p[b] >= p[c] + p[d] for a, b, c, d in _lattice_terms(m.n)[1])
+    return all(p[a] + p[b] >= p[c] + p[d] for a, b, c, d in _lattice_pairs(m.n) if b >= 0)
 
 
 def is_symmetric_menu(m: Menu) -> bool:

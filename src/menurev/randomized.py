@@ -207,33 +207,31 @@ class ICIRReport:
     violations: Tuple[str, ...]
 
 
-def verify_ic_ir(d: DirectMechanism, dist: JointDistribution,
-                 tol: Fraction = Fraction(0)) -> ICIRReport:
+def verify_ic_ir(d: DirectMechanism, dist: JointDistribution) -> ICIRReport:
     """Check all pairwise truthfulness constraints and per-type rationality.
 
-    The values, allocations, payments and `tol` are scaled by L, the lcm of
-    their denominators, so type t reporting s has the integer utility
+    The values, allocations and payments are scaled by L, the lcm of their
+    denominators, so type t reporting s has the integer utility
     L^2 * (v_t . x_s - p_s); Fractions are built only for the messages.
     """
     types = [v for v, _ in dist.atoms]
     if len(types) != len(d.payments):
         raise ValueError("mechanism does not cover every type")
     scale, scaled = over_common_denominator(chain(
-        chain.from_iterable(types), chain.from_iterable(d.allocations), d.payments, (tol,)))
+        chain.from_iterable(types), chain.from_iterable(d.allocations), d.payments))
     it = iter(scaled)
     values = [tuple(islice(it, len(v))) for v in types]
     allocations = [tuple(islice(it, len(x))) for x in d.allocations]
     payments = [p * scale for p in islice(it, len(d.payments))]
-    slack = next(it) * scale
     square = scale * scale
     viol: List[str] = []
     for t, v in enumerate(values):
         utility = [sum(map(mul, v, x)) - p for x, p in zip(allocations, payments)]
         own = utility[t]
-        if own < -slack:
+        if own < 0:
             viol.append(f"IR: type {t} has utility {Fraction(own, square)}")
         for s, other in enumerate(utility):
-            if s != t and own < other - slack:
+            if s != t and own < other:
                 viol.append(f"IC: type {t} prefers report {s} "
                             f"({Fraction(own, square)} < {Fraction(other, square)})")
     return ICIRReport(not viol, tuple(viol))

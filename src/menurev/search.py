@@ -19,18 +19,18 @@ into blocks, whose singleton prices (every price, for additive menus) are
 fixed and generated lazily, over a mesh with one axis per other bundle (per
 bundle size, for symmetric menus), and lists the feasibility terms
 p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity, read from
-`model._lattice_terms`, the one source of the terms that prune the search and
-that `model.is_submodular` tests. The head mesh is the mesh without its last
-axis, which is the grand bundle in every layout that has terms; a cell of it
-is a head row of J menus, one per last-axis candidate. Every term is linear in
-the last-axis price, so the feasible menus of a head row are the candidates in
-one range [lo, hi), and `examined` is the sum of hi - lo
-(`_enumerate_blocks`). The menus of a head row are scored in closed form from
-key tables built once per search (`_mesh_scores`). The caller masks the cells
-outside [lo, hi) and in skipped slabs and takes the first maximum of the
-(head rows x J) score matrix, which is the chunk's lexicographically smallest
-best menu. Additive blocks, which have no mesh, and the exact rescoring take
-the payments key mod K directly.
+`model._lattice_terms`, which caches the terms of `model._lattice_pairs`, the
+one source of those that prune the search and that `model.is_submodular` tests.
+The head mesh is the mesh without its last axis, which is the grand bundle in
+every layout that has terms; a cell of it is a head row of J menus, one per
+last-axis candidate. Every term is linear in the last-axis price, so the
+feasible menus of a head row are the candidates in one range [lo, hi), and
+`examined` is the sum of hi - lo (`_enumerate_blocks`). The menus of a head
+row are scored in closed form from key tables built once per search
+(`_mesh_scores`). The caller masks the cells outside [lo, hi) and in skipped
+slabs and takes the first maximum of the (head rows x J) score matrix, which
+is the chunk's lexicographically smallest best menu. Additive blocks, which
+have no mesh, and the exact rescoring take the payments key mod K directly.
 
 Blocks that fix singleton prices over a mesh are searched by branch and bound
 on every path: `_slab_bounds` bounds the score of every menu of a slab of the
@@ -129,6 +129,10 @@ _RESCORE_CELL_BYTES = 160
 # so a chunk takes a few MiB; larger chunks ran no faster.
 _HEAD_CHUNK = 1 << 17
 _ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
+# blocks of a bound-ordered search (two or more items), all listed with their
+# bounds before any is scored: 501,501 blocks of a 2-item search raised peak
+# RSS by 175 MiB, about 365 bytes per block, so the budget holds about 365 MiB
+_BLOCKS_BUDGET = 1 << 20
 
 
 class SearchError(ValueError):
@@ -213,8 +217,6 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
             if cap is not None:
                 ps = [p for p in ps if p <= cap] or [Fraction(0)]
             sets.append(tuple(ps))
-    else:
-        raise SearchError(f"unknown grid mode {mode!r}")
     return CandidateGrid(dist.n, mode, tuple(sets))
 
 
@@ -447,6 +449,10 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
         fixed, groups, axes, terms = (), [every], [grids[-1]], ()
         blocks = iter([()])
     elif constraint in ("unrestricted", "submodular"):
+        count = (math.comb(len(singles[0]) + n - 1, n) if ascending
+                 else math.prod(map(len, singles)))
+        if n > 1 and count > _BLOCKS_BUDGET:
+            raise SearchError("candidate grid too large; supply a smaller explicit grid")
         fixed, groups, axes = every[:n], [(i,) for i in every[n:]], grids[n:]
         blocks = combos
     else:
@@ -799,16 +805,6 @@ _GAP_CONSTRAINT = {
 class GapReport:
     results: Dict[str, SearchResult]
     ratios: Dict[str, Fraction]
-
-    def to_json_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for name in GAP_FIELDS:
-            out[name] = self.results[name].to_json_dict()
-        out["ratios"] = {
-            key: {"exact": format_rational(q), "decimal": decimal_with_flag(q)}
-            for key, q in sorted(self.ratios.items())
-        }
-        return out
 
 
 def gap_report(dist: JointDistribution, grid: CandidateGrid) -> GapReport:

@@ -111,7 +111,7 @@ def _falsify(monkeypatch, edit):
     # the original menu earns more than every candidate
     (lambda: symmetrize2(menu2(1, 4, 5), uniform([1, 5])),
      lambda menus, revs: [revs[0] + 100] + revs[1:],
-     r"symmetrized candidates earn .* < original menu revenue"),
+     r"branch 'c>2a-high': no candidate beats input"),
 ], ids=["require_each", "averaging-identity", "c>2a-sum", "chain"])
 def test_certificate_checks_fire_on_falsified_revenues(monkeypatch, build, edit, message):
     build()  # the true revenues certify
@@ -189,14 +189,6 @@ def test_reflection_identity_for_iid_products(rng):
         assert sales[(1,)] == mirrored[(2,)]
         assert sales[(2,)] == mirrored[(1,)]
         assert sales[(1, 2)] == mirrored[(1, 2)]
-
-
-def test_certificate_serialization(example5):
-    cert = submodularize2(menu2(1, 1, 3), uniform([1, 3]), uniform([1, 3]))
-    doc = cert.to_json_dict()
-    assert doc["branch"] == "item-prices"
-    assert doc["best"] == ["1", "1", "2"]
-    assert doc["margin"] == "1/2"
 
 
 def _certificate_fields(cert):

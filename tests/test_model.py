@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from menurev import (
     uniform,
 )
 from menurev.instances import random_single_item
+from menurev import model
 from menurev.model import JointDistribution, SingleItemDistribution
 from menurev.rational import ParseError
 
@@ -85,6 +87,21 @@ def test_class_predicates_match_reference():
             assert got == reference.in_class(m.as_dict(), cls), (cls, m)
             seen[cls][got] += 1
     assert all(min(counts) >= 50 for counts in seen.values()), seen
+
+
+def test_is_submodular_stops_at_the_first_violation():
+    # 16 items have 65,535 bundles and about 2.1 * 10^9 bundle pairs; the
+    # first pair, {1} and {2}, fails, so the walk stops there and caches
+    # no lattice
+    n = 16
+    prices = [F(1)] * ((1 << n) - 1)
+    prices[all_bundles(n).index((1, 2))] = F(3)
+    m = Menu(n, tuple(prices))
+    cached = model._lattice_terms.cache_info().currsize
+    t0 = time.perf_counter()
+    assert not is_submodular(m)
+    assert time.perf_counter() - t0 < 1
+    assert model._lattice_terms.cache_info().currsize == cached
 
 
 def test_symmetric_examples():
@@ -202,12 +219,6 @@ def test_from_pairs_merges_one_shared_fraction():
     assert joint.atoms == (((F(1), F(2)), F(3, 4)), ((F(3), F(4)), F(1, 4)))
     with pytest.raises(ValueError, match="mass 5/4"):
         JointDistribution.from_pairs(2, [(v, p) for v in vs + [(5, 6)]])
-
-
-def test_joint_is_symmetric(example6):
-    assert example6.is_symmetric()
-    skew = product([uniform([1, 2]), uniform([1, 3])])
-    assert not skew.is_symmetric()
 
 
 def test_distribution_validation():

@@ -23,7 +23,6 @@ OPTIONS = {
     "monotonicity_grid.support": "the differential tests: it changes what is checked",
     "numeric_gap_er.include_drev": "er_cap_sweep",
     "numeric_gap_er.params": "reproduce._er_gap, er_cap_sweep",
-    "verify_ic_ir.tol": "the differential tests: it changes what is checked",
 }
 
 # Every public function, with a caller outside the tests: a command, a
@@ -67,6 +66,38 @@ CALLERS = {
     "verify_ic_ir": "lp_optimal",
 }
 
+# Every public method and property of the public classes, leaving out
+# exceptions and dataclass fields, with a caller outside the tests. A new
+# method names its caller here.
+METHODS = {
+    "ConstructionCertificate.margin": "reproduce, its worst-margin rows",
+    "DirectMechanism.expected_revenue": "menu_expected_payment, lp_optimal",
+    "ERGapReport.brev_over_srev": "reproduce er-gap",
+    "ERGapReport.drev": "reproduce er-gap",
+    "ERGapReport.drev_over_srev": "ROADMAP item 1: the ER report's trace record",
+    "ERGapReport.to_json_dict": "ROADMAP item 1: the ER report's trace record",
+    "JointDistribution.from_pairs": "serialize.parse_distribution",
+    "JointDistribution.marginal": "JointDistribution.support_values",
+    "JointDistribution.support_values": "candidate_grid",
+    "Menu.a": "constructions.symmetrize2, model.is_normalized2",
+    "Menu.as_dict": "regions, the benchmark reference",
+    "Menu.b": "constructions.symmetrize2, model.is_normalized2",
+    "Menu.c": "constructions.symmetrize2, model.is_normalized2",
+    "Menu.from_sequence": "menu2, reproduce",
+    "Menu.price": "menurev eval",
+    "Menu.swap2": "constructions",
+    "MonotonicityReport.ok": "reproduce, the exact-audit workload",
+    "RandomizedMenu.from_entries": "serialize",
+    "RegionPartition2.polygons": "render_svg",
+    "RegionPartition2.region_of": "the exact-audit workload",
+    "RegionPartition2.regions_of": "verify_against_buyer, render_ascii",
+    "SearchResult.to_json_dict": "menurev search --format json",
+    "SingleItemDistribution.from_pairs": "serialize, uniform, point_mass, product",
+    "SingleItemDistribution.prob_in": "constructions",
+    "SingleItemDistribution.support": "JointDistribution.support_values, continuous",
+    "SingleItemDistribution.tail": "constructions",
+}
+
 
 def _defaulted(obj):
     try:
@@ -92,3 +123,17 @@ def test_every_function_is_listed():
     found = {name for name in menurev.__all__
              if callable(getattr(menurev, name)) and not isinstance(getattr(menurev, name), type)}
     assert found == set(CALLERS)
+
+
+def test_every_method_is_listed():
+    found = set()
+    for name in menurev.__all__:
+        cls = getattr(menurev, name)
+        if not isinstance(cls, type) or issubclass(cls, BaseException):
+            continue
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        found |= {f"{name}.{attr}" for attr, member in vars(cls).items()
+                  if not attr.startswith("_") and attr not in fields
+                  and (inspect.isfunction(member)
+                       or isinstance(member, (property, classmethod, staticmethod)))}
+    assert found == set(METHODS)

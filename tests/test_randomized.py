@@ -279,20 +279,20 @@ def test_verify_ic_ir_catches_full_surplus_extraction():
     assert any("IC" in v for v in report.violations)
 
 
-def _icir_oracle(d, dist, tol):
+def _icir_oracle(d, dist):
     """Every IC/IR constraint checked in Fractions, one utility at a time."""
     types = [v for v, _ in dist.atoms]
     viol = []
     utility = [sum((x * q for x, q in zip(v, d.allocations[t])), F(0)) - d.payments[t]
                for t, v in enumerate(types)]
     for t, v in enumerate(types):
-        if utility[t] < -tol:
+        if utility[t] < 0:
             viol.append(f"IR: type {t} has utility {utility[t]}")
         for s in range(len(types)):
             if s == t:
                 continue
             other = sum((x * q for x, q in zip(v, d.allocations[s])), F(0)) - d.payments[s]
-            if utility[t] < other - tol:
+            if utility[t] < other:
                 viol.append(f"IC: type {t} prefers report {s} ({utility[t]} < {other})")
     return not viol, tuple(viol)
 
@@ -322,15 +322,13 @@ def _random_mechanisms(rng):
 
 def test_verify_ic_ir_matches_fraction_loop():
     rng = random.Random(45)
-    seen = {"ok": 0, "IR": 0, "IC": 0, "within tol": 0}
+    seen = {"ok": 0, "IR": 0, "IC": 0}
     for mech, dist in _random_mechanisms(rng):
-        for tol in (F(0), F(1, 3), F(5, 2)):
-            report = verify_ic_ir(mech, dist, tol)
-            assert (report.ok, report.violations) == _icir_oracle(mech, dist, tol)
-            seen["ok"] += report.ok
-            for kind in ("IR", "IC"):
-                seen[kind] += any(v.startswith(kind) for v in report.violations)
-            seen["within tol"] += report.ok and not verify_ic_ir(mech, dist).ok
+        report = verify_ic_ir(mech, dist)
+        assert (report.ok, report.violations) == _icir_oracle(mech, dist)
+        seen["ok"] += report.ok
+        for kind in ("IR", "IC"):
+            seen[kind] += any(v.startswith(kind) for v in report.violations)
     assert min(seen.values()) >= 10, seen
 
 
