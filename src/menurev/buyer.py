@@ -36,7 +36,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -46,6 +45,7 @@ from .model import (
     JointDistribution,
     Menu,
     Valuation,
+    _bundle_masks,
     all_bundles,
 )
 from .rational import RationalLike, over_common_denominator, parse_nonnegative
@@ -90,12 +90,6 @@ def _coordinate_columns(n: int, points: Sequence[Valuation]) -> List[Sequence]:
     return [tuple(map(Fraction, column)) for column in columns]
 
 
-@lru_cache(maxsize=None)
-def _bundle_masks(n: int) -> Tuple[Tuple[int, int], ...]:
-    """(item bit mask, size) of each bundle, in canonical order."""
-    return tuple((sum(1 << (i - 1) for i in b), len(b)) for b in all_bundles(n))
-
-
 def _scaled(n: int, points: Sequence[Valuation],
             prices: Sequence[Fraction]) -> Tuple[int, List[List[int]], List[int]]:
     """L, the lcm of the denominators of every coordinate and price; L times
@@ -123,17 +117,17 @@ def _choose(n: int, prices: Sequence[int], values: List[List[int]], unit: int) -
     bundle) wins, so the largest key names the choice.
     """
     options_count = 1 << n
-    sizes = n + 1
     sums: Dict[int, List[int]] = {}  # bundle mask -> unit times each point's bundle value
     best = repeat(options_count - 1)  # the key of option 0
-    for k, (mask, size) in enumerate(_bundle_masks(n), start=1):
+    for k, mask in enumerate(_bundle_masks(n), start=1):
         low = mask & -mask
         column = values[low.bit_length() - 1]
         if mask != low:
             column = [a + b for a, b in zip(sums[mask ^ low], column)]
         sums[mask] = column
         price = prices[k]
-        offset = (price * sizes + size) * options_count + options_count - 1 - k - price * unit
+        offset = ((price * (n + 1) + mask.bit_count()) * options_count
+                  + options_count - 1 - k - price * unit)
         best = list(map(max, best, [s + offset for s in column]))
     return [~key & (options_count - 1) for key in best]
 
@@ -306,7 +300,6 @@ def monotonicity_grid(m: Menu,
         for i, values in enumerate(support):
             axes[i] |= {parse_nonnegative(x, f"support[{i}][{k}]")
                         for k, x in enumerate(values)}
-    grid_points: List[Valuation] = []
     per_axis: List[List[Fraction]] = []
     for axis in axes:
         coords = sorted(x for x in axis if x >= 0)
@@ -319,7 +312,4 @@ def monotonicity_grid(m: Menu,
                 expanded.add(x - delta)
         expanded.add(max(coords) + 1 if coords else Fraction(1))
         per_axis.append(sorted(expanded))
-    for x in per_axis[0]:
-        for y in per_axis[1]:
-            grid_points.append((x, y))
-    return grid_points
+    return [(x, y) for x in per_axis[0] for y in per_axis[1]]

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .rational import ParseError, RationalLike, parse_nonnegative, parse_rational
@@ -28,6 +27,12 @@ def all_bundles(n: int) -> Tuple[Bundle, ...]:
     out = [tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks]
     out.sort(key=lambda b: (len(b), b))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _bundle_masks(n: int) -> Tuple[int, ...]:
+    """The item bit mask (bit i - 1 for item i) of each bundle of `all_bundles(n)`."""
+    return tuple(sum(1 << (i - 1) for i in b) for b in all_bundles(n))
 
 
 def as_bundle(items: Iterable[int], n: int) -> Bundle:
@@ -266,41 +271,44 @@ def menu2(a: RationalLike, b: RationalLike, c: RationalLike) -> Menu:
     return Menu.from_sequence(2, (a, b, c))
 
 
-def _lattice_pairs(n: int) -> Iterator[Tuple[int, int, int, int]]:
-    """One term (a, b, c, d), for p[a] + p[b] >= p[c] + p[d] with -1 the empty
-    bundle of price 0, per pair of bundles i < j: monotonicity (j, -1, i, -1),
-    the only terms with b = -1, when bundle i lies within bundle j, else
-    submodularity (i, j, i & j, i | j). There are B^2 / 2 for B bundles; none is kept."""
-    order = all_bundles(n)
-    index = {b: i for i, b in enumerate(order)} | {(): -1}
-    for i, j in combinations(range(len(order)), 2):
-        s, t = set(order[i]), set(order[j])
-        if s < t:
-            yield j, -1, i, -1
-        else:
-            yield i, j, index[tuple(sorted(s & t))], index[tuple(sorted(s | t))]
+def _lattice_steps(n: int) -> Iterator[Tuple[int, int, int, int]]:
+    """Terms (a, b, c, d) for p[a] + p[b] >= p[c] + p[d], bundles by canonical
+    index, -1 the empty one of price 0: per set S and item i outside it,
+    monotonicity (S+i, -1, S, -1) if S is nonempty, the only terms with b = -1,
+    and per j > i outside S, submodularity (S+i, S+j, S, S+i+j). With p(empty) = 0
+    these one-element steps admit exactly the prices all bundle pairs admit
+    (Fujishige 2005; Schrijver 2003, Thm 44.1; monotonicity by transitivity)
+    in n * 2^(n-1) - n + C(n, 2) * 2^(n-2) terms, not B^2 / 2; none is kept."""
+    index = {m: k for k, m in enumerate(_bundle_masks(n))} | {0: -1}
+    for s in range(1 << n):
+        outside = [1 << i for i in range(n) if not s >> i & 1]
+        for k, i in enumerate(outside):
+            if s:
+                yield index[s | i], -1, index[s], -1
+            for j in outside[k + 1:]:
+                yield index[s | i], index[s | j], index[s], index[s | i | j]
 
 
 @lru_cache(maxsize=None)
 def _lattice_terms(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], ...], ...]:
-    """(monotonicity terms, submodularity terms) of `_lattice_pairs`, cached for the search."""
-    terms = tuple(_lattice_pairs(n))
+    """(monotonicity terms, submodularity terms) of `_lattice_steps`, cached for
+    the search's pruning; its grid closure test reads none, as a grid closed
+    along every step need not be closed along every bundle pair."""
+    terms = tuple(_lattice_steps(n))
     return tuple(t for t in terms if t[1] < 0), tuple(t for t in terms if t[1] >= 0)
 
 
 def is_submodular(m: Menu) -> bool:
-    """p(S) + p(T) >= p(S & T) + p(S | T) for all bundle pairs, with p(empty) = 0."""
+    """p(S) + p(T) >= p(S & T) + p(S | T) for all bundles, with p(empty) = 0,
+    tested on the equivalent one-element steps p(S+i) + p(S+j) >= p(S) + p(S+i+j)
+    of `_lattice_steps`, up to the first that fails; nothing is cached."""
     p = (*m.prices, 0)
-    return all(p[a] + p[b] >= p[c] + p[d] for a, b, c, d in _lattice_pairs(m.n) if b >= 0)
+    return all(p[a] + p[b] >= p[c] + p[d] for a, b, c, d in _lattice_steps(m.n) if b >= 0)
 
 
 def is_symmetric_menu(m: Menu) -> bool:
     """True iff the price depends only on bundle cardinality."""
-    by_size: Dict[int, Fraction] = {}
-    for b, p in zip(all_bundles(m.n), m.prices):
-        if by_size.setdefault(len(b), p) != p:
-            return False
-    return True
+    return len({(len(b), p) for b, p in zip(all_bundles(m.n), m.prices)}) == m.n
 
 
 def normalize(m: Menu) -> Menu:

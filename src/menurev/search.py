@@ -18,9 +18,9 @@ key mod K. `_layout` is the only reader of the constraint. It splits the menus
 into blocks, whose singleton prices (every price, for additive menus) are
 fixed and generated lazily, over a mesh with one axis per other bundle (per
 bundle size, for symmetric menus), and lists the feasibility terms
-p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity, read from
-`model._lattice_terms`, which caches the terms of `model._lattice_pairs`, the
-one source of those that prune the search and that `model.is_submodular` tests.
+p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity: the
+one-element steps `model._lattice_terms` caches, which admit the menus all
+bundle pairs admit and which `model.is_submodular` also walks.
 The head mesh is the mesh without its last axis, which is the grand bundle in
 every layout that has terms; a cell of it is a head row of J menus, one per
 last-axis candidate. Every term is linear in the last-axis price, so the
@@ -65,7 +65,8 @@ asymmetric menu with ascending single prices.
 
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
 candidate grids are closed under price monotonization, which holds for integer
-grids; otherwise pruning is skipped so no grid optimum can be lost.
+grids; otherwise pruning is skipped so no grid optimum can be lost. Closure
+is tested over all bundle pairs: closure along each step does not imply it.
 """
 from __future__ import annotations
 
@@ -84,10 +85,10 @@ from .buyer import expected_revenue
 from .model import (
     JointDistribution,
     Menu,
+    _bundle_masks,
     _lattice_terms,
     all_bundles,
     bundle_table,
-    bundle_value,
 )
 from .rational import RationalLike, decimal_with_flag, format_rational, parse_nonnegative
 
@@ -129,7 +130,7 @@ _RESCORE_CELL_BYTES = 160
 # so a chunk takes a few MiB; larger chunks ran no faster.
 _HEAD_CHUNK = 1 << 17
 _ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
-# blocks of a bound-ordered search (two or more items), all listed with their
+# blocks of one search, each scored in its own pass or all listed with their
 # bounds before any is scored: 501,501 blocks of a 2-item search raised peak
 # RSS by 175 MiB, about 365 bytes per block, so the budget holds about 365 MiB
 _BLOCKS_BUDGET = 1 << 20
@@ -182,10 +183,9 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
                 if v.denominator != 1:
                     raise SearchError(f"integer-grid requested but item {i + 1} has "
                                       f"non-integer support value {v}")
-        tops: Dict[int, Fraction] = {}
-        for bundle in order:
-            top = max(bundle_value(v, bundle) for v, _ in dist.atoms)
-            tops[len(bundle)] = max(tops.get(len(bundle), top), top)
+        # the top value of a size-k bundle is the sum of the k largest values
+        tops = {k: max(sum(sorted(v)[dist.n - k:]) for v, _ in dist.atoms)
+                for k in range(1, dist.n + 1)}
         for bundle in order:
             hi = int(tops[len(bundle)])
             if cap is not None:
@@ -236,13 +236,12 @@ class SearchResult:
     exchangeable: bool  # items interchangeable: only ascending single prices searched
 
     def to_json_dict(self) -> Dict[str, object]:
-        dec = decimal_with_flag(self.revenue)
         return {
             "constraint": self.constraint,
             "grid": self.grid_mode,
             "menu": [format_rational(p) for p in self.best.prices],
             "revenue": format_rational(self.revenue),
-            "revenue_decimal": dec,
+            "revenue_decimal": decimal_with_flag(self.revenue),
             "menus_examined": self.examined,
             "pruned": self.pruned,
             "path": self.path,
@@ -357,11 +356,17 @@ def _multiples(xs: Sequence[Fraction], m: int) -> np.ndarray:
 
 def _monotone_closure_holds(grid: CandidateGrid) -> bool:
     """Grids closed under lowering a price to a superset bundle's price: for
-    each monotonicity term (j, -1, i, -1), bundle i within bundle j, every
-    candidate of j up to the top candidate of i is a candidate of i."""
-    sets = [set(ps) for ps in grid.prices]
-    return all(p > grid.prices[i][-1] or p in sets[i]
-               for j, _, i, _ in _lattice_terms(grid.n)[0] for p in grid.prices[j])
+    every bundle S within a bundle T, every candidate of T up to the top one of
+    S is one of S. Every pair is tested: no one-element step says so of T = S+i+j
+    when the candidate is above the tops of S+i and S+j."""
+    masks = _bundle_masks(grid.n)
+    below = {m: (ps[-1], set(ps)) for m, ps in zip(masks, grid.prices)}
+    for mask, ps in zip(masks, grid.prices):
+        sub = mask
+        while sub := (sub - 1) & mask:  # the nonempty proper submasks, descending
+            if any(p <= below[sub][0] and p not in below[sub][1] for p in ps):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -440,19 +445,17 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
     ascending = inst.exchangeable and constraint in ("additive", "unrestricted", "submodular")
     combos = (combinations_with_replacement(singles[0], n) if ascending
               else iproduct(*singles))
+    count = (math.comb(len(singles[0]) + n - 1, n) if ascending
+             else math.prod(map(len, singles)))
     if constraint == "additive":
         # additive and bundle-only menus are bundle-monotone by construction
         fixed, groups, axes, terms = every, [], [], ()
         blocks = (tuple(sum(combo[i - 1] for i in b) for b in order) for combo in combos)
     elif constraint == "bundle-only":
         # every bundle costs the grand-bundle price
-        fixed, groups, axes, terms = (), [every], [grids[-1]], ()
+        fixed, groups, axes, terms, count = (), [every], [grids[-1]], (), 1
         blocks = iter([()])
     elif constraint in ("unrestricted", "submodular"):
-        count = (math.comb(len(singles[0]) + n - 1, n) if ascending
-                 else math.prod(map(len, singles)))
-        if n > 1 and count > _BLOCKS_BUDGET:
-            raise SearchError("candidate grid too large; supply a smaller explicit grid")
         fixed, groups, axes = every[:n], [(i,) for i in every[n:]], grids[n:]
         blocks = combos
     else:
@@ -464,7 +467,9 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
             return None
         fixed, groups = every[:n], by_size[1:]
         axes = [np.array(ps, dtype=inst.dtype) for ps in shared[1:]]
-        blocks = ((q,) * n for q in shared[0])
+        blocks, count = ((q,) * n for q in shared[0]), len(shared[0])
+    if count > _BLOCKS_BUDGET or math.prod(map(len, axes)) * len(order) > _ROWS_BUDGET:
+        raise SearchError("candidate grid too large; supply a smaller explicit grid")
     if constraint in ("submodular", "symmetric-and-submodular"):
         terms += submodular
     # columns sharing one price: the highest value among them is the best
@@ -489,8 +494,6 @@ def _enumerate_blocks(layout: _Layout, blocks: Iterable[Tuple[int, ...]]
     one with coef -1 (submodularity: the grand bundle as the union d) from
     above, so one binary search per bound and head cell finds the range.
     Blocks are taken in chunks of about `_HEAD_CHUNK` head cells."""
-    if math.prod(layout.shape) * layout.width > _ROWS_BUDGET:
-        raise SearchError("candidate grid too large; supply a smaller explicit grid")
     last = set(layout.groups[-1]) if layout.axes else set()
     J = layout.shape[-1] if layout.axes else 1
     by_coef: Dict[int, List[Tuple[List[int], List[int]]]] = {-1: [], 0: [], 1: []}
@@ -811,9 +814,6 @@ def gap_report(dist: JointDistribution, grid: CandidateGrid) -> GapReport:
     """Optimal revenue per constraint class plus all pairwise revenue ratios."""
     results = {name: search_optimal(dist, _GAP_CONSTRAINT[name], grid)
                for name in GAP_FIELDS}
-    ratios: Dict[str, Fraction] = {}
-    for a in GAP_FIELDS:
-        for b in GAP_FIELDS:
-            if a != b and results[b].revenue != 0:
-                ratios[f"{a}/{b}"] = results[a].revenue / results[b].revenue
+    ratios = {f"{a}/{b}": results[a].revenue / results[b].revenue
+              for a in GAP_FIELDS for b in GAP_FIELDS if a != b and results[b].revenue != 0}
     return GapReport(results, ratios)

@@ -231,6 +231,18 @@ def test_monotone_closure_rule_matches_subset_loop():
     assert min(seen) >= 50, seen
 
 
+def test_monotone_closure_is_tested_over_all_pairs():
+    # every one-element step is closed, but lowering p({1}) = 5 to the grand
+    # bundle's 3 leaves the grid: 3 lies above the top of {1,2} and of {1,3},
+    # so no step from {1} reaches it; pruning would drop the menus with
+    # p({1}) = 5 although their monotonized twins are not on the grid
+    grid = CandidateGrid(3, "explicit", ((F(0), F(5)),) + ((F(0),),) * 5 + ((F(3),),))
+    assert not _closed_under_monotonization(grid)
+    assert not search._monotone_closure_holds(grid)
+    dist = product([uniform([1, 6])] * 3)
+    assert not search_optimal(dist, "unrestricted", grid).pruned
+
+
 def test_constraint_monotonicity_chain(rng):
     for _ in range(12):
         parts = [random_single_item(rng, max_atoms=3, max_value=8) for _ in range(2)]
@@ -524,12 +536,13 @@ def test_four_item_mesh_guard():
         search_optimal(dist, "unrestricted", grid)
 
 
-@pytest.mark.parametrize("constraint", ["unrestricted", "submodular"])
+@pytest.mark.parametrize("constraint", ["unrestricted", "submodular", "additive"])
 def test_block_count_guard(constraint):
     # example 6 (eps 1/100) on its integer grid prices each item at 0..10^4:
-    # 50,015,001 ascending single-price blocks, all listed with their bounds
-    # before any is scored; refused before any is listed. The symmetric
-    # search of the same grid lists 10,001 blocks and still completes.
+    # 50,015,001 ascending single-price blocks, which the bound-ordered
+    # layouts list with their bounds and the additive one scores one at a
+    # time; refused before any is built. The symmetric search of the same
+    # grid lists 10,001 blocks and still completes.
     dist = load_distribution("example6_eps100")
     grid = candidate_grid(dist, "integer-grid")
     t0 = time.perf_counter()
