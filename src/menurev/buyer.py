@@ -14,7 +14,9 @@ tests compare this module against it.
 `regions.verify_against_buyer` read its result. `expected_revenues` scores
 several menus on one distribution: it scales the atoms, their probabilities
 (p_t * W, W the lcm of the probability denominators) and every menu's prices
-once, runs the rule per menu and builds one Fraction per menu at the end.
+once, sums each bundle's value column once (`_bundle_columns`, one column
+addition per multi-item bundle), runs the rule's key loop per menu and
+builds one Fraction per menu at the end.
 `expected_revenue` is its one-menu case.
 
 `check_monotone` compares the deduplicated batch points in Python-int
@@ -105,10 +107,27 @@ def _unit(n: int, top: int) -> int:
     return (top + 1) * (n + 1) << n
 
 
-def _choose(n: int, prices: Sequence[int], values: List[List[int]], unit: int) -> List[int]:
+def _bundle_columns(n: int, scaled: List[List[int]], unit: int) -> Dict[int, List[int]]:
+    """Each bundle's mask mapped to `unit` times each point's bundle value,
+    from the L-scaled coordinate columns `scaled`, in the order of
+    `all_bundles(n)`. A multi-item bundle's column is its lowest item's
+    column added to the column of the bundle without that item, built
+    before it in that order."""
+    values = [[x * unit for x in column] for column in scaled]
+    sums: Dict[int, List[int]] = {}
+    for mask in _bundle_masks(n):
+        low = mask & -mask
+        column = values[low.bit_length() - 1]
+        if mask != low:
+            column = [a + b for a, b in zip(sums[mask ^ low], column)]
+        sums[mask] = column
+    return sums
+
+
+def _choose(n: int, prices: Sequence[int], columns: Dict[int, List[int]], unit: int) -> List[int]:
     """The option each point takes: `prices` are L times each option's price
-    (0 for option 0), `values` are L times each coordinate column times
-    `unit`, and `unit` is at least `_unit(n, max(prices))`.
+    (0 for option 0), `columns` are the points' `_bundle_columns` at `unit`,
+    and `unit` is at least `_unit(n, max(prices))`.
 
     Option k of a point with bundle value V_k and price P_k gets the key
     (V_k - P_k) * unit + (P_k * (n + 1) + |bundle|) * 2^n + 2^n - 1 - k.
@@ -117,14 +136,8 @@ def _choose(n: int, prices: Sequence[int], values: List[List[int]], unit: int) -
     bundle) wins, so the largest key names the choice.
     """
     options_count = 1 << n
-    sums: Dict[int, List[int]] = {}  # bundle mask -> unit times each point's bundle value
     best = repeat(options_count - 1)  # the key of option 0
-    for k, mask in enumerate(_bundle_masks(n), start=1):
-        low = mask & -mask
-        column = values[low.bit_length() - 1]
-        if mask != low:
-            column = [a + b for a, b in zip(sums[mask ^ low], column)]
-        sums[mask] = column
+    for k, (mask, column) in enumerate(columns.items(), start=1):
         price = prices[k]
         offset = ((price * (n + 1) + mask.bit_count()) * options_count
                   + options_count - 1 - k - price * unit)
@@ -137,7 +150,7 @@ def batch_choice(m: Menu, points: Sequence[Valuation]) -> BatchChoice:
     scale, scaled, prices = _scaled(m.n, points, m.prices)
     prices = (0, *prices)
     unit = _unit(m.n, max(prices))
-    options = _choose(m.n, prices, [[x * unit for x in column] for column in scaled], unit)
+    options = _choose(m.n, prices, _bundle_columns(m.n, scaled, unit), unit)
     return BatchChoice(scale, prices, list(zip(*scaled)), options,
                        [prices[k] for k in options])
 
@@ -164,8 +177,9 @@ def expected_revenues(menus: Sequence[Menu], dist: JointDistribution) -> List[Fr
     """`expected_revenue` of each menu, over one scaling of the atoms.
 
     The coordinate columns, one L for the atoms and every menu's prices, the
-    scaled points, W and the atom weights are computed once; each menu then
-    runs only the key loop of `_choose` and one weighted sum of payments.
+    scaled points, their bundle columns (`_bundle_columns`), W and the atom
+    weights are computed once; each menu then runs only the key loop of
+    `_choose` and one weighted sum of payments.
     """
     for m in menus:
         _check_items(m, dist)
@@ -177,10 +191,10 @@ def expected_revenues(menus: Sequence[Menu], dist: JointDistribution) -> List[Fr
     size = len(menus[0].prices)
     prices = [(0, *flat[k:k + size]) for k in range(0, len(flat), size)]
     unit = _unit(dist.n, max(map(max, prices)))
-    values = [[x * unit for x in column] for column in scaled]
+    columns = _bundle_columns(dist.n, scaled, unit)
     out = []
     for p in prices:
-        totals = _option_totals(_choose(dist.n, p, values, unit), weights, len(p))
+        totals = _option_totals(_choose(dist.n, p, columns, unit), weights, len(p))
         out.append(Fraction(sum(map(mul, p, totals)), whole * scale))
     return out
 

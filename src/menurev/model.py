@@ -5,12 +5,13 @@ immutable after construction so instances can be shared freely.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
-from .rational import ParseError, RationalLike, parse_nonnegative, parse_rational
+from .rational import ParseError, RationalLike, _lcm, parse_nonnegative, parse_rational
 
 MAX_ITEMS = 16  # menus carry 2^n - 1 prices; anything larger is out of scope
 
@@ -174,10 +175,32 @@ class JointDistribution:
         return self.marginal(item).support
 
 
+def _is_canonical(atoms) -> bool:
+    """True iff `atoms`, in one pass, is a nonempty tuple of (value, mass)
+    pairs of Fractions, values nonnegative and strictly increasing, masses
+    positive and summing to exactly 1 in integers over their lcm: the atoms
+    `SingleItemDistribution.from_pairs` returns for them, as they stand."""
+    if type(atoms) is not tuple or not atoms:
+        return False
+    num, den = -1, 1  # the previous value, -1 before the first
+    for v, p in atoms:
+        if type(v) is not Fraction or type(p) is not Fraction:
+            return False
+        if v.numerator < 0 or p.numerator <= 0 or v.numerator * den <= num * v.denominator:
+            return False
+        num, den = v.numerator, v.denominator
+    whole = _lcm({p.denominator for _, p in atoms})
+    return sum(p.numerator * (whole // p.denominator) for _, p in atoms) == whole
+
+
 def _canonical_atoms(d: SingleItemDistribution, where: str) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """The atoms of `d` in canonical form, checked as `from_pairs` checks its
-    pairs, with no value repeated. A distribution built directly may hold any
-    atoms; distinct values out of order are sorted."""
+    pairs, with no value repeated. Atoms that pass `_is_canonical` are
+    returned as they are; only others go through `from_pairs`, which sorts
+    distinct values out of order, turns ints into Fractions and raises the
+    located fault. A distribution built directly may hold any atoms."""
+    if _is_canonical(d.atoms):
+        return d.atoms
     atoms = SingleItemDistribution.from_pairs(d.atoms, where).atoms
     if len(atoms) != len(d.atoms):
         raise ParseError(where, "repeated value")
@@ -190,12 +213,19 @@ def product(parts: Sequence[SingleItemDistribution]) -> JointDistribution:
     Each part is checked once and brought to canonical form, so the valuation
     vectors, taken in lexicographic order, are distinct and already sorted:
     the atoms are those `JointDistribution.from_pairs` would give, built
-    directly."""
+    directly. A part is checked by one pass over its atoms (`_is_canonical`);
+    only a part that fails it is re-parsed by `SingleItemDistribution.from_pairs`,
+    which sorts it or raises the fault located under `parts[k]`. A part given
+    more than once, as in an i.i.d. product, is checked at its first place."""
     if not parts:
         raise ValueError("product of zero distributions")
     if len(parts) > MAX_ITEMS:
         raise ValueError(f"distribution: item count must be in 1..{MAX_ITEMS}, got {len(parts)}")
-    checked = [_canonical_atoms(d, f"parts[{k}]") for k, d in enumerate(parts)]
+    by_part: Dict[int, Tuple[Tuple[Fraction, Fraction], ...]] = {}  # id(part) -> its atoms
+    for k, d in enumerate(parts):
+        if id(d) not in by_part:
+            by_part[id(d)] = _canonical_atoms(d, f"parts[{k}]")
+    checked = [by_part[id(d)] for d in parts]
     atoms = [((v,), p) for v, p in checked[0]]
     for part in checked[1:]:
         atoms = [(vs + (v,), q * p) for vs, q in atoms for v, p in part]
@@ -222,7 +252,11 @@ class Menu:
         if len(self.prices) != expected:
             raise ValueError(f"menu for {self.n} items needs {expected} prices, got {len(self.prices)}")
         for b, p in zip(all_bundles(self.n), self.prices):
-            if p < 0:
+            if type(p) is not Fraction and type(p) is not int and (
+                    not isinstance(p, numbers.Rational) or isinstance(p, bool)):
+                raise ValueError(f"price of bundle {b} = {p!r} is a {type(p).__name__}, "
+                                 "not a rational number")
+            if p.numerator < 0:  # a Fraction's sign, without a Fraction comparison
                 raise ValueError(f"price of bundle {b} must be nonnegative, got {p}")
 
     @classmethod

@@ -429,6 +429,46 @@ def test_expected_revenues_match_one_menu_at_a_time():
     assert expected_revenues([], dist) == []
     with pytest.raises(ValueError, match="menu has 2 items but distribution has 1"):
         expected_revenues([menu2(1, 1, 2)], JointDistribution(1, (((F(1),), F(1)),)))
+    # 4 items, prices from a few values so that bundles share a price, menus
+    # repeated, and atoms on a coarse lattice so that utilities tie
+    bundles = ((),) + all_bundles(4)
+    rng = random.Random(47)
+    for _ in range(12):
+        dist = _random_joint(rng, 4, rng.randint(1, 30))
+        shared = [F(rng.randint(0, 8), rng.choice((1, 2, 3))) for _ in range(3)]
+        menus = [Menu(4, tuple(rng.choice(shared) for _ in all_bundles(4)))
+                 for _ in range(rng.randint(1, 4))]
+        menus += rng.sample(menus, rng.randint(1, len(menus)))
+        revenues = expected_revenues(menus, dist)
+        assert revenues == [reference.menu_revenue(m, dist.atoms) for m in menus]
+        for m in menus[:2]:
+            options = buyer.batch_choice(m, [v for v, _ in dist.atoms]).options
+            assert [bundles[k] for k in options] == [
+                reference.choice(m.as_dict(), v)[0] for v, _ in dist.atoms]
+
+
+def test_bundle_columns_are_built_once_per_call(monkeypatch):
+    """`expected_revenues` sums the bundle columns once, whatever the number
+    of menus; `_choose` only reads them."""
+    calls = []
+    build = buyer._bundle_columns
+
+    def spy(n, scaled, unit):
+        calls.append(n)
+        return build(n, scaled, unit)
+
+    monkeypatch.setattr(buyer, "_bundle_columns", spy)
+    rng = random.Random(48)
+    dist = _random_joint(rng, 3, 20)
+    menus = [Menu(3, tuple(F(rng.randint(0, 12), 2) for _ in all_bundles(3))) for _ in range(9)]
+    for count in (1, 2, 9):
+        calls.clear()
+        assert expected_revenues(menus[:count], dist) == [
+            reference.menu_revenue(m, dist.atoms) for m in menus[:count]]
+        assert calls == [3]
+    calls.clear()
+    buyer.batch_choice(menus[0], [v for v, _ in dist.atoms])
+    assert calls == [3]
 
 
 _MENU = menu2(1, 1, 2)

@@ -41,6 +41,18 @@ def test_menu_accessors_and_price():
         Menu.from_sequence(2, (1, -1, 2))
 
 
+def test_menu_rejects_non_rational_prices():
+    for price, shown in [(1.5, r"1\.5 is a float"), (True, "True is a bool"),
+                         ("1", "'1' is a str"), (None, "None is a NoneType")]:
+        with pytest.raises(ValueError, match=rf"^price of bundle \(2,\) = {shown}, not a rational number$"):
+            Menu(2, (F(1), price, F(3)))
+    with pytest.raises(ValueError, match=r"^price of bundle \(1,\) = 1\.5 is a float"):
+        Menu(2, (1.5, 2.0, 3.0))
+    with pytest.raises(ValueError, match=r"^price of bundle \(1, 2\) must be nonnegative, got -1/2$"):
+        Menu(2, (1, F(2), F(-1, 2)))
+    assert Menu(2, (1, F(2), 3)).prices == (1, F(2), 3)
+
+
 def test_explicit_grid_rejects_repeated_bundle():
     # candidate_grid is the caller of bundle_table, which re-keys the grid
     dist = product([uniform([1, 2]), uniform([1, 2])])
@@ -260,6 +272,68 @@ def test_product_fault_names_the_part(atoms, location, message):
         product([uniform([1, 2]), SingleItemDistribution(atoms)])
     assert err.value.location == location
     assert str(err.value) == f"{location}: {message}"
+
+
+def _spy_from_pairs(monkeypatch):
+    """The `where` of every `SingleItemDistribution.from_pairs` call from now on."""
+    calls = []
+    parse = SingleItemDistribution.from_pairs
+
+    def spy(cls, pairs, where="distribution"):
+        calls.append(where)
+        return parse(pairs, where)
+
+    monkeypatch.setattr(SingleItemDistribution, "from_pairs", classmethod(spy))
+    return calls
+
+
+def _joint_by_pairs(parts):
+    """The product as `JointDistribution.from_pairs` builds it from all atom pairs."""
+    return JointDistribution.from_pairs(len(parts), reference.product_atoms(*parts))
+
+
+def test_product_checks_canonical_parts_in_one_pass(monkeypatch):
+    """Canonical parts never reach `from_pairs`; every other part does, once,
+    and gives the result or the located fault it gave before."""
+    from menurev.continuous import NumericParams, _distribution, _er_grid
+    rng = random.Random(35)
+    canonical = [random_single_item(rng) for _ in range(40)]
+    er = _distribution(_er_grid(1.0, NumericParams(100.0, 100)))
+    calls = _spy_from_pairs(monkeypatch)
+    for d1, d2 in zip(canonical[::2], canonical[1::2]):
+        assert product([d1, d2]) == _joint_by_pairs([d1, d2])
+    assert len(er.atoms) == 100 and product([er, canonical[0]]) == _joint_by_pairs([er, canonical[0]])
+    assert calls == []
+
+    h = F(1, 2)
+    three, one, one_two = point_mass(3), point_mass(1), uniform([1, 2])
+    for atoms, same_as in [
+        (((1, h), (2, h)), one_two),  # int values
+        (((F(1), 1),), one),  # an int mass
+        (((F(2), h), (F(1), h)), one_two),  # distinct values out of order
+    ]:
+        calls.clear()
+        joint = product([three, SingleItemDistribution(atoms)])
+        assert calls == ["parts[1]"]
+        assert joint == _joint_by_pairs([three, same_as])
+        assert all(type(x) is F for vs, p in joint.atoms for x in (*vs, p))
+    # a part given twice, as in an i.i.d. product, is checked once
+    calls.clear()
+    unsorted = SingleItemDistribution(((F(2), h), (F(1), h)))
+    assert product([unsorted, unsorted]) == _joint_by_pairs([one_two, one_two])
+    assert calls == ["parts[0]"]
+    for atoms, location, message in [
+        (((F(1), h), (1.5, h)), "parts[1][1][0]", "expected int or string rational, got float"),
+        (((F(1), h), (F(1), h)), "parts[1]", "repeated value"),
+        (((F(1), F(0)), (F(2), F(1))), "parts[1][0][1]", "must be positive, got 0"),
+        (((F(1), h), (F(2), F(1, 3))), "parts[1]", "mass 5/6 != 1"),
+        ((), "parts[1]", "empty support"),
+    ]:
+        calls.clear()
+        with pytest.raises(ParseError) as err:
+            product([three, SingleItemDistribution(atoms)])
+        assert calls == ["parts[1]"]
+        assert err.value.location == location and str(err.value) == f"{location}: {message}"
 
 
 def test_from_pairs_merges_one_shared_fraction():
