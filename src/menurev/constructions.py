@@ -12,6 +12,7 @@ from typing import Sequence, Tuple
 
 from .buyer import expected_revenues
 from .model import (
+    JointDistribution,
     Menu,
     SingleItemDistribution,
     menu2,
@@ -70,7 +71,13 @@ def submodularize2(m: Menu, d1: SingleItemDistribution,
     """
     if m.n != 2:
         raise ValueError("submodularize2 is defined for 2-item menus")
-    dist = product([d1, d2])
+    return _submodularize(m, d1, d2, product([d1, d2]))
+
+
+def _submodularize(m: Menu, d1: SingleItemDistribution, d2: SingleItemDistribution,
+                   dist: JointDistribution) -> ConstructionCertificate:
+    """`submodularize2` of the 2-item menu m, certified on `dist`, the
+    product of d1 and d2 built by the caller."""
     a, b, c = m.prices
     if c <= a + b:
         branch, out = "already-submodular", m
@@ -106,7 +113,8 @@ def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
       * c > 2a otherwise: the better of (b,b,c) and (c-a,c-a,2c-2a).
 
     The candidates depend only on the prices and on f, so the input menu,
-    the working menu and the candidates are scored in one call.
+    the working menu and the candidates are scored in one call. The product
+    f x f is built once: the submodularization is certified on it too.
     """
     if m.n != 2:
         raise ValueError("symmetrize2 is defined for 2-item menus")
@@ -115,7 +123,7 @@ def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
     if m.a != m.b:
         work = normalize(m)
         if work.c > work.a + work.b:
-            work = submodularize2(work, f, f).best
+            work = _submodularize(work, f, f, dist).best
         if work.a > work.b:
             work = work.swap2()
     a, b, c = work.prices

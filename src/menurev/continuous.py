@@ -21,6 +21,12 @@ largest sum, with the pair's flat index packed below it where that fits
 int64), ordered by a sort, or by a stable argsort where the index is not
 packed. The running mass is carried from bucket to bucket, so brev and its
 price are those of one sequential pass over all pairs, to the bit.
+Two equal items, as at equal levels, are swept by their 2.88 million pairs
+i <= j: pair (j, i) has the sum and mass of pair (i, j), so each pair
+takes two slots of the running sum, placed as the all-pairs order adds
+them, and the buckets count whole sums, so no group of equal sums is
+parted between two of them. Its buckets hold about half the pairs, each
+with two slots, and its temporaries peak at about 2.1 MiB.
 """
 from __future__ import annotations
 
@@ -209,7 +215,8 @@ class ERGapReport:
 
 
 # the bundle-price sweep takes its atom pairs in buckets of at most this many
-# (or min(n1, n2), if larger); a bucket's temporaries take about 50 bytes a pair
+# (or min(n1, n2), if larger); a bucket's temporaries take about 50 bytes a
+# pair, twice that for a pair i <= j of equal items, whose buckets hold half
 _BUCKET_PAIRS = 1 << 15
 
 
@@ -239,45 +246,112 @@ def _sweep(a: List[int], v1: np.ndarray, w1: np.ndarray,
     last one's total, so the running float sum is the sequential one over all
     pairs, and the first strict maximum over the buckets is the first maximum
     over the whole sweep.
+
+    Two equal items (the same integer values, float values and float masses,
+    compared by value) give pair (i, j) and its mirror (j, i) the same sum
+    and mass, so `_sweep_order` yields only the pairs i <= j, and
+    `_mirror_slots` gives each two slots, which the cumulative sum adds in
+    the order of the all-pairs sweep. The revenue is read at each pair's
+    second slot, or, in a bucket where rounding parted the float sums of
+    one group, at every slot; either way the first strict maximum is the
+    all-pairs sweep's, to the bit. Unequal items take the all-pairs order.
     """
+    mirrored = a == b and np.array_equal(v1, v2) and np.array_equal(w1, w2)
     best, price, carry = -math.inf, 0.0, 0.0
-    for i, j in _sweep_order(a, b):
+    for i, j, tied in _sweep_order(a, b, mirrored):
         sums = np.take(v1, i)
         mass = np.take(v2, j)
         sums += mass
         # every index is in range; mode="clip" lets take write to `out` unbuffered
         np.take(w1, i, out=mass, mode="clip")
         mass *= np.take(w2, j)
+        revenue = mass
+        if mirrored:
+            sums, mass, revenue = _mirror_slots(i == j, tied, sums, mass)
         mass[0] += carry
         np.cumsum(mass, out=mass)
         carry = mass[-1]
-        mass *= sums  # the revenue at each price
-        k = int(np.argmax(mass))
-        if mass[k] > best:
-            best, price = float(mass[k]), float(sums[k])
+        revenue *= sums  # the revenue at each price
+        k = int(np.argmax(revenue))
+        if revenue[k] > best:
+            best, price = float(revenue[k]), float(sums[k])
     return best, price
 
 
-def _sweep_order(a: List[int], b: List[int]) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def _mirror_slots(diagonal: np.ndarray, tied: np.ndarray, sums: np.ndarray,
+                  mass: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masses of a bucket's pairs i <= j in two slots each, ordered as
+    the all-pairs order adds them, the prices to read them at, and the view
+    of the slots that are read.
+
+    Slot 2q holds pair q and slot 2q + 1 its mirror, of mass 0.0 on the
+    diagonal. In flat index order a group of k equal sums (tied[q]: pair q's
+    sum is pair q - 1's) is its k pairs by i, then the mirrors of its
+    off-diagonal pairs in reverse, so the slots 2g .. 2g + 2k - 1 of a group
+    of k >= 2 starting at pair g are rewritten to its k masses, then its k
+    mirror slots in reverse, the diagonal's empty slot first. The prices are
+    the pairs' sums, read at their second slots: within a group the running
+    sum never falls, so its last slot, a second slot, reads its most. Only
+    where rounding gave the pairs of one group unequal float sums are the
+    prices every slot's, moved with the masses, to be read at every slot.
+    """
+    slots = np.repeat(mass, 2)
+    slots[1::2][diagonal] = 0.0
+    if not tied.any():
+        return sums, slots, slots[1::2]
+    # the pairs of the groups of two or more: each one's group start g and size k
+    member = tied.copy()
+    member[:-1] |= tied[1:]
+    q = np.flatnonzero(member)
+    starts = np.flatnonzero(~tied[q])
+    size = np.diff(starts, append=len(q))
+    g, k = np.repeat(q[starts], size), np.repeat(size, size)
+    ragged = not np.array_equal(sums[q], sums[g])
+    # slot x < 2k of a group takes pair g + x, or the second slot of pair g + 2k - 1 - x
+    x = np.repeat(2 * (q - g), 2)
+    x[1::2] += 1
+    g, k = np.repeat(g, 2), np.repeat(k, 2)
+    source = np.where(x < k, 2 * (g + x), 2 * (g + 2 * k - x) - 1)
+    target = 2 * g + x
+    slots[target] = slots[source]
+    if not ragged:
+        return sums, slots, slots[1::2]
+    sums = np.repeat(sums, 2)
+    sums[target] = sums[source]
+    return sums, slots, slots
+
+
+def _sweep_order(a: List[int], b: List[int],
+                 mirrored: bool) -> Iterator[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
     """The atom pairs (i, j) of the ascending integer values a and b by
     descending sum a_i + b_j, equal sums in flat index order, as index arrays
-    of consecutive buckets of at most max(_BUCKET_PAIRS, min(n1, n2)) pairs.
+    of consecutive buckets of at most max(_BUCKET_PAIRS, min(n1, n2)) pairs,
+    with None; or, where `mirrored` (the items are equal, so a == b), only
+    the pairs i <= j, in the same order, with each pair's `tied` flag: its
+    sum is the previous pair's in the bucket.
 
     Each pair has an exact integer key, rows[i] + cols[j], that ascends in
     that order; a bucket is the pairs whose keys lie in [s, t), and since
     both supports ascend, the pairs of a row i with keys below t are the
-    columns j with -cols[j] > rows[i] - t, a suffix of the row. Where it fits
-    int64, the key is the packed ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j,
-    unique, and a bucket's keys are sorted in place. Otherwise the key is the
-    distance top - a_i - b_j alone, in int64 while it fits and in Python ints
-    beyond, and a stable argsort of a bucket's keys keeps equal sums in flat
-    index order. Besides one bucket, the sweep holds only the per-row ranges
-    and the thresholds' sample: every (bound / 32)-th pair in flat order.
+    columns j with -cols[j] > rows[i] - t, a suffix of the row, cut to
+    j >= i where mirrored. Where it fits int64, the key is the packed
+    ((top - a_i - b_j) << (ib + jb)) | (i << jb) | j, unique, and a bucket's
+    keys are sorted in place. Otherwise the key is the distance top - a_i -
+    b_j alone, in int64 while it fits and in Python ints beyond, and a
+    stable argsort of a bucket's keys keeps equal sums in flat index order.
+    The thresholds count keys, or, where mirrored, whole distances (keys
+    >> shift), so no group of equal sums is parted between two buckets and
+    `_mirror_slots` finds each group whole; a group holds at most
+    ceil(n / 2) pairs i <= j, within the bound. Besides one bucket, the
+    sweep holds only the per-row ranges and the thresholds' sample: every
+    (bound / 32)-th pair in flat order, of which every 16th (every 32nd
+    where mirrored, a pair i <= j standing for two) is a threshold.
     """
     n1, n2 = len(a), len(b)
     cap = max(_BUCKET_PAIRS, min(n1, n2))
-    # thresholds from a strided sample of the pairs, about every cap / 2
-    # pairs; `_buckets` splits a bucket that still holds more than cap pairs
+    # thresholds from a strided sample of all pairs, about every cap / 2
+    # pairs (pairs i <= j where mirrored); `_buckets` splits a bucket that
+    # still holds more than cap pairs
     stride = max(1, cap // 32)
     si, sj = np.divmod(np.arange(0, n1 * n2, stride), n2)
     top = a[-1] + b[-1]  # supports ascend
@@ -291,23 +365,37 @@ def _sweep_order(a: List[int], b: List[int]) -> Iterator[Tuple[np.ndarray, np.nd
         rows |= np.arange(n1) << jb
         cols += np.arange(n2)
     neg = -cols
-    sample = np.sort(rows[si] + cols[sj])[16::16].tolist()
-    bounds = _buckets(lambda t: np.searchsorted(neg, rows - t, side="right"),
-                      0, sample + [(top + 1) << shift], cap)
+    # thresholds in units of 2^unit keys: whole distances where mirrored
+    unit = shift if mirrored else 0
+    first = np.arange(n1) if mirrored else 0  # each row's first column
+    every = 32 if mirrored else 16
+    sample = (np.sort(rows[si] + cols[sj]) >> unit)[every::every].tolist()
+    bounds = _buckets(lambda t: np.maximum(np.searchsorted(neg, rows - (t << unit), side="right"), first),
+                      0, sample + [((top + 1) << shift) >> unit], cap)
     for lo, hi in bounds:
         if packed:
             keys = np.repeat(rows, hi - lo)
             j = _columns(lo, hi)
             keys += np.take(cols, j)
             keys.sort()
+            tied = _tied(keys >> (ib + jb)) if mirrored else None
             np.bitwise_and(keys, (1 << jb) - 1, out=j)
             keys >>= jb
             keys &= (1 << ib) - 1
-            yield keys, j
+            yield keys, j, tied
         else:
             i, j = np.repeat(np.arange(n1), hi - lo), _columns(lo, hi)
-            order = np.argsort(rows[i] + cols[j], kind="stable")
-            yield i[order], j[order]
+            keys = rows[i] + cols[j]
+            order = np.argsort(keys, kind="stable")
+            yield i[order], j[order], _tied(keys[order]) if mirrored else None
+
+
+def _tied(distances: np.ndarray) -> np.ndarray:
+    """Whether each of the sorted distances equals the one before it (False
+    for the first)."""
+    tied = np.zeros(len(distances), dtype=bool)
+    np.equal(distances[1:], distances[:-1], out=tied[1:])
+    return tied
 
 
 def _buckets(before: Callable, start: int, marks: List[int],
@@ -316,11 +404,14 @@ def _buckets(before: Callable, start: int, marks: List[int],
     pairs (i, j) with lo[i] <= j < hi[i].
 
     before(t) gives each row's first column among the pairs whose integer
-    keys lie below threshold t; no key lies below `start`, and every key lies
-    below the last of `marks`, the ascending thresholds. A bucket of more
-    than `cap` pairs, between thresholds s and t, is split at (s + t) // 2:
-    the callers' groups of equal keys hold at most `cap` pairs, so such a
-    bucket spans two keys and both halves are narrower.
+    keys, in the caller's threshold unit (a key, or a whole distance), lie
+    below threshold t; no key lies below `start`, and every key lies below
+    the last of `marks`, the ascending thresholds. A bucket of more than
+    `cap` pairs, between thresholds s and t, is split at (s + t) // 2: the
+    callers' groups of equal keys hold at most `cap` pairs, so such a
+    bucket spans two keys and both halves are narrower. Thresholds are
+    never finer than the unit, so a mirrored sweep's groups of equal sums
+    stay whole.
     """
     s, hi = start, before(start)
     pending = [(t, None) for t in reversed(marks)]

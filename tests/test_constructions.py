@@ -135,6 +135,28 @@ def test_symmetrize_supermodular_input_submodularized_first():
     assert cert.margin >= 0
 
 
+def test_symmetrize_builds_one_product(monkeypatch):
+    # the supermodular working menu is submodularized and certified on the
+    # product that symmetrize2 built, and both certificates are still checked
+    built = []
+    monkeypatch.setattr(constructions, "product", lambda parts: built.append(parts) or product(parts))
+    f = uniform([1, 4])
+    m = menu2(1, 2, 9)
+    cert = symmetrize2(m, f)
+    assert len(built) == 1
+    work = constructions.normalize(m)
+    assert work.c > work.a + work.b
+    sub = submodularize2(work, f, f)
+    assert len(built) == 2
+    assert cert == symmetrize2(m, f) and len(built) == 3
+    real = constructions.expected_revenues
+    monkeypatch.setattr(constructions, "expected_revenues",
+                        lambda menus, dist: [r - 1 if menu == sub.best else r
+                                             for menu, r in zip(menus, real(menus, dist))])
+    with pytest.raises(CertificateError, match="earns"):
+        symmetrize2(m, f)
+
+
 def test_three_halves_examples():
     add, bun = three_halves_decomposition(menu2(4, 4, 100))
     assert add.prices == (F(4), F(4), F(8))

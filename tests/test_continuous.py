@@ -159,10 +159,10 @@ def _spy_buckets(monkeypatch):
     buckets = []
     real = continuous._sweep_order
 
-    def spy(a, b):
-        for i, j in real(a, b):
+    def spy(a, b, mirrored):
+        for i, j, tied in real(a, b, mirrored):
             buckets.append([a[k] + b[m] for k, m in zip(i.tolist(), j.tolist())])
-            yield i, j
+            yield i, j, tied
 
     monkeypatch.setattr(continuous, "_sweep_order", spy)
     return buckets
@@ -170,27 +170,45 @@ def _spy_buckets(monkeypatch):
 
 def _check_buckets(buckets, d1, d2):
     # every bucket within the bound and the sums descending across buckets;
+    # equal items are swept by their pairs i <= j, no equal sums parted;
     # returns how many boundaries fall between two pairs of equal sums
-    bound = max(continuous._BUCKET_PAIRS, min(len(d1.atoms), len(d2.atoms)))
+    n1, n2 = len(d1.atoms), len(d2.atoms)
+    bound = max(continuous._BUCKET_PAIRS, min(n1, n2))
     assert len(buckets) > 1
     assert all(0 < len(b) <= bound for b in buckets)
-    assert sum(len(b) for b in buckets) == len(d1.atoms) * len(d2.atoms)
+    assert sum(len(b) for b in buckets) == (n1 * (n1 + 1) // 2 if d1 == d2 else n1 * n2)
     edges = [(x[-1], y[0]) for x, y in zip(buckets, buckets[1:])]
     assert all(last >= first for last, first in edges)
-    return sum(last == first for last, first in edges)
+    split = sum(last == first for last, first in edges)
+    assert d1 != d2 or split == 0
+    return split
+
+
+def _reversed_masses(d):
+    """d's support with its masses in reverse order: another item, whose
+    pairs with d tie wherever d's pairs with itself do."""
+    return SingleItemDistribution(tuple(zip(d.support, [p for _, p in reversed(d.atoms)])))
 
 
 @pytest.mark.parametrize("cap, points, packed", _SWEEP_GRIDS)
 def test_bundle_sweep_in_many_buckets_matches_oracle(monkeypatch, cap, points, packed):
-    # packed keys may part equal sums between buckets; a distance never
+    # packed keys may part equal sums of unequal items between buckets; a
+    # distance never, and the pairs i <= j of equal items never. The equal
+    # level's support with reversed masses ties as the equal items do, but
+    # takes the all-pairs order
     monkeypatch.setattr(continuous, "_BUCKET_PAIRS", 40)
     buckets = _spy_buckets(monkeypatch)
     split_ties = 0
+    params = NumericParams(cap=cap, grid_points=points)
     for r1, r2 in _sweep_levels(cap, points):
-        params = NumericParams(cap=cap, grid_points=points)
         d1, d2 = er_discretize(r1, params), er_discretize(r2, params)
         assert _sweep_regime(*_scaled(d1, d2)) == ("packed" if packed else "int64")
-        for a, b in ((d1, d2), (d2, d1)):
+        if r1 == r2:
+            d2 = _reversed_masses(d1)
+            pairs = [(d1, d1), (d1, d2), (d2, d1)]
+        else:
+            pairs = [(d1, d2), (d2, d1)]
+        for a, b in pairs:
             buckets.clear()
             assert bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b), (r1, r2)
             split_ties += _check_buckets(buckets, a, b)
@@ -253,6 +271,115 @@ def test_bundle_sweep_in_many_buckets_on_rounded_sums(monkeypatch):
         assert bundle_price_sweep(a, b) == oracle_bundle_sweep(a, b)
         assert sum(buckets, []) == sorted({x + y for x in a.support for y in b.support}, reverse=True)
         assert [len(x) for x in buckets] == [8, 8, 7, 7, 2, 8, 8, 8, 4]
+
+
+def _unit_steps(unit, rng):
+    """An item on consecutive multiples of `unit` with uneven masses: twice
+    any inner value is the sum of several pairs, the diagonal pair last."""
+    start = rng.randint(1, 20)
+    weights = [rng.randint(1, 10**6) for _ in range(rng.randint(8, 40))]
+    return SingleItemDistribution.from_pairs(
+        [((start + k) * unit, F(w, sum(weights))) for k, w in enumerate(weights)])
+
+
+def _spy_groups(monkeypatch):
+    """Record, for every bucket of a mirrored sweep, its pairs' exact sums
+    and whether each lies on the diagonal."""
+    buckets = []
+    real = continuous._sweep_order
+
+    def spy(a, b, mirrored):
+        for i, j, tied in real(a, b, mirrored):
+            if mirrored:
+                pairs = list(zip(i.tolist(), j.tolist()))
+                assert all(k <= m for k, m in pairs)
+                sums = [a[k] + b[m] for k, m in pairs]
+                assert tied.tolist() == [False] + [x == y for x, y in zip(sums[1:], sums)]
+                buckets.append([(x, k == m) for x, (k, m) in zip(sums, pairs)])
+            yield i, j, tied
+
+    monkeypatch.setattr(continuous, "_sweep_order", spy)
+    return buckets
+
+
+@pytest.mark.parametrize("bound", [1, 40])
+@pytest.mark.parametrize("unit, regime", [(1, "packed"), (2**55, "int64"), (2**70, "python-int")])
+def test_mirrored_sweep_matches_oracle_on_unit_steps(monkeypatch, unit, regime, bound):
+    # equal items take their pairs i <= j, two slots each; a group of equal
+    # sums of two or more pairs, here often closed by a diagonal pair, is
+    # reordered in its bucket, and no group is parted between two buckets
+    monkeypatch.setattr(continuous, "_BUCKET_PAIRS", bound)
+    buckets = _spy_groups(monkeypatch)
+    rng = random.Random(f"{unit}/{bound}")
+    diagonal_last = 0
+    for _ in range(12):
+        d = _unit_steps(unit, rng)
+        assert _sweep_regime(*_scaled(d, d)) == regime
+        buckets.clear()
+        assert bundle_price_sweep(d, d) == oracle_bundle_sweep(d, d)
+        assert _check_buckets([[total for total, _ in x] for x in buckets], d, d) == 0
+        for x in buckets:
+            groups = [list(g) for _, g in itertools.groupby(x, key=lambda pair: pair[0])]
+            diagonal_last += sum(len(g) > 1 and g[-1][1] for g in groups)
+    assert diagonal_last > 0
+
+
+def test_mirrored_sweep_on_rounded_sums(monkeypatch):
+    # thirds of 2^55 round in binary64, so the pairs of one exact sum may
+    # have unequal float sums: those groups are read at every slot, each at
+    # its own price, as the all-pairs order reads them
+    parted = 0
+    for bound in (10, 1 << 15):
+        monkeypatch.setattr(continuous, "_BUCKET_PAIRS", bound)
+        rng = random.Random(bound)
+        for _ in range(12):
+            d = _unit_steps(F(2**55, 3), rng)
+            assert _sweep_regime(*_scaled(d, d)) == "int64"
+            assert bundle_price_sweep(d, d) == oracle_bundle_sweep(d, d)
+            values = [float(v) for v in d.support]
+            floats = {}
+            for x, y in itertools.combinations_with_replacement(range(len(values)), 2):
+                floats.setdefault(x + y, set()).add(values[x] + values[y])
+            parted += any(len(f) > 1 for f in floats.values())
+    assert parted > 0
+
+
+def _spy_orders(monkeypatch):
+    """Record whether each sweep took the mirrored order."""
+    orders = []
+    real = continuous._sweep_order
+    monkeypatch.setattr(continuous, "_sweep_order",
+                        lambda a, b, mirrored: orders.append(mirrored) or real(a, b, mirrored))
+    return orders
+
+
+def test_equal_items_take_the_mirrored_order(monkeypatch):
+    # equal levels, equal grids and equal distributions, also as distinct
+    # objects, sweep their pairs i <= j; unequal items, also a support shared
+    # with unequal masses, sweep all pairs
+    from menurev.cli import main
+    orders = _spy_orders(monkeypatch)
+    numeric_gap_er(1.5, 1.5, FAST)
+    assert orders == [True, True]  # the report's sweep and the companion's
+    orders.clear()
+    er_cap_sweep(1.0, 1.0, caps=(50.0, 400.0), points=(150, 600))
+    assert orders == [True, True]
+    orders.clear()
+    assert main(["reproduce", "er-gap"]) == 0
+    assert orders == [True] * 4
+    orders.clear()
+    numeric_gap_er(1.5, _Unequal(1.5), FAST)
+    grid = continuous._er_grid(1.0, FAST)
+    continuous._grid_sweep(grid, ([*grid[0]], [*grid[1]]))
+    d = er_discretize(1.0, FAST)
+    bundle_price_sweep(d, er_discretize(1.0, FAST))
+    assert orders == [True] * 4
+    orders.clear()
+    numeric_gap_er(1.0, 2.0, FAST)
+    numeric_gap_er(1.0, 2.0, FAST, include_drev=False)
+    bundle_price_sweep(d, er_discretize(2.0, FAST))
+    bundle_price_sweep(d, _reversed_masses(d))
+    assert orders == [False] * 5
 
 
 def _bisection(keys, start, marks, cap):
@@ -447,7 +574,8 @@ def test_reports_build_no_discretization(monkeypatch):
 def _recording_sweeps(monkeypatch):
     """Record the integer values, float values and float masses every sweep
     is given, and its last threshold: the top sum + 1, shifted above the
-    index bits where the keys are packed."""
+    index bits where the keys are packed and the items unequal (equal items
+    count their thresholds in whole sums)."""
     seen = []
     real_sweep, real_buckets = continuous._sweep, continuous._buckets
 
@@ -481,7 +609,7 @@ def test_grid_sweep_matches_distribution_sweep_bit_for_bit(monkeypatch, cap, poi
             assert len(seen) == 2 and seen[0] == seen[1]
             ints, last = seen[0][:2], seen[0][-1]
             assert _sweep_regime(*ints) == ("packed" if packed else "int64")
-            assert (last > ints[0][-1] + ints[1][-1] + 1) == packed
+            assert (last > ints[0][-1] + ints[1][-1] + 1) == (packed and r1 != r2)
 
 
 # (level, cap, the one grid point G): every point of these grids floors to

@@ -336,6 +336,67 @@ def test_product_checks_canonical_parts_in_one_pass(monkeypatch):
         assert err.value.location == location and str(err.value) == f"{location}: {message}"
 
 
+def _count_products(monkeypatch):
+    """Count every product of two Fractions from now on."""
+    count = [0]
+    real = F.__mul__
+
+    def mul(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(F, "__mul__", mul)
+    return count
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_product_of_repeated_parts(monkeypatch, copies):
+    """Copies of one part, also as equal but distinct objects, give the atoms
+    of the per-atom construction, with one probability object per multiset
+    of atom indices, shared by all its orderings; mixed parts multiply every
+    combination, as before."""
+    rng = random.Random(36 + copies)
+    parts = [random_single_item(rng, max_atoms=6, max_value=12) for _ in range(12)]
+    count = _count_products(monkeypatch)
+    for part, other in zip(parts[::2], parts[1::2]):
+        n = len(part.atoms)
+        twin = SingleItemDistribution(tuple(list(part.atoms)))
+        assert twin == part and twin.atoms is not part.atoms
+        for repeated in ([part] * copies, [part] + [twin] * (copies - 1)):
+            joint = product(repeated)
+            want = _joint_by_pairs(repeated)
+            assert joint == want and joint.atoms == want.atoms
+            masses = dict(joint.atoms)
+            assert all(masses[vs] is p for v, p in joint.atoms for vs in itertools.permutations(v))
+            assert len({id(p) for p in masses.values()}) == math.comb(n + copies - 1, copies)
+        if other != part:
+            mixed = [part] * (copies - 1) + [other]
+            count[0] = 0
+            joint = product(mixed)
+            sizes = [len(d.atoms) for d in mixed]
+            assert count[0] == sum(math.prod(sizes[:k]) for k in range(2, copies + 1))
+            assert joint.atoms == _joint_by_pairs(mixed).atoms
+
+
+def test_product_of_repeated_parts_checks_each_place():
+    # a repeated part is checked, sorted or refused at its first place, as
+    # any part is; equal parts that fail each report the first
+    h = F(1, 2)
+    unsorted = SingleItemDistribution(((F(2), h), (F(1), h)))
+    assert product([unsorted] * 3) == _joint_by_pairs([uniform([1, 2])] * 3)
+    twin = SingleItemDistribution(((F(2), h), (F(1), h)))
+    assert product([unsorted, twin]) == _joint_by_pairs([uniform([1, 2])] * 2)
+    bad = ((F(1), h), (F(2), F(1, 3)))
+    for parts, location in [
+        ([SingleItemDistribution(bad)] * 2, "parts[0]"),
+        ([SingleItemDistribution(bad), SingleItemDistribution(bad)], "parts[0]"),
+        ([point_mass(3), SingleItemDistribution(bad), SingleItemDistribution(bad)], "parts[1]"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            product(parts)
+        assert err.value.location == location and str(err.value) == f"{location}: mass 5/6 != 1"
+
+
 def test_from_pairs_merges_one_shared_fraction():
     # one Fraction object passed for every atom: a repeated value adds its mass
     h = F(1, 2)
