@@ -35,7 +35,6 @@ and imports no numpy, so the exact layers built on it (`constructions`,
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -48,6 +47,7 @@ from .model import (
     Menu,
     Valuation,
     _bundle_masks,
+    _is_rational,
     all_bundles,
 )
 from .rational import RationalLike, over_common_denominator, parse_nonnegative
@@ -86,7 +86,7 @@ def _coordinate_columns(n: int, points: Sequence[Valuation]) -> List[Sequence]:
         return columns
     for v in points:
         for i, x in enumerate(v):
-            if not isinstance(x, numbers.Rational) or isinstance(x, bool):
+            if not _is_rational(x):
                 raise ValueError(f"valuation {tuple(v)!r}: value[{i}] = {x!r} is a "
                                  f"{type(x).__name__}, not a rational number")
     return [tuple(map(Fraction, column)) for column in columns]

@@ -276,6 +276,11 @@ def product(parts: Sequence[SingleItemDistribution]) -> JointDistribution:
 # Menus
 # ---------------------------------------------------------------------------
 
+def _is_rational(p) -> bool:  # an int, a Fraction or another numbers.Rational, not a bool
+    return type(p) is Fraction or type(p) is int or (
+        isinstance(p, numbers.Rational) and not isinstance(p, bool))
+
+
 @dataclass(frozen=True)
 class Menu:
     """Deterministic mechanism: one nonnegative price per nonempty bundle.
@@ -292,8 +297,7 @@ class Menu:
         if len(self.prices) != expected:
             raise ValueError(f"menu for {self.n} items needs {expected} prices, got {len(self.prices)}")
         for b, p in zip(all_bundles(self.n), self.prices):
-            if type(p) is not Fraction and type(p) is not int and (
-                    not isinstance(p, numbers.Rational) or isinstance(p, bool)):
+            if not _is_rational(p):
                 raise ValueError(f"price of bundle {b} = {p!r} is a {type(p).__name__}, "
                                  "not a rational number")
             if p.numerator < 0:  # a Fraction's sign, without a Fraction comparison

@@ -2,66 +2,59 @@
 
 The search is exact: results are reported as Fractions and the winning menu's
 revenue is re-verified by `buyer.expected_revenue`, whose integer evaluator
-shares no code with this kernel. Every instance runs on one engine, in
-integers only: values and prices are scaled to integers, and menu blocks are
-evaluated with numpy in int64 arrays, or in arrays of Python ints where int64
-keys would overflow. A menu's score is sum_t w_t * pay_t for integer atom
-weights w_t. They are exact, or floor-scaled where exact int64 scores would
-overflow; a score is then a lower bound within an integer slack D of the
-exact one (see `_Instance`). `SearchResult.path` names the regime: "int64",
-"int64-scaled" or "bigint". Ties break toward the lexicographically smallest
-price vector (singletons first, then pairs, then larger bundles).
+shares no code with this kernel. Values and prices are scaled to integers,
+held in int64 arrays, or in arrays of Python ints where int64 keys would
+overflow. A menu's score is sum_t w_t * pay_t for integer atom weights w_t,
+exact or floor-scaled where exact int64 scores would overflow; a score is
+then a lower bound within an integer slack D of the exact one (see
+`_Instance`). `SearchResult.path` names the regime: "int64", "int64-scaled"
+or "bigint". Ties break toward the lexicographically smallest price vector
+(singletons first, then pairs, then larger bundles).
 
-A type buys the option with the largest key (v - p) * K + p, which ranks
-utility first and breaks utility ties toward the higher price, and pays the
-key mod K. `_layout` is the only reader of the constraint. It splits the menus
-into blocks, whose singleton prices (every price, for additive menus) are
-fixed and generated lazily, over a mesh with one axis per other bundle (per
-bundle size, for symmetric menus), and lists the feasibility terms
-p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and submodularity: the
-one-element steps `model._lattice_terms` caches, which admit the menus all
-bundle pairs admit and which `model.is_submodular` also walks.
-The head mesh is the mesh without its last axis, which is the grand bundle in
-every layout that has terms; a cell of it is a head row of J menus, one per
-last-axis candidate. Every term is linear in the last-axis price, so the
-feasible menus of a head row are the candidates in one range [lo, hi), and
-`examined` is the sum of hi - lo (`_enumerate_blocks`). The menus of a head
-row are scored in closed form from key tables built once per search
-(`_mesh_scores`). The caller masks the cells outside [lo, hi) and in skipped
-slabs and takes the first maximum of the (head rows x J) score matrix, which
-is the chunk's lexicographically smallest best menu. Additive blocks, which
-have no mesh, and the exact rescoring take the payments key mod K directly.
+Posted prices. Additive and bundle-only menus, and every 1-item menu, are
+posted prices, searched exactly by `_posted_price` without a layout: the
+buyer takes each item i with v_i >= p_i from an additive menu (ties go to
+the higher payment), so its revenue is sum_i p_i * Pr[v_i >= p_i] on any
+joint distribution, and the grand bundle from a bundle-only one when
+v([n]) >= p. Each item's smallest best price gives the lexicographically
+smallest optimum. `examined` counts every menu of the class (prod_i |C_i|
+or |C_[n]|); none is skipped or rescored.
 
-Blocks that fix singleton prices over a mesh are searched by branch and bound
-on every path: `_slab_bounds` bounds the score of every menu of a slab of the
-grand-bundle axis, and blocks are visited in descending bound order, equal
-bounds lexicographically. With best the incumbent's score, a slab or a menu
-is live when its bound or score is at least best - D; no other can hold an
-optimum, and `skipped` counts the feasible menus of the dead slabs. With
-D = 0 the scores are exact: a chunk's first best menu is kept while it ties
-best, and the lexicographically smallest kept wins, the menu lexicographic
-enumeration finds. With D > 0 the live menus form a window, with no size
-cap, which drops the menus below best - D as best rises and is rescored
-exactly once, at the end (`_exact_best`). Additive and bundle-only layouts
-enumerate their blocks in lexicographic order, unbounded.
+Blocks. For the other constraints, a type buys the option with the largest
+key (v - p) * K + p, which ranks utility first and breaks utility ties toward
+the higher price, and pays the key mod K. `_layout` splits the menus into
+blocks of fixed singleton prices, generated lazily, over a mesh with one axis
+per other bundle (per bundle size, for symmetric menus), and lists the
+feasibility terms p[a] + p[b] >= p[c] + p[d] of bundle monotonicity and
+submodularity: the one-element steps `model._lattice_terms` caches, which
+admit the menus all bundle pairs admit. A head row, a cell of the mesh
+without its last axis (the grand bundle), has one range [lo, hi) of feasible
+candidates (`_enumerate_blocks`), scored in closed form (`_mesh_scores`).
+
+Blocks are searched by branch and bound on every path: `_slab_bounds` bounds
+the score of every menu of a slab of the grand-bundle axis, and blocks are
+visited in descending bound order, equal bounds lexicographically. With best
+the incumbent's score, a slab or a menu is live when its bound or score is
+at least best - D; no other can hold an optimum, and `skipped` counts the
+feasible menus of the dead slabs. With D = 0 the scores are exact: a chunk's
+first best menu is kept while it ties best, and the lexicographically
+smallest kept wins, the menu lexicographic enumeration finds. With D > 0 the
+live menus form a window, with no size cap, that drops the menus below
+best - D as best rises; it is rescored exactly once, at the end (`_exact_best`).
 
 Exchangeable items. When every relabeling of the items maps the instance
-onto itself (`_exchangeable`: the atoms onto the atoms with equal exact
-weights, and each bundle's candidates onto those of its image, checked in
-integers for the adjacent transpositions, which generate the relabelings),
-relabeling a menu so that its single prices ascend gives a twin that earns
-the same revenue, is feasible exactly when the menu is, and has the same
-floor-scaled score. Unless the single prices already ascend, the twin's
-price vector is lexicographically smaller, so the lexicographically
-smallest optimum lies in a block with ascending single prices, and the
-`unrestricted`, `submodular` and `additive` layouts yield only those
+onto itself (`_exchangeable`), relabeling a menu so that its single prices
+ascend gives a twin that earns the same revenue, is feasible exactly when
+the menu is, and has the same floor-scaled score. Unless the single prices
+already ascend, the twin's price vector is lexicographically smaller, so the
+lexicographically smallest optimum lies in a block with ascending single
+prices, and the `unrestricted` and `submodular` layouts yield only those
 (lex-leader symmetry breaking). `examined` and `skipped` count each such
 block once per distinct arrangement of its single prices, n! / prod_k m_k!
 for price multiplicities m_k, so `examined` still counts every feasible
 menu. This is not the paper's theorem that two IID items have symmetric
-optimal menus, which does not follow from the symmetry of the distribution:
-relabeling maps optima to optima, and the search still ranges over every
-asymmetric menu with ascending single prices.
+optimal menus: the search still ranges over every asymmetric menu with
+ascending single prices.
 
 Bundle-monotone pruning (p(S) <= p(T) for S within T) is applied only when the
 candidate grids are closed under price monotonization, which holds for integer
@@ -86,6 +79,7 @@ from .model import (
     JointDistribution,
     Menu,
     _bundle_masks,
+    _is_rational,
     _lattice_terms,
     all_bundles,
     bundle_table,
@@ -130,9 +124,9 @@ _RESCORE_CELL_BYTES = 160
 # so a chunk takes a few MiB; larger chunks ran no faster.
 _HEAD_CHUNK = 1 << 17
 _ROWS_BUDGET = 350_000_000  # mesh cells x bundles in one enumeration block
-# blocks of one search, each scored in its own pass or all listed with their
-# bounds before any is scored: 501,501 blocks of a 2-item search raised peak
-# RSS by 175 MiB, about 365 bytes per block, so the budget holds about 365 MiB
+# blocks of one search, all listed with their bounds before any is scored:
+# 501,501 blocks of a 2-item search raised peak RSS by 175 MiB, about 365
+# bytes per block, so the budget holds about 365 MiB
 _BLOCKS_BUDGET = 1 << 20
 
 
@@ -156,6 +150,8 @@ class CandidateGrid:
         for b, ps in zip(all_bundles(self.n), self.prices):
             if not ps:
                 raise SearchError(f"empty candidate set for bundle {b}")
+            if not all(map(_is_rational, ps)):
+                raise SearchError(f"a candidate price of bundle {b} is not a rational number")
             if list(ps) != sorted(set(ps)):
                 raise SearchError(f"candidate set for bundle {b} must be sorted and duplicate-free")
             if ps[0] < 0:
@@ -230,7 +226,7 @@ class SearchResult:
     elapsed: float
     pruned: bool
     path: str  # "int64", "int64-scaled" (scores within a slack) or "bigint" (Python ints)
-    rescored: int  # window menus scored exactly; 0 where every score is exact
+    rescored: int  # window menus scored exactly; 0 where every score is exact, as for posted prices
     stages: Dict[str, float]  # seconds per stage, keyed by STAGES
     skipped: int  # feasible menus the revenue bound excluded without evaluation
     exchangeable: bool  # items interchangeable: only ascending single prices searched
@@ -277,8 +273,8 @@ class _Instance:
         self.L = _lcm(denoms)
         max_single = [int(ps[-1] * self.L) for ps, b in zip(grid.prices, self.order) if len(b) == 1]
         max_grid = max(int(ps[-1] * self.L) for ps in grid.prices)
-        # additive menus price bundles at sums of single prices, which can
-        # exceed every grid value, so K must cover them too
+        # no searched key holds a sum of single prices, but that term sets the
+        # dtype and the scale s, and so `path` and `rescored`, of every search
         self.K = max(max_grid, sum(max_single)) + 1
         items = _multiples(coords, self.L).reshape(len(dist.atoms), dist.n)
         max_val = max(items.sum(axis=1), default=0)
@@ -407,8 +403,7 @@ class _Layout:
         out = np.empty((len(idx), self.width), dtype=object)
         for c, p in zip(self.fixed, prices):
             out[:, c] = p
-        subs = np.unravel_index(idx, self.shape) if self.axes else ()
-        for group, axis, j in zip(self.groups, self.axes, subs):
+        for group, axis, j in zip(self.groups, self.axes, np.unravel_index(idx, self.shape)):
             out[:, list(group)] = axis[j][:, None]
         return [tuple(int(x) for x in row) for row in out]
 
@@ -442,22 +437,13 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
     terms = monotone if prune else ()
     # relabeling the items sorts a menu's single prices and keeps its revenue
     # and feasibility, so the lexicographically smallest optimum ascends
-    ascending = inst.exchangeable and constraint in ("additive", "unrestricted", "submodular")
-    combos = (combinations_with_replacement(singles[0], n) if ascending
+    ascending = inst.exchangeable and constraint in ("unrestricted", "submodular")
+    blocks = (combinations_with_replacement(singles[0], n) if ascending
               else iproduct(*singles))
     count = (math.comb(len(singles[0]) + n - 1, n) if ascending
              else math.prod(map(len, singles)))
-    if constraint == "additive":
-        # additive and bundle-only menus are bundle-monotone by construction
-        fixed, groups, axes, terms = every, [], [], ()
-        blocks = (tuple(sum(combo[i - 1] for i in b) for b in order) for combo in combos)
-    elif constraint == "bundle-only":
-        # every bundle costs the grand-bundle price
-        fixed, groups, axes, terms, count = (), [every], [grids[-1]], (), 1
-        blocks = iter([()])
-    elif constraint in ("unrestricted", "submodular"):
+    if constraint in ("unrestricted", "submodular"):
         fixed, groups, axes = every[:n], [(i,) for i in every[n:]], grids[n:]
-        blocks = combos
     else:
         # symmetric menus price all bundles of one size at a shared candidate
         by_size = [tuple(i for i in every if len(order[i]) == k) for k in range(1, n + 1)]
@@ -494,8 +480,7 @@ def _enumerate_blocks(layout: _Layout, blocks: Iterable[Tuple[int, ...]]
     one with coef -1 (submodularity: the grand bundle as the union d) from
     above, so one binary search per bound and head cell finds the range.
     Blocks are taken in chunks of about `_HEAD_CHUNK` head cells."""
-    last = set(layout.groups[-1]) if layout.axes else set()
-    J = layout.shape[-1] if layout.axes else 1
+    last, J = set(layout.groups[-1]), layout.shape[-1]
     by_coef: Dict[int, List[Tuple[List[int], List[int]]]] = {-1: [], 0: [], 1: []}
     for term in layout.terms:
         coef = sum(c in last for c in term[:2]) - sum(c in last for c in term[2:])
@@ -506,7 +491,6 @@ def _enumerate_blocks(layout: _Layout, blocks: Iterable[Tuple[int, ...]]
     head_shape = layout.shape[:-1]
     heads_per_block = math.prod(head_shape)
     step = max(1, _HEAD_CHUNK // heads_per_block)
-    dtype = layout.axes[-1].dtype if layout.axes else object
     # a leading axis over the chunk's blocks, then one per head axis
     mesh = np.meshgrid(*layout.axes[:-1], indexing="ij", sparse=True)
     cols: Dict[int, object] = {-1: 0}  # -1 is the empty bundle
@@ -520,7 +504,7 @@ def _enumerate_blocks(layout: _Layout, blocks: Iterable[Tuple[int, ...]]
     blocks = iter(blocks)
     while part := list(islice(blocks, step)):
         full = (len(part),) + head_shape
-        fixed = np.array(part, dtype=dtype).reshape(len(part), len(layout.fixed))
+        fixed = np.array(part, dtype=layout.axes[-1].dtype).reshape(len(part), len(layout.fixed))
         for k, c in enumerate(layout.fixed):
             cols[c] = fixed[:, k].reshape((len(part),) + (1,) * len(head_shape))
         ok = np.ones(full, dtype=bool)
@@ -667,9 +651,11 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
     clock = _StageClock()  # scaling the instance is charged to "evaluate"
     inst = _Instance(dist, grid)
     prune = _monotone_closure_holds(grid)
-    # own frame: its key tables are freed before the check (inlined, er-gap RSS read 61 MiB, not 56)
-    best_menu, best_rev, examined, rescored, skipped = _search_vectorized(
-        inst, constraint, prune, clock)
+    posted = constraint in ("additive", "bundle-only") or dist.n == 1
+    # own frames: the key tables are freed before the check (inlined, er-gap RSS read 61 MiB, not 56)
+    best_menu, best_rev, examined, rescored, skipped = (
+        _posted_price(inst, constraint, clock) if posted
+        else _search_vectorized(inst, constraint, prune, clock))
     if best_menu is None:
         raise SearchError(f"empty feasible set under constraint {constraint!r}")
     # the buyer's evaluator, independent of the kernel, is the final authority
@@ -704,30 +690,46 @@ def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, 
     return best
 
 
+def _posted_price(inst: _Instance, constraint: str, clock: _StageClock):
+    """The search result of posted prices: the smallest best price per priced column."""
+    order = inst.order
+    columns = range(inst.dist.n) if constraint == "additive" else [len(order) - 1]
+    row, score = [], 0
+    for c in columns:
+        by_value = np.argsort(inst.values[:, c])
+        # the weight of the types from each sorted position on, then of none
+        above = np.append(np.cumsum(inst.exact_weights[by_value][::-1])[::-1], 0)
+        prices = _multiples(inst.grid.prices[c], inst.L).astype(inst.dtype)
+        scores = prices * above[np.searchsorted(inst.values[by_value, c], prices)]
+        k = int(np.argmax(scores))  # the first of equal scores
+        row.append(int(prices[k]))
+        score += int(scores[k])
+    menu = [sum(row[i - 1] for i in b) for b in order] if constraint == "additive" else row * len(order)
+    clock.lap("evaluate")
+    return (inst.menu_from_scaled(menu), Fraction(score, inst.W * inst.L),
+            math.prod(len(inst.grid.prices[c]) for c in columns), 0, 0)
+
+
 def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _StageClock):
     layout = _layout(inst, constraint, prune)
     clock.lap("evaluate")
     if layout is None:
         return None, None, 0, 0, 0
     weights, D = inst.weights, inst.slack
-    # a layout without a mesh has one head row of one candidate per block
-    cell, J = _CELL_BYTES[inst.dtype], layout.shape[-1] if layout.axes else 1
+    cell, J = _CELL_BYTES[inst.dtype], layout.shape[-1]
     # a chunk holds the menus of at most chunk_rows head rows
     chunk_rows = max(1, _CHUNK_BYTES // (cell * (len(weights) + J + 1)))
 
-    blocks: Iterable[Tuple[int, ...]] = layout.blocks
+    # branch and bound: blocks by descending bound, equal bounds lexicographically
+    blocks = list(layout.blocks)
     bounds: Dict[Tuple[int, ...], np.ndarray] = {}
-    if layout.fixed and layout.axes:
-        # branch and bound: the block of highest bound first, equal bounds in
-        # lexicographic order
-        blocks = list(blocks)
-        # a block's slab bounds take (J, types) cells, each holding about
-        # twice the temporaries of a kernel cell
-        step = max(1, _CHUNK_BYTES // (2 * cell * J * len(weights)))
-        for lo in range(0, len(blocks), step):
-            part = blocks[lo:lo + step]
-            bounds.update(zip(part, _slab_bounds(inst, layout, _fixed_key(inst, layout.fixed, part))))
-        blocks.sort(key=lambda p: (-int(bounds[p].max()), p))
+    # a block's slab bounds take (J, types) cells, each holding about twice
+    # the temporaries of a kernel cell
+    step = max(1, _CHUNK_BYTES // (2 * cell * J * len(weights)))
+    for lo in range(0, len(blocks), step):
+        part = blocks[lo:lo + step]
+        bounds.update(zip(part, _slab_bounds(inst, layout, _fixed_key(inst, layout.fixed, part))))
+    blocks.sort(key=lambda p: (-int(bounds[p].max()), p))
 
     examined = skipped = 0
     # below best - D once any menu is scored, so it marks the cells not scored
@@ -741,27 +743,21 @@ def _search_vectorized(inst: _Instance, constraint: str, prune: bool, clock: _St
         twins = _arrangements(prices[:inst.dist.n]) if layout.ascending else 1
         feasible = hi - lo
         examined += twins * int(feasible.sum())
-        live = None
-        if bounds and window:
-            # slabs bounded below best - D cannot hold an optimum
-            live = bounds[prices] >= best - D
-            below = np.concatenate(([0], np.cumsum(live)))  # live slabs before each j
-            kept = below[hi] - below[lo]
-            skipped += twins * int((feasible - kept).sum())
-            heads, lo, hi = heads[kept > 0], lo[kept > 0], hi[kept > 0]
+        # slabs bounded below best - D cannot hold an optimum (none, before any score)
+        live = bounds[prices] >= best - D
+        below = np.concatenate(([0], np.cumsum(live)))  # live slabs before each j
+        kept = below[hi] - below[lo]
+        skipped += twins * int((feasible - kept).sum())
+        heads, lo, hi = heads[kept > 0], lo[kept > 0], hi[kept > 0]
         clock.lap("mask")
         if not heads.size:
             continue
         fixed_key = _fixed_key(inst, layout.fixed, prices)
         for r in range(0, heads.size, chunk_rows):
             part = slice(r, r + chunk_rows)
-            if layout.axes:
-                scores = _mesh_scores(inst, layout, fixed_key, heads[part])
-            else:
-                scores = (_payments(inst, fixed_key[None, :]) @ weights)[:, None]
+            scores = _mesh_scores(inst, layout, fixed_key, heads[part])
             out = (candidates < lo[part, None]) | (candidates >= hi[part, None])
-            if live is not None:
-                out |= ~live
+            out |= ~live
             scores[out] = floor
             scores = scores.ravel()
             i = int(np.argmax(scores))  # the first of equal scores

@@ -165,6 +165,20 @@ def test_search_json_deterministic(capsys):
     assert 0 <= first[0]["skipped"] <= first[0]["menus_examined"]
 
 
+def test_search_posted_prices_on_a_grid_too_large_for_blocks(capsys):
+    # example 6 (eps 1/100) on its integer grid: the unrestricted search
+    # would list 50,015,001 blocks and exits 2; the additive one is posted
+    # prices, one per item, and answers
+    doc = f"{DATA}/example6_eps100.json"
+    assert main(["search", doc, "--grid", "integer", "--constraint", "unrestricted"]) == 2
+    assert "candidate grid too large" in capsys.readouterr().err
+    assert main(["search", doc, "--grid", "integer", "--constraint", "additive",
+                 "--format", "json"]) == 0
+    row, = json.loads(capsys.readouterr().out)
+    assert (row["menus_examined"], row["skipped"], row["rescored"]) == (100_020_001, 0, 0)
+    assert row["menu"] == ["10000", "10000", "20000"] and row["revenue"] == "2"
+
+
 def test_search_integer_grid_rejects_fractional(tmp_path, capsys):
     frac = tmp_path / "frac.json"
     frac.write_text('{"items": 1, "kind": "joint", "atoms": ['

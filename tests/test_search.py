@@ -1,7 +1,9 @@
+import bisect
 import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -28,6 +30,9 @@ from menurev.search import CandidateGrid, SearchError
 
 # coprime near-2^31 probability denominators push the weight lcm past int64
 _P, _Q = 2**31 - 1, 2**31 - 99
+# the posted-price classes, searched without a layout, and the others
+_POSTED = ("additive", "bundle-only")
+_LAYOUTS = tuple(c for c in search.CONSTRAINTS if c not in _POSTED)
 
 
 def _point_mass_joint(v1, v2):
@@ -88,6 +93,23 @@ def test_unknown_grid_mode_is_refused():
     # CandidateGrid refuses the mode; candidate_grid adds no check of its own
     with pytest.raises(SearchError, match="unknown grid mode 'bogus'"):
         candidate_grid(_point_mass_joint(1, 2), "bogus")
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_grid_rejects_prices_that_are_not_rational(bad):
+    # a grid built by hand is checked as a menu is: a price that is not an
+    # int or another rational names its bundle before any search reads it
+    with pytest.raises(SearchError, match=r"candidate price of bundle \(1, 2\) is not a rational number"):
+        CandidateGrid(2, "explicit", ((F(1),), (0, 2), (F(1), bad)))
+
+
+def test_grid_accepts_ints_and_fractions():
+    # at (1/2, 2, 3) the type (1, 2) buys item 1, the only option it gains from
+    dist = _point_mass_joint(1, 2)
+    grid = CandidateGrid(2, "explicit", ((0, F(1, 2)), (2,), (F(3),)))
+    res = search_optimal(dist, "unrestricted", grid)
+    assert (res.best.prices, res.revenue) == ((F(1, 2), 2, 3), F(1, 2))
+    assert (res.best, res.revenue) == oracle_search(dist, "unrestricted", grid)[:2]
 
 
 def test_point_mass_full_surplus():
@@ -384,16 +406,17 @@ def _four_item_instance(rng):
 
 
 # (menus examined, window rows rescored, menus skipped) of each search below
-# on the scaled and big-int paths, in order
+# on the scaled and big-int paths, in order; the additive and bundle-only
+# searches (positions 3 and 4 mod 5) are posted prices, scored exactly
 _SCREENED = {
     "int64-scaled": [
-        (275, 1, 231), (80, 2, 43), (18, 1, 9), (16, 1, 0), (11, 1, 0), (220, 1, 165),
-        (73, 1, 57), (20, 1, 10), (20, 1, 0), (11, 1, 0), (192, 1, 168), (115, 1, 85),
-        (44, 1, 33), (24, 1, 0), (11, 1, 0), (120, 1, 80), (62, 1, 32), (39, 1, 26),
-        (16, 1, 0), (12, 1, 0), (220, 1, 198), (125, 1, 46), (11, 1, 0), (24, 1, 0),
-        (12, 1, 0), (200, 1, 190), (56, 1, 32), (22, 1, 11), (16, 1, 0), (9, 1, 0),
-        (165, 2, 99), (62, 1, 32), (30, 1, 20), (20, 1, 0), (10, 1, 0), (160, 2, 80),
-        (65, 1, 46), (22, 1, 11), (15, 2, 0), (11, 1, 0)],
+        (275, 1, 231), (80, 2, 43), (18, 1, 9), (16, 0, 0), (11, 0, 0), (220, 1, 165),
+        (73, 1, 57), (20, 1, 10), (20, 0, 0), (11, 0, 0), (192, 1, 168), (115, 1, 85),
+        (44, 1, 33), (24, 0, 0), (11, 0, 0), (120, 1, 80), (62, 1, 32), (39, 1, 26),
+        (16, 0, 0), (12, 0, 0), (220, 1, 198), (125, 1, 46), (11, 1, 0), (24, 0, 0),
+        (12, 0, 0), (200, 1, 190), (56, 1, 32), (22, 1, 11), (16, 0, 0), (9, 0, 0),
+        (165, 2, 99), (62, 1, 32), (30, 1, 20), (20, 0, 0), (10, 0, 0), (160, 2, 80),
+        (65, 1, 46), (22, 1, 11), (15, 0, 0), (11, 0, 0)],
     "bigint": [
         (81, 0, 72), (10, 0, 6), (16, 0, 0), (4, 0, 0), (4, 0, 0), (81, 0, 63), (45, 0, 15),
         (4, 0, 0), (16, 0, 0), (16, 0, 0), (256, 0, 192), (136, 0, 91), (16, 0, 0), (9, 0, 0),
@@ -466,9 +489,14 @@ def test_small_scale_windows_match_oracle(monkeypatch):
     untied = flipped = 0
     for constraint, dist in instances:
         grid = candidate_grid(dist, "support-sums")
+        rescorings = len(windows)
         res = search_optimal(dist, constraint, grid)
-        assert res.path == "int64-scaled" and res.rescored == len(windows[-1][1])
         assert (res.best, res.revenue) == oracle_search(dist, constraint, grid)[:2], constraint
+        if constraint in _POSTED:
+            # posted prices are scored exactly, with no window
+            assert (res.path, res.rescored, len(windows)) == ("int64-scaled", 0, rescorings)
+            continue
+        assert res.path == "int64-scaled" and res.rescored == len(windows[-1][1])
         inst, rows = windows[-1]
         pay = search._payments(inst, search._fixed_key(inst, range(len(inst.order)), rows))
         exact, lower = search._exact_scores(inst, pay), pay @ inst.weights
@@ -536,13 +564,13 @@ def test_four_item_mesh_guard():
         search_optimal(dist, "unrestricted", grid)
 
 
-@pytest.mark.parametrize("constraint", ["unrestricted", "submodular", "additive"])
+@pytest.mark.parametrize("constraint", ["unrestricted", "submodular"])
 def test_block_count_guard(constraint):
     # example 6 (eps 1/100) on its integer grid prices each item at 0..10^4:
     # 50,015,001 ascending single-price blocks, which the bound-ordered
-    # layouts list with their bounds and the additive one scores one at a
-    # time; refused before any is built. The symmetric search of the same
-    # grid lists 10,001 blocks and still completes.
+    # layouts list with their bounds; refused before any is built. The
+    # symmetric search of the same grid lists 10,001 blocks and still
+    # completes, and the posted-price classes build no blocks (below).
     dist = load_distribution("example6_eps100")
     grid = candidate_grid(dist, "integer-grid")
     t0 = time.perf_counter()
@@ -614,7 +642,7 @@ def test_unsellable_grid_returns_lex_smallest_zero_menu():
 def _cells(layout, heads, lo, hi):
     """Flat mesh indices, ascending, of the menus of head rows `heads` whose
     last-axis candidate lies in [lo, hi) of its row."""
-    J = layout.shape[-1] if layout.axes else 1
+    J = layout.shape[-1]
     cells = [h * J + j for h, a, b in zip(heads, lo, hi) for j in range(a, b)]
     return np.array(cells, dtype=np.intp)
 
@@ -632,9 +660,8 @@ def _table_payments(inst, layout, fixed_key, idx):
     `idx` of a block (row), straight from the key tables: the best of the
     fixed key and every axis's table row, mod K."""
     key = np.array(fixed_key, ndmin=2)
-    if layout.axes:
-        for tab, j in zip(layout.tables, np.unravel_index(idx, layout.shape)):
-            key = np.maximum(key, tab[j])
+    for tab, j in zip(layout.tables, np.unravel_index(idx, layout.shape)):
+        key = np.maximum(key, tab[j])
     return search._payments(inst, key)
 
 
@@ -652,7 +679,7 @@ def test_block_kernel_matches_buyer_choice(den, dtype):
     assert inst.dtype is dtype
     every = range(len(inst.order))
     checked = 0
-    for constraint in search.CONSTRAINTS:
+    for constraint in _LAYOUTS:
         layout = search._layout(inst, constraint, prune=False)
         for prices in itertools.islice(layout.blocks, 6):
             cells = math.prod(layout.shape)
@@ -666,13 +693,12 @@ def test_block_kernel_matches_buyer_choice(den, dtype):
                 alone = search._payments(inst, search._fixed_key(inst, every, row))
                 assert alone.tolist() == want, (constraint, row)
                 checked += 1
-            if layout.axes:
-                order = np.argsort(idx)
-                scores = _matrix_cells(layout, lambda heads: search._mesh_scores(
-                    inst, layout, fixed_key, heads), idx[order]).tolist()
-                weights = inst.weights.tolist()
-                want = [sum(int(q) * w for q, w in zip(pay, weights)) for pay in pays[order]]
-                assert scores == want
+            order = np.argsort(idx)
+            scores = _matrix_cells(layout, lambda heads: search._mesh_scores(
+                inst, layout, fixed_key, heads), idx[order]).tolist()
+            weights = inst.weights.tolist()
+            want = [sum(int(q) * w for q, w in zip(pay, weights)) for pay in pays[order]]
+            assert scores == want
     assert checked > 50
 
 
@@ -775,7 +801,7 @@ def test_enumerated_ranges_match_full_mesh_mask(monkeypatch, n, den, dtype):
         dist, grid = _fractional_grid_instance(rng, n, den)
         inst = search._Instance(dist, grid)
         assert inst.dtype is dtype
-        for constraint in search.CONSTRAINTS:
+        for constraint in _LAYOUTS:
             for prune in (False, True):
                 layout = search._layout(inst, constraint, prune)
                 if layout is None:
@@ -894,9 +920,9 @@ def test_slab_bounds_cover_every_menu(n):
             grid = candidate_grid(dist, "integer-grid")
         for inst in search._Instance(dist, grid), search._Instance(_with_tiny_atom(dist), grid):
             assert inst.path == ("int64-scaled" if inst.slack else "int64")
-            for constraint in search.CONSTRAINTS:
+            for constraint in _LAYOUTS:
                 layout = search._layout(inst, constraint, prune=False)
-                if layout is None or not (layout.fixed and layout.axes):
+                if layout is None:
                     continue
                 cells = np.arange(math.prod(layout.shape))
                 subs = np.unravel_index(cells, layout.shape)
@@ -1150,16 +1176,19 @@ def _assert_matches_oracle(dist, grid, seen):
     oracle's; returns the results."""
     results = []
     for constraint in search.CONSTRAINTS:
+        searched = len(seen)
         res = search_optimal(dist, constraint, grid)
         want = oracle_search(dist, constraint, grid, monotone=res.pruned)
         assert (res.best, res.revenue, res.examined) == want, (constraint, dist.atoms)
         assert res.to_json_dict()["exchangeable"] is res.exchangeable
+        results.append(res)
+        if constraint in _POSTED:
+            assert len(seen) == searched, constraint  # posted prices enumerate no blocks
+            continue
         ascending, blocks = seen[-1]
-        assert ascending == (res.exchangeable and constraint in
-                             ("unrestricted", "submodular", "additive"))
+        assert ascending == (res.exchangeable and constraint in ("unrestricted", "submodular"))
         if res.exchangeable:
             assert all(list(p[:dist.n]) == sorted(p[:dist.n]) for p in blocks), constraint
-        results.append(res)
     return results
 
 
@@ -1245,3 +1274,127 @@ def test_exchangeable_check_never_asks_the_distribution():
     for mode in ("integer-grid", "support-sums"):
         res = search_optimal(dist, "unrestricted", candidate_grid(dist, mode))
         assert res.exchangeable
+
+
+# ---------------------------------------------------------------------------
+# Posted prices
+# ---------------------------------------------------------------------------
+
+
+def _lattice_joint(rng, n):
+    # 1-3 types with values in [0, 3] on a 2^-40 lattice: scaled keys pass int64
+    vectors = {tuple(F(rng.randint(0, 3 << 40), 1 << 40) for _ in range(n))
+               for _ in range(rng.randint(1, 3))}
+    return _weighted_joint(n, [(v, rng.randint(1, 5)) for v in sorted(vectors)])
+
+
+def _explicit_grid(rng, dist):
+    # per bundle, a few prices from 0 to one past its top value, some unsold
+    top = {b: max(sum(v[i - 1] for i in b) for v, _ in dist.atoms) for b in all_bundles(dist.n)}
+    values = {b: sorted({sum(v[i - 1] for i in b) for v, _ in dist.atoms}) for b in top}
+    return candidate_grid(dist, "explicit", explicit={
+        b: rng.sample(values[b], min(2, len(values[b]))) + [top[b] + 1, rng.choice([0, top[b] / 2])]
+        for b in top})
+
+
+def _posted_price_case(rng, path, k):
+    """The k-th seeded (distribution, grid) on `path`: 1-3 items, in turn a
+    product, a correlated and an exchangeable joint, on support-sums,
+    integer and explicit grids (no integer grid for lattice values)."""
+    n = k % 3 + 1
+    if path == "bigint":
+        dist = _lattice_joint(rng, n)
+        dist = _mirrored(dist) if k % 2 else dist
+        mode = ("support-sums", "explicit")[k // 3 % 2]
+    else:
+        kind = k // 3 % 3
+        if kind == 0:
+            dist = product([random_single_item(rng, max_atoms=3, max_value=5) for _ in range(n)])
+        elif kind == 1:
+            dist = random_correlated_joint(rng, n=n, max_atoms=4, max_value=5)
+        else:
+            dist = _mirrored(random_correlated_joint(rng, n=n, max_atoms=2, max_value=4))
+        if path == "int64-scaled":
+            dist = _with_tiny_atom(dist)
+        mode = ("support-sums", "integer-grid", "explicit")[k // 9 % 3]
+    grid = _explicit_grid(rng, dist) if mode == "explicit" else candidate_grid(dist, mode)
+    return dist, grid
+
+
+@pytest.mark.parametrize("path", ["int64", "int64-scaled", "bigint"])
+def test_posted_prices_match_oracles(monkeypatch, path):
+    # additive and bundle-only searches, and every constraint on one item,
+    # against the enumerating oracle (menu, revenue, count) and the
+    # reference's brute-force optimum; each regime is forced by the
+    # instance, the scores are exact there, and no block layout is built
+    layouts = []
+    monkeypatch.setattr(search, "_layout", lambda *args: layouts.append(args))
+    rng = random.Random({"int64": 31, "int64-scaled": 32, "bigint": 33}[path])
+    seen = Counter()
+    for k in range(36):
+        dist, grid = _posted_price_case(rng, path, k)
+        for constraint in search.CONSTRAINTS if dist.n == 1 else _POSTED:
+            res = search_optimal(dist, constraint, grid)
+            assert (res.path, res.rescored, res.skipped) == (path, 0, 0)
+            want = oracle_search(dist, constraint, grid, monotone=res.pruned)
+            assert (res.best, res.revenue, res.examined) == want, (constraint, dist.atoms)
+            assert res.revenue == reference.brute_force_optimum(
+                dist.atoms, dist.n, grid.prices, constraint)
+            seen[dist.n, res.exchangeable, grid.mode] += 1
+    assert not layouts
+    assert {n for n, _, _ in seen} == {1, 2, 3}
+    assert {mode for _, _, mode in seen} >= {"support-sums", "explicit"}
+    assert any(ex for (n, ex, _) in seen if n > 1) and not all(ex for _, ex, _ in seen)
+
+
+def test_posted_price_ties_take_the_smallest_prices():
+    # item 1 earns 1 at price 1 or 2, item 2 earns nothing at any price, and
+    # the pair earns 1 at prices 1 and 2: the smallest best prices win
+    dist = _weighted_joint(2, [((1, 0), 1), ((2, 0), 1)])
+    grid = candidate_grid(dist, "explicit", explicit={
+        (1,): [0, 1, 2, 3], (2,): [1, 2], (1, 2): [1, 2, 4, 5]})
+    res = search_optimal(dist, "additive", grid)
+    assert (res.best.prices, res.revenue) == ((1, 1, 2), 1)
+    assert (res.best, res.revenue, res.examined) == oracle_search(dist, "additive", grid)
+    res = search_optimal(dist, "bundle-only", grid)
+    assert (res.best.prices, res.revenue) == ((1, 1, 1), 1)
+    assert (res.best, res.revenue, res.examined) == oracle_search(dist, "bundle-only", grid)
+
+
+def _best_posted_price(values, candidates):
+    """(revenue, price) of the smallest best posted price, in Fractions:
+    price c earns c times the probability of a value of c or more."""
+    values = sorted(values)
+    above = list(itertools.accumulate(p for _, p in reversed(values)))[::-1] + [F(0)]
+    keys = [v for v, _ in values]
+    return max((c * above[bisect.bisect_left(keys, c)], -c) for c in candidates)
+
+
+@pytest.mark.parametrize("constraint, examined", [
+    ("additive", 100_020_001), ("bundle-only", 20_001)], ids=["additive", "bundle-only"])
+def test_posted_prices_answer_grids_too_large_for_blocks(constraint, examined):
+    # example 6 (eps 1/100) on its integer grid: 10,001 candidates per item
+    # and 20,001 for the pair, which the block layouts refuse
+    dist = load_distribution("example6_eps100")
+    grid = candidate_grid(dist, "integer-grid")
+    t0 = time.perf_counter()
+    res = search_optimal(dist, constraint, grid)
+    assert time.perf_counter() - t0 < 2
+    assert (res.examined, res.skipped, res.rescored) == (examined, 0, 0)
+    columns = [(i,) for i in range(1, dist.n + 1)] if constraint == "additive" else [(1, 2)]
+    best = [_best_posted_price([(sum(v[i - 1] for i in b), p) for v, p in dist.atoms],
+                               grid.prices[all_bundles(2).index(b)]) for b in columns]
+    assert res.revenue == sum(r for r, _ in best)
+    assert [res.best.price(b) for b in columns] == [-c for _, c in best]
+
+
+def test_additive_search_over_a_thousand_prices_per_item():
+    # two IID items uniform on {0, 10, ..., 1000}, integer grid: 1,001
+    # candidates per item; price 500 sells to 51 of the 101 values
+    dist = product([uniform(range(0, 1001, 10))] * 2)
+    grid = candidate_grid(dist, "integer-grid")
+    t0 = time.perf_counter()
+    res = search_optimal(dist, "additive", grid)
+    assert time.perf_counter() - t0 < 1
+    assert (res.best.prices, res.revenue, res.examined) == ((500, 500, 1000), F(51000, 101), 1_002_001)
+    assert res.exchangeable and res.path == "int64"
