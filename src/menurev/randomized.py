@@ -7,7 +7,6 @@ exhaustive search alike; a Fraction is built only for the returned utility.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -340,21 +339,14 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
 
 
 def _lp_simplex(values: List[Valuation], mu: List[Fraction], n: int) -> lp.VertexResult:
-    """Exact tableau simplex on the <= form of `_lp_rows`, with payments split as
-    p = p+ - p-; the simplex keeps every variable >= 0, so the x >= 0 rows go."""
-    t_count = len(values)
-    nx = t_count * n
+    """Exact tableau simplex on the <= form of `_lp_rows`. The simplex keeps
+    every variable >= 0, so the x >= 0 rows go, and no optimum pays a
+    negative price: values and allocations are nonnegative, so if
+    min_s p_s = -eta < 0, IC toward s gives every type utility >= eta, and
+    raising every payment by eta keeps IC and IR and earns eta more."""
+    nx = len(values) * n
     rows, rhs, _ = _lp_rows(values, n)
     box = len(rows) - 2 * nx  # box rows alternate x >= 0 and -x >= -1
     keep = [r for r in range(len(rows)) if r < box or (r - box) % 2]
-    a_ub = []
-    for r in keep:
-        row = {j: -v for j, v in rows[r].items()}
-        row.update((j + t_count, v) for j, v in rows[r].items() if j >= nx)
-        a_ub.append(row)
-    b_ub = [-rhs[r] for r in keep]
-    c = [Fraction(0)] * nx + list(mu) + [-m for m in mu]
-    result = lp.simplex_max(c, a_ub, b_ub)
-    sol = result.x
-    x = sol[:nx] + [sol[nx + t] - sol[nx + t_count + t] for t in range(t_count)]
-    return dataclasses.replace(result, x=x)
+    a_ub = [{j: -v for j, v in rows[r].items()} for r in keep]
+    return lp.simplex_max([Fraction(0)] * nx + list(mu), a_ub, [-rhs[r] for r in keep])

@@ -1,44 +1,56 @@
 """Valuation-space partition induced by a 2-item menu, plus SVG/ASCII rendering.
 
-The four closed regions below are derived from the menu geometry alone; they
-must agree pointwise with the buyer's choice (the readable reference is
-`reference.choice` in `benchmark/reference.py`), which the test suite checks
-on dense random grids including boundary points.
+`_purchase_regions` derives the purchase region of each option S (the empty
+bundle included) from its definition: v(S) - p_S >= v(T) - p_T for every
+other option T, strict where the buyer's tie-break ranks T above S. The
+tie-break is a total order, so every valuation satisfies the rows of exactly
+one region, the buyer's choice; the test suite checks this against the
+readable reference `reference.choice` in `benchmark/reference.py` on dense
+random grids including boundary points.
 
-Every half-plane coefficient is -1, 0 or 1 and only the right-hand sides are
+Every row's coefficients are -1, 0 or 1 and only the right-hand sides are
 Fractions, so `RegionPartition2.regions_of` scales the right-hand sides and
 a whole batch of points by one common multiple of their denominators and
 tests each point with Python-int sums. It shares no choice logic with the
 buyer's evaluator: only the check that coordinates are rationals and the
 scaling rule `rational.over_common_denominator`, so `verify_against_buyer`
-is an independent check of it.
+is an independent check of it. `polygons` clips the frame square by each
+region's rows, taken as closed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
-from .buyer import _coordinate_columns, batch_choice
+from .buyer import _scaled, batch_choice
 from .model import Bundle, Menu, Valuation, all_bundles, is_normalized2
-from .rational import over_common_denominator
 
-# A half-plane constraint (a1, a2, op, rhs) means  a1*v1 + a2*v2  op  rhs,
-# with a1, a2 in {-1, 0, 1} and op one of ">=", "<=".
-HalfPlane = Tuple[int, int, str, Fraction]
+# A row (a, r, strict) means  sum_i a_i * v_i >= r, or > r when strict,
+# with each a_i in {-1, 0, 1}.
+_Row = Tuple[Tuple[int, ...], Fraction, bool]
 
 _F0 = Fraction(0)
 Point = Tuple[Fraction, Fraction]
 
 
-def _hp(a1: int, a2: int, op: str, rhs) -> HalfPlane:
-    return (a1, a2, op, Fraction(rhs))
+def _purchase_regions(m: Menu) -> Dict[Bundle, Tuple[_Row, ...]]:
+    """The rows of each option's purchase region, the options in the buyer's
+    tie-break order: higher payment, then larger bundle, then the
+    lexicographically smaller one. S's row for T is v(S) - p_S >= v(T) - p_T,
+    strict where T ranks above S."""
+    price = m.as_dict()
+    price[()] = _F0
+    options = sorted(price, key=lambda b: (-price[b], -len(b), b))
+    items = range(1, m.n + 1)
+    return {s: tuple((tuple(int(i in s) - int(i in t) for i in items), price[s] - price[t], k < j)
+                     for k, t in enumerate(options) if t != s)
+            for j, s in enumerate(options)}
 
 
 @dataclass(frozen=True)
 class RegionPartition2:
-    """Partition of the nonnegative quadrant into the four purchase regions.
+    """Partition of the valuation plane into the four purchase regions.
 
     Boundary points belong to the neighboring region with the higher payment
     (then the larger bundle, then lexicographic order), matching the buyer's
@@ -46,69 +58,54 @@ class RegionPartition2:
     """
 
     menu: Menu
-    kind: str  # "submodular" | "supermodular" | "additive"
-    constraints: Dict[Bundle, Tuple[HalfPlane, ...]]
+    rows: Dict[Bundle, Tuple[_Row, ...]]  # by `_purchase_regions`
 
     def region_of(self, v: Valuation) -> Bundle:
         return self.regions_of([v])[0]
 
     def regions_of(self, points: Sequence[Valuation]) -> List[Bundle]:
-        """The region of each point: the first region, in the tie-break
-        order, whose half-planes all hold at it; () if none does.
+        """The region of each point: the one whose rows all hold at it.
 
         The right-hand sides and the coordinates are scaled by L, the lcm of
-        their denominators, and each half-plane is turned into the form
-        a1*x + a2*y >= r, so every test is an integer sum and a compare.
+        their denominators, so every test is an integer sum and a compare; a
+        strict row a.x > r becomes a.x >= r + 1. The regions are tried in
+        the tie-break order, and as they partition the plane, the last one,
+        the empty bundle, needs no test.
         """
-        xs, ys = _coordinate_columns(2, points)
-        price = self.menu.as_dict()
-        price[()] = _F0
-        order = sorted(self.constraints, key=lambda b: (-price[b], -len(b), b))
-        size = len(xs)
-        _, scaled = over_common_denominator(chain(
-            xs, ys, (hp[3] for b in order for hp in self.constraints[b])))
-        rhs = iter(scaled[2 * size:])  # zip takes from it only while b has half-planes
-        tests = [(b, [(a1, a2, r) if op == ">=" else (-a1, -a2, -r)
-                      for (a1, a2, op, _), r in zip(self.constraints[b], rhs)])
-                 for b in order]
+        *tried, last = self.rows
+        _, (xs, ys), rhs = _scaled(2, points, [r for b in tried for _, r, _ in self.rows[b]])
+        rhs = iter(rhs)
+        tests = [(b, [(a1, a2, next(rhs) + strict) for (a1, a2), _, strict in self.rows[b]])
+                 for b in tried]
         out: List[Bundle] = []
-        for x, y in zip(scaled[:size], scaled[size:2 * size]):
-            for bundle, halves in tests:
-                if all(a1 * x + a2 * y >= r for a1, a2, r in halves):
+        for x, y in zip(xs, ys):
+            for bundle, rows in tests:
+                if all(a1 * x + a2 * y >= r for a1, a2, r in rows):
                     out.append(bundle)
                     break
             else:
-                out.append(())
+                out.append(last)
         return out
 
     def polygons(self, frame: Fraction) -> Dict[Bundle, List[Point]]:
-        """Closed polygon outline of each region clipped to [0, frame]^2."""
-        a, b, c = self.menu.prices
-        h = frame
-
-        def pt(x, y) -> Point:
-            return (min(Fraction(x), h), min(Fraction(y), h))
-
-        if self.kind == "supermodular":
-            return {
-                (): [pt(0, 0), pt(a, 0), pt(a, b), pt(0, b)],
-                (1,): [pt(a, 0), pt(h, 0), pt(h, c - a), pt(c - b, c - a), pt(a, b)],
-                (2,): [pt(0, b), pt(a, b), pt(c - b, c - a), pt(c - b, h), pt(0, h)],
-                (1, 2): [pt(c - b, c - a), pt(h, c - a), pt(h, h), pt(c - b, h)],
-            }
-        if self.kind == "submodular":
-            return {
-                (): [pt(0, 0), pt(a, 0), pt(a, c - a), pt(c - b, b), pt(0, b)],
-                (1,): [pt(a, 0), pt(h, 0), pt(h, c - a), pt(a, c - a)],
-                (2,): [pt(0, b), pt(c - b, b), pt(c - b, h), pt(0, h)],
-                (1, 2): [pt(c - b, h), pt(c - b, b), pt(a, c - a), pt(h, c - a), pt(h, h)],
-            }
-        return {
-            (): [pt(0, 0), pt(a, 0), pt(a, b), pt(0, b)],
-            (1,): [pt(a, 0), pt(h, 0), pt(h, b), pt(a, b)],
-            (2,): [pt(0, b), pt(a, b), pt(a, h), pt(0, h)],
-            (1, 2): [pt(a, b), pt(h, b), pt(h, h), pt(a, h)],
-        }
+        """Closed polygon outline of each region clipped to [0, frame]^2, by
+        Sutherland-Hodgman over Fractions; repeated vertices are dropped."""
+        square = [(_F0, _F0), (frame, _F0), (frame, frame), (_F0, frame)]
+        out: Dict[Bundle, List[Point]] = {}
+        for bundle in ((),) + all_bundles(2):
+            poly = square
+            for (a1, a2), r, _ in self.rows[bundle]:
+                side = [a1 * x + a2 * y - r for x, y in poly]
+                clipped = []
+                for p, q, sp, sq in zip(poly, poly[1:] + poly[:1], side, side[1:] + side[:1]):
+                    if sp >= 0:
+                        clipped.append(p)
+                    if sp * sq < 0:
+                        t = sp / (sp - sq)
+                        clipped.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+                poly = list(dict.fromkeys(clipped))
+            out[bundle] = poly
+        return out
 
 
 def region_partition_2(m: Menu) -> RegionPartition2:
@@ -116,21 +113,7 @@ def region_partition_2(m: Menu) -> RegionPartition2:
         raise ValueError("region geometry is defined for 2-item menus")
     if not is_normalized2(m):
         raise ValueError("menu must be normalized (pair price >= each item price)")
-    a, b, c = m.prices
-    if c > a + b:
-        kind = "supermodular"
-    elif c < a + b:
-        kind = "submodular"
-    else:
-        kind = "additive"
-
-    constraints: Dict[Bundle, Tuple[HalfPlane, ...]] = {
-        (1, 2): (_hp(1, 1, ">=", c), _hp(1, 0, ">=", c - b), _hp(0, 1, ">=", c - a)),
-        (1,): (_hp(1, 0, ">=", a), _hp(0, 1, "<=", c - a), _hp(-1, 1, "<=", b - a)),
-        (2,): (_hp(0, 1, ">=", b), _hp(1, 0, "<=", c - b), _hp(1, -1, "<=", a - b)),
-        (): (_hp(1, 0, "<=", a), _hp(0, 1, "<=", b), _hp(1, 1, "<=", c)),
-    }
-    return RegionPartition2(m, kind, constraints)
+    return RegionPartition2(m, _purchase_regions(m))
 
 
 def verify_against_buyer(part: RegionPartition2, points: Sequence[Valuation]) -> List[Valuation]:
@@ -156,6 +139,12 @@ def _frame(part: RegionPartition2) -> Fraction:
     a, b, c = part.menu.prices
     hi = max(a, b, c - a, c - b, Fraction(1))
     return hi * Fraction(5, 4)
+
+
+def _shape(m: Menu) -> str:
+    """How the pair price compares with the sum of the item prices."""
+    a, b, c = m.prices
+    return "supermodular" if c > a + b else "submodular" if c < a + b else "additive"
 
 
 def _centroid(poly: List[Point]) -> Point:
@@ -203,7 +192,7 @@ def render_svg(part: RegionPartition2) -> str:
             parts.append(f'<text x="{sx(_F0) - 9:.2f}" y="{sy(coord) + 4:.2f}" '
                          f'text-anchor="end" font-size="12">{name}</text>')
 
-    title = f"menu ({a}, {b}, {c}) - {part.kind}"
+    title = f"menu ({a}, {b}, {c}) - {_shape(part.menu)}"
     key = (f'<text x="{margin}" y="{total - 12}" font-size="12">'
            f"0 = no sale, 1 = item 1, 2 = item 2, B = both</text>")
     return (
@@ -221,5 +210,5 @@ def render_ascii(part: RegionPartition2) -> str:
     labels = [_REGION_LABELS[r] for r in part.regions_of(mids)]
     rows = ["".join(labels[k:k + _ASCII_SIZE]) for k in range(0, len(labels), _ASCII_SIZE)]
     a, b, c = part.menu.prices
-    header = f"menu ({a}, {b}, {c})  [{part.kind}]  frame [0, {frame}]^2"
+    header = f"menu ({a}, {b}, {c})  [{_shape(part.menu)}]  frame [0, {frame}]^2"
     return header + "\n" + "\n".join(rows) + "\n"

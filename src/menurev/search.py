@@ -18,7 +18,8 @@ the higher payment), so its revenue is sum_i p_i * Pr[v_i >= p_i] on any
 joint distribution, and the grand bundle from a bundle-only one when
 v([n]) >= p. Each item's smallest best price gives the lexicographically
 smallest optimum. `examined` counts every menu of the class (prod_i |C_i|
-or |C_[n]|); none is skipped or rescored.
+or |C_[n]|); none is skipped or rescored, and as no blocks are searched,
+`pruned` and `exchangeable` are False.
 
 Blocks. For the other constraints, a type buys the option with the largest
 key (v - p) * K + p, which ranks utility first and breaks utility ties toward
@@ -68,7 +69,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement, islice, product as iproduct
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -271,11 +272,8 @@ class _Instance:
         coords = [x for v, _ in dist.atoms for x in v]
         denoms = {p.denominator for ps in grid.prices for p in ps} | {x.denominator for x in coords}
         self.L = _lcm(denoms)
-        max_single = [int(ps[-1] * self.L) for ps, b in zip(grid.prices, self.order) if len(b) == 1]
-        max_grid = max(int(ps[-1] * self.L) for ps in grid.prices)
-        # no searched key holds a sum of single prices, but that term sets the
-        # dtype and the scale s, and so `path` and `rescored`, of every search
-        self.K = max(max_grid, sum(max_single)) + 1
+        # K is above every grid price, so a key (v - p) * K + p pays p = key mod K
+        self.K = max(int(ps[-1] * self.L) for ps in grid.prices) + 1
         items = _multiples(coords, self.L).reshape(len(dist.atoms), dist.n)
         max_val = max(items.sum(axis=1), default=0)
         # Python ints stay exact where int64 keys would overflow
@@ -295,7 +293,10 @@ class _Instance:
             self.weights = np.array([p.numerator * self.scale // p.denominator
                                      for _, p in dist.atoms], dtype=np.int64)
             self.path = "int64-scaled"
-        self.exchangeable = _exchangeable(self)
+
+    @cached_property
+    def exchangeable(self) -> bool:
+        return _exchangeable(self)
 
     def menu_from_scaled(self, row: Sequence[int]) -> Menu:
         return Menu(self.dist.n, tuple(Fraction(int(p), self.L) for p in row))
@@ -650,8 +651,9 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
 
     clock = _StageClock()  # scaling the instance is charged to "evaluate"
     inst = _Instance(dist, grid)
-    prune = _monotone_closure_holds(grid)
     posted = constraint in ("additive", "bundle-only") or dist.n == 1
+    # posted prices search no blocks, so neither pruning nor exchangeability applies
+    prune = not posted and _monotone_closure_holds(grid)
     # own frames: the key tables are freed before the check (inlined, er-gap RSS read 61 MiB, not 56)
     best_menu, best_rev, examined, rescored, skipped = (
         _posted_price(inst, constraint, clock) if posted
@@ -665,7 +667,7 @@ def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid
     clock.lap("verify")
     return SearchResult(best_menu, best_rev, examined, constraint, grid.mode,
                         time.perf_counter() - t0, prune, inst.path, rescored, clock.seconds,
-                        skipped, inst.exchangeable)
+                        skipped, not posted and inst.exchangeable)
 
 
 def _exact_best(inst: _Instance, rows: Iterable[Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:

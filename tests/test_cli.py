@@ -149,6 +149,15 @@ def test_search_text_reports_skipped(capsys):
     assert "items exchangeable, only ascending single prices searched" in out
 
 
+def test_search_text_has_no_exchangeable_note_for_posted_prices(capsys):
+    # additive menus are searched as posted prices, with no blocks to restrict
+    code = main(["search", f"{DATA}/example5_eps100.json", "--constraint", "additive"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("additive: revenue 102/25 (4.08) at menu (4, 4, 8); 9 menus examined")
+    assert "exchangeable" not in out
+
+
 def test_search_json_deterministic(capsys):
     args = ["search", f"{DATA}/example6_eps10.json", "--constraint", "symmetric",
             "--format", "json"]

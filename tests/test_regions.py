@@ -5,8 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 import reference
-from menurev import menu2
-from menurev.instances import random_fraction, random_submodular_menu, random_supermodular_menu
+from menurev import menu2, regions
+from menurev.instances import (
+    random_fraction,
+    random_menu,
+    random_submodular_menu,
+    random_supermodular_menu,
+)
 from menurev.regions import (
     region_partition_2,
     render_ascii,
@@ -34,9 +39,11 @@ def _sample_points(m, rng, count):
 
 
 def test_kinds():
-    assert region_partition_2(menu2(15, 45, 80)).kind == "supermodular"
-    assert region_partition_2(menu2(27, 70, 85)).kind == "submodular"
-    assert region_partition_2(menu2(2, 3, 5)).kind == "additive"
+    for prices, kind in (((15, 45, 80), "supermodular"), ((27, 70, 85), "submodular"),
+                         ((2, 3, 5), "additive")):
+        part = region_partition_2(menu2(*prices))
+        assert render_ascii(part).splitlines()[0].split("  ")[1] == f"[{kind}]"
+        assert f"<title>menu {prices} - {kind}</title>" in render_svg(part)
 
 
 def test_requires_normalized_menu():
@@ -107,15 +114,17 @@ def test_ascii_cells_are_the_buyer_choice_at_their_midpoints(prices):
             for i in range(24))
 
 
-def _half_plane_oracle(part, v):
-    """The region of v by the half-planes in Fractions, one bundle at a time."""
-    price = part.menu.as_dict()
-    price[()] = F(0)
-    for bundle in sorted(part.constraints, key=lambda b: (-price[b], -len(b), b)):
-        if all((a1 * v[0] + a2 * v[1] >= rhs) if op == ">=" else (a1 * v[0] + a2 * v[1] <= rhs)
-               for a1, a2, op, rhs in part.constraints[bundle]):
-            return bundle
-    return ()
+def _holds(row, v):
+    """Whether v satisfies a row, in Fractions."""
+    coefs, rhs, strict = row
+    lhs = sum(a * x for a, x in zip(coefs, v))
+    return lhs > rhs if strict else lhs >= rhs
+
+
+def _row_oracle(rows, v):
+    """The one region whose rows all hold at v; fails unless there is exactly one."""
+    (region,) = [b for b, rs in rows.items() if all(_holds(r, v) for r in rs)]
+    return region
 
 
 # two denominators whose product is past 2^63
@@ -130,8 +139,8 @@ def _boundary_points(part, rng):
     specials = sorted({F(0), a, b, c, c - a, c - b, a + b})
     pts = [(x, y) for x in specials for y in specials]
     hi = 2 * max(c, F(1))
-    for hps in part.constraints.values():
-        for a1, a2, _, rhs in hps:
+    for rows in part.rows.values():
+        for (a1, a2), rhs, _ in rows:
             for t in range(9):
                 s = hi * F(t, 8)
                 if a2:
@@ -156,12 +165,52 @@ def test_regions_of_matches_buyer_and_half_plane_oracle():
             a, b = random_fraction(rng, 30, 5), random_fraction(rng, 30, 5)
             m = menu2(a, b, a + b)
         part = region_partition_2(m)
-        kinds[part.kind] = kinds.get(part.kind, 0) + 1
+        kind = regions._shape(m)
+        kinds[kind] = kinds.get(kind, 0) + 1
         pts = _boundary_points(part, rng)
         got = part.regions_of(pts)
-        assert got == [_half_plane_oracle(part, v) for v in pts], m.prices
+        assert got == [_row_oracle(part.rows, v) for v in pts], m.prices
         assert got == [reference.choice(m.as_dict(), v)[0] for v in pts], m.prices
         assert [part.region_of(v) for v in pts[::25]] == got[::25]
+        # the strict rows make the regions disjoint, so no order of trying them matters
+        backward = regions.RegionPartition2(m, dict(reversed(part.rows.items())))
+        assert backward.regions_of(pts) == got, m.prices
         dens.update(x.denominator for v in pts for x in v)
     assert set(kinds) == {"supermodular", "submodular", "additive"}
     assert math.lcm(*dens) > 2 ** 63
+
+
+def _shoelace(poly):
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+@pytest.mark.parametrize("prices", [(15, 45, 80), (27, 70, 85), (2, 3, 5), (0, 0, 0), (5, 5, 5),
+                                    (0, 3, 3), (5, 1, 10), (F(7, 3), F(1, 2), F(11, 4))])
+def test_polygons_tile_the_frame_and_hold_their_own_centroid(prices):
+    m = menu2(*prices)
+    part = region_partition_2(m)
+    frame = regions._frame(part)
+    polys = part.polygons(frame)
+    assert list(polys) == [(), (1,), (2,), (1, 2)]
+    assert sum(_shoelace(poly) for poly in polys.values()) == frame ** 2
+    for bundle, poly in polys.items():
+        assert len(set(poly)) == len(poly) >= 1
+        assert all(0 <= x <= frame and 0 <= y <= frame for x, y in poly)
+        if _shoelace(poly):
+            center = regions._centroid(poly)
+            assert part.region_of(center) == bundle
+            assert reference.choice(m.as_dict(), center)[0] == bundle
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_purchase_region_rows_give_the_buyer_choice(n):
+    rng = random.Random(20261020 + n)
+    for _ in range(40):
+        m = random_menu(rng, n, max_price=8)
+        rows, table = regions._purchase_regions(m), m.as_dict()
+        assert set(rows) == {(), *table}
+        # integer points hit the ties between options, fractional ones the interiors
+        pts = [tuple(F(rng.randint(0, 10)) for _ in range(n)) for _ in range(60)]
+        pts += [tuple(random_fraction(rng, 30, 4) for _ in range(n)) for _ in range(60)]
+        for v in pts:
+            assert _row_oracle(rows, v) == reference.choice(table, v)[0], (m.prices, v)

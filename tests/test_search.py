@@ -198,7 +198,8 @@ def test_oracle_equivalence_correlated_instances():
 
 
 def test_pruning_matches_oracle_on_integer_grids():
-    # integer grids are monotone-closed, so every search prunes; the oracle never does
+    # integer grids are monotone-closed, so every block search prunes; the
+    # oracle never does, and posted prices search no blocks
     rng = random.Random(8080)
     checked = 0
     while checked < 20:
@@ -212,7 +213,7 @@ def test_pruning_matches_oracle_on_integer_grids():
             continue
         for constraint in search.CONSTRAINTS:
             res = search_optimal(dist, constraint, grid)
-            assert res.pruned
+            assert res.pruned == (constraint not in _POSTED)
             oracle_menu, oracle_rev, oracle_examined = oracle_search(dist, constraint, grid)
             assert (res.best, res.revenue) == (oracle_menu, oracle_rev), (constraint, dist.atoms)
             if constraint == "unrestricted" and max(grid.prices[0]) > 0:
@@ -248,7 +249,7 @@ def test_monotone_closure_rule_matches_subset_loop():
         want = _closed_under_monotonization(grid)
         assert search._monotone_closure_holds(grid) == want, grid.prices
         dist = product([uniform([1, 2])] * n)
-        assert search_optimal(dist, "bundle-only", grid).pruned == want, grid.prices
+        assert search_optimal(dist, "unrestricted", grid).pruned == want, grid.prices
         seen[want] += 1
     assert min(seen) >= 50, seen
 
@@ -878,7 +879,7 @@ _EXAMPLE4 = {
 def test_example4_optimum_and_examined(example4, constraint):
     res = search_optimal(example4, constraint, candidate_grid(example4, "integer-grid"))
     assert (res.best.prices, res.revenue, res.examined, res.skipped) == _EXAMPLE4[constraint]
-    assert res.path == "int64" and res.pruned and res.rescored == 0
+    assert res.path == "int64" and res.pruned == (constraint not in _POSTED) and res.rescored == 0
 
 
 def _visit_order(inst, layout):
@@ -1225,7 +1226,7 @@ def test_exchangeable_search_matches_oracle(monkeypatch, path):
             continue
         assert _swaps_keep_atoms(dist)
         for res in _assert_matches_oracle(dist, grid, seen):
-            assert res.path == path and res.exchangeable
+            assert res.path == path and res.exchangeable == (res.constraint not in _POSTED)
             singles = res.best.prices[:dist.n]
             tied += res.constraint == "unrestricted" and len(set(singles)) < dist.n
         checked += 1
@@ -1336,11 +1337,12 @@ def test_posted_prices_match_oracles(monkeypatch, path):
         for constraint in search.CONSTRAINTS if dist.n == 1 else _POSTED:
             res = search_optimal(dist, constraint, grid)
             assert (res.path, res.rescored, res.skipped) == (path, 0, 0)
+            assert not (res.pruned or res.exchangeable)  # no blocks searched
             want = oracle_search(dist, constraint, grid, monotone=res.pruned)
             assert (res.best, res.revenue, res.examined) == want, (constraint, dist.atoms)
             assert res.revenue == reference.brute_force_optimum(
                 dist.atoms, dist.n, grid.prices, constraint)
-            seen[dist.n, res.exchangeable, grid.mode] += 1
+            seen[dist.n, search._exchangeable(search._Instance(dist, grid)), grid.mode] += 1
     assert not layouts
     assert {n for n, _, _ in seen} == {1, 2, 3}
     assert {mode for _, _, mode in seen} >= {"support-sums", "explicit"}
@@ -1397,4 +1399,4 @@ def test_additive_search_over_a_thousand_prices_per_item():
     res = search_optimal(dist, "additive", grid)
     assert time.perf_counter() - t0 < 1
     assert (res.best.prices, res.revenue, res.examined) == ((500, 500, 1000), F(51000, 101), 1_002_001)
-    assert res.exchangeable and res.path == "int64"
+    assert not res.exchangeable and res.path == "int64"  # posted prices search no blocks
