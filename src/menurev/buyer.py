@@ -10,14 +10,15 @@ of one valuation in Fractions and imports nothing from this package; the
 tests compare this module against it.
 
 `batch_choice` runs that rule for one menu over a batch of valuations;
-`revenue_at`, `sale_probabilities`, `check_monotone` and
-`regions.verify_against_buyer` read its result. `expected_revenues` scores
-several menus on one distribution: it scales the atoms, their probabilities
-(p_t * W, W the lcm of the probability denominators) and every menu's prices
-once, sums each bundle's value column once (`_bundle_columns`, one column
-addition per multi-item bundle), runs the rule's key loop per menu and
-builds one Fraction per menu at the end.
-`expected_revenue` is its one-menu case.
+`revenue_at`, `check_monotone` and `regions.verify_against_buyer` read its
+result. `expected_revenues` scores several menus on one distribution, and
+`sale_probabilities` one menu: they read the distribution's integer form,
+`dist.integer_atoms` (L_v-scaled coordinate columns and the
+weights p_t * W, W the lcm of the probability denominators), put every
+menu's prices over one denominator, with L the lcm of that and L_v, sum
+each bundle's value column once (`_bundle_columns`, one column addition per
+multi-item bundle), run the rule's key loop per menu and build the
+Fractions at the end. `expected_revenue` is the one-menu case.
 
 `check_monotone` compares the deduplicated batch points in Python-int
 bitsets, one bit per point: per row, the points that pay less ANDed with,
@@ -27,14 +28,18 @@ The evaluator takes rational coordinates only (ints, Fractions or other
 `numbers.Rational`): a float or any other coordinate raises ValueError
 naming the valuation and the coordinate.
 
-Every L and W above is taken by `rational.over_common_denominator`. That
-helper and the rationals check `_coordinate_columns` are all that
+Every L and W above is taken by `rational.over_common_denominator`. The
+search kernel reads the same integer atoms but no choice code: the rule
+here is its independent final check, which trusts that one scaling rule,
+tested on its own against Fraction arithmetic, for the atoms. That helper
+and the rationals check `model._coordinate_columns` are all that
 `regions.regions_of` shares with this module. The module is plain Python
 and imports no numpy, so the exact layers built on it (`constructions`,
 `regions`) load none either.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -47,7 +52,7 @@ from .model import (
     Menu,
     Valuation,
     _bundle_masks,
-    _is_rational,
+    _coordinate_columns,
     all_bundles,
 )
 from .rational import RationalLike, over_common_denominator, parse_nonnegative
@@ -76,22 +81,6 @@ def _price_paid(m: Menu, option: int) -> Fraction:
     return m.prices[option - 1] if option else Fraction(0)
 
 
-def _coordinate_columns(n: int, points: Sequence[Valuation]) -> List[Sequence]:
-    """The points' coordinates, one column per item, checked to be rationals."""
-    if set(map(len, points)) - {n}:
-        v = next(v for v in points if len(v) != n)
-        raise ValueError(f"valuation has {len(v)} entries for a {n}-item menu")
-    columns = list(zip(*points)) if points else [()] * n
-    if set(map(type, chain.from_iterable(columns))) <= {int, Fraction}:
-        return columns
-    for v in points:
-        for i, x in enumerate(v):
-            if not _is_rational(x):
-                raise ValueError(f"valuation {tuple(v)!r}: value[{i}] = {x!r} is a "
-                                 f"{type(x).__name__}, not a rational number")
-    return [tuple(map(Fraction, column)) for column in columns]
-
-
 def _scaled(n: int, points: Sequence[Valuation],
             prices: Sequence[Fraction]) -> Tuple[int, List[List[int]], List[int]]:
     """L, the lcm of the denominators of every coordinate and price; L times
@@ -107,12 +96,12 @@ def _unit(n: int, top: int) -> int:
     return (top + 1) * (n + 1) << n
 
 
-def _bundle_columns(n: int, scaled: List[List[int]], unit: int) -> Dict[int, List[int]]:
-    """Each bundle's mask mapped to `unit` times each point's bundle value,
-    from the L-scaled coordinate columns `scaled`, in the order of
-    `all_bundles(n)`. A multi-item bundle's column is its lowest item's
-    column added to the column of the bundle without that item, built
-    before it in that order."""
+def _bundle_columns(n: int, scaled: Sequence[Sequence[int]], unit: int) -> Dict[int, List[int]]:
+    """Each bundle's mask mapped to `unit` times the sum of the bundle's
+    integer coordinate columns `scaled`, in the order of `all_bundles(n)`;
+    for columns over a divisor L_v of L, `unit` carries the factor L / L_v.
+    A multi-item bundle's column is its lowest item's column added to the
+    column of the bundle without that item, built before it in that order."""
     values = [[x * unit for x in column] for column in scaled]
     sums: Dict[int, List[int]] = {}
     for mask in _bundle_masks(n):
@@ -173,30 +162,38 @@ def _option_totals(options: Iterable[int], weights: Sequence[int], count: int) -
     return totals
 
 
-def expected_revenues(menus: Sequence[Menu], dist: JointDistribution) -> List[Fraction]:
-    """`expected_revenue` of each menu, over one scaling of the atoms.
+def _option_weights(menus: Sequence[Menu], dist: JointDistribution
+                    ) -> Tuple[int, List[Tuple[int, ...]], List[List[int]]]:
+    """(L, each menu's L-scaled option prices, each menu's `_option_totals`).
 
-    The coordinate columns, one L for the atoms and every menu's prices, the
-    scaled points, their bundle columns (`_bundle_columns`), W and the atom
-    weights are computed once; each menu then runs only the key loop of
-    `_choose` and one weighted sum of payments.
+    The atoms are read from `dist.integer_atoms`, over L_v and W; the prices
+    of every menu go over one common denominator, and L is the lcm of theirs
+    and L_v. The bundle columns (`_bundle_columns`) are built once; each menu
+    then runs only the key loop of `_choose` and one weighted sum per option.
     """
+    atoms = dist.integer_atoms
+    price_scale, flat = over_common_denominator(p for m in menus for p in m.prices)
+    scale = math.lcm(atoms.scale, price_scale)
+    flat = [x * (scale // price_scale) for x in flat]
+    size = len(menus[0].prices)
+    prices = [(0, *flat[k:k + size]) for k in range(0, len(flat), size)]
+    unit = _unit(dist.n, max(map(max, prices)))
+    columns = _bundle_columns(dist.n, atoms.columns, unit * (scale // atoms.scale))
+    return scale, prices, [_option_totals(_choose(dist.n, p, columns, unit), atoms.weights, len(p))
+                           for p in prices]
+
+
+def expected_revenues(menus: Sequence[Menu], dist: JointDistribution) -> List[Fraction]:
+    """`expected_revenue` of each menu, over one scaling of the prices and
+    the distribution's own integer atoms (`_option_weights`); one Fraction
+    per menu is built at the end."""
     for m in menus:
         _check_items(m, dist)
     if not menus:
         return []
-    scale, scaled, flat = _scaled(
-        dist.n, [v for v, _ in dist.atoms], [p for m in menus for p in m.prices])
-    whole, weights = over_common_denominator(p for _, p in dist.atoms)
-    size = len(menus[0].prices)
-    prices = [(0, *flat[k:k + size]) for k in range(0, len(flat), size)]
-    unit = _unit(dist.n, max(map(max, prices)))
-    columns = _bundle_columns(dist.n, scaled, unit)
-    out = []
-    for p in prices:
-        totals = _option_totals(_choose(dist.n, p, columns, unit), weights, len(p))
-        out.append(Fraction(sum(map(mul, p, totals)), whole * scale))
-    return out
+    scale, prices, totals = _option_weights(menus, dist)
+    whole = dist.integer_atoms.whole * scale
+    return [Fraction(sum(map(mul, p, t)), whole) for p, t in zip(prices, totals)]
 
 
 def expected_revenue(m: Menu, dist: JointDistribution) -> Fraction:
@@ -206,9 +203,8 @@ def expected_revenue(m: Menu, dist: JointDistribution) -> Fraction:
 def sale_probabilities(m: Menu, dist: JointDistribution) -> Dict[Bundle, Fraction]:
     """Probability that each bundle (including ()) is the one sold."""
     _check_items(m, dist)
-    chosen = batch_choice(m, [v for v, _ in dist.atoms])
-    whole, weights = over_common_denominator(p for _, p in dist.atoms)
-    totals = _option_totals(chosen.options, weights, len(chosen.prices))
+    _, _, (totals,) = _option_weights([m], dist)
+    whole = dist.integer_atoms.whole
     return {b: Fraction(t, whole) for b, t in zip(((),) + all_bundles(m.n), totals)}
 
 

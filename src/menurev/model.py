@@ -2,17 +2,34 @@
 
 Everything here is exact rational arithmetic (fractions.Fraction); values are
 immutable after construction so instances can be shared freely.
+
+A joint distribution also has one read-only integer form of its atoms,
+`JointDistribution.integer_atoms` (`IntegerAtoms`: L and one column of
+L-scaled coordinates per item, W and one weight p_t * W per atom), computed
+at most once per object. The buyer's evaluator and the search both read it.
+It is `rational.over_common_denominator` over the atoms, taken at the first
+exact evaluation, so a distribution that is never evaluated pays nothing
+for it. The search and the buyer's final check of its optimum thus trust
+that one rule, tested on its own against Fraction arithmetic, for the
+atoms' scaling; they share nothing else.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iproduct
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from functools import cached_property, lru_cache
+from itertools import chain, product as iproduct
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .rational import ParseError, RationalLike, _lcm, parse_nonnegative, parse_rational
+from .rational import (
+    ParseError,
+    RationalLike,
+    _lcm,
+    over_common_denominator,
+    parse_nonnegative,
+    parse_rational,
+)
 
 MAX_ITEMS = 16  # menus carry 2^n - 1 prices; anything larger is out of scope
 
@@ -70,6 +87,27 @@ def as_valuation(values: Sequence[RationalLike], n: int, where: str) -> Valuatio
 
 def bundle_value(v: Valuation, bundle: Bundle) -> Fraction:
     return sum((v[i - 1] for i in bundle), Fraction(0))
+
+
+def _is_rational(p) -> bool:  # an int, a Fraction or another numbers.Rational, not a bool
+    return type(p) is Fraction or type(p) is int or (
+        isinstance(p, numbers.Rational) and not isinstance(p, bool))
+
+
+def _coordinate_columns(n: int, points: Sequence[Valuation]) -> List[Sequence]:
+    """The points' coordinates, one column per item, checked to be rationals."""
+    if set(map(len, points)) - {n}:
+        v = next(v for v in points if len(v) != n)
+        raise ValueError(f"valuation has {len(v)} entries for a {n}-item menu")
+    columns = list(zip(*points)) if points else [()] * n
+    if set(map(type, chain.from_iterable(columns))) <= {int, Fraction}:
+        return columns
+    for v in points:
+        for i, x in enumerate(v):
+            if not _is_rational(x):
+                raise ValueError(f"valuation {tuple(v)!r}: value[{i}] = {x!r} is a "
+                                 f"{type(x).__name__}, not a rational number")
+    return [tuple(map(Fraction, column)) for column in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +178,35 @@ def point_mass(value: RationalLike) -> SingleItemDistribution:
     return SingleItemDistribution.from_pairs([(value, 1)])
 
 
+class IntegerAtoms(NamedTuple):
+    """A joint distribution's atoms in integers, in atom order: L is the lcm
+    of the coordinate denominators and W that of the probability denominators."""
+
+    scale: int  # L
+    columns: Tuple[Tuple[int, ...], ...]  # per item, L times each atom's coordinate
+    whole: int  # W
+    weights: Tuple[int, ...]  # W times each atom's probability
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Finitely supported distribution over n-item valuation vectors."""
 
     n: int
     atoms: Tuple[Tuple[Valuation, Fraction], ...]
+
+    @cached_property
+    def integer_atoms(self) -> IntegerAtoms:
+        """The atoms over their common denominators, computed once per object
+        by `rational.over_common_denominator` at the first read, the first
+        exact evaluation. A coordinate that is not a rational raises
+        ValueError here, not at construction, and nothing is cached."""
+        columns = _coordinate_columns(self.n, [v for v, _ in self.atoms])
+        scale, flat = over_common_denominator(chain.from_iterable(columns))
+        whole, weights = over_common_denominator(p for _, p in self.atoms)
+        size = len(self.atoms)
+        return IntegerAtoms(scale, tuple(tuple(flat[i * size:(i + 1) * size]) for i in range(self.n)),
+                            whole, tuple(weights))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Tuple[Sequence[RationalLike], RationalLike]],
@@ -208,6 +269,13 @@ def _canonical_atoms(d: SingleItemDistribution, where: str) -> Tuple[Tuple[Fract
     return atoms
 
 
+def _times(p: Fraction, q: Fraction) -> Fraction:
+    """p * q, built from the numerators and denominators with one
+    normalization: about 30% faster than `Fraction.__mul__` on the masses of
+    an ER discretization."""
+    return Fraction(p.numerator * q.numerator, p.denominator * q.denominator)
+
+
 def _repeated_masses(probs: Sequence[Fraction], k: int) -> List[Fraction]:
     """The mass of every index tuple of k independent copies of one part,
     the tuples in lexicographic order, each product taken once per multiset
@@ -217,10 +285,7 @@ def _repeated_masses(probs: Sequence[Fraction], k: int) -> List[Fraction]:
     ascending ordering: (i, *s), with s ascending, is ascending where
     i <= s[0], and otherwise orders as (s[0], *ascending(i, *s[1:])). An
     ascending tuple's mass is probs[i] times its rest's; any other tuple
-    takes the mass of its ascending ordering, which comes before it. A
-    product is made from the numerators and denominators with one
-    normalization, about 30% faster than `Fraction.__mul__` on the masses
-    of an ER discretization.
+    takes the mass of its ascending ordering, which comes before it.
     """
     n = len(probs)
     table, canon = list(probs), list(range(n))
@@ -230,11 +295,7 @@ def _repeated_masses(probs: Sequence[Fraction], k: int) -> List[Fraction]:
                  for i in range(n) for f in canon]
         masses: List[Fraction] = []
         for t, f in enumerate(canon):
-            if f == t:
-                p, q = probs[t // size], table[t % size]
-                masses.append(Fraction(p.numerator * q.numerator, p.denominator * q.denominator))
-            else:
-                masses.append(masses[f])
+            masses.append(_times(probs[t // size], table[t % size]) if f == t else masses[f])
         table = masses
     return table
 
@@ -252,7 +313,8 @@ def product(parts: Sequence[SingleItemDistribution]) -> JointDistribution:
     Where every part has the same atoms (compared by value), the i.i.d.
     product, each probability is computed once per multiset of atom indices
     (`_repeated_masses`): for two copies of a 100-atom part, 5,050 Fraction
-    products instead of 10^4, with atoms `==` to the general construction."""
+    products instead of 10^4, with atoms `==` to the general construction.
+    Every mass product, on either path, is one `_times`."""
     if not parts:
         raise ValueError("product of zero distributions")
     if len(parts) > MAX_ITEMS:
@@ -268,18 +330,13 @@ def product(parts: Sequence[SingleItemDistribution]) -> JointDistribution:
         return JointDistribution(len(parts), tuple(zip(values, masses)))
     atoms = [((v,), p) for v, p in checked[0]]
     for part in checked[1:]:
-        atoms = [(vs + (v,), q * p) for vs, q in atoms for v, p in part]
+        atoms = [(vs + (v,), _times(q, p)) for vs, q in atoms for v, p in part]
     return JointDistribution(len(parts), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
 # Menus
 # ---------------------------------------------------------------------------
-
-def _is_rational(p) -> bool:  # an int, a Fraction or another numbers.Rational, not a bool
-    return type(p) is Fraction or type(p) is int or (
-        isinstance(p, numbers.Rational) and not isinstance(p, bool))
-
 
 @dataclass(frozen=True)
 class Menu:

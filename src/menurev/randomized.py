@@ -261,11 +261,10 @@ class LPOutcome:
 
 
 def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], List[int]]:
-    """The IC/IR/box system in >= form as sparse integer rows: the IC rows, the
-    IR rows, then for each (t, i) the pair x >= 0, -x >= -1; columns are x, then
-    payments. Returns (rows, rhs, scale): a row of type t's IC or IR
-    constraints is that constraint times scale = the lcm of the denominators
-    of t's values, and a box row has scale 1."""
+    """The IC and IR constraints in >= form as sparse integer rows, the IC rows
+    first; columns are x, then payments. Returns (rows, rhs, scale): a row of
+    type t's constraints is that constraint times scale = the lcm of the
+    denominators of t's values. The bounds 0 <= x <= 1 are the callers'."""
     t_count = len(values)
     nx = t_count * n
     rows: List[lp.Row] = []
@@ -287,10 +286,7 @@ def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], 
         row[nx + t] = -d
         rows.append(row)
         scale.append(d)
-    rhs = [0] * len(rows) + [0, -1] * nx
-    rows += [{col: sign} for col in range(nx) for sign in (1, -1)]
-    scale += [1] * (2 * nx)
-    return rows, rhs, scale
+    return rows, [0] * len(rows), scale
 
 
 def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
@@ -321,8 +317,12 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
     if method == "exact-simplex":
         result = _lp_simplex(values, mu, n)
     elif method == "float-guided-exact":
-        c = [Fraction(0)] * (t_count * n) + list(mu)
-        result = lp.certified_vertex(c, *_lp_rows(values, n))
+        nx = t_count * n
+        c = [Fraction(0)] * nx + list(mu)
+        rows, rhs, scale = _lp_rows(values, n)
+        # per (t, i), the pair x >= 0, -x >= -1, of scale 1
+        rows += [{col: sign} for col in range(nx) for sign in (1, -1)]
+        result = lp.certified_vertex(c, rows, rhs + [0, -1] * nx, scale + [1] * (2 * nx))
     else:
         raise ValueError(f"unknown LP method {method!r}")
 
@@ -339,14 +339,12 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
 
 
 def _lp_simplex(values: List[Valuation], mu: List[Fraction], n: int) -> lp.VertexResult:
-    """Exact tableau simplex on the <= form of `_lp_rows`. The simplex keeps
-    every variable >= 0, so the x >= 0 rows go, and no optimum pays a
-    negative price: values and allocations are nonnegative, so if
-    min_s p_s = -eta < 0, IC toward s gives every type utility >= eta, and
-    raising every payment by eta keeps IC and IR and earns eta more."""
+    """Exact tableau simplex on the <= form of `_lp_rows`, then x <= 1. The
+    simplex keeps every variable >= 0, so x needs no x >= 0 rows, and no
+    optimum pays a negative price: values and allocations are nonnegative,
+    so if min_s p_s = -eta < 0, IC toward s gives every type utility >= eta,
+    and raising every payment by eta keeps IC and IR and earns eta more."""
     nx = len(values) * n
     rows, rhs, _ = _lp_rows(values, n)
-    box = len(rows) - 2 * nx  # box rows alternate x >= 0 and -x >= -1
-    keep = [r for r in range(len(rows)) if r < box or (r - box) % 2]
-    a_ub = [{j: -v for j, v in rows[r].items()} for r in keep]
-    return lp.simplex_max([Fraction(0)] * nx + list(mu), a_ub, [-rhs[r] for r in keep])
+    a_ub = [{j: -v for j, v in row.items()} for row in rows] + [{col: 1} for col in range(nx)]
+    return lp.simplex_max([Fraction(0)] * nx + list(mu), a_ub, [-r for r in rhs] + [1] * nx)

@@ -4,11 +4,13 @@ one common-denominator rule.
 A validator is handed the path of what it reads as `where` and raises
 `ParseError` at the fault, naming the full path of the faulty value.
 
-Every exact integer path outside the search kernel that starts from
-rationals puts a batch of them over L, the lcm of their denominators
-(`over_common_denominator`), and works with the integers q * L; the
-equal-revenue grids are integers from the start. The search keeps its own lcm and scaling, so the
-buyer, the final check of its revenues, shares no code with it.
+Every exact integer path that starts from rationals puts a batch of them
+over L, the lcm of their denominators (`over_common_denominator`), and works
+with the integers q * L; the equal-revenue grids are integers from the
+start. A joint distribution's atoms go over their denominators once per
+distribution (`JointDistribution.integer_atoms`), by this rule; the search
+and the buyer, the final check of its revenues, both read them and share
+no choice code.
 """
 from __future__ import annotations
 

@@ -34,18 +34,18 @@ _F0 = Fraction(0)
 Point = Tuple[Fraction, Fraction]
 
 
-def _purchase_regions(m: Menu) -> Dict[Bundle, Tuple[_Row, ...]]:
-    """The rows of each option's purchase region, the options in the buyer's
-    tie-break order: higher payment, then larger bundle, then the
+def _purchase_regions(m: Menu) -> Tuple[Tuple[Bundle, Tuple[_Row, ...]], ...]:
+    """(option, the rows of its purchase region) pairs, the options in the
+    buyer's tie-break order: higher payment, then larger bundle, then the
     lexicographically smaller one. S's row for T is v(S) - p_S >= v(T) - p_T,
     strict where T ranks above S."""
     price = m.as_dict()
     price[()] = _F0
     options = sorted(price, key=lambda b: (-price[b], -len(b), b))
     items = range(1, m.n + 1)
-    return {s: tuple((tuple(int(i in s) - int(i in t) for i in items), price[s] - price[t], k < j)
-                     for k, t in enumerate(options) if t != s)
-            for j, s in enumerate(options)}
+    return tuple((s, tuple((tuple(int(i in s) - int(i in t) for i in items), price[s] - price[t], k < j)
+                           for k, t in enumerate(options) if t != s))
+                 for j, s in enumerate(options))
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class RegionPartition2:
     """
 
     menu: Menu
-    rows: Dict[Bundle, Tuple[_Row, ...]]  # by `_purchase_regions`
+    rows: Tuple[Tuple[Bundle, Tuple[_Row, ...]], ...]  # by `_purchase_regions`, hashable
 
     def region_of(self, v: Valuation) -> Bundle:
         return self.regions_of([v])[0]
@@ -72,11 +72,11 @@ class RegionPartition2:
         the tie-break order, and as they partition the plane, the last one,
         the empty bundle, needs no test.
         """
-        *tried, last = self.rows
-        _, (xs, ys), rhs = _scaled(2, points, [r for b in tried for _, r, _ in self.rows[b]])
+        *tried, (last, _) = self.rows
+        _, (xs, ys), rhs = _scaled(2, points, [r for _, rows in tried for _, r, _ in rows])
         rhs = iter(rhs)
-        tests = [(b, [(a1, a2, next(rhs) + strict) for (a1, a2), _, strict in self.rows[b]])
-                 for b in tried]
+        tests = [(b, [(a1, a2, next(rhs) + strict) for (a1, a2), _, strict in rows])
+                 for b, rows in tried]
         out: List[Bundle] = []
         for x, y in zip(xs, ys):
             for bundle, rows in tests:
@@ -92,9 +92,10 @@ class RegionPartition2:
         Sutherland-Hodgman over Fractions; repeated vertices are dropped."""
         square = [(_F0, _F0), (frame, _F0), (frame, frame), (_F0, frame)]
         out: Dict[Bundle, List[Point]] = {}
+        rows = dict(self.rows)
         for bundle in ((),) + all_bundles(2):
             poly = square
-            for (a1, a2), r, _ in self.rows[bundle]:
+            for (a1, a2), r, _ in rows[bundle]:
                 side = [a1 * x + a2 * y - r for x, y in poly]
                 clipped = []
                 for p, q, sp, sq in zip(poly, poly[1:] + poly[:1], side, side[1:] + side[:1]):

@@ -1,10 +1,13 @@
 """Exhaustive grid search for revenue-optimal menus under structural constraints.
 
 The search is exact: results are reported as Fractions and the winning menu's
-revenue is re-verified by `buyer.expected_revenue`, whose integer evaluator
-shares no code with this kernel. Values and prices are scaled to integers,
-held in int64 arrays, or in arrays of Python ints where int64 keys would
-overflow. A menu's score is sum_t w_t * pay_t for integer atom weights w_t,
+revenue is re-verified by `buyer.expected_revenue`, whose integer choice rule
+shares no code with this kernel. Both read the distribution's integer
+atoms (`JointDistribution.integer_atoms`), so the atoms are put over common
+denominators once per distribution, by `rational.over_common_denominator`,
+which the final check therefore trusts for their scaling. Values and prices are scaled to
+integers, held in int64 arrays, or in arrays of Python ints where int64 keys
+would overflow. A menu's score is sum_t w_t * pay_t for integer atom weights w_t,
 exact or floor-scaled where exact int64 scores would overflow; a score is
 then a lower bound within an integer slack D of the exact one (see
 `_Instance`). `SearchResult.path` names the regime: "int64", "int64-scaled"
@@ -256,33 +259,36 @@ class SearchResult:
 
 class _Instance:
     """An instance in integers. Values and grid prices are scaled by L, the lcm
-    of their denominators, and held in the keys' dtype: int64 where every key
-    fits, Python ints otherwise. With W the lcm of the probability
-    denominators, a menu's exact score sum_t p_t * W * pay_t is its revenue
-    times W * L. `weights` holds w_t = floor(p_t * s), in the keys' dtype, so
-    that lower = sum_t w_t * pay_t <= score * s / W <= lower + D for the
-    slack D. On Python-int keys, or where W * K fits the int64 budget, s = W
-    and D = 0. Otherwise s = budget // K - T and D = T * (K - 1): every lower
-    score is at most s * (K - 1), so it stays below the budget with D added."""
+    of their denominators: lcm(L_v, the grid's denominators), the values read
+    over L_v from `dist.integer_atoms`. They are held in the keys' dtype:
+    int64 where every key fits, Python ints otherwise. With W the lcm of the
+    probability denominators, a menu's exact score sum_t p_t * W * pay_t is
+    its revenue times W * L. `weights` holds w_t = floor(p_t * s), in the
+    keys' dtype, so that lower = sum_t w_t * pay_t <= score * s / W <= lower
+    + D for the slack D. On Python-int keys, or where W * K fits the int64
+    budget, s = W and D = 0. Otherwise s = budget // K - T and D = T * (K - 1):
+    every lower score is at most s * (K - 1), so it stays below the budget
+    with D added."""
 
     def __init__(self, dist: JointDistribution, grid: CandidateGrid):
         self.dist = dist
         self.grid = grid
         self.order = all_bundles(dist.n)
-        coords = [x for v, _ in dist.atoms for x in v]
-        denoms = {p.denominator for ps in grid.prices for p in ps} | {x.denominator for x in coords}
-        self.L = _lcm(denoms)
+        atoms = dist.integer_atoms
+        self.L = math.lcm(atoms.scale, *{p.denominator for ps in grid.prices for p in ps})
         # K is above every grid price, so a key (v - p) * K + p pays p = key mod K
         self.K = max(int(ps[-1] * self.L) for ps in grid.prices) + 1
-        items = _multiples(coords, self.L).reshape(len(dist.atoms), dist.n)
+        items = np.array(atoms.columns, dtype=object).T  # (types, items)
+        if self.L != atoms.scale:
+            items = items * (self.L // atoms.scale)
         max_val = max(items.sum(axis=1), default=0)
         # Python ints stay exact where int64 keys would overflow
         self.dtype = np.int64 if (max_val + self.K + 1) * self.K < _INT64_BUDGET else object
         incidence = [[int(i + 1 in b) for b in self.order] for i in range(dist.n)]
         self.values = items.astype(self.dtype) @ np.array(incidence, dtype=self.dtype)
-        self.W = _lcm({p.denominator for _, p in dist.atoms})
-        # the exact atom weights p_t * W
-        self.exact_weights = _multiples([p for _, p in dist.atoms], self.W)
+        self.W = atoms.whole
+        # the exact atom weights p_t * W, as the distribution holds them
+        self.exact_weights = np.array(atoms.weights, dtype=object)
         T = len(dist.atoms)
         if self.dtype is object or self.W * self.K < _INT64_BUDGET:
             self.scale, self.slack = self.W, 0
@@ -331,18 +337,9 @@ def _arrangements(prices: Sequence[int]) -> int:
     return math.factorial(len(prices)) // math.prod(map(math.factorial, Counter(prices).values()))
 
 
-def _lcm(ints: Iterable[int]) -> int:
-    """The lcm, pairwise over a balanced tree so that most steps take small
-    operands: a third of the time of a running lcm over 10^4 atoms."""
-    xs = list(ints) or [1]
-    while len(xs) > 1:
-        xs = [math.lcm(*xs[i:i + 2]) for i in range(0, len(xs), 2)]
-    return xs[0]
-
-
 def _multiples(xs: Sequence[Fraction], m: int) -> np.ndarray:
-    """x * m as Python ints in an object array, for xs whose denominators
-    divide m; m // d is taken once per distinct denominator d."""
+    """x * m as Python ints in an object array, for prices xs whose
+    denominators divide m; m // d is taken once per distinct denominator d."""
     per = {d: m // d for d in {x.denominator for x in xs}}
     return np.array([x.numerator * per[x.denominator] for x in xs], dtype=object)
 

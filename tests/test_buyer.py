@@ -490,3 +490,18 @@ def test_bad_valuations_raise(evaluate):
         evaluate((F(1), F(2), F(3)))
     with pytest.raises(ValueError, match="valuation has 1 entries for a 2-item menu"):
         evaluate((F(1),))
+
+
+def test_bad_coordinates_raise_at_evaluation_not_construction():
+    # a distribution built directly is not checked; its first exact evaluation
+    # reads `integer_atoms`, which raises, and caches nothing, so every later
+    # evaluation raises again
+    dist = JointDistribution(2, (((F(1), F(2)), F(1, 2)), ((F(1), 1.5), F(1, 2))))
+    message = r"valuation \(Fraction\(1, 1\), 1\.5\): value\[1\] = 1\.5 is a float, not a rational"
+    for evaluate in (lambda: dist.integer_atoms, lambda: expected_revenue(_MENU, dist),
+                     lambda: expected_revenues([_MENU, _MENU], dist),
+                     lambda: sale_probabilities(_MENU, dist), lambda: dist.integer_atoms):
+        with pytest.raises(ValueError, match=message):
+            evaluate()
+    assert "integer_atoms" not in vars(dist)
+    assert expected_revenues([], dist) == []  # no menu, no evaluation

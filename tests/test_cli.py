@@ -46,10 +46,11 @@ def test_eval_json(capsys):
 
 
 def test_eval_evaluates_the_distribution_once(monkeypatch, capsys):
+    # one run of the buyer's choice rule, over the 125 atoms
     calls = []
-    real = menurev.buyer.batch_choice
-    monkeypatch.setattr(menurev.buyer, "batch_choice",
-                        lambda m, points: calls.append(len(points)) or real(m, points))
+    real = menurev.buyer._choose
+    monkeypatch.setattr(menurev.buyer, "_choose", lambda n, prices, columns, unit: calls.append(
+        len(next(iter(columns.values())))) or real(n, prices, columns, unit))
     assert main(["eval", f"{DATA}/example4_menu.json",
                  f"{DATA}/example4_distribution.json"]) == 0
     assert calls == [125]

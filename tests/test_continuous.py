@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import bundle_price_sweep, oracle_bundle_sweep, oracle_er_discretize
-from menurev import continuous
+from menurev import continuous, rational
 from menurev.continuous import (
     NumericParams,
     er_cap_sweep,
@@ -676,3 +677,29 @@ def test_drev_search_of_the_report(monkeypatch):
         12855115960206617855235602079640855524293459849980007997730964984593755180839871572414612713591011520511295)
     assert res.exchangeable
     assert (res.examined, res.skipped, res.rescored, res.path) == (6253, 0, 55, "int64-scaled")
+
+
+def test_er_report_scales_the_joint_atoms_once(monkeypatch):
+    # the companion's 10^4 probabilities and 20,000 coordinates go over their
+    # common denominators once, at the search's first read of the joint's
+    # `integer_atoms`; the buyer's final check reads the same form
+    sizes = []
+    real = rational.over_common_denominator
+
+    def spy(qs):
+        qs = list(qs)
+        sizes.append(len(qs))
+        return real(qs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("menurev") and hasattr(module, "over_common_denominator"):
+            monkeypatch.setattr(module, "over_common_denominator", spy)
+    products = []
+    real_product = continuous.product
+    monkeypatch.setattr(continuous, "product",
+                        lambda parts: products.append(real_product(parts)) or products[-1])
+    report = numeric_gap_er(1.0, 1.0, FAST)
+    assert report.drev_exact is not None
+    (joint,) = products
+    assert len(joint.atoms) == 10**4 and "integer_atoms" in vars(joint)
+    assert sorted(size for size in sizes if size >= 10**4) == [10**4, 2 * 10**4]

@@ -13,7 +13,7 @@ from menurev import lp
 from menurev.instances import load_distribution
 from menurev.lp import LPError, certified_vertex, simplex_max, _solve_rows
 from menurev.model import JointDistribution
-from menurev.randomized import _lp_rows, _lp_simplex, lp_optimal
+from menurev.randomized import _lp_simplex, lp_optimal
 
 from conftest import oracle_simplex
 
@@ -226,6 +226,17 @@ def test_vertex_path_agrees_with_simplex_on_random_lps():
         assert res.certified
 
 
+def vertex_system(dist):
+    """The (c, rows, rhs, scale) that `lp_optimal(dist, "float-guided-exact")`
+    hands to `certified_vertex`: the rows of `_lp_rows`, then the box pairs."""
+    seen = []
+    real = lp.certified_vertex
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "certified_vertex", lambda *a: seen.append(a) or real(*a))
+        lp_optimal(dist, method="float-guided-exact")
+    return seen[0]
+
+
 def loop_float_rows(rows, rhs, scale, width):
     """The float system of certified_vertex, one matrix entry stored at a time."""
     a = np.zeros((len(rows), width))
@@ -249,7 +260,7 @@ def test_float_problem_matches_dense_fraction_rows(monkeypatch):
         rows, rhs = dense_lp_rows(values, dist.n)
         a = -np.array([[float(v) for v in row] for row in rows])
         b = -np.array([float(v) for v in rhs])
-        loop_a, loop_b = loop_float_rows(*_lp_rows(values, dist.n), len(values) * (dist.n + 1))
+        loop_a, loop_b = loop_float_rows(*vertex_system(dist)[1:], len(values) * (dist.n + 1))
         for want_a, want_b in ((a, b), (-loop_a, -loop_b)):
             assert seen["A_ub"].shape == want_a.shape
             assert seen["A_ub"].tobytes() == want_a.tobytes()
@@ -262,8 +273,7 @@ def test_certified_vertex_ignores_row_scaling():
     # a row times k > 0 with its scale times k is the same constraint: the
     # float problem, the basis, every pivot and the vertex stay
     dist = load_distribution("example7_distribution")
-    c = [F(0)] * (len(dist.atoms) * dist.n) + [p for _, p in dist.atoms]
-    rows, rhs, scale = _lp_rows([v for v, _ in dist.atoms], dist.n)
+    c, rows, rhs, scale = vertex_system(dist)
     want = certified_vertex(c, rows, rhs, scale)
     rng = random.Random(5)
     ks = [rng.randint(1, 60) for _ in rows]
@@ -315,8 +325,9 @@ def test_dual_certifies_the_vertex_on_its_own(draw):
     dist = load_distribution("example7_distribution") if draw is None \
         else rescaled_example7(draw + 1)[draw]
     values = [v for v, _ in dist.atoms]
-    c = [F(0)] * (len(values) * dist.n) + [p for _, p in dist.atoms]
-    res = certified_vertex(c, *_lp_rows(values, dist.n))
+    c, *system = vertex_system(dist)
+    assert c == [F(0)] * (len(values) * dist.n) + [p for _, p in dist.atoms]
+    res = certified_vertex(c, *system)
     rows, rhs = dense_lp_rows(values, dist.n)
     lhs = [sum(a * x for a, x in zip(row, res.x) if a) for row in rows]
     assert all(v >= b for v, b in zip(lhs, rhs))

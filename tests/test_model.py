@@ -337,15 +337,18 @@ def test_product_checks_canonical_parts_in_one_pass(monkeypatch):
 
 
 def _count_products(monkeypatch):
-    """Count every product of two Fractions from now on."""
+    """Count every product of two Fractions from now on, by `Fraction.__mul__`
+    or by `model._times`."""
     count = [0]
-    real = F.__mul__
 
-    def mul(a, b):
-        count[0] += 1
-        return real(a, b)
+    def counted(real):
+        def mul(a, b):
+            count[0] += 1
+            return real(a, b)
+        return mul
 
-    monkeypatch.setattr(F, "__mul__", mul)
+    monkeypatch.setattr(F, "__mul__", counted(F.__mul__))
+    monkeypatch.setattr(model, "_times", counted(model._times))
     return count
 
 
@@ -395,6 +398,56 @@ def test_product_of_repeated_parts_checks_each_place():
         with pytest.raises(ParseError) as err:
             product(parts)
         assert err.value.location == location and str(err.value) == f"{location}: mass 5/6 != 1"
+
+
+def _fractional_part(rng, max_atoms=5):
+    """A canonical part with fractional values and masses over several primes."""
+    values = set()
+    for _ in range(rng.randint(1, max_atoms)):
+        values.add(F(rng.randint(0, 40), rng.choice([1, 2, 3, 5, 7])))
+    masses = [F(rng.randint(1, 9), rng.choice([1, 2, 3, 5, 11])) for _ in values]
+    return SingleItemDistribution.from_pairs(
+        [(v, m / sum(masses)) for v, m in zip(sorted(values), masses)])
+
+
+def _integer_atom_cases():
+    from menurev.continuous import NumericParams, _distribution, _er_grid
+    rng = random.Random(40)
+    d, e, f = (_fractional_part(rng) for _ in range(3))
+    twin = SingleItemDistribution(tuple(list(d.atoms)))
+    h = F(1, 2)
+    # parts that fail the one-pass check go through from_pairs
+    unsorted = SingleItemDistribution(((F(7, 2), h), (F(1, 3), h)))
+    ints = SingleItemDistribution(((1, F(1, 3)), (4, F(2, 3))))
+    companion = NumericParams(cap=100.0, grid_points=100)
+    er1, er2 = (_distribution(_er_grid(r, companion)) for r in (1.0, 1.5))
+    return {
+        "one part": [d], "two unequal": [d, e], "three unequal": [d, e, f],
+        "two equal": [d, d], "three equal": [d] * 3, "equal distinct objects": [d, twin, d],
+        "mixed equal first": [d, d, e], "mixed equal apart": [d, e, d],
+        "point masses": [point_mass(F(7, 3)), point_mass(0)],
+        "point mass and part": [e, point_mass(5), e], "from_pairs unsorted": [unsorted, unsorted],
+        "from_pairs ints": [ints, d, unsorted], "er companion": [er1, er1], "er unequal": [er1, er2],
+    }
+
+
+@pytest.mark.parametrize("case", list(_integer_atom_cases()))
+def test_integer_atoms_match_the_fraction_atoms(case):
+    # the integer form of a product's atoms is read from them, at the first
+    # read and once; it agrees with the Fraction atoms, each over the lcm of
+    # its kind's denominators, taken here by a running lcm
+    parts = _integer_atom_cases()[case]
+    joint = product(parts)
+    assert "integer_atoms" not in vars(joint)  # product computes none
+    form = joint.integer_atoms
+    assert joint.integer_atoms is form
+    scale = math.lcm(*(x.denominator for v, _ in joint.atoms for x in v))
+    whole = math.lcm(*(p.denominator for _, p in joint.atoms))
+    assert (form.scale, form.whole) == (scale, whole)
+    assert [F(w, whole) for w in form.weights] == [p for _, p in joint.atoms]
+    assert [tuple(F(y, scale) for y in ys) for ys in zip(*form.columns)] == [v for v, _ in joint.atoms]
+    assert all(type(x) is int for x in (*form.weights, *itertools.chain(*form.columns)))
+    assert form == JointDistribution(len(parts), joint.atoms).integer_atoms
 
 
 def test_from_pairs_merges_one_shared_fraction():

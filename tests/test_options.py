@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+from functools import cached_property
 
 import menurev
 
@@ -77,6 +78,7 @@ METHODS = {
     "ERGapReport.drev_over_srev": "ROADMAP item 1: the ER report's trace record",
     "ERGapReport.to_json_dict": "ROADMAP item 1: the ER report's trace record",
     "JointDistribution.from_pairs": "serialize.parse_distribution",
+    "JointDistribution.integer_atoms": "expected_revenues, sale_probabilities, search_optimal",
     "JointDistribution.marginal": "JointDistribution.support_values",
     "JointDistribution.support_values": "candidate_grid",
     "Menu.a": "constructions.symmetrize2, model.is_normalized2",
@@ -135,5 +137,6 @@ def test_every_method_is_listed():
         found |= {f"{name}.{attr}" for attr, member in vars(cls).items()
                   if not attr.startswith("_") and attr not in fields
                   and (inspect.isfunction(member)
-                       or isinstance(member, (property, classmethod, staticmethod)))}
+                       or isinstance(member, (property, cached_property, classmethod,
+                                              staticmethod)))}
     assert found == set(METHODS)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import floor_to_dyadic
-from menurev import rational, search
+from menurev import product, rational, search, uniform
 from menurev.rational import (
     decimal_with_flag,
     format_decimal,
@@ -81,12 +81,21 @@ def test_over_common_denominator_matches_fractions(case):
         assert scale >= 2**63
 
 
-def test_search_keeps_its_own_lcm():
-    # the buyer rescores the search's optima with the rational helper, so the
-    # search must not share it
-    assert search._lcm is not rational._lcm
+def test_search_scales_no_atoms_itself():
+    # the search and the buyer both read the distribution's integer atoms;
+    # the search takes no lcm of atoms and imports no scaling helper
+    assert not hasattr(search, "_lcm")
     assert not hasattr(search, "over_common_denominator")
     tree = ast.parse(inspect.getsource(search))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and (node.module or "").endswith("rational") for alias in node.names}
     assert not imported & {"_lcm", "over_common_denominator", "*"}
+    dist = product([uniform([F(1, 2), 3]), uniform([1, F(5, 3), 4])])
+    # a price denominator that the coordinates lack makes L = 5 * L_v
+    grid = search.CandidateGrid(2, "explicit", ((F(0), F(1, 5)), (F(0), F(1)), (F(0), F(2))))
+    inst = search._Instance(dist, grid)
+    atoms = dist.integer_atoms
+    assert inst.W is atoms.whole and list(inst.exact_weights) == list(atoms.weights)
+    assert (atoms.scale, inst.L) == (6, 30)
+    assert [list(column) for column in inst.values[:, :2].T] == [
+        [x * (inst.L // atoms.scale) for x in column] for column in atoms.columns]

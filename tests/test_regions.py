@@ -46,6 +46,16 @@ def test_kinds():
         assert f"<title>menu {prices} - {kind}</title>" in render_svg(part)
 
 
+def test_partitions_hash_and_compare_by_value():
+    # a frozen dataclass promises a hash; equal menus give equal partitions
+    part = region_partition_2(menu2(2, 3, 5))
+    again = region_partition_2(menu2(2, 3, 5))
+    other = region_partition_2(menu2(2, 4, 5))
+    assert part == again and part is not again and hash(part) == hash(again)
+    assert part != other and len({part, again, other}) == 2
+    assert {part: 1}[again] == 1
+
+
 def test_requires_normalized_menu():
     with pytest.raises(ValueError, match="normalized"):
         region_partition_2(menu2(5, 1, 3))
@@ -123,7 +133,7 @@ def _holds(row, v):
 
 def _row_oracle(rows, v):
     """The one region whose rows all hold at v; fails unless there is exactly one."""
-    (region,) = [b for b, rs in rows.items() if all(_holds(r, v) for r in rs)]
+    (region,) = [b for b, rs in rows if all(_holds(r, v) for r in rs)]
     return region
 
 
@@ -139,7 +149,7 @@ def _boundary_points(part, rng):
     specials = sorted({F(0), a, b, c, c - a, c - b, a + b})
     pts = [(x, y) for x in specials for y in specials]
     hi = 2 * max(c, F(1))
-    for rows in part.rows.values():
+    for _, rows in part.rows:
         for (a1, a2), rhs, _ in rows:
             for t in range(9):
                 s = hi * F(t, 8)
@@ -173,7 +183,7 @@ def test_regions_of_matches_buyer_and_half_plane_oracle():
         assert got == [reference.choice(m.as_dict(), v)[0] for v in pts], m.prices
         assert [part.region_of(v) for v in pts[::25]] == got[::25]
         # the strict rows make the regions disjoint, so no order of trying them matters
-        backward = regions.RegionPartition2(m, dict(reversed(part.rows.items())))
+        backward = regions.RegionPartition2(m, tuple(reversed(part.rows)))
         assert backward.regions_of(pts) == got, m.prices
         dens.update(x.denominator for v in pts for x in v)
     assert set(kinds) == {"supermodular", "submodular", "additive"}
@@ -208,7 +218,7 @@ def test_purchase_region_rows_give_the_buyer_choice(n):
     for _ in range(40):
         m = random_menu(rng, n, max_price=8)
         rows, table = regions._purchase_regions(m), m.as_dict()
-        assert set(rows) == {(), *table}
+        assert sorted(b for b, _ in rows) == sorted({(), *table})
         # integer points hit the ties between options, fractional ones the interiors
         pts = [tuple(F(rng.randint(0, 10)) for _ in range(n)) for _ in range(60)]
         pts += [tuple(random_fraction(rng, 30, 4) for _ in range(n)) for _ in range(60)]
