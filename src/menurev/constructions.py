@@ -12,7 +12,6 @@ from typing import Sequence, Tuple
 
 from .buyer import expected_revenues
 from .model import (
-    JointDistribution,
     Menu,
     SingleItemDistribution,
     menu2,
@@ -71,30 +70,27 @@ def submodularize2(m: Menu, d1: SingleItemDistribution,
     """
     if m.n != 2:
         raise ValueError("submodularize2 is defined for 2-item menus")
-    return _submodularize(m, d1, d2, product([d1, d2]))
+    branch, out = _submodularize(m, d1, d2)
+    base, rev = expected_revenues([m, out], product([d1, d2]))
+    return _certificate(branch, m, [out], base, [rev])
 
 
-def _submodularize(m: Menu, d1: SingleItemDistribution, d2: SingleItemDistribution,
-                   dist: JointDistribution) -> ConstructionCertificate:
-    """`submodularize2` of the 2-item menu m, certified on `dist`, the
-    product of d1 and d2 built by the caller."""
+def _submodularize(m: Menu, d1: SingleItemDistribution,
+                   d2: SingleItemDistribution) -> Tuple[str, Menu]:
+    """The branch and the output menu of `submodularize2` on m, unscored."""
     a, b, c = m.prices
     if c <= a + b:
-        branch, out = "already-submodular", m
+        return "already-submodular", m
+    swapped = a > b
+    if swapped:
+        d1, a, b = d2, b, a
+    lhs = d1.prob_in(a, c - b) * a
+    rhs = d1.tail(c - b) * (c - (a + b))
+    if lhs >= rhs:
+        branch, out = "item-prices", menu2(a, b, a + b)
     else:
-        swapped = a > b
-        if swapped:
-            d1, a, b = d2, b, a
-        lhs = d1.prob_in(a, c - b) * a
-        rhs = d1.tail(c - b) * (c - (a + b))
-        if lhs >= rhs:
-            branch, out = "item-prices", menu2(a, b, a + b)
-        else:
-            branch, out = "bundle-margin", menu2(c - b, b, c)
-        if swapped:
-            out = out.swap2()
-    base, rev = expected_revenues([m, out], dist)
-    return _certificate(branch, m, [out], base, [rev])
+        branch, out = "bundle-margin", menu2(c - b, b, c)
+    return branch, out.swap2() if swapped else out
 
 
 def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
@@ -113,17 +109,20 @@ def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
       * c > 2a otherwise: the better of (b,b,c) and (c-a,c-a,2c-2a).
 
     The candidates depend only on the prices and on f, so the input menu,
-    the working menu and the candidates are scored in one call. The product
-    f x f is built once: the submodularization is certified on it too.
+    the working menu and the candidates are scored in one call on the
+    product f x f. A submodularized working menu is certified from that
+    call too: its input, the normalized menu, earns what m earns (normalize
+    keeps every buyer's payment), and relabeling the items keeps the
+    revenue under f x f.
     """
     if m.n != 2:
         raise ValueError("symmetrize2 is defined for 2-item menus")
-    dist = product([f, f])
-    work = m
+    work, sub = m, None
     if m.a != m.b:
         work = normalize(m)
         if work.c > work.a + work.b:
-            work = _submodularize(work, f, f, dist).best
+            sub = (work, *_submodularize(work, f, f))
+            work = sub[2]
         if work.a > work.b:
             work = work.swap2()
     a, b, c = work.prices
@@ -137,7 +136,10 @@ def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
     else:
         branch, cands = "c>2a-high", [menu2(b, b, c), menu2(c - a, c - a, 2 * (c - a))]
 
-    base_rev, work_rev, *revs = expected_revenues([m, work, *cands], dist)
+    base_rev, work_rev, *revs = expected_revenues([m, work, *cands], product([f, f]))
+    if sub is not None:
+        normalized, sub_branch, out = sub
+        _certificate(sub_branch, normalized, [out], base_rev, [work_rev])
     if branch == "c<=2a" and revs[0] + revs[1] != 2 * work_rev:
         raise CertificateError(
             f"averaging identity failed for {work.prices}: "

@@ -350,9 +350,7 @@ class Menu:
     prices: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        expected = (1 << self.n) - 1
-        if len(self.prices) != expected:
-            raise ValueError(f"menu for {self.n} items needs {expected} prices, got {len(self.prices)}")
+        self._check_length()
         for b, p in zip(all_bundles(self.n), self.prices):
             if not _is_rational(p):
                 raise ValueError(f"price of bundle {b} = {p!r} is a {type(p).__name__}, "
@@ -360,9 +358,25 @@ class Menu:
             if p.numerator < 0:  # a Fraction's sign, without a Fraction comparison
                 raise ValueError(f"price of bundle {b} must be nonnegative, got {p}")
 
+    def _check_length(self):
+        expected = (1 << self.n) - 1
+        if len(self.prices) != expected:
+            raise ValueError(f"menu for {self.n} items needs {expected} prices, got {len(self.prices)}")
+
     @classmethod
     def from_sequence(cls, n: int, prices: Sequence[RationalLike]) -> "Menu":
-        return cls(n, tuple(parse_nonnegative(p, f"price[{i}]") for i, p in enumerate(prices)))
+        """The menu of `prices` in canonical bundle order, each price checked
+        once: a nonnegative Fraction as it is, anything else by
+        `parse_nonnegative`, which raises the `ParseError` at `price[i]`.
+        `__post_init__` would check them again, so it is not run; only the
+        count is checked, after the prices, as it would check it."""
+        menu = object.__new__(cls)
+        object.__setattr__(menu, "n", n)
+        object.__setattr__(menu, "prices", tuple(
+            p if type(p) is Fraction and p.numerator >= 0 else parse_nonnegative(p, f"price[{i}]")
+            for i, p in enumerate(prices)))
+        menu._check_length()
+        return menu
 
     def price(self, bundle: Iterable[int]) -> Fraction:
         b = as_bundle(bundle, self.n)

@@ -4,13 +4,23 @@ revenue-maximization LP over finite type spaces.
 False-name deviations (several picks bought under different identities)
 are scored by one integer rule, `_ScaledPicks`, for one multiset and for the
 exhaustive search alike; a Fraction is built only for the returned utility.
+
+The revenue LP is convex and invariant under relabeling the items whenever
+the distribution is exchangeable, so averaging an optimum over the n!
+relabelings gives a symmetric optimum (Daskalakis and Weinberg, EC 2012).
+The float-guided path therefore solves such an LP over one representative
+type per orbit, and certifies the lifted optimum on the full system by the
+orbit dual averaged over the relabelings (`_lp_solve`, `_Orbits`).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
+from math import factorial
 from operator import mul
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lp
@@ -260,6 +270,31 @@ class LPOutcome:
     certified = True  # every method returns a certified optimum or raises
 
 
+def _scaled_types(values: List[Valuation]) -> List[Tuple[int, List[Tuple[int, int]]]]:
+    """Per type: (scale, [(item, integer value)] over the nonzero values), the
+    scale the lcm of the denominators of the type's values."""
+    scaled = []
+    for v in values:
+        d, ints = over_common_denominator(v)
+        scaled.append((d, [(i, q) for i, q in enumerate(ints) if q]))
+    return scaled
+
+
+def _ic_row(t: int, s: int, d: int, vt: List[Tuple[int, int]], n: int, nx: int) -> lp.Row:
+    """IC(t -> s), v_t.(x_t - x_s) - p_t + p_s >= 0, times t's scale d."""
+    row = {t * n + i: q for i, q in vt}
+    row.update((s * n + i, -q) for i, q in vt)
+    row[nx + t], row[nx + s] = -d, d
+    return row
+
+
+def _ir_row(t: int, d: int, vt: List[Tuple[int, int]], n: int, nx: int) -> lp.Row:
+    """IR(t), v_t.x_t - p_t >= 0, times t's scale d."""
+    row = {t * n + i: q for i, q in vt}
+    row[nx + t] = -d
+    return row
+
+
 def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], List[int]]:
     """The IC and IR constraints in >= form as sparse integer rows, the IC rows
     first; columns are x, then payments. Returns (rows, rhs, scale): a row of
@@ -269,24 +304,210 @@ def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], 
     nx = t_count * n
     rows: List[lp.Row] = []
     scale: List[int] = []
-    scaled = []  # per type: (scale, [(item, integer value)] over nonzero values)
-    for v in values:
-        d, ints = over_common_denominator(v)
-        scaled.append((d, [(i, q) for i, q in enumerate(ints) if q]))
+    scaled = _scaled_types(values)
     for t, (d, vt) in enumerate(scaled):
         for s in range(t_count):
             if s != t:
-                row = {t * n + i: q for i, q in vt}
-                row.update((s * n + i, -q) for i, q in vt)
-                row[nx + t], row[nx + s] = -d, d
-                rows.append(row)
+                rows.append(_ic_row(t, s, d, vt, n, nx))
                 scale.append(d)
     for t, (d, vt) in enumerate(scaled):
-        row = {t * n + i: q for i, q in vt}
-        row[nx + t] = -d
-        rows.append(row)
+        rows.append(_ir_row(t, d, vt, n, nx))
         scale.append(d)
     return rows, [0] * len(rows), scale
+
+
+def _full_system(values: List[Valuation], mu: List[Fraction], n: int):
+    """(c, rows, rhs, scale) of the full LP: the rows of `_lp_rows`, then per
+    (t, i) the pair x >= 0, -x >= -1, of scale 1."""
+    nx = len(values) * n
+    rows, rhs, scale = _lp_rows(values, n)
+    rows += [{col: sign} for col in range(nx) for sign in (1, -1)]
+    return [Fraction(0)] * nx + list(mu), rows, rhs + [0, -1] * nx, scale + [1] * (2 * nx)
+
+
+class _Orbits:
+    """The types of an exchangeable distribution grouped by item relabeling,
+    and the orbit LP over them.
+
+    An orbit is represented by its sorted type r. A symmetric mechanism
+    gives type s the allocation x_s,i = y(r, s_i), for r the representative
+    of s: it depends only on the orbit and the value, so equal coordinates
+    share a variable and the lift x_(pi r) = pi.x_r is well defined. The
+    columns are one y per (orbit, distinct value), then one payment per
+    orbit. Each row is one full row of the LP restricted to symmetric
+    points, recorded in `literal` as the per-item labels of that full row,
+    which relabelings permute, and its kind ("ic", "ir" or a box row's
+    sign): IC(r -> s) for every type s,
+    one row per class of s under r's stabilizer (those rows coincide
+    there), then IR(r), then per y the pair y >= 0, -y >= -1, each a box
+    row of one coordinate of r. The rows are scaled as `_lp_rows` scales
+    them. Coordinates are handled as the ranks of the distinct values.
+    """
+
+    def __init__(self, ids: List[Tuple[int, ...]], reps: List[Tuple[int, ...]],
+                 of_type: List[int], mass: List[Fraction],
+                 scaled: List[Tuple[int, List[Tuple[int, int]]]], n: int):
+        self.n, self.of_type, self.scaled = n, of_type, scaled
+        self.index = {v: t for t, v in enumerate(ids)}
+        column: List[Dict[int, int]] = []  # per orbit: value rank -> y column
+        ny = 0
+        for r in reps:
+            column.append({})
+            for a in r:
+                if a not in column[-1]:
+                    column[-1][a] = ny
+                    ny += 1
+        self.ny = ny
+        # per type, the y column of each of its coordinates
+        self.cols = cols = [[column[k][a] for a in v] for v, k in zip(ids, of_type)]
+        self.c = [Fraction(0)] * ny + mass
+        self.rows: List[lp.Row] = []
+        self.scale: List[int] = []
+        self.literal: List[Tuple[tuple, object]] = []
+        ir = []
+        for k, r in enumerate(reps):
+            tr = self.index[r]
+            d, vt = scaled[tr]
+            own: lp.Row = {}
+            for i, q in vt:
+                j = cols[tr][i]
+                own[j] = own.get(j, 0) + q
+            pay = ny + k
+            # r's stabilizer permutes the positions of equal values
+            blocks = [[i for i in range(n) if r[i] == a] for a in column[k]] \
+                if len(column[k]) < n else None
+            seen = set()
+            for s, v in enumerate(ids):
+                if s == tr:
+                    continue
+                if blocks:
+                    key = tuple(tuple(sorted(v[i] for i in b)) for b in blocks)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                row = own.copy()
+                to = cols[s]
+                for i, q in vt:
+                    j = to[i]
+                    row[j] = row.get(j, 0) - q
+                if of_type[s] != k:
+                    row[pay], row[ny + of_type[s]] = -d, d
+                else:  # a report in r's own orbit: the payments cancel
+                    row = {j: a for j, a in row.items() if a}
+                    if not row:
+                        continue
+                self.rows.append(row)
+                self.scale.append(d)
+                self.literal.append((tuple(zip(r, v)), "ic"))
+            own[pay] = -d
+            ir.append((own, d, (r, "ir")))
+        for row, d, lit in ir:
+            self.rows.append(row)
+            self.scale.append(d)
+            self.literal.append(lit)
+        self.rhs = [0] * len(self.rows)
+        for k, r in enumerate(reps):
+            for a, j in column[k].items():
+                first = r.index(a)
+                labels = tuple((b, i == first) for i, b in enumerate(r))
+                for sign in (1, -1):
+                    self.rows.append({j: sign})
+                    self.scale.append(1)
+                    self.rhs.append(min(sign, 0))
+                    self.literal.append((labels, sign))
+
+    @classmethod
+    def of(cls, values: List[Valuation], mu: List[Fraction], n: int) -> Optional["_Orbits"]:
+        """The orbits, or None unless every relabeling of the items maps the
+        atoms onto atoms of equal mass: each sorted type's orbit must hold all
+        its distinct arrangements, n! / prod(multiplicity!), at one mass."""
+        rank = {a: i for i, a in enumerate(sorted(set(chain.from_iterable(values))))}
+        ids = [tuple(map(rank.__getitem__, v)) for v in values]
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for t, v in enumerate(ids):
+            groups.setdefault(tuple(sorted(v)), []).append(t)
+        of_type = [0] * len(values)
+        mass = []
+        for k, (r, ts) in enumerate(groups.items()):
+            arrangements = factorial(n)
+            for m in Counter(r).values():
+                arrangements //= factorial(m)
+            if len(ts) != arrangements or len({ids[t] for t in ts}) != len(ts) \
+                    or any(mu[t] != mu[ts[0]] for t in ts):
+                return None
+            for t in ts:
+                of_type[t] = k
+            mass.append(mu[ts[0]] * len(ts))
+        return cls(ids, list(groups), of_type, mass, _scaled_types(values), n)
+
+    def lift(self, y: List[Fraction]) -> DirectMechanism:
+        """The symmetric mechanism of the orbit point y."""
+        return DirectMechanism(tuple(tuple(y[j] for j in cols) for cols in self.cols),
+                               tuple(y[self.ny + k] for k in self.of_type))
+
+    def certifies(self, result: lp.VertexResult, mu: List[Fraction]) -> bool:
+        """Whether the orbit dual, averaged over all relabelings, certifies
+        the lifted point on the full system, checked in integers.
+
+        Each orbit multiplier sits on its literal full row and is spread
+        evenly over the distinct images of that row, its multiplier times
+        |stabilizer| / n! on each: the average over the n! relabelings. The
+        result must be y >= 0 with sum_i y_i a_i / scale_i = -c on every full
+        column and -sum_i y_i b_i / scale_i = the orbit optimum, which with
+        the lifted point feasible is optimality by weak duality. Only rows
+        that carry a multiplier are built."""
+        n, index, scaled = self.n, self.index, self.scaled
+        t_count = len(self.of_type)
+        nx = t_count * n
+        spread = []  # (images, per-image multiplier of the integer row, kind)
+        for k, y in result.dual.items():
+            if y.numerator < 0:
+                return False
+            if y:
+                labels, kind = self.literal[k]
+                images = _relabelings(labels)
+                spread.append((images, y / (len(images) * self.scale[k]), kind))
+        den, factors = over_common_denominator(f for _, f, _ in spread)
+        acc = [0] * (nx + t_count)
+        bound = 0  # sum of factor * rhs over the image rows
+        for (images, _, kind), f in zip(spread, factors):
+            for image in images:
+                if kind == "ic":
+                    t = index[tuple(a for a, _ in image)]
+                    d, vt = scaled[t]
+                    row = _ic_row(t, index[tuple(b for _, b in image)], d, vt, n, nx)
+                elif kind == "ir":
+                    t = index[image]
+                    row = _ir_row(t, *scaled[t], n, nx)
+                else:  # a box row of the marked coordinate, kind its sign
+                    t = index[tuple(a for a, _ in image)]
+                    row = {t * n + next(i for i, (_, m) in enumerate(image) if m): kind}
+                    bound += f * min(kind, 0)
+                for j, a in row.items():
+                    acc[j] += f * a
+        w_den, weights = over_common_denominator(mu)
+        if any(acc[:nx]) or any(a * w_den != -w * den
+                                for a, w in zip(acc[nx:], weights)):
+            return False
+        objective = result.objective
+        return -bound * objective.denominator == objective.numerator * den
+
+
+def _relabelings(labels: tuple) -> List[tuple]:
+    """Each distinct sequence that a relabeling of the items makes of the
+    per-item `labels`: the closure under swaps of adjacent items, which
+    generate every relabeling."""
+    seen = {labels}
+    todo = [labels]
+    while todo:
+        cur = todo.pop()
+        for i in range(len(cur) - 1):
+            if cur[i] != cur[i + 1]:
+                nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return list(seen)
 
 
 def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
@@ -295,6 +516,8 @@ def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
     `exact-simplex` runs the exact rational simplex; `float-guided-exact`
     resolves the float optimum's vertex exactly and certifies it by
     degenerate pivots there (see lp.certified_vertex), or raises LPError.
+    On an exchangeable distribution it does so on the orbit LP, and lifts
+    and certifies the result on the full system (see `_lp_solve`).
     `auto` takes the float-guided vertex and falls back to the exact simplex
     where that raises LPError. No method returns an optimum it did not
     certify, and every one returns an exact rational solution verified
@@ -310,26 +533,60 @@ def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
 
 
 def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
+    """One method's certified optimum, checked by `verify_ic_ir` and against
+    its revenue.
+
+    On `float-guided-exact`, a distribution with n >= 2 whose atoms every
+    relabeling of the items maps onto atoms of equal mass is solved over
+    its orbits (`_Orbits`). The LP is convex and invariant under the
+    relabelings, so the average of an optimum's relabelings is a symmetric
+    optimum (Daskalakis and Weinberg, EC 2012): the LP restricted to
+    symmetric points, the orbit LP, has the full optimum. Its certified
+    vertex is lifted to a symmetric mechanism x, and certified on the full
+    system by the orbit dual y' averaged over the relabelings: each orbit
+    row is a full row restricted to symmetric points, so y' on those rows
+    matches -c on every symmetric direction. Averaging over the
+    relabelings projects y'.A onto the symmetric directions, and -c is
+    symmetric, so the averaged y has y.A = -c on every column, while
+    y >= 0 and y.b = y'.b hold still. x is feasible and c.x = -y.b, so by
+    weak duality x is optimal; `_Orbits.certifies` checks this in
+    integers. If the orbit solve raises LPError, the certificate fails or
+    the lift fails `verify_ic_ir`, the full system is solved instead.
+    """
     values = [v for v, _ in dist.atoms]
     mu = [p for _, p in dist.atoms]
-    t_count, n = len(values), dist.n
+    n = dist.n
 
     if method == "exact-simplex":
         result = _lp_simplex(values, mu, n)
     elif method == "float-guided-exact":
-        nx = t_count * n
-        c = [Fraction(0)] * nx + list(mu)
-        rows, rhs, scale = _lp_rows(values, n)
-        # per (t, i), the pair x >= 0, -x >= -1, of scale 1
-        rows += [{col: sign} for col in range(nx) for sign in (1, -1)]
-        result = lp.certified_vertex(c, rows, rhs + [0, -1] * nx, scale + [1] * (2 * nx))
+        orbits = _Orbits.of(values, mu, n) if n >= 2 else None
+        if orbits is not None:
+            try:
+                return _orbit_solve(dist, orbits, mu)
+            except lp.LPError:
+                pass  # no certificate over the orbits: solve the full system
+        result = lp.certified_vertex(*_full_system(values, mu, n))
     else:
         raise ValueError(f"unknown LP method {method!r}")
+    t_count, x = len(values), result.x
+    mech = DirectMechanism(tuple(tuple(x[t * n + i] for i in range(n)) for t in range(t_count)),
+                           tuple(x[t_count * n + t] for t in range(t_count)))
+    return _checked(dist, mech, result, method)
 
-    x = result.x
-    allocs = tuple(tuple(x[t * n + i] for i in range(n)) for t in range(t_count))
-    pays = tuple(x[t_count * n + t] for t in range(t_count))
-    mech = DirectMechanism(allocs, pays)
+
+def _orbit_solve(dist: JointDistribution, orbits: _Orbits, mu: List[Fraction]) -> LPOutcome:
+    result = lp.certified_vertex(orbits.c, orbits.rows, orbits.rhs, orbits.scale)
+    start = perf_counter()
+    mech = orbits.lift(result.x)
+    if not orbits.certifies(result, mu):
+        raise lp.LPError("the averaged orbit dual does not certify the lifted mechanism")
+    result.stages["lift"] = perf_counter() - start
+    return _checked(dist, mech, result, "float-guided-exact")
+
+
+def _checked(dist: JointDistribution, mech: DirectMechanism, result: lp.VertexResult,
+             method: str) -> LPOutcome:
     report = verify_ic_ir(mech, dist)
     if not report.ok:
         raise lp.LPError(f"LP solution failed exact IC/IR checks: {report.violations[:3]}")

@@ -621,8 +621,20 @@ def _slab_bounds(inst: _Instance, layout: _Layout, fixed_key: np.ndarray) -> np.
 
 
 def _exact_scores(inst: _Instance, pay: np.ndarray) -> np.ndarray:
-    """Exact sum over t of pay[r, t] * w_t, as Python ints, for each row r."""
-    return pay.astype(object) @ inst.exact_weights
+    """Exact sum over t of pay[r, t] * w_t, as Python ints, for each row r.
+    Each row's weights are summed per distinct payment first, so a payment
+    shared by many types costs one multiplication."""
+    width = pay.shape[1]
+    order = np.argsort(pay, axis=1)
+    pay = np.take_along_axis(pay, order, axis=1).ravel()
+    weights = inst.exact_weights[order].ravel()
+    new = np.empty(pay.size, dtype=bool)
+    new[0] = True
+    np.not_equal(pay[1:], pay[:-1], out=new[1:])
+    new[::width] = True  # every row starts a run
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(weights, starts) * pay[starts].astype(object)
+    return np.add.reduceat(sums, np.searchsorted(starts, np.arange(0, pay.size, width)))
 
 
 class _StageClock:

@@ -238,3 +238,22 @@ def test_certificates_pinned():
                                             "c>2a-low", "c>2a-high"}
     assert digest.hexdigest() == \
         "063e21622680cc13defab357d04be56d6c7ec9ecc89fcd4bc2413d3dbd984f5b"
+
+
+def test_symmetrize_scores_a_supermodular_input_in_one_batch(monkeypatch):
+    # the submodularized working menu is certified from the one batch that
+    # scores the input and the candidates; certificates are unchanged
+    batches = []
+    real = constructions.expected_revenues
+    monkeypatch.setattr(constructions, "expected_revenues",
+                        lambda menus, dist: batches.append(len(menus)) or real(menus, dist))
+    rng = random.Random(12)
+    for _ in range(30):
+        f = random_single_item(rng, max_atoms=4, max_value=9)
+        m = random_supermodular_menu(rng)
+        batches.clear()
+        cert = symmetrize2(m, f)
+        assert len(batches) == 1
+        dist = product([f, f])
+        assert cert.input_revenue == expected_revenue(m, dist)
+        assert cert.output_revenues == tuple(expected_revenue(x, dist) for x in cert.outputs)

@@ -1,19 +1,23 @@
+import dataclasses
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
+from itertools import permutations
 from math import lcm
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from menurev import lp
+import reference
+from menurev import lp, randomized
 from menurev.instances import load_distribution
 from menurev.lp import LPError, certified_vertex, simplex_max, _solve_rows
-from menurev.model import JointDistribution
-from menurev.randomized import _lp_simplex, lp_optimal
+from menurev.model import JointDistribution, SingleItemDistribution, product, uniform
+from menurev.randomized import _lp_rows, _lp_simplex, lp_optimal
 
 from conftest import oracle_simplex
 
@@ -226,15 +230,15 @@ def test_vertex_path_agrees_with_simplex_on_random_lps():
         assert res.certified
 
 
-def vertex_system(dist):
-    """The (c, rows, rhs, scale) that `lp_optimal(dist, "float-guided-exact")`
-    hands to `certified_vertex`: the rows of `_lp_rows`, then the box pairs."""
-    seen = []
-    real = lp.certified_vertex
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "certified_vertex", lambda *a: seen.append(a) or real(*a))
-        lp_optimal(dist, method="float-guided-exact")
-    return seen[0]
+def full_system(dist):
+    """The full LP's (c, rows, rhs, scale), built directly: the rows of
+    `_lp_rows`, then the box pairs; `lp_optimal` solves exchangeable
+    distributions such as example 7 over their orbits instead."""
+    values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
+    nx = len(values) * dist.n
+    rows, rhs, scale = _lp_rows(values, dist.n)
+    rows += [{col: sign} for col in range(nx) for sign in (1, -1)]
+    return [F(0)] * nx + mu, rows, rhs + [0, -1] * nx, scale + [1] * (2 * nx)
 
 
 def loop_float_rows(rows, rhs, scale, width):
@@ -255,25 +259,25 @@ def test_float_problem_matches_dense_fraction_rows(monkeypatch):
     monkeypatch.setattr(lp, "linprog", lambda *a, **k: seen.update(k) or real(*a, **k))
     dists = [load_distribution("example7_distribution"), *seeded_distributions(11, 24)]
     for k, dist in enumerate(dists):
-        out = lp_optimal(dist, method="float-guided-exact")
+        out = certified_vertex(*full_system(dist))
         values = [v for v, _ in dist.atoms]
         rows, rhs = dense_lp_rows(values, dist.n)
         a = -np.array([[float(v) for v in row] for row in rows])
         b = -np.array([float(v) for v in rhs])
-        loop_a, loop_b = loop_float_rows(*vertex_system(dist)[1:], len(values) * (dist.n + 1))
+        loop_a, loop_b = loop_float_rows(*full_system(dist)[1:], len(values) * (dist.n + 1))
         for want_a, want_b in ((a, b), (-loop_a, -loop_b)):
             assert seen["A_ub"].shape == want_a.shape
             assert seen["A_ub"].tobytes() == want_a.tobytes()
             assert seen["b_ub"].tobytes() == want_b.tobytes()
         if k == 0:
-            assert (out.revenue, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 2)
+            assert (out.objective, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 2)
 
 
 def test_certified_vertex_ignores_row_scaling():
     # a row times k > 0 with its scale times k is the same constraint: the
     # float problem, the basis, every pivot and the vertex stay
     dist = load_distribution("example7_distribution")
-    c, rows, rhs, scale = vertex_system(dist)
+    c, rows, rhs, scale = full_system(dist)
     want = certified_vertex(c, rows, rhs, scale)
     rng = random.Random(5)
     ks = [rng.randint(1, 60) for _ in rows]
@@ -325,7 +329,7 @@ def test_dual_certifies_the_vertex_on_its_own(draw):
     dist = load_distribution("example7_distribution") if draw is None \
         else rescaled_example7(draw + 1)[draw]
     values = [v for v, _ in dist.atoms]
-    c, *system = vertex_system(dist)
+    c, *system = full_system(dist)
     assert c == [F(0)] * (len(values) * dist.n) + [p for _, p in dist.atoms]
     res = certified_vertex(c, *system)
     rows, rhs = dense_lp_rows(values, dist.n)
@@ -345,11 +349,12 @@ def test_example7_certifies_after_one_pivot(monkeypatch):
     # _solve_rows call each
     calls = []
     real = lp._solve_rows
+    system = full_system(load_distribution("example7_distribution"))
     monkeypatch.setattr(lp, "_solve_rows", lambda *a: calls.append(1) or real(*a))
-    out = lp_optimal(load_distribution("example7_distribution"), method="float-guided-exact")
+    out = certified_vertex(*system)
     assert len(calls) == 4
     assert out.certified
-    assert out.revenue == EXAMPLE7_REVENUE
+    assert out.objective == EXAMPLE7_REVENUE
     assert out.rounds == 2
 
 
@@ -375,3 +380,142 @@ def test_import_leaves_scipy_unloaded():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def relabeled(v, i):
+    """v with items i and i + 1 swapped."""
+    return v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+
+
+def assert_symmetric(dist, mech):
+    # swapping two adjacent items (they generate every relabeling) maps each
+    # type's allocation and payment onto its image's
+    index = {v: t for t, (v, _) in enumerate(dist.atoms)}
+    for t, (v, _) in enumerate(dist.atoms):
+        for i in range(dist.n - 1):
+            s = index[relabeled(v, i)]
+            assert mech.allocations[s] == relabeled(mech.allocations[t], i)
+            assert mech.payments[s] == mech.payments[t]
+
+
+def exchangeable_distributions(seed, count):
+    """IID products and symmetrized correlated joints on 2 and 3 items, with
+    fractional values and repeated coordinates."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 2 + k % 2
+        if k % 4 < 2:
+            support = rng.sample(range(12), rng.randint(1, 4 if n == 2 else 3))
+            weights = [rng.randint(1, 5) for _ in support]
+            part = SingleItemDistribution.from_pairs(
+                [(F(v, rng.choice([1, 1, 2, 3])), F(w, sum(weights)))
+                 for v, w in zip(support, weights)])
+            yield product([part] * n)
+        else:
+            weight = {}
+            for _ in range(rng.randint(1, 4 if n == 2 else 2)):
+                v = tuple(F(rng.randint(0, 9), rng.choice([1, 2])) for _ in range(n))
+                w = rng.randint(1, 6)
+                for image in permutations(v):
+                    weight[image] = w
+            total = sum(weight.values())
+            yield JointDistribution.from_pairs(n, [(v, F(w, total)) for v, w in weight.items()])
+
+
+def test_orbit_path_matches_the_full_system_on_exchangeable_instances():
+    # the lifted orbit optimum is symmetric, IC and IR by the reference
+    # oracle, and earns the full system's certified optimum
+    for dist in exchangeable_distributions(41, 40):
+        out = lp_optimal(dist, method="float-guided-exact")
+        assert "lift" in out.stages and out.method == "float-guided-exact"
+        assert out.revenue == certified_vertex(*full_system(dist)).objective
+        mech = out.mechanism
+        types = [v for v, _ in dist.atoms]
+        assert reference.ic_ir_violations(types, mech.allocations, mech.payments) == []
+        assert_symmetric(dist, mech)
+
+
+def spy_systems(monkeypatch, edit=lambda k, res: res):
+    """Record the row count of each system `certified_vertex` solves, and pass
+    the k-th result through edit(k, result)."""
+    sizes = []
+    real = lp.certified_vertex
+
+    def spy(c, rows, *rest):
+        sizes.append((len(rows), len(c)))
+        return edit(len(sizes) - 1, real(c, rows, *rest))
+
+    monkeypatch.setattr(lp, "certified_vertex", spy)
+    return sizes
+
+
+def test_non_exchangeable_and_one_item_inputs_take_the_full_path(monkeypatch):
+    # one mirrored mass changed breaks exchangeability; one item has none
+    sizes = spy_systems(monkeypatch)
+    iid = product([uniform([1, 2, 4])] * 2)
+    (v, p), (w, q) = iid.atoms[1], iid.atoms[3]
+    assert w == (v[1], v[0])
+    near = JointDistribution.from_pairs(
+        2, [(u, p + F(1, 90) if u == v else q - F(1, 90) if u == w else r) for u, r in iid.atoms])
+    assert "lift" in lp_optimal(iid).stages
+    dists = [near, *(d for d in seeded_distributions(3, 12) if d.n == 1),
+             product([uniform([1, 2])])]
+    for dist in dists:
+        sizes.clear()
+        out = lp_optimal(dist)
+        t = len(dist.atoms)
+        assert "lift" not in out.stages
+        assert sizes == [(t * (t - 1) + t + 2 * t * dist.n, t * (dist.n + 1))]
+
+
+def test_perturbed_orbit_multiplier_is_rejected_and_the_full_path_certifies(monkeypatch):
+    dist = product([uniform([1, 3, 4])] * 2)
+    want = lp_optimal(dist)
+    values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
+    orbits = randomized._Orbits.of(values, mu, 2)
+    res = certified_vertex(orbits.c, orbits.rows, orbits.rhs, orbits.scale)
+    assert orbits.certifies(res, mu)
+    for k, y in res.dual.items():
+        for bad in (y + F(1, 7), -F(1, 7)):
+            mutated = dataclasses.replace(res, dual={**res.dual, k: bad})
+            assert not orbits.certifies(mutated, mu)
+
+    def perturb(k, res):
+        if k == 0:
+            row = next(i for i, y in res.dual.items() if y)
+            res.dual[row] += F(1, 1000)
+        return res
+
+    sizes = spy_systems(monkeypatch, perturb)
+    out = lp_optimal(dist)
+    assert sizes == [(len(orbits.rows), len(orbits.c)), (9 * 8 + 9 + 36, 27)]
+    assert "lift" not in out.stages
+    assert (out.revenue, out.certified, out.method) == (want.revenue, True, "float-guided-exact")
+
+
+def test_example7_lp_takes_the_orbit_path(monkeypatch):
+    # 21 orbits: 36 allocation variables and 21 payments, 645 IC rows after
+    # the diagonal types' stabilizer merges, 21 IR rows and 36 box pairs
+    sizes = spy_systems(monkeypatch)
+    dist = load_distribution("example7_distribution")
+    out = lp_optimal(dist)
+    assert sizes == [(738, 57)]
+    assert (out.revenue, out.method, out.certified, out.rounds) == \
+        (EXAMPLE7_REVENUE, "float-guided-exact", True, 2)
+    assert set(out.stages) == {"float", "vertex", "check", "dual", "lift"}
+    mech = out.mechanism
+    assert reference.ic_ir_violations([v for v, _ in dist.atoms], mech.allocations,
+                                      mech.payments) == []
+    assert_symmetric(dist, mech)
+
+
+def test_example4_certifies_through_the_orbit_path():
+    # 3 IID items, 125 types in 35 orbits, each checked against 6 relabelings
+    dist = load_distribution("example4_distribution")
+    start = time.perf_counter()
+    out = lp_optimal(dist)
+    elapsed = time.perf_counter() - start
+    assert (out.revenue, out.method, out.certified) == (F(253, 40), "float-guided-exact", True)
+    assert "lift" in out.stages
+    assert_symmetric(dist, out.mechanism)
+    assert elapsed < 0.3

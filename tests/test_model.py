@@ -479,3 +479,38 @@ def test_point_mass_and_tail():
     u = uniform([1, 3])
     assert u.prob_in(F(1), F(2)) == F(1, 2)
     assert u.tail(F(2)) == F(1, 2)
+
+
+@pytest.mark.parametrize("build, location, message", [
+    (lambda: menu2(F(1), -1, 3), "price[1]", "price[1]: must be nonnegative, got -1"),
+    (lambda: menu2(F(1), F(2), F(-3)), "price[2]", "price[2]: must be nonnegative, got -3"),
+    (lambda: menu2("x", 2, 3), "price[0]",
+     "price[0]: not a rational number: 'x' (Invalid literal for Fraction: 'x')"),
+    (lambda: menu2(1, True, 3), "price[1]", "price[1]: expected a rational number, got a boolean"),
+    (lambda: Menu.from_sequence(2, [F(1), 2.5, 3]), "price[1]",
+     "price[1]: expected int or string rational, got float"),
+    (lambda: Menu.from_sequence(3, [F(1), "1/0"]), "price[1]",
+     "price[1]: not a rational number: '1/0' (Fraction(1, 0))"),
+], ids=["negative-int", "negative-fraction", "string", "bool", "float", "zero-denominator"])
+def test_menu_from_sequence_parse_errors(build, location, message):
+    with pytest.raises(ParseError) as err:
+        build()
+    assert (err.value.location, str(err.value)) == (location, message)
+
+
+def test_menu_from_sequence_checks_each_price_once(monkeypatch):
+    # a nonnegative Fraction is neither parsed nor checked again by
+    # __post_init__; other prices are parsed once, and the count is checked
+    # after them
+    want = Menu(2, (F(1, 2), F(3), F(7, 2)))
+    parsed = []
+    real = model.parse_nonnegative
+    monkeypatch.setattr(model, "parse_nonnegative", lambda p, where: parsed.append(where) or real(p, where))
+    monkeypatch.setattr(model, "_is_rational", lambda p: pytest.fail("price checked twice"))
+    m = menu2(F(1, 2), 3, "7/2")
+    assert m == want and hash(m) == hash(want)
+    assert parsed == ["price[1]", "price[2]"]
+    with pytest.raises(ValueError, match="menu for 2 items needs 3 prices, got 2"):
+        Menu.from_sequence(2, [F(1), F(2)])
+    with pytest.raises(ParseError, match=r"price\[2\]"):
+        Menu.from_sequence(2, [F(1), F(2), -1, F(4)])

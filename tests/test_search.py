@@ -1400,3 +1400,27 @@ def test_additive_search_over_a_thousand_prices_per_item():
     assert time.perf_counter() - t0 < 1
     assert (res.best.prices, res.revenue, res.examined) == ((500, 500, 1000), F(51000, 101), 1_002_001)
     assert not res.exchangeable and res.path == "int64"  # posted prices search no blocks
+
+
+def test_exact_scores_group_each_row_by_distinct_payment(monkeypatch):
+    # the grouped sums equal the plain exact dot product on int64 and on
+    # Python-int payments, and each row multiplies once per distinct payment
+    dist = random_correlated_joint(random.Random(8), 2, 40, 9)
+    inst = search._Instance(dist, candidate_grid(dist, "integer-grid"))
+    rng = np.random.default_rng(3)
+    for pay in (rng.integers(0, 4, (6, len(dist.atoms))),
+                rng.integers(0, 4, (6, len(dist.atoms))).astype(object) * (1 << 70)):
+        want = [sum(int(p) * w for p, w in zip(row, inst.exact_weights)) for row in pay]
+        assert list(search._exact_scores(inst, pay)) == want
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(1)
+            return int(self) * other
+        __rmul__ = __mul__
+
+    pay = np.array([[Counted(p) for p in row] for row in rng.integers(0, 3, (5, len(dist.atoms)))],
+                   dtype=object)
+    search._exact_scores(inst, pay)
+    assert len(products) == sum(len(set(map(int, row))) for row in pay)
