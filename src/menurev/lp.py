@@ -9,20 +9,27 @@ routes lead to an exact optimal basic solution of  max c.x:
 
 * `simplex_max`, a fraction-free tableau simplex with Bland's rule over
   A x <= b, x >= 0, for small systems;
-* `certified_vertex`, a float solve (scipy HiGHS) of  A x >= b  that only
-  locates the optimal vertex x, then integer arithmetic at x: one
+* `certified_vertex`, a float solve of  A x >= b  that only locates the
+  optimal vertex x, then integer arithmetic at x: one
   fraction-free elimination solves a basis of float-tight rows for x, every
   row is checked once, and degenerate Bland pivots over the exactly tight
   rows change the basis, never x, until its dual is nonnegative: the
   certificate it returns. It raises LPError where it cannot certify x.
+
+The float solve (`linprog`) drives HiGHS through `scipy.optimize._highspy._core`,
+the binding `scipy.optimize.linprog` drives, with the model and the options
+(presolve on, dual simplex, no output) that `linprog(method="highs")` passes,
+so its floats are scipy's to the bit without scipy's per-call Python layer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, count
 from math import gcd
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -185,16 +192,68 @@ def _solve_rows(rows: Sequence[Row], rhs: Sequence[int], width: int
     return kept, [Fraction(v, den) for v in num]
 
 
-def _scipy_linprog():
-    # scipy.optimize is most of menurev's import time and only the float
-    # solve uses it, so it is imported on first use
-    from scipy.optimize import linprog as highs
-    return highs
+@cache
+def _highs():
+    """scipy's HiGHS binding and the options that `scipy.optimize.linprog`
+    (method "highs", default options) sets, built once. scipy.optimize is
+    most of menurev's import time and only the float solve uses it, so it is
+    imported on first use."""
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as exc:
+        raise ImportError("the float LP solve needs scipy >= 1.15, which ships "
+                          "the HiGHS binding scipy.optimize._highspy._core") from exc
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = 1  # dual simplex
+    options.highs_debug_level = 0
+    options.output_flag = False
+    options.log_to_console = False
+    return core, options
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`."""
-    return _scipy_linprog()(*args, **kwargs)
+def linprog(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> SimpleNamespace:
+    """min c.x  s.t.  A_ub x <= b_ub, x free, by HiGHS through scipy's binding.
+
+    The model, the options and so the floats are those of
+    `scipy.optimize.linprog(c, A_ub, b_ub, bounds=(None, None), method="highs")`:
+    free columns, rows (-inf, b_ub], the dense matrix stored column by column
+    without its zeros, presolve on, dual simplex, no output. Returns success,
+    message (HiGHS's model status), x and ineqlin.marginals (the row duals);
+    x and the duals are None unless the model status is optimal.
+    """
+    core, options = _highs()
+    m, n = A_ub.shape
+    cols, rows = np.nonzero(A_ub.T)  # column-major, rows ascending in each column
+    model = core.HighsLp()
+    model.num_col_ = n
+    model.num_row_ = m
+    model.col_cost_ = c
+    model.col_lower_ = np.full(n, -core.kHighsInf)
+    model.col_upper_ = np.full(n, core.kHighsInf)
+    model.row_lower_ = np.full(m, -core.kHighsInf)
+    model.row_upper_ = b_ub
+    matrix = model.a_matrix_
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.start_ = np.searchsorted(cols, np.arange(n + 1))
+    matrix.index_ = rows
+    matrix.value_ = A_ub[rows, cols]
+    solver = core._Highs()
+    error = core.HighsStatus.kError
+    if solver.passOptions(options) == error or solver.passModel(model) == error:
+        status = core.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        status = solver.getModelStatus()
+    message = f"model status is {solver.modelStatusToString(status)}"
+    if status != core.HighsModelStatus.kOptimal:
+        return SimpleNamespace(success=False, message=message, x=None,
+                               ineqlin=SimpleNamespace(marginals=None))
+    solution = solver.getSolution()
+    return SimpleNamespace(success=True, message=message, x=np.array(solution.col_value),
+                           ineqlin=SimpleNamespace(marginals=np.array(solution.row_dual)))
 
 
 def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
@@ -210,7 +269,7 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     pivots end). LPError if x is no feasible vertex or is not optimal.
     """
     n = len(c)
-    _scipy_linprog()  # a first import is not charged to the float solve
+    _highs()  # a first import is not charged to the float solve
     start = perf_counter()
     # int / int true division rounds correctly, as float(Fraction) does; the
     # entries are divided in Python, streamed into arrays (no list of floats
@@ -223,8 +282,7 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     a[at_row, at_col] = np.fromiter(
         (v / s for row, s in zip(rows, scale) for v in row.values()), float, size)
     b = np.array([r / s for r, s in zip(rhs, scale)])
-    res = linprog(c=-np.array([float(v) for v in c]), A_ub=-a, b_ub=-b,
-                  bounds=[(None, None)] * n, method="highs")
+    res = linprog(c=-np.array([float(v) for v in c]), A_ub=-a, b_ub=-b)
     if not res.success:
         raise LPError(f"float LP failed: {res.message}")
     resid = a @ res.x - b

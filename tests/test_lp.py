@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -8,12 +10,13 @@ from fractions import Fraction as F
 from itertools import permutations
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reference
-from menurev import lp, randomized
+from menurev import cli, lp, randomized
 from menurev.instances import load_distribution
 from menurev.lp import LPError, certified_vertex, simplex_max, _solve_rows
 from menurev.model import JointDistribution, SingleItemDistribution, product, uniform
@@ -271,6 +274,81 @@ def test_float_problem_matches_dense_fraction_rows(monkeypatch):
             assert seen["b_ub"].tobytes() == want_b.tobytes()
         if k == 0:
             assert (out.objective, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 2)
+
+
+def float_problems(monkeypatch, systems):
+    """The (c, A_ub, b_ub) that certified_vertex hands to lp.linprog for each
+    (c, rows, rhs, scale), recorded without solving."""
+    seen = []
+    failed = SimpleNamespace(success=False, message="recorded")
+    monkeypatch.setattr(lp, "linprog", lambda **k: seen.append(k) or failed)
+    for system in systems:
+        with pytest.raises(LPError, match="float LP failed: recorded"):
+            certified_vertex(*system)
+    monkeypatch.undo()
+    return seen
+
+
+def test_binding_matches_scipy_linprog_bit_for_bit(monkeypatch):
+    # lp.linprog drives scipy's HiGHS binding with the model and options of
+    # scipy.optimize.linprog(method="highs"): x and the row duals are the
+    # same floats, so the candidate order, every pivot and the result are too
+    from scipy.optimize import linprog as scipy_linprog
+
+    dist7 = load_distribution("example7_distribution")
+    values, mu = [v for v, _ in dist7.atoms], [p for _, p in dist7.atoms]
+    orbits = randomized._Orbits.of(values, mu, 2)
+    systems = [full_system(dist7), (orbits.c, orbits.rows, orbits.rhs, orbits.scale),
+               *map(full_system, seeded_distributions(11, 24)),
+               *map(full_system, rescaled_example7())]
+    problems = float_problems(monkeypatch, systems)
+    assert len(problems) == 66 and problems[1]["A_ub"].shape == (738, 57)
+    for k, problem in enumerate(problems):
+        got = lp.linprog(**problem)
+        want = scipy_linprog(**problem, bounds=(None, None), method="highs")
+        assert (k, got.success, got.message) == (k, want.success, "model status is Optimal")
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.ineqlin.marginals.tobytes() == want.ineqlin.marginals.tobytes()
+
+
+def test_highs_writes_nothing(capfd):
+    # HiGHS logs from C++, so the check is at the file descriptors; the same
+    # solver with HiGHS's default options shows that the capture sees it
+    core, _ = lp._highs()
+    loud = core._Highs()
+    loud.passModel(core.HighsLp())
+    loud.run()
+    assert "Running HiGHS" in capfd.readouterr().out
+    assert lp_optimal(load_distribution("example7_distribution")).certified
+    assert capfd.readouterr() == ("", "")
+    assert cli.main(["reproduce", "example-7", "--format", "json"]) == 1  # a known failing row
+    out, err = capfd.readouterr()
+    assert err == "" and json.loads(out)
+
+
+@pytest.mark.parametrize("rows, rhs, status", [
+    ([{0: 1}, {0: -1}], [1, 0], "Infeasible"),  # x >= 1 and -x >= 0
+    ([{0: 1}], [1], "Unbounded"),  # max x with x >= 1
+], ids=["infeasible", "unbounded"])
+def test_highs_failures_are_typed(rows, rhs, status, monkeypatch):
+    system = ([F(1)], rows, rhs, [1] * len(rows))
+    (problem,) = float_problems(monkeypatch, [system])
+    res = lp.linprog(**problem)
+    assert (res.success, res.message, res.x) == (False, f"model status is {status}", None)
+    with pytest.raises(LPError, match=f"^float LP failed: model status is {status}$"):
+        certified_vertex(*system)
+
+
+def test_missing_binding_names_the_scipy_floor(monkeypatch):
+    floor = re.search(r'"scipy>=([\d.]+)"',
+                      (Path(__file__).parents[1] / "pyproject.toml").read_text()).group(1)
+    lp._highs.cache_clear()
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    try:
+        with pytest.raises(ImportError, match=rf"needs scipy >= {re.escape(floor)},"):
+            lp._highs()
+    finally:
+        lp._highs.cache_clear()
 
 
 def test_certified_vertex_ignores_row_scaling():
