@@ -201,8 +201,8 @@ def _highs():
     try:
         import scipy.optimize._highspy._core as core
     except ImportError as exc:
-        raise ImportError("the float LP solve needs scipy >= 1.15, which ships "
-                          "the HiGHS binding scipy.optimize._highspy._core") from exc
+        raise ImportError("the float LP solve needs scipy>=1.17,<1.18, whose HiGHS "
+                          "binding scipy.optimize._highspy._core it drives") from exc
     options = core.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = 1  # dual simplex

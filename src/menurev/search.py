@@ -171,9 +171,7 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
     its size, so a symmetric menu may price a size at any of its bundles'
     values; requires integer support values. support-sums: all sums of per-item support values (each
     item contributing one of its support values or 0). explicit: caller-given
-    sets, each price checked once: a nonnegative Fraction (as `parse_grid`
-    returns) as it is, anything else by `parse_nonnegative`, which raises the
-    ParseError at its path, e.g. `explicit['1,2'][0]`.
+    sets; a bad price raises ParseError at its path, e.g. `explicit['1,2'][0]`.
     `max_price` caps every bundle's candidates.
     """
     order = all_bundles(dist.n)
@@ -214,8 +212,7 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
             if bundle not in table:
                 raise SearchError(f"explicit grid missing bundle {bundle}")
             where = f"explicit[{bundle_key(bundle)!r}]"
-            ps = sorted({p if type(p) is Fraction and p.numerator >= 0
-                         else parse_nonnegative(p, f"{where}[{j}]")
+            ps = sorted({parse_nonnegative(p, f"{where}[{j}]")
                          for j, p in enumerate(table[bundle])})
             if cap is not None:
                 ps = [p for p in ps if p <= cap] or [Fraction(0)]

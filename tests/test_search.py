@@ -65,48 +65,29 @@ def test_integer_grid_rejects_fractional_support():
         candidate_grid(dist, "integer-grid")
 
 
-@pytest.mark.parametrize("table, location", [
-    ({(1,): ["-1"], (2,): [1], (1, 2): [2]}, "explicit['1'][0]"),
-    ({(1,): [0], (2,): [1], (2, 1): [2, 0.5]}, "explicit['1,2'][1]"),
-], ids=["negative", "float"])
-def test_explicit_grid_price_fault_names_its_path(table, location):
+def _bad_second_price(bad):
+    return {(1,): [0], (2,): [1], (2, 1): [2, bad]}
+
+
+@pytest.mark.parametrize("table, location, message", [
+    ({(1,): ["-1"], (2,): [1], (1, 2): [2]}, "explicit['1'][0]", "must be nonnegative, got -1"),
+    (_bad_second_price(0.5), "explicit['1,2'][1]", "expected int or string rational, got float"),
+    (_bad_second_price(-1), "explicit['1,2'][1]", "must be nonnegative, got -1"),
+    (_bad_second_price(F(-1, 2)), "explicit['1,2'][1]", "must be nonnegative, got -1/2"),
+    (_bad_second_price(True), "explicit['1,2'][1]", "expected a rational number, got a boolean"),
+    (_bad_second_price(None), "explicit['1,2'][1]",
+     "expected int or string rational, got NoneType"),
+    (_bad_second_price("x"), "explicit['1,2'][1]",
+     "not a rational number: 'x' (Invalid literal for Fraction: 'x')"),
+    (_bad_second_price("1/0"), "explicit['1,2'][1]", "not a rational number: '1/0' (Fraction(1, 0))"),
+], ids=["negative", "float", "negative-int", "negative-fraction", "bool", "none",
+        "not-a-number", "zero-denominator"])
+def test_explicit_grid_price_fault_names_its_path(table, location, message):
     dist = product([uniform([1, 2]), uniform([1, 2])])
     with pytest.raises(ParseError) as got:
         candidate_grid(dist, "explicit", explicit=table)
-    assert got.value.location == location
-
-
-@pytest.mark.parametrize("bad, message", [
-    ("-1", "must be nonnegative, got -1"),
-    (-1, "must be nonnegative, got -1"),
-    (F(-1, 2), "must be nonnegative, got -1/2"),
-    (0.5, "expected int or string rational, got float"),
-    (True, "expected a rational number, got a boolean"),
-    (None, "expected int or string rational, got NoneType"),
-    ("x", "not a rational number: 'x' (Invalid literal for Fraction: 'x')"),
-    ("1/0", "not a rational number: '1/0' (Fraction(1, 0))"),
-], ids=["negative-str", "negative-int", "negative-fraction", "float", "bool", "none",
-        "not-a-number", "zero-denominator"])
-def test_explicit_grid_price_fault_messages(bad, message):
-    # a Fraction passes unchecked only when nonnegative; every fault keeps
-    # parse_nonnegative's type, path and message
-    dist = product([uniform([1, 2]), uniform([1, 2])])
-    with pytest.raises(ParseError) as got:
-        candidate_grid(dist, "explicit", explicit={(1,): [0], (2,): [1], (2, 1): [F(2), bad]})
     assert type(got.value) is ParseError
-    assert (got.value.location, str(got.value)) == \
-        ("explicit['1,2'][1]", f"explicit['1,2'][1]: {message}")
-
-
-def test_explicit_grid_checks_each_price_once(monkeypatch):
-    # nonnegative Fractions, as parse_grid returns them, are not parsed again
-    seen = []
-    real = search.parse_nonnegative
-    monkeypatch.setattr(search, "parse_nonnegative", lambda p, where: seen.append(where) or real(p, where))
-    grid = candidate_grid(_point_mass_joint(1, 2), "explicit",
-                          explicit={(1,): [F(1), 2], (2,): [F(2)], (1, 2): [F(3), "7/2", F(0)]})
-    assert grid.prices == ((F(1), F(2)), (F(2),), (F(0), F(3), F(7, 2)))
-    assert seen == ["explicit['1'][1]", "explicit['1,2'][1]"]
+    assert (got.value.location, str(got.value)) == (location, f"{location}: {message}")
 
 
 def test_support_sums_grid():
