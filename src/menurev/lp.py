@@ -20,14 +20,19 @@ The float solve (`linprog`) drives HiGHS through `scipy.optimize._highspy._core`
 the binding `scipy.optimize.linprog` drives, with the model and the options
 (presolve on, dual simplex, no output) that `linprog(method="highs")` passes,
 so its floats are scipy's to the bit without scipy's per-call Python layer.
+The binding is loaded from its extension file, so `scipy.optimize` itself,
+some 300 modules, is never imported for it.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from importlib import machinery, util
 from itertools import chain, count
 from math import gcd
+from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -192,17 +197,44 @@ def _solve_rows(rows: Sequence[Row], rhs: Sequence[int], width: int
     return kept, [Fraction(v, den) for v in num]
 
 
+_BINDING = "scipy.optimize._highspy._core"  # HiGHS's pybind11 binding in scipy
+_SCIPY = "scipy>=1.17,<1.18"  # the releases whose binding the float solve was checked on
+
+
+def _load_binding():
+    """The module `_BINDING`: the one in sys.modules if there is one, else
+    loaded from its extension file in scipy's directory and registered there,
+    so a later `import scipy.optimize` reuses it. Importing the binding by
+    name would first run scipy/optimize/__init__.py, about 300 modules;
+    top-level `scipy` is light. ImportError if the entry is None (the import
+    system's "blocked") or there is no such file."""
+    if _BINDING in sys.modules:
+        if sys.modules[_BINDING] is None:
+            raise ModuleNotFoundError(f"import of {_BINDING} halted; None in sys.modules")
+        return sys.modules[_BINDING]
+    import scipy
+    files = (Path(root, "optimize", "_highspy", "_core" + suffix)
+             for root in scipy.__path__ for suffix in machinery.EXTENSION_SUFFIXES)
+    path = next((f for f in files if f.is_file()), None)
+    if path is None:
+        raise ModuleNotFoundError(f"no extension file for {_BINDING} under {scipy.__path__}")
+    spec = util.spec_from_file_location(_BINDING, path)
+    core = sys.modules[_BINDING] = util.module_from_spec(spec)
+    spec.loader.exec_module(core)
+    return core
+
+
 @cache
 def _highs():
     """scipy's HiGHS binding and the options that `scipy.optimize.linprog`
-    (method "highs", default options) sets, built once. scipy.optimize is
-    most of menurev's import time and only the float solve uses it, so it is
-    imported on first use."""
+    (method "highs", default options) sets, built once. Only the float solve
+    uses scipy, so the binding is loaded on first use, without
+    `scipy.optimize` (`_load_binding`)."""
     try:
-        import scipy.optimize._highspy._core as core
+        core = _load_binding()
     except ImportError as exc:
-        raise ImportError("the float LP solve needs scipy>=1.17,<1.18, whose HiGHS "
-                          "binding scipy.optimize._highspy._core it drives") from exc
+        raise ImportError(f"the float LP solve needs {_SCIPY}, whose HiGHS "
+                          f"binding {_BINDING} it drives") from exc
     options = core.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = 1  # dual simplex

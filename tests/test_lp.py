@@ -450,16 +450,79 @@ def test_lp_outcome_reports_rounds_and_stages():
     assert guided == lp_optimal(dist, method="float-guided-exact")
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported on the first float solve, not with menurev
+def run_fresh(code):
+    """The standard output of `code`, run in a fresh interpreter on these sources."""
     src = str(Path(lp.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, menurev; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is first imported by the first float solve, not with menurev
+    assert run_fresh("import sys, menurev; print('scipy' in sys.modules)") == "False"
+
+
+SOLVE_EXAMPLE7 = """
+import importlib.util, sys
+from menurev import lp
+loads, load = [], importlib.util.module_from_spec
+importlib.util.module_from_spec = lambda spec: loads.append(spec.name) or load(spec)
+from menurev.instances import load_distribution
+from menurev.randomized import lp_optimal
+seen, solve = [], lp.linprog
+lp.linprog = lambda **problem: seen.append(problem) or solve(**problem)
+assert lp_optimal(load_distribution("example7_distribution")).certified
+core = sys.modules[lp._BINDING]
+"""
+
+
+def test_binding_loads_without_scipy_optimize():
+    # the binding comes from its extension file and is registered, so a later
+    # import of scipy.optimize reuses it, and scipy's linprog on example 7's
+    # orbit system, through that same module, gives the same floats
+    out = run_fresh(SOLVE_EXAMPLE7 + """
+print("scipy.optimize" in sys.modules, core is lp._highs()[0], seen[0]["A_ub"].shape)
+from scipy.optimize import linprog
+import scipy.optimize._highspy._core as imported
+wrapper = sys.modules["scipy.optimize._highspy._highs_wrapper"]
+got, want = solve(**seen[0]), linprog(**seen[0], bounds=(None, None), method="highs")
+print(imported is core, wrapper._h is core, got.x.tobytes() == want.x.tobytes(),
+      got.ineqlin.marginals.tobytes() == want.ineqlin.marginals.tobytes(), loads)
+""")
+    assert out.splitlines() == ["False True (738, 57)",
+                                "True True True True ['scipy.optimize._highspy._core']"]
+
+
+def test_binding_reuses_scipy_optimize_module():
+    # scipy.optimize imported first: the float solve takes its binding and
+    # loads no second copy
+    out = run_fresh("import sys, scipy.optimize; scipy_core = sys.modules["
+                    "'scipy.optimize._highspy._core']" + SOLVE_EXAMPLE7 +
+                    "print(core is scipy_core, lp._highs()[0] is scipy_core, loads)")
+    assert out == "True True []"
+
+
+def test_missing_extension_file_names_the_scipy_range():
+    # the same ImportError as a blocked binding (test_missing_binding_names_the_scipy_range)
+    out = run_fresh("""
+import sys
+from importlib import machinery
+from menurev import lp
+machinery.EXTENSION_SUFFIXES = []
+try:
+    lp._highs()
+except ImportError as exc:
+    print(exc, exc.__cause__, lp._BINDING in sys.modules, sep="\\n")
+""")
+    message, cause, registered = out.splitlines()
+    assert message == (f"the float LP solve needs {lp._SCIPY}, whose HiGHS binding "
+                       "scipy.optimize._highspy._core it drives")
+    assert cause.startswith("no extension file for scipy.optimize._highspy._core under ")
+    assert registered == "False"
 
 
 def relabeled(v, i):
