@@ -8,7 +8,10 @@ every choice below is the one the same rows over Fractions would make. Two
 routes lead to an exact optimal basic solution of  max c.x:
 
 * `simplex_max`, a fraction-free tableau simplex with Bland's rule over
-  A x <= b, x >= 0, for small systems;
+  A x <= b, x >= 0, for small systems. Its tableau is condensed: row i
+  stores only the n nonbasic columns, the right-hand side and d_i > 0, the
+  coefficient of its basic variable: n + 2 entries where a row of the full
+  tableau has n + m + 1;
 * `certified_vertex`, a float solve of  A x >= b  that only locates the
   optimal vertex x, then integer arithmetic at x: one
   fraction-free elimination solves a basis of float-tight rows for x, every
@@ -67,7 +70,7 @@ def _dot(c: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact dense simplex:  max c.x  s.t.  A x <= b, x >= 0, with b >= 0
+# Exact condensed simplex:  max c.x  s.t.  A x <= b, x >= 0, with b >= 0
 # ---------------------------------------------------------------------------
 
 def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Row], b_ub: Sequence[int]
@@ -75,60 +78,82 @@ def simplex_max(c: Sequence[Fraction], a_ub: Sequence[Row], b_ub: Sequence[int]
     """Tableau simplex with Bland's rule; requires b_ub >= 0 so the all-slack
     basis is feasible.
 
-    Each tableau row is a primitive integer vector whose basic column holds
-    its positive denominator, and the cost row is a positive multiple of the
-    reduced costs, so every sign and ratio the Fraction tableau would test is
-    read off integers. A pivot combines only the rows with a nonzero entry in
-    the pivot column, and only over the pivot row's nonzero entries.
+    The tableau is condensed (Tucker's form): it stores only the n nonbasic
+    columns, `cols` naming the variable in each and `basic` the variable of
+    each row; the slacks are variables n..n+m-1. Row i holds the nonbasic
+    coefficients, the right-hand side and d_i > 0, the coefficient of its
+    basic variable, which every other row holds as 0. So row i is the full
+    Fraction tableau row times d_i, a primitive integer vector once the
+    zeros are put back: every sign and ratio the Fraction tableau would test
+    is read off integers. The cost row holds a positive multiple of the
+    reduced costs and the objective.
+
+    A pivot (r, s) swaps p = T[r][s] with d_r, so the leaving variable takes
+    column s. Each other row with f = T[i][s] != 0 becomes
+    (p/g) row_i - (f/g) row_r with g = gcd(p, f): column s takes
+    -(f/g) d_r, d_i becomes (p/g) d_i, and the row is divided by its gcd
+    (fraction-free, as in Bareiss's elimination). The cost row is updated
+    the same way. Only the rows with f != 0 change, each over row r's
+    nonzero entries. The entering column is the lowest-labelled one with a
+    negative reduced cost, the leaving row the minimum ratio with the lowest
+    basic label among ties: Bland's rule, so the pivots end, and they are
+    the full tableau's pivots.
     """
     start = perf_counter()
     m, n = len(a_ub), len(c)
     if any(b < 0 for b in b_ub):
         raise LPError("simplex_max requires nonnegative right-hand sides")
-    width = n + m  # the right-hand side sits at index width; the cost row is tab[m]
     _, cost = over_common_denominator(c)
-    tab = [[0] * (width + 1) for _ in range(m)] + [[-v for v in cost] + [0] * (m + 1)]
-    for i, row in enumerate(a_ub):
+    # row i: coefficients at 0..n-1, the right-hand side at n, d_i at n + 1;
+    # the cost row tab[m] has no d
+    tab = [[0] * n + [b, 1] for b in b_ub] + [[-v for v in cost] + [0]]
+    for vec, row in zip(tab, a_ub):
         for j, v in row.items():
-            tab[i][j] = v
-        tab[i][n + i], tab[i][width] = 1, b_ub[i]
-    basis = list(range(n, width))
+            vec[j] = v
+    cols = list(range(n))
+    basic = list(range(n, n + m))
 
     for pivots in range(_MAX_PIVOTS):
-        col = next((j for j in range(width) if tab[m][j] < 0), None)
+        reduced = tab[m]
+        col = min((j for j in range(n) if reduced[j] < 0), key=cols.__getitem__, default=None)
         if col is None:
             x = [Fraction(0)] * n
-            for vec, bv in zip(tab, basis):
+            for vec, bv in zip(tab, basic):
                 if bv < n:
-                    x[bv] = Fraction(vec[width], vec[bv])
+                    x[bv] = Fraction(vec[n], vec[n + 1])
             return VertexResult(x, _dot(c, x), pivots,
                                 {"simplex": perf_counter() - start})
-        # min ratio rhs/entry over positive entries, then lowest basis index: Bland
+        hits = [(i, vec) for i, vec in enumerate(tab) if vec[col]]
+        # min ratio rhs/entry over positive entries, then lowest basic label: Bland
         row, top, bottom = None, 0, 1  # the best ratio so far is top / bottom
-        for i in range(m):
-            a = tab[i][col]
-            if a > 0:
-                here, there = tab[i][width] * bottom, top * a
-                if row is None or here < there or (here == there and basis[i] < basis[row]):
-                    row, top, bottom = i, tab[i][width], a
+        for i, vec in hits:
+            a = vec[col]
+            if a > 0 and i < m:
+                here, there = vec[n] * bottom, top * a
+                if row is None or here < there or (here == there and basic[i] < basic[row]):
+                    row, top, bottom = i, vec[n], a
         if row is None:
             raise LPError("LP is unbounded")
         prow = tab[row]
         p = prow[col]
-        support = [j for j, v in enumerate(prow) if v]
-        for i, vec in enumerate(tab):
-            f = vec[col]
-            if i == row or not f:
+        # the leaving variable takes column col; d_r sits out of the combination
+        prow[col], prow[n + 1] = prow[n + 1], 0
+        support = [(j, w) for j, w in enumerate(prow) if w]
+        for i, vec in hits:
+            if i == row:
                 continue
+            f = vec[col]
             g = gcd(p, f)
             q, f = p // g, f // g
+            vec[col] = 0
             if q != 1:
                 vec = [q * v for v in vec]
-            for j in support:
-                vec[j] -= f * prow[j]
+            for j, w in support:
+                vec[j] -= f * w
             g = gcd(*vec)
             tab[i] = [v // g for v in vec] if g > 1 else vec
-        basis[row] = col
+        prow[n + 1] = p
+        cols[col], basic[row] = basic[row], cols[col]
     raise LPError("pivot limit exceeded")
 
 

@@ -89,6 +89,19 @@ def seeded_distributions(seed, count):
             n, ((v, F(w, sum(weights))) for v, w in zip(sorted(values), weights)))
 
 
+def correlated_distributions(seed, type_counts):
+    """2-item joint distributions with each count of distinct valuations in
+    0..8, drawn as the lottery benchmark draws its small LPs."""
+    rng = random.Random(seed)
+    for types in type_counts:
+        values = set()
+        while len(values) < types:
+            values.add((rng.randint(0, 8), rng.randint(0, 8)))
+        weights = [rng.randint(1, 6) for _ in values]
+        yield JointDistribution.from_pairs(
+            2, ((v, F(w, sum(weights))) for v, w in zip(sorted(values), weights)))
+
+
 def test_simplex_small_lp():
     # max 3x + 2y st x + y <= 4, x <= 2, y <= 3
     res = simplex_max([F(3), F(2)], *integer_rows(
@@ -101,6 +114,38 @@ def test_simplex_degenerate_lp_terminates():
     res = simplex_max([F(1), F(1)], *integer_rows(
         [[F(1), F(0)], [F(1), F(0)], [F(1), F(1)]], [F(1), F(1), F(2)])[:2])
     assert res.objective == 2
+
+
+# the classic cycling examples: degenerate systems built to make the
+# largest-coefficient rule cycle (Beale 1955; Kuhn, as given by Chvatal 1983)
+BEALE_1955 = ([F(3, 4), F(-20), F(1, 2), F(-6)],
+              [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)],
+               [F(0), F(0), F(1), F(0)]],
+              [F(0), F(0), F(1)])
+KUHN_CHVATAL_1983 = ([F(2), F(3), F(-1), F(-12)],
+                     [[F(-2), F(-9), F(1), F(9)], [F(1, 3), F(1), F(-1, 3), F(-2)],
+                      [F(2), F(3), F(-1), F(-12)]],
+                     [F(0), F(0), F(2)])
+
+
+@pytest.mark.parametrize("system", [BEALE_1955, KUHN_CHVATAL_1983], ids=["beale", "kuhn"])
+def test_simplex_matches_fraction_oracle_on_cycling_examples(system):
+    c, a_ub, b_ub = system
+    res = simplex_max(c, *integer_rows(a_ub, b_ub)[:2])
+    assert (res.x, res.objective, res.rounds) == oracle_simplex(c, a_ub, b_ub)
+    if system is BEALE_1955:
+        assert (res.x, res.objective, res.rounds) == ([F(1), F(0), F(1), F(0)], F(5, 4), 6)
+
+
+def test_simplex_pivot_limit(monkeypatch):
+    # Beale's system takes 6 pivots and stops on the 7th pass
+    c, a_ub, b_ub = BEALE_1955
+    a_int, b_int, _ = integer_rows(a_ub, b_ub)
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 7)
+    assert simplex_max(c, a_int, b_int).rounds == 6
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 6)
+    with pytest.raises(LPError, match="^pivot limit exceeded$"):
+        simplex_max(c, a_int, b_int)
 
 
 def test_simplex_unbounded():
@@ -161,12 +206,14 @@ def test_simplex_matches_fraction_oracle_on_random_systems():
         assert str(err.value) == _run(oracle_simplex, [F(1), F(0)], a_ub, b_ub)
 
 
-def test_simplex_matches_fraction_oracle_on_lp_systems(monkeypatch):
-    # _lp_simplex's sparse integer system against the oracle on dense rows
+def oracle_checked_pivots(monkeypatch, dists):
+    """Pivot counts of `_lp_simplex` on each distribution, its sparse integer
+    system checked against the oracle on dense rows."""
     calls = []
     real = lp.simplex_max
     monkeypatch.setattr(lp, "simplex_max", lambda *a: calls.append((a, real(*a))) or calls[-1][1])
-    for dist in seeded_distributions(7, 60):
+    pivots = []
+    for dist in dists:
         values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
         calls.clear()
         _lp_simplex(values, mu, dist.n)
@@ -178,6 +225,18 @@ def test_simplex_matches_fraction_oracle_on_lp_systems(monkeypatch):
         a_ub = [[-a for a in rows[r]] for r in keep]
         assert oracle_simplex(c, a_ub, [-rhs[r] for r in keep]) == \
             (got.x, got.objective, got.rounds)
+        pivots.append(got.rounds)
+    return pivots
+
+
+def test_simplex_matches_fraction_oracle_on_lp_systems(monkeypatch):
+    # 1-3 items with fractional values
+    oracle_checked_pivots(monkeypatch, seeded_distributions(7, 60))
+
+
+def test_simplex_matches_fraction_oracle_on_correlated_lp_systems(monkeypatch):
+    # 2 items with 5, 6, 7 and 8 types, the last past 100 pivots
+    assert max(oracle_checked_pivots(monkeypatch, correlated_distributions(34, range(5, 9)))) > 100
 
 
 def test_solve_rows():
