@@ -23,8 +23,10 @@ The float solve (`linprog`) drives HiGHS through `scipy.optimize._highspy._core`
 the binding `scipy.optimize.linprog` drives, with the model and the options
 (presolve on, dual simplex, no output) that `linprog(method="highs")` passes,
 so its floats are scipy's to the bit without scipy's per-call Python layer.
-The binding is loaded from its extension file, so `scipy.optimize` itself,
-some 300 modules, is never imported for it.
+The rows keep their sparse form: their entries over the scales reach HiGHS
+column by column, and the float residuals are summed from them, so no rows x
+columns matrix is built. The binding is loaded from its extension file, so
+`scipy.optimize` itself, some 300 modules, is never imported for it.
 """
 from __future__ import annotations
 
@@ -269,19 +271,21 @@ def _highs():
     return core, options
 
 
-def linprog(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> SimpleNamespace:
-    """min c.x  s.t.  A_ub x <= b_ub, x free, by HiGHS through scipy's binding.
+def linprog(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarray,
+            b_ub: np.ndarray) -> SimpleNamespace:
+    """min c.x  s.t.  A x <= b_ub, x free, by HiGHS through scipy's binding.
 
-    The model, the options and so the floats are those of
-    `scipy.optimize.linprog(c, A_ub, b_ub, bounds=(None, None), method="highs")`:
-    free columns, rows (-inf, b_ub], the dense matrix stored column by column
-    without its zeros, presolve on, dual simplex, no output. Returns success,
-    message (HiGHS's model status), x and ineqlin.marginals (the row duals);
-    x and the duals are None unless the model status is optimal.
+    A is column-major without zeros, as HiGHS stores it: column j holds
+    value[start[j]:start[j + 1]] at the rows index[start[j]:start[j + 1]],
+    ascending. The model, the options and so the floats are those of
+    `scipy.optimize.linprog(c, A, b_ub, bounds=(None, None), method="highs")`:
+    free columns, rows (-inf, b_ub], presolve on, dual simplex, no output.
+    Returns success, message (HiGHS's model status), x and ineqlin.marginals
+    (the row duals); x and the duals are None unless the model status is
+    optimal.
     """
     core, options = _highs()
-    m, n = A_ub.shape
-    cols, rows = np.nonzero(A_ub.T)  # column-major, rows ascending in each column
+    m, n = len(b_ub), len(c)
     model = core.HighsLp()
     model.num_col_ = n
     model.num_row_ = m
@@ -294,9 +298,9 @@ def linprog(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> SimpleNamespac
     matrix.format_ = core.MatrixFormat.kColwise
     matrix.num_col_ = n
     matrix.num_row_ = m
-    matrix.start_ = np.searchsorted(cols, np.arange(n + 1))
-    matrix.index_ = rows
-    matrix.value_ = A_ub[rows, cols]
+    matrix.start_ = start
+    matrix.index_ = index
+    matrix.value_ = value
     solver = core._Highs()
     error = core.HighsStatus.kError
     if solver.passOptions(options) == error or solver.passModel(model) == error:
@@ -318,34 +322,40 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     """Certified optimal vertex of  max c.x  s.t.  rows[i].x >= rhs[i].
 
     rows[i] and rhs[i] are the constraint times scale[i] > 0. A float LP
-    (HiGHS) on the unscaled constraints locates the optimum. The first
-    independent rows tight there, largest float dual first, are the basis
-    solved for x. Every row is checked once at x; then, while the basis dual
-    has a negative multiplier, the lowest such basis row leaves and the lowest
-    exactly tight row blocking the edge it opens enters (Bland's rule, so the
-    pivots end). LPError if x is no feasible vertex or is not optimal.
+    (HiGHS) on the unscaled constraints, handed over as their nonzeros column
+    by column, locates the optimum. A row counts as tight there if its
+    residual, summed from those entries, is at most _FEAS_TOL (1 + |b_i|).
+    The first independent rows tight there, largest float dual first, are
+    the basis solved for x. Every row is checked once at x; then, while the
+    basis dual has a negative multiplier, the lowest such basis row leaves
+    and the lowest exactly tight row blocking the edge it opens enters
+    (Bland's rule, so the pivots end). LPError if x is no feasible vertex or
+    is not optimal.
     """
-    n = len(c)
+    n, m = len(c), len(rows)
     _highs()  # a first import is not charged to the float solve
     start = perf_counter()
     # int / int true division rounds correctly, as float(Fraction) does; the
-    # entries are divided in Python, streamed into arrays (no list of floats
-    # to raise the peak memory) and stored by one fancy-index assignment
+    # entries are divided in Python, streamed into arrays row by row (no list
+    # of floats to raise the peak memory) and sorted stably by column
     sizes = [len(row) for row in rows]
     size = sum(sizes)
-    at_row = np.repeat(np.arange(len(rows)), sizes)
     at_col = np.fromiter(chain.from_iterable(rows), np.intp, size)
-    a = np.zeros((len(rows), n))
-    a[at_row, at_col] = np.fromiter(
-        (v / s for row, s in zip(rows, scale) for v in row.values()), float, size)
+    order = np.argsort(at_col, kind="stable")
+    at_col = at_col[order]
+    at_row = np.repeat(np.arange(m), sizes)[order]
+    value = np.fromiter((v / s for row, s in zip(rows, scale) for v in row.values()),
+                        float, size)[order]
     b = np.array([r / s for r, s in zip(rhs, scale)])
-    res = linprog(c=-np.array([float(v) for v in c]), A_ub=-a, b_ub=-b)
+    res = linprog(c=-np.array([float(v) for v in c]),
+                  start=np.searchsorted(at_col, np.arange(n + 1)),
+                  index=at_row, value=-value, b_ub=-b)
     if not res.success:
         raise LPError(f"float LP failed: {res.message}")
-    resid = a @ res.x - b
+    resid = np.bincount(at_row, value * res.x[at_col], m) - b
     tol = _FEAS_TOL * (1.0 + np.abs(b))
     duals = res.ineqlin.marginals
-    candidates = sorted((i for i in range(len(rows)) if resid[i] <= tol[i]),
+    candidates = sorted((i for i in range(m) if resid[i] <= tol[i]),
                         key=lambda i: -abs(float(duals[i])))
     c_den, cost = over_common_denominator(c)
     neg_c = [-v for v in cost]

@@ -280,18 +280,32 @@ def _scaled_types(values: List[Valuation]) -> List[Tuple[int, List[Tuple[int, in
     return scaled
 
 
-def _ic_row(t: int, s: int, d: int, vt: List[Tuple[int, int]], n: int, nx: int) -> lp.Row:
-    """IC(t -> s), v_t.(x_t - x_s) - p_t + p_s >= 0, times t's scale d."""
-    row = {t * n + i: q for i, q in vt}
-    row.update((s * n + i, -q) for i, q in vt)
-    row[nx + t], row[nx + s] = -d, d
-    return row
+def _ic_row(d: int, vt: List[Tuple[int, int]], xt: Sequence[int], xs: Sequence[int],
+            pt: int, ps: int) -> lp.Row:
+    """IC(t -> s), v_t.(x_t - x_s) - p_t + p_s >= 0, times t's scale d, with
+    xt and xs the columns of the two allocations and pt and ps those of the
+    two payments. Entries on a shared column add up; zero sums are dropped."""
+    row: lp.Row = {}
+    for i, q in vt:
+        j = xt[i]
+        row[j] = row.get(j, 0) + q
+    for i, q in vt:
+        j = xs[i]
+        row[j] = row.get(j, 0) - q
+    row[pt] = row.get(pt, 0) - d
+    row[ps] = row.get(ps, 0) + d
+    return {j: a for j, a in row.items() if a} if 0 in row.values() else row
 
 
-def _ir_row(t: int, d: int, vt: List[Tuple[int, int]], n: int, nx: int) -> lp.Row:
-    """IR(t), v_t.x_t - p_t >= 0, times t's scale d."""
-    row = {t * n + i: q for i, q in vt}
-    row[nx + t] = -d
+def _ir_row(d: int, vt: List[Tuple[int, int]], xt: Sequence[int], pt: int) -> lp.Row:
+    """IR(t), v_t.x_t - p_t >= 0, times t's scale d, on the columns xt of
+    t's allocation and pt of its payment. Entries on a shared column add up
+    (the values in vt are positive, so no sum is zero)."""
+    row: lp.Row = {}
+    for i, q in vt:
+        j = xt[i]
+        row[j] = row.get(j, 0) + q
+    row[pt] = -d
     return row
 
 
@@ -302,16 +316,17 @@ def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], 
     denominators of t's values. The bounds 0 <= x <= 1 are the callers'."""
     t_count = len(values)
     nx = t_count * n
+    x = [range(t * n, t * n + n) for t in range(t_count)]
     rows: List[lp.Row] = []
     scale: List[int] = []
     scaled = _scaled_types(values)
     for t, (d, vt) in enumerate(scaled):
         for s in range(t_count):
             if s != t:
-                rows.append(_ic_row(t, s, d, vt, n, nx))
+                rows.append(_ic_row(d, vt, x[t], x[s], nx + t, nx + s))
                 scale.append(d)
     for t, (d, vt) in enumerate(scaled):
-        rows.append(_ir_row(t, d, vt, n, nx))
+        rows.append(_ir_row(d, vt, x[t], nx + t))
         scale.append(d)
     return rows, [0] * len(rows), scale
 
@@ -334,21 +349,22 @@ class _Orbits:
     of s: it depends only on the orbit and the value, so equal coordinates
     share a variable and the lift x_(pi r) = pi.x_r is well defined. The
     columns are one y per (orbit, distinct value), then one payment per
-    orbit. Each row is one full row of the LP restricted to symmetric
-    points, recorded in `literal` as the per-item labels of that full row,
-    which relabelings permute, and its kind ("ic", "ir" or a box row's
-    sign): IC(r -> s) for every type s,
-    one row per class of s under r's stabilizer (those rows coincide
-    there), then IR(r), then per y the pair y >= 0, -y >= -1, each a box
-    row of one coordinate of r. The rows are scaled as `_lp_rows` scales
-    them. Coordinates are handled as the ranks of the distinct values.
+    orbit; the column map (`cols`, `pay`) gives each type the columns of
+    its allocation and its payment. A full row restricted to symmetric
+    points is that row written through the map, as `_ic_row` and `_ir_row`
+    write it. The rows are IC(r -> s) for every type s, one per class of s
+    under r's stabilizer (those rows coincide there), then IR(r), then per
+    y the pair y >= 0, -y >= -1, each a box row of one coordinate of r,
+    scaled as `_lp_rows` scales them. `literal` records each row's full row
+    as its per-item labels, which relabelings permute, and its kind ("ic",
+    "ir" or a box row's sign). Coordinates are the ranks of the values.
     """
 
     def __init__(self, ids: List[Tuple[int, ...]], reps: List[Tuple[int, ...]],
                  of_type: List[int], mass: List[Fraction],
                  scaled: List[Tuple[int, List[Tuple[int, int]]]], n: int):
-        self.n, self.of_type, self.scaled = n, of_type, scaled
-        self.index = {v: t for t, v in enumerate(ids)}
+        self.n, self.scaled = n, scaled
+        self.index = index = {v: t for t, v in enumerate(ids)}
         column: List[Dict[int, int]] = []  # per orbit: value rank -> y column
         ny = 0
         for r in reps:
@@ -357,64 +373,36 @@ class _Orbits:
                 if a not in column[-1]:
                     column[-1][a] = ny
                     ny += 1
-        self.ny = ny
-        # per type, the y column of each of its coordinates
+        # the column map: per type, the y column of each coordinate, and the
+        # payment column of its orbit
         self.cols = cols = [[column[k][a] for a in v] for v, k in zip(ids, of_type)]
+        self.pay = pay = [ny + k for k in of_type]
         self.c = [Fraction(0)] * ny + mass
-        self.rows: List[lp.Row] = []
-        self.scale: List[int] = []
-        self.literal: List[Tuple[tuple, object]] = []
-        ir = []
+        ic, ir, box = [], [], []  # per row (row, scale, rhs, literal), in this order
         for k, r in enumerate(reps):
-            tr = self.index[r]
-            d, vt = scaled[tr]
-            own: lp.Row = {}
-            for i, q in vt:
-                j = cols[tr][i]
-                own[j] = own.get(j, 0) + q
-            pay = ny + k
+            t = index[r]
+            d, vt = scaled[t]
             # r's stabilizer permutes the positions of equal values
             blocks = [[i for i in range(n) if r[i] == a] for a in column[k]] \
                 if len(column[k]) < n else None
             seen = set()
             for s, v in enumerate(ids):
-                if s == tr:
+                if s == t:
                     continue
                 if blocks:
                     key = tuple(tuple(sorted(v[i] for i in b)) for b in blocks)
                     if key in seen:
                         continue
                     seen.add(key)
-                row = own.copy()
-                to = cols[s]
-                for i, q in vt:
-                    j = to[i]
-                    row[j] = row.get(j, 0) - q
-                if of_type[s] != k:
-                    row[pay], row[ny + of_type[s]] = -d, d
-                else:  # a report in r's own orbit: the payments cancel
-                    row = {j: a for j, a in row.items() if a}
-                    if not row:
-                        continue
-                self.rows.append(row)
-                self.scale.append(d)
-                self.literal.append((tuple(zip(r, v)), "ic"))
-            own[pay] = -d
-            ir.append((own, d, (r, "ir")))
-        for row, d, lit in ir:
-            self.rows.append(row)
-            self.scale.append(d)
-            self.literal.append(lit)
-        self.rhs = [0] * len(self.rows)
-        for k, r in enumerate(reps):
+                row = _ic_row(d, vt, cols[t], cols[s], pay[t], pay[s])
+                if row:  # in r's own orbit the payments cancel, and the row may too
+                    ic.append((row, d, 0, (tuple(zip(r, v)), "ic")))
+            ir.append((_ir_row(d, vt, cols[t], pay[t]), d, 0, (r, "ir")))
             for a, j in column[k].items():
                 first = r.index(a)
                 labels = tuple((b, i == first) for i, b in enumerate(r))
-                for sign in (1, -1):
-                    self.rows.append({j: sign})
-                    self.scale.append(1)
-                    self.rhs.append(min(sign, 0))
-                    self.literal.append((labels, sign))
+                box += [({j: sign}, 1, min(sign, 0), (labels, sign)) for sign in (1, -1)]
+        self.rows, self.scale, self.rhs, self.literal = map(list, zip(*ic, *ir, *box))
 
     @classmethod
     def of(cls, values: List[Valuation], mu: List[Fraction], n: int) -> Optional["_Orbits"]:
@@ -441,9 +429,10 @@ class _Orbits:
         return cls(ids, list(groups), of_type, mass, _scaled_types(values), n)
 
     def lift(self, y: List[Fraction]) -> DirectMechanism:
-        """The symmetric mechanism of the orbit point y."""
+        """The symmetric mechanism of the orbit point y, read through the
+        column map."""
         return DirectMechanism(tuple(tuple(y[j] for j in cols) for cols in self.cols),
-                               tuple(y[self.ny + k] for k in self.of_type))
+                               tuple(y[j] for j in self.pay))
 
     def certifies(self, result: lp.VertexResult, mu: List[Fraction]) -> bool:
         """Whether the orbit dual, averaged over all relabelings, certifies
@@ -457,8 +446,9 @@ class _Orbits:
         the lifted point feasible is optimality by weak duality. Only rows
         that carry a multiplier are built."""
         n, index, scaled = self.n, self.index, self.scaled
-        t_count = len(self.of_type)
+        t_count = len(self.pay)
         nx = t_count * n
+        x = [range(t * n, t * n + n) for t in range(t_count)]
         spread = []  # (images, per-image multiplier of the integer row, kind)
         for k, y in result.dual.items():
             if y.numerator < 0:
@@ -473,15 +463,14 @@ class _Orbits:
         for (images, _, kind), f in zip(spread, factors):
             for image in images:
                 if kind == "ic":
-                    t = index[tuple(a for a, _ in image)]
-                    d, vt = scaled[t]
-                    row = _ic_row(t, index[tuple(b for _, b in image)], d, vt, n, nx)
+                    t, s = index[tuple(a for a, _ in image)], index[tuple(b for _, b in image)]
+                    row = _ic_row(*scaled[t], x[t], x[s], nx + t, nx + s)
                 elif kind == "ir":
                     t = index[image]
-                    row = _ir_row(t, *scaled[t], n, nx)
+                    row = _ir_row(*scaled[t], x[t], nx + t)
                 else:  # a box row of the marked coordinate, kind its sign
                     t = index[tuple(a for a, _ in image)]
-                    row = {t * n + next(i for i, (_, m) in enumerate(image) if m): kind}
+                    row = {x[t][next(i for i, (_, m) in enumerate(image) if m)]: kind}
                     bound += f * min(kind, 0)
                 for j, a in row.items():
                     acc[j] += f * a

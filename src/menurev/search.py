@@ -169,10 +169,14 @@ def candidate_grid(dist: JointDistribution, mode: str = "integer-grid",
 
     integer-grid: {0, 1, ..., max v(S')} per bundle, S' over the bundles of
     its size, so a symmetric menu may price a size at any of its bundles'
-    values; requires integer support values. support-sums: all sums of per-item support values (each
-    item contributing one of its support values or 0). explicit: caller-given
-    sets; a bad price raises ParseError at its path, e.g. `explicit['1,2'][0]`.
-    `max_price` caps every bundle's candidates.
+    values; requires integer support values. It is not complete for
+    `submodular`: a submodular menu may need a bundle priced above that top
+    to keep a submodularity inequality, so a `submodular` optimum over it is
+    a lower bound over all submodular menus. support-sums: all sums of
+    per-item support values (each item contributing one of its support
+    values or 0). explicit: caller-given sets; a bad price raises ParseError
+    at its path, e.g. `explicit['1,2'][0]`. `max_price` caps every bundle's
+    candidates.
     """
     order = all_bundles(dist.n)
     cap = parse_nonnegative(max_price, "max_price") if max_price is not None else None
@@ -651,7 +655,11 @@ class _StageClock:
 
 
 def search_optimal(dist: JointDistribution, constraint: str, grid: CandidateGrid) -> SearchResult:
-    """Maximize exact expected revenue over all constraint-satisfying grid menus."""
+    """Maximize exact expected revenue over all constraint-satisfying grid menus.
+
+    The optimum is over the grid's menus. For `submodular` even the integer
+    grid can miss a better submodular menu (see `candidate_grid`), so that
+    optimum is a lower bound over all submodular menus."""
     t0 = time.perf_counter()
     if constraint not in CONSTRAINTS:
         raise SearchError(f"unknown constraint {constraint!r}; expected one of {CONSTRAINTS}")

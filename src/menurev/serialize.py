@@ -142,9 +142,7 @@ def parse_randomized_menu(source: Union[str, IO[str], Dict[str, Any]]) -> Random
     from .randomized import RandomizedMenu
 
     obj = _load(source, "randomized_menu")
-    n = _require(obj, "items", "randomized_menu")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError("randomized_menu.items", "item count must be a positive integer")
+    n = _item_count(obj, "randomized_menu")
     entries = _require(obj, "entries", "randomized_menu")
     if not isinstance(entries, list):
         raise ParseError("randomized_menu.entries", "expected a list of entries")

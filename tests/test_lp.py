@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations
 from math import lcm
@@ -312,10 +313,23 @@ def loop_float_rows(rows, rhs, scale, width):
     return a, np.array([r / s for r, s in zip(rhs, scale)])
 
 
+def dense_matrix(problem):
+    """The matrix of an lp.linprog problem, rebuilt dense from its columns."""
+    a = np.zeros((len(problem["b_ub"]), len(problem["c"])))
+    a[problem["index"], np.repeat(np.arange(a.shape[1]), np.diff(problem["start"]))] = \
+        problem["value"]
+    return a
+
+
+def scipy_problem(problem):
+    """An lp.linprog problem as scipy.optimize.linprog takes it."""
+    return {"c": problem["c"], "A_ub": dense_matrix(problem), "b_ub": problem["b_ub"]}
+
+
 def test_float_problem_matches_dense_fraction_rows(monkeypatch):
     # HiGHS gets the float matrix that float() of the dense Fraction rows gives,
-    # and that storing each entry in a loop gives, bit for bit, so it reports
-    # the same tight rows and duals
+    # and that storing each entry in a loop gives, bit for bit, as the column
+    # scan of that dense matrix, so it reports the same tight rows and duals
     seen = {}
     real = lp.linprog
     monkeypatch.setattr(lp, "linprog", lambda *a, **k: seen.update(k) or real(*a, **k))
@@ -327,17 +341,24 @@ def test_float_problem_matches_dense_fraction_rows(monkeypatch):
         a = -np.array([[float(v) for v in row] for row in rows])
         b = -np.array([float(v) for v in rhs])
         loop_a, loop_b = loop_float_rows(*full_system(dist)[1:], len(values) * (dist.n + 1))
+        got = dense_matrix(seen)
         for want_a, want_b in ((a, b), (-loop_a, -loop_b)):
-            assert seen["A_ub"].shape == want_a.shape
-            assert seen["A_ub"].tobytes() == want_a.tobytes()
+            assert got.shape == want_a.shape
+            # + 0.0 turns the negated zeros, which HiGHS never gets, into 0.0
+            assert got.tobytes() == (want_a + 0.0).tobytes()
             assert seen["b_ub"].tobytes() == want_b.tobytes()
+            cols, at = np.nonzero(want_a.T)  # column-major, rows ascending in each column
+            start = np.searchsorted(cols, np.arange(a.shape[1] + 1))
+            assert seen["start"].tobytes() == start.tobytes()
+            assert seen["index"].tobytes() == at.tobytes()
+            assert seen["value"].tobytes() == want_a[at, cols].tobytes()
         if k == 0:
             assert (out.objective, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 2)
 
 
 def float_problems(monkeypatch, systems):
-    """The (c, A_ub, b_ub) that certified_vertex hands to lp.linprog for each
-    (c, rows, rhs, scale), recorded without solving."""
+    """The (c, start, index, value, b_ub) that certified_vertex hands to
+    lp.linprog for each (c, rows, rhs, scale), recorded without solving."""
     seen = []
     failed = SimpleNamespace(success=False, message="recorded")
     monkeypatch.setattr(lp, "linprog", lambda **k: seen.append(k) or failed)
@@ -361,10 +382,10 @@ def test_binding_matches_scipy_linprog_bit_for_bit(monkeypatch):
                *map(full_system, seeded_distributions(11, 24)),
                *map(full_system, rescaled_example7())]
     problems = float_problems(monkeypatch, systems)
-    assert len(problems) == 66 and problems[1]["A_ub"].shape == (738, 57)
+    assert len(problems) == 66 and dense_matrix(problems[1]).shape == (738, 57)
     for k, problem in enumerate(problems):
         got = lp.linprog(**problem)
-        want = scipy_linprog(**problem, bounds=(None, None), method="highs")
+        want = scipy_linprog(**scipy_problem(problem), bounds=(None, None), method="highs")
         assert (k, got.success, got.message) == (k, want.success, "model status is Optimal")
         assert got.x.tobytes() == want.x.tobytes()
         assert got.ineqlin.marginals.tobytes() == want.ineqlin.marginals.tobytes()
@@ -392,6 +413,7 @@ def test_highs_writes_nothing(capfd):
 def test_highs_failures_are_typed(rows, rhs, status, monkeypatch):
     system = ([F(1)], rows, rhs, [1] * len(rows))
     (problem,) = float_problems(monkeypatch, [system])
+    assert dense_matrix(problem).tolist() == [[-v for v in row.values()] for row in rows]
     res = lp.linprog(**problem)
     assert (res.success, res.message, res.x) == (False, f"model status is {status}", None)
     with pytest.raises(LPError, match=f"^float LP failed: model status is {status}$"):
@@ -410,6 +432,25 @@ def test_missing_binding_names_the_scipy_range(monkeypatch):
             lp._highs()
     finally:
         lp._highs.cache_clear()
+
+
+def test_float_stage_peaks_below_the_dense_matrix():
+    # the rows reach HiGHS and the residuals as their nonzero entries: on a
+    # 49-type non-exchangeable full system, everything certified_vertex
+    # allocates at once stays below one rows x columns float matrix
+    dist = product([uniform(range(1, 8)), uniform(range(2, 15, 2))])
+    system = full_system(dist)
+    rows, width = len(system[1]), len(system[0])
+    assert (rows, width) == (2597, 147)
+    lp._highs()
+    tracemalloc.start()
+    try:
+        out = certified_vertex(*system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.certified
+    assert peak < rows * width * 8
 
 
 def test_certified_vertex_ignores_row_scaling():
@@ -544,11 +585,16 @@ def test_binding_loads_without_scipy_optimize():
     # import of scipy.optimize reuses it, and scipy's linprog on example 7's
     # orbit system, through that same module, gives the same floats
     out = run_fresh(SOLVE_EXAMPLE7 + """
-print("scipy.optimize" in sys.modules, core is lp._highs()[0], seen[0]["A_ub"].shape)
+import numpy as np
+p = seen[0]
+a = np.zeros((len(p["b_ub"]), len(p["c"])))  # the matrix, rebuilt dense from its columns
+a[p["index"], np.repeat(np.arange(a.shape[1]), np.diff(p["start"]))] = p["value"]
+print("scipy.optimize" in sys.modules, core is lp._highs()[0], a.shape)
 from scipy.optimize import linprog
 import scipy.optimize._highspy._core as imported
 wrapper = sys.modules["scipy.optimize._highspy._highs_wrapper"]
-got, want = solve(**seen[0]), linprog(**seen[0], bounds=(None, None), method="highs")
+got = solve(**p)
+want = linprog(p["c"], A_ub=a, b_ub=p["b_ub"], bounds=(None, None), method="highs")
 print(imported is core, wrapper._h is core, got.x.tobytes() == want.x.tobytes(),
       got.ineqlin.marginals.tobytes() == want.ineqlin.marginals.tobytes(), loads)
 """)
@@ -635,6 +681,85 @@ def test_orbit_path_matches_the_full_system_on_exchangeable_instances():
         types = [v for v, _ in dist.atoms]
         assert reference.ic_ir_violations(types, mech.allocations, mech.payments) == []
         assert_symmetric(dist, mech)
+
+
+def symmetric_projection(dist):
+    """Per full column (x_t,i for each type t and item i, then p_t), the orbit
+    LP's column that it becomes at symmetric points: one y per (orbit,
+    distinct value), the orbits in order of their first type and the values
+    ascending, then one payment per orbit."""
+    types = [v for v, _ in dist.atoms]
+    orbit = {r: k for k, r in enumerate(dict.fromkeys(tuple(sorted(v)) for v in types))}
+    y = {}
+    for r in orbit:
+        for a in r:
+            y.setdefault((r, a), len(y))
+    return ([y[tuple(sorted(v)), a] for v in types for a in v]
+            + [len(y) + orbit[tuple(sorted(v))] for v in types])
+
+
+def test_orbit_rows_are_their_literal_full_rows_at_symmetric_points():
+    # each orbit row, over its scale, is the full row its literal names,
+    # written in Fractions from the values and projected on the orbit columns;
+    # per representative, the IC rows are the distinct nonzero projections,
+    # each once; and the lift reads y through the same projection
+    rng = random.Random(5)
+    dists = [load_distribution("example4_distribution"),
+             load_distribution("example7_distribution"), *exchangeable_distributions(17, 24)]
+    same_orbit = merged = 0
+    for dist in dists:
+        n, types = dist.n, [v for v, _ in dist.atoms]
+        t_count, nx = len(types), len(types) * dist.n
+        index = {v: t for t, v in enumerate(types)}
+        value = sorted({a for v in types for a in v})  # the value of each rank
+        proj = symmetric_projection(dist)
+        orbits = randomized._Orbits.of(types, [p for _, p in dist.atoms], n)
+
+        def project(full):
+            out = {}
+            for j, a in full:
+                out[proj[j]] = out.get(proj[j], 0) + a
+            return {j: a for j, a in out.items() if a}
+
+        def ic(t, s):
+            v = types[t]
+            return project([*((t * n + i, a) for i, a in enumerate(v)),
+                            *((s * n + i, -a) for i, a in enumerate(v)),
+                            (nx + t, -1), (nx + s, 1)])
+
+        c = [F(0)] * len(orbits.c)
+        for j, a in enumerate([F(0)] * nx + [p for _, p in dist.atoms]):
+            c[proj[j]] += a
+        assert orbits.c == c
+        got_ic = {}
+        for row, d, b, (labels, kind) in zip(orbits.rows, orbits.scale, orbits.rhs,
+                                             orbits.literal):
+            if kind == "ic":
+                t, s = (index[tuple(value[p[k]] for p in labels)] for k in (0, 1))
+                want, want_b = ic(t, s), 0
+                got_ic.setdefault(t, []).append(frozenset(want.items()))
+                same_orbit += proj[nx + t] == proj[nx + s]
+            elif kind == "ir":
+                t = index[tuple(value[a] for a in labels)]
+                want = project([*((t * n + i, a) for i, a in enumerate(types[t])), (nx + t, -1)])
+                want_b = 0
+            else:
+                t = index[tuple(value[a] for a, _ in labels)]
+                i = next(i for i, (_, first) in enumerate(labels) if first)
+                want, want_b = project([(t * n + i, kind)]), min(kind, 0)
+            assert {j: F(a, d) for j, a in row.items()} == want
+            assert F(b, d) == want_b
+        for t, rows in got_ic.items():
+            projected = (ic(t, s) for s in range(t_count) if s != t)
+            assert len(set(rows)) == len(rows)
+            assert set(rows) == {frozenset(r.items()) for r in projected if r}
+            merged += len(rows) < t_count - 1
+        y = [F(rng.randint(0, 99), rng.randint(1, 9)) for _ in orbits.c]
+        mech = orbits.lift(y)
+        assert mech.allocations == tuple(tuple(y[proj[t * n + i]] for i in range(n))
+                                         for t in range(t_count))
+        assert mech.payments == tuple(y[proj[nx + t]] for t in range(t_count))
+    assert same_orbit and merged
 
 
 def spy_systems(monkeypatch, edit=lambda k, res: res):

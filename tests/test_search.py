@@ -59,6 +59,20 @@ def test_integer_grid_tops_per_bundle_size():
     assert oracle_search(dist, "symmetric", wide)[:2] == (res.best, res.revenue)
 
 
+def test_integer_grid_is_not_complete_for_submodular():
+    # the grid stops each pair at the pairs' top value 14; the submodular
+    # menu (4,10,12 | 14,14,15 | 17) needs the pair {2,3} at 15 to keep
+    # p({1,3}) + p({2,3}) >= p({3}) + p({1,2,3}), and earns more than the
+    # grid's optimum, which is so only a lower bound over all submodular menus
+    dist = JointDistribution.from_pairs(3, [((2, 1, 12), F(1, 2)), ((4, 10, 3), F(1, 2))])
+    grid = candidate_grid(dist, "integer-grid")
+    assert max(grid.prices[all_bundles(3).index((2, 3))]) == 14
+    assert search_optimal(dist, "submodular", grid).revenue == 15
+    menu = Menu(3, tuple(map(F, (4, 10, 12, 14, 14, 15, 17))))
+    assert is_submodular(menu) and reference.in_class(menu.as_dict(), "submodular")
+    assert expected_revenue(menu, dist) == reference.menu_revenue(menu, dist.atoms) == F(31, 2)
+
+
 def test_integer_grid_rejects_fractional_support():
     dist = product([uniform([F(1, 2), 1])])
     with pytest.raises(SearchError, match="non-integer"):

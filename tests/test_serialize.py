@@ -102,15 +102,17 @@ _ENTRY = {"alloc": ["1/2", "1"], "pay": "3"}
      "randomized_menu.entries[1].alloc", "expected a list"),
     ({"items": 2, "entries": [_ENTRY, ["1/2", "1"]]}, "randomized_menu.entries[1]",
      "expected an object"),
-    ({"items": "2", "entries": []}, "randomized_menu.items", "positive integer"),
-    ({"items": 0, "entries": []}, "randomized_menu.items", "positive integer"),
+    ({"items": "2", "entries": []}, "randomized_menu.items", "must be an integer"),
+    ({"items": 0, "entries": []}, "randomized_menu.items", r"must be in 1\.\.16, got 0"),
+    ({"items": 17, "entries": []}, "randomized_menu.items", r"must be in 1\.\.16, got 17"),
     ({"items": 2, "entries": {"0": _ENTRY}}, "randomized_menu.entries", "expected a list"),
     ({"items": 2, "entries": [{"alloc": ["2", "0"], "pay": "1"}]},
      "randomized_menu.entries[0].alloc[0]", r"must lie in \[0, 1\], got 2"),
     ([_ENTRY], "randomized_menu", "top-level value must be an object"),
     ('{"items": 2, "entries": [', "randomized_menu", "malformed JSON"),
 ], ids=["no-entries", "no-alloc", "alloc-not-list", "entry-not-object", "items-not-int",
-        "no-items", "entries-not-list", "alloc-out-of-range", "top-level-list", "malformed"])
+        "no-items", "too-many-items", "entries-not-list", "alloc-out-of-range", "top-level-list",
+        "malformed"])
 def test_randomized_menu_faults_name_their_path(source, location, message):
     with pytest.raises(ParseError, match=message) as err:
         parse_randomized_menu(source)
