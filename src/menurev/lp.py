@@ -39,7 +39,6 @@ from itertools import chain, count
 from math import gcd
 from pathlib import Path
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,7 +271,7 @@ def _highs():
 
 
 def linprog(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarray,
-            b_ub: np.ndarray) -> SimpleNamespace:
+            b_ub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """min c.x  s.t.  A x <= b_ub, x free, by HiGHS through scipy's binding.
 
     A is column-major without zeros, as HiGHS stores it: column j holds
@@ -280,9 +279,8 @@ def linprog(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarr
     ascending. The model, the options and so the floats are those of
     `scipy.optimize.linprog(c, A, b_ub, bounds=(None, None), method="highs")`:
     free columns, rows (-inf, b_ub], presolve on, dual simplex, no output.
-    Returns success, message (HiGHS's model status), x and ineqlin.marginals
-    (the row duals); x and the duals are None unless the model status is
-    optimal.
+    Returns x and the row duals (scipy's `ineqlin.marginals`); LPError
+    naming HiGHS's model status unless that is optimal.
     """
     core, options = _highs()
     m, n = len(b_ub), len(c)
@@ -308,13 +306,10 @@ def linprog(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarr
     else:
         solver.run()
         status = solver.getModelStatus()
-    message = f"model status is {solver.modelStatusToString(status)}"
     if status != core.HighsModelStatus.kOptimal:
-        return SimpleNamespace(success=False, message=message, x=None,
-                               ineqlin=SimpleNamespace(marginals=None))
+        raise LPError(f"float LP failed: model status is {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
-    return SimpleNamespace(success=True, message=message, x=np.array(solution.col_value),
-                           ineqlin=SimpleNamespace(marginals=np.array(solution.row_dual)))
+    return np.array(solution.col_value), np.array(solution.row_dual)
 
 
 def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
@@ -329,8 +324,8 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     the basis solved for x. Every row is checked once at x; then, while the
     basis dual has a negative multiplier, the lowest such basis row leaves
     and the lowest exactly tight row blocking the edge it opens enters
-    (Bland's rule, so the pivots end). LPError if x is no feasible vertex or
-    is not optimal.
+    (Bland's rule, so the pivots end). LPError if the float solve fails, or
+    if x is no feasible vertex or is not optimal.
     """
     n, m = len(c), len(rows)
     _highs()  # a first import is not charged to the float solve
@@ -347,14 +342,11 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     value = np.fromiter((v / s for row, s in zip(rows, scale) for v in row.values()),
                         float, size)[order]
     b = np.array([r / s for r, s in zip(rhs, scale)])
-    res = linprog(c=-np.array([float(v) for v in c]),
-                  start=np.searchsorted(at_col, np.arange(n + 1)),
-                  index=at_row, value=-value, b_ub=-b)
-    if not res.success:
-        raise LPError(f"float LP failed: {res.message}")
-    resid = np.bincount(at_row, value * res.x[at_col], m) - b
+    float_x, duals = linprog(c=-np.array([float(v) for v in c]),
+                             start=np.searchsorted(at_col, np.arange(n + 1)),
+                             index=at_row, value=-value, b_ub=-b)
+    resid = np.bincount(at_row, value * float_x[at_col], m) - b
     tol = _FEAS_TOL * (1.0 + np.abs(b))
-    duals = res.ineqlin.marginals
     candidates = sorted((i for i in range(m) if resid[i] <= tol[i]),
                         key=lambda i: -abs(float(duals[i])))
     c_den, cost = over_common_denominator(c)

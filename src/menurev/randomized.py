@@ -10,7 +10,9 @@ the distribution is exchangeable, so averaging an optimum over the n!
 relabelings gives a symmetric optimum (Daskalakis and Weinberg, EC 2012).
 The float-guided path therefore solves such an LP over one representative
 type per orbit, and certifies the lifted optimum on the full system by the
-orbit dual averaged over the relabelings (`_lp_solve`, `_Orbits`).
+orbit dual averaged over the relabelings (`_lp_solve`). One class,
+`_System`, writes the full system, the orbit LP and the simplex's system
+through column maps, each row named by the full row it stands for.
 """
 from __future__ import annotations
 
@@ -42,7 +44,9 @@ class MenuEntry:
 @dataclass(frozen=True)
 class RandomizedMenu:
     """Finite list of (allocation, payment) lottery options, always including
-    the null option (zero allocation, zero payment) at index 0."""
+    the null option (zero allocation, zero payment): `from_entries` puts it
+    at index 0 when the entries lack it and keeps a given one where it is,
+    so the entries keep their indices."""
 
     n: int
     entries: Tuple[MenuEntry, ...]
@@ -222,10 +226,17 @@ def verify_ic_ir(d: DirectMechanism, dist: JointDistribution) -> ICIRReport:
     The values, allocations and payments are scaled by L, the lcm of their
     denominators, so type t reporting s has the integer utility
     L^2 * (v_t . x_s - p_s); Fractions are built only for the messages.
+    ValueError if the payments, the allocations or an allocation's entries
+    do not match the distribution's types and items.
     """
     types = [v for v, _ in dist.atoms]
     if len(types) != len(d.payments):
         raise ValueError("mechanism does not cover every type")
+    if len(types) != len(d.allocations):
+        raise ValueError(f"mechanism has {len(d.allocations)} allocations for {len(types)} types")
+    for t, x in enumerate(d.allocations):
+        if len(x) != dist.n:
+            raise ValueError(f"allocation {t} has length {len(x)} for {dist.n} items")
     scale, scaled = over_common_denominator(chain(
         chain.from_iterable(types), chain.from_iterable(d.allocations), d.payments))
     it = iter(scaled)
@@ -280,23 +291,6 @@ def _scaled_types(values: List[Valuation]) -> List[Tuple[int, List[Tuple[int, in
     return scaled
 
 
-def _ic_row(d: int, vt: List[Tuple[int, int]], xt: Sequence[int], xs: Sequence[int],
-            pt: int, ps: int) -> lp.Row:
-    """IC(t -> s), v_t.(x_t - x_s) - p_t + p_s >= 0, times t's scale d, with
-    xt and xs the columns of the two allocations and pt and ps those of the
-    two payments. Entries on a shared column add up; zero sums are dropped."""
-    row: lp.Row = {}
-    for i, q in vt:
-        j = xt[i]
-        row[j] = row.get(j, 0) + q
-    for i, q in vt:
-        j = xs[i]
-        row[j] = row.get(j, 0) - q
-    row[pt] = row.get(pt, 0) - d
-    row[ps] = row.get(ps, 0) + d
-    return {j: a for j, a in row.items() if a} if 0 in row.values() else row
-
-
 def _ir_row(d: int, vt: List[Tuple[int, int]], xt: Sequence[int], pt: int) -> lp.Row:
     """IR(t), v_t.x_t - p_t >= 0, times t's scale d, on the columns xt of
     t's allocation and pt of its payment. Entries on a shared column add up
@@ -309,106 +303,103 @@ def _ir_row(d: int, vt: List[Tuple[int, int]], xt: Sequence[int], pt: int) -> lp
     return row
 
 
-def _lp_rows(values: List[Valuation], n: int) -> Tuple[List[lp.Row], List[int], List[int]]:
-    """The IC and IR constraints in >= form as sparse integer rows, the IC rows
-    first; columns are x, then payments. Returns (rows, rhs, scale): a row of
-    type t's constraints is that constraint times scale = the lcm of the
-    denominators of t's values. The bounds 0 <= x <= 1 are the callers'."""
-    t_count = len(values)
-    nx = t_count * n
-    x = [range(t * n, t * n + n) for t in range(t_count)]
-    rows: List[lp.Row] = []
-    scale: List[int] = []
-    scaled = _scaled_types(values)
-    for t, (d, vt) in enumerate(scaled):
-        for s in range(t_count):
-            if s != t:
-                rows.append(_ic_row(d, vt, x[t], x[s], nx + t, nx + s))
-                scale.append(d)
-    for t, (d, vt) in enumerate(scaled):
-        rows.append(_ir_row(d, vt, x[t], nx + t))
-        scale.append(d)
-    return rows, [0] * len(rows), scale
+def _ic_row(ir: lp.Row, d: int, vt: List[Tuple[int, int]], xs: Sequence[int], ps: int
+            ) -> lp.Row:
+    """IC(t -> s), v_t.(x_t - x_s) - p_t + p_s >= 0, times t's scale d,
+    written as IR(t) - v_t.x_s + d p_s: `ir` is t's IR row, xs the columns
+    of s's allocation and ps that of its payment. Entries on a shared column
+    add up; zero sums are dropped."""
+    row = dict(ir)
+    for i, q in vt:
+        j = xs[i]
+        row[j] = row.get(j, 0) - q
+    row[ps] = row.get(ps, 0) + d
+    return {j: a for j, a in row.items() if a} if 0 in row.values() else row
 
 
-def _full_system(values: List[Valuation], mu: List[Fraction], n: int):
-    """(c, rows, rhs, scale) of the full LP: the rows of `_lp_rows`, then per
-    (t, i) the pair x >= 0, -x >= -1, of scale 1."""
-    nx = len(values) * n
-    rows, rhs, scale = _lp_rows(values, n)
-    rows += [{col: sign} for col in range(nx) for sign in (1, -1)]
-    return [Fraction(0)] * nx + list(mu), rows, rhs + [0, -1] * nx, scale + [1] * (2 * nx)
+class _System:
+    """The revenue LP (Conitzer and Sandholm, UAI 2002) in >= form, as
+    sparse integer rows written through a column map.
 
-
-class _Orbits:
-    """The types of an exchangeable distribution grouped by item relabeling,
-    and the orbit LP over them.
-
-    An orbit is represented by its sorted type r. A symmetric mechanism
-    gives type s the allocation x_s,i = y(r, s_i), for r the representative
-    of s: it depends only on the orbit and the value, so equal coordinates
-    share a variable and the lift x_(pi r) = pi.x_r is well defined. The
-    columns are one y per (orbit, distinct value), then one payment per
-    orbit; the column map (`cols`, `pay`) gives each type the columns of
-    its allocation and its payment. A full row restricted to symmetric
-    points is that row written through the map, as `_ic_row` and `_ir_row`
-    write it. The rows are IC(r -> s) for every type s, one per class of s
-    under r's stabilizer (those rows coincide there), then IR(r), then per
-    y the pair y >= 0, -y >= -1, each a box row of one coordinate of r,
-    scaled as `_lp_rows` scales them. `literal` records each row's full row
-    as its per-item labels, which relabelings permute, and its kind ("ic",
-    "ir" or a box row's sign). Coordinates are the ranks of the values.
+    The map gives type t the columns `cols[t]` of its allocation and
+    `pay[t]` of its payment; `c` is the objective. The rows are IC(t -> s)
+    for each row type t and every other type s, then IR(t) for each row
+    type, then per distinct column of each row type the box pair x >= 0,
+    -x >= -1 of scale 1; a row of t's constraints is scaled by the lcm of
+    the denominators of t's values. Coordinates of t that share a column
+    hold equal values, so IC(t -> s) depends on s only through its payment
+    column and, per column of t, the multiset of s's columns at t's
+    coordinates there: one row is written per class, for its first s. Each row
+    is named by the full row it stands for: ("ic", t, s), ("ir", t), or
+    (sign, t, i) for the box row of t's coordinate i, the first on its
+    column.
     """
 
-    def __init__(self, ids: List[Tuple[int, ...]], reps: List[Tuple[int, ...]],
-                 of_type: List[int], mass: List[Fraction],
-                 scaled: List[Tuple[int, List[Tuple[int, int]]]], n: int):
-        self.n, self.scaled = n, scaled
-        self.index = index = {v: t for t, v in enumerate(ids)}
-        column: List[Dict[int, int]] = []  # per orbit: value rank -> y column
-        ny = 0
-        for r in reps:
-            column.append({})
-            for a in r:
-                if a not in column[-1]:
-                    column[-1][a] = ny
-                    ny += 1
-        # the column map: per type, the y column of each coordinate, and the
-        # payment column of its orbit
-        self.cols = cols = [[column[k][a] for a in v] for v, k in zip(ids, of_type)]
-        self.pay = pay = [ny + k for k in of_type]
-        self.c = [Fraction(0)] * ny + mass
-        ic, ir, box = [], [], []  # per row (row, scale, rhs, literal), in this order
-        for k, r in enumerate(reps):
-            t = index[r]
+    def __init__(self, scaled: List[Tuple[int, List[Tuple[int, int]]]],
+                 cols: Sequence[Sequence[int]], pay: Sequence[int], c: List[Fraction],
+                 row_types: Sequence[int], ids: Optional[List[Tuple[int, ...]]] = None):
+        self.scaled, self.cols, self.pay, self.c, self.ids = scaled, cols, pay, c, ids
+        rows: List[lp.Row] = []
+        scale: List[int] = []
+        names: List[tuple] = []
+        irs, boxes = [], []
+        for t in row_types:
             d, vt = scaled[t]
-            # r's stabilizer permutes the positions of equal values
-            blocks = [[i for i in range(n) if r[i] == a] for a in column[k]] \
-                if len(column[k]) < n else None
+            own = _ir_row(d, vt, cols[t], pay[t])
+            irs.append(own)
+            blocks: Dict[int, List[int]] = {}  # column -> t's coordinates on it
+            for i, j in enumerate(cols[t]):
+                blocks.setdefault(j, []).append(i)
+            boxes.append(blocks)
+            merge = len(blocks) < len(cols[t])
             seen = set()
-            for s, v in enumerate(ids):
+            for s, xs in enumerate(cols):
                 if s == t:
                     continue
-                if blocks:
-                    key = tuple(tuple(sorted(v[i] for i in b)) for b in blocks)
+                if merge:
+                    key = (pay[s], *(tuple(sorted(xs[i] for i in b)) for b in blocks.values()))
                     if key in seen:
                         continue
                     seen.add(key)
-                row = _ic_row(d, vt, cols[t], cols[s], pay[t], pay[s])
-                if row:  # in r's own orbit the payments cancel, and the row may too
-                    ic.append((row, d, 0, (tuple(zip(r, v)), "ic")))
-            ir.append((_ir_row(d, vt, cols[t], pay[t]), d, 0, (r, "ir")))
-            for a, j in column[k].items():
-                first = r.index(a)
-                labels = tuple((b, i == first) for i, b in enumerate(r))
-                box += [({j: sign}, 1, min(sign, 0), (labels, sign)) for sign in (1, -1)]
-        self.rows, self.scale, self.rhs, self.literal = map(list, zip(*ic, *ir, *box))
+                row = _ic_row(own, d, vt, xs, pay[s])
+                if row:  # on a shared payment column the payments cancel, and the row may too
+                    rows.append(row)
+                    scale.append(d)
+                    names.append(("ic", t, s))
+        rows += irs
+        scale += (scaled[t][0] for t in row_types)
+        names += (("ir", t) for t in row_types)
+        rhs = [0] * len(rows)
+        for t, blocks in zip(row_types, boxes):
+            for j, (i, *_) in blocks.items():
+                rows += ({j: 1}, {j: -1})
+                scale += (1, 1)
+                rhs += (0, -1)
+                names += ((1, t, i), (-1, t, i))
+        self.rows, self.scale, self.rhs, self.names = rows, scale, rhs, names
 
     @classmethod
-    def of(cls, values: List[Valuation], mu: List[Fraction], n: int) -> Optional["_Orbits"]:
-        """The orbits, or None unless every relabeling of the items maps the
-        atoms onto atoms of equal mass: each sorted type's orbit must hold all
-        its distinct arrangements, n! / prod(multiplicity!), at one mass."""
+    def full(cls, values: List[Valuation], mu: List[Fraction], n: int) -> "_System":
+        """The whole system, on the identity map: x_t,i at t n + i, then p_t."""
+        nx = len(values) * n
+        return cls(_scaled_types(values), [range(j, j + n) for j in range(0, nx, n)],
+                   range(nx, nx + len(values)), [Fraction(0)] * nx + list(mu), range(len(values)))
+
+    @classmethod
+    def orbits(cls, values: List[Valuation], mu: List[Fraction], n: int
+               ) -> Optional["_System"]:
+        """The system at symmetric points, or None unless every relabeling
+        of the items maps the atoms onto atoms of equal mass: each sorted
+        type's orbit must hold all its distinct arrangements,
+        n! / prod(multiplicity!), at one mass.
+
+        An orbit is represented by its sorted type r, a row type. A
+        symmetric mechanism gives type s the allocation x_s,i = y(r, s_i),
+        for r the representative of s: it depends only on the orbit and the
+        value, so equal coordinates share a variable and the lift
+        x_(pi r) = pi.x_r is well defined. The columns are one y per (orbit,
+        distinct value), then one payment per orbit. `ids` holds each
+        type's value ranks, which `certifies` relabels."""
         rank = {a: i for i, a in enumerate(sorted(set(chain.from_iterable(values))))}
         ids = [tuple(map(rank.__getitem__, v)) for v in values]
         groups: Dict[Tuple[int, ...], List[int]] = {}
@@ -426,11 +417,17 @@ class _Orbits:
             for t in ts:
                 of_type[t] = k
             mass.append(mu[ts[0]] * len(ts))
-        return cls(ids, list(groups), of_type, mass, _scaled_types(values), n)
+        y: Dict[Tuple[int, int], int] = {}  # (orbit, value rank) -> y column
+        for k, r in enumerate(groups):
+            for a in r:
+                y.setdefault((k, a), len(y))
+        index = {v: t for t, v in enumerate(ids)}
+        return cls(_scaled_types(values), [[y[k, a] for a in v] for v, k in zip(ids, of_type)],
+                   [len(y) + k for k in of_type], [Fraction(0)] * len(y) + mass,
+                   [index[r] for r in groups], ids)
 
     def lift(self, y: List[Fraction]) -> DirectMechanism:
-        """The symmetric mechanism of the orbit point y, read through the
-        column map."""
+        """The mechanism of the point y, read through the column map."""
         return DirectMechanism(tuple(tuple(y[j] for j in cols) for cols in self.cols),
                                tuple(y[j] for j in self.pay))
 
@@ -438,15 +435,20 @@ class _Orbits:
         """Whether the orbit dual, averaged over all relabelings, certifies
         the lifted point on the full system, checked in integers.
 
-        Each orbit multiplier sits on its literal full row and is spread
-        evenly over the distinct images of that row, its multiplier times
-        |stabilizer| / n! on each: the average over the n! relabelings. The
-        result must be y >= 0 with sum_i y_i a_i / scale_i = -c on every full
-        column and -sum_i y_i b_i / scale_i = the orbit optimum, which with
-        the lifted point feasible is optimality by weak duality. Only rows
-        that carry a multiplier are built."""
-        n, index, scaled = self.n, self.index, self.scaled
-        t_count = len(self.pay)
+        Each orbit multiplier sits on the full row its row is named by and
+        is spread evenly over the distinct images of that row, its
+        multiplier times |stabilizer| / n! on each: the average over the n!
+        relabelings. A row's images are those of its per-item labels: the
+        value-rank pairs of t and s for IC, t's ranks for IR, and t's ranks
+        with coordinate i marked for a box row. The result must be y >= 0
+        with sum_i y_i a_i / scale_i = -c on every full column and
+        -sum_i y_i b_i / scale_i = the orbit optimum, which with the lifted
+        point feasible is optimality by weak duality. Of the IC and box rows,
+        only those that carry a multiplier are built, each IC row from its
+        type's IR row."""
+        ids, scaled = self.ids, self.scaled
+        index = {v: t for t, v in enumerate(ids)}
+        t_count, n = len(ids), len(ids[0])
         nx = t_count * n
         x = [range(t * n, t * n + n) for t in range(t_count)]
         spread = []  # (images, per-image multiplier of the integer row, kind)
@@ -454,20 +456,26 @@ class _Orbits:
             if y.numerator < 0:
                 return False
             if y:
-                labels, kind = self.literal[k]
+                kind, t, *rest = self.names[k]
+                if kind == "ic":
+                    labels = tuple(zip(ids[t], ids[rest[0]]))
+                elif kind == "ir":
+                    labels = ids[t]
+                else:
+                    labels = tuple((b, i == rest[0]) for i, b in enumerate(ids[t]))
                 images = _relabelings(labels)
                 spread.append((images, y / (len(images) * self.scale[k]), kind))
         den, factors = over_common_denominator(f for _, f, _ in spread)
+        irs = [_ir_row(*scaled[t], x[t], nx + t) for t in range(t_count)]
         acc = [0] * (nx + t_count)
         bound = 0  # sum of factor * rhs over the image rows
         for (images, _, kind), f in zip(spread, factors):
             for image in images:
                 if kind == "ic":
                     t, s = index[tuple(a for a, _ in image)], index[tuple(b for _, b in image)]
-                    row = _ic_row(*scaled[t], x[t], x[s], nx + t, nx + s)
+                    row = _ic_row(irs[t], *scaled[t], x[s], nx + s)
                 elif kind == "ir":
-                    t = index[image]
-                    row = _ir_row(*scaled[t], x[t], nx + t)
+                    row = irs[index[image]]
                 else:  # a box row of the marked coordinate, kind its sign
                     t = index[tuple(a for a, _ in image)]
                     row = {x[t][next(i for i, (_, m) in enumerate(image) if m)]: kind}
@@ -502,15 +510,15 @@ def _relabelings(labels: tuple) -> List[tuple]:
 def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
     """Revenue-maximizing direct mechanism over the distribution's types.
 
-    `exact-simplex` runs the exact rational simplex; `float-guided-exact`
-    resolves the float optimum's vertex exactly and certifies it by
-    degenerate pivots there (see lp.certified_vertex), or raises LPError.
-    On an exchangeable distribution it does so on the orbit LP, and lifts
-    and certifies the result on the full system (see `_lp_solve`).
-    `auto` takes the float-guided vertex and falls back to the exact simplex
-    where that raises LPError. No method returns an optimum it did not
-    certify, and every one returns an exact rational solution verified
-    against every IC/IR constraint.
+    `exact-simplex` runs the exact rational simplex on the full system;
+    `float-guided-exact` resolves the float optimum's vertex exactly and
+    certifies it by degenerate pivots there (see lp.certified_vertex), or
+    raises LPError. On an exchangeable distribution it does so on the orbit
+    system, and lifts and certifies the result on the full system (see
+    `_lp_solve`). `auto` takes the float-guided vertex and falls back to the
+    exact simplex where that raises LPError. No method returns an optimum it
+    did not certify, and every one returns an exact rational solution
+    verified against every IC/IR constraint.
     """
     if method != "auto":
         return _lp_solve(dist, method)
@@ -522,12 +530,12 @@ def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
 
 
 def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
-    """One method's certified optimum, checked by `verify_ic_ir` and against
-    its revenue.
+    """One method's certified optimum, read through its system's column map
+    (`_System.lift`) and checked by `verify_ic_ir` and against its revenue.
 
     On `float-guided-exact`, a distribution with n >= 2 whose atoms every
     relabeling of the items maps onto atoms of equal mass is solved over
-    its orbits (`_Orbits`). The LP is convex and invariant under the
+    its orbits (`_System.orbits`). The LP is convex and invariant under the
     relabelings, so the average of an optimum's relabelings is a symmetric
     optimum (Daskalakis and Weinberg, EC 2012): the LP restricted to
     symmetric points, the orbit LP, has the full optimum. Its certified
@@ -538,7 +546,7 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
     relabelings projects y'.A onto the symmetric directions, and -c is
     symmetric, so the averaged y has y.A = -c on every column, while
     y >= 0 and y.b = y'.b hold still. x is feasible and c.x = -y.b, so by
-    weak duality x is optimal; `_Orbits.certifies` checks this in
+    weak duality x is optimal; `_System.certifies` checks this in
     integers. If the orbit solve raises LPError, the certificate fails or
     the lift fails `verify_ic_ir`, the full system is solved instead.
     """
@@ -547,24 +555,23 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
     n = dist.n
 
     if method == "exact-simplex":
-        result = _lp_simplex(values, mu, n)
+        system = _System.full(values, mu, n)
+        result = _lp_simplex(system)
     elif method == "float-guided-exact":
-        orbits = _Orbits.of(values, mu, n) if n >= 2 else None
+        orbits = _System.orbits(values, mu, n) if n >= 2 else None
         if orbits is not None:
             try:
                 return _orbit_solve(dist, orbits, mu)
             except lp.LPError:
                 pass  # no certificate over the orbits: solve the full system
-        result = lp.certified_vertex(*_full_system(values, mu, n))
+        system = _System.full(values, mu, n)
+        result = lp.certified_vertex(system.c, system.rows, system.rhs, system.scale)
     else:
         raise ValueError(f"unknown LP method {method!r}")
-    t_count, x = len(values), result.x
-    mech = DirectMechanism(tuple(tuple(x[t * n + i] for i in range(n)) for t in range(t_count)),
-                           tuple(x[t_count * n + t] for t in range(t_count)))
-    return _checked(dist, mech, result, method)
+    return _checked(dist, system.lift(result.x), result, method)
 
 
-def _orbit_solve(dist: JointDistribution, orbits: _Orbits, mu: List[Fraction]) -> LPOutcome:
+def _orbit_solve(dist: JointDistribution, orbits: _System, mu: List[Fraction]) -> LPOutcome:
     result = lp.certified_vertex(orbits.c, orbits.rows, orbits.rhs, orbits.scale)
     start = perf_counter()
     mech = orbits.lift(result.x)
@@ -584,13 +591,13 @@ def _checked(dist: JointDistribution, mech: DirectMechanism, result: lp.VertexRe
     return LPOutcome(mech, result.objective, method, result.rounds, result.stages)
 
 
-def _lp_simplex(values: List[Valuation], mu: List[Fraction], n: int) -> lp.VertexResult:
-    """Exact tableau simplex on the <= form of `_lp_rows`, then x <= 1. The
-    simplex keeps every variable >= 0, so x needs no x >= 0 rows, and no
-    optimum pays a negative price: values and allocations are nonnegative,
-    so if min_s p_s = -eta < 0, IC toward s gives every type utility >= eta,
-    and raising every payment by eta keeps IC and IR and earns eta more."""
-    nx = len(values) * n
-    rows, rhs, _ = _lp_rows(values, n)
-    a_ub = [{j: -v for j, v in row.items()} for row in rows] + [{col: 1} for col in range(nx)]
-    return lp.simplex_max([Fraction(0)] * nx + list(mu), a_ub, [-r for r in rhs] + [1] * nx)
+def _lp_simplex(system: _System) -> lp.VertexResult:
+    """Exact tableau simplex on the system in <= form: every row negated but
+    x >= 0, which the simplex keeps for every variable itself. No optimum
+    pays a negative price, so p >= 0 loses nothing: values and allocations
+    are nonnegative, so if min_s p_s = -eta < 0, IC toward s gives every
+    type utility >= eta, and raising every payment by eta keeps IC and IR
+    and earns eta more."""
+    keep = [k for k, name in enumerate(system.names) if name[0] != 1]  # all but x >= 0
+    return lp.simplex_max(system.c, [{j: -v for j, v in system.rows[k].items()} for k in keep],
+                          [-system.rhs[k] for k in keep])

@@ -11,17 +11,16 @@ from fractions import Fraction as F
 from itertools import permutations
 from math import lcm
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reference
-from menurev import cli, lp, randomized
+from menurev import cli, lp
 from menurev.instances import load_distribution
 from menurev.lp import LPError, certified_vertex, simplex_max, _solve_rows
 from menurev.model import JointDistribution, SingleItemDistribution, product, uniform
-from menurev.randomized import _lp_rows, _lp_simplex, lp_optimal
+from menurev.randomized import _System, _lp_simplex, lp_optimal
 
 from conftest import oracle_simplex
 
@@ -209,7 +208,8 @@ def test_simplex_matches_fraction_oracle_on_random_systems():
 
 def oracle_checked_pivots(monkeypatch, dists):
     """Pivot counts of `_lp_simplex` on each distribution, its sparse integer
-    system checked against the oracle on dense rows."""
+    system checked row by row against the dense rows, and its result
+    against the oracle on them."""
     calls = []
     real = lp.simplex_max
     monkeypatch.setattr(lp, "simplex_max", lambda *a: calls.append((a, real(*a))) or calls[-1][1])
@@ -217,15 +217,16 @@ def oracle_checked_pivots(monkeypatch, dists):
     for dist in dists:
         values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
         calls.clear()
-        _lp_simplex(values, mu, dist.n)
-        (c, _, _), got = calls[0]
+        _lp_simplex(_System.full(values, mu, dist.n))
+        (c, sparse_a, sparse_b), got = calls[0]
         nx = len(values) * dist.n
         rows, rhs = dense_lp_rows(values, dist.n)
         box = len(rows) - 2 * nx
         keep = [r for r in range(len(rows)) if r < box or (r - box) % 2]
         a_ub = [[-a for a in rows[r]] for r in keep]
-        assert oracle_simplex(c, a_ub, [-rhs[r] for r in keep]) == \
-            (got.x, got.objective, got.rounds)
+        b_ub = [-rhs[r] for r in keep]
+        assert (sparse_a, sparse_b) == tuple(integer_rows(a_ub, b_ub)[:2])
+        assert oracle_simplex(c, a_ub, b_ub) == (got.x, got.objective, got.rounds)
         pivots.append(got.rounds)
     return pivots
 
@@ -294,14 +295,11 @@ def test_vertex_path_agrees_with_simplex_on_random_lps():
 
 
 def full_system(dist):
-    """The full LP's (c, rows, rhs, scale), built directly: the rows of
-    `_lp_rows`, then the box pairs; `lp_optimal` solves exchangeable
-    distributions such as example 7 over their orbits instead."""
-    values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
-    nx = len(values) * dist.n
-    rows, rhs, scale = _lp_rows(values, dist.n)
-    rows += [{col: sign} for col in range(nx) for sign in (1, -1)]
-    return [F(0)] * nx + mu, rows, rhs + [0, -1] * nx, scale + [1] * (2 * nx)
+    """The full LP's (c, rows, rhs, scale), as `_System.full` writes it;
+    `lp_optimal` solves exchangeable distributions such as example 7 over
+    their orbits instead."""
+    system = _System.full([v for v, _ in dist.atoms], [p for _, p in dist.atoms], dist.n)
+    return system.c, system.rows, system.rhs, system.scale
 
 
 def loop_float_rows(rows, rhs, scale, width):
@@ -360,8 +358,12 @@ def float_problems(monkeypatch, systems):
     """The (c, start, index, value, b_ub) that certified_vertex hands to
     lp.linprog for each (c, rows, rhs, scale), recorded without solving."""
     seen = []
-    failed = SimpleNamespace(success=False, message="recorded")
-    monkeypatch.setattr(lp, "linprog", lambda **k: seen.append(k) or failed)
+
+    def record(**problem):
+        seen.append(problem)
+        raise LPError("float LP failed: recorded")
+
+    monkeypatch.setattr(lp, "linprog", record)
     for system in systems:
         with pytest.raises(LPError, match="float LP failed: recorded"):
             certified_vertex(*system)
@@ -377,18 +379,18 @@ def test_binding_matches_scipy_linprog_bit_for_bit(monkeypatch):
 
     dist7 = load_distribution("example7_distribution")
     values, mu = [v for v, _ in dist7.atoms], [p for _, p in dist7.atoms]
-    orbits = randomized._Orbits.of(values, mu, 2)
+    orbits = _System.orbits(values, mu, 2)
     systems = [full_system(dist7), (orbits.c, orbits.rows, orbits.rhs, orbits.scale),
                *map(full_system, seeded_distributions(11, 24)),
                *map(full_system, rescaled_example7())]
     problems = float_problems(monkeypatch, systems)
     assert len(problems) == 66 and dense_matrix(problems[1]).shape == (738, 57)
     for k, problem in enumerate(problems):
-        got = lp.linprog(**problem)
+        x, duals = lp.linprog(**problem)
         want = scipy_linprog(**scipy_problem(problem), bounds=(None, None), method="highs")
-        assert (k, got.success, got.message) == (k, want.success, "model status is Optimal")
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.ineqlin.marginals.tobytes() == want.ineqlin.marginals.tobytes()
+        assert (k, want.status) == (k, 0)
+        assert x.tobytes() == want.x.tobytes()
+        assert duals.tobytes() == want.ineqlin.marginals.tobytes()
 
 
 def test_highs_writes_nothing(capfd):
@@ -414,10 +416,9 @@ def test_highs_failures_are_typed(rows, rhs, status, monkeypatch):
     system = ([F(1)], rows, rhs, [1] * len(rows))
     (problem,) = float_problems(monkeypatch, [system])
     assert dense_matrix(problem).tolist() == [[-v for v in row.values()] for row in rows]
-    res = lp.linprog(**problem)
-    assert (res.success, res.message, res.x) == (False, f"model status is {status}", None)
-    with pytest.raises(LPError, match=f"^float LP failed: model status is {status}$"):
-        certified_vertex(*system)
+    for solve in (lambda: lp.linprog(**problem), lambda: certified_vertex(*system)):
+        with pytest.raises(LPError, match=f"^float LP failed: model status is {status}$"):
+            solve()
 
 
 def test_missing_binding_names_the_scipy_range(monkeypatch):
@@ -593,10 +594,10 @@ print("scipy.optimize" in sys.modules, core is lp._highs()[0], a.shape)
 from scipy.optimize import linprog
 import scipy.optimize._highspy._core as imported
 wrapper = sys.modules["scipy.optimize._highspy._highs_wrapper"]
-got = solve(**p)
+x, duals = solve(**p)
 want = linprog(p["c"], A_ub=a, b_ub=p["b_ub"], bounds=(None, None), method="highs")
-print(imported is core, wrapper._h is core, got.x.tobytes() == want.x.tobytes(),
-      got.ineqlin.marginals.tobytes() == want.ineqlin.marginals.tobytes(), loads)
+print(imported is core, wrapper._h is core, x.tobytes() == want.x.tobytes(),
+      duals.tobytes() == want.ineqlin.marginals.tobytes(), loads)
 """)
     assert out.splitlines() == ["False True (738, 57)",
                                 "True True True True ['scipy.optimize._highspy._core']"]
@@ -698,22 +699,31 @@ def symmetric_projection(dist):
             + [len(y) + orbit[tuple(sorted(v))] for v in types])
 
 
-def test_orbit_rows_are_their_literal_full_rows_at_symmetric_points():
-    # each orbit row, over its scale, is the full row its literal names,
-    # written in Fractions from the values and projected on the orbit columns;
-    # per representative, the IC rows are the distinct nonzero projections,
-    # each once; and the lift reads y through the same projection
+def identity_projection(dist):
+    """The full system's own columns: x_t,i at t n + i, then p_t."""
+    return list(range(len(dist.atoms) * (dist.n + 1)))
+
+
+def test_system_rows_are_their_named_full_rows():
+    # each row, over its scale, is the full row it is named by, written in
+    # Fractions from the values and projected on the system's columns: the
+    # orbit system's at symmetric points, the full system's through the
+    # identity; per row type, the IC rows are the distinct nonzero
+    # projections, each once, and the box rows are one pair per distinct
+    # column, named by its first coordinate; the lift reads y through the
+    # same projection
     rng = random.Random(5)
-    dists = [load_distribution("example4_distribution"),
-             load_distribution("example7_distribution"), *exchangeable_distributions(17, 24)]
+    exchangeable = [load_distribution("example4_distribution"),
+                    load_distribution("example7_distribution"),
+                    *exchangeable_distributions(17, 24)]
+    cases = [*((d, _System.orbits, symmetric_projection) for d in exchangeable),
+             *((d, _System.full, identity_projection) for d in seeded_distributions(19, 24))]
     same_orbit = merged = 0
-    for dist in dists:
+    for dist, build, projection in cases:
         n, types = dist.n, [v for v, _ in dist.atoms]
         t_count, nx = len(types), len(types) * dist.n
-        index = {v: t for t, v in enumerate(types)}
-        value = sorted({a for v in types for a in v})  # the value of each rank
-        proj = symmetric_projection(dist)
-        orbits = randomized._Orbits.of(types, [p for _, p in dist.atoms], n)
+        proj = projection(dist)
+        system = build(types, [p for _, p in dist.atoms], n)
 
         def project(full):
             out = {}
@@ -727,35 +737,40 @@ def test_orbit_rows_are_their_literal_full_rows_at_symmetric_points():
                             *((s * n + i, -a) for i, a in enumerate(v)),
                             (nx + t, -1), (nx + s, 1)])
 
-        c = [F(0)] * len(orbits.c)
+        c = [F(0)] * len(system.c)
         for j, a in enumerate([F(0)] * nx + [p for _, p in dist.atoms]):
             c[proj[j]] += a
-        assert orbits.c == c
-        got_ic = {}
-        for row, d, b, (labels, kind) in zip(orbits.rows, orbits.scale, orbits.rhs,
-                                             orbits.literal):
+        assert system.c == c
+        got_ic, got_box = {}, []
+        for row, d, b, (kind, t, *rest) in zip(system.rows, system.scale, system.rhs,
+                                              system.names):
             if kind == "ic":
-                t, s = (index[tuple(value[p[k]] for p in labels)] for k in (0, 1))
+                (s,) = rest
                 want, want_b = ic(t, s), 0
                 got_ic.setdefault(t, []).append(frozenset(want.items()))
                 same_orbit += proj[nx + t] == proj[nx + s]
             elif kind == "ir":
-                t = index[tuple(value[a] for a in labels)]
                 want = project([*((t * n + i, a) for i, a in enumerate(types[t])), (nx + t, -1)])
                 want_b = 0
             else:
-                t = index[tuple(value[a] for a, _ in labels)]
-                i = next(i for i, (_, first) in enumerate(labels) if first)
+                (i,) = rest
                 want, want_b = project([(t * n + i, kind)]), min(kind, 0)
+                got_box.append((t, i, kind))
             assert {j: F(a, d) for j, a in row.items()} == want
             assert F(b, d) == want_b
+        row_types = [t for kind, t, *_ in system.names if kind == "ir"]
+        assert got_box == [(t, i, sign) for t in row_types for i in range(n)
+                           if proj[t * n + i] not in proj[t * n:t * n + i] for sign in (1, -1)]
+        assert list(got_ic) == [t for t in row_types if t in got_ic]
         for t, rows in got_ic.items():
             projected = (ic(t, s) for s in range(t_count) if s != t)
             assert len(set(rows)) == len(rows)
             assert set(rows) == {frozenset(r.items()) for r in projected if r}
             merged += len(rows) < t_count - 1
-        y = [F(rng.randint(0, 99), rng.randint(1, 9)) for _ in orbits.c]
-        mech = orbits.lift(y)
+        if build is _System.full:
+            assert row_types == list(range(t_count)) and len(got_ic) == t_count
+        y = [F(rng.randint(0, 99), rng.randint(1, 9)) for _ in system.c]
+        mech = system.lift(y)
         assert mech.allocations == tuple(tuple(y[proj[t * n + i]] for i in range(n))
                                          for t in range(t_count))
         assert mech.payments == tuple(y[proj[nx + t]] for t in range(t_count))
@@ -799,7 +814,7 @@ def test_perturbed_orbit_multiplier_is_rejected_and_the_full_path_certifies(monk
     dist = product([uniform([1, 3, 4])] * 2)
     want = lp_optimal(dist)
     values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
-    orbits = randomized._Orbits.of(values, mu, 2)
+    orbits = _System.orbits(values, mu, 2)
     res = certified_vertex(orbits.c, orbits.rows, orbits.rhs, orbits.scale)
     assert orbits.certifies(res, mu)
     for k, y in res.dual.items():

@@ -2,7 +2,6 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,6 +63,15 @@ def test_null_entry_injected():
     m = RandomizedMenu.from_entries(2, [(("1/2", "1/2"), "3")])
     assert m.entries[0].allocation == (F(0), F(0)) and m.entries[0].payment == 0
     assert len(m.entries) == 2
+
+
+def test_given_null_entry_keeps_its_index():
+    # a null entry among the given ones stays where it is, so every given
+    # entry keeps the index a caller's picks refer to
+    m = RandomizedMenu.from_entries(2, [([1, 0], 3), ([0, 0], 0), ([0, 1], 2)])
+    assert [(e.allocation, e.payment) for e in m.entries] == \
+        [((1, 0), 3), ((0, 0), 0), ((0, 1), 2)]
+    assert rchoice(m, (0, 0)).index == 1
 
 
 def test_combination_rules_fold():
@@ -279,6 +287,18 @@ def test_verify_ic_ir_catches_full_surplus_extraction():
     assert any("IC" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("allocations, message", [
+    (((F(1),), (F(1),)), "allocation 0 has length 1 for 2 items"),
+    (((F(1), F(0)),), "mechanism has 1 allocations for 2 types"),
+], ids=["short-allocation", "missing-allocation"])
+def test_verify_ic_ir_rejects_misshapen_allocations(allocations, message):
+    # zip would truncate a short allocation and miss a missing one
+    dist = product([uniform([1, 2]), point_mass(3)])
+    assert len(dist.atoms) == 2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_ic_ir(DirectMechanism(allocations, (F(0), F(0))), dist)
+
+
 def _icir_oracle(d, dist):
     """Every IC/IR constraint checked in Fractions, one utility at a time."""
     types = [v for v, _ in dist.atoms]
@@ -366,10 +386,13 @@ def test_lp_auto_prefers_certified_float_vertex(rng):
 
 
 def _float_lp(x, duals=(0.0,) * 8, success=True):
-    """A stand-in for the float solve that returns the given point and duals."""
-    res = SimpleNamespace(success=success, message="stand-in failure", x=np.array(x, float),
-                          ineqlin=SimpleNamespace(marginals=np.array(duals, float)))
-    return lambda *args, **kwargs: res
+    """A stand-in for the float solve that returns the given point and duals,
+    or raises as lp.linprog does on a failed solve."""
+    def solve(*args, **kwargs):
+        if not success:
+            raise lp.LPError("float LP failed: model status is a stand-in failure")
+        return np.array(x, float), np.array(duals, float)
+    return solve
 
 
 # One item, two equally likely types with values 1 and 2: columns x1, x2, p1,
