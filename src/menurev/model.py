@@ -11,7 +11,10 @@ It is `rational.over_common_denominator` over the atoms, taken at the first
 exact evaluation, so a distribution that is never evaluated pays nothing
 for it. The search and the buyer's final check of its optimum thus trust
 that one rule, tested on its own against Fraction arithmetic, for the
-atoms' scaling; they share nothing else.
+atoms' scaling; they share nothing else. The revenue LP writes its IC and
+IR rows from the same integers, and the one relabeling rule that the
+search's symmetry breaking and the orbit LP both read,
+`JointDistribution._exchangeable`, is decided on them.
 """
 from __future__ import annotations
 
@@ -207,6 +210,20 @@ class JointDistribution:
         size = len(self.atoms)
         return IntegerAtoms(scale, tuple(tuple(flat[i * size:(i + 1) * size]) for i in range(self.n)),
                             whole, tuple(weights))
+
+    @cached_property
+    def _exchangeable(self) -> bool:
+        """Whether every relabeling of the items maps the atoms onto atoms of
+        equal mass, decided once per object on `integer_atoms`: each adjacent
+        transposition (they generate the relabelings) must map every atom's
+        row onto a row of the same weight, and no valuation may repeat."""
+        atoms = self.integer_atoms
+        cols = atoms.columns
+        weight = dict(zip(zip(*cols), atoms.weights))
+        if len(weight) < len(atoms.weights):
+            return False
+        return all(tuple(map(weight.get, zip(*cols[:i], cols[i + 1], cols[i], *cols[i + 2:])))
+                   == atoms.weights for i in range(self.n - 1))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Tuple[Sequence[RationalLike], RationalLike]],

@@ -10,23 +10,23 @@ the distribution is exchangeable, so averaging an optimum over the n!
 relabelings gives a symmetric optimum (Daskalakis and Weinberg, EC 2012).
 The float-guided path therefore solves such an LP over one representative
 type per orbit, and certifies the lifted optimum on the full system by the
-orbit dual averaged over the relabelings (`_lp_solve`). One class,
+orbit dual averaged over the relabelings (`_lp_solve`), where the one
+relabeling rule, `JointDistribution._exchangeable`, holds. One class,
 `_System`, writes the full system, the orbit LP and the simplex's system
-through column maps, each row named by the full row it stands for.
+from `JointDistribution.integer_atoms` through column maps, each row named
+by the full row it stands for.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from math import factorial
 from operator import mul
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lp
-from .model import JointDistribution, Valuation, as_valuation
+from .model import JointDistribution, _is_rational, as_valuation
 from .rational import (ParseError, RationalLike, over_common_denominator, parse_nonnegative,
                        parse_rational)
 
@@ -227,7 +227,9 @@ def verify_ic_ir(d: DirectMechanism, dist: JointDistribution) -> ICIRReport:
     denominators, so type t reporting s has the integer utility
     L^2 * (v_t . x_s - p_s); Fractions are built only for the messages.
     ValueError if the payments, the allocations or an allocation's entries
-    do not match the distribution's types and items.
+    do not match the distribution's types and items, or a value, allocation
+    entry or payment is not a rational number. It reads the Fraction atoms,
+    not `integer_atoms`, so it does not trust the LP rows' scaling.
     """
     types = [v for v, _ in dist.atoms]
     if len(types) != len(d.payments):
@@ -237,8 +239,16 @@ def verify_ic_ir(d: DirectMechanism, dist: JointDistribution) -> ICIRReport:
     for t, x in enumerate(d.allocations):
         if len(x) != dist.n:
             raise ValueError(f"allocation {t} has length {len(x)} for {dist.n} items")
-    scale, scaled = over_common_denominator(chain(
-        chain.from_iterable(types), chain.from_iterable(d.allocations), d.payments))
+    entries = [*chain.from_iterable(types), *chain.from_iterable(d.allocations), *d.payments]
+    if not set(map(type, entries)) <= {int, Fraction}:
+        for where, xs in chain(((f"valuation {tuple(v)!r}: value", v) for v in types),
+                               ((f"allocation {t}: entry", x) for t, x in enumerate(d.allocations)),
+                               [("payment", d.payments)]):
+            for i, x in enumerate(xs):
+                if not _is_rational(x):
+                    raise ValueError(f"{where}[{i}] = {x!r} is a {type(x).__name__}, "
+                                     "not a rational number")
+    scale, scaled = over_common_denominator(entries)
     it = iter(scaled)
     values = [tuple(islice(it, len(v))) for v in types]
     allocations = [tuple(islice(it, len(x))) for x in d.allocations]
@@ -281,71 +291,66 @@ class LPOutcome:
     certified = True  # every method returns a certified optimum or raises
 
 
-def _scaled_types(values: List[Valuation]) -> List[Tuple[int, List[Tuple[int, int]]]]:
-    """Per type: (scale, [(item, integer value)] over the nonzero values), the
-    scale the lcm of the denominators of the type's values."""
-    scaled = []
-    for v in values:
-        d, ints = over_common_denominator(v)
-        scaled.append((d, [(i, q) for i, q in enumerate(ints) if q]))
-    return scaled
-
-
-def _ir_row(d: int, vt: List[Tuple[int, int]], xt: Sequence[int], pt: int) -> lp.Row:
-    """IR(t), v_t.x_t - p_t >= 0, times t's scale d, on the columns xt of
-    t's allocation and pt of its payment. Entries on a shared column add up
-    (the values in vt are positive, so no sum is zero)."""
+def _ir_row(L: int, vt: List[Tuple[int, int]], xt: Sequence[int], pt: int) -> lp.Row:
+    """IR(t), v_t.x_t - p_t >= 0, times L, on the columns xt of t's
+    allocation and pt of its payment; vt holds (item, L v_t,i) over t's
+    nonzero values. Entries on a shared column add up (the values in vt are
+    positive, so no sum is zero)."""
     row: lp.Row = {}
     for i, q in vt:
         j = xt[i]
         row[j] = row.get(j, 0) + q
-    row[pt] = -d
+    row[pt] = -L
     return row
 
 
-def _ic_row(ir: lp.Row, d: int, vt: List[Tuple[int, int]], xs: Sequence[int], ps: int
+def _ic_row(ir: lp.Row, L: int, vt: List[Tuple[int, int]], xs: Sequence[int], ps: int
             ) -> lp.Row:
-    """IC(t -> s), v_t.(x_t - x_s) - p_t + p_s >= 0, times t's scale d,
-    written as IR(t) - v_t.x_s + d p_s: `ir` is t's IR row, xs the columns
-    of s's allocation and ps that of its payment. Entries on a shared column
-    add up; zero sums are dropped."""
+    """IC(t -> s), v_t.(x_t - x_s) - p_t + p_s >= 0, times L, written as
+    IR(t) - v_t.x_s + L p_s: `ir` is t's IR row, xs the columns of s's
+    allocation and ps that of its payment. Entries on a shared column add
+    up; zero sums are dropped."""
     row = dict(ir)
     for i, q in vt:
         j = xs[i]
         row[j] = row.get(j, 0) - q
-    row[ps] = row.get(ps, 0) + d
+    row[ps] = row.get(ps, 0) + L
     return {j: a for j, a in row.items() if a} if 0 in row.values() else row
 
 
 class _System:
     """The revenue LP (Conitzer and Sandholm, UAI 2002) in >= form, as
-    sparse integer rows written through a column map.
+    sparse integer rows written from the distribution's integer atoms
+    (`JointDistribution.integer_atoms`) through a column map.
 
     The map gives type t the columns `cols[t]` of its allocation and
     `pay[t]` of its payment; `c` is the objective. The rows are IC(t -> s)
     for each row type t and every other type s, then IR(t) for each row
     type, then per distinct column of each row type the box pair x >= 0,
-    -x >= -1 of scale 1; a row of t's constraints is scaled by the lcm of
-    the denominators of t's values. Coordinates of t that share a column
-    hold equal values, so IC(t -> s) depends on s only through its payment
+    -x >= -1 of scale 1; every IC and IR row is scaled by L, the lcm of the
+    coordinate denominators. Coordinates of t that share a column hold
+    equal values, so IC(t -> s) depends on s only through its payment
     column and, per column of t, the multiset of s's columns at t's
     coordinates there: one row is written per class, for its first s. Each row
     is named by the full row it stands for: ("ic", t, s), ("ir", t), or
     (sign, t, i) for the box row of t's coordinate i, the first on its
-    column.
+    column. `types` holds each type's integer values, L times its
+    coordinates.
     """
 
-    def __init__(self, scaled: List[Tuple[int, List[Tuple[int, int]]]],
-                 cols: Sequence[Sequence[int]], pay: Sequence[int], c: List[Fraction],
-                 row_types: Sequence[int], ids: Optional[List[Tuple[int, ...]]] = None):
-        self.scaled, self.cols, self.pay, self.c, self.ids = scaled, cols, pay, c, ids
+    def __init__(self, dist: JointDistribution, cols: Sequence[Sequence[int]],
+                 pay: Sequence[int], c: List[Fraction], row_types: Sequence[int]):
+        self.atoms, self.cols, self.pay, self.c = dist.integer_atoms, cols, pay, c
+        L = self.L = self.atoms.scale
+        self.types = list(zip(*self.atoms.columns))
+        # per type, (item, integer value) over its nonzero values
+        self.values = values = [[(i, q) for i, q in enumerate(v) if q] for v in self.types]
         rows: List[lp.Row] = []
-        scale: List[int] = []
         names: List[tuple] = []
         irs, boxes = [], []
         for t in row_types:
-            d, vt = scaled[t]
-            own = _ir_row(d, vt, cols[t], pay[t])
+            vt = values[t]
+            own = _ir_row(L, vt, cols[t], pay[t])
             irs.append(own)
             blocks: Dict[int, List[int]] = {}  # column -> t's coordinates on it
             for i, j in enumerate(cols[t]):
@@ -361,14 +366,13 @@ class _System:
                     if key in seen:
                         continue
                     seen.add(key)
-                row = _ic_row(own, d, vt, xs, pay[s])
+                row = _ic_row(own, L, vt, xs, pay[s])
                 if row:  # on a shared payment column the payments cancel, and the row may too
                     rows.append(row)
-                    scale.append(d)
                     names.append(("ic", t, s))
         rows += irs
-        scale += (scaled[t][0] for t in row_types)
         names += (("ir", t) for t in row_types)
+        scale = [L] * len(rows)
         rhs = [0] * len(rows)
         for t, blocks in zip(row_types, boxes):
             for j, (i, *_) in blocks.items():
@@ -379,59 +383,52 @@ class _System:
         self.rows, self.scale, self.rhs, self.names = rows, scale, rhs, names
 
     @classmethod
-    def full(cls, values: List[Valuation], mu: List[Fraction], n: int) -> "_System":
+    def full(cls, dist: JointDistribution) -> "_System":
         """The whole system, on the identity map: x_t,i at t n + i, then p_t."""
-        nx = len(values) * n
-        return cls(_scaled_types(values), [range(j, j + n) for j in range(0, nx, n)],
-                   range(nx, nx + len(values)), [Fraction(0)] * nx + list(mu), range(len(values)))
+        t_count, n = len(dist.atoms), dist.n
+        nx = t_count * n
+        return cls(dist, [range(j, j + n) for j in range(0, nx, n)], range(nx, nx + t_count),
+                   [Fraction(0)] * nx + [p for _, p in dist.atoms], range(t_count))
 
     @classmethod
-    def orbits(cls, values: List[Valuation], mu: List[Fraction], n: int
-               ) -> Optional["_System"]:
-        """The system at symmetric points, or None unless every relabeling
-        of the items maps the atoms onto atoms of equal mass: each sorted
-        type's orbit must hold all its distinct arrangements,
-        n! / prod(multiplicity!), at one mass.
+    def orbits(cls, dist: JointDistribution) -> Optional["_System"]:
+        """The system at symmetric points, or None unless n >= 2 and every
+        relabeling of the items maps the atoms onto atoms of equal mass
+        (`JointDistribution._exchangeable`), so that each sorted type's
+        orbit holds all its arrangements at one mass.
 
         An orbit is represented by its sorted type r, a row type. A
         symmetric mechanism gives type s the allocation x_s,i = y(r, s_i),
         for r the representative of s: it depends only on the orbit and the
         value, so equal coordinates share a variable and the lift
         x_(pi r) = pi.x_r is well defined. The columns are one y per (orbit,
-        distinct value), then one payment per orbit. `ids` holds each
-        type's value ranks, which `certifies` relabels."""
-        rank = {a: i for i, a in enumerate(sorted(set(chain.from_iterable(values))))}
-        ids = [tuple(map(rank.__getitem__, v)) for v in values]
+        distinct integer value), then one payment per orbit."""
+        if dist.n < 2 or not dist._exchangeable:
+            return None
+        types = list(zip(*dist.integer_atoms.columns))
         groups: Dict[Tuple[int, ...], List[int]] = {}
-        for t, v in enumerate(ids):
+        for t, v in enumerate(types):
             groups.setdefault(tuple(sorted(v)), []).append(t)
-        of_type = [0] * len(values)
-        mass = []
-        for k, (r, ts) in enumerate(groups.items()):
-            arrangements = factorial(n)
-            for m in Counter(r).values():
-                arrangements //= factorial(m)
-            if len(ts) != arrangements or len({ids[t] for t in ts}) != len(ts) \
-                    or any(mu[t] != mu[ts[0]] for t in ts):
-                return None
+        of_type = [0] * len(types)
+        for k, ts in enumerate(groups.values()):
             for t in ts:
                 of_type[t] = k
-            mass.append(mu[ts[0]] * len(ts))
-        y: Dict[Tuple[int, int], int] = {}  # (orbit, value rank) -> y column
+        y: Dict[Tuple[int, int], int] = {}  # (orbit, integer value) -> y column
         for k, r in enumerate(groups):
             for a in r:
                 y.setdefault((k, a), len(y))
-        index = {v: t for t, v in enumerate(ids)}
-        return cls(_scaled_types(values), [[y[k, a] for a in v] for v, k in zip(ids, of_type)],
+        index = {v: t for t, v in enumerate(types)}
+        mass = [dist.atoms[ts[0]][1] * len(ts) for ts in groups.values()]
+        return cls(dist, [[y[k, a] for a in v] for v, k in zip(types, of_type)],
                    [len(y) + k for k in of_type], [Fraction(0)] * len(y) + mass,
-                   [index[r] for r in groups], ids)
+                   [index[r] for r in groups])
 
     def lift(self, y: List[Fraction]) -> DirectMechanism:
         """The mechanism of the point y, read through the column map."""
         return DirectMechanism(tuple(tuple(y[j] for j in cols) for cols in self.cols),
                                tuple(y[j] for j in self.pay))
 
-    def certifies(self, result: lp.VertexResult, mu: List[Fraction]) -> bool:
+    def certifies(self, result: lp.VertexResult) -> bool:
         """Whether the orbit dual, averaged over all relabelings, certifies
         the lifted point on the full system, checked in integers.
 
@@ -439,16 +436,16 @@ class _System:
         is spread evenly over the distinct images of that row, its
         multiplier times |stabilizer| / n! on each: the average over the n!
         relabelings. A row's images are those of its per-item labels: the
-        value-rank pairs of t and s for IC, t's ranks for IR, and t's ranks
-        with coordinate i marked for a box row. The result must be y >= 0
-        with sum_i y_i a_i / scale_i = -c on every full column and
+        integer value pairs of t and s for IC, t's integer values for IR,
+        and t's with coordinate i marked for a box row. The result must be
+        y >= 0 with sum_i y_i a_i / scale_i = -c on every full column and
         -sum_i y_i b_i / scale_i = the orbit optimum, which with the lifted
-        point feasible is optimality by weak duality. Of the IC and box rows,
-        only those that carry a multiplier are built, each IC row from its
-        type's IR row."""
-        ids, scaled = self.ids, self.scaled
-        index = {v: t for t, v in enumerate(ids)}
-        t_count, n = len(ids), len(ids[0])
+        point feasible is optimality by weak duality; the masses in c are
+        the atoms' integer weights. Of the IC and box rows, only those that
+        carry a multiplier are built, each IC row from its type's IR row."""
+        types, values, L = self.types, self.values, self.L
+        index = {v: t for t, v in enumerate(types)}
+        t_count, n = len(types), len(types[0])
         nx = t_count * n
         x = [range(t * n, t * n + n) for t in range(t_count)]
         spread = []  # (images, per-image multiplier of the integer row, kind)
@@ -458,22 +455,22 @@ class _System:
             if y:
                 kind, t, *rest = self.names[k]
                 if kind == "ic":
-                    labels = tuple(zip(ids[t], ids[rest[0]]))
+                    labels = tuple(zip(types[t], types[rest[0]]))
                 elif kind == "ir":
-                    labels = ids[t]
+                    labels = types[t]
                 else:
-                    labels = tuple((b, i == rest[0]) for i, b in enumerate(ids[t]))
+                    labels = tuple((b, i == rest[0]) for i, b in enumerate(types[t]))
                 images = _relabelings(labels)
                 spread.append((images, y / (len(images) * self.scale[k]), kind))
         den, factors = over_common_denominator(f for _, f, _ in spread)
-        irs = [_ir_row(*scaled[t], x[t], nx + t) for t in range(t_count)]
+        irs = [_ir_row(L, values[t], x[t], nx + t) for t in range(t_count)]
         acc = [0] * (nx + t_count)
         bound = 0  # sum of factor * rhs over the image rows
         for (images, _, kind), f in zip(spread, factors):
             for image in images:
                 if kind == "ic":
                     t, s = index[tuple(a for a, _ in image)], index[tuple(b for _, b in image)]
-                    row = _ic_row(irs[t], *scaled[t], x[s], nx + s)
+                    row = _ic_row(irs[t], L, values[t], x[s], nx + s)
                 elif kind == "ir":
                     row = irs[index[image]]
                 else:  # a box row of the marked coordinate, kind its sign
@@ -482,7 +479,7 @@ class _System:
                     bound += f * min(kind, 0)
                 for j, a in row.items():
                     acc[j] += f * a
-        w_den, weights = over_common_denominator(mu)
+        w_den, weights = self.atoms.whole, self.atoms.weights
         if any(acc[:nx]) or any(a * w_den != -w * den
                                 for a, w in zip(acc[nx:], weights)):
             return False
@@ -534,7 +531,8 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
     (`_System.lift`) and checked by `verify_ic_ir` and against its revenue.
 
     On `float-guided-exact`, a distribution with n >= 2 whose atoms every
-    relabeling of the items maps onto atoms of equal mass is solved over
+    relabeling of the items maps onto atoms of equal mass, by the rule the
+    search reads too (`JointDistribution._exchangeable`), is solved over
     its orbits (`_System.orbits`). The LP is convex and invariant under the
     relabelings, so the average of an optimum's relabelings is a symmetric
     optimum (Daskalakis and Weinberg, EC 2012): the LP restricted to
@@ -550,32 +548,28 @@ def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
     integers. If the orbit solve raises LPError, the certificate fails or
     the lift fails `verify_ic_ir`, the full system is solved instead.
     """
-    values = [v for v, _ in dist.atoms]
-    mu = [p for _, p in dist.atoms]
-    n = dist.n
-
     if method == "exact-simplex":
-        system = _System.full(values, mu, n)
+        system = _System.full(dist)
         result = _lp_simplex(system)
     elif method == "float-guided-exact":
-        orbits = _System.orbits(values, mu, n) if n >= 2 else None
+        orbits = _System.orbits(dist)
         if orbits is not None:
             try:
-                return _orbit_solve(dist, orbits, mu)
+                return _orbit_solve(dist, orbits)
             except lp.LPError:
                 pass  # no certificate over the orbits: solve the full system
-        system = _System.full(values, mu, n)
+        system = _System.full(dist)
         result = lp.certified_vertex(system.c, system.rows, system.rhs, system.scale)
     else:
         raise ValueError(f"unknown LP method {method!r}")
     return _checked(dist, system.lift(result.x), result, method)
 
 
-def _orbit_solve(dist: JointDistribution, orbits: _System, mu: List[Fraction]) -> LPOutcome:
+def _orbit_solve(dist: JointDistribution, orbits: _System) -> LPOutcome:
     result = lp.certified_vertex(orbits.c, orbits.rows, orbits.rhs, orbits.scale)
     start = perf_counter()
     mech = orbits.lift(result.x)
-    if not orbits.certifies(result, mu):
+    if not orbits.certifies(result):
         raise lp.LPError("the averaged orbit dual does not certify the lifted mechanism")
     result.stages["lift"] = perf_counter() - start
     return _checked(dist, mech, result, "float-guided-exact")

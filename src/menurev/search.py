@@ -47,7 +47,10 @@ live menus form a window, with no size cap, that drops the menus below
 best - D as best rises; it is rescored exactly once, at the end (`_exact_best`).
 
 Exchangeable items. When every relabeling of the items maps the instance
-onto itself (`_exchangeable`), relabeling a menu so that its single prices
+onto itself (`_Instance.exchangeable`: the atoms by the distribution's one
+relabeling rule, `JointDistribution._exchangeable`, which the orbit LP
+reads too, and the grid when all bundles of one size share one candidate
+tuple), relabeling a menu so that its single prices
 ascend gives a twin that earns the same revenue, is feasible exactly when
 the menu is, and has the same floor-scaled score. Unless the single prices
 already ascend, the twin's price vector is lexicographically smaller, so the
@@ -306,33 +309,16 @@ class _Instance:
 
     @cached_property
     def exchangeable(self) -> bool:
-        return _exchangeable(self)
+        """Whether every relabeling of the items maps the instance onto itself:
+        the atoms by the distribution's one rule (`_exchangeable`), the grid
+        when the bundles of each size, which relabelings permute, share one
+        candidate tuple."""
+        by_size: Dict[int, Tuple[Fraction, ...]] = {}
+        return all(by_size.setdefault(len(b), ps) == ps
+                   for b, ps in zip(self.order, self.grid.prices)) and self.dist._exchangeable
 
     def menu_from_scaled(self, row: Sequence[int]) -> Menu:
         return Menu(self.dist.n, tuple(Fraction(int(p), self.L) for p in row))
-
-
-def _exchangeable(inst: _Instance) -> bool:
-    """Whether every relabeling of the items maps the instance onto itself.
-    Adjacent transpositions generate the relabelings, so each of them must
-    map the atoms, with their exact weights, onto the atoms and every
-    bundle's candidates onto those of its image. The atoms are distinct, so
-    sorting both sets of value rows pairs them up."""
-    n = inst.dist.n
-    cols = inst.values[:, :n]  # the singletons come first
-    order = np.lexsort(cols.T[::-1])
-    rows, weights = cols[order], inst.exact_weights[order]
-    index = {b: k for k, b in enumerate(inst.order)}
-    for i in range(1, n):
-        swap = {i: i + 1, i + 1: i}
-        if any(ps != inst.grid.prices[index[tuple(sorted(swap.get(x, x) for x in b))]]
-               for b, ps in zip(inst.order, inst.grid.prices)):
-            return False
-        swapped = cols[:, [swap.get(x, x) - 1 for x in range(1, n + 1)]]
-        image = np.lexsort(swapped.T[::-1])
-        if not ((swapped[image] == rows).all() and (inst.exact_weights[image] == weights).all()):
-            return False
-    return True
 
 
 def _arrangements(prices: Sequence[int]) -> int:

@@ -208,16 +208,17 @@ def test_simplex_matches_fraction_oracle_on_random_systems():
 
 def oracle_checked_pivots(monkeypatch, dists):
     """Pivot counts of `_lp_simplex` on each distribution, its sparse integer
-    system checked row by row against the dense rows, and its result
-    against the oracle on them."""
+    system checked row by row to be the dense rows times L, the lcm of the
+    coordinate denominators (IC and IR rows), or times 1 (box rows), and
+    its result against the oracle on the dense rows."""
     calls = []
     real = lp.simplex_max
     monkeypatch.setattr(lp, "simplex_max", lambda *a: calls.append((a, real(*a))) or calls[-1][1])
     pivots = []
     for dist in dists:
-        values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
+        values = [v for v, _ in dist.atoms]
         calls.clear()
-        _lp_simplex(_System.full(values, mu, dist.n))
+        _lp_simplex(_System.full(dist))
         (c, sparse_a, sparse_b), got = calls[0]
         nx = len(values) * dist.n
         rows, rhs = dense_lp_rows(values, dist.n)
@@ -225,7 +226,10 @@ def oracle_checked_pivots(monkeypatch, dists):
         keep = [r for r in range(len(rows)) if r < box or (r - box) % 2]
         a_ub = [[-a for a in rows[r]] for r in keep]
         b_ub = [-rhs[r] for r in keep]
-        assert (sparse_a, sparse_b) == tuple(integer_rows(a_ub, b_ub)[:2])
+        times = [dist.integer_atoms.scale if r < box else 1 for r in keep]
+        assert sparse_a == [{j: a * m for j, a in enumerate(row) if a} for row, m in zip(a_ub, times)]
+        assert sparse_b == [b * m for b, m in zip(b_ub, times)]
+        assert all(type(a) is int for row in sparse_a for a in row.values())
         assert oracle_simplex(c, a_ub, b_ub) == (got.x, got.objective, got.rounds)
         pivots.append(got.rounds)
     return pivots
@@ -298,7 +302,7 @@ def full_system(dist):
     """The full LP's (c, rows, rhs, scale), as `_System.full` writes it;
     `lp_optimal` solves exchangeable distributions such as example 7 over
     their orbits instead."""
-    system = _System.full([v for v, _ in dist.atoms], [p for _, p in dist.atoms], dist.n)
+    system = _System.full(dist)
     return system.c, system.rows, system.rhs, system.scale
 
 
@@ -378,8 +382,7 @@ def test_binding_matches_scipy_linprog_bit_for_bit(monkeypatch):
     from scipy.optimize import linprog as scipy_linprog
 
     dist7 = load_distribution("example7_distribution")
-    values, mu = [v for v, _ in dist7.atoms], [p for _, p in dist7.atoms]
-    orbits = _System.orbits(values, mu, 2)
+    orbits = _System.orbits(dist7)
     systems = [full_system(dist7), (orbits.c, orbits.rows, orbits.rhs, orbits.scale),
                *map(full_system, seeded_distributions(11, 24)),
                *map(full_system, rescaled_example7())]
@@ -723,7 +726,7 @@ def test_system_rows_are_their_named_full_rows():
         n, types = dist.n, [v for v, _ in dist.atoms]
         t_count, nx = len(types), len(types) * dist.n
         proj = projection(dist)
-        system = build(types, [p for _, p in dist.atoms], n)
+        system = build(dist)
 
         def project(full):
             out = {}
@@ -813,14 +816,13 @@ def test_non_exchangeable_and_one_item_inputs_take_the_full_path(monkeypatch):
 def test_perturbed_orbit_multiplier_is_rejected_and_the_full_path_certifies(monkeypatch):
     dist = product([uniform([1, 3, 4])] * 2)
     want = lp_optimal(dist)
-    values, mu = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
-    orbits = _System.orbits(values, mu, 2)
+    orbits = _System.orbits(dist)
     res = certified_vertex(orbits.c, orbits.rows, orbits.rhs, orbits.scale)
-    assert orbits.certifies(res, mu)
+    assert orbits.certifies(res)
     for k, y in res.dual.items():
         for bad in (y + F(1, 7), -F(1, 7)):
             mutated = dataclasses.replace(res, dual={**res.dual, k: bad})
-            assert not orbits.certifies(mutated, mu)
+            assert not orbits.certifies(mutated)
 
     def perturb(k, res):
         if k == 0:

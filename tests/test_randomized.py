@@ -299,6 +299,30 @@ def test_verify_ic_ir_rejects_misshapen_allocations(allocations, message):
         verify_ic_ir(DirectMechanism(allocations, (F(0), F(0))), dist)
 
 
+_FLOAT_VALUE = JointDistribution(2, (((1.0, 3), F(1, 2)), ((2, 3), F(1, 2))))
+
+
+@pytest.mark.parametrize("dist, allocations, payments, message", [
+    (_FLOAT_VALUE, ((F(0), F(0)),) * 2, (F(0), F(0)),
+     "valuation (1.0, 3): value[0] = 1.0 is a float"),
+    (None, ((F(0), 0.5), (F(0), F(0))), (F(0), F(0)), "allocation 0: entry[1] = 0.5 is a float"),
+    (None, ((F(0), F(0)),) * 2, (F(0), 1.5), "payment[1] = 1.5 is a float"),
+], ids=["value", "allocation-entry", "payment"])
+def test_verify_ic_ir_rejects_floats(dist, allocations, payments, message):
+    # a float has no denominator to scale by: the fault is named, not an AttributeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, not a rational number$"):
+        verify_ic_ir(DirectMechanism(allocations, payments),
+                     dist or product([uniform([1, 2]), point_mass(3)]))
+
+
+@pytest.mark.parametrize("method", ["auto", "float-guided-exact", "exact-simplex"])
+def test_lp_rejects_float_coordinates(method):
+    # every method writes its rows from the atoms' integer form, which names the fault
+    with pytest.raises(ValueError, match=re.escape(
+            "valuation (1.0, 3): value[0] = 1.0 is a float, not a rational number")):
+        lp_optimal(_FLOAT_VALUE, method)
+
+
 def _icir_oracle(d, dist):
     """Every IC/IR constraint checked in Fractions, one utility at a time."""
     types = [v for v, _ in dist.atoms]

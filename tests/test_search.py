@@ -18,6 +18,7 @@ from menurev import (
     candidate_grid,
     expected_revenue,
     gap_report,
+    lp_optimal,
     product,
     search_optimal,
     uniform,
@@ -1296,13 +1297,75 @@ def test_arrangements_count_distinct_orders():
         assert search._arrangements(prices) == len(set(itertools.permutations(prices)))
 
 
-def test_exchangeable_check_never_asks_the_distribution():
-    # the check runs on the scaled instance, in integers: the distribution
-    # has no symmetry test of its own to ask
+def test_mirrored_correlated_joint_is_exchangeable_on_both_grid_modes():
+    # a correlated joint closed under swapping its items, whose orbits carry
+    # unequal masses, passes the distribution's relabeling rule, and both
+    # generated grids give the two single bundles one candidate tuple
     dist = _mirrored(_weighted_joint(2, [((3, 1), 2), ((2, 2), 1), ((0, 3), 4)]))
     for mode in ("integer-grid", "support-sums"):
         res = search_optimal(dist, "unrestricted", candidate_grid(dist, mode))
         assert res.exchangeable
+
+
+def _every_relabeling_keeps_atoms(dist):
+    """The relabeling oracle, in Fractions over every permutation of the
+    items: each maps each atom onto an atom of equal mass, and no valuation
+    repeats."""
+    mass = dict(dist.atoms)
+    return len(mass) == len(dist.atoms) and all(
+        mass.get(tuple(v[i] for i in perm)) == p
+        for perm in itertools.permutations(range(dist.n)) for v, p in dist.atoms)
+
+
+def _nudged(dist):
+    """`dist` with the mass of its first atom off the diagonal raised by 1%."""
+    k = next(k for k, (v, _) in enumerate(dist.atoms) if len(set(v)) > 1)
+    masses = [p * F(101, 100) if j == k else p for j, (_, p) in enumerate(dist.atoms)]
+    return JointDistribution.from_pairs(
+        dist.n, [(v, q / sum(masses)) for (v, _), q in zip(dist.atoms, masses)])
+
+
+def test_one_relabeling_rule_for_search_and_lp():
+    # the distribution's rule against the all-permutations oracle, on seeded
+    # IID products and mirrored joints of 1-3 items, nudged mirrored joints,
+    # 3-item products exchangeable in items 1-2 only, and directly built
+    # distributions that repeat a valuation; the search restricts to
+    # ascending single prices exactly when the rule holds and every bundle
+    # size shares one candidate tuple (an explicit grid whose pairs alone
+    # differ does not), and the LP lifts an orbit solve exactly when the rule
+    # holds and n >= 2
+    rng = random.Random(48)
+    dists = []
+    for n in (1, 2, 3):
+        for _ in range(4):
+            dists += [_iid_product(rng, n) if n > 1 else product([random_single_item(rng, 3, 3)]),
+                      _mirrored_joint(rng, n)]
+    dists += [_nudged(d) for d in dists if any(len(set(v)) > 1 for v, _ in d.atoms)][:4]
+    for _ in range(3):
+        a, b = random_single_item(rng, 2, 2), random_single_item(rng, 2, 2)
+        dists.append(product([a, a, b]))
+    for d in [d for d in dists if d.n == 2][:4]:  # each atom split in two
+        dists.append(JointDistribution(2, tuple((v, p / 2) for v, p in d.atoms) * 2))
+    seen = Counter()
+    for dist in dists:
+        rule = _every_relabeling_keeps_atoms(dist)
+        assert dist._exchangeable == rule, dist.atoms
+        grids = [candidate_grid(dist, "support-sums")]
+        if dist.n == 3 and rule:
+            prices = [[0, 1, 2]] * 3 + [[0, 1, 2, 3]] * 2 + [[0, 2, 3], [0, 3]]
+            grids.append(candidate_grid(dist, "explicit", explicit=dict(
+                zip(all_bundles(3), prices))))
+        for grid in grids:
+            shared = all(len({ps for b, ps in zip(all_bundles(dist.n), grid.prices)
+                              if len(b) == k}) == 1 for k in range(1, dist.n + 1))
+            assert search._Instance(dist, grid).exchangeable == (rule and shared)
+            if dist.n > 1:
+                assert search_optimal(dist, "unrestricted", grid).exchangeable == (rule and shared)
+            seen[dist.n, rule, shared] += 1
+        assert ("lift" in lp_optimal(dist).stages) == (rule and dist.n > 1)
+    assert {(n, rule) for n, rule, _ in seen} == {(1, True), (2, True), (2, False),
+                                                  (3, True), (3, False)}
+    assert seen[3, True, False] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1370,7 +1433,7 @@ def test_posted_prices_match_oracles(monkeypatch, path):
             assert (res.best, res.revenue, res.examined) == want, (constraint, dist.atoms)
             assert res.revenue == reference.brute_force_optimum(
                 dist.atoms, dist.n, grid.prices, constraint)
-            seen[dist.n, search._exchangeable(search._Instance(dist, grid)), grid.mode] += 1
+            seen[dist.n, search._Instance(dist, grid).exchangeable, grid.mode] += 1
     assert not layouts
     assert {n for n, _, _ in seen} == {1, 2, 3}
     assert {mode for _, _, mode in seen} >= {"support-sums", "explicit"}
