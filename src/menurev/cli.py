@@ -80,6 +80,8 @@ def cmd_search(args) -> int:
         explicit = parse_grid(_read_json(args.grid_file), dist.n)
         grid = candidate_grid(dist, "explicit", explicit=explicit, max_price=args.max_price)
     else:
+        if args.grid_file is not None:
+            raise ParseError("--grid-file", "read only with --grid file")
         mode = "integer-grid" if args.grid == "integer" else "support-sums"
         grid = candidate_grid(dist, mode, max_price=args.max_price)
     constraints = args.constraint or ["unrestricted"]

@@ -24,9 +24,11 @@ the binding `scipy.optimize.linprog` drives, with the model and the options
 (presolve on, dual simplex, no output) that `linprog(method="highs")` passes,
 so its floats are scipy's to the bit without scipy's per-call Python layer.
 The rows keep their sparse form: their entries over the scales reach HiGHS
-column by column, and the float residuals are summed from them, so no rows x
-columns matrix is built. The binding is loaded from its extension file, so
-`scipy.optimize` itself, some 300 modules, is never imported for it.
+row by row, in the order the rows hold them, and HiGHS builds from them the
+column-major model, rows ascending in each column, that scipy builds from a
+dense matrix; the float residuals are summed from the same entries, so no
+rows x columns matrix is built. The binding is loaded from its extension
+file, so `scipy.optimize` itself, some 300 modules, is never imported for it.
 """
 from __future__ import annotations
 
@@ -274,9 +276,10 @@ def linprog(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarr
             b_ub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """min c.x  s.t.  A x <= b_ub, x free, by HiGHS through scipy's binding.
 
-    A is column-major without zeros, as HiGHS stores it: column j holds
-    value[start[j]:start[j + 1]] at the rows index[start[j]:start[j + 1]],
-    ascending. The model, the options and so the floats are those of
+    A is row-major without zeros: row i holds value[start[i]:start[i + 1]]
+    at the columns index[start[i]:start[i + 1]], in any order. HiGHS turns
+    it into its column-major model, rows ascending in each column, so the
+    model, the options and so the floats are those of
     `scipy.optimize.linprog(c, A, b_ub, bounds=(None, None), method="highs")`:
     free columns, rows (-inf, b_ub], presolve on, dual simplex, no output.
     Returns x and the row duals (scipy's `ineqlin.marginals`); LPError
@@ -293,7 +296,7 @@ def linprog(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarr
     model.row_lower_ = np.full(m, -core.kHighsInf)
     model.row_upper_ = b_ub
     matrix = model.a_matrix_
-    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.format_ = core.MatrixFormat.kRowwise
     matrix.num_col_ = n
     matrix.num_row_ = m
     matrix.start_ = start
@@ -317,9 +320,10 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     """Certified optimal vertex of  max c.x  s.t.  rows[i].x >= rhs[i].
 
     rows[i] and rhs[i] are the constraint times scale[i] > 0. A float LP
-    (HiGHS) on the unscaled constraints, handed over as their nonzeros column
-    by column, locates the optimum. A row counts as tight there if its
-    residual, summed from those entries, is at most _FEAS_TOL (1 + |b_i|).
+    (HiGHS) on the unscaled constraints, handed over as their nonzeros row by
+    row in the order each row holds them, locates the optimum. A row counts
+    as tight there if its residual, summed from those entries, is at most
+    _FEAS_TOL (1 + |b_i|).
     The first independent rows tight there, largest float dual first, are
     the basis solved for x. Every row is checked once at x; then, while the
     basis dual has a negative multiplier, the lowest such basis row leaves
@@ -331,21 +335,19 @@ def certified_vertex(c: List[Fraction], rows: Sequence[Row], rhs: Sequence[int],
     _highs()  # a first import is not charged to the float solve
     start = perf_counter()
     # int / int true division rounds correctly, as float(Fraction) does; the
-    # entries are divided in Python, streamed into arrays row by row (no list
-    # of floats to raise the peak memory) and sorted stably by column
+    # entries are divided in Python and streamed into arrays row by row, in
+    # the order the rows hold them (no list of floats to raise the peak memory)
     sizes = [len(row) for row in rows]
     size = sum(sizes)
+    row_start = np.zeros(m + 1, np.intp)
+    np.cumsum(sizes, out=row_start[1:])
     at_col = np.fromiter(chain.from_iterable(rows), np.intp, size)
-    order = np.argsort(at_col, kind="stable")
-    at_col = at_col[order]
-    at_row = np.repeat(np.arange(m), sizes)[order]
     value = np.fromiter((v / s for row, s in zip(rows, scale) for v in row.values()),
-                        float, size)[order]
+                        float, size)
     b = np.array([r / s for r, s in zip(rhs, scale)])
-    float_x, duals = linprog(c=-np.array([float(v) for v in c]),
-                             start=np.searchsorted(at_col, np.arange(n + 1)),
-                             index=at_row, value=-value, b_ub=-b)
-    resid = np.bincount(at_row, value * float_x[at_col], m) - b
+    float_x, duals = linprog(c=-np.array([float(v) for v in c]), start=row_start,
+                             index=at_col, value=-value, b_ub=-b)
+    resid = np.bincount(np.repeat(np.arange(m), sizes), value * float_x[at_col], m) - b
     tol = _FEAS_TOL * (1.0 + np.abs(b))
     candidates = sorted((i for i in range(m) if resid[i] <= tol[i]),
                         key=lambda i: -abs(float(duals[i])))

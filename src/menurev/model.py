@@ -58,6 +58,13 @@ def _bundle_masks(n: int) -> Tuple[int, ...]:
 
 
 def as_bundle(items: Iterable[int], n: int) -> Bundle:
+    """The canonical bundle of `items`: sorted, each item once. ValueError if
+    an item is not an int (bools excluded) or lies outside 1..n, or there is
+    none."""
+    items = tuple(items)
+    for i in items:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ValueError(f"item {i!r} is a {type(i).__name__}, not an int")
     b = tuple(sorted(set(items)))
     if not b:
         raise ValueError("bundle must be nonempty")

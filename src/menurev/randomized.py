@@ -10,11 +10,12 @@ the distribution is exchangeable, so averaging an optimum over the n!
 relabelings gives a symmetric optimum (Daskalakis and Weinberg, EC 2012).
 The float-guided path therefore solves such an LP over one representative
 type per orbit, and certifies the lifted optimum on the full system by the
-orbit dual averaged over the relabelings (`_lp_solve`), where the one
-relabeling rule, `JointDistribution._exchangeable`, holds. One class,
-`_System`, writes the full system, the orbit LP and the simplex's system
-from `JointDistribution.integer_atoms` through column maps, each row named
-by the full row it stands for.
+orbit dual averaged over the relabelings, where the one relabeling rule,
+`JointDistribution._exchangeable`, holds. One class, `_System`, writes the
+full system, the orbit LP and the simplex's system from
+`JointDistribution.integer_atoms` through column maps, each row named by
+the full row it stands for, and `lp_optimal` tries those systems in one
+loop: the orbit LP, the full system, then under `auto` the exact simplex.
 """
 from __future__ import annotations
 
@@ -507,72 +508,59 @@ def _relabelings(labels: tuple) -> List[tuple]:
 def lp_optimal(dist: JointDistribution, method: str = "auto") -> LPOutcome:
     """Revenue-maximizing direct mechanism over the distribution's types.
 
-    `exact-simplex` runs the exact rational simplex on the full system;
-    `float-guided-exact` resolves the float optimum's vertex exactly and
-    certifies it by degenerate pivots there (see lp.certified_vertex), or
-    raises LPError. On an exchangeable distribution it does so on the orbit
-    system, and lifts and certifies the result on the full system (see
-    `_lp_solve`). `auto` takes the float-guided vertex and falls back to the
-    exact simplex where that raises LPError. No method returns an optimum it
-    did not certify, and every one returns an exact rational solution
-    verified against every IC/IR constraint.
+    `exact-simplex` runs the exact rational simplex on the full system
+    (`_lp_simplex`). `float-guided-exact` resolves the float optimum's vertex
+    exactly and certifies it by degenerate pivots there
+    (`lp.certified_vertex`), first on the orbit system where there is one,
+    then on the full system, and raises the full system's LPError. `auto`
+    runs `float-guided-exact` and falls back to the exact simplex where that
+    raises LPError. Every result is read through its system's column map
+    (`_System.lift`) and checked by `verify_ic_ir` and against its revenue,
+    so no method returns an optimum it did not certify.
+
+    The orbit system (`_System.orbits`) exists where n >= 2 and every
+    relabeling of the items maps the atoms onto atoms of equal mass, by the
+    rule the search reads too (`JointDistribution._exchangeable`). The LP is
+    convex and invariant under the relabelings, so the average of an
+    optimum's relabelings is a symmetric optimum (Daskalakis and Weinberg,
+    EC 2012): the LP restricted to symmetric points, the orbit LP, has the
+    full optimum. Its certified vertex is lifted to a symmetric mechanism x,
+    and certified on the full system by the orbit dual y' averaged over the
+    relabelings: each orbit row is a full row restricted to symmetric
+    points, so y' on those rows matches -c on every symmetric direction.
+    Averaging over the relabelings projects y'.A onto the symmetric
+    directions, and -c is symmetric, so the averaged y has y.A = -c on every
+    column, while y >= 0 and y.b = y'.b hold still. x is feasible and
+    c.x = -y.b, so by weak duality x is optimal; `_System.certifies` checks
+    this in integers, and its time is the `lift` stage. If the orbit solve
+    raises LPError, the certificate fails or the lift fails `verify_ic_ir`,
+    the full system is solved instead.
     """
-    if method != "auto":
-        return _lp_solve(dist, method)
-    try:
-        return _lp_solve(dist, "float-guided-exact")
-    except lp.LPError:
-        pass  # no certified vertex at the float optimum
-    return _lp_solve(dist, "exact-simplex")
-
-
-def _lp_solve(dist: JointDistribution, method: str) -> LPOutcome:
-    """One method's certified optimum, read through its system's column map
-    (`_System.lift`) and checked by `verify_ic_ir` and against its revenue.
-
-    On `float-guided-exact`, a distribution with n >= 2 whose atoms every
-    relabeling of the items maps onto atoms of equal mass, by the rule the
-    search reads too (`JointDistribution._exchangeable`), is solved over
-    its orbits (`_System.orbits`). The LP is convex and invariant under the
-    relabelings, so the average of an optimum's relabelings is a symmetric
-    optimum (Daskalakis and Weinberg, EC 2012): the LP restricted to
-    symmetric points, the orbit LP, has the full optimum. Its certified
-    vertex is lifted to a symmetric mechanism x, and certified on the full
-    system by the orbit dual y' averaged over the relabelings: each orbit
-    row is a full row restricted to symmetric points, so y' on those rows
-    matches -c on every symmetric direction. Averaging over the
-    relabelings projects y'.A onto the symmetric directions, and -c is
-    symmetric, so the averaged y has y.A = -c on every column, while
-    y >= 0 and y.b = y'.b hold still. x is feasible and c.x = -y.b, so by
-    weak duality x is optimal; `_System.certifies` checks this in
-    integers. If the orbit solve raises LPError, the certificate fails or
-    the lift fails `verify_ic_ir`, the full system is solved instead.
-    """
-    if method == "exact-simplex":
-        system = _System.full(dist)
-        result = _lp_simplex(system)
-    elif method == "float-guided-exact":
-        orbits = _System.orbits(dist)
-        if orbits is not None:
-            try:
-                return _orbit_solve(dist, orbits)
-            except lp.LPError:
-                pass  # no certificate over the orbits: solve the full system
-        system = _System.full(dist)
-        result = lp.certified_vertex(system.c, system.rows, system.rhs, system.scale)
-    else:
+    if method not in ("auto", "float-guided-exact", "exact-simplex"):
         raise ValueError(f"unknown LP method {method!r}")
-    return _checked(dist, system.lift(result.x), result, method)
-
-
-def _orbit_solve(dist: JointDistribution, orbits: _System) -> LPOutcome:
-    result = lp.certified_vertex(orbits.c, orbits.rows, orbits.rhs, orbits.scale)
-    start = perf_counter()
-    mech = orbits.lift(result.x)
-    if not orbits.certifies(result):
-        raise lp.LPError("the averaged orbit dual does not certify the lifted mechanism")
-    result.stages["lift"] = perf_counter() - start
-    return _checked(dist, mech, result, "float-guided-exact")
+    builds = (_System.orbits, _System.full) if method != "exact-simplex" else ()
+    system = None
+    for orbit, build in zip((True, False), builds):
+        system = build(dist)
+        if system is None:
+            continue
+        try:
+            result = lp.certified_vertex(system.c, system.rows, system.rhs, system.scale)
+            start = perf_counter()
+            mech = system.lift(result.x)
+            if orbit:
+                if not system.certifies(result):
+                    raise lp.LPError("the averaged orbit dual does not certify the lifted "
+                                     "mechanism")
+                result.stages["lift"] = perf_counter() - start
+            return _checked(dist, mech, result, "float-guided-exact")
+        except lp.LPError:
+            if not orbit and method == "float-guided-exact":
+                raise
+    if system is None:  # exact-simplex, which builds no orbit system
+        system = _System.full(dist)
+    result = _lp_simplex(system)
+    return _checked(dist, system.lift(result.x), result, "exact-simplex")
 
 
 def _checked(dist: JointDistribution, mech: DirectMechanism, result: lp.VertexResult,

@@ -229,6 +229,27 @@ def test_search_bad_grid_file_exit_2(tmp_path, capsys, doc, where):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--grid", "file"], "--grid-file: required when --grid file is used"),
+    (["--grid-file", "GRID"], "--grid-file: read only with --grid file"),
+    (["--grid", "support-sums", "--grid-file", "GRID"], "--grid-file: read only with --grid file"),
+    (["--grid", "integer", "--grid-file", "GRID"], "--grid-file: read only with --grid file"),
+], ids=["file-without-grid-file", "grid-file-alone", "support-sums", "integer"])
+def test_search_grid_file_only_with_grid_file_exit_2(tmp_path, capsys, args, message):
+    # the file's grid {1} sells at revenue 1; the support-sums grid {1, 3} at 3/2
+    dist = tmp_path / "dist.json"
+    dist.write_text('{"items": 1, "kind": "joint", "atoms": ['
+                    '{"values": ["1"], "prob": "1/2"}, {"values": ["3"], "prob": "1/2"}]}')
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"prices": {"1": ["1"]}}')
+    assert main(["search", str(dist), "--grid", "file", "--grid-file", str(grid),
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["revenue"] == "1"
+    assert main(["search", str(dist), *(str(grid) if a == "GRID" else a for a in args)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_search_grid_file_matches_explicit_grid(tmp_path, capsys):
     prices = {"1": ["0", "4", "100"], "2": ["0", "4", "100"], "1,2": ["4", "8", "104", "200"]}
     grid = tmp_path / "grid.json"

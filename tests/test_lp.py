@@ -316,9 +316,9 @@ def loop_float_rows(rows, rhs, scale, width):
 
 
 def dense_matrix(problem):
-    """The matrix of an lp.linprog problem, rebuilt dense from its columns."""
+    """The matrix of an lp.linprog problem, rebuilt dense from its rows."""
     a = np.zeros((len(problem["b_ub"]), len(problem["c"])))
-    a[problem["index"], np.repeat(np.arange(a.shape[1]), np.diff(problem["start"]))] = \
+    a[np.repeat(np.arange(a.shape[0]), np.diff(problem["start"])), problem["index"]] = \
         problem["value"]
     return a
 
@@ -330,8 +330,10 @@ def scipy_problem(problem):
 
 def test_float_problem_matches_dense_fraction_rows(monkeypatch):
     # HiGHS gets the float matrix that float() of the dense Fraction rows gives,
-    # and that storing each entry in a loop gives, bit for bit, as the column
-    # scan of that dense matrix, so it reports the same tight rows and duals
+    # and that storing each entry in a loop gives, bit for bit, as the row
+    # scan of that dense matrix, so it reports the same tight rows and duals;
+    # a row holds its entries in the order the builder wrote them, so they are
+    # sorted by column before the comparison
     seen = {}
     real = lp.linprog
     monkeypatch.setattr(lp, "linprog", lambda *a, **k: seen.update(k) or real(*a, **k))
@@ -349,11 +351,14 @@ def test_float_problem_matches_dense_fraction_rows(monkeypatch):
             # + 0.0 turns the negated zeros, which HiGHS never gets, into 0.0
             assert got.tobytes() == (want_a + 0.0).tobytes()
             assert seen["b_ub"].tobytes() == want_b.tobytes()
-            cols, at = np.nonzero(want_a.T)  # column-major, rows ascending in each column
-            start = np.searchsorted(cols, np.arange(a.shape[1] + 1))
+            start = np.concatenate(([0], np.cumsum(np.count_nonzero(want_a, axis=1))))
             assert seen["start"].tobytes() == start.tobytes()
-            assert seen["index"].tobytes() == at.tobytes()
-            assert seen["value"].tobytes() == want_a[at, cols].tobytes()
+            for i, row in enumerate(want_a):
+                at = slice(start[i], start[i + 1])
+                order = np.argsort(seen["index"][at], kind="stable")
+                (cols,) = np.nonzero(row)
+                assert seen["index"][at][order].tobytes() == cols.tobytes()
+                assert seen["value"][at][order].tobytes() == row[cols].tobytes()
         if k == 0:
             assert (out.objective, out.certified, out.rounds) == (EXAMPLE7_REVENUE, True, 2)
 
@@ -591,8 +596,8 @@ def test_binding_loads_without_scipy_optimize():
     out = run_fresh(SOLVE_EXAMPLE7 + """
 import numpy as np
 p = seen[0]
-a = np.zeros((len(p["b_ub"]), len(p["c"])))  # the matrix, rebuilt dense from its columns
-a[p["index"], np.repeat(np.arange(a.shape[1]), np.diff(p["start"]))] = p["value"]
+a = np.zeros((len(p["b_ub"]), len(p["c"])))  # the matrix, rebuilt dense from its rows
+a[np.repeat(np.arange(a.shape[0]), np.diff(p["start"])), p["index"]] = p["value"]
 print("scipy.optimize" in sys.modules, core is lp._highs()[0], a.shape)
 from scipy.optimize import linprog
 import scipy.optimize._highspy._core as imported
@@ -835,6 +840,40 @@ def test_perturbed_orbit_multiplier_is_rejected_and_the_full_path_certifies(monk
     assert sizes == [(len(orbits.rows), len(orbits.c)), (9 * 8 + 9 + 36, 27)]
     assert "lift" not in out.stages
     assert (out.revenue, out.certified, out.method) == (want.revenue, True, "float-guided-exact")
+
+
+def test_each_method_tries_its_systems_in_order(monkeypatch):
+    # every float solve fails: float-guided-exact tries the orbit system, then
+    # the full one, and raises the full system's error; auto tries the same
+    # two, then the exact simplex; exact-simplex builds no orbit system and
+    # makes no float solve
+    dist = product([uniform([1, 3, 4])] * 2)
+    simplex = lp_optimal(dist, method="exact-simplex")
+    orbits = _System.orbits(dist)
+    tried = [(len(orbits.rows), len(orbits.c)), (9 * 8 + 9 + 36, 27)]
+    built, sizes = [], []
+
+    def fail(c, rows, *rest):
+        sizes.append((len(rows), len(c)))
+        raise LPError(f"stand-in failure {len(sizes)}")
+
+    build = _System.orbits.__func__
+    monkeypatch.setattr(_System, "orbits",
+                        classmethod(lambda cls, d: built.append(d) or build(cls, d)))
+    monkeypatch.setattr(lp, "certified_vertex", fail)
+    with pytest.raises(LPError, match="^stand-in failure 2$"):
+        lp_optimal(dist, method="float-guided-exact")
+    assert (built, sizes) == ([dist], tried)
+    built.clear()
+    sizes.clear()
+    out = lp_optimal(dist)
+    assert (built, sizes) == ([dist], tried)
+    assert (out.method, out.revenue, out.certified) == ("exact-simplex", simplex.revenue, True)
+    assert set(out.stages) == {"simplex"}
+    built.clear()
+    sizes.clear()
+    assert lp_optimal(dist, method="exact-simplex") == simplex
+    assert (built, sizes) == ([], [])
 
 
 def test_example7_lp_takes_the_orbit_path(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -25,6 +26,7 @@ from menurev.instances import random_single_item
 from menurev import model
 from menurev.model import JointDistribution, SingleItemDistribution
 from menurev.rational import ParseError
+from menurev.search import SearchError
 
 prices2 = st.lists(st.fractions(0, 20, max_denominator=4), min_size=3, max_size=3)
 
@@ -39,6 +41,23 @@ def test_menu_accessors_and_price():
     assert m.price([2, 1]) == F(7, 2)
     with pytest.raises(ValueError):
         Menu.from_sequence(2, (1, -1, 2))
+
+
+@pytest.mark.parametrize("bundle, item", [
+    ("1", "'1' is a str"), ((1.5,), r"1\.5 is a float"), ((True,), "True is a bool"),
+    ((1.0,), r"1\.0 is a float"), ((2, True), "True is a bool"),
+], ids=["str", "fractional-float", "bool", "whole-float", "int-and-bool"])
+def test_bundle_items_must_be_ints(bundle, item):
+    # a bundle's items are ints; a str, a float or a bool never stands for one
+    with pytest.raises(ValueError, match=rf"^item {item}, not an int$"):
+        menu2(1, 2, 3).price(bundle)
+    dist = product([uniform([1, 3])] * 2)
+    # first, so that the key (True,) or (1.0,) is kept when (1,) updates it
+    explicit = {bundle: [3], (1,): [1], (2,): [1], (1, 2): [2]}
+    shown = re.escape(repr(bundle))
+    with pytest.raises(SearchError, match=rf"^explicit grid: bundle key {shown}: item {item}, "
+                                          "not an int$"):
+        candidate_grid(dist, "explicit", explicit=explicit)
 
 
 def test_menu_rejects_non_rational_prices():
