@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .model import (
     Bundle,
@@ -55,7 +55,7 @@ from .model import (
     _coordinate_columns,
     all_bundles,
 )
-from .rational import RationalLike, over_common_denominator, parse_nonnegative
+from .rational import over_common_denominator
 
 
 # ---------------------------------------------------------------------------
@@ -282,44 +282,23 @@ def check_monotone(m: Menu, grid: Sequence[Valuation]) -> MonotonicityReport:
     return MonotonicityReport(tuple(violations))
 
 
-def monotonicity_grid(m: Menu,
-                      support: Optional[Sequence[Iterable[RationalLike]]] = None
-                      ) -> List[Valuation]:
-    """Audit grid for a 2-item menu: region corner coordinates (and optional
-    per-item support values), each plus/minus half the smallest gap between them.
-
-    Support values are nonnegative ints, Fractions or rational strings; any
-    other value raises ValueError naming it as support[i][k].
+def monotonicity_grid(m: Menu) -> List[Valuation]:
+    """Audit grid for a 2-item menu: region corner coordinates, each
+    plus/minus half the smallest gap between them.
 
     Revenue is piecewise constant with breakpoints at the region boundaries.
     That violations then show up at corner points nudged across a boundary
     is an unproved assumption: the tests check it against the plain pair
-    loop `reference.monotonicity_violations` on grids with extra support
-    points, and deciding monotonicity exactly over all valuations is an
-    open item of ROADMAP.md (item 5).
+    loop `reference.monotonicity_violations` on grids with extra points,
+    and deciding monotonicity exactly over all valuations is an open item
+    of ROADMAP.md (item 5).
     """
     if m.n != 2:
         raise ValueError("monotonicity_grid is defined for 2-item menus")
-    if support is not None and len(support) != 2:
-        raise ValueError(f"support has {len(support)} sequences; "
-                         "a 2-item menu needs one per item")
     a, b, c = m.prices
-    base = {Fraction(0), a, b, c, c - a, c - b, a + b}
-    axes: List[set] = [set(base), set(base)]
-    if support is not None:
-        for i, values in enumerate(support):
-            axes[i] |= {parse_nonnegative(x, f"support[{i}][{k}]")
-                        for k, x in enumerate(values)}
-    per_axis: List[List[Fraction]] = []
-    for axis in axes:
-        coords = sorted(x for x in axis if x >= 0)
-        gaps = [y - x for x, y in zip(coords, coords[1:]) if y > x]
-        delta = min(gaps) / 2 if gaps else Fraction(1, 2)
-        expanded = set(coords)
-        for x in coords:
-            expanded.add(x + delta)
-            if x - delta >= 0:
-                expanded.add(x - delta)
-        expanded.add(max(coords) + 1 if coords else Fraction(1))
-        per_axis.append(sorted(expanded))
-    return [(x, y) for x in per_axis[0] for y in per_axis[1]]
+    coords = sorted(x for x in {Fraction(0), a, b, c, c - a, c - b, a + b} if x >= 0)
+    gaps = [y - x for x, y in zip(coords, coords[1:])]
+    delta = min(gaps) / 2 if gaps else Fraction(1, 2)
+    axis = sorted({*coords, *(x + delta for x in coords),
+                   *(x - delta for x in coords if x >= delta), coords[-1] + 1})
+    return [(x, y) for x in axis for y in axis]

@@ -15,10 +15,10 @@ from typing import List, Optional
 
 from .buyer import sale_probabilities
 from .model import normalize
-from .randomized import COMBINATION_RULES
-from .rational import ParseError, decimal_with_flag, format_rational
+from .randomized import COMBINATION_RULES, MAX_FALSE_NAME_PICKS
+from .rational import ParseError, decimal_with_flag, format_rational, parse_nonnegative
 from .regions import region_partition_2, render_ascii, render_svg
-from .reproduce import ER_GAP_PARAMS, TARGETS, run_target
+from .reproduce import _REGISTRY, ER_GAP_PARAMS, TARGETS, run_target
 from .search import CONSTRAINTS, SearchError, candidate_grid, search_optimal
 from .serialize import bundle_key, dumps, parse_distribution, parse_grid, parse_menu
 
@@ -74,16 +74,17 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     dist = parse_distribution(_read_json(args.distribution))
+    max_price = None if args.max_price is None else parse_nonnegative(args.max_price, "--max-price")
     if args.grid == "file":
         if not args.grid_file:
             raise ParseError("--grid-file", "required when --grid file is used")
         explicit = parse_grid(_read_json(args.grid_file), dist.n)
-        grid = candidate_grid(dist, "explicit", explicit=explicit, max_price=args.max_price)
+        grid = candidate_grid(dist, "explicit", explicit=explicit, max_price=max_price)
     else:
         if args.grid_file is not None:
             raise ParseError("--grid-file", "read only with --grid file")
         mode = "integer-grid" if args.grid == "integer" else "support-sums"
-        grid = candidate_grid(dist, mode, max_price=args.max_price)
+        grid = candidate_grid(dist, mode, max_price=max_price)
     constraints = args.constraint or ["unrestricted"]
     results = [search_optimal(dist, c, grid) for c in constraints]
     if args.format == "json":
@@ -113,10 +114,26 @@ def cmd_search(args) -> int:
     return 0
 
 
+# each `menurev reproduce` flag and the runner argument it sets
+_REPRODUCE_FLAGS = (("--trials", "trials"), ("--cap", "params"), ("--grid-points", "params"),
+                    ("--rule", "rule"), ("--k", "k"))
+
+
 def cmd_reproduce(args) -> int:
-    given = {name: value for name, value in (("cap", args.cap), ("grid_points", args.grid_points))
-             if value is not None}
-    params = dataclasses.replace(ER_GAP_PARAMS, **given) if given else None
+    for flag, name in _REPRODUCE_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) is None:
+            continue
+        readers = [t for t in TARGETS if name in _REGISTRY[t][1]]
+        if not set(readers) & set(args.target):
+            raise ParseError(flag, f"read only by {', '.join(readers)}")
+    params = None  # the registry's default unless --cap or --grid-points is given
+    for flag, field in (("--cap", "cap"), ("--grid-points", "grid_points")):
+        value = getattr(args, field)
+        if value is not None:
+            try:
+                params = dataclasses.replace(params or ER_GAP_PARAMS, **{field: value})
+            except ValueError as exc:
+                raise ParseError(flag, str(exc)) from None
     failures = 0
     lines: List[str] = []
     rows_doc = []
@@ -179,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--cap", type=float)
     p_rep.add_argument("--grid-points", type=int)
     p_rep.add_argument("--rule", choices=COMBINATION_RULES)
-    p_rep.add_argument("--k", type=int)
+    p_rep.add_argument("--k", type=int, choices=range(1, MAX_FALSE_NAME_PICKS + 1))
     p_rep.add_argument("--format", choices=["text", "json"], default="text")
     p_rep.add_argument("--out")
     p_rep.set_defaults(fn=cmd_reproduce)

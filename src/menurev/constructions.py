@@ -87,10 +87,10 @@ def _submodularize(m: Menu, d1: SingleItemDistribution,
     lhs = d1.prob_in(a, c - b) * a
     rhs = d1.tail(c - b) * (c - (a + b))
     if lhs >= rhs:
-        branch, out = "item-prices", menu2(a, b, a + b)
+        branch, (x, y, z) = "item-prices", (a, b, a + b)
     else:
-        branch, out = "bundle-margin", menu2(c - b, b, c)
-    return branch, out.swap2() if swapped else out
+        branch, (x, y, z) = "bundle-margin", (c - b, b, c)
+    return branch, menu2(y, x, z) if swapped else menu2(x, y, z)
 
 
 def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
@@ -118,16 +118,17 @@ def symmetrize2(m: Menu, f: SingleItemDistribution) -> ConstructionCertificate:
     if m.n != 2:
         raise ValueError("symmetrize2 is defined for 2-item menus")
     work, sub = m, None
-    if m.a != m.b:
+    symmetric = m.prices[0] == m.prices[1]
+    if not symmetric:
         work = normalize(m)
-        if work.c > work.a + work.b:
+        a, b, c = work.prices
+        if c > a + b:
             sub = (work, *_submodularize(work, f, f))
-            work = sub[2]
-        if work.a > work.b:
-            work = work.swap2()
+            a, b, c = sub[2].prices
+        work = menu2(min(a, b), max(a, b), c)
     a, b, c = work.prices
     if a == b:
-        branch = "identity" if m.a == m.b else "normalized-symmetric"
+        branch = "identity" if symmetric else "normalized-symmetric"
         cands = [work]
     elif c <= 2 * a:
         branch, cands = "c<=2a", [menu2(a, a, c), menu2(b, b, c)]

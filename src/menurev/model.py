@@ -95,10 +95,6 @@ def as_valuation(values: Sequence[RationalLike], n: int, where: str) -> Valuatio
     return v
 
 
-def bundle_value(v: Valuation, bundle: Bundle) -> Fraction:
-    return sum((v[i - 1] for i in bundle), Fraction(0))
-
-
 def _is_rational(p) -> bool:  # an int, a Fraction or another numbers.Rational, not a bool
     return type(p) is Fraction or type(p) is int or (
         isinstance(p, numbers.Rational) and not isinstance(p, bool))
@@ -367,40 +363,35 @@ class Menu:
     """Deterministic mechanism: one nonnegative price per nonempty bundle.
 
     Prices are stored in canonical bundle order (all_bundles); the empty
-    bundle implicitly costs 0.
+    bundle implicitly costs 0. Each price is checked once, at construction:
+    a Fraction is kept, an int or other `numbers.Rational` (not a bool) is
+    stored as a Fraction, and a non-rational or negative price raises
+    ValueError naming its bundle, as do a wrong price count and an item
+    count outside 1..MAX_ITEMS.
     """
 
     n: int
     prices: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        self._check_length()
-        for b, p in zip(all_bundles(self.n), self.prices):
-            if not _is_rational(p):
-                raise ValueError(f"price of bundle {b} = {p!r} is a {type(p).__name__}, "
-                                 "not a rational number")
+        if type(self.n) is not int:
+            raise ValueError(f"item count must be an int, got {self.n!r}")
+        bundles = all_bundles(self.n)  # ValueError unless 1 <= n <= MAX_ITEMS
+        prices = tuple(self.prices)
+        if len(prices) != len(bundles):
+            raise ValueError(f"menu for {self.n} items needs {len(bundles)} prices, "
+                             f"got {len(prices)}")
+        checked = []
+        for b, p in zip(bundles, prices):
+            if type(p) is not Fraction:
+                if not _is_rational(p):
+                    raise ValueError(f"price of bundle {b} = {p!r} is a {type(p).__name__}, "
+                                     "not a rational number")
+                p = Fraction(p)
             if p.numerator < 0:  # a Fraction's sign, without a Fraction comparison
                 raise ValueError(f"price of bundle {b} must be nonnegative, got {p}")
-
-    def _check_length(self):
-        expected = (1 << self.n) - 1
-        if len(self.prices) != expected:
-            raise ValueError(f"menu for {self.n} items needs {expected} prices, got {len(self.prices)}")
-
-    @classmethod
-    def from_sequence(cls, n: int, prices: Sequence[RationalLike]) -> "Menu":
-        """The menu of `prices` in canonical bundle order, each price checked
-        once: a nonnegative Fraction as it is, anything else by
-        `parse_nonnegative`, which raises the `ParseError` at `price[i]`.
-        `__post_init__` would check them again, so it is not run; only the
-        count is checked, after the prices, as it would check it."""
-        menu = object.__new__(cls)
-        object.__setattr__(menu, "n", n)
-        object.__setattr__(menu, "prices", tuple(
-            p if type(p) is Fraction and p.numerator >= 0 else parse_nonnegative(p, f"price[{i}]")
-            for i, p in enumerate(prices)))
-        menu._check_length()
-        return menu
+            checked.append(p)
+        object.__setattr__(self, "prices", tuple(checked))
 
     def price(self, bundle: Iterable[int]) -> Fraction:
         b = as_bundle(bundle, self.n)
@@ -409,39 +400,15 @@ class Menu:
     def as_dict(self) -> Dict[Bundle, Fraction]:
         return dict(zip(all_bundles(self.n), self.prices))
 
-    # n=2 accessors matching the usual (a, b, c) notation
-    @property
-    def a(self) -> Fraction:
-        self._require2()
-        return self.prices[0]
-
-    @property
-    def b(self) -> Fraction:
-        self._require2()
-        return self.prices[1]
-
-    @property
-    def c(self) -> Fraction:
-        self._require2()
-        return self.prices[2]
-
-    def _require2(self):
-        if self.n != 2:
-            raise ValueError("a/b/c accessors require a 2-item menu")
-
-    def swap2(self) -> "Menu":
-        """Relabel the two items of an n=2 menu."""
-        self._require2()
-        return Menu(2, (self.prices[1], self.prices[0], self.prices[2]))
-
 
 @lru_cache(maxsize=None)
 def _bundle_index(n: int) -> Dict[Bundle, int]:
     return {b: i for i, b in enumerate(all_bundles(n))}
 
 
-def menu2(a: RationalLike, b: RationalLike, c: RationalLike) -> Menu:
-    return Menu.from_sequence(2, (a, b, c))
+def menu2(a: numbers.Rational, b: numbers.Rational, c: numbers.Rational) -> Menu:
+    """The 2-item menu (a, b, c): item 1 at a, item 2 at b, both at c."""
+    return Menu(2, (a, b, c))
 
 
 def _lattice_steps(n: int) -> Iterator[Tuple[int, int, int, int]]:
@@ -497,4 +464,7 @@ def normalize(m: Menu) -> Menu:
 
 
 def is_normalized2(m: Menu) -> bool:
-    return m.n == 2 and m.c >= m.a and m.c >= m.b
+    if m.n != 2:
+        return False
+    a, b, c = m.prices
+    return c >= a and c >= b

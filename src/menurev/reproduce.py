@@ -90,7 +90,7 @@ def _example4() -> List[CheckRow]:
     }
     submodular_of = {}
     for constraint, (prices, want) in named.items():
-        menu = Menu.from_sequence(3, prices)
+        menu = Menu(3, prices)
         rev = expected_revenue(menu, dist)
         symmetric = is_symmetric_menu(menu)
         submodular = submodular_of[constraint] = is_submodular(menu)

@@ -267,7 +267,8 @@ class SearchResult:
 class _Instance:
     """An instance in integers. Values and grid prices are scaled by L, the lcm
     of their denominators: lcm(L_v, the grid's denominators), the values read
-    over L_v from `dist.integer_atoms`. They are held in the keys' dtype:
+    over L_v from `dist.integer_atoms`, the prices scaled once into `grids`,
+    one array per bundle. They are held in the keys' dtype:
     int64 where every key fits, Python ints otherwise. With W the lcm of the
     probability denominators, a menu's exact score sum_t p_t * W * pay_t is
     its revenue times W * L. `weights` holds w_t = floor(p_t * s), in the
@@ -283,14 +284,16 @@ class _Instance:
         self.order = all_bundles(dist.n)
         atoms = dist.integer_atoms
         self.L = math.lcm(atoms.scale, *{p.denominator for ps in grid.prices for p in ps})
+        scaled = [_multiples(ps, self.L) for ps in grid.prices]
         # K is above every grid price, so a key (v - p) * K + p pays p = key mod K
-        self.K = max(int(ps[-1] * self.L) for ps in grid.prices) + 1
+        self.K = max(g[-1] for g in scaled) + 1
         items = np.array(atoms.columns, dtype=object).T  # (types, items)
         if self.L != atoms.scale:
             items = items * (self.L // atoms.scale)
         max_val = max(items.sum(axis=1), default=0)
         # Python ints stay exact where int64 keys would overflow
         self.dtype = np.int64 if (max_val + self.K + 1) * self.K < _INT64_BUDGET else object
+        self.grids = [g.astype(self.dtype) for g in scaled]
         incidence = [[int(i + 1 in b) for b in self.order] for i in range(dist.n)]
         self.values = items.astype(self.dtype) @ np.array(incidence, dtype=self.dtype)
         self.W = atoms.whole
@@ -419,7 +422,7 @@ def _layout(inst: _Instance, constraint: str, prune: bool) -> Optional[_Layout]:
     bundle-monotone terms only if `prune`; None when it admits no grid menu."""
     n, order = inst.dist.n, inst.order
     every = tuple(range(len(order)))
-    grids = [np.array([int(p * inst.L) for p in ps], dtype=inst.dtype) for ps in inst.grid.prices]
+    grids = inst.grids
     singles = [g.tolist() for g in grids[:n]]
     monotone, submodular = _lattice_terms(n)
     terms = monotone if prune else ()
@@ -704,7 +707,7 @@ def _posted_price(inst: _Instance, constraint: str, clock: _StageClock):
         by_value = np.argsort(inst.values[:, c])
         # the weight of the types from each sorted position on, then of none
         above = np.append(np.cumsum(inst.exact_weights[by_value][::-1])[::-1], 0)
-        prices = _multiples(inst.grid.prices[c], inst.L).astype(inst.dtype)
+        prices = inst.grids[c]
         scores = prices * above[np.searchsorted(inst.values[by_value, c], prices)]
         k = int(np.argmax(scores))  # the first of equal scores
         row.append(int(prices[k]))

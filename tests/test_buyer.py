@@ -20,9 +20,12 @@ from menurev import (
 )
 from menurev import buyer
 from menurev.instances import random_menu, random_submodular_menu, random_valuation_grid
-from menurev.model import bundle_value
 
 import reference
+
+
+def _value(v, bundle):
+    return sum(v[i - 1] for i in bundle)
 
 
 def _outcome(m, v):
@@ -32,7 +35,7 @@ def _outcome(m, v):
     bundle = (((),) + all_bundles(m.n))[option]
     payment = buyer._price_paid(m, option)
     assert revenue_at(m, v) == payment
-    return bundle, payment, bundle_value(v, bundle) - payment
+    return bundle, payment, _value(v, bundle) - payment
 
 
 def test_tie_breaks_toward_higher_payment():
@@ -80,7 +83,7 @@ def test_choice_dominates_every_bundle(rng):
             _, _, utility = _outcome(m, v)
             assert utility >= 0
             for b in all_bundles(n):
-                assert utility >= bundle_value(v, b) - m.price(b)
+                assert utility >= _value(v, b) - m.price(b)
 
 
 def test_revenue_linear_in_mixture(rng):
@@ -105,7 +108,7 @@ def test_revenue_linear_in_mixture(rng):
        st.integers(0, 60), st.integers(0, 60))
 def test_scaling_invariance(scale, a, b, c, v1, v2):
     m = menu2(F(a, 4), F(b, 4), F(c, 4))
-    scaled = menu2(m.a * scale, m.b * scale, m.c * scale)
+    scaled = menu2(*(p * scale for p in m.prices))
     v = (F(v1, 3), F(v2, 3))
     sv = (v[0] * scale, v[1] * scale)
     assert _outcome(scaled, sv)[0] == _outcome(m, v)[0]
@@ -122,35 +125,9 @@ def test_monotonicity_violation_reported():
 
 
 def test_single_item_menu_monotone():
-    m = Menu.from_sequence(1, (5,))
+    m = Menu(1, (5,))
     grid = [(F(k, 2),) for k in range(14)]
     assert check_monotone(m, grid).ok
-
-
-def test_monotonicity_grid_includes_support():
-    m = menu2(2, 3, 4)
-    grid = monotonicity_grid(m, support=[(F(17),), (F(19),)])
-    assert any(v[0] == 17 for v in grid)
-    assert any(v[1] == 19 for v in grid)
-
-
-@pytest.mark.parametrize("support", [[(F(1),), (F(2),), (F(3),)], [(F(1),)], []])
-def test_monotonicity_grid_rejects_support_not_per_item(support):
-    with pytest.raises(ValueError, match="support"):
-        monotonicity_grid(menu2(2, 3, 4), support=support)
-
-
-@pytest.mark.parametrize("support, message", [
-    ([(F(1), 0.1), ()], r"support\[0\]\[1\]: expected int or string rational, got float"),
-    ([(), (F(2), -1)], r"support\[1\]\[1\]: must be nonnegative, got -1"),
-    ([("a",), ()], r"support\[0\]\[0\]: not a rational number: 'a'"),
-], ids=["float", "negative", "bad-string"])
-def test_monotonicity_grid_rejects_bad_support_values(support, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
-        monotonicity_grid(menu2(2, 3, 4), support=support)
-    good = [(F(1), "1/2"), (F(2), 3)]
-    assert monotonicity_grid(menu2(2, 3, 4), support=good) == monotonicity_grid(
-        menu2(2, 3, 4), support=[(F(1), F(1, 2)), (F(2), F(3))])
 
 
 def _violations(m, grid):
@@ -159,13 +136,15 @@ def _violations(m, grid):
 
 
 def _arbitrary_menus(rng, count):
-    """2-item menus with any prices, supermodular ones included, and grids
-    that take in a few support points."""
+    """2-item menus with any prices, supermodular ones included, and their
+    audit grids with a few extra points, one coordinate of each on the grid."""
     for _ in range(count):
         m = menu2(rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 16))
-        support = [[F(rng.randint(0, 24), 2) for _ in range(rng.randint(0, 2))]
-                   for _ in range(2)]
-        yield m, monotonicity_grid(m, support=support)
+        grid = monotonicity_grid(m)
+        axis = sorted({x for x, _ in grid})
+        extra = [(F(rng.randint(0, 24), 2), rng.choice(axis)) for _ in range(rng.randint(0, 2))]
+        extra += [(rng.choice(axis), F(rng.randint(0, 24), 2)) for _ in range(rng.randint(0, 2))]
+        yield m, grid + extra
 
 
 def _point_sets(rng, count):
@@ -296,7 +275,7 @@ def _deciding_rule(m, v):
     """Which rule of the tie-break picks v's option: the utility, the payment,
     the size, or the lexicographic order of the tied bundles."""
     options = [((), F(0))] + list(zip(all_bundles(m.n), m.prices))
-    rows = [(bundle_value(v, b) - p, p, len(b), b) for b, p in options]
+    rows = [(_value(v, b) - p, p, len(b), b) for b, p in options]
     for level, rule in enumerate(("utility", "payment", "size")):
         top = max(r[level] for r in rows)
         rows = [r for r in rows if r[level] == top]

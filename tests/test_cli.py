@@ -12,7 +12,7 @@ from menurev import cli
 from menurev import candidate_grid, search_optimal
 from menurev.cli import main
 from menurev.instances import load_distribution
-from menurev.reproduce import ER_GAP_PARAMS, run_target
+from menurev.reproduce import ER_GAP_PARAMS, TARGETS, run_target
 
 DATA = str(Path(menurev.__file__).parent / "data")
 
@@ -367,8 +367,44 @@ def test_reproduce_passes_only_the_given_flags(monkeypatch, capsys):
     assert calls == [("example-7", given), ("er-gap", given)]
     assert given["params"].cap == ER_GAP_PARAMS.cap
     calls.clear()
-    assert main(["reproduce", "er-gap", "--rule", "capped", "--k", "3"]) == 0
-    assert calls == [("er-gap", {"trials": None, "rule": "capped", "k": 3, "params": None})]
+    assert main(["reproduce", "example-7", "--rule", "capped", "--k", "3"]) == 0
+    assert calls == [("example-7", {"trials": None, "rule": "capped", "k": 3, "params": None})]
+
+
+@pytest.mark.parametrize("targets, flags, message", [
+    (["w-constant"], ["--cap", "5", "--k", "2", "--rule", "capped", "--trials", "3"],
+     "--trials: read only by theorem-3-1-property, theorem-4-1-property, "
+     "monotonicity-property, lemma-5-property"),
+    (["w-constant", "example-7"], ["--cap", "5", "--k", "2"], "--cap: read only by er-gap"),
+    (["example-4"], ["--grid-points", "300"], "--grid-points: read only by er-gap"),
+    (["er-gap"], ["--rule", "capped"], "--rule: read only by example-7"),
+    (["example-5", "lemma-5-property"], ["--k", "3"], "--k: read only by example-7"),
+], ids=["trials", "cap", "grid-points", "rule", "k"])
+def test_reproduce_rejects_flags_no_target_reads(monkeypatch, capsys, targets, flags, message):
+    # a flag that none of the selected targets reads exits 2 before any target runs
+    calls = []
+    monkeypatch.setattr(cli, "run_target", lambda target, **kw: calls.append(target) or [])
+    assert main(["reproduce", *targets, *flags]) == 2
+    assert (calls, capsys.readouterr()) == ([], ("", f"error: {message}\n"))
+    assert main(["reproduce", "all", *flags]) == 0
+    assert calls == list(TARGETS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reproduce", "er-gap", "--grid-points", "50"], "error: --grid-points: grid_points must be at least 100"),
+    (["reproduce", "er-gap", "--cap", "-3"], "error: --cap: cap must be positive"),
+    (["reproduce", "example-7", "--k", "0"], "argument --k: invalid choice: 0 (choose from 1, 2, 3)"),
+    (["reproduce", "example-7", "--k", "4"], "argument --k: invalid choice: 4 (choose from 1, 2, 3)"),
+    (["search", f"{DATA}/example5_eps100.json", "--max-price", "-1"],
+     "error: --max-price: must be nonnegative, got -1"),
+], ids=["grid-points", "cap", "k-0", "k-4", "max-price"])
+def test_flag_faults_name_the_flag(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own choices check
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and message in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -145,7 +145,8 @@ def test_symmetrize_builds_one_product(monkeypatch):
     cert = symmetrize2(m, f)
     assert len(built) == 1
     work = constructions.normalize(m)
-    assert work.c > work.a + work.b
+    a, b, c = work.prices
+    assert c > a + b
     sub = submodularize2(work, f, f)
     assert len(built) == 2
     assert cert == symmetrize2(m, f) and len(built) == 3
@@ -207,7 +208,8 @@ def test_reflection_identity_for_iid_products(rng):
         dist = product([f, f])
         menu = random_submodular_menu(rng)
         sales = sale_probabilities(menu, dist)
-        mirrored = sale_probabilities(menu.swap2(), dist)
+        a, b, c = menu.prices
+        mirrored = sale_probabilities(menu2(b, a, c), dist)
         assert sales[(1,)] == mirrored[(2,)]
         assert sales[(2,)] == mirrored[(1,)]
         assert sales[(1, 2)] == mirrored[(1, 2)]

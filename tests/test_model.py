@@ -37,10 +37,44 @@ def test_bundle_order_is_size_then_lex():
 
 def test_menu_accessors_and_price():
     m = menu2(1, 2, F(7, 2))
-    assert (m.a, m.b, m.c) == (F(1), F(2), F(7, 2))
+    assert m.prices == (F(1), F(2), F(7, 2))
     assert m.price([2, 1]) == F(7, 2)
     with pytest.raises(ValueError):
-        Menu.from_sequence(2, (1, -1, 2))
+        Menu(2, (1, -1, 2))
+
+
+class _Ratio(F):
+    """A numbers.Rational that is not a Fraction."""
+
+
+def test_menu_holds_fractions_and_rejects_the_rest():
+    # Menu(n, prices) and menu2 are one construction: ints, Fractions and
+    # other rationals are held as Fractions, and every fault names its bundle
+    for m in (Menu(2, (1, F(3, 2), _Ratio(5, 2))), menu2(1, F(3, 2), _Ratio(5, 2))):
+        assert m.prices == (F(1), F(3, 2), F(5, 2))
+        assert [type(p) for p in m.prices] == [F] * 3
+    assert menu2(1, 2, 3) == Menu(2, (1, 2, 3)) == Menu(2, (F(1), F(2), F(3)))
+    for prices, message in [
+        ((F(1), 2.5, 3), r"price of bundle \(2,\) = 2\.5 is a float, not a rational number"),
+        ((1, 2, False), r"price of bundle \(1, 2\) = False is a bool, not a rational number"),
+        (("1", 2, 3), r"price of bundle \(1,\) = '1' is a str, not a rational number"),
+        ((1, _Ratio(-1, 2), 3), r"price of bundle \(2,\) must be nonnegative, got -1/2"),
+        ((F(-3), 2, 3), r"price of bundle \(1,\) must be nonnegative, got -3"),
+    ]:
+        for build in (lambda: Menu(2, prices), lambda: menu2(*prices)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+    for n, prices, message in [
+        (2, (1, 2), "menu for 2 items needs 3 prices, got 2"),
+        (1, (1, 2), "menu for 1 items needs 1 prices, got 2"),
+        (3, (1,) * 8, "menu for 3 items needs 7 prices, got 8"),
+        (0, (), r"item count must be in 1\.\.16, got 0"),
+        (-1, (), r"item count must be in 1\.\.16, got -1"),
+        (17, (), r"item count must be in 1\.\.16, got 17"),
+        (2.0, (1, 2, 3), r"item count must be an int, got 2\.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Menu(n, prices)
 
 
 @pytest.mark.parametrize("bundle, item", [
@@ -83,9 +117,9 @@ def test_explicit_grid_rejects_repeated_bundle():
 
 
 def test_submodular_examples():
-    assert is_submodular(Menu.from_sequence(3, (5, 6, 6, 7, 7, 8, 9)))
+    assert is_submodular(Menu(3, (5, 6, 6, 7, 7, 8, 9)))
     # p({1,2}) + p({1,3}) = 14 < p({1}) + p({1,2,3}) = 15
-    assert not is_submodular(Menu.from_sequence(3, (6, 6, 6, 7, 7, 8, 9)))
+    assert not is_submodular(Menu(3, (6, 6, 6, 7, 7, 8, 9)))
     assert is_submodular(menu2(2, 3, 5))
 
 
@@ -105,7 +139,7 @@ def _tie_heavy_menu(rng, n):
     if rng.random() < 0.5:
         k = rng.randrange(len(prices))
         prices[k] = min(6, max(0, prices[k] + rng.choice((-1, 1))))
-    return Menu.from_sequence(n, prices)
+    return Menu(n, prices)
 
 
 def test_class_predicates_match_reference():
@@ -191,9 +225,9 @@ def test_is_submodular_stops_at_the_first_violation():
 
 
 def test_symmetric_examples():
-    assert is_symmetric_menu(Menu.from_sequence(3, (6, 6, 6, 7, 7, 7, 9)))
-    assert not is_symmetric_menu(Menu.from_sequence(3, (6, 6, 6, 7, 7, 8, 9)))
-    assert is_symmetric_menu(Menu.from_sequence(1, (4,)))
+    assert is_symmetric_menu(Menu(3, (6, 6, 6, 7, 7, 7, 9)))
+    assert not is_symmetric_menu(Menu(3, (6, 6, 6, 7, 7, 8, 9)))
+    assert is_symmetric_menu(Menu(1, (4,)))
 
 
 def test_normalize_examples():
@@ -500,36 +534,37 @@ def test_point_mass_and_tail():
     assert u.tail(F(2)) == F(1, 2)
 
 
-@pytest.mark.parametrize("build, location, message", [
-    (lambda: menu2(F(1), -1, 3), "price[1]", "price[1]: must be nonnegative, got -1"),
-    (lambda: menu2(F(1), F(2), F(-3)), "price[2]", "price[2]: must be nonnegative, got -3"),
-    (lambda: menu2("x", 2, 3), "price[0]",
-     "price[0]: not a rational number: 'x' (Invalid literal for Fraction: 'x')"),
-    (lambda: menu2(1, True, 3), "price[1]", "price[1]: expected a rational number, got a boolean"),
-    (lambda: Menu.from_sequence(2, [F(1), 2.5, 3]), "price[1]",
-     "price[1]: expected int or string rational, got float"),
-    (lambda: Menu.from_sequence(3, [F(1), "1/0"]), "price[1]",
-     "price[1]: not a rational number: '1/0' (Fraction(1, 0))"),
+@pytest.mark.parametrize("build, message", [
+    (lambda: menu2(F(1), -1, 3), "price of bundle (2,) must be nonnegative, got -1"),
+    (lambda: menu2(F(1), F(2), F(-3)), "price of bundle (1, 2) must be nonnegative, got -3"),
+    (lambda: menu2("x", 2, 3), "price of bundle (1,) = 'x' is a str, not a rational number"),
+    (lambda: menu2(1, True, 3), "price of bundle (2,) = True is a bool, not a rational number"),
+    (lambda: Menu(2, [F(1), 2.5, 3]), "price of bundle (2,) = 2.5 is a float, not a rational number"),
+    (lambda: Menu(3, [F(1), "1/0", *[F(1)] * 5]),
+     "price of bundle (2,) = '1/0' is a str, not a rational number"),
 ], ids=["negative-int", "negative-fraction", "string", "bool", "float", "zero-denominator"])
-def test_menu_from_sequence_parse_errors(build, location, message):
-    with pytest.raises(ParseError) as err:
+def test_menu_from_sequence_parse_errors(build, message):
+    # a menu built from a price sequence raises one ValueError form, naming the bundle
+    with pytest.raises(ValueError) as err:
         build()
-    assert (err.value.location, str(err.value)) == (location, message)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
 
 
 def test_menu_from_sequence_checks_each_price_once(monkeypatch):
-    # a nonnegative Fraction is neither parsed nor checked again by
-    # __post_init__; other prices are parsed once, and the count is checked
-    # after them
+    # a Fraction is kept as it is, with no rationals check; any other price
+    # is checked once and stored as a Fraction; the count is checked before
+    # any price
     want = Menu(2, (F(1, 2), F(3), F(7, 2)))
-    parsed = []
-    real = model.parse_nonnegative
-    monkeypatch.setattr(model, "parse_nonnegative", lambda p, where: parsed.append(where) or real(p, where))
-    monkeypatch.setattr(model, "_is_rational", lambda p: pytest.fail("price checked twice"))
-    m = menu2(F(1, 2), 3, "7/2")
+    checked = []
+    real = model._is_rational
+    monkeypatch.setattr(model, "_is_rational", lambda p: checked.append(p) or real(p))
+    m = menu2(F(1, 2), 3, _Ratio(7, 2))
     assert m == want and hash(m) == hash(want)
-    assert parsed == ["price[1]", "price[2]"]
-    with pytest.raises(ValueError, match="menu for 2 items needs 3 prices, got 2"):
-        Menu.from_sequence(2, [F(1), F(2)])
-    with pytest.raises(ParseError, match=r"price\[2\]"):
-        Menu.from_sequence(2, [F(1), F(2), -1, F(4)])
+    assert [type(p) for p in m.prices] == [F] * 3
+    assert checked == [3, _Ratio(7, 2)] and type(checked[1]) is _Ratio
+    checked.clear()
+    with pytest.raises(ValueError, match=r"^menu for 2 items needs 3 prices, got 2$"):
+        Menu(2, [F(1), 2])
+    with pytest.raises(ValueError, match=r"^menu for 2 items needs 3 prices, got 4$"):
+        Menu(2, [F(1), F(2), -1, F(4)])
+    assert checked == []

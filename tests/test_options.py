@@ -21,7 +21,6 @@ OPTIONS = {
     "er_cap_sweep.r1": "reproduce._er_gap",
     "er_cap_sweep.r2": "reproduce._er_gap",
     "lp_optimal.method": "the lottery-lp benchmark workload",
-    "monotonicity_grid.support": "the differential tests: it changes what is checked",
     "numeric_gap_er.include_drev": "er_cap_sweep",
     "numeric_gap_er.params": "reproduce._er_gap, er_cap_sweep",
 }
@@ -81,13 +80,8 @@ METHODS = {
     "JointDistribution.integer_atoms": "expected_revenues, sale_probabilities, search_optimal",
     "JointDistribution.marginal": "JointDistribution.support_values",
     "JointDistribution.support_values": "candidate_grid",
-    "Menu.a": "constructions.symmetrize2, model.is_normalized2",
     "Menu.as_dict": "regions, the benchmark reference",
-    "Menu.b": "constructions.symmetrize2, model.is_normalized2",
-    "Menu.c": "constructions.symmetrize2, model.is_normalized2",
-    "Menu.from_sequence": "menu2, reproduce",
     "Menu.price": "menurev eval",
-    "Menu.swap2": "constructions",
     "MonotonicityReport.ok": "reproduce, the exact-audit workload",
     "RandomizedMenu.from_entries": "serialize",
     "RegionPartition2.polygons": "render_svg",

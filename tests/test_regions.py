@@ -114,7 +114,8 @@ def test_ascii_shapes():
 def test_ascii_cells_are_the_buyer_choice_at_their_midpoints(prices):
     m = menu2(*prices)
     art = render_ascii(region_partition_2(m)).splitlines()
-    frame = max(m.a, m.b, m.c - m.a, m.c - m.b, F(1)) * F(5, 4)
+    a, b, c = m.prices
+    frame = max(a, b, c - a, c - b, F(1)) * F(5, 4)
     labels = {(): "0", (1,): "1", (2,): "2", (1, 2): "B"}
     assert len(art) == 25
     for j, row in enumerate(art[1:]):
